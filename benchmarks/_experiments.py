@@ -471,10 +471,11 @@ def run_e9() -> Table:
 # E10 — solver hot-path micro-benchmark (the perf-regression gate)
 # ---------------------------------------------------------------------------
 
-#: Width sweep for the E1-shaped workload: the solver-bound share of a
-#: k-induction attempt grows with datapath width, so narrow widths
-#: measure encoding overhead and wide widths measure BCP throughput.
+#: Width sweep for the E1-shaped workload: a width-generic counter with
+#: free inputs, so the unrolled datapath cannot fold to constants and
+#: the solver's share grows with the width.
 E10_WIDTHS = (8, 16, 32)
+E10_BMC_CASE = ("updown_counter", "never_top", 16)  # design, prop, bound
 
 #: E9-shaped PDR workload: the unseeded-PDR cases with the E9 budgets.
 E10_PDR_CASES = [
@@ -520,20 +521,23 @@ def run_e10() -> Table:
         totals["conflicts"] += conflicts
         totals["props"] += props
 
-    # E1-shaped: deep BMC on the lock-step counters across a width
-    # sweep.  BMC at bound 32 on a W-bit datapath is pure BCP weight
-    # (every query is UNSAT, so the solver grinds rather than guessing
-    # lucky models) and scales predictably with W.
-    design = get_design("sync_counters")
-    spec = design.property_spec("equal_count")
+    # E1-shaped: deep BMC across a width sweep.  The input-free
+    # lock-step counters of E1 fold to constants under functional frame
+    # binding (34 propagations at any width), so the sweep runs on the
+    # up/down counter: its `up`/`down` inputs keep every frame open,
+    # every query is UNSAT (the solver grinds rather than guessing
+    # lucky models), and conflicts and propagations grow with W.
+    design_name, prop_name, bmc_bound = E10_BMC_CASE
+    design = get_design(design_name)
+    spec = design.property_spec(prop_name)
     for width in E10_WIDTHS:
         def bmc_runs(width=width):
             system = elaborate(design.rtl, params={"W": width},
-                               name=f"sync{width}")
+                               name=f"{design_name}{width}")
             ctx = MonitorContext(system)
             prop = ctx.add(spec.sva, name=spec.name)
             engine = ProofEngine(ctx.system)
-            yield engine.check(prop, "bmc", bound=32)
+            yield engine.check(prop, "bmc", bound=bmc_bound)
         add_workload(f"e1_bmc_w{width}", bmc_runs)
 
     # E7-shaped: the bounded refutation / deep-induction mix a portfolio
@@ -571,8 +575,10 @@ def run_e10() -> Table:
                   int(totals["conflicts"] / max(totals["solver"], 1e-9)))
 
     # Observability overhead: the e7-shaped mix with solver metrics on
-    # vs off, interleaved (shared thermal/JIT conditions) and best-of-3
-    # per mode so scheduler noise does not masquerade as overhead.
+    # vs off, interleaved (shared thermal/JIT conditions) and best-of-5
+    # per mode so scheduler noise does not masquerade as overhead (five
+    # since the constant-aware encode path: the mix is ~0.1 s of solver
+    # time per repetition, too short for three to settle).
     # These rows sit BELOW the TOTAL: the headline gate against the
     # committed baseline is untouched, while
     # scripts/check_bench_regression.py separately fails CI when the
@@ -591,7 +597,7 @@ def run_e10() -> Table:
     best: dict[bool, tuple] = {}
     events_scratch = tempfile.mkdtemp(prefix="repro-e10-events-")
     try:
-        for _rep in range(3):
+        for _rep in range(5):
             for enabled in (True, False):
                 set_metrics_enabled(enabled)
                 if enabled:

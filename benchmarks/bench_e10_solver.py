@@ -1,9 +1,10 @@
 """E10 — solver hot-path micro-benchmark (perf-regression gate).
 
 Times the CDCL core against the three workload shapes the PR's solver
-rewrite targets — deep BMC (pure BCP), a mixed bounded/induction
-portfolio batch, and unseeded PDR (assumption-heavy incremental
-queries) — and asserts the structural invariants the perf harness
+rewrite targets — deep BMC over a width sweep (UNSAT at every depth,
+free inputs so the frames do not fold to constants), a mixed
+bounded/induction portfolio batch, and unseeded PDR (assumption-heavy
+incremental queries) — and asserts the structural invariants the perf harness
 relies on: verdicts are the expected ones, solver time is a subset of
 wall time, and the propagation counters actually moved.
 
@@ -50,8 +51,8 @@ def test_e10_solver(benchmark):
         assert pps > 0, label
         assert solver_s <= wall + 1e-6, label
 
-    # Width scaling: the BMC instance (and hence BCP work) grows with
-    # the datapath width, so the propagation counts must too.
+    # Width scaling: the BMC instance has free inputs, so it grows with
+    # the datapath width and the propagation counts must too.
     assert rows["e1_bmc_w8"][4] < rows["e1_bmc_w16"][4] < \
         rows["e1_bmc_w32"][4]
 

@@ -5,7 +5,10 @@ least-significant bit first.  Variables allocate fresh AIG inputs on first
 sight and are remembered, so blasting several expressions over the same
 variables (the unrolled transition relation plus a property) shares
 structure automatically through both the expression memo and the AIG's
-structural hashing.
+structural hashing.  A variable can instead be *bound* to existing
+literals before its first use (:meth:`BitBlaster.bind`); the unroller's
+timed states are defined that way, which lets constants fold through
+frame boundaries.
 
 Lowering choices (ripple-carry adders, barrel shifters, shift-and-add
 multipliers, MSB-first comparison chains) favour simplicity and small code
@@ -35,11 +38,14 @@ class BitBlaster:
 
     def blast(self, root: E.Expr) -> list[int]:
         """AIG literals for ``root``, LSB first (length == root.width)."""
-        for node in E.iter_dag([root]):
-            if id(node) in self._memo:
-                continue
-            self._memo[id(node)] = self._lower(node)
-        return list(self._memo[id(root)])
+        memo = self._memo
+        found = memo.get(id(root))
+        if found is None:
+            for node in E.iter_dag([root]):
+                if id(node) not in memo:
+                    memo[id(node)] = self._lower(node)
+            found = memo[id(root)]
+        return list(found)
 
     def blast_bool(self, root: E.Expr) -> int:
         """Single literal for a width-1 expression."""
@@ -49,9 +55,23 @@ class BitBlaster:
         return self.blast(root)[0]
 
     def var_bits(self, name: str) -> list[int] | None:
-        """The input literals allocated for variable ``name`` (if seen)."""
+        """The literals standing for variable ``name`` (if seen): fresh
+        inputs, or whatever :meth:`bind` defined it as."""
         bits = self._var_bits.get(name)
         return list(bits) if bits is not None else None
+
+    def bind(self, name: str, bits: list[int]) -> None:
+        """Define variable ``name`` as the literals ``bits`` (LSB first).
+
+        Every later occurrence of the variable lowers to ``bits`` instead
+        of fresh inputs, so logic over it is hashed and constant-folded
+        together with the logic that produced ``bits``.  Only possible
+        before the variable's first appearance in a blasted expression.
+        """
+        if name in self._var_bits:
+            raise BitBlastError(
+                f"variable {name!r} is already blasted; cannot bind it")
+        self._var_bits[name] = list(bits)
 
     def known_vars(self) -> list[str]:
         return list(self._var_bits)

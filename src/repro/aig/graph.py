@@ -53,18 +53,16 @@ class AIG:
 
     def and_(self, a: int, b: int) -> int:
         """AND of two literals, with constant/idempotence simplification."""
-        self._check(a)
-        self._check(b)
-        if a == FALSE or b == FALSE or a == negate(b):
-            return FALSE
-        if a == TRUE:
-            return b
-        if b == TRUE:
-            return a
-        if a == b:
-            return a
         if a > b:
             a, b = b, a
+        # Ordered, so one range check covers both literals.
+        if a < 0 or (b >> 1) >= len(self._ands):
+            raise BitBlastError(
+                f"literal {a if a < 0 else b} out of range")
+        if a == FALSE or a ^ 1 == b:
+            return FALSE
+        if a == TRUE or a == b:
+            return b
         key = (a, b)
         found = self._strash.get(key)
         if found is not None:
@@ -139,6 +137,10 @@ class AIG:
             raise BitBlastError(f"node {node} is not an AND node")
         return pair
 
+    def rows_from(self, start: int) -> list[tuple[int, int] | None]:
+        """Per node >= ``start``: its fanin pair, or None for an input."""
+        return self._ands[start:]
+
     def nodes_from(self, start: int) -> Iterable[tuple[int, int, int]]:
         """Yield ``(node, fanin_a, fanin_b)`` for AND nodes >= ``start``."""
         for node in range(max(start, 1), len(self._ands)):
@@ -170,7 +172,3 @@ class AIG:
         for lit in roots:
             out.append(values[node_of(lit)] ^ is_negated(lit))
         return out
-
-    def _check(self, lit: int) -> None:
-        if lit < 0 or node_of(lit) >= len(self._ands):
-            raise BitBlastError(f"literal {lit} out of range")

@@ -67,21 +67,49 @@ class FrameSolver:
     # ------------------------------------------------------------------
 
     def add_init(self) -> None:
-        for eq_expr in self.unroller.init_constraints():
+        """Pin initialized registers at time 0, then the time-0
+        constraints.  A variable-free init defines ``s@0`` as its
+        constant bits; one that reads variables stays an equation."""
+        un = self.unroller
+        equations = []
+        for name, init_expr in self.system.init.items():
+            if E.support(init_expr):
+                equations.append(E.eq(un.timed_var(name, 0),
+                                      un.at_time(init_expr, 0)))
+            else:
+                self._define(name, 0, init_expr)
+        for eq_expr in equations:
             self.assert_expr(eq_expr)
-        for c in self.unroller.constraints_at(0):
+        for c in un.constraints_at(0):
             self.assert_expr(c)
 
     def add_frame(self, t: int) -> None:
-        """Assert transition t -> t+1 plus constraints at t+1.
+        """Define the states at t+1 from frame t, plus constraints at t+1.
 
         Constraints at time 0 are added by :meth:`add_init` (BMC) or by the
         caller (induction step case, which has no init).
         """
-        for eq_expr in self.unroller.transition(t):
-            self.assert_expr(eq_expr)
-        for c in self.unroller.constraints_at(t + 1):
+        un = self.unroller
+        for name, next_expr in self.system.next.items():
+            self._define(name, t + 1, un.at_time(next_expr, t))
+        for c in un.constraints_at(t + 1):
             self.assert_expr(c)
+
+    def _define(self, name: str, t: int, value: E.Expr) -> None:
+        """Make ``name@t`` equal the timed expression ``value``.
+
+        Functionally where possible: the timed variable is *bound* to
+        the value's literals, so no input, no equation and no clause
+        exists for it and constants fold through the AIG.  A timed
+        variable some earlier formula already blasted has its inputs;
+        it gets the equation instead.
+        """
+        blaster = self.blaster
+        tname = timed_name(name, t)
+        if blaster.var_bits(tname) is None:
+            blaster.bind(tname, blaster.blast(value))
+        else:
+            self.assert_expr(E.eq(self.unroller.timed_var(name, t), value))
 
     # ------------------------------------------------------------------
     # Model extraction
@@ -92,7 +120,7 @@ class FrameSolver:
         tname = timed_name(name, t)
         bits = self.blaster.var_bits(tname)
         if bits is None:
-            # Variable never appeared in any asserted formula: free.
+            # Neither defined nor mentioned by any formula: free.
             return 0
         return self.cnf.bits_value(bits)
 

@@ -109,8 +109,8 @@ class SubprocessSolver:
     trade for BMC-style workloads where each depth's query dwarfs the
     encoding cost.  Implements the slice of the ``Solver`` interface the
     ``CnfBuilder``/``FrameSolver`` plumbing uses: ``add_var``,
-    ``add_clause``, ``solve``, ``solve_limited``, ``model_value``,
-    ``model``, ``num_vars``, ``stats``.
+    ``add_clause``, ``add_and_gate``, ``solve``, ``solve_limited``,
+    ``model_value``, ``model``, ``num_vars``, ``stats``.
     """
 
     spec: ExternalSolverSpec
@@ -135,15 +135,28 @@ class SubprocessSolver:
 
     def add_clause(self, dimacs_lits: list[int]) -> bool:
         self.stats.clauses_added += 1
-        lits = [int(d) for d in dimacs_lits]
-        for d in lits:
-            if d == 0 or abs(d) > self._nvars:
-                raise SatError(f"bad literal {d} in external clause")
+        lits = self._checked(dimacs_lits)
         if not lits:
             self._ok = False
             return False
         self._clauses.append(lits)
         return True
+
+    def add_and_gate(self, a: int, b: int) -> int:
+        """A fresh literal ``g`` with ``g <-> a AND b`` as three recorded
+        clauses; no values are known here, so nothing ever folds."""
+        a, b = self._checked((a, b))
+        g = self.add_var()
+        self._clauses += ([-g, a], [-g, b], [g, -a, -b])
+        self.stats.clauses_added += 3
+        return g
+
+    def _checked(self, dimacs_lits) -> list[int]:
+        lits = [int(d) for d in dimacs_lits]
+        for d in lits:
+            if d == 0 or abs(d) > self._nvars:
+                raise SatError(f"bad literal {d} in external clause")
+        return lits
 
     # -- solving --------------------------------------------------------
 

@@ -220,6 +220,56 @@ class Solver:
         self._clauses.append(cref)
         return True
 
+    def add_and_gate(self, a: int, b: int) -> int:
+        """The DIMACS literal that stands for ``a AND b``.
+
+        The Tseitin hot path in one call.  Level-0 facts fold first: a
+        fanin already false makes the gate that false literal, one
+        already true makes the gate an alias of the other fanin — no
+        variable, no clause.  Only an open gate allocates a variable
+        ``g`` and stores ``(-g a) (-g b) (g -a -b)`` directly in the
+        arena and watch lists (what three ``add_clause`` calls would
+        leave behind, in the same order).  Folding reads assignments, so
+        it is sound only at decision level 0, where they are permanent:
+        the precondition is ``add_clause``'s.
+        """
+        if self._trail_lim:
+            raise SatError("add_and_gate called while search is in progress")
+        la = self._from_dimacs(a)
+        lb = self._from_dimacs(b)
+        if not self._ok:
+            return a  # formula already UNSAT: any literal will do
+        lv = self._lv
+        value = lv[la]
+        if value:
+            return b if value > 0 else a
+        value = lv[lb]
+        if value:
+            return a if value > 0 else b
+        if la == lb:
+            return a
+        g = self.add_var()
+        if la == lb ^ 1:
+            self.add_clause([-g])
+            return g
+        pos = g << 1
+        neg = pos | 1
+        ca = self._ca
+        c1 = len(ca)
+        c2 = c1 + 4
+        c3 = c1 + 8
+        ca += (2, 0, neg, la, 2, 0, neg, lb, 3, 0, pos, la ^ 1, lb ^ 1)
+        bwatches = self._bwatches
+        bwatches[pos] += (c1, la, c2, lb)
+        bwatches[la ^ 1] += (c1, neg)
+        bwatches[lb ^ 1] += (c2, neg)
+        watches = self._watches
+        watches[neg] += (c3, la ^ 1)
+        watches[la] += (c3, pos)
+        self._clauses += (c1, c2, c3)
+        self.stats.clauses_added += 3
+        return g
+
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------

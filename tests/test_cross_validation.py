@@ -13,10 +13,13 @@ can offer about itself:
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.bitblast import BitBlaster
 from repro.aig.cnf import CnfBuilder
+from repro.aig.graph import AIG
+from repro.errors import SatError
 from repro.hdl import elaborate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
@@ -203,6 +206,139 @@ class TestCnfEquisatisfiability:
         cnf.assert_lit(bb.blast_bool(contradiction))
         cnf.encode_new_nodes()
         assert solver.solve() is False
+
+
+# ---------------------------------------------------------------------------
+# Fused, level-0-folding gate encoder vs a naive Tseitin reference
+# ---------------------------------------------------------------------------
+
+class _NaiveEncoder:
+    """The textbook encoding: one variable per node, three generic
+    clauses per AND, nothing folded, nothing shared."""
+
+    def __init__(self, aig: AIG, solver: Solver):
+        self.aig = aig
+        self.solver = solver
+        self.var = {0: solver.add_var()}
+        solver.add_clause([-self.var[0]])  # node 0 is FALSE
+
+    def dimacs(self, lit: int) -> int:
+        return -self.var[lit >> 1] if lit & 1 else self.var[lit >> 1]
+
+    def encode_new_nodes(self) -> None:
+        for node in range(len(self.var), self.aig.num_nodes):
+            v = self.var[node] = self.solver.add_var()
+            if self.aig.is_and(node):
+                a, b = (self.dimacs(f) for f in self.aig.fanins(node))
+                self.solver.add_clause([-v, a])
+                self.solver.add_clause([-v, b])
+                self.solver.add_clause([v, -a, -b])
+
+
+def _grow(rng: random.Random, aig: AIG, pool: list[int]) -> None:
+    """A few new inputs and gates over ``pool`` (all literals so far)."""
+    for _ in range(rng.randint(0, 2)):
+        pool.append(aig.new_input())
+    for _ in range(rng.randint(1, 8)):
+        a, b, c = (rng.choice(pool) ^ rng.getrandbits(1) for _ in range(3))
+        gate = rng.choice([aig.and_, aig.or_, aig.xor_, aig.mux])
+        pool.append(gate(a, b, c) if gate == aig.mux else gate(a, b))
+
+
+class TestEncoderDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_fused_encoder_agrees_with_naive_reference(self, seed):
+        """Same verdict under any assumptions, and every model read back
+        through ``lit_value`` is the AIG's own evaluation."""
+        rng = random.Random(seed)
+        aig = AIG()
+        fused = CnfBuilder(aig, Solver())
+        naive = _NaiveEncoder(aig, Solver())
+        pool = [0, aig.new_input(), aig.new_input()]
+        units = []
+        for _ in range(rng.randint(2, 6)):
+            _grow(rng, aig, pool)
+            fused.encode_new_nodes()
+            naive.encode_new_nodes()
+            # Unit assertions between encode passes are what later
+            # gates fold against.
+            for _ in range(rng.randint(0, 2)):
+                unit = rng.choice(pool) ^ rng.getrandbits(1)
+                units.append(unit)
+                fused.assert_lit(unit)
+                naive.solver.add_clause([naive.dimacs(unit)])
+        _grow(rng, aig, pool)
+        fused.lit_to_dimacs(pool[-1])  # encodes the tail on demand
+        naive.encode_new_nodes()
+        # Folding only ever saves variables; an open gate costs three
+        # stored clauses, a folded one none.
+        assert fused.solver.num_vars() <= naive.solver.num_vars()
+        every_lit = [lit for node in range(aig.num_nodes)
+                     for lit in (2 * node, 2 * node + 1)]
+        for _ in range(4):
+            assumed = [rng.choice(pool) ^ rng.getrandbits(1)
+                       for _ in range(rng.randint(0, 3))]
+            got = fused.solver.solve([fused.assumption(lit)
+                                      for lit in assumed])
+            want = naive.solver.solve([naive.dimacs(lit)
+                                       for lit in assumed])
+            assert got == want
+            if not got:
+                continue
+            inputs = [fused.lit_value(2 * node)
+                      for node in range(1, aig.num_nodes)
+                      if not aig.is_and(node)]
+            assert [fused.lit_value(lit) for lit in every_lit] == \
+                aig.evaluate(inputs, every_lit)
+            assert all(fused.lit_value(lit) for lit in units + assumed)
+
+    def test_level0_facts_fold_gates_away(self):
+        aig = AIG()
+        x, y, z = aig.new_input(), aig.new_input(), aig.new_input()
+        cnf = CnfBuilder(aig, Solver())
+        cnf.assert_lit(x)
+        cnf.assert_lit(y ^ 1)
+        vars_before = cnf.solver.num_vars()
+        stored_before = cnf.solver.stats.clauses_added
+        alias = aig.and_(x, z)            # x true: the gate *is* z
+        negated_alias = aig.and_(x, z ^ 1)
+        const = aig.and_(y, z)            # y false: the gate is false
+        open_gate = aig.and_(z, aig.new_input())
+        assert cnf.lit_to_dimacs(alias) == cnf.lit_to_dimacs(z)
+        assert cnf.lit_to_dimacs(negated_alias) == -cnf.lit_to_dimacs(z)
+        assert cnf.lit_to_dimacs(const) == cnf.lit_to_dimacs(y)
+        # One input and one open gate: two variables, three clauses.
+        assert cnf.solver.num_vars() == vars_before + 2
+        assert cnf.solver.stats.clauses_added == stored_before + 3
+        assert cnf.solver.solve([cnf.assumption(open_gate)]) is True
+        assert cnf.lit_value(alias) is True
+        assert cnf.lit_value(negated_alias) is False
+        assert cnf.lit_value(negated_alias ^ 1) is True
+        assert cnf.lit_value(const) is False
+        assert cnf.solver.solve([cnf.assumption(const)]) is False
+
+    def test_gate_call_keeps_add_clause_preconditions(self):
+        solver = Solver()
+        a, b = solver.add_var(), solver.add_var()
+        with pytest.raises(SatError):
+            solver.add_and_gate(a, 0)
+        with pytest.raises(SatError):
+            solver.add_and_gate(a, b + 1)
+        assert solver.add_and_gate(a, a) == a
+        contradiction = solver.add_and_gate(a, -a)
+        assert solver.solve([contradiction]) is False
+        assert solver.solve([a, b]) is True
+        # Mid-search (a decision level is open) the call must refuse:
+        # a fold there would bake a retractable assignment in.
+        solver._trail_lim.append(len(solver._trail))
+        with pytest.raises(SatError):
+            solver.add_and_gate(a, b)
+        solver._cancel_until(0)
+        solver.add_clause([a])
+        solver.add_clause([-a])
+        assert solver.solve() is False
+        assert solver.add_and_gate(a, b) in (a, b)  # dead formula: no-op
 
 
 # ---------------------------------------------------------------------------

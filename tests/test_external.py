@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from helpers import brute_force_sat
+from repro.aig.bitblast import BitBlaster
+from repro.aig.cnf import CnfBuilder
 from repro.designs import get_design
 from repro.errors import SatError
 from repro.ir import expr as E
@@ -148,6 +150,55 @@ class TestSubprocessSolver:
                 for clause in clauses:
                     assert any(model[abs(lit) - 1] == lit
                                for lit in clause)
+
+    @pytest.mark.parametrize("style", ["stdout", "file"])
+    def test_gate_encoding_parity_through_cnf_builder(
+            self, style, stdout_binary, file_binary):
+        """``CnfBuilder`` drives the external solver through the fused
+        gate call: three recorded clauses per AND, nothing folded, and
+        the same verdicts and consistent models as the in-process
+        solver, which folds."""
+        binary = stdout_binary if style == "stdout" else file_binary
+        x, y = E.var("x", 4), E.var("y", 4)
+        target = E.eq(E.add(x, y), E.const(9, 4))
+        probes = [E.ult(x, E.const(3, 4)), E.eq(y, E.const(0, 4)),
+                  E.and_(E.ult(x, E.const(2, 4)), E.ult(y, E.const(7, 4)))]
+        blaster = BitBlaster()
+        ext = SubprocessSolver(_spec_for(binary, style))
+        ext_cnf = CnfBuilder(blaster.aig, ext)
+        int_cnf = CnfBuilder(blaster.aig, Solver())
+        # x is odd first: gates blasted afterwards see a level-0 fact.
+        for fact in (E.bit(x, 0), target):
+            lit = blaster.blast_bool(fact)
+            ext_cnf.assert_lit(lit)
+            int_cnf.assert_lit(lit)
+        for probe in probes:
+            lit = blaster.blast_bool(probe)
+            got = ext.solve([ext_cnf.assumption(lit)])
+            assert got == int_cnf.solver.solve([int_cnf.assumption(lit)])
+            if got:
+                env = {name: ext_cnf.bits_value(blaster.var_bits(name))
+                       for name in ("x", "y")}
+                assert E.evaluate(E.and_(target, probe), env) == 1
+        # Never folds: a variable per node plus the constant, the
+        # constant's unit + two asserted units + 3 clauses per AND.
+        aig = blaster.aig
+        assert ext.num_vars() == aig.num_nodes
+        assert ext.stats.clauses_added == 3 + 3 * aig.num_ands
+        assert int_cnf.solver.num_vars() < ext.num_vars()
+
+    def test_gate_call_validates_literals(self, stdout_binary):
+        ext = SubprocessSolver(_spec_for(stdout_binary, "stdout"))
+        a, b = ext.add_var(), ext.add_var()
+        for bad in (0, 3, -3):
+            with pytest.raises(SatError, match="bad literal"):
+                ext.add_and_gate(a, bad)
+        assert ext.num_vars() == 2 and ext.stats.clauses_added == 0
+        g = ext.add_and_gate(a, -b)
+        assert g == 3 and ext.stats.clauses_added == 3
+        assert ext.solve([g]) is True
+        assert ext.model_value(a) is True and ext.model_value(b) is False
+        assert ext.solve([g, b]) is False
 
     def test_assumptions_become_units(self, stdout_binary):
         ext = SubprocessSolver(_spec_for(stdout_binary, "stdout"))

@@ -14,7 +14,9 @@ from repro.mc import (
 )
 from repro.mc.bmc import bmc_probe
 from repro.mc.engine import EngineConfig
+from repro.mc.frame import FrameSolver
 from repro.mc.unroll import Unroller, timed_name, untimed_name
+from repro.qa.oracle import replay_trace
 from repro.trace.trace import TraceKind
 
 
@@ -117,6 +119,108 @@ class TestBmc:
         result = bmc_probe(sync_counters_system, prop, bound=12,
                            conflict_budget=1)
         assert result.status is Status.BOUNDED_OK
+
+
+def _diverging_pair(width=4, stall_at=3):
+    """count1/count2 from constant inits; count2 stalls once, so they
+    diverge — with a free ``hold`` input freezing both."""
+    s = TransitionSystem("diverge")
+    hold = s.add_input("hold", 1)
+    c1 = s.add_state("count1", width, init=E.const(0, width))
+    c2 = s.add_state("count2", width, init=E.const(0, width))
+    one = E.const(1, width)
+    s.set_next("count1", E.ite(hold, c1, E.add(c1, one)))
+    s.set_next("count2", E.ite(
+        E.or_(hold, E.eq(c1, E.const(stall_at, width))), c2,
+        E.add(c2, one)))
+    return s
+
+
+class TestFrameBinding:
+    """FrameSolver defines timed states functionally (bound to the
+    literals of their init / next value) and falls back to an asserted
+    equation only where a timed variable already has inputs."""
+
+    def test_constant_init_and_next_are_bound(self, sync_counters_system):
+        frame = FrameSolver(sync_counters_system)
+        frame.add_init()
+        for t in range(4):
+            frame.add_frame(t)
+        # Input-free design from constant inits: every timed state is a
+        # constant, so no AIG input and no AND node was ever created.
+        assert frame.blaster.aig.num_inputs == 0
+        assert frame.blaster.aig.num_ands == 0
+        assert frame.solve() is True
+        assert frame.timed_value("count1", 4) == 4
+        assert frame.timed_value("count2", 3) == 3
+
+    def test_init_over_variables_keeps_the_equation(self):
+        s = TransitionSystem("mirror")
+        seed = s.add_input("seed", 3)
+        a = s.add_state("a", 3, init=E.const(5, 3))
+        b = s.add_state("b", 3, init=E.add(a, seed))  # reads a and seed
+        s.set_next("a", a)
+        s.set_next("b", E.add(b, E.const(1, 3)))
+        frame = FrameSolver(s)
+        frame.add_init()
+        aig = frame.blaster.aig
+        # a@0 is bound to constants; b@0 and seed@0 are real inputs tied
+        # by the asserted init equation.
+        assert all(lit in (0, 1) for lit in frame.blaster.var_bits("a@0"))
+        assert all(not aig.is_and(lit >> 1) and lit > 1
+                   for lit in frame.blaster.var_bits("b@0"))
+        assert frame.solve() is True
+        assert frame.timed_value("a", 0) == 5
+        assert frame.timed_value("b", 0) == \
+            (5 + frame.timed_value("seed", 0)) % 8
+        pinned = frame.assumption_for(
+            E.ne(E.var("b@0", 3), E.add(E.const(5, 3), E.var("seed@0", 3))))
+        assert frame.solve([pinned]) is False
+        # End to end: the counterexample honours the init equation.
+        prop = SafetyProperty("b_not_7", E.eq(E.var("b", 3), E.const(7, 3)))
+        result = bmc(s, prop, bound=4)
+        assert result.status is Status.VIOLATED and result.k == 0
+        assert replay_trace(s, prop, result) is None
+
+    def test_frame_after_its_state_was_blasted_keeps_the_equation(
+            self, counter_system):
+        early = FrameSolver(counter_system)
+        early.add_init()
+        # Mention count@1 before the frame that defines it exists.
+        early.assert_at(E.ne(E.var("count", 4), E.const(0, 4)), 1)
+        bits = early.blaster.var_bits("count@1")
+        early.add_frame(0)
+        assert early.blaster.var_bits("count@1") == bits  # still inputs
+        late = FrameSolver(counter_system)
+        late.add_init()
+        late.add_frame(0)
+        late.assert_at(E.ne(E.var("count", 4), E.const(0, 4)), 1)
+        for frame in (early, late):
+            assert frame.solve() is True
+            assert frame.timed_value("count", 0) == 0
+            assert frame.timed_value("en", 0) == 1
+            assert frame.timed_value("count", 1) == 1
+            two = frame.assumption_for(
+                E.eq(E.var("count@1", 4), E.const(2, 4)))
+            assert frame.solve([two]) is False
+
+    @pytest.mark.parametrize("engine", ["bmc", "k_induction"])
+    def test_counterexample_through_bound_states_replays(self, engine):
+        s = _diverging_pair()
+        prop = SafetyProperty("eq", _bad_unequal(4))
+        if engine == "bmc":
+            result = bmc(s, prop, bound=12)
+        else:
+            result = k_induction(s, prop, KInductionOptions(max_k=8))
+        assert result.status is Status.VIOLATED
+        assert result.k == 4
+        assert result.cex.kind is TraceKind.BMC_CEX
+        # States at t >= 1 were never solver inputs: their trace values
+        # are read back through the literals they were bound to.
+        assert result.cex.value("count1", 0) == 0
+        assert result.cex.value("count1", result.k) != \
+            result.cex.value("count2", result.k)
+        assert replay_trace(s, prop, result) is None
 
 
 class TestKInduction:
