@@ -27,7 +27,8 @@ from repro.campaign.scheduler import (CONCLUSIVE_STATUSES, CampaignJob,
                                       CampaignScheduler, Dispatcher,
                                       DispatchOutcome, DispatchResult,
                                       LocalDispatcher, compile_design,
-                                      fallback_jobs, inline_spec)
+                                      fallback_jobs, inline_spec,
+                                      race_specs)
 from repro.campaign.store import ProofStore, StrategyStats
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "compile_design",
     "fallback_jobs",
     "inline_spec",
+    "race_specs",
 ]

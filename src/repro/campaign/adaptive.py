@@ -27,23 +27,14 @@ ones report — they just dispatch fewer strategy jobs to get there.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.campaign.store import ProofStore, StrategyStats
+from repro.mc.strategy import spec_name
 
-_NAME_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def base_strategy_name(spec: str) -> str:
-    """The registry name of a spec string (``"bmc(bound=6)"`` -> ``"bmc"``).
-
-    History rows key on this, so differently-parameterized runs of one
-    strategy pool their evidence.
-    """
-    m = _NAME_RE.match(spec)
-    return m.group(1) if m else spec
+#: The name campaign callers know :func:`~repro.mc.strategy.spec_name` by.
+base_strategy_name = spec_name
 
 
 @dataclass

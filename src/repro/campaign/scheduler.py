@@ -18,7 +18,7 @@ campaign's selector.
 Execution is delegated through the :class:`Dispatcher` interface:
 :class:`LocalDispatcher` streams the pool through one in-process
 portfolio scheduler, while
-:class:`~repro.dist.coordinator.DistributedDispatcher` fans it across
+:class:`~repro.dist.coordinator.Coordinator` fans it across
 worker processes rendezvousing on any shared backend (a cache
 directory or a ``repro-verify serve`` URL).  ``CampaignScheduler.run``
 is the same code either way — it records history and builds the report
@@ -27,7 +27,6 @@ from dispatcher-neutral :class:`DispatchOutcome` records.
 
 from __future__ import annotations
 
-import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
@@ -39,12 +38,13 @@ from repro.campaign.store import ProofStore, verdict_provenance
 from repro.designs.base import Design, PropertySpec
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
-from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioScheduler,
-                                VerifyTask, depth_options)
+from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
+                                PortfolioScheduler, VerifyTask,
+                                depth_options)
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 from repro.mc.result import Status
-from repro.mc.strategy import resolve_strategy
+from repro.mc.strategy import resolve_strategy, spec_name
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -53,8 +53,6 @@ from repro.sva.compile import MonitorContext
 _M_PHASE_SECONDS = _metrics.histogram(
     "repro_campaign_phase_seconds", "campaign wall clock by phase",
     labels=("phase",))
-
-_SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 #: Status strings that settle a property, derived from the enum so the
 #: two can never drift apart.
@@ -97,12 +95,29 @@ def inline_spec(spec: str, options: Mapping) -> str:
     the same query produces.
     """
     _strategy, bound_options = resolve_strategy(spec)
-    name = _SPEC_RE.match(spec).group(1)
+    name = spec_name(spec)
     merged = {**options, **bound_options}
     if not merged:
         return name
     rendered = ", ".join(f"{k}={merged[k]!r}" for k in sorted(merged))
     return f"{name}({rendered})"
+
+
+def race_specs(strategies: Sequence[str], max_k: int | None = None,
+               bound: int | None = None,
+               simple_path: bool | None = None) -> tuple[str, ...]:
+    """One property's race: ``strategies`` with the caller's depth
+    limits baked into each spec (:func:`~repro.mc.portfolio
+    .depth_options` rendered by :func:`inline_spec`).
+
+    Campaign jobs and ``verify_all`` both build their per-property
+    races here, which is what keeps their store keys — and the spec
+    strings their history rows carry — the same for the same query.
+    """
+    overrides = depth_options(strategies, max_k=max_k, bound=bound,
+                              simple_path=simple_path)
+    return tuple(inline_spec(spec, overrides.get(spec, {}))
+                 for spec in strategies)
 
 
 @dataclass
@@ -153,6 +168,23 @@ class DispatchOutcome:
     @property
     def conclusive(self) -> bool:
         return self.status in CONCLUSIVE_STATUSES
+
+    @classmethod
+    def from_portfolio(cls, outcome: PortfolioOutcome,
+                       fallback: bool = False,
+                       worker_id: str = "") -> "DispatchOutcome":
+        """The dispatch record of one finished portfolio race (with
+        ``outcome.tag`` naming the design) — shared by the in-process
+        dispatcher and the distributed workers."""
+        return cls(
+            design=outcome.tag, property_name=outcome.property_name,
+            status=outcome.result.status.value,
+            strategy=outcome.strategy,
+            wall_seconds=outcome.result.stats.wall_seconds,
+            k=outcome.result.k, from_cache=outcome.from_cache,
+            fallback=fallback, worker_id=worker_id,
+            effort=outcome.result.stats.effort_dict(),
+            attempts=list(outcome.attempt_log))
 
 
 @dataclass
@@ -217,7 +249,7 @@ class LocalDispatcher:
 
         for outcome in scheduler.stream([j.task for j in pool]):
             outcomes[(outcome.tag, outcome.property_name)] = \
-                _from_portfolio(outcome)
+                DispatchOutcome.from_portfolio(outcome)
 
         rerun = fallback_jobs(pool, outcomes)
         if rerun:
@@ -226,23 +258,12 @@ class LocalDispatcher:
                      for j in rerun]
             for outcome in scheduler.stream(tasks):
                 outcomes[(outcome.tag, outcome.property_name)] = \
-                    _from_portfolio(outcome, fallback=True)
+                    DispatchOutcome.from_portfolio(outcome, fallback=True)
 
         return DispatchResult(
             outcomes=outcomes, dispatched_specs=dispatched,
             fallback_reruns=len(rerun),
             cache=self.cache.stats.since(stats_before))
-
-
-def _from_portfolio(outcome, fallback: bool = False) -> DispatchOutcome:
-    """Normalize a :class:`PortfolioOutcome` into the dispatch record."""
-    return DispatchOutcome(
-        design=outcome.tag, property_name=outcome.property_name,
-        status=outcome.result.status.value, strategy=outcome.strategy,
-        wall_seconds=outcome.result.stats.wall_seconds,
-        k=outcome.result.k, from_cache=outcome.from_cache,
-        fallback=fallback, effort=outcome.result.stats.effort_dict(),
-        attempts=list(outcome.attempt_log))
 
 
 class CampaignScheduler:
@@ -312,10 +333,7 @@ class CampaignScheduler:
 
     def _full_specs(self, spec: PropertySpec) -> tuple[str, ...]:
         depth = self.max_k if self.max_k is not None else spec.max_k
-        overrides = depth_options(self.base, max_k=depth,
-                                  bound=self.bmc_bound)
-        return tuple(inline_spec(s, overrides.get(s, {}))
-                     for s in self.base)
+        return race_specs(self.base, max_k=depth, bound=self.bmc_bound)
 
     def _expected_wall(self, design: Design, spec: PropertySpec,
                        scoped) -> float:

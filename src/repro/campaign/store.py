@@ -143,8 +143,7 @@ def verdict_provenance(strategy: str, from_cache: bool) -> str:
     """
     if from_cache:
         return "store"
-    name = strategy.split("(", 1)[0].strip()
-    if name == "pdr_seeded" or "seed" in strategy:
+    if "seed" in strategy:     # pdr_seeded, or any seed_* option
         return "seeded"
     return "engine"
 

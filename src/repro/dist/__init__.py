@@ -21,8 +21,8 @@ Layering (coordinator -> backend -> queue/store -> workers):
   claim, recompile from the registry, race through the portfolio
   scheduler into the shared store, heartbeat throughout.
 * :mod:`repro.dist.coordinator` — supervision (requeue, respawn, inline
-  drain, adaptive-fallback reruns) plus :class:`DistributedDispatcher`,
-  the drop-in :class:`~repro.campaign.scheduler.Dispatcher` that makes
+  drain, adaptive-fallback reruns); :class:`Coordinator` is the drop-in
+  :class:`~repro.campaign.scheduler.Dispatcher` that makes
   ``CampaignScheduler.run()`` identical for local and distributed runs.
 """
 
@@ -31,8 +31,7 @@ from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
                                 open_store, parse_backend)
 from repro.dist.coordinator import (CampaignConflictError, Coordinator,
-                                    DistributedDispatcher, job_id_for,
-                                    spec_from_job)
+                                    job_id_for, spec_from_job)
 from repro.dist.protocol import (JOB_DONE, JOB_LEASED, JOB_PENDING,
                                  Heartbeat, JobResult, JobSpec, Lease)
 from repro.dist.queue import STATE_CLOSED, STATE_OPEN, WorkQueue
@@ -45,7 +44,6 @@ __all__ = [
     "Backend",
     "CampaignConflictError",
     "Coordinator",
-    "DistributedDispatcher",
     "Heartbeat",
     "JOB_DONE",
     "JOB_LEASED",

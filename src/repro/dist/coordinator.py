@@ -23,11 +23,11 @@ backend — a cache directory other machines can mount, or a
   fallback contract the in-process dispatcher honors), keeping
   distributed verdicts identical to single-process ones.
 
-:class:`DistributedDispatcher` adapts all of this to the campaign
-scheduler's :class:`~repro.campaign.scheduler.Dispatcher` interface, so
-``CampaignScheduler.run()`` is byte-for-byte the same code path whether
-jobs run in-process, across local workers on a shared directory, or
-across machines against a network backend.
+The coordinator is itself a campaign
+:class:`~repro.campaign.scheduler.Dispatcher` (:meth:`Coordinator
+.dispatch`), so ``CampaignScheduler.run()`` is byte-for-byte the same
+code path whether jobs run in-process, across local workers on a shared
+directory, or across machines against a network backend.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class Coordinator:
             self.queue.end_campaign(self._campaign_id)
         except Exception:
             # Best-effort close/release signals only: this runs in
-            # run()'s finally clause, so raising here would mask the
+            # dispatch()'s finally clause, so raising here would mask the
             # primary exception and skip reaping the spawned processes
             # below (workers idle out, and an unreleased campaign
             # claim lapses on its own).
@@ -315,8 +315,11 @@ class Coordinator:
     # The campaign pass
     # ------------------------------------------------------------------
 
-    def run(self, pool: Sequence[CampaignJob]) -> DispatchResult:
-        """Execute the pool across workers; one outcome per job."""
+    def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
+        """Execute the pool across workers; one outcome per job.
+
+        One coordinator drives one pass: the queue handle opened at
+        construction is closed when the pass ends."""
         self._started = time.monotonic()
         try:
             # Atomically take the queue for this campaign (one
@@ -400,35 +403,3 @@ def _sum_cache_stats(results) -> CacheStats:
         total.evictions += result.cache.evictions
         total.disk_hits += result.cache.disk_hits
     return total
-
-
-class DistributedDispatcher:
-    """The campaign scheduler's :class:`Dispatcher` over worker processes.
-
-    Construct with the shared backend (a cache directory holding the
-    proof store + work queue, or a ``repro-verify serve`` URL) and plug
-    into :class:`CampaignScheduler`; every other campaign behavior —
-    job building, adaptive selection, history recording, reporting — is
-    unchanged.
-    """
-
-    def __init__(self, backend: str | Path | Backend, workers: int = 2,
-                 lease_seconds: float = 15.0,
-                 poll_interval: float = 0.2,
-                 wall_timeout: float | None = None,
-                 worker_jobs: int = 1):
-        self.backend = parse_backend(backend)
-        self.workers = workers
-        self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
-        self.wall_timeout = wall_timeout
-        self.worker_jobs = worker_jobs
-
-    def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
-        coordinator = Coordinator(
-            self.backend, workers=self.workers,
-            lease_seconds=self.lease_seconds,
-            poll_interval=self.poll_interval,
-            wall_timeout=self.wall_timeout,
-            worker_jobs=self.worker_jobs)
-        return coordinator.run(pool)

@@ -46,28 +46,30 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.campaign.store import ProofStore, _is_lock_error
+from repro.dist.backend import QueueBackend, StoreBackend
 from repro.dist.queue import WorkQueue
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 
 DEFAULT_PORT = 7333
 
-#: Queue methods callable over the wire (the QueueBackend surface).
-QUEUE_METHODS = frozenset({
-    "reset", "begin_campaign", "renew_campaign", "end_campaign",
-    "enqueue", "set_state", "state", "requeue_expired",
-    "register_worker", "claim", "heartbeat", "complete", "fail",
-    "counts", "unfinished", "results", "worker_stats",
-    "worker_snapshot",
-})
+def _wire_methods(protocol: type) -> frozenset[str]:
+    """The public methods of a backend protocol: its wire surface.
 
-#: Store methods callable over the wire (the StoreBackend surface).
-#: ``size`` maps to ``len(store)`` — dunder names stay off the URL.
-STORE_METHODS = frozenset({
-    "load", "store", "record", "history_size", "strategy_stats",
-    "property_stats", "expected_wall", "clear", "size",
-    "record_ledger", "ledger_entry", "ledger_rows",
-})
+    ``close`` stays off the wire — it ends a client's handle, never
+    the service's — and dunder names stay off the URL.
+    """
+    return frozenset(name for name, member in vars(protocol).items()
+                     if callable(member) and not name.startswith("_")
+                     ) - {"close"}
+
+
+#: Queue methods callable over the wire (the QueueBackend surface).
+QUEUE_METHODS = _wire_methods(QueueBackend)
+
+#: Store methods callable over the wire (the StoreBackend surface);
+#: ``size`` maps to ``len(store)``.
+STORE_METHODS = _wire_methods(StoreBackend) | {"size"}
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):

@@ -277,15 +277,9 @@ class Worker:
         outcome = next(iter(self._scheduler.stream([task])))
         return JobResult(
             job_id=spec.job_id,
-            outcome=DispatchOutcome(
-                design=spec.design, property_name=spec.property_name,
-                status=outcome.result.status.value,
-                strategy=outcome.strategy,
-                wall_seconds=outcome.result.stats.wall_seconds,
-                k=outcome.result.k, from_cache=outcome.from_cache,
-                fallback=spec.fallback, worker_id=self.worker_id,
-                effort=outcome.result.stats.effort_dict(),
-                attempts=list(outcome.attempt_log)),
+            outcome=DispatchOutcome.from_portfolio(
+                outcome, fallback=spec.fallback,
+                worker_id=self.worker_id),
             cache=self.cache.stats.since(stats_before))
 
     def _compile(self, spec: JobSpec):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.campaign import (CampaignReport, CampaignScheduler, ProofStore,
-                            base_strategy_name, inline_spec)
+                            base_strategy_name, race_specs)
 from repro.designs.base import Design
 from repro.designs.registry import select_designs
 from repro.flow.lemma_flow import LemmaFlowResult, LemmaGenerationFlow
@@ -42,8 +42,7 @@ from repro.flow.repair_flow import InductionRepairFlow, RepairFlowResult
 from repro.genai.client import LLMClient, SimulatedLLM
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
-from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
-                                depth_options)
+from repro.mc.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome
 from repro.mc.result import CheckResult, Status
 from repro.sva.compile import MonitorContext
 
@@ -186,9 +185,10 @@ class VerificationSession:
         # Depth limits apply to default and explicit portfolios alike
         # (inline spec options like "bmc(bound=6)" still win), and are
         # baked in *per property* — each property races at its own
-        # spec.max_k, exactly as the campaign scheduler keys the same
-        # query, so single-design runs and campaigns share proof-store
-        # entries even on designs with heterogeneous depths.
+        # spec.max_k, through the helper the campaign scheduler builds
+        # the same query's race with, so single-design runs and
+        # campaigns share proof-store entries even on designs with
+        # heterogeneous depths.
         base = tuple(strategies) if strategies is not None \
             else DEFAULT_PORTFOLIO
         bound = bmc_bound if bmc_bound is not None \
@@ -197,11 +197,9 @@ class VerificationSession:
         for name in names:
             depth = max_k if max_k is not None else \
                 self.design.property_spec(name).max_k
-            overrides = depth_options(
+            per_prop[name] = race_specs(
                 base, max_k=depth, bound=bound,
                 simple_path=self.engine_config.simple_path)
-            per_prop[name] = tuple(inline_spec(s, overrides.get(s, {}))
-                                   for s in base)
         stats_before = replace(self.cache.stats)
         start = time.perf_counter()
         outcomes = list(engine.check_portfolio(
@@ -338,13 +336,6 @@ def run_campaign(designs: list[str] | None = None,
         else:
             store = ProofStore.open(cache_dir) if cache_dir is not None \
                 else ProofStore.in_memory()
-    dispatcher = None
-    if workers > 0:
-        from repro.dist import DistributedDispatcher
-        dispatcher = DistributedDispatcher(
-            resolved if remote else cache_dir, workers=workers,
-            lease_seconds=lease_seconds, wall_timeout=wall_timeout,
-            worker_jobs=worker_jobs)
     configured_tracing = False
     if trace_dir is not None:
         from repro.obs import tracing
@@ -357,8 +348,18 @@ def run_campaign(designs: list[str] | None = None,
                          slow_solve_seconds=slow_solve_seconds)
         configured_events = True
     try:
+        selected = select_designs(designs)
+        dispatcher = None
+        if workers > 0:
+            # Opens the work queue, so only once the inputs are known
+            # good; its dispatch() closes it again.
+            from repro.dist import Coordinator
+            dispatcher = Coordinator(
+                resolved if remote else cache_dir, workers=workers,
+                lease_seconds=lease_seconds, wall_timeout=wall_timeout,
+                worker_jobs=worker_jobs)
         scheduler = CampaignScheduler(
-            select_designs(designs), store, jobs=jobs,
+            selected, store, jobs=jobs,
             strategies=strategies, adaptive=adaptive,
             min_samples=min_samples, max_k=max_k, bmc_bound=bmc_bound,
             dispatcher=dispatcher)

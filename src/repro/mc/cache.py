@@ -21,21 +21,21 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, NamedTuple, Protocol, runtime_checkable
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult
-from repro.obs import events as _events
+from repro.mc.strategy import (CheckTask, canonical_options,
+                               emit_check_events, resolve_strategy,
+                               run_check_task)
 from repro.obs import metrics as _metrics
-from repro.obs import tracing as _tracing
 
-# Every check funnels through run_cached, so one counter here covers
-# the engine, Houdini, and the sequential scheduler path alike.
+# Booked by lookup (origin="cache") and settle (origin="solver"), the
+# two functions every answered check passes through.
 _M_CHECKS = _metrics.counter(
     "repro_checks_total", "model-checking queries by strategy/origin",
     labels=("strategy", "origin"))
@@ -254,76 +254,66 @@ def strategy_cacheable(strategy, options: Mapping) -> bool:
     return True if probe is None else bool(probe(options))
 
 
-def emit_check_events(system_name: str, prop_name: str,
-                      strategy_name: str, result: CheckResult,
-                      wall_seconds: float, origin: str,
-                      tier: str | None = None) -> None:
-    """Journal one finished check (plus the slow-solve dump when due).
+class Lookup(NamedTuple):
+    """What :func:`lookup` learned about one task's query."""
 
-    Shared by both check paths — :func:`run_cached` and the pool
-    workers' :func:`~repro.mc.strategy.run_check_task` — so the event
-    schema cannot drift between them.  Solver-path checks slower than
-    the journal's threshold additionally emit a ``slow_solve`` event
-    carrying the full solver-effort snapshot.
+    strategy: str                   # registry name: the metric/journal label
+    key: str | None                 # None: no cache, or not cacheable
+    hit: CheckResult | None = None
+    tier: str | None = None         # "memory" | "disk", on a hit
+
+
+def lookup(cache: ResultCache | None, task: CheckTask) -> Lookup:
+    """Key ``task``'s query and ask ``cache`` for it.
+
+    The only place a query is keyed and a hit's tier decided, for
+    :func:`run_cached` and every portfolio slot alike.  A hit is booked
+    here (``repro_checks_total{origin="cache"}`` and a ``check_finish``
+    event naming the tier); a miss hands its key back for
+    :func:`settle`.
     """
-    fields = {"design": system_name, "property": prop_name,
-              "strategy": strategy_name, "status": result.status.value,
-              "origin": origin, "k": result.k,
-              "wall_seconds": round(wall_seconds, 6)}
-    if tier is not None:
-        fields["tier"] = tier
-    _events.emit("check_finish", **fields)
-    threshold = _events.slow_solve_threshold()
-    if origin == "solver" and threshold is not None \
-            and wall_seconds >= threshold:
-        _events.emit(
-            "slow_solve", design=system_name, property=prop_name,
-            strategy=strategy_name, status=result.status.value,
-            k=result.k, wall_seconds=round(wall_seconds, 6),
-            threshold=threshold,
-            solve_seconds=round(result.stats.solve_seconds, 6),
-            effort=result.stats.effort_dict())
+    strategy, options = resolve_strategy(task.strategy)
+    options.update(task.options)
+    if cache is None or not strategy_cacheable(strategy, options):
+        return Lookup(strategy.name, None)
+    key = query_key(task.system, task.prop, strategy.name,
+                    canonical_options(strategy, options), task.lemmas)
+    disk_before = cache.stats.disk_hits
+    hit = cache.get(key)
+    if hit is None:
+        return Lookup(strategy.name, key)
+    tier = "disk" if cache.stats.disk_hits > disk_before else "memory"
+    _M_CHECKS.labels(strategy.name, "cache").inc()
+    emit_check_events(task.system.name, task.prop.name, strategy.name,
+                      hit, 0.0, "cache", tier=tier)
+    return Lookup(strategy.name, key, hit, tier)
+
+
+def settle(cache: ResultCache | None, found: Lookup,
+           result: CheckResult) -> None:
+    """Book a solver answer to the query ``found`` missed on.
+
+    Runs in the process that asked — for a pooled slot that is the
+    parent, not the child that solved — so the counter lands in the
+    registry ``/metrics`` serves and the result in the shared cache.
+    """
+    _M_CHECKS.labels(found.strategy, "solver").inc()
+    if found.key is not None:
+        cache.put(found.key, result)
 
 
 def run_cached(strategy_spec: str, system: TransitionSystem,
                prop: SafetyProperty, options: Mapping,
                lemmas: list[tuple[E.Expr, int]] | None = None,
                cache: ResultCache | None = None) -> CheckResult:
-    """Run one check through the registry, consulting ``cache`` if given.
-
-    The single choke point the engine, Houdini, and the sequential
-    scheduler path all use, so every layer gets identical keying.
-    """
-    from repro.mc.strategy import canonical_options, resolve_strategy
-
-    strategy, resolved = resolve_strategy(strategy_spec)
-    resolved.update(options)
-    key = None
-    if cache is not None and strategy_cacheable(strategy, resolved):
-        key = query_key(system, prop, strategy.name,
-                        canonical_options(strategy, resolved), lemmas)
-        disk_before = cache.stats.disk_hits
-        hit = cache.get(key)
-        if hit is not None:
-            _M_CHECKS.labels(strategy.name, "cache").inc()
-            tier = "disk" if cache.stats.disk_hits > disk_before \
-                else "memory"
-            emit_check_events(system.name, prop.name, strategy.name,
-                              hit, 0.0, "cache", tier=tier)
-            return hit
-    with _tracing.span("check", strategy=strategy.name,
-                       property=prop.name) as sp:
-        _events.emit("check_start", design=system.name,
-                     property=prop.name, strategy=strategy.name)
-        started = time.perf_counter()
-        result = strategy.run(system, prop, lemmas=list(lemmas or []),
-                              **resolved)
-        wall = time.perf_counter() - started
-        if sp is not None:
-            sp.attrs["status"] = result.status.value
-        emit_check_events(system.name, prop.name, strategy.name,
-                          result, wall, "solver")
-    _M_CHECKS.labels(strategy.name, "solver").inc()
-    if cache is not None and key is not None:
-        cache.put(key, result)
+    """One check through the registry, consulting ``cache`` if given:
+    key -> :func:`lookup` -> ``run_check_task`` -> :func:`settle`, the
+    same seam a portfolio race walks slot by slot."""
+    task = CheckTask((), system, prop, strategy_spec, dict(options),
+                     list(lemmas or []))
+    found = lookup(cache, task)
+    if found.hit is not None:
+        return found.hit
+    result = run_check_task(task)
+    settle(cache, found, result)
     return result

@@ -14,14 +14,19 @@ outcomes back **in completion order**:
   inconclusive result is reported (earliest strategy in the configured
   order, so a k-induction UNKNOWN with its step CEX beats a BMC
   BOUNDED_OK);
-* results are looked up in / stored to a shared
-  :class:`~repro.mc.cache.ResultCache` first, so repeated batches cost
+* every slot is looked up in a shared
+  :class:`~repro.mc.cache.ResultCache` first
+  (:func:`~repro.mc.cache.lookup`) and every solver answer is booked
+  into it (:func:`~repro.mc.cache.settle`), so repeated batches cost
   nothing.
 
-``jobs=1`` (the default) runs the same race logic inline with no process
-pool and no pickling — strategies execute in configured order and stop at
-the first conclusive verdict.  This path is deterministic and is what the
-flows use under test.
+There is one race: ``jobs`` decides only *who executes a cache miss*.
+``jobs=1`` (the default) solves it inline through
+:func:`~repro.mc.strategy.run_check_task` — no process pool, no
+pickling, strategies run in configured order and stop at the first
+conclusive verdict; this is deterministic and is what the flows use
+under test.  ``jobs>1`` hands the misses to a ``ProcessPoolExecutor``
+whose children run the same function.
 """
 
 from __future__ import annotations
@@ -34,13 +39,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc.cache import (ResultCache, query_key, run_cached,
-                            strategy_cacheable)
+from repro.mc.cache import Lookup, ResultCache, lookup, settle
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
-from repro.mc.strategy import (CheckTask, canonical_options,
-                               resolve_strategy, run_check_task,
-                               strategy_option_names)
+from repro.mc.strategy import (CheckTask, resolve_strategy,
+                               run_check_task, strategy_option_names)
 from repro.obs import tracing as _tracing
 
 #: Complementary default race: k-induction proves, BMC refutes.
@@ -199,185 +202,98 @@ class PortfolioScheduler:
     def stream(self, tasks: Sequence[VerifyTask]
                ) -> Iterator[PortfolioOutcome]:
         """Yield one outcome per task as each race concludes."""
-        if not tasks:
-            return
-        total_slots = 0
+        groups: list[_RaceGroup] = []
         for task in tasks:
             for spec in task.strategies or ():
                 resolve_strategy(spec)  # fail fast on bad overrides
-            total_slots += len(self._specs_for(task))
-        if self.jobs == 1 or total_slots == 1:
-            yield from self._stream_sequential(tasks)
-        else:
-            yield from self._stream_parallel(tasks)
+            groups.append(_RaceGroup(task,
+                                     task.strategies or self.strategies))
+        pooled = self.jobs > 1 and \
+            sum(len(group.strategies) for group in groups) > 1
 
-    # ------------------------------------------------------------------
-    # Sequential path (jobs=1): race by ordering, stop at first verdict.
-    # ------------------------------------------------------------------
-
-    def _options_for(self, spec: str) -> dict:
-        return dict(self.strategy_options.get(spec, {}))
-
-    def _specs_for(self, task: VerifyTask) -> tuple[str, ...]:
-        return task.strategies if task.strategies else self.strategies
-
-    def _key_for(self, spec: str, options: Mapping,
-                 task: VerifyTask) -> str | None:
-        """Cache key for one slot, or None when the invocation is not
-        cacheable (see :func:`~repro.mc.cache.strategy_cacheable`)."""
-        strategy, resolved = resolve_strategy(spec)
-        resolved.update(options)
-        if not strategy_cacheable(strategy, resolved):
-            return None
-        return query_key(task.system, task.prop, strategy.name,
-                         canonical_options(strategy, resolved),
-                         task.lemmas)
-
-    def _stream_sequential(self, tasks: Sequence[VerifyTask]
-                           ) -> Iterator[PortfolioOutcome]:
-        for task in tasks:
-            specs = self._specs_for(task)
-            best: tuple[str, CheckResult, bool] | None = None
-            attempts = 0
-            outcome = None
-            log: list[dict] = []
-            for spec in specs:
-                hits_before = self.cache.stats.hits \
-                    if self.cache is not None else 0
-                disk_before = self.cache.stats.disk_hits \
-                    if self.cache is not None else 0
-                result = run_cached(spec, task.system, task.prop,
-                                    self._options_for(spec),
-                                    lemmas=task.lemmas, cache=self.cache)
-                was_hit = self.cache is not None and \
-                    self.cache.stats.hits > hits_before
-                origin = "solver" if not was_hit else \
-                    ("disk" if self.cache.stats.disk_hits > disk_before
-                     else "memory")
-                log.append(attempt_record(spec, result, origin))
-                attempts += 1
-                if result.status.conclusive:
-                    log[-1]["winner"] = True
-                    log += [unrun_record(s, "skipped")
-                            for s in specs[attempts:]]
-                    outcome = PortfolioOutcome(
-                        task.prop.name, result, spec, attempts=attempts,
-                        cancelled=len(specs) - attempts,
-                        from_cache=was_hit, tag=task.tag,
-                        attempt_log=log)
-                    break
-                if best is None:
-                    best = (spec, result, was_hit)
-            if outcome is None:
-                spec, result, was_hit = best if best is not None else \
-                    (specs[0], _no_result(task.prop.name), False)
-                for row in log:
-                    if row["strategy"] == spec:
-                        row["winner"] = True
-                        break
-                outcome = PortfolioOutcome(task.prop.name, result, spec,
-                                           attempts=attempts,
-                                           from_cache=was_hit,
-                                           tag=task.tag,
-                                           attempt_log=log)
-            yield outcome
-
-    # ------------------------------------------------------------------
-    # Parallel path: full fan-out, first conclusive result per group wins.
-    # ------------------------------------------------------------------
-
-    def _stream_parallel(self, tasks: Sequence[VerifyTask]
-                         ) -> Iterator[PortfolioOutcome]:
-        groups = [_RaceGroup(i, task, self._specs_for(task))
-                  for i, task in enumerate(tasks)]
-
-        # Cache pass first: a conclusive (or any) cached result for a
-        # strategy removes it from the fan-out; a fully-resolved group
-        # never reaches the pool at all.
-        to_submit: list[CheckTask] = []
-        for group in groups:
+        # One pass over every slot in configured order.  A cached answer
+        # settles its slot on the spot; a miss is solved right here
+        # (jobs=1: the race is the ordering, and stops at the first
+        # verdict) or queued for the pool — which is therefore only
+        # built when the cache leaves it something to do.
+        queued: list[tuple[_RaceGroup, int, CheckTask, Lookup]] = []
+        for index, group in enumerate(groups):
             for slot, spec in enumerate(group.strategies):
                 if group.decided:
                     break
-                options = self._options_for(spec)
-                if self.cache is not None:
-                    key = self._key_for(spec, options, group.task)
-                    disk_before = self.cache.stats.disk_hits
-                    hit = self.cache.get(key) if key is not None \
-                        else None
-                    if hit is not None:
-                        tier = "disk" \
-                            if self.cache.stats.disk_hits > disk_before \
-                            else "memory"
-                        group.record(slot, hit, from_cache=True,
-                                     origin=tier)
-                        continue
-                group.note_submitted(slot)
-                to_submit.append(CheckTask(
-                    key=(group.index, slot), system=group.task.system,
-                    prop=group.task.prop, strategy=spec, options=options,
+                check = CheckTask(
+                    key=(index, slot), system=group.task.system,
+                    prop=group.task.prop, strategy=spec,
+                    options=dict(self.strategy_options.get(spec, {})),
                     lemmas=group.task.lemmas,
-                    trace=_tracing.current_context()))
-
-        for group in groups:
+                    trace=_tracing.current_context())
+                found = lookup(self.cache, check)
+                if found.hit is not None:
+                    group.record(slot, found.hit, origin=found.tier)
+                elif pooled:
+                    queued.append((group, slot, check, found))
+                else:
+                    self._land(group, slot, run_check_task(check), found)
             if group.decided or group.exhausted:
                 yield group.outcome()
 
-        pending = [g for g in groups if not (g.decided or g.exhausted)]
-        if not pending:
+        queued = [entry for entry in queued if not entry[0].decided]
+        if not queued:
             return
-
-        workers = min(self.jobs, len(to_submit), (os.cpu_count() or 1) * 4)
+        workers = min(self.jobs, len(queued), (os.cpu_count() or 1) * 4)
         try:
-            executor = ProcessPoolExecutor(max_workers=max(workers, 1))
+            executor = ProcessPoolExecutor(max_workers=workers)
         except (OSError, ValueError):
             # No usable multiprocessing in this environment (restricted
-            # sandboxes): degrade to the sequential race.
-            yield from self._stream_sequential([g.task for g in pending])
+            # sandboxes): the queue runs inline, in configured order.
+            for group, slot, check, found in queued:
+                if not group.decided and self._land(
+                        group, slot, run_check_task(check), found):
+                    yield group.outcome()
             return
 
         with executor:
-            future_by_key: dict[tuple, Future] = {}
-            futures: dict[Future, tuple] = {}
-            for check in to_submit:
-                group = groups[check.key[0]]
-                if group.decided:
-                    continue
-                f = executor.submit(_worker_run, check)
-                future_by_key[check.key] = f
-                futures[f] = check.key
-
-            for f in as_completed(futures):
-                g_index, slot = futures[f]
-                group = groups[g_index]
+            running: dict[Future, tuple] = {}
+            for group, slot, check, found in queued:
+                future = executor.submit(_worker_run, check)
+                group.futures[slot] = future
+                running[future] = (group, slot, found)
+            for future in as_completed(running):
+                group, slot, found = running[future]
                 try:
-                    result = f.result()
+                    result = future.result()
                 except CancelledError:
-                    # Already tallied at the sibling.cancel() site.
-                    continue
+                    continue    # tallied where cancel() succeeded
                 except Exception as exc:  # worker crash: report, don't die
-                    result = _error_result(group.task.prop.name,
-                                           group.strategies[slot], exc)
-                else:
-                    if self.cache is not None:
-                        spec = group.strategies[slot]
-                        key = self._key_for(
-                            spec, self._options_for(spec), group.task)
-                        if key is not None:
-                            self.cache.put(key, result)
-                already_decided = group.decided
-                group.record(slot, result)
-                if group.decided and not already_decided:
-                    # First conclusive result: drop queued siblings.
-                    for other_slot in range(len(group.strategies)):
-                        key = (g_index, other_slot)
-                        sibling = future_by_key.get(key)
-                        if sibling is not None and sibling is not f:
-                            if sibling.cancel():
-                                group.note_cancelled()
+                    found = None
+                    result = CheckResult(
+                        group.task.prop.name, Status.UNKNOWN,
+                        detail=f"strategy {group.strategies[slot]} failed "
+                               f"in worker: {type(exc).__name__}: {exc}")
+                if self._land(group, slot, result, found):
                     yield group.outcome()
-                elif group.exhausted and not group.decided:
-                    yield group.outcome()
+
+    def _land(self, group: "_RaceGroup", slot: int, result: CheckResult,
+              found: Lookup | None) -> bool:
+        """Take in one executed slot's result, whoever executed it;
+        True when that concluded the group's race.
+
+        ``found`` is the slot's cache miss, through which the result is
+        counted and cached; a crashed worker's stand-in result has none
+        and is neither.  The first conclusive result drops the group's
+        queued siblings (running ones finish and are cached, but their
+        race is over).
+        """
+        if found is not None:
+            settle(self.cache, found, result)
+        if group.decided:
+            return False
+        group.record(slot, result)
+        if group.decided:
+            for sibling in group.futures.values():
+                if sibling.cancel():
+                    group.cancelled += 1
+        return group.decided or group.exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +302,13 @@ class PortfolioScheduler:
 class _RaceGroup:
     """Book-keeping for one property's strategy race."""
 
-    def __init__(self, index: int, task: VerifyTask,
-                 strategies: Sequence[str]):
-        self.index = index
+    def __init__(self, task: VerifyTask, strategies: Sequence[str]):
         self.task = task
         self.strategies = strategies
-        self.results: dict[int, tuple[CheckResult, bool]] = {}
-        self.origins: dict[int, str] = {}
-        self.submitted: set[int] = set()
-        self.cancelled = 0
+        #: slot -> (result, origin): "solver", or the cache tier
+        self.results: dict[int, tuple[CheckResult, str]] = {}
+        self.futures: dict[int, Future] = {}    # slots handed to the pool
+        self.cancelled = 0                      # of which dropped unrun
         self.winner_slot: int | None = None
 
     @property
@@ -406,67 +320,35 @@ class _RaceGroup:
         return len(self.results) + self.cancelled >= len(self.strategies)
 
     def record(self, slot: int, result: CheckResult,
-               from_cache: bool = False, origin: str = "solver") -> None:
-        self.results[slot] = (result, from_cache)
-        self.origins[slot] = origin
+               origin: str = "solver") -> None:
+        self.results[slot] = (result, origin)
         if result.status.conclusive and self.winner_slot is None:
             self.winner_slot = slot
 
-    def note_submitted(self, slot: int) -> None:
-        self.submitted.add(slot)
+    def outcome(self) -> PortfolioOutcome:
+        """The race as it stands: the winner, or with no verdict the
+        most informative inconclusive result (configured order).
 
-    def note_cancelled(self) -> None:
-        self.cancelled += 1
-
-    def attempt_log(self, winner_slot: int | None) -> list[dict]:
-        """The effort-ledger rows for this race, in configured order.
-
-        Slots without a result at decision time are ``"cancelled"``
-        when they reached the pool (queued-dropped or still running,
-        soon discarded) and ``"skipped"`` when the race was decided
-        before they were ever submitted.
+        The attempt log has one row per slot.  A slot without a result
+        is ``"cancelled"`` when it reached the pool (dropped from its
+        queue, or still running and soon discarded) and ``"skipped"``
+        when the race was decided before it was ever started.
         """
+        best = self.winner_slot if self.decided else min(self.results)
         log = []
         for slot, spec in enumerate(self.strategies):
             if slot in self.results:
-                result, _ = self.results[slot]
-                log.append(attempt_record(
-                    spec, result, self.origins.get(slot, "solver"),
-                    winner=slot == winner_slot))
-            elif slot in self.submitted:
-                log.append(unrun_record(spec, "cancelled"))
+                log.append(attempt_record(spec, *self.results[slot],
+                                          winner=slot == best))
             else:
-                log.append(unrun_record(spec, "skipped"))
-        return log
-
-    def outcome(self) -> PortfolioOutcome:
-        if self.winner_slot is not None:
-            slot = self.winner_slot
-        elif self.results:
-            # Most informative inconclusive result: configured order.
-            slot = min(self.results)
-        else:
-            result = _no_result(self.task.prop.name)
-            return PortfolioOutcome(self.task.prop.name, result,
-                                    self.strategies[0],
-                                    cancelled=self.cancelled,
-                                    tag=self.task.tag,
-                                    attempt_log=self.attempt_log(None))
-        result, from_cache = self.results[slot]
+                log.append(unrun_record(
+                    spec, "cancelled" if slot in self.futures
+                    else "skipped"))
+        result, origin = self.results[best]
+        skipped = sum(1 for row in log if row["origin"] == "skipped")
         return PortfolioOutcome(
-            self.task.prop.name, result, self.strategies[slot],
-            attempts=len(self.results), cancelled=self.cancelled,
-            from_cache=from_cache, tag=self.task.tag,
-            attempt_log=self.attempt_log(slot))
-
-
-def _no_result(property_name: str) -> CheckResult:
-    return CheckResult(property_name, Status.UNKNOWN,
-                       detail="portfolio produced no result")
-
-
-def _error_result(property_name: str, spec: str,
-                  exc: Exception) -> CheckResult:
-    return CheckResult(property_name, Status.UNKNOWN,
-                       detail=f"strategy {spec} failed in worker: "
-                              f"{type(exc).__name__}: {exc}")
+            self.task.prop.name, result, self.strategies[best],
+            attempts=len(self.results),
+            cancelled=self.cancelled + skipped,
+            from_cache=origin != "solver", tag=self.task.tag,
+            attempt_log=log)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast as _pyast
 import inspect as _inspect
 import re
+import time as _time
 from dataclasses import dataclass, field
 from functools import lru_cache as _lru_cache
 from typing import Mapping, Protocol, runtime_checkable
@@ -30,6 +31,7 @@ from repro.mc.bmc import bmc, bmc_probe
 from repro.mc.kinduction import KInductionOptions, k_induction
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, ProofStats, Status
+from repro.obs import events as _events
 from repro.obs import tracing as _tracing
 
 
@@ -239,6 +241,18 @@ def strategy_names() -> list[str]:
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 
 
+def spec_name(spec: str) -> str:
+    """The bare registry name of a spec (``"bmc(bound=6)"`` -> ``"bmc"``).
+
+    The one spelling every layer shares: history rows and ledger
+    provenance key on it, so differently-parameterized runs of one
+    strategy pool their evidence.  A string that is not a spec at all
+    (the ``"none"`` of a justice outcome) is returned unchanged.
+    """
+    m = _SPEC_RE.match(spec)
+    return m.group(1) if m else spec
+
+
 def resolve_strategy(spec: str) -> tuple[Strategy, dict]:
     """Parse ``"name"`` or ``"name(key=value, ...)"`` into (strategy, options).
 
@@ -344,13 +358,45 @@ def canonical_options(strategy: Strategy, options: Mapping) -> dict:
     return full
 
 
+def emit_check_events(system_name: str, prop_name: str,
+                      strategy_name: str, result: CheckResult,
+                      wall_seconds: float, origin: str,
+                      tier: str | None = None) -> None:
+    """Journal one answered check (plus the slow-solve dump when due).
+
+    The one writer of ``check_finish``: :func:`run_check_task` calls it
+    for solver answers, :func:`repro.mc.cache.lookup` for cache hits
+    (with the ``tier`` that served them).  Solver answers slower than
+    the journal's threshold additionally emit a ``slow_solve`` event
+    carrying the full solver-effort snapshot.
+    """
+    fields = {"design": system_name, "property": prop_name,
+              "strategy": strategy_name, "status": result.status.value,
+              "origin": origin, "k": result.k,
+              "wall_seconds": round(wall_seconds, 6)}
+    if tier is not None:
+        fields["tier"] = tier
+    _events.emit("check_finish", **fields)
+    threshold = _events.slow_solve_threshold()
+    if origin == "solver" and threshold is not None \
+            and wall_seconds >= threshold:
+        _events.emit(
+            "slow_solve", design=system_name, property=prop_name,
+            strategy=strategy_name, status=result.status.value,
+            k=result.k, wall_seconds=round(wall_seconds, 6),
+            threshold=threshold,
+            solve_seconds=round(result.stats.solve_seconds, 6),
+            effort=result.stats.effort_dict())
+
+
 def run_check_task(task: CheckTask) -> CheckResult:
-    """Execute one task (in-process or inside a pool worker)."""
-    import time as _time
+    """Execute one task — the only place a strategy is run.
 
-    from repro.mc.cache import emit_check_events
-    from repro.obs import events as _events
-
+    Inline callers (:func:`repro.mc.cache.run_cached`, a ``jobs=1``
+    portfolio race) and pool workers all come through here, so the
+    ``check`` span and the ``check_start`` / ``check_finish`` /
+    ``slow_solve`` events are written once, by the process that solved.
+    """
     strategy, options = resolve_strategy(task.strategy)
     options.update(task.options)
     parent = None

@@ -169,6 +169,12 @@ class TestAdaptiveSelector:
         assert base_strategy_name("bmc(bound=6)") == "bmc"
         assert base_strategy_name("k_induction") == "k_induction"
 
+    def test_base_strategy_name_is_the_registry_spelling(self):
+        from repro.mc.strategy import spec_name
+        assert base_strategy_name is spec_name
+        assert spec_name(" pdr_seeded ( seed_limit=4 ) ") == "pdr_seeded"
+        assert spec_name("none") == "none"      # justice outcomes
+
     def test_thin_history_keeps_full_portfolio(self, tmp_path):
         selector = AdaptiveSelector(ProofStore.open(tmp_path))
         choice = selector.choose("fam", self.PORTFOLIO)
@@ -242,6 +248,16 @@ class TestInlineSpec:
             inline_spec("bmc(6)", {})
         with pytest.raises(StrategyError):
             inline_spec("not_a_strategy", {"bound": 6})
+
+
+    def test_race_specs_bakes_depths_like_both_callers_did(self):
+        from repro.campaign import race_specs
+        assert race_specs(("k_induction", "bmc(bound=4)", "pdr"),
+                          max_k=3, bound=9) == \
+            ("k_induction(max_k=3)", "bmc(bound=4)", "pdr")
+        assert race_specs(("k_induction", "bmc"), max_k=3, bound=9,
+                          simple_path=False) == \
+            ("k_induction(max_k=3, simple_path=False)", "bmc(bound=9)")
 
 
 CAMPAIGN_DESIGNS = ["updown_counter", "gray_counter", "sync_counters_bug"]

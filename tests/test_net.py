@@ -87,6 +87,36 @@ class TestBackendParsing:
         assert isinstance(open_queue("http://h:1"), RemoteWorkQueue)
         assert isinstance(open_store("http://h:1"), RemoteProofStore)
 
+    def test_every_implementation_defines_the_whole_protocol(self, service):
+        """The wire allow-lists are computed from the two protocols, so
+        a protocol method is remotely callable by construction — given
+        that the local and the remote class both define it."""
+        from repro.dist import QueueBackend, StoreBackend
+        from repro.dist.server import QUEUE_METHODS, STORE_METHODS
+
+        def declared(protocol):
+            return {name for name, member in vars(protocol).items()
+                    if callable(member) and
+                    (not name.startswith("_") or name == "__len__")}
+
+        for protocol, implementations in (
+                (QueueBackend, (WorkQueue, RemoteWorkQueue)),
+                (StoreBackend, (ProofStore, RemoteProofStore))):
+            methods = declared(protocol)
+            assert "close" in methods and len(methods) > 10
+            for cls in implementations:
+                missing = sorted(name for name in methods
+                                 if not callable(getattr(cls, name, None)))
+                assert not missing, (cls.__name__, missing)
+        assert QUEUE_METHODS == declared(QueueBackend) - {"close"}
+        assert STORE_METHODS == \
+            declared(StoreBackend) - {"close", "__len__"} | {"size"}
+        for scope, names in (("queue", QUEUE_METHODS),
+                             ("store", STORE_METHODS)):
+            for name in names:
+                assert service.dispatch_target(scope, name) is not None
+            assert service.dispatch_target(scope, "close") is None
+
 
 class TestRemoteQueue:
     """The remote queue preserves the SQLite queue's lease semantics."""
@@ -415,7 +445,7 @@ class TestCoordinatorSurvivesServerBounce:
 
         def run() -> None:
             try:
-                box["result"] = coordinator.run(pool)
+                box["result"] = coordinator.dispatch(pool)
             except BaseException as exc:   # surfaced by the assert below
                 box["error"] = exc
 
@@ -458,7 +488,7 @@ class TestCoordinatorSurvivesServerBounce:
         coordinator = Coordinator(service.address, workers=1,
                                   poll_interval=0.02)
         with pytest.raises(CampaignConflictError, match="active"):
-            coordinator.run(pool)
+            coordinator.dispatch(pool)
         # The live campaign's job is untouched.
         assert other.counts() == {"leased": 1}
 
@@ -504,7 +534,7 @@ class TestCoordinatorSurvivesServerBounce:
                                   poll_interval=0.02)
         coordinator.queue.timeout = 0.3
         with pytest.raises(TimeoutError, match="never answered"):
-            coordinator.run(pool)
+            coordinator.dispatch(pool)
 
 
 class TestRemoteCampaign:

@@ -556,6 +556,98 @@ class TestEventJournal:
         assert events.active() is None   # campaign cleans up after itself
 
 
+class TestModeParity:
+    """``jobs`` decides who executes a cache miss and nothing else: the
+    inline race and the pooled one report the same verdicts, the same
+    attempt-log shape, and — pass for pass — the same journal events
+    and ``repro_checks_total`` growth."""
+
+    CORPUS_DESIGN = "counters/updown_counter.aag"
+    ANSWERED = {"solver", "memory", "disk"}
+    UNRUN = {"skipped", "cancelled"}
+
+    @staticmethod
+    def _design(name):
+        from pathlib import Path
+
+        from repro.designs import get_design
+        from repro.formats.designio import import_design
+        if "/" not in name:
+            return get_design(name)
+        return import_design(
+            Path(__file__).resolve().parents[1] / "corpus" / name)
+
+    def _check_log(self, design, session, outcome):
+        from repro.campaign import race_specs
+        from repro.mc.portfolio import DEFAULT_PORTFOLIO
+        configured = race_specs(
+            DEFAULT_PORTFOLIO,
+            max_k=design.property_spec(outcome.property_name).max_k,
+            bound=session.engine_config.bmc_bound,
+            simple_path=session.engine_config.simple_path)
+        log = outcome.attempt_log
+        assert tuple(row["strategy"] for row in log) == configured
+        winner, = [row for row in log if row["winner"]]
+        assert winner["strategy"] == outcome.strategy
+        for row in log:
+            assert row["origin"] in (self.ANSWERED if row["status"]
+                                     else self.UNRUN), row
+
+    def _cold_then_warm(self, name, jobs, events_dir):
+        """Per pass: ({property: (status, winner)}, check_finish
+        multiset, repro_checks_total growth)."""
+        from repro.flow import VerificationSession
+        design = self._design(name)
+        session = VerificationSession(design)
+        passes = []
+        for label in ("cold", "warm"):
+            events.configure(events_dir / label)
+            before = get_registry().snapshot()
+            batch = session.verify_all(jobs=jobs)
+            grown = obs_metrics.delta(before, get_registry().snapshot())
+            events.shutdown()
+            for outcome in batch.outcomes:
+                self._check_log(design, session, outcome)
+            finished = sorted(
+                (e["property"], e["strategy"], e["status"], e["origin"],
+                 e.get("tier"))
+                for e in events.load_events(events_dir / label)
+                if e["kind"] == "check_finish")
+            passes.append((
+                {o.property_name: (o.status, o.strategy)
+                 for o in batch.outcomes},
+                finished,
+                grown.get("repro_checks_total", {}).get("samples", {})))
+        return passes
+
+    @pytest.mark.parametrize(
+        "name", ["sync_counters", "sync_counters_bug", CORPUS_DESIGN])
+    def test_inline_and_pooled_races_report_alike(self, name, tmp_path):
+        (cold1, _, cold1_counts), (warm1, warm1_events, warm1_counts) = \
+            self._cold_then_warm(name, 1, tmp_path / "jobs1")
+        (cold2, _, cold2_counts), (warm2, warm2_events, warm2_counts) = \
+            self._cold_then_warm(name, 2, tmp_path / "jobs2")
+        # Cold: same verdicts.  Winners are only compared where they
+        # cannot depend on timing — a pooled race between two racers
+        # that can both refute is won by whichever finishes first.
+        status = lambda verdicts: {p: s for p, (s, _w) in verdicts.items()}
+        assert status(cold1) == status(cold2)
+        for prop, (verdict, winner) in cold1.items():
+            if verdict.value != "violated":
+                assert cold2[prop] == (verdict, winner)
+        # The pool's solver attempts are counted in this process.
+        solved = lambda counts: sum(
+            n for labels, n in counts.items() if 'origin="solver"' in labels)
+        assert solved(cold1_counts) > 0
+        assert solved(cold2_counts) >= solved(cold1_counts)
+        # Warm: everything is answered from the cache, identically.
+        assert warm1 == warm2
+        assert warm1_events and warm1_events == warm2_events
+        assert all(origin == "cache" and tier == "memory"
+                   for *_, origin, tier in warm1_events)
+        assert warm1_counts and warm1_counts == warm2_counts
+
+
 class TestMetricsExpositionEdgeCases:
     """Pin the exposition corner cases scrapers depend on (see the
     audited docstrings in ``repro.obs.metrics``)."""

@@ -10,6 +10,8 @@ from repro.mc import (PortfolioScheduler, ProofEngine, ResultCache,
                       Status, VerifyTask)
 from repro.mc.property import SafetyProperty
 
+STRATEGIES = ("k_induction(max_k=2)", "bmc(bound=4)")
+
 
 @pytest.fixture
 def diverging_system() -> TransitionSystem:
@@ -126,6 +128,71 @@ class TestParallelRacing:
             cache=cache).run_batch(sync_counters_system, [prop])
         assert outcome.from_cache
         assert cache.stats.hits > hits_before
+
+
+def _explode(task):
+    """Stands in for the pool's worker function (module-level: the
+    pool pickles it by reference)."""
+    raise RuntimeError(f"boom on {task.strategy}")
+
+
+class TestPoolEdges:
+    """The pooled executor's fault paths and its laziness."""
+
+    def test_cache_settled_batch_builds_no_pool(self, monkeypatch,
+                                                sync_counters_system):
+        cache = ResultCache()
+        prop = _equal_prop(8)
+        [cold] = PortfolioScheduler(
+            jobs=2, strategies=STRATEGIES,
+            cache=cache).run_batch(sync_counters_system, [prop])
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a warm batch must not build a pool")
+
+        monkeypatch.setattr("repro.mc.portfolio.ProcessPoolExecutor",
+                            no_pool)
+        [warm] = PortfolioScheduler(
+            jobs=2, strategies=STRATEGIES,
+            cache=cache).run_batch(sync_counters_system, [prop])
+        assert warm.from_cache and warm.status is cold.status
+        assert warm.strategy == cold.strategy
+
+    def test_no_usable_pool_degrades_to_the_inline_race(
+            self, monkeypatch, sync_counters_system, diverging_system):
+        def unusable(*_args, **_kwargs):
+            raise OSError("no multiprocessing here")
+
+        monkeypatch.setattr("repro.mc.portfolio.ProcessPoolExecutor",
+                            unusable)
+        cache = ResultCache()
+        tasks = [VerifyTask(sync_counters_system, _equal_prop(8)),
+                 VerifyTask(diverging_system, _equal_prop(3), tag="bad")]
+        proven, violated = PortfolioScheduler(
+            jobs=2, strategies=("k_induction(max_k=1)", "bmc(bound=8)"),
+            cache=cache).run(tasks)
+        assert proven.status is Status.PROVEN
+        assert [row["origin"] for row in proven.attempt_log] == \
+            ["solver", "skipped"]        # never reached a pool
+        assert proven.cancelled == 1
+        assert violated.status is Status.VIOLATED and violated.tag == "bad"
+        assert violated.strategy == "bmc(bound=8)"
+        assert violated.attempts == 2
+        assert cache.stats.stores == 3   # inline results are cached too
+
+    def test_crashed_pool_child_reads_unknown_and_is_not_cached(
+            self, monkeypatch, sync_counters_system):
+        monkeypatch.setattr("repro.mc.portfolio._worker_run", _explode)
+        cache = ResultCache()
+        [outcome] = PortfolioScheduler(
+            jobs=2, strategies=STRATEGIES,
+            cache=cache).run_batch(sync_counters_system, [_equal_prop(8)])
+        assert outcome.status is Status.UNKNOWN
+        assert outcome.strategy == STRATEGIES[0]
+        assert "k_induction(max_k=2) failed in worker: RuntimeError: " \
+            "boom on k_induction(max_k=2)" in outcome.result.detail
+        assert outcome.attempts == 2 and not outcome.from_cache
+        assert cache.stats.stores == 0 and len(cache) == 0
 
 
 class TestEngineBatchApi:
