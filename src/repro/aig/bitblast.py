@@ -6,9 +6,11 @@ sight and are remembered, so blasting several expressions over the same
 variables (the unrolled transition relation plus a property) shares
 structure automatically through both the expression memo and the AIG's
 structural hashing.  A variable can instead be *bound* to existing
-literals before its first use (:meth:`BitBlaster.bind`); the unroller's
-timed states are defined that way, which lets constants fold through
-frame boundaries.
+literals before its first use (:meth:`BitBlaster.bind`); the timed
+states of an unrolling are defined that way, which lets constants fold
+through frame boundaries.  Unrolling happens here, not on expressions:
+``blast(root, frame=t)`` lowers the *untimed* ``root`` with each variable
+``v`` read as ``v@t``, so no timed copy of a design is ever built.
 
 Lowering choices (ripple-carry adders, barrel shifters, shift-and-add
 multipliers, MSB-first comparison chains) favour simplicity and small code
@@ -18,6 +20,8 @@ adequate.
 """
 
 from __future__ import annotations
+
+from typing import Container
 
 from repro.errors import BitBlastError
 from repro.aig.graph import AIG, FALSE, TRUE, negate
@@ -29,30 +33,50 @@ class BitBlaster:
 
     def __init__(self, aig: AIG | None = None):
         self.aig = aig if aig is not None else AIG()
-        self._memo: dict[int, list[int]] = {}
+        # One literal memo per frame; ``None`` is the untimed reading.
+        self._memos: dict[int | None, dict[int, list[int]]] = {}
         self._var_bits: dict[str, list[int]] = {}
+        # Post-order node tuple of every framed root, by ``id(root)``.
+        # The tuple ends in the root and owns all its nodes, so neither
+        # its key nor the ids in the frame memos can be recycled.
+        self._orders: dict[int, tuple[E.Expr, ...]] = {}
+        #: Names a framed blast may read; any other variable is an
+        #: error.  ``None`` (a bare blaster) accepts every name.
+        self.signals: Container[str] | None = None
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
 
-    def blast(self, root: E.Expr) -> list[int]:
-        """AIG literals for ``root``, LSB first (length == root.width)."""
-        memo = self._memo
+    def blast(self, root: E.Expr, frame: int | None = None) -> list[int]:
+        """AIG literals for ``root``, LSB first (length == root.width).
+
+        With ``frame=t`` every variable ``v`` of ``root`` stands for the
+        timed variable ``v@t`` — the same key an untimed blast of
+        ``E.var("v@t", w)`` reads, binds and width-checks.
+        """
+        memo = self._memos.setdefault(frame, {})
         found = memo.get(id(root))
         if found is None:
-            for node in E.iter_dag([root]):
+            if frame is None:
+                nodes = E.iter_dag([root])
+            else:
+                nodes = self._orders.get(id(root))
+                if nodes is None:
+                    nodes = self._orders[id(root)] = tuple(
+                        E.iter_dag([root]))
+            for node in nodes:
                 if id(node) not in memo:
-                    memo[id(node)] = self._lower(node)
+                    memo[id(node)] = self._lower(node, memo, frame)
             found = memo[id(root)]
         return list(found)
 
-    def blast_bool(self, root: E.Expr) -> int:
+    def blast_bool(self, root: E.Expr, frame: int | None = None) -> int:
         """Single literal for a width-1 expression."""
         if root.width != 1:
             raise BitBlastError(
                 f"expected 1-bit expression, got width {root.width}")
-        return self.blast(root)[0]
+        return self.blast(root, frame)[0]
 
     def var_bits(self, name: str) -> list[int] | None:
         """The literals standing for variable ``name`` (if seen): fresh
@@ -80,23 +104,31 @@ class BitBlaster:
     # Lowering
     # ------------------------------------------------------------------
 
-    def _lower(self, node: E.Expr) -> list[int]:
+    def _lower(self, node: E.Expr, memo: dict[int, list[int]],
+               frame: int | None) -> list[int]:
         op = node.op
         g = self.aig
         if op == "const":
             return [TRUE if (node.value >> i) & 1 else FALSE
                     for i in range(node.width)]
         if op == "var":
-            bits = self._var_bits.get(node.name)
+            name = node.name
+            if frame is not None:
+                if self.signals is not None and name not in self.signals:
+                    raise BitBlastError(
+                        f"unknown signal {name!r}: neither an input nor "
+                        "a state of the design being unrolled")
+                name = E.timed_name(name, frame)
+            bits = self._var_bits.get(name)
             if bits is None:
                 bits = [g.new_input() for _ in range(node.width)]
-                self._var_bits[node.name] = bits
+                self._var_bits[name] = bits
             elif len(bits) != node.width:
                 raise BitBlastError(
-                    f"variable {node.name!r} blasted at two widths")
+                    f"variable {name!r} blasted at two widths")
             return list(bits)
 
-        args = [self._memo[id(a)] for a in node.args]
+        args = [memo[id(a)] for a in node.args]
         if op == "not":
             return [negate(b) for b in args[0]]
         if op == "neg":
@@ -117,9 +149,9 @@ class BitBlaster:
         if op in ("shl", "lshr", "ashr"):
             return self._shift(op, args[0], args[1])
         if op == "eq":
-            return [self._eq_lit(args[0], args[1])]
+            return [self.eq_lit(args[0], args[1])]
         if op == "ne":
-            return [negate(self._eq_lit(args[0], args[1]))]
+            return [negate(self.eq_lit(args[0], args[1]))]
         if op == "ult":
             return [self._ult_lit(args[0], args[1])]
         if op == "ule":
@@ -193,7 +225,8 @@ class BitBlaster:
 
     # Comparison helpers --------------------------------------------------
 
-    def _eq_lit(self, a: list[int], b: list[int]) -> int:
+    def eq_lit(self, a: list[int], b: list[int]) -> int:
+        """Literal that is true iff the words ``a`` and ``b`` are equal."""
         return self.aig.and_many(self.aig.xnor_(x, y)
                                  for x, y in zip(a, b))
 

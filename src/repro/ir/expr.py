@@ -156,6 +156,21 @@ def false() -> Expr:
     return const(0, 1)
 
 
+# Timed copies of a variable are plain variables with mangled names; the
+# unroller builds them and the bit-blaster's framed reading keys on them.
+SEPARATOR = "@"
+
+
+def timed_name(name: str, t: int) -> str:
+    """Name of the time-``t`` copy of variable ``name``."""
+    return f"{name}{SEPARATOR}{t}"
+
+
+def untimed_name(name: str) -> tuple[str, int]:
+    base, _, t = name.rpartition(SEPARATOR)
+    return base, int(t)
+
+
 # ---------------------------------------------------------------------------
 # Width checking helpers
 # ---------------------------------------------------------------------------
@@ -701,19 +716,21 @@ def substitute(root: Expr, mapping: Mapping[str, Expr],
     return memo[id(root)]
 
 
+_BUILDERS: dict[str, Callable[..., Expr]] = {
+    "not": not_, "neg": neg, "redand": redand, "redor": redor,
+    "redxor": redxor, "and": and_, "or": or_, "xor": xor, "add": add,
+    "sub": sub, "mul": mul, "shl": shl, "lshr": lshr, "ashr": ashr,
+    "eq": eq, "ne": ne, "ult": ult, "ule": ule, "slt": slt, "sle": sle,
+    "concat": concat, "ite": ite,
+}
+
+
 def rebuild(node: Expr, args: tuple[Expr, ...]) -> Expr:
     """Rebuild ``node`` with new arguments, re-running folding rules."""
     op = node.op
-    builders: dict[str, Callable[..., Expr]] = {
-        "not": not_, "neg": neg, "redand": redand, "redor": redor,
-        "redxor": redxor, "and": and_, "or": or_, "xor": xor, "add": add,
-        "sub": sub, "mul": mul, "shl": shl, "lshr": lshr, "ashr": ashr,
-        "eq": eq, "ne": ne, "ult": ult, "ule": ule, "slt": slt, "sle": sle,
-        "concat": concat, "ite": ite,
-    }
     if op == "extract":
         return extract(args[0], node.params[0], node.params[1])
-    builder = builders.get(op)
+    builder = _BUILDERS.get(op)
     if builder is None:
         raise IRError(f"rebuild: unknown operator {op!r}")
     return builder(*args)

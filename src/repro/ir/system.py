@@ -184,7 +184,14 @@ class TransitionSystem:
                 raise SystemError_(
                     f"state {name!r} has no next-state function")
         known = set(self.inputs) | set(self.states)
-        for name, e in list(self.next.items()) + list(self.init.items()):
+        pairs = list(self.next.items()) + list(self.init.items())
+        liveness = self.fairness + [c for js in self.justice for c in js]
+        # One walk over the union of all roots; only a bad name sends us
+        # back root by root to say where it was found.
+        roots = [e for _, e in pairs] + self.constraints + liveness
+        if all(n.name in known for n in E.iter_dag(roots) if n.is_var):
+            return
+        for name, e in pairs:
             for free in E.support(e):
                 if free not in known:
                     raise SystemError_(
@@ -195,7 +202,7 @@ class TransitionSystem:
                 if free not in known:
                     raise SystemError_(
                         f"constraint references unknown signal {free!r}")
-        for cond in self.fairness + [c for js in self.justice for c in js]:
+        for cond in liveness:
             for free in E.support(cond):
                 if free not in known:
                     raise SystemError_(

@@ -60,8 +60,7 @@ def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
             stats.max_depth = t
             if t < resolved.valid_from:
                 continue
-            bad_t = frame.unroller.at_time(resolved.bad, t)
-            assumption = frame.assumption_for(bad_t)
+            assumption = frame.assumption_at(resolved.bad, t)
             verdict = frame.solve_limited([assumption],
                                           conflict_budget=conflict_budget)
             if verdict is None:
@@ -107,19 +106,17 @@ def bmc_probe(system: TransitionSystem, prop: SafetyProperty, bound: int,
     frame = FrameSolver(system)
     with StatsTimer(stats):
         frame.add_init()
-        bads = []
         for t in range(bound + 1):
             if t > 0:
                 frame.add_frame(t - 1)
             for g, vf in lemma_pairs:
                 if vf <= t:
                     frame.assert_at(g, t)
-            if t >= resolved.valid_from:
-                bads.append(frame.unroller.at_time(resolved.bad, t))
         stats.max_depth = bound
-        any_bad = E.bool_or(*bads) if bads else E.false()
-        assumption = frame.assumption_for(any_bad)
-        verdict = frame.solve_limited([assumption],
+        any_bad = frame.blaster.aig.or_many(
+            frame.lit_at(resolved.bad, t)
+            for t in range(resolved.valid_from, bound + 1))
+        verdict = frame.solve_limited([frame.cnf.assumption(any_bad)],
                                       conflict_budget=conflict_budget)
     _merge(stats, frame)
     if verdict is None:
@@ -133,9 +130,7 @@ def bmc_probe(system: TransitionSystem, prop: SafetyProperty, bound: int,
     # Locate the earliest failing cycle in the model for a tight trace.
     fail_at = bound
     for t in range(resolved.valid_from, bound + 1):
-        bad_t = frame.unroller.at_time(resolved.bad, t)
-        lit = frame.blaster.blast_bool(bad_t)
-        if frame.cnf.lit_value(lit):
+        if frame.cnf.lit_value(frame.lit_at(resolved.bad, t)):
             fail_at = t
             break
     trace = frame.extract_trace(fail_at + 1, TraceKind.BMC_CEX,

@@ -5,6 +5,12 @@ and exposes expression-level asserts, expression-level assumptions, and
 model extraction back to the word level.  BMC and k-induction each drive
 one (or two) of these incrementally: clauses for already-unrolled frames
 are never re-encoded as the bound grows.
+
+Frames are stamped at the bit level: every method takes *untimed,
+resolved* expressions plus a time and lowers them through
+``BitBlaster.blast(expr, frame=t)``, so no timed copy of the design is
+ever built.  A variable that is neither an input nor a state of the
+system raises :class:`~repro.errors.BitBlastError`.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ import time
 
 from repro.aig.bitblast import BitBlaster
 from repro.aig.cnf import CnfBuilder
+from repro.aig.graph import negate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.result import ProofStats
-from repro.mc.unroll import Unroller, timed_name
 from repro.sat.solver import Solver
 from repro.trace.trace import Trace, TraceKind
 
@@ -25,10 +31,11 @@ class FrameSolver:
     """Incremental SAT context for unrolled transition-system formulas."""
 
     def __init__(self, system: TransitionSystem):
+        system.validate()
         self.system = system
-        self.unroller = Unroller(system)
         self.solver = Solver()
         self.blaster = BitBlaster()
+        self.blaster.signals = system.inputs.keys() | system.states.keys()
         self.cnf = CnfBuilder(self.blaster.aig, self.solver)
         self.queries = 0
 
@@ -36,19 +43,17 @@ class FrameSolver:
     # Assertions / assumptions at the expression level
     # ------------------------------------------------------------------
 
-    def assert_expr(self, timed_expr: E.Expr) -> None:
-        """Permanently assert a width-1 timed expression."""
-        lit = self.blaster.blast_bool(timed_expr)
-        self.cnf.assert_lit(lit)
+    def lit_at(self, expr: E.Expr, t: int) -> int:
+        """AIG literal of a width-1 expression at time ``t``."""
+        return self.blaster.blast_bool(expr, frame=t)
 
     def assert_at(self, expr: E.Expr, t: int) -> None:
-        """Assert an (untimed, resolved) expression at time ``t``."""
-        self.assert_expr(self.unroller.at_time(expr, t))
+        """Permanently assert a width-1 expression at time ``t``."""
+        self.cnf.assert_lit(self.lit_at(expr, t))
 
-    def assumption_for(self, timed_expr: E.Expr) -> int:
-        """DIMACS assumption literal for a width-1 timed expression."""
-        lit = self.blaster.blast_bool(timed_expr)
-        return self.cnf.assumption(lit)
+    def assumption_at(self, expr: E.Expr, t: int) -> int:
+        """DIMACS assumption literal for a width-1 expression at ``t``."""
+        return self.cnf.assumption(self.lit_at(expr, t))
 
     def solve(self, assumptions: list[int] | None = None) -> bool:
         self.cnf.encode_new_nodes()
@@ -70,18 +75,15 @@ class FrameSolver:
         """Pin initialized registers at time 0, then the time-0
         constraints.  A variable-free init defines ``s@0`` as its
         constant bits; one that reads variables stays an equation."""
-        un = self.unroller
         equations = []
         for name, init_expr in self.system.init.items():
             if E.support(init_expr):
-                equations.append(E.eq(un.timed_var(name, 0),
-                                      un.at_time(init_expr, 0)))
+                equations.append((name, init_expr))
             else:
-                self._define(name, 0, init_expr)
-        for eq_expr in equations:
-            self.assert_expr(eq_expr)
-        for c in un.constraints_at(0):
-            self.assert_expr(c)
+                self._define(name, 0, init_expr, 0)
+        for name, init_expr in equations:
+            self._define(name, 0, init_expr, 0, bind=False)
+        self.add_constraints(0)
 
     def add_frame(self, t: int) -> None:
         """Define the states at t+1 from frame t, plus constraints at t+1.
@@ -89,27 +91,42 @@ class FrameSolver:
         Constraints at time 0 are added by :meth:`add_init` (BMC) or by the
         caller (induction step case, which has no init).
         """
-        un = self.unroller
         for name, next_expr in self.system.next.items():
-            self._define(name, t + 1, un.at_time(next_expr, t))
-        for c in un.constraints_at(t + 1):
-            self.assert_expr(c)
+            self._define(name, t + 1, next_expr, t)
+        self.add_constraints(t + 1)
 
-    def _define(self, name: str, t: int, value: E.Expr) -> None:
-        """Make ``name@t`` equal the timed expression ``value``.
+    def add_constraints(self, t: int) -> None:
+        """Assert the system's environment assumptions at time ``t``."""
+        for c in self.system.constraints:
+            self.assert_at(c, t)
+
+    def state_distinct(self, t1: int, t2: int) -> int:
+        """AIG literal: some register differs between ``t1`` and ``t2``
+        (the simple-path constraint of k-induction)."""
+        blaster = self.blaster
+        return blaster.aig.or_many(
+            negate(blaster.eq_lit(blaster.blast(v, frame=t1),
+                                  blaster.blast(v, frame=t2)))
+            for v in self.system.states.values())
+
+    def _define(self, name: str, t: int, value: E.Expr, at: int,
+                bind: bool = True) -> None:
+        """Make ``name@t`` equal ``value`` read at time ``at``.
 
         Functionally where possible: the timed variable is *bound* to
         the value's literals, so no input, no equation and no clause
         exists for it and constants fold through the AIG.  A timed
         variable some earlier formula already blasted has its inputs;
-        it gets the equation instead.
+        it gets the equation instead, as does any caller's ``bind=False``.
         """
         blaster = self.blaster
-        tname = timed_name(name, t)
-        if blaster.var_bits(tname) is None:
-            blaster.bind(tname, blaster.blast(value))
+        tname = E.timed_name(name, t)
+        if bind and blaster.var_bits(tname) is None:
+            blaster.bind(tname, blaster.blast(value, frame=at))
         else:
-            self.assert_expr(E.eq(self.unroller.timed_var(name, t), value))
+            bits = blaster.blast(self.system.states[name], frame=t)
+            self.cnf.assert_lit(
+                blaster.eq_lit(bits, blaster.blast(value, frame=at)))
 
     # ------------------------------------------------------------------
     # Model extraction
@@ -117,7 +134,7 @@ class FrameSolver:
 
     def timed_value(self, name: str, t: int) -> int:
         """Value of design signal ``name`` at time ``t`` in the model."""
-        tname = timed_name(name, t)
+        tname = E.timed_name(name, t)
         bits = self.blaster.var_bits(tname)
         if bits is None:
             # Neither defined nor mentioned by any formula: free.

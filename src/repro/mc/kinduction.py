@@ -72,8 +72,7 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
         for g, vf in lemma_pairs:
             if vf <= 0:
                 base.assert_at(g, 0)
-        for c in step.unroller.constraints_at(0):
-            step.assert_expr(c)
+        step.add_constraints(0)
         for g, _vf in lemma_pairs:
             step.assert_at(g, 0)
 
@@ -93,8 +92,7 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
                         if vf <= t:
                             base.assert_at(g, t)
                 if t >= resolved.valid_from:
-                    bad_t = base.unroller.at_time(resolved.bad, t)
-                    if base.solve([base.assumption_for(bad_t)]):
+                    if base.solve([base.assumption_at(resolved.bad, t)]):
                         trace = base.extract_trace(
                             t + 1, TraceKind.BMC_CEX,
                             property_name=prop.name,
@@ -110,14 +108,11 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
             step.add_frame(k - 1)
             for g, _vf in lemma_pairs:
                 step.assert_at(g, k)
-            good_prev = step.unroller.at_time(resolved.good, k - 1)
-            step.assert_expr(good_prev)
+            step.assert_at(resolved.good, k - 1)
             if opts.simple_path:
                 for earlier in range(k):
-                    step.assert_expr(
-                        step.unroller.state_distinct(earlier, k))
-            bad_k = step.unroller.at_time(resolved.bad, k)
-            if not step.solve([step.assumption_for(bad_k)]):
+                    step.cnf.assert_lit(step.state_distinct(earlier, k))
+            if not step.solve([step.assumption_at(resolved.bad, k)]):
                 _collect(stats, base, step)
                 return CheckResult(
                     prop.name, Status.PROVEN, k=k, step_cex=None,

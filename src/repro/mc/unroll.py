@@ -10,23 +10,19 @@ produces the standard path formulas:
 Timed variables are plain IR variables with mangled names, so the same
 bit-blaster/CNF pipeline used for combinational formulas handles unrolled
 paths with no special cases.
+
+This is the *expression-level* form of unrolling.  BMC and k-induction
+stamp frames at the bit level instead (``BitBlaster.blast(expr,
+frame=t)``, see :mod:`repro.mc.frame`); the unroller is kept for PDR's
+one-step context, which builds its two frames once per run, and as the
+reference the framed blast is tested against.
 """
 
 from __future__ import annotations
 
 from repro.ir import expr as E
+from repro.ir.expr import timed_name, untimed_name  # noqa: F401 (re-export)
 from repro.ir.system import TransitionSystem
-
-SEPARATOR = "@"
-
-
-def timed_name(name: str, t: int) -> str:
-    return f"{name}{SEPARATOR}{t}"
-
-
-def untimed_name(name: str) -> tuple[str, int]:
-    base, _, t = name.rpartition(SEPARATOR)
-    return base, int(t)
 
 
 class Unroller:
@@ -80,13 +76,6 @@ class Unroller:
         if not diffs:
             return E.false()
         return E.bool_or(*diffs)
-
-    def env_at(self, values: dict[str, int], t: int) -> dict[str, int]:
-        """Project a timed valuation (``v@t`` keys) onto frame ``t``."""
-        frame = {}
-        for name in list(self.system.inputs) + list(self.system.states):
-            frame[name] = values[timed_name(name, t)]
-        return frame
 
     def _mapping(self, t: int) -> dict[str, E.Expr]:
         found = self._maps.get(t)

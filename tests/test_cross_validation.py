@@ -19,14 +19,18 @@ from hypothesis import given, settings, strategies as st
 from repro.aig.bitblast import BitBlaster
 from repro.aig.cnf import CnfBuilder
 from repro.aig.graph import AIG
-from repro.errors import SatError
+from repro.designs.registry import design_names, get_design
+from repro.errors import BitBlastError, SatError
 from repro.hdl import elaborate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import SafetyProperty, Status, bmc, k_induction
 from repro.mc.kinduction import KInductionOptions
+from repro.mc.unroll import Unroller
+from repro.qa.generate import random_design
 from repro.sat.solver import Solver
 from repro.sim import Simulator
+from repro.sva.compile import MonitorContext
 from repro.utils.bits import mask
 
 
@@ -339,6 +343,83 @@ class TestEncoderDifferential:
         solver.add_clause([-a])
         assert solver.solve() is False
         assert solver.add_and_gate(a, b) in (a, b)  # dead formula: no-op
+
+
+def _design_roots(system: TransitionSystem) -> list[E.Expr]:
+    """Every untimed, resolved expression a frame of ``system`` blasts."""
+    return (list(system.states.values()) + list(system.next.values())
+            + list(system.init.values()) + list(system.defines.values())
+            + list(system.constraints))
+
+
+def _assert_framed_blast_is_substitution(system, extra_roots=()):
+    """``blast(e, frame=t)`` against ``blast(at_time(e, t))``: same
+    literals root by root, hence the same AIG node for node."""
+    roots = _design_roots(system) + list(extra_roots)
+    unroller = Unroller(system)
+    reference, framed = BitBlaster(), BitBlaster()
+    framed.signals = system.inputs.keys() | system.states.keys()
+    for t in range(4):
+        for root in roots:
+            assert framed.blast(root, frame=t) == \
+                reference.blast(unroller.at_time(root, t))
+    assert framed.aig.num_nodes == reference.aig.num_nodes
+    assert framed.known_vars() == reference.known_vars()
+
+
+class TestFramedBlastDifferential:
+    """The bit-level frame stamp is the expression-level substitution,
+    literal for literal."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_generated_systems(self, seed):
+        subject = random_design(seed)
+        _assert_framed_blast_is_substitution(
+            subject.system, [subject.prop.bad])
+
+    @pytest.mark.parametrize("name", design_names())
+    def test_registry_designs(self, name):
+        design = get_design(name)
+        ctx = MonitorContext(design.system())
+        resolved = [
+            ctx.add(spec.sva, name=spec.name).resolved_against(ctx.system)
+            for spec in design.properties if spec.kind == "safety"]
+        _assert_framed_blast_is_substitution(
+            ctx.system, [e for r in resolved for e in (r.good, r.bad)])
+
+    def test_framed_and_pretimed_variables_share_bits(self):
+        blaster = BitBlaster()
+        s = E.var("s", 4)
+        framed = blaster.blast(E.add(s, E.const(1, 4)), frame=2)
+        assert blaster.blast(E.var("s@2", 4)) == \
+            blaster.blast(s, frame=2) == blaster.var_bits("s@2")
+        assert blaster.blast(
+            E.add(E.var("s@2", 4), E.const(1, 4))) == framed
+        # Frames are separate variables; the untimed name is a third.
+        assert blaster.blast(s, frame=3) != blaster.blast(s, frame=2)
+        assert blaster.blast(s) != blaster.blast(s, frame=2)
+        with pytest.raises(BitBlastError, match="two widths"):
+            blaster.blast(E.var("s", 5), frame=2)
+
+    def test_bind_folds_before_first_use_and_raises_after(self):
+        blaster = BitBlaster()
+        s = E.var("s", 3)
+        blaster.bind("s@1", blaster.blast(E.const(5, 3)))
+        assert blaster.blast(E.add(s, E.const(1, 3)), frame=1) == \
+            blaster.blast(E.const(6, 3))
+        assert blaster.aig.num_inputs == 0
+        blaster.blast(s, frame=2)
+        with pytest.raises(BitBlastError, match="already blasted"):
+            blaster.bind("s@2", [0, 0, 0])
+
+    def test_unknown_signal_is_rejected_only_when_framed(self):
+        blaster = BitBlaster()
+        blaster.signals = {"s"}
+        blaster.blast(E.var("s", 2), frame=0)
+        blaster.blast(E.var("ghost", 2))  # untimed: any name is a variable
+        with pytest.raises(BitBlastError, match="'ghost'"):
+            blaster.blast(E.var("ghost", 2), frame=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.designs.registry import get_design
+from repro.errors import BitBlastError
+from repro.hdl import elaborate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import (
@@ -136,6 +139,34 @@ def _diverging_pair(width=4, stall_at=3):
     return s
 
 
+class TestUnknownSignal:
+    """A variable the design does not have is an error, not a free
+    input shared by every frame."""
+
+    GHOST = E.var("ghost", 1)
+
+    @pytest.mark.parametrize("check", [
+        lambda s, p: bmc(s, p, bound=3),
+        lambda s, p: bmc_probe(s, p, bound=3),
+        lambda s, p: k_induction(s, p, KInductionOptions(max_k=2)),
+    ], ids=["bmc", "bmc_probe", "k_induction"])
+    def test_property_over_unknown_signal_raises(self, counter_system,
+                                                 check):
+        with pytest.raises(BitBlastError, match="'ghost'"):
+            check(counter_system, SafetyProperty("ghost", self.GHOST, 0))
+
+    @pytest.mark.parametrize("check", [
+        lambda s, p, lemmas: bmc(s, p, bound=3, lemmas=lemmas),
+        lambda s, p, lemmas: k_induction(
+            s, p, KInductionOptions(max_k=2), lemmas=lemmas),
+    ], ids=["bmc", "k_induction"])
+    def test_lemma_over_unknown_signal_raises(self, counter_system, check):
+        prop = SafetyProperty.from_invariant(
+            "small", E.ule(E.var("count", 4), E.const(15, 4)))
+        with pytest.raises(BitBlastError, match="'ghost'"):
+            check(counter_system, prop, [(self.GHOST, 0)])
+
+
 class TestFrameBinding:
     """FrameSolver defines timed states functionally (bound to the
     literals of their init / next value) and falls back to an asserted
@@ -173,8 +204,8 @@ class TestFrameBinding:
         assert frame.timed_value("a", 0) == 5
         assert frame.timed_value("b", 0) == \
             (5 + frame.timed_value("seed", 0)) % 8
-        pinned = frame.assumption_for(
-            E.ne(E.var("b@0", 3), E.add(E.const(5, 3), E.var("seed@0", 3))))
+        pinned = frame.assumption_at(
+            E.ne(E.var("b", 3), E.add(E.const(5, 3), E.var("seed", 3))), 0)
         assert frame.solve([pinned]) is False
         # End to end: the counterexample honours the init equation.
         prop = SafetyProperty("b_not_7", E.eq(E.var("b", 3), E.const(7, 3)))
@@ -200,9 +231,31 @@ class TestFrameBinding:
             assert frame.timed_value("count", 0) == 0
             assert frame.timed_value("en", 0) == 1
             assert frame.timed_value("count", 1) == 1
-            two = frame.assumption_for(
-                E.eq(E.var("count@1", 4), E.const(2, 4)))
+            two = frame.assumption_at(
+                E.eq(E.var("count", 4), E.const(2, 4)), 1)
             assert frame.solve([two]) is False
+
+    def test_deeper_bound_interns_no_more_expressions(self):
+        """No timed copy of the design is built: a deeper unrolling
+        leaves the intern table where the shallow one left it."""
+        system = elaborate(get_design("sync_counters").rtl,
+                           params={"W": 16})
+        prop = SafetyProperty("eq", _bad_unequal(16))
+        assert bmc(system, prop, bound=4).status is Status.BOUNDED_OK
+        shallow = E.intern_table_size()
+        assert bmc(system, prop, bound=32).status is Status.BOUNDED_OK
+        assert E.intern_table_size() == shallow
+
+    def test_state_distinct_is_the_expression_level_constraint(
+            self, sync_counters_system):
+        frame = FrameSolver(sync_counters_system)
+        for t in range(3):
+            frame.add_frame(t)
+        reference = Unroller(sync_counters_system).state_distinct(0, 2)
+        # Same blaster, so structural hashing makes "same gates" mean
+        # "same literal".
+        assert frame.state_distinct(0, 2) == \
+            frame.blaster.blast_bool(reference)
 
     @pytest.mark.parametrize("engine", ["bmc", "k_induction"])
     def test_counterexample_through_bound_states_replays(self, engine):
