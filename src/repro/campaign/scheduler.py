@@ -305,6 +305,7 @@ class CampaignScheduler:
         """The flattened job pool, ordered longest-expected-first."""
         selector = AdaptiveSelector(self.store, self.min_samples) \
             if self.adaptive else None
+        history = self.store.expected_walls()   # one read for the pool
         pool: list[CampaignJob] = []
         for design in self.designs:
             # compile_design scopes through the engine so campaign jobs
@@ -322,8 +323,9 @@ class CampaignScheduler:
                 pool.append(CampaignJob(
                     design=design, spec=spec, prop=prop, task=task,
                     full_specs=full, choice=choice,
-                    expected_wall=self._expected_wall(design, spec,
-                                                      scoped),
+                    expected_wall=history.get(
+                        (design.name, spec.name),
+                        self._structural_wall(spec, scoped)),
                     order=len(pool)))
         # Longest first: with history, seconds; cold jobs use a large
         # structural proxy, which also (deliberately) schedules the
@@ -335,11 +337,8 @@ class CampaignScheduler:
         depth = self.max_k if self.max_k is not None else spec.max_k
         return race_specs(self.base, max_k=depth, bound=self.bmc_bound)
 
-    def _expected_wall(self, design: Design, spec: PropertySpec,
-                       scoped) -> float:
-        history = self.store.expected_wall(design.name, spec.name)
-        if history is not None:
-            return history
+    def _structural_wall(self, spec: PropertySpec, scoped) -> float:
+        """The scheduling priority of a job with no solver history."""
         depth = self.max_k if self.max_k is not None else spec.max_k
         return float((len(scoped.states) + len(scoped.inputs)) * depth)
 
@@ -365,7 +364,7 @@ class CampaignScheduler:
                 result = self.dispatcher.dispatch(pool)
             dispatched = time.perf_counter()
 
-            rows = []
+            rows, history, ledger = [], [], []
             with _tracing.span("record"):
                 for job in sorted(pool, key=lambda j: j.order):
                     outcome = result.outcomes[job.identity]
@@ -375,16 +374,16 @@ class CampaignScheduler:
                     # whichever dispatcher ran the job — distributed
                     # workers deliberately do not write history, so no
                     # outcome is double-counted.
-                    self.store.record(
+                    history.append(dict(
                         design=job.design.name, family=job.design.family,
                         property_name=job.prop.name,
                         strategy=base_strategy_name(outcome.strategy),
                         status=outcome.status,
                         wall_seconds=outcome.wall_seconds,
-                        from_cache=outcome.from_cache)
+                        from_cache=outcome.from_cache))
                     # The forensic ledger rides along: one row per
                     # final verdict holding the whole race's story.
-                    self.store.record_ledger({
+                    ledger.append({
                         "design": job.design.name,
                         "property": job.prop.name,
                         "status": outcome.status,
@@ -410,6 +409,9 @@ class CampaignScheduler:
                         effort=dict(outcome.effort),
                         provenance=provenance,
                         attempts=list(outcome.attempts)))
+                # One transaction, one wire call: the campaign's rows
+                # land together.
+                self.store.record_outcomes(history, ledger)
             recorded = time.perf_counter()
 
         # Phase wall clock: "solve" is the in-job portion of "dispatch"

@@ -56,7 +56,13 @@ from repro.mc.result import CheckResult
 #: pre-PDR payloads would unpickle without them and break the cache's
 #: dataclasses.replace copies.
 #: v3: the per-property effort ledger table.
-SCHEMA_VERSION = 3
+#: v4: result keys are Merkle digests (``mc/cache.py``); rows keyed by
+#: the old S-expression hashes could only ever miss.
+SCHEMA_VERSION = 4
+
+#: Keys per ``IN (...)`` clause of ``load_many``: under SQLite's
+#: historical 999 host-parameter limit.
+_KEY_CHUNK = 500
 
 #: SQLite's own wait-for-writer window (ms) before it reports "database
 #: is locked"; generous because parallel campaign workers all write here.
@@ -270,21 +276,33 @@ class ProofStore:
     # ------------------------------------------------------------------
 
     def load(self, key: str) -> CheckResult | None:
+        return self.load_many([key]).get(key)
+
+    def load_many(self, keys: list[str]) -> dict[str, CheckResult]:
+        """The stored results among ``keys`` (found keys only), in one
+        pass over the table however many keys there are."""
+        keys = list(keys)
+        rows: list[tuple[str, bytes]] = []
         with self._lock:
             try:
-                row = _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT payload FROM results WHERE key = ?",
-                    (key,)).fetchone())
+                for at in range(0, len(keys), _KEY_CHUNK):
+                    chunk = keys[at:at + _KEY_CHUNK]
+                    marks = ",".join("?" * len(chunk))
+                    rows += _with_lock_retry(lambda: self._conn.execute(
+                        f"SELECT key, payload FROM results "
+                        f"WHERE key IN ({marks})", chunk).fetchall())
             except sqlite3.Error:
-                return None
-        if row is None:
-            return None
-        try:
-            result = pickle.loads(row[0])
-        except Exception:
-            self._delete(key)  # unreadable payload: drop, report a miss
-            return None
-        return result if isinstance(result, CheckResult) else None
+                return {}
+        found: dict[str, CheckResult] = {}
+        for key, payload in rows:
+            try:
+                result = pickle.loads(payload)
+            except Exception:
+                self._delete(key)  # unreadable payload: drop, report a miss
+                continue
+            if isinstance(result, CheckResult):
+                found[key] = result
+        return found
 
     def store(self, key: str, result: CheckResult) -> None:
         try:
@@ -364,20 +382,10 @@ class ProofStore:
                strategy: str, status: str, wall_seconds: float,
                from_cache: bool) -> None:
         """Append one reported verification outcome to the history."""
-        def append() -> None:
-            self._conn.execute(
-                "INSERT INTO history (design, family, property, "
-                "strategy, status, wall_seconds, from_cache, created) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (design, family, property_name, strategy, status,
-                 wall_seconds, int(from_cache), time.time()))
-            self._conn.commit()
-
-        with self._lock:
-            try:
-                _with_lock_retry(append)
-            except sqlite3.Error:
-                pass
+        self.record_outcomes([dict(
+            design=design, family=family, property_name=property_name,
+            strategy=strategy, status=status, wall_seconds=wall_seconds,
+            from_cache=from_cache)], [])
 
     # ------------------------------------------------------------------
     # Effort ledger: the forensic story of each property's verdict
@@ -388,27 +396,36 @@ class ProofStore:
                        "wall_seconds", "k", "attempts")
 
     def record_ledger(self, entry: dict) -> None:
-        """Upsert one property's effort-ledger row.
+        """Upsert one property's effort-ledger row."""
+        self.record_outcomes([], [entry])
 
-        ``entry`` carries the keys of ``_LEDGER_COLUMNS`` (missing ones
-        default sanely); ``attempts`` is the race's per-slot record list
-        (see :func:`repro.mc.portfolio.attempt_record`), stored as JSON
-        so it stays queryable without unpickling.  One row per
-        (design, property): the ledger answers "why is the verdict what
-        it is *now*", the history table keeps the longitudinal record.
+    def record_outcomes(self, history: list[dict],
+                        ledger: list[dict]) -> None:
+        """Everything one campaign (or batch) has to write, in one
+        transaction: the rows appear together or not at all.
+
+        ``history`` rows carry :meth:`record`'s keyword arguments and
+        are appended.  ``ledger`` entries carry the keys of
+        ``_LEDGER_COLUMNS`` (missing ones default sanely) and upsert
+        one row per (design, property) — the ledger answers "why is
+        the verdict what it is *now*", the history table keeps the
+        longitudinal record; ``attempts`` is the race's per-slot record
+        list (see :func:`repro.mc.portfolio.attempt_record`), stored as
+        JSON so it stays queryable without unpickling.
         """
-        try:
-            attempts = json.dumps(entry.get("attempts", []),
-                                  separators=(",", ":"), default=str)
-        except (TypeError, ValueError):
-            attempts = "[]"
-
-        def write() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO ledger (design, property, "
-                "status, strategy, provenance, from_cache, fallback, "
-                "worker, wall_seconds, k, attempts, recorded) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        now = time.time()
+        history_rows = [
+            (row["design"], row["family"], row["property_name"],
+             row["strategy"], row["status"], row["wall_seconds"],
+             int(row["from_cache"]), now) for row in history]
+        ledger_rows = []
+        for entry in ledger:
+            try:
+                attempts = json.dumps(entry.get("attempts", []),
+                                      separators=(",", ":"), default=str)
+            except (TypeError, ValueError):
+                attempts = "[]"
+            ledger_rows.append(
                 (entry.get("design", ""), entry.get("property", ""),
                  entry.get("status", ""), entry.get("strategy", ""),
                  entry.get("provenance", ""),
@@ -416,8 +433,26 @@ class ProofStore:
                  int(bool(entry.get("fallback"))),
                  entry.get("worker", ""),
                  float(entry.get("wall_seconds", 0.0)),
-                 int(entry.get("k", 0)), attempts, time.time()))
-            self._conn.commit()
+                 int(entry.get("k", 0)), attempts, now))
+        if not history_rows and not ledger_rows:
+            return
+
+        def write() -> None:
+            try:
+                self._conn.executemany(
+                    "INSERT INTO history (design, family, property, "
+                    "strategy, status, wall_seconds, from_cache, created) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)", history_rows)
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO ledger (design, property, "
+                    "status, strategy, provenance, from_cache, fallback, "
+                    "worker, wall_seconds, k, attempts, recorded) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    ledger_rows)
+                self._conn.commit()
+            except sqlite3.Error:
+                self._conn.rollback()   # a retry must not append twice
+                raise
 
         with self._lock:
             try:
@@ -542,17 +577,29 @@ class ProofStore:
         ``None`` when there is no non-cached history — the scheduler
         falls back to a structural size heuristic.
         """
+        return self.expected_walls(design).get((design, property_name))
+
+    def expected_walls(self, design: str | None = None
+                       ) -> dict[tuple[str, str], float]:
+        """Median solver wall time per (design, property) with any
+        non-cached history — every design's, or one's — in one read."""
+        sql = ("SELECT design, property, wall_seconds FROM history "
+               "WHERE from_cache = 0")
+        params: tuple = ()
+        if design is not None:
+            sql += " AND design = ?"
+            params = (design,)
         with self._lock:
             try:
                 rows = _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT wall_seconds FROM history WHERE design = ? "
-                    "AND property = ? AND from_cache = 0",
-                    (design, property_name)).fetchall())
+                    sql, params).fetchall())
             except sqlite3.Error:
-                return None
-        if not rows:
-            return None
-        return statistics.median(wall for (wall,) in rows)
+                return {}
+        walls: dict[tuple[str, str], list[float]] = {}
+        for name, prop, wall in rows:
+            walls.setdefault((name, prop), []).append(wall)
+        return {pair: statistics.median(samples)
+                for pair, samples in walls.items()}
 
     def clear(self) -> None:
         def wipe() -> None:

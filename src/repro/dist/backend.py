@@ -132,18 +132,27 @@ class StoreBackend(Protocol):
     history methods never raise into a proof — an unreachable or broken
     backend reads as a cache miss / empty history, so verification
     always proceeds (just colder).
+
+    ``load_many`` / ``expected_walls`` / ``record_outcomes`` are the
+    batch forms a campaign uses — one call where the per-item methods
+    (thin wrappers over them) would take one per job.
     """
 
     def load(self, key: str) -> CheckResult | None: ...
+    def load_many(self, keys: list[str]) -> dict[str, CheckResult]: ...
     def store(self, key: str, result: CheckResult) -> None: ...
     def record(self, *, design: str, family: str, property_name: str,
                strategy: str, status: str, wall_seconds: float,
                from_cache: bool) -> None: ...
+    def record_outcomes(self, history: list[dict],
+                        ledger: list[dict]) -> None: ...
     def history_size(self) -> int: ...
     def strategy_stats(self) -> dict: ...
     def property_stats(self) -> dict: ...
     def expected_wall(self, design: str,
                       property_name: str) -> float | None: ...
+    def expected_walls(self, design: str | None = None
+                       ) -> dict[tuple[str, str], float]: ...
     def record_ledger(self, entry: dict) -> None: ...
     def ledger_entry(self, design: str,
                      property_name: str) -> dict | None: ...

@@ -1,11 +1,17 @@
 """Campaign coordinator: fans a job pool across worker processes.
 
 The :class:`Coordinator` owns the work queue for one campaign run.  It
-serializes the campaign scheduler's job pool into
-:class:`~repro.dist.protocol.JobSpec` rows, spawns local workers (each
-one a real ``repro-verify worker`` process pointed at the shared
-backend — a cache directory other machines can mount, or a
-``repro-verify serve`` URL other machines can reach), and supervises:
+first asks the shared proof store about the whole pool at once — the
+same per-slot cache pass every in-process pool starts with
+(:meth:`~repro.mc.portfolio.PortfolioScheduler.probe`, one batched
+read) — and reports every job whose race the store decides or exhausts
+on the spot.  Only the rest is serialized into
+:class:`~repro.dist.protocol.JobSpec` rows; for those it takes the
+queue, spawns local workers (each one a real ``repro-verify worker``
+process pointed at the shared backend — a cache directory other
+machines can mount, or a ``repro-verify serve`` URL other machines can
+reach), and supervises.  A pool the store settles entirely takes no
+queue and starts no process.  While workers run:
 
 * expired leases are requeued, so the job of any worker that stopped
   heartbeating (killed, SIGSTOPped, machine-dead, or cut off from the
@@ -19,9 +25,10 @@ backend — a cache directory other machines can mount, or a
   budget), and if no worker can run at all the coordinator drains the
   queue inline, so a campaign always terminates with a verdict per job;
 * after the first pass, any adaptively pruned race that stayed
-  inconclusive is re-enqueued with the full portfolio (the same
-  fallback contract the in-process dispatcher honors), keeping
-  distributed verdicts identical to single-process ones.
+  inconclusive goes through the same probe-then-enqueue pass with the
+  full portfolio (the same fallback contract the in-process dispatcher
+  honors), keeping distributed verdicts identical to single-process
+  ones.
 
 The coordinator is itself a campaign
 :class:`~repro.campaign.scheduler.Dispatcher` (:meth:`Coordinator
@@ -37,20 +44,22 @@ import socket
 import subprocess
 import sys
 import time
+from dataclasses import astuple, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.campaign.scheduler import (CampaignJob, DispatchOutcome,
                                       DispatchResult, fallback_jobs)
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
-                                parse_backend)
+                                open_store, parse_backend)
 from repro.dist.protocol import (JOB_LEASED, JOB_PENDING, JobResult,
                                  JobSpec)
 from repro.dist.queue import STATE_CLOSED
 from repro.dist.worker import Worker
 from repro.errors import ReproError
-from repro.mc.cache import CacheStats
+from repro.mc.cache import CacheStats, ResultCache
+from repro.mc.portfolio import PortfolioScheduler
 from repro.obs import events as _events
 from repro.obs import tracing as _tracing
 
@@ -102,7 +111,10 @@ class Coordinator:
     one claimed job across ``worker_jobs`` local processes;
     ``lease_seconds`` bounds crash detection (a worker silent that long
     forfeits its job); ``wall_timeout`` (None = unbounded) bounds the
-    whole run as a last-resort stall guard.
+    whole run as a last-resort stall guard.  ``cache`` is the
+    campaign's store-backed result cache, through which the pool is
+    probed before anything is enqueued; without one the coordinator
+    opens the backend's store for the pass.
     """
 
     def __init__(self, backend: str | Path | Backend,
@@ -111,7 +123,8 @@ class Coordinator:
                  poll_interval: float = 0.2,
                  wall_timeout: float | None = None,
                  max_respawns: int | None = None,
-                 worker_jobs: int = 1):
+                 worker_jobs: int = 1,
+                 cache: ResultCache | None = None):
         if workers < 1:
             raise ValueError("a distributed campaign needs >= 1 worker")
         self.backend = parse_backend(backend)
@@ -123,9 +136,15 @@ class Coordinator:
             else workers * 2
         self.worker_jobs = worker_jobs
         self.queue = open_queue(self.backend)
+        self._own_store = open_store(self.backend) if cache is None \
+            else None
+        self.cache = cache if cache is not None \
+            else ResultCache(backing=self._own_store)
         self.requeued: list[tuple[str, str]] = []  # (job_id, dead worker)
         self._procs: dict[str, subprocess.Popen] = {}
         self._spawned = 0
+        self._wanted = 0                    # workers the open pass needs
+        self._owns_queue = False            # begin_campaign succeeded
         self._started = time.monotonic()    # wall_timeout reference
         self._backend_answered = False      # ever reached at all?
         # Campaign-lease identity: the atomic begin_campaign guard
@@ -180,6 +199,8 @@ class Coordinator:
         return len(self._procs)
 
     def _shutdown_workers(self) -> None:
+        if not self._owns_queue:
+            return  # nothing was enqueued: no claim, no worker to stop
         try:
             self.queue.set_state(STATE_CLOSED)
             self.queue.end_campaign(self._campaign_id)
@@ -284,7 +305,7 @@ class Coordinator:
             if pending + counts.get(JOB_LEASED, 0) == 0:
                 return
             alive = self._reap_processes()
-            if pending > 0 and alive < self.workers:
+            if pending > 0 and alive < self._wanted:
                 in_budget = \
                     self._spawned - self.workers < self.max_respawns
                 if not in_budget or not self._spawn_worker():
@@ -321,63 +342,85 @@ class Coordinator:
         One coordinator drives one pass: the queue handle opened at
         construction is closed when the pass ends."""
         self._started = time.monotonic()
+        probed_from = replace(self.cache.stats)
+        results: dict[str, JobResult] = {}
         try:
-            # Atomically take the queue for this campaign (one
-            # transaction server-side, so two coordinators can never
-            # interleave the conflict check with the wipe).  A crashed
-            # campaign's claim lapses and is taken over; a live one is
-            # refused — without touching its state, which is why the
-            # worker-shutdown finally only wraps the acquired section.
-            acquired = self._with_backend_retry(
-                lambda: self.queue.begin_campaign(self._campaign_id,
-                                                  self._campaign_lease))
-            if not acquired:
-                raise CampaignConflictError(
-                    f"another campaign is active on "
-                    f"{self.backend.spec()}; one backend runs one "
-                    f"campaign at a time — wait for it to finish")
-            self._with_backend_retry(
-                lambda: self.queue.enqueue([spec_from_job(job)
-                                            for job in pool]))
-            dispatched = sum(len(job.choice.specs) for job in pool)
-            for _ in range(min(self.workers, max(len(pool), 1))):
-                self._spawn_worker()
-            try:
-                self._await_drained()
-                results = self._with_backend_retry(self.queue.results)
-                outcomes = {job.identity: _outcome_for(results, job)
-                            for job in pool}
-
-                # Adaptive-fallback contract: re-race pruned-but-
-                # unsettled jobs with the full portfolio (already-raced
-                # specs answer from the shared store, so the extra work
-                # is the pruned remainder only).
-                rerun = fallback_jobs(pool, outcomes)
-                if rerun:
-                    dispatched += sum(len(j.choice.pruned)
-                                      for j in rerun)
-                    self._with_backend_retry(
-                        lambda: self.queue.enqueue(
-                            [spec_from_job(job, fallback=True)
-                             for job in rerun]))
-                    self._await_drained()
-                    results = self._with_backend_retry(
-                        self.queue.results)
-                    for job in rerun:
-                        outcomes[job.identity] = \
-                            _outcome_for(results, job, fallback=True)
-            finally:
-                self._shutdown_workers()
-
-            cache = _sum_cache_stats(results.values())
-            worker_stats = self._with_backend_retry(
-                self.queue.worker_stats)
+            outcomes = self._run_pass(pool, False, results)
+            # Adaptive-fallback contract: re-race pruned-but-unsettled
+            # jobs with the full portfolio (already-raced specs answer
+            # from the shared store, so the extra work is the pruned
+            # remainder only).
+            rerun = fallback_jobs(pool, outcomes)
+            outcomes.update(self._run_pass(rerun, True, results))
             return DispatchResult(
-                outcomes=outcomes, dispatched_specs=dispatched,
-                fallback_reruns=len(rerun), cache=cache,
-                workers=self.workers, worker_stats=worker_stats)
+                outcomes=outcomes,
+                dispatched_specs=sum(len(j.choice.specs) for j in pool)
+                + sum(len(j.choice.pruned) for j in rerun),
+                fallback_reruns=len(rerun),
+                # The store reads this campaign made: the probe's here
+                # plus each executed job's in its worker.
+                cache=_sum_cache_stats(
+                    [self.cache.stats.since(probed_from)] +
+                    [result.cache for result in results.values()]),
+                workers=self.workers,
+                worker_stats=self._with_backend_retry(
+                    self.queue.worker_stats) if self._owns_queue else [])
         finally:
+            self._shutdown_workers()
             self.queue.close()
+            if self._own_store is not None:
+                self._own_store.close()
+
+    def _run_pass(self, jobs: Sequence[CampaignJob], fallback: bool,
+                  results: dict[str, JobResult]
+                  ) -> dict[tuple[str, str], DispatchOutcome]:
+        """One probe-then-enqueue pass: the jobs the store settles are
+        answered here, the rest by workers (``results`` takes what the
+        queue then holds)."""
+        tasks = [replace(job.task, strategies=job.full_specs)
+                 if fallback else job.task for job in jobs]
+        outcomes: dict[tuple[str, str], DispatchOutcome] = {}
+        enqueued: list[CampaignJob] = []
+        for job, settled in zip(
+                jobs, PortfolioScheduler(cache=self.cache).probe(tasks)):
+            if settled is None:
+                enqueued.append(job)
+            else:
+                outcomes[job.identity] = DispatchOutcome.from_portfolio(
+                    settled, fallback=fallback)
+        if not enqueued:
+            return outcomes
+        self._take_queue()
+        self._with_backend_retry(lambda: self.queue.enqueue(
+            [spec_from_job(job, fallback=fallback) for job in enqueued]))
+        self._wanted = min(self.workers, len(enqueued))
+        for _ in range(self._wanted - self._reap_processes()):
+            self._spawn_worker()
+        self._await_drained()
+        results.update(self._with_backend_retry(self.queue.results))
+        for job in enqueued:
+            outcomes[job.identity] = _outcome_for(results, job,
+                                                  fallback=fallback)
+        return outcomes
+
+    def _take_queue(self) -> None:
+        """Atomically take the queue for this campaign, once (one
+        transaction server-side, so two coordinators can never
+        interleave the conflict check with the wipe).  A crashed
+        campaign's claim lapses and is taken over; a live one is
+        refused — without touching its state, which is why
+        ``_shutdown_workers`` does nothing until this has succeeded."""
+        if self._owns_queue:
+            return
+        acquired = self._with_backend_retry(
+            lambda: self.queue.begin_campaign(self._campaign_id,
+                                              self._campaign_lease))
+        if not acquired:
+            raise CampaignConflictError(
+                f"another campaign is active on "
+                f"{self.backend.spec()}; one backend runs one "
+                f"campaign at a time — wait for it to finish")
+        self._owns_queue = True
 
 
 def _outcome_for(results: dict[str, JobResult], job: CampaignJob,
@@ -393,13 +436,6 @@ def _outcome_for(results: dict[str, JobResult], job: CampaignJob,
         wall_seconds=0.0, k=0, from_cache=False, fallback=fallback)
 
 
-def _sum_cache_stats(results) -> CacheStats:
-    """Aggregate per-job worker cache traffic into one campaign view."""
-    total = CacheStats()
-    for result in results:
-        total.hits += result.cache.hits
-        total.misses += result.cache.misses
-        total.stores += result.cache.stores
-        total.evictions += result.cache.evictions
-        total.disk_hits += result.cache.disk_hits
-    return total
+def _sum_cache_stats(parts: Iterable[CacheStats]) -> CacheStats:
+    """Several caches' traffic as one campaign view, field by field."""
+    return CacheStats(*map(sum, zip(*map(astuple, parts))))

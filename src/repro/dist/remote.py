@@ -28,8 +28,10 @@ Failure semantics mirror each side's local contract:
     surfaces loudly instead of polling in silence.
 
 * **Store calls degrade.**  The store is a cache; a failing service —
-  unreachable *or* erroring — reads as a miss on ``load``, a no-op on
-  ``store``/``record``, and empty statistics — never an exception into
+  unreachable, erroring, *or older than this client* (a 404 for
+  ``load_many`` / ``expected_walls`` / ``record_outcomes``) — reads as
+  a miss on ``load``/``load_many``, a no-op on ``store``/``record``/
+  ``record_outcomes``, and empty statistics — never an exception into
   a proof.
 """
 
@@ -208,6 +210,12 @@ class RemoteProofStore(_RemoteProxy):
         except _REMOTE_ERRORS:
             return None
 
+    def load_many(self, keys: list[str]) -> dict[str, CheckResult]:
+        try:
+            return self._call("load_many", list(keys))
+        except _REMOTE_ERRORS:
+            return {}
+
     def store(self, key: str, result: CheckResult) -> None:
         try:
             self._call("store", key, result)
@@ -222,6 +230,13 @@ class RemoteProofStore(_RemoteProxy):
                        property_name=property_name, strategy=strategy,
                        status=status, wall_seconds=wall_seconds,
                        from_cache=from_cache)
+        except _REMOTE_ERRORS:
+            pass
+
+    def record_outcomes(self, history: list[dict],
+                        ledger: list[dict]) -> None:
+        try:
+            self._call("record_outcomes", list(history), list(ledger))
         except _REMOTE_ERRORS:
             pass
 
@@ -249,6 +264,13 @@ class RemoteProofStore(_RemoteProxy):
             return self._call("expected_wall", design, property_name)
         except _REMOTE_ERRORS:
             return None
+
+    def expected_walls(self, design: str | None = None
+                       ) -> dict[tuple[str, str], float]:
+        try:
+            return self._call("expected_walls", design)
+        except _REMOTE_ERRORS:
+            return {}
 
     def record_ledger(self, entry: dict) -> None:
         try:

@@ -210,15 +210,15 @@ class VerificationSession:
             # Single-design batches feed the same history campaigns
             # mine, so every `verify --cache-dir` run sharpens the
             # adaptive selector.
-            for outcome in outcomes:
-                self.store.record(
-                    design=self.design.name,
-                    family=self.design.family,
-                    property_name=outcome.property_name,
-                    strategy=base_strategy_name(outcome.strategy),
-                    status=outcome.result.status.value,
-                    wall_seconds=outcome.result.stats.wall_seconds,
-                    from_cache=outcome.from_cache)
+            self.store.record_outcomes([dict(
+                design=self.design.name,
+                family=self.design.family,
+                property_name=outcome.property_name,
+                strategy=base_strategy_name(outcome.strategy),
+                status=outcome.result.status.value,
+                wall_seconds=outcome.result.stats.wall_seconds,
+                from_cache=outcome.from_cache)
+                for outcome in outcomes], [])
         return BatchVerifyResult(
             design=self.design.name, outcomes=outcomes + justice_outcomes,
             wall_seconds=wall, jobs=jobs,
@@ -349,6 +349,9 @@ def run_campaign(designs: list[str] | None = None,
         configured_events = True
     try:
         selected = select_designs(designs)
+        # One store-backed cache per campaign, handed to whichever
+        # dispatcher runs it.
+        cache = ResultCache(backing=store)
         dispatcher = None
         if workers > 0:
             # Opens the work queue, so only once the inputs are known
@@ -357,12 +360,12 @@ def run_campaign(designs: list[str] | None = None,
             dispatcher = Coordinator(
                 resolved if remote else cache_dir, workers=workers,
                 lease_seconds=lease_seconds, wall_timeout=wall_timeout,
-                worker_jobs=worker_jobs)
+                worker_jobs=worker_jobs, cache=cache)
         scheduler = CampaignScheduler(
             selected, store, jobs=jobs,
             strategies=strategies, adaptive=adaptive,
             min_samples=min_samples, max_k=max_k, bmc_bound=bmc_bound,
-            dispatcher=dispatcher)
+            cache=cache, dispatcher=dispatcher)
         return scheduler.run()
     finally:
         if configured_tracing:

@@ -32,6 +32,7 @@ derived forms built from the primitives above by their factory functions.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import IRError
@@ -101,6 +102,11 @@ class Expr:
 
 _INTERN: dict[tuple, Expr] = {}
 
+#: node -> :func:`structural_digest`, filled lazily.  Keyed by the node
+#: itself (identity hash, and the reference keeps its ``id`` from being
+#: recycled), so an entry is valid for as long as it exists.
+_DIGESTS: dict[Expr, bytes] = {}
+
 
 def _mk(op: str, width: int, args: tuple[Expr, ...] = (),
         name: str | None = None, value: int | None = None,
@@ -120,12 +126,13 @@ def intern_table_size() -> int:
 
 
 def clear_intern_table() -> None:
-    """Drop the intern table.
+    """Drop the intern table (and the digest memo hanging off it).
 
     Only safe when no expressions from before the call will be compared
     against expressions created after it; intended for long test sessions.
     """
     _INTERN.clear()
+    _DIGESTS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -778,3 +785,35 @@ def structural_signature(root: Expr, var_renaming: Mapping[str, str]) -> str:
             inner = ",".join(memo[id(a)] for a in node.args)
             memo[id(node)] = f"({node.op}:{node.params}:{inner})"
     return memo[id(root)]
+
+
+def structural_digest(root: Expr) -> bytes:
+    """Merkle digest of the DAG under ``root``: SHA-256 over the node's
+    own fields and the *digests* of its arguments.
+
+    Carries what :func:`structural_signature` carries (op, params,
+    const value and width, variable name, argument order) in 32 bytes a
+    node instead of a tree-expanded string, and is memoised per
+    interned node — a shared sub-DAG is hashed once per process however
+    many roots reach it.  Equal across processes for equal structure.
+    """
+    found = _DIGESTS.get(root)
+    if found is not None:
+        return found
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in _DIGESTS:
+            stack.pop()
+            continue
+        missing = [a for a in node.args if a not in _DIGESTS]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        h = hashlib.sha256(repr((node.op, node.width, node.params,
+                                 node.name, node.value)).encode())
+        for arg in node.args:
+            h.update(_DIGESTS[arg])
+        _DIGESTS[node] = h.digest()
+    return _DIGESTS[root]

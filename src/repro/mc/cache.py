@@ -12,9 +12,12 @@ repeat whole configurations.  A query is fully determined by
 * the strategy spec and its options,
 
 so results can be reused whenever that fingerprint recurs — the solver is
-deterministic.  Keys are SHA-256 over a canonical rendering; values are
-returned as shallow copies so callers that annotate ``detail`` or
-accumulate stats never corrupt the cached record.
+deterministic.  Keys are SHA-256 over the Merkle digests of the
+expressions involved (:func:`repro.ir.expr.structural_digest`, memoised
+per interned node, so keying costs O(signals) per query and O(new
+nodes) per process — never a tree-sized rendering of a shared DAG);
+values are returned as shallow copies so callers that annotate
+``detail`` or accumulate stats never corrupt the cached record.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Protocol, runtime_checkable
+from typing import (Iterable, Mapping, NamedTuple, Protocol,
+                    runtime_checkable)
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
@@ -42,8 +46,10 @@ _M_CHECKS = _metrics.counter(
 
 
 def expr_fingerprint(root: E.Expr) -> str:
-    """Canonical structural rendering of one expression DAG."""
-    return E.structural_signature(root, {})
+    """Canonical structural fingerprint of one expression DAG: the
+    hex of its Merkle digest, memoised per interned node (see
+    :func:`repro.ir.expr.structural_digest`)."""
+    return E.structural_digest(root).hex()
 
 
 def system_fingerprint(system: TransitionSystem) -> str:
@@ -51,8 +57,12 @@ def system_fingerprint(system: TransitionSystem) -> str:
 
     Excludes the system's name: a cone-of-influence reduction of the same
     design for the same property yields the same fingerprint no matter
-    which session built it.
+    which session built it.  Recomputed from the system on every call
+    (a ``TransitionSystem`` is mutable, so nothing is remembered on
+    it); what makes that cheap is that each root expression's digest is
+    already known — this walks signals, not expression nodes.
     """
+    digest = E.structural_digest
     h = hashlib.sha256()
     for name, v in sorted(system.inputs.items()):
         h.update(f"i:{name}:{v.width};".encode())
@@ -62,12 +72,10 @@ def system_fingerprint(system: TransitionSystem) -> str:
                              ("def", system.defines)):
         for name, e in sorted(mapping.items()):
             h.update(f"{section}:{name}=".encode())
-            h.update(expr_fingerprint(e).encode())
-            h.update(b";")
-    for c in sorted(expr_fingerprint(c) for c in system.constraints):
-        h.update(b"c:")
-        h.update(c.encode())
-        h.update(b";")
+            h.update(digest(e))
+    h.update(b"c:")
+    for c in sorted(digest(c) for c in system.constraints):
+        h.update(c)
     return h.hexdigest()
 
 
@@ -75,16 +83,16 @@ def query_key(system: TransitionSystem, prop: SafetyProperty,
               strategy: str, options: Mapping,
               lemmas: list[tuple[E.Expr, int]] | None = None) -> str:
     """The cache key for one fully-specified check invocation."""
+    digest = E.structural_digest
     h = hashlib.sha256()
     h.update(system_fingerprint(system).encode())
     h.update(b"|p:")
-    h.update(expr_fingerprint(prop.bad).encode())
+    h.update(digest(prop.bad))
     h.update(f":{prop.valid_from}".encode())
     h.update(b"|l:")
-    for sig in sorted(f"{expr_fingerprint(g)}@{vf}"
+    for sig in sorted(digest(g) + f"@{vf};".encode()
                       for g, vf in (lemmas or [])):
-        h.update(sig.encode())
-        h.update(b";")
+        h.update(sig)
     h.update(b"|s:")
     h.update(strategy.encode())
     for k in sorted(options):
@@ -96,14 +104,18 @@ def query_key(system: TransitionSystem, prop: SafetyProperty,
 class CacheBacking(Protocol):
     """A persistent second tier behind :class:`ResultCache`.
 
-    ``load`` answers memory misses; ``put`` writes through every stored
-    result.  Implementations must tolerate concurrent callers and must
-    never raise on routine failures (a broken backing degrades the cache
-    to memory-only, it does not break proving) — the canonical
-    implementation is :class:`repro.campaign.store.ProofStore`.
+    ``load`` answers memory misses — one at a time, or for a whole
+    batch of keys in one ``load_many`` round trip (found keys only);
+    ``put`` writes through every stored result.  Implementations must
+    tolerate concurrent callers and must never raise on routine
+    failures (a broken backing degrades the cache to memory-only, it
+    does not break proving) — the canonical implementation is
+    :class:`repro.campaign.store.ProofStore`.
     """
 
     def load(self, key: str) -> CheckResult | None: ...
+
+    def load_many(self, keys: list[str]) -> dict[str, CheckResult]: ...
 
     def store(self, key: str, result: CheckResult) -> None: ...
 
@@ -166,7 +178,11 @@ class ResultCache:
     cache becomes two-tier: memory misses fall through to the backing,
     backing hits are promoted into the LRU and counted as ``disk_hits``,
     and every ``put`` writes through — so a fresh process warm-starts
-    from whatever earlier runs proved.
+    from whatever earlier runs proved.  A batch of lookups may
+    :meth:`prefetch` its keys first: one backing round trip whose
+    answer stands in for the per-key ``load`` beneath the ``get``
+    calls it is handed to — a latency optimisation under ``get``,
+    never a second source of truth.
     """
 
     def __init__(self, max_entries: int = 4096,
@@ -190,7 +206,40 @@ class ResultCache:
         self._entries[key] = result
         self._entries.move_to_end(key)
 
-    def get(self, key: str) -> CheckResult | None:
+    def __contains__(self, key: str) -> bool:
+        """Is ``key`` in the memory tier right now?"""
+        return key in self._entries
+
+    def prefetch(self, keys: Iterable[str]) -> dict[str, CheckResult]:
+        """Ask the backing once for every key the memory tier lacks.
+
+        The answer is handed to the following ``get(key, prefetched)``
+        calls as their disk tier, so a batch of lookups costs one
+        backing round trip instead of one each.  Nothing is promoted,
+        counted or remembered here — a prefetched result becomes a hit
+        only when a ``get`` consumes it, and the negative answers live
+        exactly as long as the caller keeps the mapping.
+        """
+        if self.backing is None:
+            return {}
+        with self._lock:
+            wanted = [key for key in dict.fromkeys(keys)
+                      if key not in self._entries]
+        try:
+            return self.backing.load_many(wanted) if wanted else {}
+        except Exception:
+            return {}
+
+    def get(self, key: str,
+            prefetched: Mapping[str, CheckResult] | None = None
+            ) -> CheckResult | None:
+        """The result stored under ``key``, or ``None`` (a miss).
+
+        With ``prefetched`` (what :meth:`prefetch` returned for a batch
+        that included ``key``) the disk tier is read from that mapping
+        instead of asking the backing again; tiers, counters and the
+        promotion into memory are the same either way.
+        """
         with self._lock:
             result = self._entries.get(key)
             if result is not None:
@@ -201,10 +250,13 @@ class ResultCache:
                 # other's annotations or share a stats object.
                 return replace(result, stats=replace(result.stats))
             if self.backing is not None:
-                try:
-                    loaded = self.backing.load(key)
-                except Exception:
-                    loaded = None
+                if prefetched is not None:
+                    loaded = prefetched.get(key)
+                else:
+                    try:
+                        loaded = self.backing.load(key)
+                    except Exception:
+                        loaded = None
                 if loaded is not None:
                     # Promote to the memory tier; not a `store` (nothing
                     # new was proven) but evictions it causes are real.
@@ -263,30 +315,45 @@ class Lookup(NamedTuple):
     tier: str | None = None         # "memory" | "disk", on a hit
 
 
-def lookup(cache: ResultCache | None, task: CheckTask) -> Lookup:
-    """Key ``task``'s query and ask ``cache`` for it.
-
-    The only place a query is keyed and a hit's tier decided, for
-    :func:`run_cached` and every portfolio slot alike.  A hit is booked
-    here (``repro_checks_total{origin="cache"}`` and a ``check_finish``
-    event naming the tier); a miss hands its key back for
-    :func:`settle`.
-    """
+def key_task(cache: ResultCache | None, task: CheckTask) -> Lookup:
+    """Key ``task``'s query without asking anyone for it — the only
+    place a query is keyed.  ``key`` stays ``None`` with no cache or an
+    uncacheable invocation, which nothing may then answer or store."""
     strategy, options = resolve_strategy(task.strategy)
     options.update(task.options)
     if cache is None or not strategy_cacheable(strategy, options):
         return Lookup(strategy.name, None)
-    key = query_key(task.system, task.prop, strategy.name,
-                    canonical_options(strategy, options), task.lemmas)
+    return Lookup(strategy.name, query_key(
+        task.system, task.prop, strategy.name,
+        canonical_options(strategy, options), task.lemmas))
+
+
+def lookup(cache: ResultCache | None, task: CheckTask,
+           keyed: Lookup | None = None,
+           prefetched: Mapping[str, CheckResult] | None = None
+           ) -> Lookup:
+    """Key ``task``'s query and ask ``cache`` for it.
+
+    The only place a hit's tier is decided, for :func:`run_cached` and
+    every portfolio slot alike.  A hit is booked here
+    (``repro_checks_total{origin="cache"}`` and a ``check_finish``
+    event naming the tier); a miss hands its key back for
+    :func:`settle`.  A batch caller passes the slot's :func:`key_task`
+    result and the batch's :meth:`ResultCache.prefetch` answer, so the
+    query is keyed once and the disk tier is not asked again.
+    """
+    found = keyed if keyed is not None else key_task(cache, task)
+    if found.key is None:
+        return found
     disk_before = cache.stats.disk_hits
-    hit = cache.get(key)
+    hit = cache.get(found.key, prefetched)
     if hit is None:
-        return Lookup(strategy.name, key)
+        return found
     tier = "disk" if cache.stats.disk_hits > disk_before else "memory"
-    _M_CHECKS.labels(strategy.name, "cache").inc()
-    emit_check_events(task.system.name, task.prop.name, strategy.name,
+    _M_CHECKS.labels(found.strategy, "cache").inc()
+    emit_check_events(task.system.name, task.prop.name, found.strategy,
                       hit, 0.0, "cache", tier=tier)
-    return Lookup(strategy.name, key, hit, tier)
+    return found._replace(hit=hit, tier=tier)
 
 
 def settle(cache: ResultCache | None, found: Lookup,

@@ -16,9 +16,11 @@ outcomes back **in completion order**:
   BOUNDED_OK);
 * every slot is looked up in a shared
   :class:`~repro.mc.cache.ResultCache` first
-  (:func:`~repro.mc.cache.lookup`) and every solver answer is booked
-  into it (:func:`~repro.mc.cache.settle`), so repeated batches cost
-  nothing.
+  (:func:`~repro.mc.cache.lookup`, behind one batched read of the
+  cache's backing for the whole batch) and every solver answer is
+  booked into it (:func:`~repro.mc.cache.settle`), so repeated batches
+  cost nothing.  :meth:`PortfolioScheduler.probe` is that first pass on
+  its own, for a dispatcher whose misses run in other processes.
 
 There is one race: ``jobs`` decides only *who executes a cache miss*.
 ``jobs=1`` (the default) solves it inline through
@@ -39,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc.cache import Lookup, ResultCache, lookup, settle
+from repro.mc.cache import Lookup, ResultCache, key_task, lookup, settle
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
 from repro.mc.strategy import (CheckTask, resolve_strategy,
@@ -199,38 +201,98 @@ class PortfolioScheduler:
         return self.run([VerifyTask(system, p, list(shared))
                          for p in properties])
 
-    def stream(self, tasks: Sequence[VerifyTask]
-               ) -> Iterator[PortfolioOutcome]:
-        """Yield one outcome per task as each race concludes."""
+    def _groups(self, tasks: Sequence[VerifyTask]) -> list["_RaceGroup"]:
         groups: list[_RaceGroup] = []
         for task in tasks:
             for spec in task.strategies or ():
                 resolve_strategy(spec)  # fail fast on bad overrides
             groups.append(_RaceGroup(task,
                                      task.strategies or self.strategies))
-        pooled = self.jobs > 1 and \
-            sum(len(group.strategies) for group in groups) > 1
+        return groups
 
-        # One pass over every slot in configured order.  A cached answer
-        # settles its slot on the spot; a miss is solved right here
-        # (jobs=1: the race is the ordering, and stops at the first
-        # verdict) or queued for the pool — which is therefore only
-        # built when the cache leaves it something to do.
-        queued: list[tuple[_RaceGroup, int, CheckTask, Lookup]] = []
+    def _consult(self, groups: Sequence["_RaceGroup"],
+                 settle_only: bool = False):
+        """The pass every job pool starts with: key every slot, ask the
+        cache's backing for all of them in one round trip, then walk
+        each race's slots in configured order through :func:`lookup`.
+
+        Returns ``(group, misses)`` pairs.  A cached answer settles its
+        slot on the spot; ``misses`` lazily yields ``(slot, check,
+        found)`` for each slot the cache could not answer and stops
+        once the race is decided — so a caller that lands a result
+        before asking for the next miss skips the slots it no longer
+        needs.  ``settle_only`` is for a caller that will not execute
+        the misses itself (:meth:`probe`): a slot the one batched read
+        did not find is yielded without a ``get``, leaving its miss to
+        be booked by whoever does run it.
+        """
+        cache = self.cache
+        trace = _tracing.current_context()
+        keyed = []
         for index, group in enumerate(groups):
+            slots = []
             for slot, spec in enumerate(group.strategies):
-                if group.decided:
-                    break
                 check = CheckTask(
                     key=(index, slot), system=group.task.system,
                     prop=group.task.prop, strategy=spec,
                     options=dict(self.strategy_options.get(spec, {})),
-                    lemmas=group.task.lemmas,
-                    trace=_tracing.current_context())
-                found = lookup(self.cache, check)
+                    lemmas=group.task.lemmas, trace=trace)
+                slots.append((slot, check, key_task(cache, check)))
+            keyed.append(slots)
+        prefetched = None if cache is None else cache.prefetch(
+            found.key for slots in keyed for _, _, found in slots
+            if found.key is not None)
+
+        def misses(group, slots):
+            for slot, check, found in slots:
+                if group.decided:
+                    return
+                if found.key is not None and (
+                        not settle_only or found.key in prefetched
+                        or found.key in cache):
+                    found = lookup(cache, check, found, prefetched)
                 if found.hit is not None:
                     group.record(slot, found.hit, origin=found.tier)
-                elif pooled:
+                else:
+                    yield slot, check, found
+
+        return [(group, misses(group, slots))
+                for group, slots in zip(groups, keyed)]
+
+    def probe(self, tasks: Sequence[VerifyTask]
+              ) -> list[PortfolioOutcome | None]:
+        """Per task, the outcome of its race when the cache alone
+        decides or exhausts it — else ``None``: somebody has to run it.
+
+        The first pass of :meth:`stream` without the executing: what a
+        dispatcher whose misses run elsewhere (the distributed
+        coordinator) asks before it enqueues anything.
+        """
+        settled: list[PortfolioOutcome | None] = []
+        for group, misses in self._consult(self._groups(tasks),
+                                           settle_only=True):
+            for _miss in misses:
+                pass            # not ours to run; later slots may decide
+            settled.append(group.outcome()
+                           if group.decided or group.exhausted else None)
+        return settled
+
+    def stream(self, tasks: Sequence[VerifyTask]
+               ) -> Iterator[PortfolioOutcome]:
+        """Yield one outcome per task as each race concludes."""
+        groups = self._groups(tasks)
+        pooled = self.jobs > 1 and \
+            sum(len(group.strategies) for group in groups) > 1
+
+        # One pass over every slot in configured order (_consult).  A
+        # miss is solved right here (jobs=1: the race is the ordering,
+        # and stops at the first verdict) or queued for the pool —
+        # which is therefore only built when the cache leaves it
+        # something to do.
+        queued: list[tuple[_RaceGroup, int, CheckTask, Lookup]] = []
+        for group, misses in self._consult(groups):
+            for slot, check, found in misses:
+                if pooled:
                     queued.append((group, slot, check, found))
                 else:
                     self._land(group, slot, run_check_task(check), found)

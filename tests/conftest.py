@@ -26,6 +26,22 @@ settings.load_profile("ci" if os.environ.get("CI") else "dev")
 
 
 @pytest.fixture
+def coordinators(monkeypatch) -> list:
+    """Every ``Coordinator`` built while the test runs (``run_campaign``
+    makes its own and does not hand it back)."""
+    from repro.dist import Coordinator
+    built: list = []
+    init = Coordinator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Coordinator, "__init__", recording_init)
+    return built
+
+
+@pytest.fixture
 def counter_system() -> TransitionSystem:
     """A 4-bit wrapping counter with enable."""
     s = TransitionSystem("counter4")

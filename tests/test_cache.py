@@ -1,12 +1,21 @@
 """Result cache: keying, hit/miss accounting, flow-level reuse."""
 
+import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import ProofEngine, ResultCache, Status
-from repro.mc.cache import query_key, run_cached, system_fingerprint
+from repro.mc.cache import (expr_fingerprint, query_key, run_cached,
+                            system_fingerprint)
 from repro.mc.property import SafetyProperty
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -79,6 +88,125 @@ class TestKeying:
             valid_from=1)
         assert query_key(sync_counters_system, p0, "bmc", {}, []) != \
             query_key(sync_counters_system, p1, "bmc", {}, [])
+
+
+def _crc_chain(levels: int, width: int = 8) -> E.Expr:
+    """``e = xor(x, y)``, then ``levels`` times ``e = add(xor(e, x),
+    and(e, y))``: every level reads the one below twice, so the DAG is
+    ``O(levels)`` nodes and its tree expansion ``O(2**levels)``."""
+    x, y = E.var("x", width), E.var("y", width)
+    e = E.xor(x, y)
+    for _ in range(levels):
+        e = E.add(E.xor(e, x), E.and_(e, y))
+    return e
+
+
+class TestMerkleFingerprint:
+    """The key is a Merkle digest memoised per interned node: linear in
+    the DAG, and still telling apart everything the rendering did."""
+
+    def test_shared_dag_is_keyed_in_linear_time(self, equal_prop):
+        # 18 levels rendered a 13.6 MB string at the parent commit; 64
+        # would have needed ~2**64 characters.
+        system = TransitionSystem("crc")
+        system.add_input("x", 8)
+        system.add_input("y", 8)
+        system.add_state("count1", 8, init=E.const(0, 8))
+        system.add_state("count2", 8, init=E.const(0, 8))
+        system.add_define("crc", _crc_chain(64))
+        started = time.perf_counter()
+        key = query_key(system, equal_prop, "bmc", {}, [])
+        assert time.perf_counter() - started < 0.05
+        assert key == query_key(system, equal_prop, "bmc", {}, [])
+        assert len(expr_fingerprint(_crc_chain(64))) == 64
+
+    def test_fingerprint_is_structural_not_identity(self):
+        assert expr_fingerprint(_crc_chain(5)) == \
+            expr_fingerprint(_crc_chain(5))
+        assert expr_fingerprint(_crc_chain(5)) != \
+            expr_fingerprint(_crc_chain(6))
+
+    @pytest.mark.parametrize("a, b", [
+        (E.add(E.var("a", 8), E.var("b", 8)),
+         E.sub(E.var("a", 8), E.var("b", 8))),            # op
+        (E.sub(E.var("a", 8), E.var("b", 8)),
+         E.sub(E.var("b", 8), E.var("a", 8))),            # argument order
+        (E.extract(E.var("a", 8), 3, 0),
+         E.extract(E.var("a", 8), 4, 1)),                 # params
+        (E.const(3, 8), E.const(4, 8)),                   # const value
+        (E.const(3, 8), E.const(3, 9)),                   # const width
+        (E.var("a", 8), E.var("b", 8)),                   # var name
+        (E.var("a", 8), E.var("a", 9)),                   # var width
+    ], ids=["op", "arg-order", "params", "const-value", "const-width",
+            "var-name", "var-width"])
+    def test_every_node_field_reaches_the_fingerprint(self, a, b):
+        assert expr_fingerprint(a) != expr_fingerprint(b)
+
+    def test_signal_width_changes_the_key(self, equal_prop):
+        def build(width):
+            s = TransitionSystem("w")
+            s.add_input("en", width)
+            s.add_state("count1", 8, init=E.const(0, 8))
+            s.add_state("count2", 8, init=E.const(0, 8))
+            return s
+
+        assert query_key(build(1), equal_prop, "bmc", {}, []) != \
+            query_key(build(2), equal_prop, "bmc", {}, [])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.set_next("count1", E.add(E.var("count1", 8),
+                                             E.const(2, 8))),
+        lambda s: s.set_init("count2", E.const(1, 8)),
+        lambda s: s.add_constraint(E.ule(E.var("count1", 8),
+                                         E.const(9, 8))),
+        lambda s: s.add_define("d", E.not_(E.var("count1", 8))),
+    ], ids=["next", "init", "constraint", "define"])
+    def test_mutating_a_keyed_system_changes_its_key(
+            self, sync_counters_system, equal_prop, mutate):
+        # Nothing is remembered on the (mutable) system: the memo hangs
+        # on immutable expression nodes only.
+        before = query_key(sync_counters_system, equal_prop, "bmc", {}, [])
+        mutate(sync_counters_system)
+        assert query_key(sync_counters_system, equal_prop, "bmc", {},
+                         []) != before
+
+    def test_memo_is_dropped_with_the_intern_table(self):
+        # In a child interpreter: clearing the table under a running
+        # test session would break identity for every live expression.
+        script = (
+            "from repro.ir import expr as E\n"
+            "from repro.mc.cache import expr_fingerprint\n"
+            "e = lambda: E.add(E.var('a', 8), E.const(1, 8))\n"
+            "before = expr_fingerprint(e())\n"
+            "assert E._DIGESTS\n"
+            "E.clear_intern_table()\n"
+            "assert not E._DIGESTS\n"
+            "assert expr_fingerprint(e()) == before\n")
+        subprocess.run([sys.executable, "-c", script],
+                       env={"PYTHONPATH": str(SRC)}, check=True)
+
+    def test_keys_survive_a_pickle_trip_into_a_fresh_interpreter(
+            self, sync_counters_system, equal_prop, tmp_path):
+        sync_counters_system.add_input("x", 8)
+        sync_counters_system.add_input("y", 8)
+        sync_counters_system.add_define("crc", _crc_chain(12))
+        lemmas = [_lemma()]
+        here = query_key(sync_counters_system, equal_prop, "k_induction",
+                         {"max_k": 5}, lemmas)
+        blob = tmp_path / "query.pickle"
+        blob.write_bytes(pickle.dumps(
+            (sync_counters_system, equal_prop, lemmas)))
+        script = (
+            "import pickle, sys\n"
+            "from repro.mc.cache import query_key\n"
+            "system, prop, lemmas = pickle.load(open(sys.argv[1], 'rb'))\n"
+            "print(query_key(system, prop, 'k_induction', {'max_k': 5}, "
+            "lemmas))\n")
+        there = subprocess.run(
+            [sys.executable, "-c", script, str(blob)],
+            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "random"},
+            capture_output=True, text=True, check=True).stdout.strip()
+        assert there == here
 
 
 class TestCacheBehaviour:

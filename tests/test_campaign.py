@@ -94,6 +94,110 @@ class TestProofStore:
         assert store.load("k1") is None
         assert len(store) == 0
 
+    def test_load_many_returns_only_found_keys(self, tmp_path):
+        store = ProofStore.open(tmp_path)
+        violated = _result("bad", Status.VIOLATED)
+        store.store("k1", violated)
+        store.store("k2", _result("good", with_traces=False))
+        found = store.load_many(["k1", "absent", "k2", "k1"])
+        assert sorted(found) == ["k1", "k2"]
+        assert found["k1"].cex.steps == violated.cex.steps
+        assert found["k1"].stats == violated.stats
+        assert found["k2"].status is Status.PROVEN
+        assert store.load_many([]) == {}
+        assert store.load_many(["absent"]) == {}
+
+    def test_load_many_chunks_past_the_host_parameter_limit(self, tmp_path):
+        store = ProofStore.open(tmp_path)
+        for i in (0, 499, 500, 999, 1000, 2499):    # chunk edges
+            store.store(f"key{i}", _result(f"p{i}", with_traces=False))
+        keys = [f"key{i}" for i in range(2500)]
+        found = store.load_many(keys)
+        assert sorted(found) == sorted(
+            f"key{i}" for i in (0, 499, 500, 999, 1000, 2499))
+        assert found["key2499"].property_name == "p2499"
+
+    def test_load_many_drops_unreadable_payloads_only(self, tmp_path):
+        store = ProofStore.open(tmp_path)
+        store.store("good", _result(with_traces=False))
+        store.store("torn", _result(with_traces=False))
+        store._conn.execute(
+            "UPDATE results SET payload = ? WHERE key = 'torn'",
+            (b"\x80garbage",))
+        store._conn.commit()
+        assert sorted(store.load_many(["good", "torn"])) == ["good"]
+        assert len(store) == 1      # the torn row is gone, as with load
+
+    @staticmethod
+    def _campaign_rows():
+        history = [dict(design="d1", family="fam", property_name=name,
+                        strategy="k_induction", status="proven",
+                        wall_seconds=wall, from_cache=cached)
+                   for name, wall, cached in (
+                       ("p1", 0.1, False), ("p1", 0.5, False),
+                       ("p1", 0.3, False), ("p1", 0.0, True),
+                       ("p2", 0.7, False), ("p3", 0.0, True))]
+        ledger = [{"design": "d1", "property": name, "status": "proven",
+                   "strategy": "k_induction(max_k=3)",
+                   "provenance": "engine", "from_cache": False,
+                   "fallback": False, "worker": "", "wall_seconds": 0.3,
+                   "k": 2, "attempts": [{"strategy": "bmc", "k": 1}]}
+                  for name in ("p1", "p2")]
+        return history, ledger
+
+    def test_record_outcomes_reads_back_like_the_per_row_calls(
+            self, tmp_path):
+        history, ledger = self._campaign_rows()
+        per_row = ProofStore.open(tmp_path / "a")
+        for row in history:
+            per_row.record(**row)
+        for entry in ledger:
+            per_row.record_ledger(entry)
+        batched = ProofStore.open(tmp_path / "b")
+        batched.record_outcomes(history, ledger)
+
+        def ledger_view(store):
+            return [{k: v for k, v in row.items() if k != "recorded"}
+                    for row in store.ledger_rows()]
+
+        for store in (per_row, batched):
+            assert store.history_size() == 6
+            assert store.expected_wall("d1", "p1") == pytest.approx(0.3)
+            assert store.expected_wall("d1", "p2") == pytest.approx(0.7)
+            assert store.expected_wall("d1", "p3") is None   # cached only
+            assert store.expected_walls() == {
+                ("d1", "p1"): pytest.approx(0.3),
+                ("d1", "p2"): pytest.approx(0.7)}
+            assert store.expected_walls("elsewhere") == {}
+            assert [row["property"] for row in store.ledger_rows()] == \
+                ["p1", "p2"]
+            assert store.ledger_entry("d1", "p1")["attempts"] == \
+                [{"strategy": "bmc", "k": 1}]
+        assert ledger_view(batched) == ledger_view(per_row)
+        assert batched.strategy_stats() == per_row.strategy_stats()
+        assert batched.property_stats() == per_row.property_stats()
+
+    def test_record_outcomes_is_one_transaction(self, tmp_path):
+        """History and ledger rows of one campaign appear together or
+        not at all, and one call is one commit."""
+        store = ProofStore.open(tmp_path)
+        history, ledger = self._campaign_rows()
+        poisoned = ledger + [dict(ledger[0], design=None)]  # NOT NULL
+        store.record_outcomes(history, poisoned)             # no raise
+        assert store.history_size() == 0
+        assert store.ledger_rows() == []
+
+        commits = []
+        store._conn.set_trace_callback(
+            lambda sql: commits.append(sql) if sql == "COMMIT" else None)
+        store.record_outcomes(history, ledger)
+        store._conn.set_trace_callback(None)
+        assert commits == ["COMMIT"]
+        assert store.history_size() == 6
+        assert len(store.ledger_rows()) == 2
+        store.record_outcomes([], [])                        # nothing to do
+        assert store.history_size() == 6
+
     def test_schema_version_mismatch_rebuilds(self, tmp_path):
         store = ProofStore.open(tmp_path)
         store.store("k1", _result(with_traces=False))
@@ -103,6 +207,18 @@ class TestProofStore:
         reopened = ProofStore.open(tmp_path)
         assert len(reopened) == 0
         assert reopened.load("k1") is None
+
+    def test_store_keyed_by_the_old_fingerprints_is_rebuilt(self, tmp_path):
+        # v3 rows are keyed by S-expression hashes no query produces
+        # any more: they could only ever miss, so they are dropped.
+        from repro.campaign.store import SCHEMA_VERSION
+        assert SCHEMA_VERSION == 4
+        store = ProofStore.open(tmp_path)
+        store.store("old-style-key", _result(with_traces=False))
+        store._conn.execute("PRAGMA user_version = 3")
+        store._conn.commit()
+        store.close()
+        assert len(ProofStore.open(tmp_path)) == 0
 
     def test_history_mining(self, tmp_path):
         store = ProofStore.open(tmp_path)
@@ -160,6 +276,45 @@ class TestTwoTierCache:
         hit.detail += "; caller scribble"
         again = fresh.get("k")
         assert "caller scribble" not in again.detail
+
+    def test_prefetch_is_the_disk_tier_of_the_following_gets(self,
+                                                             tmp_path):
+        store = ProofStore.open(tmp_path)
+        ResultCache(backing=store).put("stored", _result())
+        loads = []
+        real_load = store.load
+        store.load = lambda key: loads.append(key) or real_load(key)
+
+        reader = ResultCache(backing=store)
+        prefetched = reader.prefetch(["stored", "absent", "stored"])
+        assert sorted(prefetched) == ["stored"]
+        # Nothing is booked or promoted until a get consumes it.
+        assert (reader.stats.hits, reader.stats.misses) == (0, 0)
+        assert "stored" not in reader and len(reader) == 0
+
+        hit = reader.get("stored", prefetched)
+        assert hit is not None and hit.cex is not None
+        assert (reader.stats.hits, reader.stats.disk_hits) == (1, 1)
+        assert "stored" in reader                  # promoted, like load
+        assert reader.get("absent", prefetched) is None
+        assert reader.stats.misses == 1
+        assert loads == []          # the batch answered; nobody re-asked
+        # The negative answer lives in the mapping, not in the cache.
+        assert reader.get("absent") is None
+        assert loads == ["absent"]
+        # A key already in memory is not fetched again.
+        assert reader.prefetch(["stored"]) == {}
+
+    def test_prefetch_degrades_to_nothing_found(self):
+        class Broken:
+            def load(self, key): raise OSError("down")
+            def load_many(self, keys): raise OSError("down")
+            def store(self, key, result): raise OSError("down")
+
+        cache = ResultCache(backing=Broken())
+        assert cache.prefetch(["k"]) == {}
+        assert cache.get("k", {}) is None
+        assert ResultCache().prefetch(["k"]) == {}    # no backing at all
 
 
 class TestAdaptiveSelector:

@@ -357,6 +357,158 @@ class TestDistributedCampaign:
         assert verdicts(warm) == verdicts(cold)
 
 
+def _verdicts(report):
+    return {(r.design, r.property_name, r.status) for r in report.rows}
+
+
+class TestProbeBeforeEnqueue:
+    """The coordinator asks the store about the whole pool before it
+    enqueues anything: what the store settles never reaches a worker,
+    and a pool it settles entirely takes no queue and starts none."""
+
+    DESIGNS = ["updown_counter", "sync_counters_bug"]
+    BUG = ("sync_counters_bug", "counters_equal")
+
+    def test_warm_rerun_spawns_nothing(self, tmp_path, coordinators):
+        def run():
+            return run_campaign(designs=self.DESIGNS,
+                                backend=f"sqlite:{tmp_path}", max_k=3,
+                                workers=2, lease_seconds=10)
+
+        cold, warm = run(), run()
+        first, second = coordinators
+        assert first._spawned == 2
+        assert second._spawned == 0 and not second._owns_queue
+        assert _verdicts(warm) == _verdicts(cold)
+        assert warm.mismatches == 0 and warm.workers == 2
+        assert warm.cache.misses == 0 and warm.cache.disk_hits > 0
+        assert warm.worker_stats == []
+        for row in warm.rows:
+            assert row.from_cache and row.worker == ""
+            assert row.provenance == "store"
+            assert all(a["origin"] in ("disk", "memory", "skipped")
+                       for a in row.attempts)
+        # History still grows by one row per verdict, written once.
+        assert ProofStore.open(tmp_path).history_size() == \
+            len(cold.rows) + len(warm.rows)
+
+    def test_half_warm_store_enqueues_only_the_other_design(
+            self, tmp_path, coordinators):
+        run_campaign(designs=["updown_counter"], cache_dir=tmp_path,
+                     max_k=3)                   # pre-verified, locally
+        report = run_campaign(designs=self.DESIGNS, cache_dir=tmp_path,
+                              max_k=3, workers=2, lease_seconds=10)
+        assert report.mismatches == 0
+        ran = [r for r in report.rows if r.worker]
+        assert {r.design for r in ran} == {"sync_counters_bug"}
+        assert len(ran) == len(get_design("sync_counters_bug").properties)
+        assert all(r.from_cache and r.provenance == "store"
+                   for r in report.rows if not r.worker)
+        assert sum(s.jobs_done for s in report.worker_stats) == len(ran)
+        assert sorted(WorkQueue.open(tmp_path).results()) == sorted(
+            f"{r.design}::{r.property_name}" for r in ran)
+        [coordinator] = coordinators
+        assert coordinator._spawned == min(2, len(ran))
+        assert report.cache.disk_hits > 0       # the probe's traffic...
+        assert report.cache.misses >= len(ran)  # ...plus the workers'
+
+    def test_empty_pool_spawns_no_worker_and_leaves_the_queue_alone(
+            self, tmp_path):
+        from repro.dist import Coordinator
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue([_spec("someone::elses")])
+        coordinator = Coordinator(tmp_path, workers=2)
+        result = coordinator.dispatch([])
+        assert result.outcomes == {} and result.worker_stats == []
+        assert coordinator._spawned == 0
+        assert queue.counts() == {JOB_PENDING: 1}     # not reset
+        assert queue.state() == STATE_OPEN            # not closed
+
+    def _mislead(self, cache_dir, **campaign) -> ProofStore:
+        """Verify the seeded-bug design locally, then replace its
+        history with a lie — k-induction settles it — so the next
+        campaign prunes its race down to a strategy whose stored answer
+        is UNKNOWN."""
+        run_campaign(designs=["sync_counters_bug"], cache_dir=cache_dir,
+                     max_k=3, adaptive=False, **campaign)
+        store = ProofStore.open(cache_dir)
+        store._conn.execute("DELETE FROM history")
+        store._conn.commit()
+        store.record(design=self.BUG[0], family="counters",
+                     property_name=self.BUG[1], strategy="k_induction",
+                     status="proven", wall_seconds=0.1, from_cache=False)
+        return store
+
+    def test_pruned_unknown_from_the_store_goes_through_the_fallback_probe(
+            self, tmp_path, coordinators):
+        # Only k-induction's UNKNOWN is stored: the first probe
+        # exhausts the pruned race from the store, the fallback probe
+        # finds BMC missing and enqueues exactly that rerun.
+        self._mislead(tmp_path, strategies=["k_induction"])
+        report = run_campaign(designs=["sync_counters_bug"],
+                              cache_dir=tmp_path, max_k=3, workers=1,
+                              lease_seconds=10)
+        [row] = report.rows
+        assert row.status == "violated" and row.adaptive_fallback
+        assert report.fallback_reruns == 1
+        assert row.worker and not row.from_cache
+        assert list(WorkQueue.open(tmp_path).results()) == \
+            ["::".join(self.BUG) + "::full"]
+        assert sum(s.jobs_done for s in report.worker_stats) == 1
+        [coordinator] = coordinators
+        assert coordinator._spawned == 1
+
+    def test_fallback_probe_settles_what_the_store_already_holds(
+            self, tmp_path, coordinators):
+        # Both answers are stored: the rerun is settled by the second
+        # probe and still reported as a fallback.
+        self._mislead(tmp_path)
+        report = run_campaign(designs=["sync_counters_bug"],
+                              cache_dir=tmp_path, max_k=3, workers=1,
+                              lease_seconds=10)
+        [row] = report.rows
+        assert row.status == "violated" and row.adaptive_fallback
+        assert report.fallback_reruns == 1
+        assert row.from_cache and row.worker == ""
+        [coordinator] = coordinators
+        assert coordinator._spawned == 0 and not coordinator._owns_queue
+
+    def test_uncacheable_strategies_are_never_settled_by_the_probe(
+            self, tmp_path):
+        from repro.campaign import compile_design
+        from repro.mc import ResultCache
+        from repro.mc.portfolio import PortfolioScheduler, VerifyTask
+        store = ProofStore.open(tmp_path)
+        cache = ResultCache(backing=store)
+        _spec_, prop, scoped = compile_design(
+            get_design("updown_counter"))[0]
+        seeded = f"pdr_seeded(seed_store_dir={str(tmp_path)!r})"
+        tasks = [VerifyTask(scoped, prop, strategies=(spec,))
+                 for spec in ("external", seeded, "bmc(bound=3)")]
+        scheduler = PortfolioScheduler(cache=cache)
+        for outcome in scheduler.stream(tasks):       # fills the store
+            assert not outcome.from_cache
+        assert len(store) == 1                        # bmc's answer only
+        fresh = ResultCache(backing=store)
+        settled = PortfolioScheduler(cache=fresh).probe(tasks)
+        assert settled[:2] == [None, None]
+        assert settled[2] is not None and settled[2].from_cache
+        # Only the answerable slot was ever asked for.
+        assert (fresh.stats.hits, fresh.stats.misses) == (1, 0)
+
+    def test_uncacheable_race_is_enqueued_on_every_rerun(self, tmp_path):
+        def run():
+            return run_campaign(designs=["updown_counter"],
+                                cache_dir=tmp_path, max_k=3, workers=1,
+                                strategies=["external", "bmc"],
+                                adaptive=False, lease_seconds=10)
+
+        cold, warm = run(), run()
+        assert _verdicts(warm) == _verdicts(cold)
+        assert sum(s.jobs_done for s in warm.worker_stats) == \
+            len(warm.rows)
+
+
 def _hammer_store(cache_dir: str, worker: int, writes: int) -> None:
     store = ProofStore.open(cache_dir)
     for i in range(writes):

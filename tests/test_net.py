@@ -283,6 +283,142 @@ class TestRemoteStore:
             queue.enqueue([_spec("a")])
 
 
+@pytest.fixture(params=["sqlite", "http"])
+def any_store(request, service, tmp_path):
+    """The same assertions against both StoreBackend implementations."""
+    if request.param == "http":
+        return RemoteProofStore(service.address)
+    return ProofStore.open(tmp_path / "local")
+
+
+def _rich_results() -> dict[str, CheckResult]:
+    """A refutation with its trace and a PDR proof with its invariant."""
+    from repro.ir import expr as E
+    from repro.ir.system import Signal
+    from repro.trace.trace import Trace, TraceKind
+    trace = Trace([Signal("count", 4, "state")],
+                  [{"count": 3}, {"count": 4}], kind=TraceKind.BMC_CEX,
+                  property_name="bad")
+    count = E.var("count", 4)
+    return {
+        "k-violated": CheckResult("bad", Status.VIOLATED, k=1, cex=trace,
+                                  stats=ProofStats(wall_seconds=0.5,
+                                                   conflicts=7)),
+        "k-proven": CheckResult("good", Status.PROVEN, k=2,
+                                invariant=[E.ule(count, E.const(9, 4)),
+                                           E.ne(count, E.const(15, 4))]),
+    }
+
+
+class TestBatchSurface:
+    """``load_many`` / ``expected_walls`` / ``record_outcomes``: one
+    call where a campaign used to make one per job — same answers on
+    SQLite and over HTTP, same degrade contract as the per-item calls."""
+
+    NEW_CALLS = {"load_many", "expected_walls", "record_outcomes"}
+
+    def test_the_protocol_carries_the_batch_calls_onto_the_wire(self):
+        from repro.dist.server import STORE_METHODS
+        assert self.NEW_CALLS <= STORE_METHODS
+
+    def test_load_many_round_trips_traces_and_invariants(self, any_store):
+        stored = _rich_results()
+        for key, result in stored.items():
+            any_store.store(key, result)
+        found = any_store.load_many(["k-proven", "absent", "k-violated"])
+        assert sorted(found) == ["k-proven", "k-violated"]
+        assert found["k-violated"].cex.steps == \
+            stored["k-violated"].cex.steps
+        assert found["k-violated"].stats == stored["k-violated"].stats
+        # Unpickled expressions land in this process's intern table.
+        assert found["k-proven"].invariant == stored["k-proven"].invariant
+        for key, result in found.items():
+            assert any_store.load(key) == result
+
+    def test_load_many_past_1000_keys_and_with_none(self, any_store):
+        stored = _rich_results()
+        for key, result in stored.items():
+            any_store.store(key, result)
+        keys = [f"absent-{i}" for i in range(1500)]
+        keys[3:3] = ["k-proven"]
+        keys.append("k-violated")
+        assert sorted(any_store.load_many(keys)) == sorted(stored)
+        assert any_store.load_many([]) == {}
+
+    def test_history_is_written_and_read_in_one_call_each(self, any_store):
+        history = [dict(design="d", family="fam", property_name=name,
+                        strategy="bmc", status="proven",
+                        wall_seconds=wall, from_cache=cached)
+                   for name, wall, cached in (("p", 0.2, False),
+                                              ("p", 0.4, False),
+                                              ("p", 0.6, False),
+                                              ("q", 0.0, True))]
+        ledger = [{"design": "d", "property": "p", "status": "proven",
+                   "strategy": "bmc(bound=5)", "provenance": "engine",
+                   "wall_seconds": 0.4, "k": 5,
+                   "attempts": [{"strategy": "bmc(bound=5)"}]}]
+        any_store.record_outcomes(history, ledger)
+        assert any_store.history_size() == 4
+        assert any_store.expected_walls() == \
+            {("d", "p"): pytest.approx(0.4)}
+        assert any_store.expected_walls("d") == any_store.expected_walls()
+        assert any_store.expected_walls("other") == {}
+        assert any_store.expected_wall("d", "p") == pytest.approx(0.4)
+        assert any_store.expected_wall("d", "q") is None
+        [row] = any_store.ledger_rows()
+        assert (row["property"], row["k"]) == ("p", 5)
+        assert row["attempts"] == [{"strategy": "bmc(bound=5)"}]
+
+    def test_unreachable_service_degrades(self):
+        store = RemoteProofStore(DEAD_URL, timeout=0.5)
+        assert store.load_many(["k"]) == {}
+        assert store.expected_walls() == {}
+        store.record_outcomes(
+            [dict(design="d", family="f", property_name="p",
+                  strategy="bmc", status="proven", wall_seconds=0.1,
+                  from_cache=False)], [])      # no raise
+
+    @pytest.fixture
+    def older_service(self, service, monkeypatch):
+        """A service from before this PR: the three batch endpoints do
+        not exist, so it answers 404 for them."""
+        from repro.dist import server
+        monkeypatch.setattr(server, "STORE_METHODS",
+                            server.STORE_METHODS - self.NEW_CALLS)
+        return service
+
+    def test_older_server_reads_as_nothing_found(self, older_service):
+        store = RemoteProofStore(older_service.address)
+        with pytest.raises(RemoteOperationError):
+            store._call("load_many", ["k"])     # it really is a 404
+        store.store("k", _rich_results()["k-proven"])
+        assert store.load("k") is not None
+        assert store.load_many(["k"]) == {}
+        assert store.expected_walls() == {}
+        store.record_outcomes([], [{"design": "d", "property": "p"}])
+        assert store.ledger_rows() == []
+
+    def test_campaign_against_an_older_server_still_verifies(
+            self, older_service, coordinators):
+        """Version skew costs speed, never a verdict: every batched
+        read finds nothing, so everything is enqueued and run as if the
+        store were cold, and the batched record is dropped."""
+        def run():
+            return run_campaign(designs=["updown_counter"], max_k=3,
+                                backend=older_service.address, workers=1,
+                                lease_seconds=10)
+
+        cold, warm = run(), run()
+        assert cold.mismatches == warm.mismatches == 0
+        assert {(r.property_name, r.status) for r in warm.rows} == \
+            {(r.property_name, r.status) for r in cold.rows}
+        assert sum(s.jobs_done for s in warm.worker_stats) == \
+            len(warm.rows)
+        assert all(r.worker for r in warm.rows)
+        assert [c._spawned for c in coordinators] == [1, 1]
+        assert RemoteProofStore(older_service.address).history_size() == 0
+
+
 class TestService:
     def test_health_endpoint_is_json(self, service):
         # Load balancers and probes routinely append cache-busting
@@ -535,6 +671,79 @@ class TestCoordinatorSurvivesServerBounce:
         coordinator.queue.timeout = 0.3
         with pytest.raises(TimeoutError, match="never answered"):
             coordinator.dispatch(pool)
+
+
+def _wire_requests(service) -> int:
+    """Wire requests the service has answered so far, from its own
+    ``/metrics`` (this read is counted by the next one)."""
+    with urllib.request.urlopen(f"{service.address}/metrics",
+                                timeout=5) as response:
+        text = response.read().decode()
+    return int(sum(float(line.rsplit(" ", 1)[1])
+                   for line in text.splitlines()
+                   if line.startswith("repro_http_requests_total{")))
+
+
+class TestRemoteProbe:
+    """Probe-before-enqueue over the wire: a warm rerun against a
+    service costs O(1) requests and starts no worker."""
+
+    DESIGNS = ["updown_counter", "sync_counters_bug"]
+
+    def _run(self, service, designs=None):
+        return run_campaign(designs=designs or self.DESIGNS, max_k=3,
+                            backend=service.address, workers=2,
+                            lease_seconds=10)
+
+    def test_warm_remote_rerun_asks_once_and_spawns_nothing(
+            self, service, coordinators):
+        cold = self._run(service)
+        before = _wire_requests(service)
+        warm = self._run(service)
+        asked = _wire_requests(service) - before - 1   # less that read
+        # Three history reads, one probe, one record, one size — not
+        # a handful of round trips per job, as the cold half made.
+        assert 0 < asked <= 15, asked
+        assert before > 4 * asked
+        first, second = coordinators
+        assert first._spawned == 2
+        assert second._spawned == 0 and not second._owns_queue
+        assert {(r.design, r.property_name, r.status)
+                for r in warm.rows} == \
+            {(r.design, r.property_name, r.status) for r in cold.rows}
+        assert warm.cache.misses == 0 and warm.cache.disk_hits > 0
+        assert warm.worker_stats == [] and warm.workers == 2
+        assert all(r.from_cache and r.worker == "" and
+                   r.provenance == "store" for r in warm.rows)
+        assert RemoteProofStore(service.address).history_size() == \
+            len(cold.rows) + len(warm.rows)
+
+    def test_half_warm_served_store_enqueues_only_the_other_design(
+            self, service, coordinators):
+        self._run(service, designs=["updown_counter"])
+        report = self._run(service)
+        ran = [r for r in report.rows if r.worker]
+        assert {r.design for r in ran} == {"sync_counters_bug"}
+        assert all(r.from_cache and r.provenance == "store"
+                   for r in report.rows if not r.worker)
+        assert sum(s.jobs_done for s in report.worker_stats) == len(ran)
+        assert sorted(RemoteWorkQueue(service.address).results()) == \
+            sorted(f"{r.design}::{r.property_name}" for r in ran)
+        assert coordinators[-1]._spawned == min(2, len(ran))
+
+    def test_store_unreachable_at_probe_time_enqueues_everything(
+            self, service, coordinators, monkeypatch):
+        """The probe degrades like any store read: a failed batched
+        load reads as nothing found, and the campaign runs cold through
+        the queue instead of failing."""
+        self._run(service, designs=["updown_counter"])     # warm store
+        monkeypatch.setattr(RemoteProofStore, "load_many",
+                            lambda self, keys: {})
+        report = self._run(service, designs=["updown_counter"])
+        assert report.mismatches == 0
+        assert all(r.worker for r in report.rows)
+        assert sum(s.jobs_done for s in report.worker_stats) == \
+            len(report.rows)
 
 
 class TestRemoteCampaign:

@@ -555,6 +555,45 @@ class TestEventJournal:
         assert all(e["origin"] in ("solver", "cache") for e in checks)
         assert events.active() is None   # campaign cleans up after itself
 
+    def test_store_settled_campaign_journals_checks_but_no_fabric(
+            self, service, tmp_path, coordinators):
+        """A warm distributed rerun is settled by the coordinator's
+        probe: the journal shows one cache-origin ``check_finish`` per
+        consulted slot under the campaign's trace id — and no worker,
+        claim or job, because none existed."""
+        def run(label):
+            return run_campaign(
+                designs=["updown_counter", "sync_counters_bug"],
+                backend=service.address, workers=2, lease_seconds=10,
+                max_k=3, trace_dir=tmp_path / label / "trace",
+                events_dir=tmp_path / label / "events")
+
+        cold, warm = run("cold"), run("warm")
+        assert coordinators[-1]._spawned == 0
+        cold_kinds = {e["kind"] for e in
+                      events.load_events(tmp_path / "cold" / "events")}
+        assert {"worker_start", "queue_claim", "job_start"} <= cold_kinds
+
+        journal = events.load_events(tmp_path / "warm" / "events")
+        kinds = [e["kind"] for e in journal]
+        assert kinds[0] == "campaign_start"
+        assert kinds[-1] == "campaign_finish"
+        assert not {"worker_start", "worker_exit", "queue_claim",
+                    "job_start", "job_finish"} & set(kinds)
+        checks = [e for e in journal if e["kind"] == "check_finish"]
+        assert len(checks) == warm.cache.hits == len(warm.rows)
+        assert warm.trace_id and warm.trace_id != cold.trace_id
+        for event in checks:
+            assert event["origin"] == "cache" and event["tier"] == "disk"
+            assert event["trace_id"] == warm.trace_id
+        assert sorted(e["property"] for e in checks) == \
+            sorted(r.property_name for r in warm.rows)
+        # Store-settled jobs have no "job" span and no second process.
+        spans = load_spans(tmp_path / "warm" / "trace")
+        assert {s["name"] for s in spans} == \
+            {"campaign", "compile", "dispatch", "record"}
+        assert len({s["pid"] for s in spans}) == 1
+
 
 class TestModeParity:
     """``jobs`` decides who executes a cache miss and nothing else: the
@@ -646,6 +685,54 @@ class TestModeParity:
         assert all(origin == "cache" and tier == "memory"
                    for *_, origin, tier in warm1_events)
         assert warm1_counts and warm1_counts == warm2_counts
+
+    MODES = {"jobs=1": dict(jobs=1), "jobs=2": dict(jobs=2),
+             "workers=2": dict(workers=2, lease_seconds=10)}
+
+    def test_warm_campaign_reports_alike_inline_pooled_and_distributed(
+            self, tmp_path):
+        """The warm column: whoever would have executed a miss — this
+        process, a pool, or two workers behind a queue — a campaign the
+        store settles reports the same rows, the same cache traffic,
+        the same journal events and the same counter growth, because
+        all three start with the same probe."""
+        columns = {}
+        for label, mode in self.MODES.items():
+            cache_dir = tmp_path / label
+            cold = run_campaign(designs=["updown_counter",
+                                         "sync_counters_bug"],
+                                cache_dir=cache_dir, max_k=3, **mode)
+            before = get_registry().snapshot()
+            warm = run_campaign(designs=["updown_counter",
+                                         "sync_counters_bug"],
+                                cache_dir=cache_dir, max_k=3,
+                                events_dir=tmp_path / label / "events",
+                                **mode)
+            grown = obs_metrics.delta(before, get_registry().snapshot())
+            assert {(r.property_name, r.status) for r in warm.rows} == \
+                {(r.property_name, r.status) for r in cold.rows}
+            columns[label] = (
+                [(r.design, r.property_name, r.status, r.strategy,
+                  r.from_cache, r.provenance, r.worker,
+                  [(a["strategy"], a["status"], a["origin"], a["winner"])
+                   for a in r.attempts]) for r in warm.rows],
+                (warm.cache.hits, warm.cache.misses, warm.cache.stores,
+                 warm.cache.disk_hits),
+                (warm.dispatched_jobs, warm.fallback_reruns),
+                sorted((e["design"], e["property"], e["strategy"],
+                        e["status"], e["origin"], e.get("tier"))
+                       for e in events.load_events(
+                           tmp_path / label / "events")
+                       if e["kind"] == "check_finish"),
+                grown.get("repro_checks_total", {}).get("samples", {}))
+        inline = columns["jobs=1"]
+        rows, cache, _dispatched, finished, counts = inline
+        assert rows and all(row[4] and row[5] == "store" and row[6] == ""
+                            for row in rows)
+        assert cache[0] == len(rows) and cache[1:3] == (0, 0)
+        assert finished and counts
+        assert columns["jobs=2"] == inline
+        assert columns["workers=2"] == inline
 
 
 class TestMetricsExpositionEdgeCases:
