@@ -123,7 +123,6 @@ class _PdrRun:
         self.obligations = 0
         self.lifter = CubeLifter(self.ctx, self.bad) \
             if opts.lift_cubes else None
-        self._init_bits = _constant_init_bits(self.system)
 
     # ------------------------------------------------------------------
 
@@ -137,6 +136,7 @@ class _PdrRun:
                     detail=f"{exc.reason} at frame {self.frames.top}")
         self.stats.merge_from(self.ctx.stats_snapshot())
         result.stats = self.stats
+        result.detail += f"; {self.ctx.query_summary()}"
         return result
 
     # ------------------------------------------------------------------
@@ -185,7 +185,7 @@ class _PdrRun:
     def _solve_or_raise(self, assumptions: list[int]) -> bool:
         """A query whose answer the algorithm *needs*: indeterminate
         means the run's conflict budget is gone — give up cleanly."""
-        verdict = self.ctx.solve(assumptions,
+        verdict = self.ctx.solve(assumptions, "bad",
                                  conflict_budget=self._remaining())
         if verdict is None:
             raise _Budget(f"conflict budget "
@@ -196,7 +196,7 @@ class _PdrRun:
                          guard: int) -> bool:
         """Budgeted obligation consecution; retires ``guard`` if the
         budget dies mid-query so the temporary clause never lingers."""
-        verdict = self.ctx.solve(assumptions,
+        verdict = self.ctx.solve(assumptions, "consecution",
                                  conflict_budget=self._remaining())
         if verdict is None:
             self.ctx.retire_guard(guard)
@@ -302,8 +302,12 @@ class _PdrRun:
                                            succ=ob))
                 self.queue.push(ob)
             else:
+                # Ask why before the guard's retirement moves the solver
+                # on: the cube literals the refutation never touched
+                # need no probe of their own.
+                core = ctx.refuted_part(ob.cube, 1)
                 ctx.retire_guard(guard)
-                clause = generalize_clause(ctx, frames, ob.cube,
+                clause = generalize_clause(ctx, frames, ob.cube, core,
                                            ob.level,
                                            budget_fn=self._probe_budget)
                 frames.add_member(FrameMember(clause=clause), ob.level)
@@ -345,29 +349,12 @@ class _PdrRun:
         Obligations wider than the concrete model state may only be
         posed when they exclude every initial state — a blocking clause
         learned from an init-intersecting cube would cut reachable
-        states.  For constant-init registers the check is syntactic and
-        exact: one literal contradicting an init bit proves
-        disjointness, and a cube agreeing with every (fully known) init
-        bit contains the initial state.  Anything indeterminate falls
-        through to a budgeted SAT probe, where an exhausted budget
-        counts as unsafe.
+        states.  That is initiation of the clause ``¬cube``: syntactic
+        against constant init bits, a budgeted SAT probe otherwise,
+        where an exhausted budget counts as unsafe.
         """
-        indeterminate = False
-        for name, bit, value in cube:
-            want = self._init_bits.get((name, bit))
-            if want is None:
-                indeterminate = True
-            elif want != value:
-                return True
-        if not indeterminate:
-            # Every literal agrees with a constant init bit, so every
-            # initial state satisfies the whole cube.
-            return False
-        verdict = self.ctx.solve(
-            list(self.frames.activation(0)) +
-            self.ctx.cube_assumptions(cube, 0),
-            conflict_budget=self._probe_budget())
-        return verdict is False
+        return self.frames.contains_init(negate_cube(cube),
+                                         self._probe_budget)
 
     # ------------------------------------------------------------------
     # Seeding
@@ -394,12 +381,12 @@ class _PdrRun:
             base = list(frames.activation(0))
             holds_at_init = ctx.solve(
                 base + [ctx.expr_assumption(E.not_(pred), 0)],
-                conflict_budget=self._probe_budget())
+                "initiation", conflict_budget=self._probe_budget())
             if holds_at_init is not False:
                 continue
             holds_after_step = ctx.solve(
                 base + [ctx.expr_assumption(E.not_(pred), 1)],
-                conflict_budget=self._probe_budget())
+                "consecution", conflict_budget=self._probe_budget())
             if holds_after_step is not False:
                 continue
             frames.add_member(FrameMember(pred=pred, seeded=True), 1)
@@ -433,31 +420,6 @@ class _PdrRun:
             self.original, frames, TraceKind.BMC_CEX,
             property_name=self.prop.name,
             note=f"pdr counterexample, bad at cycle {len(frames) - 1}")
-
-
-def _constant_init_bits(system: TransitionSystem) -> dict[tuple[str, int],
-                                                          int]:
-    """Bit values of registers whose init is a compile-time constant.
-
-    Mirrors the simulator's reset rule (init expressions may reference
-    previously initialized registers); registers with no init or a
-    non-constant one are left out, deferring to the SAT probe in
-    :meth:`_PdrRun._avoids_init`.
-    """
-    env: dict[str, int] = {}
-    bits: dict[tuple[str, int], int] = {}
-    for name, v in system.states.items():
-        init_expr = system.init.get(name)
-        if init_expr is None:
-            continue
-        resolved = system.resolve_defines(init_expr)
-        if E.support(resolved) - set(env):
-            continue
-        value = E.evaluate(resolved, env)
-        env[name] = value
-        for i in range(v.width):
-            bits[(name, i)] = (value >> i) & 1
-    return bits
 
 
 # ---------------------------------------------------------------------------

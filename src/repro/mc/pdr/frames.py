@@ -27,16 +27,30 @@ halves of that machinery:
   :mod:`repro.mc.pdr.seed` after the level-1 admission checks).
   :meth:`FrameTrapezoid.propagate` pushes members outward after each
   new frame and reports the fixpoint level when two adjacent frames
-  coincide — the proof certificate.
+  coincide — the proof certificate.  A push that fails leaves behind
+  the time-0 state of the model that defeated it; while that state
+  still satisfies every clause of the member's frame the solver would
+  only find it (or another like it) again, so the next round skips the
+  probe.  The memo is dropped — and the solver asked as before — as
+  soon as a frame clause excludes the state, a seeded predicate sits
+  anywhere in the frame (only the solver can evaluate one), the probe
+  ran out of budget, or the member leaves its level.
 
 Level 0 is special: the initial-state equations are themselves guarded
 by the level-0 activation literal, so a query "relative to ``F_0``"
-simply assumes it — no separate init solver exists.
+simply assumes it — no separate init solver exists.  Whether a clause
+*contains* ``F_0`` (initiation) rarely needs the solver at all:
+:meth:`FrameTrapezoid.contains_init` answers from the registers' constant
+reset values and only probes when a deciding literal has none.
+
+Every query is counted by call site (:data:`QUERY_KINDS`), on the
+context for the run's ``detail`` line and in the process-wide
+``repro_pdr_*`` metric families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.aig.bitblast import BitBlaster
 from repro.aig.cnf import CnfBuilder
@@ -44,7 +58,26 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.result import ProofStats
 from repro.mc.unroll import Unroller, timed_name
+from repro.obs import metrics as _metrics
 from repro.sat.solver import Solver
+
+#: The questions PDR puts to its solver, by call site: is a bad state in
+#: the top frame, does an obligation's cube have a predecessor, does a
+#: shrunk clause stay relatively inductive, does a clause contain the
+#: initial states, can a member move one frame out.
+QUERY_KINDS = ("bad", "consecution", "generalize", "initiation", "push")
+
+# Bumped once per query / skipped push / core shrink, next to the
+# solver call — never inside it (the E10 obs on/off contract).
+_M_QUERIES = _metrics.counter(
+    "repro_pdr_queries_total", "PDR SAT queries by call site",
+    labels=("kind",))
+_M_PUSHES_SKIPPED = _metrics.counter(
+    "repro_pdr_pushes_skipped_total",
+    "push probes skipped because the last defeating state still stands")
+_M_CORE_DROPPED = _metrics.counter(
+    "repro_pdr_core_literals_dropped_total",
+    "clause literals dropped because no refutation used them")
 
 #: One cube/clause literal: register ``name`` bit ``bit`` has ``value``.
 #: A *cube* is a conjunction of such literals (a set of states); a
@@ -76,18 +109,13 @@ class FrameMember:
     clause: tuple[BitLit, ...] | None = None
     pred: E.Expr | None = None
     seeded: bool = False
+    #: The clause's literals as a set (empty for a predicate), built
+    #: once: the ledger's subsumption, blocking and frame-admits-state
+    #: scans are all set tests against it.
+    lits: frozenset[BitLit] = field(init=False, repr=False, compare=False)
 
-    def blocks(self, cube_map: dict[tuple[str, int], int]) -> bool:
-        """Syntactic check: does this clause block the (full) cube?
-
-        True iff every clause literal is falsified by the cube — i.e.
-        the cube lies entirely inside the region the clause forbids.
-        Predicates never answer syntactically (the solver decides).
-        """
-        if self.clause is None:
-            return False
-        return all(cube_map.get((name, bit)) == 1 - value
-                   for name, bit, value in self.clause)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lits", frozenset(self.clause or ()))
 
     def describe(self) -> str:
         if self.pred is not None:
@@ -116,7 +144,10 @@ class PdrContext:
         self.solver = Solver()
         self.blaster = BitBlaster()
         self.cnf = CnfBuilder(self.blaster.aig, self.solver)
-        self.queries = 0
+        #: Queries asked so far, by call site (see :data:`QUERY_KINDS`).
+        self.query_mix = dict.fromkeys(QUERY_KINDS, 0)
+        self.pushes_skipped = 0
+        self.core_literals_dropped = 0
         self._state_bits: dict[tuple[str, int], list[int]] = {}
         for eq in self.unroller.transition(0):
             self._assert(eq)
@@ -176,14 +207,40 @@ class PdrContext:
         """The AIG literals of state ``name``'s bits at time ``t``."""
         return list(self._state_bits[(name, t)])
 
-    def solve(self, assumptions: list[int],
+    def solve(self, assumptions: list[int], kind: str,
               conflict_budget: int | None = None) -> bool | None:
+        """One query; ``kind`` (a :data:`QUERY_KINDS` name) says which
+        of the algorithm's questions it is."""
         self.cnf.encode_new_nodes()
-        self.queries += 1
+        self.query_mix[kind] += 1
+        if _metrics.metrics_enabled():
+            _M_QUERIES.labels(kind).inc()
         if conflict_budget is None:
             return self.solver.solve(assumptions)
         return self.solver.solve_limited(assumptions,
                                          conflict_budget=conflict_budget)
+
+    def refuted_part(self, cube: Cube, t: int) -> Cube:
+        """The literals of ``cube`` the refutation just found rests on.
+
+        Valid immediately after an UNSAT query that assumed
+        ``cube_assumptions(cube, t)``: the solver's failed-assumption
+        core says which of them the conflict actually used, and the
+        query stays UNSAT with the others left out.
+        """
+        core = set(self.solver.failed_assumptions())
+        return tuple(lit for lit, d in
+                     zip(cube, self.cube_assumptions(cube, t)) if d in core)
+
+    def note_core_drop(self, literals: int) -> None:
+        self.core_literals_dropped += literals
+        if _metrics.metrics_enabled():
+            _M_CORE_DROPPED.inc(literals)
+
+    def note_push_skipped(self) -> None:
+        self.pushes_skipped += 1
+        if _metrics.metrics_enabled():
+            _M_PUSHES_SKIPPED.inc()
 
     # ------------------------------------------------------------------
     # Model extraction (valid immediately after a SAT answer)
@@ -210,6 +267,23 @@ class PdrContext:
                 env[name] = self.cnf.bits_value(bits)
         return env
 
+    @property
+    def queries(self) -> int:
+        return sum(self.query_mix.values())
+
+    def query_summary(self) -> str:
+        """The query mix for a result's ``detail``, largest kind first:
+        ``1240 queries: 760 generalize, 307 consecution, 140 push (81
+        skipped), 33 bad``."""
+        parts = []
+        for kind, n in sorted(self.query_mix.items(),
+                              key=lambda item: -item[1]):
+            if kind == "push" and self.pushes_skipped:
+                parts.append(f"{n} push ({self.pushes_skipped} skipped)")
+            elif n:
+                parts.append(f"{n} {kind}")
+        return f"{self.queries} queries: " + ", ".join(parts)
+
     def stats_snapshot(self) -> ProofStats:
         return ProofStats.from_solver(self.solver.stats, self.queries)
 
@@ -235,6 +309,10 @@ class FrameTrapezoid:
         self.ctx = ctx
         self.levels: list[list[FrameMember]] = [[], []]  # F_0, F_1
         self._acts: list[int] = [ctx.new_guard(), ctx.new_guard()]
+        self._init_bits = _constant_init_bits(ctx.system)
+        # Ledger member -> the full time-0 state (as a literal set) of
+        # the model that defeated its last push from its current level.
+        self._push_witness: dict[FrameMember, frozenset[BitLit]] = {}
         for good in (lemmas or []):
             for t in (0, 1):
                 ctx._assert(ctx.unroller.at_time(good, t))
@@ -277,19 +355,25 @@ class FrameTrapezoid:
         if not (1 <= level <= self.top):
             raise ValueError(f"level {level} outside 1..{self.top}")
         if member.clause is not None:
-            new_lits = set(member.clause)
-            for lvl in range(level, self.top + 1):
-                for old in self.levels[lvl]:
-                    if old.clause is not None and \
-                            set(old.clause) <= new_lits:
-                        return  # subsumed by a stronger, wider member
+            new_lits = member.lits
+            if any(old.clause is not None and old.lits <= new_lits
+                   for old in self._frame(level)):
+                return  # subsumed by a stronger, wider member
             for lvl in range(1, level + 1):
-                self.levels[lvl] = [
-                    old for old in self.levels[lvl]
-                    if old.clause is None
-                    or not new_lits <= set(old.clause)]
+                kept = []
+                for old in self.levels[lvl]:
+                    if old.clause is not None and new_lits <= old.lits:
+                        self._push_witness.pop(old, None)
+                    else:
+                        kept.append(old)
+                self.levels[lvl] = kept
         self._assert_at_level(member, level)
         self.levels[level].append(member)
+
+    def _frame(self, level: int):
+        """Every member of ``F_level``: the ledger from ``level`` up."""
+        for lvl in range(level, self.top + 1):
+            yield from self.levels[lvl]
 
     def _assert_at_level(self, member: FrameMember, level: int) -> None:
         guard = self._acts[level]
@@ -299,11 +383,66 @@ class FrameTrapezoid:
             self.ctx.guarded_clause(guard, member.clause, t=0)
 
     def blocks_syntactically(self, cube: Cube, level: int) -> bool:
-        """Is ``cube`` already excluded from ``F_level`` by some clause?"""
-        cube_map = {(name, bit): value for name, bit, value in cube}
-        return any(member.blocks(cube_map)
-                   for lvl in range(level, self.top + 1)
-                   for member in self.levels[lvl])
+        """Is ``cube`` already excluded from ``F_level`` by some clause?
+
+        A clause blocks the cube iff the cube falsifies every literal of
+        it, i.e. iff the clause subsumes ``¬cube``.  Predicates never
+        answer syntactically (the solver decides).
+        """
+        blocking = frozenset(negate_cube(cube))
+        return any(member.clause is not None and member.lits <= blocking
+                   for member in self._frame(level))
+
+    # ------------------------------------------------------------------
+    # Initiation
+    # ------------------------------------------------------------------
+
+    def contains_init(self, clause: tuple[BitLit, ...],
+                      budget_fn=None) -> bool:
+        """Does every initial state satisfy ``clause`` (``F_0 → clause``)?
+
+        The one initiation check: generalization asks it of every
+        shrunk clause, the engine of every lifted cube (negated).  A
+        literal that agrees with a register's constant reset bit is
+        true in every initial state, so the clause holds there; a
+        clause whose literals all *contradict* constant reset bits is
+        false in every initial state.  Only when no literal agrees and
+        some literal's register has no constant init does the solver
+        decide — under ``budget_fn()``'s conflict budget, an exhausted
+        budget counting as "no".
+        """
+        if self.init_anchor(clause) is not None:
+            return True
+        if all(lit[:2] in self._init_bits for lit in clause):
+            return False
+        budget = (budget_fn or _unbudgeted)()
+        return not self._init_intersects(clause, budget)
+
+    def init_anchor(self, clause: tuple[BitLit, ...]) -> BitLit | None:
+        """The first literal of ``clause`` that agrees with its
+        register's constant reset bit, or None.  Such a literal is true
+        in every initial state, so any clause holding it contains
+        ``F_0``."""
+        init_bits = self._init_bits
+        for lit in clause:
+            if init_bits.get(lit[:2]) == lit[2]:
+                return lit
+        return None
+
+    def _init_intersects(self, clause: tuple[BitLit, ...],
+                         budget: int | None) -> bool:
+        """Does some initial state fall *outside* ``clause``?
+
+        The SAT fallback of :meth:`contains_init`.  The query assumes
+        the level-0 activation literal (which carries the init
+        equations) plus the negated clause as a cube; SAT — or an
+        exhausted budget — means an initial state may escape it.
+        """
+        assumptions = list(self.activation(0)) + \
+            self.ctx.cube_assumptions(negate_cube(clause), 0)
+        verdict = self.ctx.solve(assumptions, "initiation",
+                                 conflict_budget=budget)
+        return verdict is not False
 
     # ------------------------------------------------------------------
     # Outward propagation + fixpoint detection
@@ -323,10 +462,29 @@ class FrameTrapezoid:
         else:
             assumptions += ctx.cube_assumptions(
                 negate_cube(member.clause), 1)
-        verdict = ctx.solve(assumptions, conflict_budget=budget)
+        verdict = ctx.solve(assumptions, "push", conflict_budget=budget)
         if verdict is None:
             return None
         return not verdict
+
+    def _push_still_defeated(self, member: FrameMember,
+                             level: int) -> bool:
+        """Would the state that defeated ``member``'s last push from
+        ``level`` defeat it again?
+
+        It would iff it is still in ``F_level`` — a full state satisfies
+        a clause exactly when it shares a literal with it.  A predicate
+        in the frame cannot be read off the state, so the memo is not
+        trusted then; a memo that fails is dropped.
+        """
+        witness = self._push_witness.get(member)
+        if witness is None:
+            return False
+        for other in self._frame(level):
+            if other.clause is None or other.lits.isdisjoint(witness):
+                del self._push_witness[member]
+                return False
+        return True
 
     def propagate(self, budget_fn=None) -> int | None:
         """Push members outward; return the fixpoint level if one forms.
@@ -338,18 +496,29 @@ class FrameTrapezoid:
         ``budget_fn`` supplies each probe's conflict budget (and serves
         as the engine's run-budget checkpoint); a probe whose budget
         dies simply keeps its member in place, which is always sound.
+        A member whose last defeating state still stands is kept
+        without asking (see :meth:`_push_still_defeated`).
         """
         if budget_fn is None:
             budget_fn = _unbudgeted
+        ctx = self.ctx
+        witnesses = self._push_witness
         for level in range(1, self.top):
             kept: list[FrameMember] = []
             for member in self.levels[level]:
-                if self._holds_after_step(member, level,
-                                          budget=budget_fn()) is True:
+                if self._push_still_defeated(member, level):
+                    ctx.note_push_skipped()
+                    kept.append(member)
+                    continue
+                verdict = self._holds_after_step(member, level,
+                                                 budget=budget_fn())
+                if verdict is True:
                     self._assert_at_level(member, level + 1)
                     self.levels[level + 1].append(member)
-                else:
-                    kept.append(member)
+                    continue
+                kept.append(member)
+                if verdict is False:    # the model is live: remember it
+                    witnesses[member] = frozenset(ctx.state_cube(0))
             self.levels[level] = kept
             if not kept:
                 return level
@@ -375,3 +544,28 @@ class FrameTrapezoid:
                 disjuncts.append(b if value else E.not_(b))
             out.append(E.bool_or(*disjuncts))
         return out
+
+
+def _constant_init_bits(system: TransitionSystem) -> dict[tuple[str, int],
+                                                          int]:
+    """Bit values of registers whose init is a compile-time constant.
+
+    Mirrors the simulator's reset rule (init expressions may reference
+    previously initialized registers); registers with no init or a
+    non-constant one are left out, deferring to the SAT probe in
+    :meth:`FrameTrapezoid.contains_init`.
+    """
+    env: dict[str, int] = {}
+    bits: dict[tuple[str, int], int] = {}
+    for name, v in system.states.items():
+        init_expr = system.init.get(name)
+        if init_expr is None:
+            continue
+        resolved = system.resolve_defines(init_expr)
+        if E.support(resolved) - set(env):
+            continue
+        value = E.evaluate(resolved, env)
+        env[name] = value
+        for i in range(v.width):
+            bits[(name, i)] = (value >> i) & 1
+    return bits

@@ -13,11 +13,19 @@ first — the shallowest unresolved obligation is always the one that can
 refute fastest, and handling it first keeps frames tight before deeper
 obligations are attempted.
 
-:func:`generalize_clause` implements the standard drop-literal
-("MIC-lite") generalization: starting from the blocking clause
-``¬cube``, each literal is tentatively dropped and kept out only if the
-shrunk clause still (a) contains all initial states and (b) passes the
-relative-induction consecution query.  Both probes run under a conflict
+:func:`generalize_clause` shrinks a blocking clause the way the solver
+says it can be shrunk.  Every UNSAT relative-induction query names, in
+its failed-assumption core, the time-1 cube literals the refutation
+actually used; the clause over just those literals is relatively
+inductive too, so a blocked obligation's clause *starts* from the core
+of its own consecution query and every successful drop-one-literal
+probe shrinks on to that probe's core — one query can shed many
+literals, where blind enumeration pays one per literal.  A core knows
+nothing of the initial states, so initiation is restored afterwards by
+putting back one literal of the clause being shrunk that agrees with
+a constant reset bit (the syntactic rule of
+:meth:`~repro.mc.pdr.frames.FrameTrapezoid.contains_init`); when none
+can be shown the shrink is not taken.  Probes run under a conflict
 budget via :meth:`~repro.sat.solver.Solver.solve_limited` — an
 indeterminate probe conservatively keeps the literal, trading clause
 strength for bounded latency.
@@ -29,7 +37,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from repro.mc.pdr.frames import (Cube, FrameTrapezoid, PdrContext,
+from repro.mc.pdr.frames import (BitLit, Cube, FrameTrapezoid, PdrContext,
                                  _unbudgeted, negate_cube)
 
 _counter = itertools.count()
@@ -83,63 +91,91 @@ class ObligationQueue:
 
 
 def generalize_clause(ctx: PdrContext, frames: FrameTrapezoid,
-                      cube: Cube, level: int,
-                      budget_fn=None) -> tuple:
+                      cube: Cube, core: Cube, level: int,
+                      budget_fn=None) -> tuple[BitLit, ...]:
     """Shrink the blocking clause ``¬cube`` by dropping literals.
 
-    Returns the generalized clause (a tuple of bit literals, in cube
-    order).  Every candidate drop must keep the clause a superset of the
-    initial states and relatively inductive at ``level``; an exhausted
-    per-probe conflict budget keeps the literal.  ``budget_fn`` is
-    called before every probe and returns that probe's conflict budget
-    — the engine uses it as the run-wide budget checkpoint too, so a
-    spent run aborts out of generalization instead of finishing the
-    pass.  The loop is a single pass — quadratic re-passes buy little
-    on the design sizes this engine serves and cost a solver call per
-    literal each time.
+    ``cube`` is the obligation just blocked at ``level`` and ``core``
+    the part of it the blocking refutation used
+    (:meth:`PdrContext.refuted_part` of the consecution query).
+    Returns a sub-clause of ``¬cube`` (literals in cube order) that
+    contains the initial states and is inductive relative to
+    ``F_{level-1}``.  Starting from ``¬core``, each position is tried
+    once: the clause without that literal must still contain init
+    (usually a syntactic answer) and pass the relative-induction probe,
+    and a probe that passes shrinks the clause on to its own core.  An
+    exhausted per-probe conflict budget keeps the literal.
+    ``budget_fn`` is called before every probe and returns that probe's
+    conflict budget — the engine uses it as the run-wide budget
+    checkpoint too, so a spent run aborts out of generalization instead
+    of finishing the pass.  The loop is a single pass — quadratic
+    re-passes buy little on the design sizes this engine serves and
+    cost a solver call per literal each time.
     """
     if budget_fn is None:
         budget_fn = _unbudgeted
-    clause = list(negate_cube(cube))
+    clause = _shrink_to(ctx, frames, negate_cube(cube), negate_cube(core),
+                        budget_fn)
     index = 0
     while index < len(clause) and len(clause) > 1:
         trial = clause[:index] + clause[index + 1:]
-        if _init_intersects(ctx, frames, trial, budget_fn()) or \
-                not _still_inductive(ctx, frames, trial, level,
-                                     budget_fn()):
+        shrunk = None
+        if frames.contains_init(trial, budget_fn):
+            shrunk = _inductive_core(ctx, frames, trial, level, budget_fn)
+        if shrunk is None:
             index += 1          # literal is load-bearing: keep it
         else:
-            clause = trial      # dropped; retry the same position
-    return tuple(clause)
+            # Dropped.  What is left of the already-tried prefix stays
+            # tried; the literal that now follows it is next.
+            index = sum(1 for lit in clause[:index] if lit in shrunk)
+            clause = shrunk
+    return clause
 
 
-def _init_intersects(ctx: PdrContext, frames: FrameTrapezoid,
-                     clause: list, budget: int | None) -> bool:
-    """Does some initial state fall *outside* ``clause``?
+def _shrink_to(ctx: PdrContext, frames: FrameTrapezoid,
+               clause: tuple[BitLit, ...], needed: tuple[BitLit, ...],
+               budget_fn) -> tuple[BitLit, ...]:
+    """``clause`` cut down to the literals a refutation ``needed``.
 
-    The query assumes the level-0 activation literal (which carries the
-    init equations) plus the negated clause as a cube; SAT — or an
-    exhausted budget — means the drop is unsafe.
+    ``clause`` contains init and is relatively inductive, and the query
+    that showed it stays UNSAT with only ``¬needed`` assumed at time 1;
+    then every clause between ``needed`` and ``clause`` is relatively
+    inductive as well.  The core knows nothing of the initial states,
+    so if ``needed`` lost initiation one literal goes back in: the
+    first of ``clause`` that agrees with a constant reset bit.  When
+    there is none the shrink is not taken.
     """
-    assumptions = list(frames.activation(0)) + \
-        ctx.cube_assumptions(negate_cube(tuple(clause)), 0)
-    verdict = ctx.solve(assumptions, conflict_budget=budget)
-    return verdict is not False
+    if len(needed) < len(clause) and \
+            not frames.contains_init(needed, budget_fn):
+        anchor = frames.init_anchor(clause)
+        if anchor is None:
+            return clause
+        keep = {anchor, *needed}
+        needed = tuple(lit for lit in clause if lit in keep)
+    ctx.note_core_drop(len(clause) - len(needed))
+    return needed
 
 
-def _still_inductive(ctx: PdrContext, frames: FrameTrapezoid,
-                     clause: list, level: int,
-                     budget: int | None) -> bool:
+def _inductive_core(ctx: PdrContext, frames: FrameTrapezoid,
+                    clause: tuple[BitLit, ...], level: int,
+                    budget_fn) -> tuple[BitLit, ...] | None:
     """Relative induction probe: ``F_{level-1} ∧ c ∧ T → c'`` ?
 
     The clause is asserted at time 0 under a throwaway guard (retired
     afterwards so its learnt consequences stay but the clause itself is
     permanently satisfied) and refuted at time 1 via cube assumptions.
+    Returns None when the implication fails or the budget ran out, else
+    ``clause`` shrunk to the literals the refutation used.
     """
+    budget = budget_fn()
     guard = ctx.new_guard()
-    ctx.guarded_clause(guard, tuple(clause), 0)
+    ctx.guarded_clause(guard, clause, 0)
     assumptions = list(frames.activation(level - 1)) + [guard] + \
-        ctx.cube_assumptions(negate_cube(tuple(clause)), 1)
-    verdict = ctx.solve(assumptions, conflict_budget=budget)
+        ctx.cube_assumptions(negate_cube(clause), 1)
+    verdict = ctx.solve(assumptions, "generalize", conflict_budget=budget)
+    needed = negate_cube(ctx.refuted_part(negate_cube(clause), 1)) \
+        if verdict is False else None
     ctx.retire_guard(guard)
-    return verdict is False
+    if needed is None:
+        return None
+    return _shrink_to(ctx, frames, clause, needed, budget_fn)

@@ -14,8 +14,8 @@ from repro.qa.generate import (GeneratedDesign, GeneratorConfig, Mutation,
                                random_design)
 from repro.qa.oracle import (DEFAULT_ORACLE_STRATEGIES, DifferentialOracle,
                              Disagreement, DisagreementRecord, EngineVerdict,
-                             FuzzReport, OracleReport, replay_trace,
-                             run_fuzz)
+                             FuzzReport, OracleReport, fuzz_designs,
+                             replay_trace, run_fuzz)
 from repro.qa.shrink import (ShrinkResult, bundle_aag, replay_bundle,
                              shrink_design, write_repro_bundle)
 
@@ -33,6 +33,7 @@ __all__ = [
     "OracleReport",
     "ShrinkResult",
     "bundle_aag",
+    "fuzz_designs",
     "mutate",
     "mutated_design",
     "random_design",

@@ -320,6 +320,21 @@ class FuzzReport:
 _MUTATE_PERIOD = 4
 
 
+def fuzz_designs(seed: int, count: int,
+                 config: GeneratorConfig | None = None):
+    """The designs of one fuzz campaign, in order, made on demand:
+    seeded random designs, with a mutated variant of the latest one as
+    every :data:`_MUTATE_PERIOD`-th."""
+    mutation_rng = random.Random((seed << 16) ^ 0xFA22)
+    base: GeneratedDesign | None = None
+    for i in range(count):
+        if base is not None and i % _MUTATE_PERIOD == _MUTATE_PERIOD - 1:
+            yield mutated_design(base, mutation_rng)
+        else:
+            base = random_design(seed * 100_003 + i, config)
+            yield base
+
+
 def run_fuzz(seed: int = 0, count: int = 100,
              budget: float | None = None,
              out_dir: str | Path | None = None,
@@ -338,22 +353,15 @@ def run_fuzz(seed: int = 0, count: int = 100,
 
     oracle = oracle or DifferentialOracle()
     report = FuzzReport(seed)
-    mutation_rng = random.Random((seed << 16) ^ 0xFA22)
     started = time.monotonic()
-    base: GeneratedDesign | None = None
 
-    for i in range(count):
+    for design in fuzz_designs(seed, count, config):
         if budget is not None and time.monotonic() - started > budget:
             report.budget_exhausted = True
             report.notes.append(
                 f"budget of {budget:g}s exhausted after "
                 f"{report.designs_checked} designs")
             break
-        if base is not None and i % _MUTATE_PERIOD == _MUTATE_PERIOD - 1:
-            design = mutated_design(base, mutation_rng)
-        else:
-            design = random_design(seed * 100_003 + i, config)
-            base = design
 
         check_started = time.monotonic()
         oracle_report = oracle.check_design(design)

@@ -11,10 +11,16 @@ is incremental in the "fresh clauses + solve under assumptions" style:
 >>> s = Solver()
 >>> a, b = s.add_var(), s.add_var()
 >>> s.add_clause([a, b])
+True
 >>> s.solve(assumptions=[-a])
 True
 >>> s.model_value(b)
 True
+>>> c = s.add_var()
+>>> s.solve(assumptions=[c, -a, -b])
+False
+>>> sorted(s.failed_assumptions())
+[-2, -1]
 
 Literals use DIMACS conventions externally (nonzero ints, negative =
 negated) and an internal packed encoding (``var << 1 | sign``).
@@ -153,6 +159,9 @@ class Solver:
         # published to the process-wide metrics counters.
         self._published = (0, 0, 0, 0.0)
         self._model: list[int] = []
+        # Internal literals of the assumptions the most recent False
+        # answer rests on; None while that answer is not False.
+        self._core: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -295,7 +304,11 @@ class Solver:
         exactly N on an indeterminate solve and by at most N otherwise.
         A non-positive budget still permits conflict-free solves.
         """
+        self._core = None
         if not self._ok:
+            # UNSAT outright: no model survives, no assumption is to blame.
+            self._model = []
+            self._core = []
             return False
         # Inline DIMACS conversion: assumption lists are long on the
         # PDR/k-induction paths and a per-literal call is measurable.
@@ -351,6 +364,23 @@ class Solver:
         return [v if model[v << 1] > 0 else -v
                 for v in range(1, self._nvars + 1)]
 
+    def failed_assumptions(self) -> list[int]:
+        """The assumptions the most recent False answer rests on.
+
+        A subset of that call's assumptions (DIMACS literals, in no
+        particular order) under which the formula is already
+        unsatisfiable — not necessarily a minimal one.  Empty when the
+        formula is UNSAT outright.  Same lifecycle as
+        :meth:`model_value`: only valid while the most recent
+        ``solve``/``solve_limited`` returned False; every solve call
+        clears it.
+        """
+        core = self._core
+        if core is None:
+            raise SatError("no failed assumptions available "
+                           "(last solve did not return False)")
+        return [-(lit >> 1) if lit & 1 else lit >> 1 for lit in core]
+
     # ------------------------------------------------------------------
     # Core search
     # ------------------------------------------------------------------
@@ -367,9 +397,13 @@ class Solver:
                 stats.conflicts += 1
                 if not self._trail_lim:
                     self._ok = False
+                    self._core = []
                     return False
                 if len(self._trail_lim) <= len(assumptions):
                     # The conflict is forced by the assumptions alone.
+                    ca = self._ca
+                    self._core = self._analyze_final(
+                        ca[confl + 2:confl + 2 + ca[confl]])
                     return False
                 learnt, bt_level = self._analyze(confl)
                 self._cancel_until(bt_level)
@@ -395,6 +429,9 @@ class Solver:
                     self._trail_lim.append(len(self._trail))
                     continue
                 if value < 0:
+                    # Refuted by the assumptions before it (or at
+                    # level 0, where it stands accused alone).
+                    self._core = [lit] + self._analyze_final((lit,))
                     return False
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(lit, -1)
@@ -610,6 +647,51 @@ class Solver:
                 act[u] *= 1e-100
             self._var_inc *= 1e-100
         return learnt, bt_level
+
+    def _analyze_final(self, false_lits) -> list[int]:
+        """The assumptions that falsify ``false_lits`` (MiniSat's
+        ``analyzeFinal``).
+
+        ``false_lits`` are literals the current trail makes false and
+        whose falsity *is* the refutation: a conflicting clause's, or
+        one failed assumption.  Only called while every decision on the
+        trail is an assumption, so one backward walk that resolves each
+        marked literal with its reason ends at the assumptions used —
+        the marked decisions.  Level-0 literals are facts of the formula
+        and blame nobody.  Stops as soon as nothing marked is left, and
+        leaves ``_seen`` all-zero as :meth:`_analyze` expects it.
+        """
+        seen = self._seen
+        levels = self._level
+        pending = 0
+        for q in false_lits:
+            v = q >> 1
+            if levels[v] > 0 and not seen[v]:
+                seen[v] = 1
+                pending += 1
+        core: list[int] = []
+        trail = self._trail
+        reason = self._reason
+        ca = self._ca
+        index = len(trail)
+        while pending:
+            index -= 1
+            p = trail[index]
+            v = p >> 1
+            if not seen[v]:
+                continue
+            seen[v] = 0
+            pending -= 1
+            r = reason[v]
+            if r < 0:
+                core.append(p)
+                continue
+            for k in range(r + 2, r + 2 + ca[r]):
+                u = ca[k] >> 1
+                if u != v and levels[u] > 0 and not seen[u]:
+                    seen[u] = 1
+                    pending += 1
+        return core
 
     def _minimize(self, learnt: list[int]) -> None:
         """Drop literals implied by the rest of the clause (self-subsumption).

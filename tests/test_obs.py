@@ -172,6 +172,64 @@ class TestSolverMetrics:
         assert solves.value == before
 
 
+class TestPdrMetrics:
+    """PDR's query mix: the same numbers in the result's detail line
+    and in the `repro_pdr_*` families."""
+
+    @staticmethod
+    def _gray_counter():
+        from repro.designs import get_design
+        from repro.mc.engine import ProofEngine
+        from repro.sva.compile import MonitorContext
+
+        design = get_design("gray_counter")
+        ctx = MonitorContext(design.system())
+        spec = design.property_spec("unit_distance")
+        prop = ctx.add(spec.sva, name=spec.name)
+        return ProofEngine(ctx.system).check(prop, "pdr", max_frames=8)
+
+    @staticmethod
+    def _pdr_samples():
+        snapshot = get_registry().snapshot()
+        return {name: dict(snapshot[name]["samples"])
+                for name in ("repro_pdr_queries_total",
+                             "repro_pdr_pushes_skipped_total",
+                             "repro_pdr_core_literals_dropped_total")}
+
+    def test_detail_and_counters_agree(self):
+        import re
+
+        set_metrics_enabled(True)
+        before = self._pdr_samples()
+        result = self._gray_counter()
+        after = self._pdr_samples()
+        grown = {name: {key: value - before[name].get(key, 0)
+                        for key, value in samples.items()}
+                 for name, samples in after.items()}
+        match = re.search(r"; (\d+) queries: (.+)$", result.detail)
+        assert match, result.detail
+        assert int(match.group(1)) == result.stats.sat_queries
+        mix = {kind: int(n) for n, kind in
+               re.findall(r"(\d+) (\w+)", match.group(2))
+               if kind != "skipped"}
+        assert sum(mix.values()) == result.stats.sat_queries
+        assert {"bad", "consecution", "generalize", "push"} <= set(mix)
+        assert mix == {key[len('{kind="'):-len('"}')]: int(value)
+                       for key, value
+                       in grown["repro_pdr_queries_total"].items() if value}
+        skipped = re.search(r"push \((\d+) skipped\)", result.detail)
+        assert skipped and int(skipped.group(1)) == \
+            grown["repro_pdr_pushes_skipped_total"][""] > 0
+        assert grown["repro_pdr_core_literals_dropped_total"][""] > 0
+
+    def test_silent_when_disabled(self):
+        set_metrics_enabled(False)
+        before = self._pdr_samples()
+        result = self._gray_counter()
+        assert "queries:" in result.detail     # the record still says
+        assert self._pdr_samples() == before
+
+
 class TestTracing:
     def test_span_is_noop_without_tracer(self):
         assert tracing.active() is None

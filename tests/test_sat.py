@@ -252,6 +252,23 @@ class TestActivationLiterals:
         with pytest.raises(SatError):
             s.model_value(x)
 
+    def test_model_invalidated_when_formula_already_unsat(self):
+        """Once the formula is UNSAT outright, solve answers False
+        without searching — and must still drop the earlier model."""
+        s = Solver()
+        a, b = s.add_var(), s.add_var()
+        s.add_clause([a, b])
+        assert s.solve([a]) is True
+        assert s.model_value(a) is True
+        s.add_clause([-a])
+        assert s.add_clause([-b]) is False
+        assert s.solve() is False
+        with pytest.raises(SatError):
+            s.model_value(a)
+        assert s.failed_assumptions() == []
+        assert s.solve([a]) is False        # and nobody is to blame
+        assert s.failed_assumptions() == []
+
     def test_budgeted_guarded_probe_leaves_solver_reusable(self):
         """PDR's generalization probes: an indeterminate budgeted solve
         under guards must not corrupt later unbudgeted solves."""
@@ -262,6 +279,176 @@ class TestActivationLiterals:
         assert s.solve([]) is True
         assert s.solve([act]) is False
         assert s.solve([]) is True
+
+
+def _random_cnf(rng, num_vars, num_clauses, max_size=3):
+    return [[(v if rng.random() < 0.5 else -v)
+             for v in (rng.randint(1, num_vars)
+                       for _ in range(rng.randint(1, max_size)))]
+            for _ in range(num_clauses)]
+
+
+def _solver_over(num_vars, clauses, **kwargs):
+    s = Solver(**kwargs)
+    for _ in range(num_vars):
+        s.add_var()
+    for clause in clauses:
+        s.add_clause(list(clause))
+    return s
+
+
+class TestFailedAssumptions:
+    """``failed_assumptions`` — which assumptions a False answer rests
+    on.  PDR generalizes blocked cubes from these cores, so a core that
+    is not actually sufficient would cut reachable states."""
+
+    def _check_unsat_answer(self, s, num_vars, clauses, assumptions):
+        core = s.failed_assumptions()
+        assert set(core) <= set(assumptions)
+        assert len(set(core)) == len(core)
+        # Sufficient on its own, judged by a solver that never saw the
+        # original query ...
+        assert _solver_over(num_vars, clauses).solve(core) is False
+        # ... and stable on the one that did.
+        assert s.solve(assumptions) is False
+        assert s.solve(core) is False
+        assert set(s.failed_assumptions()) <= set(core)
+
+    def test_random_cnfs_with_random_assumptions(self):
+        """2 400 formulas: tiny ones decided by propagation alone and
+        3-SAT near the threshold, where the refutation backjumps into
+        the assumption levels before it closes."""
+        rng = random.Random(20)
+        unsat_under_assumptions = searched = 0
+        for case in range(2400):
+            if case % 3:
+                num_vars = rng.randint(3, 10)
+                clauses = _random_cnf(rng, num_vars, rng.randint(2, 24))
+            else:
+                num_vars = rng.randint(20, 40)
+                clauses = [
+                    [(v if rng.random() < 0.5 else -v)
+                     for v in rng.sample(range(1, num_vars + 1), 3)]
+                    for _ in range(num_vars * 4)]
+            assumptions = [
+                (v if rng.random() < 0.5 else -v)
+                for v in (rng.randint(1, num_vars)
+                          for _ in range(rng.randint(0, 7)))]
+            if case % 5 == 0 and assumptions:     # a p, ¬p pair
+                assumptions.insert(rng.randint(0, len(assumptions)),
+                                   -rng.choice(assumptions))
+            s = _solver_over(num_vars, clauses, restart_base=4)
+            conflicts = s.stats.conflicts
+            verdict = s.solve(assumptions)
+            if verdict:
+                with pytest.raises(SatError):
+                    s.failed_assumptions()
+                continue
+            searched += s.stats.conflicts - conflicts > 1
+            if s.failed_assumptions():
+                unsat_under_assumptions += 1
+            else:
+                assert _solver_over(num_vars, clauses).solve() is False
+            self._check_unsat_answer(s, num_vars, clauses, assumptions)
+        # The sweep is not vacuous on either kind of refutation.
+        assert unsat_under_assumptions > 400
+        assert searched > 100
+
+    def test_contradictory_pair_blames_both(self):
+        s = Solver()
+        p, q = s.add_var(), s.add_var()
+        s.add_clause([p, q])
+        assert s.solve([q, p, -p]) is False
+        assert sorted(s.failed_assumptions()) == [-p, p]
+
+    def test_assumption_false_at_level_zero_is_blamed_alone(self):
+        s = Solver()
+        a, b, c = (s.add_var() for _ in range(3))
+        s.add_clause([-a])
+        s.add_clause([-a, b])
+        assert s.solve([c, b, a]) is False
+        assert s.failed_assumptions() == [a]
+
+    def test_propagated_refutation_names_only_its_antecedents(self):
+        """a → b → c; assuming ¬c after a: the chain's head and the
+        failing literal, not the bystanders."""
+        s = Solver()
+        a, b, c, d, e = (s.add_var() for _ in range(5))
+        s.add_clause([-a, b])
+        s.add_clause([-b, c])
+        assert s.solve([d, a, -e, -c]) is False
+        assert sorted(s.failed_assumptions()) == [-c, a]
+        # Same refutation met as a conflict inside BCP of the last
+        # assumption rather than as an already-false next one.
+        s.add_clause([-a, -d, e])
+        assert s.solve([d, a, -e]) is False
+        assert sorted(s.failed_assumptions()) == [-e, a, d]
+
+    def test_outright_unsat_formula_blames_nobody(self):
+        s = Solver()
+        x = s.add_var()
+        _php_clauses(s, 5, 4)
+        assert s.solve([x]) is False        # found by search, level 0
+        assert s.failed_assumptions() == []
+        assert s.solve([-x]) is False       # the early-exit path
+        assert s.failed_assumptions() == []
+
+    def test_lifecycle_matches_model_value(self):
+        """Readable only while the latest answer is False; every solve
+        call — SAT, UNSAT or out of budget — replaces or clears it."""
+        s = Solver()
+        a, x = s.add_var(), s.add_var()
+        act = s.add_var()
+        _php_clauses(s, 7, 6, guard=act)
+        s.add_clause([-a, x])
+        with pytest.raises(SatError):
+            s.failed_assumptions()          # nothing solved yet
+        assert s.solve([a, -x]) is False
+        assert sorted(s.failed_assumptions()) == [-x, a]
+        assert s.solve([a]) is True
+        with pytest.raises(SatError):
+            s.failed_assumptions()
+        assert s.solve([a, -x]) is False
+        assert s.solve_limited([act], conflict_budget=2) is None
+        with pytest.raises(SatError):
+            s.failed_assumptions()
+        with pytest.raises(SatError):
+            s.model_value(a)
+        assert s.solve([-x, act]) is False
+        assert s.failed_assumptions() == [act]
+
+    def test_guarded_query_then_retired_guard(self):
+        """PDR's relative-induction pattern: a temporary clause under a
+        throwaway guard, cube literals as assumptions, the core read
+        before the guard is retired — and the same question asked anew
+        under the next guard."""
+        s = Solver()
+        frame = s.add_var()                 # a frame's activation literal
+        bits = [s.add_var() for _ in range(6)]
+        nxt = [s.add_var() for _ in range(6)]
+        for b, n in zip(bits, nxt):         # next(b) == b
+            s.add_clause([-b, n])
+            s.add_clause([b, -n])
+        s.add_clause([-frame, -bits[0]])    # the frame says ¬b0
+        for round_ in range(4):
+            guard = s.add_var()
+            s.add_clause([-guard, -bits[2], -bits[3]])
+            cube = [nxt[0], nxt[2], nxt[3], nxt[5]]
+            assert s.solve([frame, guard] + cube) is False
+            core = s.failed_assumptions()
+            assert set(core) <= {frame, guard, *cube}
+            # Two independent refutations exist (frame + b0', or the
+            # guarded clause + b2' b3'); the core is one of them, whole.
+            assert {frame, nxt[0]} <= set(core) or \
+                {guard, nxt[2], nxt[3]} <= set(core)
+            assert nxt[5] not in core
+            s.add_clause([-guard])          # retire
+            assert s.failed_assumptions() == core   # add_clause keeps it
+            assert s.solve([guard]) is False
+            assert s.failed_assumptions() == [guard]
+            # Guard off, frame off: the cube is reachable again.
+            assert s.solve(cube) is True
+            assert all(s.model_value(v) for v in cube)
 
 
 class TestHardInstances:
