@@ -585,12 +585,13 @@ def run_e10() -> Table:
     # on/off props/sec ratio drops under 0.95 (the <5% overhead
     # contract of docs/observability.md).
     # The "on" rows run with the full observability stack: solver
-    # metrics AND the structured event journal writing JSONL to a
-    # scratch directory, so the 0.95 gate covers event emission too.
+    # metrics AND the journal writing every check_start and check span
+    # record as JSONL to a scratch directory, so the 0.95 gate covers
+    # record writes too.
     import shutil
     import tempfile
 
-    from repro.obs import events as obs_events
+    from repro.obs import journal as obs_journal
     from repro.obs import metrics_enabled, set_metrics_enabled
 
     was_enabled = metrics_enabled()
@@ -601,9 +602,9 @@ def run_e10() -> Table:
             for enabled in (True, False):
                 set_metrics_enabled(enabled)
                 if enabled:
-                    obs_events.configure(events_scratch)
+                    obs_journal.configure(events_scratch)
                 else:
-                    obs_events.shutdown()
+                    obs_journal.shutdown()
                 t0 = time.perf_counter()
                 conflicts, props, solver_s = 0, 0, 0.0
                 for result in e7_runs():
@@ -617,7 +618,7 @@ def run_e10() -> Table:
                                      rate)
     finally:
         set_metrics_enabled(was_enabled)
-        obs_events.shutdown()
+        obs_journal.shutdown()
         shutil.rmtree(events_scratch, ignore_errors=True)
     for enabled, label in ((True, "obs_metrics_on"),
                            (False, "obs_metrics_off")):

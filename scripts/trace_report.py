@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Render a campaign trace directory into a time breakdown.
+"""Render a campaign journal directory into a time breakdown.
 
-A traced run (``repro-verify campaign --trace DIR`` or
-``run_campaign(trace_dir=...)``) leaves one
-``trace-<host>-<pid>.jsonl`` file per participating process in DIR.
-This script stitches them back into one span tree and reports:
+A journaled run (``repro-verify campaign --events DIR`` or
+``run_campaign(events_dir=...)``) leaves one
+``journal-<host>-<pid>.jsonl`` file per participating process in DIR.
+This script reads them through ``repro.obs.journal.load``, stitches
+the records that have a ``span_id`` back into one span tree and
+reports:
 
 * the tree itself (``--tree``), indented, with durations;
 * per-phase totals (the campaign root's direct children: compile,
-  dispatch, record);
+  dispatch, store);
 * per-strategy totals over the "check" spans, and per-worker totals
   over the "job" spans — "which engine/worker did this campaign's time
   go to";
@@ -27,37 +29,26 @@ This script stitches them back into one span tree and reports:
 
 Usage::
 
-    python scripts/trace_report.py TRACE_DIR [--tree] [--strict]
+    python scripts/trace_report.py EVENTS_DIR [--tree] [--strict]
         [--folded stacks.folded] [--html timeline.html]
-    python scripts/trace_report.py trace-host-123.jsonl   # single file
+    python scripts/trace_report.py journal-host-123.jsonl   # single file
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import defaultdict
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.obs import journal  # noqa: E402
+
 
 def load_spans(path: Path) -> list[dict]:
-    """Every span event under ``path`` (a trace dir or one JSONL file)."""
-    files = sorted(path.glob("trace-*.jsonl")) if path.is_dir() \
-        else [path]
-    spans = []
-    for file in files:
-        for line in file.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a torn tail line from a killed process
-            if "span_id" in event and "name" in event:
-                spans.append(event)
-    return spans
+    """The span records under ``path`` (a journal dir or one file)."""
+    return [r for r in journal.load(path) if "span_id" in r]
 
 
 def build_tree(spans: list[dict]) -> tuple[list[dict], list[dict],
@@ -75,21 +66,20 @@ def build_tree(spans: list[dict]) -> tuple[list[dict], list[dict],
         else:
             orphans.append(span)
     for siblings in children.values():
-        siblings.sort(key=lambda s: s.get("start", 0.0))
+        siblings.sort(key=lambda s: s.get("ts", 0.0))
     return roots, orphans, children
 
 
 def _label(span: dict) -> str:
-    attrs = span.get("attrs", {})
     for key in ("strategy", "design", "property", "job_id"):
-        if key in attrs:
-            detail = attrs.get("property") or attrs.get(key)
-            strategy = attrs.get("strategy")
-            parts = [p for p in (attrs.get("design"), detail) if p]
+        if key in span:
+            detail = span.get("property") or span.get(key)
+            strategy = span.get("strategy")
+            parts = [p for p in (span.get("design"), detail) if p]
             tail = f" [{strategy}]" if strategy else ""
-            return f"{span['name']} {'.'.join(dict.fromkeys(parts))}" \
+            return f"{span['kind']} {'.'.join(dict.fromkeys(parts))}" \
                    f"{tail}"
-    return span["name"]
+    return span["kind"]
 
 
 def render_tree(roots: list[dict], children: dict[str, list[dict]],
@@ -105,20 +95,19 @@ def render_tree(roots: list[dict], children: dict[str, list[dict]],
         for child in children.get(span["span_id"], ()):
             visit(child, depth + 1)
 
-    for root in sorted(roots, key=lambda s: s.get("start", 0.0)):
+    for root in sorted(roots, key=lambda s: s.get("ts", 0.0)):
         visit(root, 0)
     return lines
 
 
-def aggregate(spans: list[dict], name: str, attr: str | None = None
+def aggregate(spans: list[dict], kind: str, field: str | None = None
               ) -> dict[str, tuple[int, float]]:
-    """``{group: (count, total seconds)}`` over spans named ``name``."""
+    """``{group: (count, total seconds)}`` over spans of ``kind``."""
     totals: dict[str, tuple[int, float]] = {}
     for span in spans:
-        if span["name"] != name:
+        if span["kind"] != kind:
             continue
-        group = span.get("attrs", {}).get(attr, "?") if attr \
-            else span["name"]
+        group = span.get(field, "?") if field else kind
         count, seconds = totals.get(group, (0, 0.0))
         totals[group] = (count + 1, seconds + span.get("dur", 0.0))
     return dict(sorted(totals.items(), key=lambda kv: -kv[1][1]))
@@ -135,10 +124,10 @@ def _print_section(title: str,
 
 def kind_percentiles(spans: list[dict]
                      ) -> dict[str, tuple[int, float, float, float]]:
-    """``{kind: (count, p50, p95, max)}`` durations per span name."""
+    """``{kind: (count, p50, p95, max)}`` durations per span kind."""
     by_kind: dict[str, list[float]] = defaultdict(list)
     for span in spans:
-        by_kind[span["name"]].append(span.get("dur", 0.0))
+        by_kind[span["kind"]].append(span.get("dur", 0.0))
     stats = {}
     for kind, durs in by_kind.items():
         durs.sort()
@@ -181,7 +170,7 @@ def fold_stacks(roots: list[dict],
         for child in kids:
             visit(child, stack)
 
-    for root in sorted(roots, key=lambda s: s.get("start", 0.0)):
+    for root in sorted(roots, key=lambda s: s.get("ts", 0.0)):
         visit(root, [])
     return lines
 
@@ -215,13 +204,13 @@ h1 {{ font-size: 14px; }}
 
 def render_html(spans: list[dict], title: str) -> str:
     """A dependency-free HTML timeline: one swimlane per process."""
-    timed = [s for s in spans if "start" in s]
+    timed = [s for s in spans if "ts" in s]
     title = _escape(title)
     if not timed:
         return _HTML_PAGE.format(title=title, total=0.0, spans=0,
                                  lanes=0, body="<p>no spans</p>")
-    t0 = min(s["start"] for s in timed)
-    total = max(s["start"] + s.get("dur", 0.0) for s in timed) - t0
+    t0 = min(s["ts"] for s in timed)
+    total = max(s["ts"] + s.get("dur", 0.0) for s in timed) - t0
     total = max(total, 1e-9)
     lanes: dict[tuple[str, int], list[dict]] = defaultdict(list)
     for span in timed:
@@ -229,27 +218,26 @@ def render_html(spans: list[dict], title: str) -> str:
     rows = []
     for key in sorted(lanes):
         host, pid = key
-        lane_spans = sorted(lanes[key], key=lambda s: s["start"])
+        lane_spans = sorted(lanes[key], key=lambda s: s["ts"])
         # Annotate the lane with the worker id(s) whose jobs ran here.
-        workers = sorted({s.get("attrs", {}).get("worker")
-                          for s in lane_spans
-                          if s.get("attrs", {}).get("worker")})
+        workers = sorted({s["worker"] for s in lane_spans
+                          if s.get("worker")})
         label = f"{host}:{pid}"
         if workers:
             label += f" ({', '.join(workers)})"
         bars = []
         for span in lane_spans:
-            left = (span["start"] - t0) / total * 100.0
+            left = (span["ts"] - t0) / total * 100.0
             width = max(span.get("dur", 0.0) / total * 100.0, 0.15)
-            hue = sum(span["name"].encode()) * 37 % 360
+            hue = sum(span["kind"].encode()) * 37 % 360
             detail = (f"{_label(span)} — {span.get('dur', 0.0):.4f}s "
-                      f"@ +{span['start'] - t0:.4f}s "
+                      f"@ +{span['ts'] - t0:.4f}s "
                       f"[{span['span_id']}]")
             bars.append(
                 f'<div class="span" title="{_escape(detail)}" '
                 f'style="left:{left:.3f}%;width:{width:.3f}%;'
                 f'background:hsl({hue},65%,62%)">'
-                f'{_escape(span["name"])}</div>')
+                f'{_escape(span["kind"])}</div>')
         rows.append(f'<div class="lane">'
                     f'<span class="lane-label">{_escape(label)}</span>'
                     f'{"".join(bars)}</div>')
@@ -265,10 +253,11 @@ def _escape(text: str) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="stitch a trace directory into one span tree and "
-                    "report where the time went")
+        description="stitch a journal directory into one span tree "
+                    "and report where the time went")
     parser.add_argument("trace", type=Path,
-                        help="trace directory (or one trace-*.jsonl)")
+                        help="journal directory (or one "
+                             "journal-*.jsonl)")
     parser.add_argument("--tree", action="store_true",
                         help="print the full indented span tree")
     parser.add_argument("--max-depth", type=int, default=3,
@@ -291,7 +280,7 @@ def main() -> int:
         raise SystemExit(f"no such trace: {args.trace}")
     spans = load_spans(args.trace)
     if not spans:
-        raise SystemExit(f"{args.trace} holds no span events")
+        raise SystemExit(f"{args.trace} holds no span records")
 
     traces = sorted({s.get("trace_id", "?") for s in spans})
     roots, orphans, children = build_tree(spans)
@@ -308,10 +297,10 @@ def main() -> int:
 
     # Per-phase: the campaign root's direct children.
     for root in roots:
-        phases = {c["name"]: c.get("dur", 0.0)
+        phases = {c["kind"]: c.get("dur", 0.0)
                   for c in children.get(root["span_id"], ())}
         if phases:
-            print(f"\nphases under {root['name']} "
+            print(f"\nphases under {root['kind']} "
                   f"({root.get('dur', 0.0):.3f}s total)")
             for name, seconds in phases.items():
                 print(f"  {name:<28} {seconds:>9.3f}s")
@@ -355,7 +344,7 @@ def main() -> int:
             print(f"  root span ids: {ids}")
         for span in orphans:
             print(f"  orphan span id {span.get('span_id')} "
-                  f"({span['name']}) references missing parent "
+                  f"({span['kind']}) references missing parent "
                   f"{span.get('parent_id')}")
         return 1
     return 0

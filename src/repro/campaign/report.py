@@ -94,7 +94,7 @@ class CampaignReport:
     #: in-job solver+engine time and overlaps "dispatch", which is the
     #: end-to-end dispatcher call (queueing, workers, supervision).
     phase_seconds: dict = field(default_factory=dict)
-    #: Trace id when the run was traced (``campaign --trace DIR``).
+    #: Trace id when the run was journaled (``campaign --events DIR``).
     trace_id: str = ""
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dispatcher-neutral :class:`DispatchOutcome` records.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
@@ -45,14 +46,26 @@ from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 from repro.mc.result import Status
 from repro.mc.strategy import resolve_strategy, spec_name
-from repro.obs import events as _events
+from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
-from repro.obs import tracing as _tracing
 from repro.sva.compile import MonitorContext
 
 _M_PHASE_SECONDS = _metrics.histogram(
     "repro_campaign_phase_seconds", "campaign wall clock by phase",
     labels=("phase",))
+
+
+@contextlib.contextmanager
+def _phase(phases: dict[str, float], name: str, **fields):
+    """One campaign phase, timed once: the reading lands in ``phases``
+    and is the ``dur`` of the phase's span record."""
+    with _journal.span(name, **fields) as sp:
+        started = time.perf_counter()
+        yield
+        phases[name] = round(time.perf_counter() - started, 6)
+        if sp is not None:
+            sp.dur = phases[name]
+
 
 #: Status strings that settle a property, derived from the enum so the
 #: two can never drift apart.
@@ -346,26 +359,30 @@ class CampaignScheduler:
 
     def run(self) -> CampaignReport:
         start = time.perf_counter()
-        with _tracing.span("campaign",
-                           designs=[d.name for d in self.designs]) as root:
-            _events.emit("campaign_start",
-                         designs=[d.name for d in self.designs],
-                         jobs=self.jobs)
-            with _tracing.span("compile"):
+        phases: dict[str, float] = {}
+        with _journal.span("campaign") as root:
+            _journal.emit("campaign_start",
+                          designs=[d.name for d in self.designs],
+                          jobs=self.jobs)
+            with _phase(phases, "compile"):
                 pool = self.build_jobs()
-            compiled = time.perf_counter()
             full_total = sum(len(j.full_specs) for j in pool)
 
             # The dispatcher executes the pool (in-process or across
             # worker processes) and owns the pruned-race fallback
             # contract; the campaign only records and reports what came
             # back.
-            with _tracing.span("dispatch", jobs=len(pool)):
+            with _phase(phases, "dispatch", jobs=len(pool)):
                 result = self.dispatcher.dispatch(pool)
-            dispatched = time.perf_counter()
+            # "solve" is the in-job portion of "dispatch" (sum of
+            # non-cached job wall times — across workers it can exceed
+            # the dispatch wall when jobs ran in parallel).
+            outcomes = [result.outcomes[job.identity] for job in pool]
+            phases["solve"] = round(sum(o.wall_seconds for o in outcomes
+                                        if not o.from_cache), 6)
 
             rows, history, ledger = [], [], []
-            with _tracing.span("record"):
+            with _phase(phases, "store"):
                 for job in sorted(pool, key=lambda j: j.order):
                     outcome = result.outcomes[job.identity]
                     provenance = verdict_provenance(
@@ -412,26 +429,15 @@ class CampaignScheduler:
                 # One transaction, one wire call: the campaign's rows
                 # land together.
                 self.store.record_outcomes(history, ledger)
-            recorded = time.perf_counter()
+            if root is not None:
+                root.fields.update(
+                    properties=len(rows),
+                    mismatches=sum(1 for r in rows if r.mismatch))
 
-        # Phase wall clock: "solve" is the in-job portion of "dispatch"
-        # (sum of non-cached job wall times — across workers it can
-        # exceed the dispatch wall when jobs ran in parallel).
-        phases = {
-            "compile": round(compiled - start, 6),
-            "dispatch": round(dispatched - compiled, 6),
-            "solve": round(sum(r.wall_seconds for r in rows
-                               if not r.from_cache), 6),
-            "store": round(recorded - dispatched, 6),
-        }
         for name, seconds in phases.items():
             _M_PHASE_SECONDS.labels(name).observe(seconds)
-            _events.emit("campaign_phase", phase=name,
-                         seconds=seconds)
-        _events.emit("campaign_finish", properties=len(rows),
-                     mismatches=sum(1 for r in rows if r.mismatch))
 
-        tracer = _tracing.active()
+        journal = _journal.active()
         return CampaignReport(
             designs=[d.name for d in self.designs],
             rows=rows,
@@ -446,5 +452,5 @@ class CampaignScheduler:
             workers=result.workers,
             worker_stats=result.worker_stats,
             phase_seconds=phases,
-            trace_id=tracer.trace_id if tracer is not None and
+            trace_id=journal.trace_id if journal is not None and
             root is not None else "")

@@ -12,9 +12,7 @@ Subcommands::
                         [--worker-jobs N]     # ... each with a local pool
                         [--backend sqlite:DIR | http://HOST:PORT]
                         [--cache-dir DIR] [--no-adaptive] [--json PATH]
-                        [--trace DIR]         # span trace of the whole run
-                        [--events DIR]        # structured event journal
-                        [--slow-solve S]      # slow-solve event threshold
+                        [--events DIR]        # the run's record stream
                         [--corpus DIR]        # + every AIGER/BTOR2 file
                                               #   under DIR as a design
     repro-verify fuzz   [--seed N] [--count N]  # differential fuzzing:
@@ -32,7 +30,7 @@ Subcommands::
                         [--events DIR]        # stats, wedged-worker alarm
     repro-verify explain DESIGN PROP          # reconstruct a verdict's
                         --backend SPEC        # story from the effort
-                        [--events DIR]        # ledger + event journal
+                        [--events DIR]        # ledger + record stream
     repro-verify serve  [--cache-dir DIR]     # host the queue + proof store
                         [--host H] [--port P] # over HTTP for other machines
                         [--events DIR]        # journal queue forensics
@@ -59,6 +57,7 @@ from repro.errors import ReproError
 from repro.flow import VerificationSession, run_campaign
 from repro.genai import get_persona, list_personas
 from repro.mc import Status, get_strategy, resolve_strategy, strategy_names
+from repro.obs import journal as _journal
 from repro.report import Table
 from repro.trace.wave import render_for_prompt
 
@@ -234,15 +233,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         max_k=args.max_k, bmc_bound=args.bound, workers=args.workers,
         lease_seconds=args.lease, wall_timeout=args.wall_timeout,
         backend=args.backend, worker_jobs=args.worker_jobs,
-        trace_dir=args.trace, events_dir=args.events,
-        slow_solve_seconds=args.slow_solve)
+        events_dir=args.events)
     print(report.to_text())
-    if args.trace:
-        print(f"  trace {report.trace_id} written to {args.trace} "
-              f"(render with scripts/trace_report.py)")
     if args.events:
-        print(f"  event journal written to {args.events} "
-              f"(dig with `repro-verify explain DESIGN PROP`)")
+        print(f"  trace {report.trace_id} journaled to {args.events} "
+              f"(render with scripts/trace_report.py, dig with "
+              f"`repro-verify explain DESIGN PROP`)")
     if args.json_path:
         rendered = report.to_json()
         if args.json_path == "-":
@@ -491,12 +487,11 @@ def _top_snapshot(resolved, queue, store,
             f"{worker['job_age_seconds']:.1f}s "
             f"(> {threshold:.1f}s = {args.wedged_factor:g}x median "
             f"solve) while still heartbeating")
-        from repro.obs import events as _events
-        _events.emit("worker_wedged", worker=worker["worker_id"],
-                     job_id=worker["current_job"],
-                     job_age_seconds=round(
-                         worker["job_age_seconds"], 3),
-                     threshold_seconds=round(threshold, 3))
+        _journal.emit("worker_wedged", worker=worker["worker_id"],
+                      job_id=worker["current_job"],
+                      job_age_seconds=round(
+                          worker["job_age_seconds"], 3),
+                      threshold_seconds=round(threshold, 3))
     return lines
 
 
@@ -504,10 +499,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
     resolved = _resolve_backend_arg(args, "top")
-    if args.events:
-        from repro.obs import events as _events
-        if _events.active() is None:
-            _events.configure(args.events)
+    if args.events and _journal.active() is None:
+        _journal.configure(args.events)
     from repro.dist.backend import open_queue, open_store
     queue = open_queue(resolved)
     store = open_store(resolved)
@@ -598,32 +591,31 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         print("  (no per-strategy attempt rows recorded)")
     if args.events:
-        from repro.obs import events as _events
-
-        def _matches(event: dict) -> bool:
-            # Check-level events name the *compiled scoped system*
-            # ("design+monitors#coi"), job/campaign events the registry
+        def _matches(record: dict) -> bool:
+            # Check-level records name the *compiled scoped system*
+            # ("design+monitors#coi"), job records the registry
             # design — accept both spellings of the same design.
-            named = event.get("design", "")
+            named = record.get("design", "")
             if named != args.design and \
                     not named.startswith(args.design + "+"):
                 return False
-            return event.get("property") == args.property
+            return record.get("property") == args.property
 
-        relevant = [e for e in _events.load_events(args.events)
-                    if _matches(e)]
+        relevant = [r for r in _journal.load(args.events) if _matches(r)]
         if relevant:
-            print(f"journal ({len(relevant)} events in {args.events}):")
-            for e in relevant:
+            print(f"journal ({len(relevant)} records in {args.events}):")
+            for r in relevant:
                 stamp = time.strftime("%H:%M:%S",
-                                      time.localtime(e.get("ts", 0)))
+                                      time.localtime(r.get("ts", 0)))
+                took = f" ({r['dur']:.3f}s)" if "dur" in r else ""
                 detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(e.items())
+                    f"{k}={v}" for k, v in sorted(r.items())
                     if k not in ("ts", "kind", "host", "pid", "design",
-                                 "property", "trace_id", "span_id"))
-                print(f"  {stamp} {e['kind']}: {detail}")
+                                 "property", "trace_id", "span_id",
+                                 "parent_id", "dur"))
+                print(f"  {stamp} {r['kind']}{took}: {detail}")
         else:
-            print(f"journal: no events for {args.design}."
+            print(f"journal: no records for {args.design}."
                   f"{args.property} under {args.events}")
     return 0
 
@@ -635,8 +627,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # queue_claim/queue_requeue forensics land here, not in the
         # campaign coordinator's journal.  Point both at one shared
         # directory to get a single merged timeline.
-        from repro.obs import events as _events
-        _events.configure(args.events)
+        _journal.configure(args.events)
     service = ProofService(cache_dir=args.cache_dir, host=args.host,
                            port=args.port)
     if args.cache_dir is None:
@@ -778,19 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BMC bound for portfolio refuters")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the JSON report here ('-' for stdout)")
-    p.add_argument("--trace", default=None, metavar="DIR",
-                   help="capture a span trace of the run into DIR "
-                        "(JSONL per process; render with "
-                        "scripts/trace_report.py)")
     p.add_argument("--events", default=None, metavar="DIR",
-                   help="capture the structured event journal into DIR "
+                   help="capture the run's record stream into DIR "
                         "(JSONL per process: check/job/queue/campaign "
-                        "lifecycle; dig with `repro-verify explain`)")
-    p.add_argument("--slow-solve", type=float, default=None,
-                   metavar="SECONDS",
-                   help="journal a full solver-effort snapshot for any "
-                        "check slower than this (default: 30s; needs "
-                        "--events)")
+                        "records, spans carrying a duration; render "
+                        "with scripts/trace_report.py, dig with "
+                        "`repro-verify explain`)")
     p.add_argument("--corpus", default=None, metavar="DIR",
                    help="also campaign over every AIGER/BTOR2 file "
                         "under DIR (loaded via the corpus importer; "
@@ -883,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "this many times the median per-job solve "
                         "time (default: 10)")
     p.add_argument("--events", default=None, metavar="DIR",
-                   help="journal worker_wedged warning events into "
+                   help="journal worker_wedged warning records into "
                         "DIR when the heuristic fires")
     p.set_defaults(func=_cmd_top)
 
@@ -900,8 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "wrote (same as --backend sqlite:DIR)")
     _add_backend(p)
     p.add_argument("--events", default=None, metavar="DIR",
-                   help="also print this (design, property)'s timeline "
-                        "from the event journal in DIR")
+                   help="also print this (design, property)'s records "
+                        "(spans with their duration) from the journal "
+                        "in DIR")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser(
@@ -948,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7333,
                    help="bind port (0 picks an ephemeral port)")
     p.add_argument("--events", default=None, metavar="DIR",
-                   help="journal this service's structured events "
+                   help="journal this service's records "
                         "(queue claims/requeues, failed requests) "
                         "into DIR; share the campaign's --events DIR "
                         "for one merged timeline")

@@ -60,8 +60,7 @@ from repro.dist.worker import Worker
 from repro.errors import ReproError
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.portfolio import PortfolioScheduler
-from repro.obs import events as _events
-from repro.obs import tracing as _tracing
+from repro.obs import journal as _journal
 
 #: Suffix distinguishing full-portfolio rerun jobs from first-pass jobs.
 FALLBACK_SUFFIX = "::full"
@@ -99,7 +98,7 @@ def spec_from_job(job: CampaignJob, fallback: bool = False) -> JobSpec:
         fallback=fallback,
         # Stamped at enqueue time: workers parent their "job" span on
         # the span current here (the campaign's dispatch span).
-        trace=_tracing.current_context())
+        trace=_journal.current_context())
 
 
 class Coordinator:
@@ -175,12 +174,9 @@ class Coordinator:
         package_parent = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = package_parent + os.pathsep + \
             env.get("PYTHONPATH", "")
-        tracer = _tracing.active()
-        if tracer is not None:
-            env.update(tracer.env())
-        # Spawned workers also join the campaign's event journal, so
-        # their check/job events land in the same forensics directory.
-        journal = _events.active()
+        # Spawned workers join the campaign's journal from their first
+        # record (worker_start), before any job names it.
+        journal = _journal.active()
         if journal is not None:
             env.update(journal.env())
         try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.campaign.scheduler import DispatchOutcome
 from repro.mc.cache import CacheStats
-from repro.obs.tracing import TraceContext
+from repro.obs.journal import TraceContext
 
 #: Job lifecycle states inside the work queue.
 JOB_PENDING = "pending"
@@ -48,9 +48,9 @@ class JobSpec:
     priority: float = 0.0
     order: int = 0                  # report position (registry order)
     fallback: bool = False          # this IS the full-portfolio rerun
-    #: Trace pointer of the dispatching span: workers parent their
-    #: "job" span under it so a distributed campaign reconstructs as
-    #: one tree.  None whenever tracing is off.
+    #: Journal pointer of the dispatching span: workers join the stream
+    #: and parent their "job" record under it, so a distributed campaign
+    #: reconstructs as one tree.  None when no journal is configured.
     trace: TraceContext | None = None
 
 

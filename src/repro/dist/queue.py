@@ -49,7 +49,7 @@ from repro.campaign.scheduler import DispatchOutcome
 from repro.campaign.store import BUSY_TIMEOUT_MS, _with_lock_retry
 from repro.dist.protocol import (JOB_DONE, JOB_LEASED, JOB_PENDING,
                                  Heartbeat, JobResult, JobSpec, Lease)
-from repro.obs import events as _events
+from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 
 _SCHEMA = """
@@ -277,7 +277,7 @@ class WorkQueue:
             added = _with_lock_retry(insert)
         self._m_enqueued.inc(added)
         if added:
-            _events.emit("queue_enqueue", added=added)
+            _journal.emit("queue_enqueue", added=added)
         return added
 
     def set_state(self, state: str) -> None:
@@ -335,7 +335,7 @@ class WorkQueue:
         self._m_requeued.inc(len(fates) - poisoned)
         self._m_poisoned.inc(poisoned)
         for job_id, worker_id, fate in fates:
-            _events.emit(
+            _journal.emit(
                 "queue_poison" if fate == "poisoned" else "queue_requeue",
                 job_id=job_id, worker=worker_id)
         return [(job_id, worker_id) for job_id, worker_id, _ in fates]
@@ -406,8 +406,8 @@ class WorkQueue:
         self._m_claims.labels(
             "claimed" if lease is not None else "empty").inc()
         if lease is not None:
-            _events.emit("queue_claim", job_id=lease.spec.job_id,
-                         worker=worker_id, attempt=lease.attempt)
+            _journal.emit("queue_claim", job_id=lease.spec.job_id,
+                          worker=worker_id, attempt=lease.attempt)
         return lease
 
     def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None:
@@ -514,12 +514,12 @@ class WorkQueue:
             fate = _with_lock_retry(txn)
         if fate == "poisoned":
             self._m_poisoned.inc()
-            _events.emit("queue_poison", job_id=job_id, worker=worker_id,
-                         error=error)
+            _journal.emit("queue_poison", job_id=job_id, worker=worker_id,
+                          error=error)
         elif fate == "requeued":
             self._m_requeued.inc()
-            _events.emit("queue_requeue", job_id=job_id,
-                         worker=worker_id, error=error)
+            _journal.emit("queue_requeue", job_id=job_id,
+                          worker=worker_id, error=error)
 
     # ------------------------------------------------------------------
     # Introspection

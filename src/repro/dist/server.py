@@ -48,7 +48,7 @@ from pathlib import Path
 from repro.campaign.store import ProofStore, _is_lock_error
 from repro.dist.backend import QueueBackend, StoreBackend
 from repro.dist.queue import WorkQueue
-from repro.obs import events as _events
+from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 
 DEFAULT_PORT = 7333
@@ -304,8 +304,8 @@ class ProofService:
         # polling fleet would drown the forensics file in noise, but a
         # 4xx/5xx during a campaign is exactly what `explain` digs for.
         if status >= 400:
-            _events.emit("service_request", endpoint=endpoint,
-                         status=status, seconds=round(seconds, 6))
+            _journal.emit("service_request", endpoint=endpoint,
+                          status=status, seconds=round(seconds, 6))
 
     def note_unavailable(self, reason: str) -> None:
         self._m_unavailable.labels(reason).inc()

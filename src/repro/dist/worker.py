@@ -48,9 +48,8 @@ from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
 from repro.dist.queue import STATE_CLOSED
 from repro.mc.cache import ResultCache
 from repro.mc.portfolio import PortfolioScheduler, VerifyTask
-from repro.obs import events as _events
+from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
-from repro.obs import tracing as _tracing
 
 _M_CLAIM_SECONDS = _metrics.histogram(
     "repro_worker_claim_seconds", "claim round-trip latency",
@@ -101,14 +100,12 @@ class Worker:
         # taken over by a second campaign.
         self.campaign_owner = campaign_owner
         self.campaign_lease = campaign_lease
-        # Coordinator-spawned workers inherit the campaign trace via
-        # REPRO_TRACE_DIR/REPRO_TRACE_ID; join it before first claim so
-        # even spans for early jobs stitch under the campaign root.
-        if _tracing.active() is None:
-            _tracing.configure_from_env()
-        # Same for the event journal (REPRO_EVENTS_DIR).
-        if _events.active() is None:
-            _events.configure_from_env()
+        # Coordinator-spawned workers inherit the campaign's journal
+        # via REPRO_EVENTS_DIR/REPRO_TRACE_ID; join it before the first
+        # claim so worker_start lands in it too.  (A worker nobody
+        # spawned joins per job, through the JobSpec's TraceContext.)
+        if _journal.active() is None:
+            _journal.configure_from_env()
         self.queue = open_queue(self.backend)
         self.store = open_store(self.backend)
         self.cache = ResultCache(backing=self.store)
@@ -131,8 +128,8 @@ class Worker:
             pass  # registration is bookkeeping; claims re-upsert stats
         beats = threading.Thread(target=self._beat_loop, daemon=True)
         beats.start()
-        _events.emit("worker_start", worker=self.worker_id,
-                     backend=str(self.backend), jobs=self.jobs)
+        _journal.emit("worker_start", worker=self.worker_id,
+                      backend=str(self.backend), jobs=self.jobs)
         done = 0
         idle_since: float | None = None
         try:
@@ -169,8 +166,8 @@ class Worker:
                     done += 1
                 self._renew_campaign()
         finally:
-            _events.emit("worker_exit", worker=self.worker_id,
-                         jobs_done=done)
+            _journal.emit("worker_exit", worker=self.worker_id,
+                          jobs_done=done)
             self._stop_beats.set()
             beats.join(timeout=2.0)
             self.queue.close()
@@ -193,46 +190,45 @@ class Worker:
 
     def _process(self, lease: Lease) -> bool:
         spec = lease.spec
-        # Join the campaign's trace (stamped onto the spec by the
-        # coordinator) so this job's spans stitch under the dispatch
+        # Join the campaign's journal (stamped onto the spec by the
+        # coordinator) so this job's records stitch under the dispatch
         # span even though we are a different process — possibly on a
-        # different machine sharing only the trace directory.
-        parent = None
-        if spec.trace is not None and _tracing.adopt(spec.trace):
-            parent = spec.trace.span_id
-        with _tracing.span("job", parent_id=parent, job_id=spec.job_id,
-                           design=spec.design,
+        # different machine sharing only the journal directory.
+        with _journal.span("job", parent_id=_journal.adopt(spec.trace),
+                           job_id=spec.job_id, design=spec.design,
                            property=spec.property_name,
                            worker=self.worker_id,
                            attempt=lease.attempt) as sp:
-            _events.emit("job_start", job_id=spec.job_id,
-                         design=spec.design,
-                         property=spec.property_name,
-                         worker=self.worker_id, attempt=lease.attempt)
-            accepted = self._process_inner(spec)
+            _journal.emit("job_start", job_id=spec.job_id,
+                          design=spec.design,
+                          property=spec.property_name,
+                          worker=self.worker_id, attempt=lease.attempt)
+            fate = self._process_inner(spec)
             if sp is not None:
-                sp.attrs["accepted"] = accepted
-        return accepted
+                sp.fields.update(fate)
+        return fate["result"] == "completed"
 
-    def _process_inner(self, spec: JobSpec) -> bool:
+    def _process_inner(self, spec: JobSpec) -> dict:
+        """Run and report one job; returns what became of it —
+        ``result`` (completed / discarded / unreported / failed) and,
+        for a failure, ``error`` — the fields the ``job`` record
+        closes with."""
         self._current_job = spec.job_id
         started = time.perf_counter()
         try:
             result = self._execute(spec)
         except Exception as exc:
             _M_JOBS.labels("failed").inc()
-            self._emit_job_finish(spec, "failed", started,
-                                  error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
             try:
-                self.queue.fail(spec.job_id, self.worker_id,
-                                f"{type(exc).__name__}: {exc}")
+                self.queue.fail(spec.job_id, self.worker_id, error)
             except TRANSIENT_BACKEND_ERRORS as fail_exc:
                 if not is_transient_error(fail_exc):
                     raise
                 # lease expiry requeues the job anyway
             finally:
                 self._current_job = None
-            return False
+            return {"result": "failed", "error": error}
         result = replace(result,
                          busy_seconds=time.perf_counter() - started)
         # _current_job stays set until the report lands: the beat
@@ -242,11 +238,7 @@ class Worker:
         # completion matches no leased row and is harmless.)
         try:
             accepted = self.queue.complete(result, self.worker_id)
-            _M_JOBS.labels(
-                "completed" if accepted else "discarded").inc()
-            self._emit_job_finish(
-                spec, "completed" if accepted else "discarded", started)
-            return accepted
+            fate = "completed" if accepted else "discarded"
         except TRANSIENT_BACKEND_ERRORS as exc:
             if not is_transient_error(exc):
                 raise  # corrupt/full queue: fail loudly
@@ -254,20 +246,11 @@ class Worker:
             # verdict already sits in the shared store (when reachable),
             # the lease will expire, and the requeued attempt answers
             # from that store — nothing is lost, nothing re-proven.
-            _M_JOBS.labels("unreported").inc()
-            self._emit_job_finish(spec, "unreported", started)
-            return False
+            fate = "unreported"
         finally:
             self._current_job = None
-
-    def _emit_job_finish(self, spec: JobSpec, result: str,
-                         started: float, **extra) -> None:
-        _events.emit("job_finish", job_id=spec.job_id,
-                     design=spec.design, property=spec.property_name,
-                     worker=self.worker_id, result=result,
-                     wall_seconds=round(
-                         time.perf_counter() - started, 6),
-                     **extra)
+        _M_JOBS.labels(fate).inc()
+        return {"result": fate}
 
     def _execute(self, spec: JobSpec) -> JobResult:
         prop, scoped = self._compile(spec)

@@ -44,6 +44,7 @@ from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome
 from repro.mc.result import CheckResult, Status
+from repro.obs import journal as _journal
 from repro.sva.compile import MonitorContext
 
 
@@ -259,9 +260,7 @@ def run_campaign(designs: list[str] | None = None,
                  wall_timeout: float | None = None,
                  backend: str | None = None,
                  worker_jobs: int = 1,
-                 trace_dir: str | Path | None = None,
-                 events_dir: str | Path | None = None,
-                 slow_solve_seconds: float | None = None
+                 events_dir: str | Path | None = None
                  ) -> CampaignReport:
     """Verify many designs in one cross-design campaign.
 
@@ -295,18 +294,13 @@ def run_campaign(designs: list[str] | None = None,
     used and discarded afterwards — matching the single-process
     in-memory default.
 
-    ``trace_dir`` captures a span trace of the run: every process the
-    campaign touches (coordinator, spawned workers, pool processes)
-    appends JSONL span events there, stitched into one tree by
-    ``scripts/trace_report.py``.  The report's ``trace_id`` names the
-    run's trace.
-
-    ``events_dir`` captures the structured event journal
-    (:mod:`repro.obs.events`): check/job/queue/campaign lifecycle
-    events from every participating process, the raw material
-    ``repro-verify explain`` digs through.  ``slow_solve_seconds``
-    tunes the slow-solve threshold for this run (checks slower than it
-    journal a full solver-effort snapshot).
+    ``events_dir`` captures the run's record stream
+    (:mod:`repro.obs.journal`): every process the campaign touches
+    (coordinator, spawned workers, pool processes) appends JSONL
+    records there — check/job/queue/campaign facts, the ones with a
+    duration forming one span tree — which ``scripts/trace_report.py``
+    renders and ``repro-verify explain`` digs through.  The report's
+    ``trace_id`` names the run.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0 (0 = run in-process)")
@@ -336,17 +330,8 @@ def run_campaign(designs: list[str] | None = None,
         else:
             store = ProofStore.open(cache_dir) if cache_dir is not None \
                 else ProofStore.in_memory()
-    configured_tracing = False
-    if trace_dir is not None:
-        from repro.obs import tracing
-        tracing.configure(trace_dir)
-        configured_tracing = True
-    configured_events = False
     if events_dir is not None:
-        from repro.obs import events
-        events.configure(events_dir,
-                         slow_solve_seconds=slow_solve_seconds)
-        configured_events = True
+        _journal.configure(events_dir)
     try:
         selected = select_designs(designs)
         # One store-backed cache per campaign, handed to whichever
@@ -368,12 +353,8 @@ def run_campaign(designs: list[str] | None = None,
             cache=cache, dispatcher=dispatcher)
         return scheduler.run()
     finally:
-        if configured_tracing:
-            from repro.obs import tracing
-            tracing.shutdown()
-        if configured_events:
-            from repro.obs import events
-            events.shutdown()
+        if events_dir is not None:
+            _journal.shutdown()
         if scratch_dir is not None:
             store.close()
             shutil.rmtree(scratch_dir, ignore_errors=True)

@@ -34,8 +34,8 @@ from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult
 from repro.mc.strategy import (CheckTask, canonical_options,
-                               emit_check_events, resolve_strategy,
-                               run_check_task)
+                               resolve_strategy, run_check_task)
+from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 
 # Booked by lookup (origin="cache") and settle (origin="solver"), the
@@ -336,11 +336,12 @@ def lookup(cache: ResultCache | None, task: CheckTask,
 
     The only place a hit's tier is decided, for :func:`run_cached` and
     every portfolio slot alike.  A hit is booked here
-    (``repro_checks_total{origin="cache"}`` and a ``check_finish``
-    event naming the tier); a miss hands its key back for
-    :func:`settle`.  A batch caller passes the slot's :func:`key_task`
-    result and the batch's :meth:`ResultCache.prefetch` answer, so the
-    query is keyed once and the disk tier is not asked again.
+    (``repro_checks_total{origin="cache"}`` and a ``check`` point
+    record naming the tier: a hit has no duration); a miss hands its
+    key back for :func:`settle`.  A batch caller passes the slot's
+    :func:`key_task` result and the batch's
+    :meth:`ResultCache.prefetch` answer, so the query is keyed once and
+    the disk tier is not asked again.
     """
     found = keyed if keyed is not None else key_task(cache, task)
     if found.key is None:
@@ -351,8 +352,10 @@ def lookup(cache: ResultCache | None, task: CheckTask,
         return found
     tier = "disk" if cache.stats.disk_hits > disk_before else "memory"
     _M_CHECKS.labels(found.strategy, "cache").inc()
-    emit_check_events(task.system.name, task.prop.name, found.strategy,
-                      hit, 0.0, "cache", tier=tier)
+    _journal.emit("check", design=task.system.name,
+                  property=task.prop.name, strategy=found.strategy,
+                  origin="cache", tier=tier, status=hit.status.value,
+                  k=hit.k)
     return found._replace(hit=hit, tier=tier)
 
 

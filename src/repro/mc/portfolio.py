@@ -46,7 +46,7 @@ from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
 from repro.mc.strategy import (CheckTask, resolve_strategy,
                                run_check_task, strategy_option_names)
-from repro.obs import tracing as _tracing
+from repro.obs import journal as _journal
 
 #: Complementary default race: k-induction proves, BMC refutes.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("k_induction", "bmc")
@@ -227,7 +227,7 @@ class PortfolioScheduler:
         be booked by whoever does run it.
         """
         cache = self.cache
-        trace = _tracing.current_context()
+        trace = _journal.current_context()
         keyed = []
         for index, group in enumerate(groups):
             slots = []

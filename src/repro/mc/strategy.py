@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast as _pyast
 import inspect as _inspect
 import re
-import time as _time
 from dataclasses import dataclass, field
 from functools import lru_cache as _lru_cache
 from typing import Mapping, Protocol, runtime_checkable
@@ -31,8 +30,7 @@ from repro.mc.bmc import bmc, bmc_probe
 from repro.mc.kinduction import KInductionOptions, k_induction
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, ProofStats, Status
-from repro.obs import events as _events
-from repro.obs import tracing as _tracing
+from repro.obs import journal as _journal
 
 
 class StrategyError(ReproError):
@@ -321,9 +319,10 @@ class CheckTask:
     strategy: str                       # spec string, e.g. "bmc(bound=12)"
     options: dict = field(default_factory=dict)   # overrides on the spec
     lemmas: Lemmas = field(default_factory=list)
-    #: Trace pointer of the dispatching span, so pool workers parent
-    #: their "check" spans under it (None when tracing is off).
-    trace: _tracing.TraceContext | None = None
+    #: Journal pointer of the dispatching span, so pool workers join
+    #: the stream and parent their "check" records under it (None when
+    #: no journal is configured).
+    trace: _journal.TraceContext | None = None
 
 
 @_lru_cache(maxsize=None)
@@ -358,60 +357,27 @@ def canonical_options(strategy: Strategy, options: Mapping) -> dict:
     return full
 
 
-def emit_check_events(system_name: str, prop_name: str,
-                      strategy_name: str, result: CheckResult,
-                      wall_seconds: float, origin: str,
-                      tier: str | None = None) -> None:
-    """Journal one answered check (plus the slow-solve dump when due).
-
-    The one writer of ``check_finish``: :func:`run_check_task` calls it
-    for solver answers, :func:`repro.mc.cache.lookup` for cache hits
-    (with the ``tier`` that served them).  Solver answers slower than
-    the journal's threshold additionally emit a ``slow_solve`` event
-    carrying the full solver-effort snapshot.
-    """
-    fields = {"design": system_name, "property": prop_name,
-              "strategy": strategy_name, "status": result.status.value,
-              "origin": origin, "k": result.k,
-              "wall_seconds": round(wall_seconds, 6)}
-    if tier is not None:
-        fields["tier"] = tier
-    _events.emit("check_finish", **fields)
-    threshold = _events.slow_solve_threshold()
-    if origin == "solver" and threshold is not None \
-            and wall_seconds >= threshold:
-        _events.emit(
-            "slow_solve", design=system_name, property=prop_name,
-            strategy=strategy_name, status=result.status.value,
-            k=result.k, wall_seconds=round(wall_seconds, 6),
-            threshold=threshold,
-            solve_seconds=round(result.stats.solve_seconds, 6),
-            effort=result.stats.effort_dict())
-
-
 def run_check_task(task: CheckTask) -> CheckResult:
     """Execute one task — the only place a strategy is run.
 
     Inline callers (:func:`repro.mc.cache.run_cached`, a ``jobs=1``
     portfolio race) and pool workers all come through here, so the
-    ``check`` span and the ``check_start`` / ``check_finish`` /
-    ``slow_solve`` events are written once, by the process that solved.
+    ``check_start`` record (the only evidence of a check that never
+    returned) and the ``check`` record carrying the verdict and the
+    solver effort are written once, by the process that solved.
     """
     strategy, options = resolve_strategy(task.strategy)
     options.update(task.options)
-    parent = None
-    if task.trace is not None and _tracing.adopt(task.trace):
-        parent = task.trace.span_id
-    with _tracing.span("check", parent_id=parent, strategy=strategy.name,
-                       property=task.prop.name) as sp:
-        _events.emit("check_start", design=task.system.name,
-                     property=task.prop.name, strategy=strategy.name)
-        started = _time.perf_counter()
+    with _journal.span("check", parent_id=_journal.adopt(task.trace),
+                       design=task.system.name, property=task.prop.name,
+                       strategy=strategy.name, origin="solver") as sp:
+        _journal.emit("check_start", design=task.system.name,
+                      property=task.prop.name, strategy=strategy.name)
         result = strategy.run(task.system, task.prop, lemmas=task.lemmas,
                               **options)
-        wall = _time.perf_counter() - started
         if sp is not None:
-            sp.attrs["status"] = result.status.value
-        emit_check_events(task.system.name, task.prop.name, strategy.name,
-                          result, wall, "solver")
+            sp.fields.update(
+                status=result.status.value, k=result.k,
+                solve_seconds=round(result.stats.solve_seconds, 6),
+                **result.stats.effort_dict())
     return result

@@ -1,30 +1,27 @@
-"""Zero-dependency observability: metrics, tracing, event journal.
+"""Zero-dependency observability: metrics and the record stream.
 
 ``repro.obs.metrics`` holds a process-local Prometheus-style registry
 (counters, gauges, histograms) that every layer — solver, engines,
 campaign scheduler, work queue, HTTP service — records into.
-``repro.obs.tracing`` emits JSONL span events with trace/span/parent
-ids so one campaign reconstructs as a single tree across worker
-processes and the network boundary.  ``repro.obs.events`` is the
-structured event journal: typed JSONL facts (check finished, lease
-expired, job poisoned) carrying campaign/job/design/property ids plus
-the ambient trace/span id, for forensic reconstruction of a run.
+``repro.obs.journal`` is the record stream: typed JSONL records
+(a check ran, a lease expired, a job was poisoned) sharing one
+trace id, where a record with a ``span_id`` and a ``dur`` is a span,
+so one campaign reconstructs as a single tree across worker processes
+and the network boundary.
 
-All modules are stdlib-only and import nothing from the rest of
+Both modules are stdlib-only and import nothing from the rest of
 ``repro``, so any layer may import them without cycles.
 """
 
-from repro.obs.events import EventJournal
+from repro.obs.journal import TraceContext, span
 from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     metrics_enabled,
     set_metrics_enabled,
 )
-from repro.obs.tracing import TraceContext, span
 
 __all__ = [
-    "EventJournal",
     "MetricsRegistry",
     "TraceContext",
     "get_registry",

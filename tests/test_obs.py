@@ -1,8 +1,12 @@
-"""Observability: metrics registry, span tracing, service /metrics."""
+"""Observability: metrics registry, record stream, service /metrics."""
 
 import json
+import os
+import re
+import subprocess
 import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -11,20 +15,19 @@ from repro.dist import ProofService, RemoteWorkQueue, WorkQueue, Worker
 from repro.flow import run_campaign
 from repro.obs import (MetricsRegistry, get_registry, metrics_enabled,
                        set_metrics_enabled, span)
-from repro.obs import events
+from repro.obs import journal
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing
 from scripts.trace_report import aggregate, build_tree, load_spans
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
 def _isolate_obs_globals():
-    """Tests must not leak a tracer, a journal, or a disabled-metrics
-    flag."""
+    """Tests must not leak a journal or a disabled-metrics flag."""
     enabled = metrics_enabled()
     yield
-    tracing.shutdown()
-    events.shutdown()
+    journal.shutdown()
     set_metrics_enabled(enabled)
 
 
@@ -232,79 +235,112 @@ class TestPdrMetrics:
 
 class TestTracing:
     def test_span_is_noop_without_tracer(self):
-        assert tracing.active() is None
+        assert journal.active() is None
         with span("anything") as handle:
             assert handle is None
-        assert tracing.current_context() is None
+        assert journal.current_context() is None
 
     def test_nested_spans_parent_automatically(self, tmp_path):
-        tracer = tracing.configure(tmp_path, trace_id="t1")
+        sink = journal.configure(tmp_path, trace_id="t1")
         with span("outer") as outer:
             with span("inner", detail="x"):
                 pass
-        tracing.shutdown()
-        spans = {s["name"]: s for s in load_spans(tmp_path)}
+        journal.shutdown()
+        spans = {s["kind"]: s for s in journal.load(tmp_path)}
         assert spans["outer"]["parent_id"] is None
         assert spans["inner"]["parent_id"] == outer.span_id
-        assert spans["inner"]["attrs"] == {"detail": "x"}
-        assert spans["inner"]["trace_id"] == tracer.trace_id == "t1"
+        assert spans["inner"]["detail"] == "x"      # fields are flat
+        assert spans["inner"]["trace_id"] == sink.trace_id == "t1"
         assert spans["inner"]["dur"] >= 0
+        for always in ("ts", "kind", "host", "pid", "trace_id",
+                       "parent_id", "span_id", "dur"):
+            assert always in spans["inner"]
 
     def test_explicit_parent_overrides_ambient(self, tmp_path):
-        tracing.configure(tmp_path)
+        journal.configure(tmp_path)
         with span("ambient"):
             with span("child", parent_id="remote-parent"):
                 pass
-        tracing.shutdown()
-        spans = {s["name"]: s for s in load_spans(tmp_path)}
+        journal.shutdown()
+        spans = {s["kind"]: s for s in journal.load(tmp_path)}
         assert spans["child"]["parent_id"] == "remote-parent"
 
     def test_exception_is_recorded_and_reraised(self, tmp_path):
-        tracing.configure(tmp_path)
+        journal.configure(tmp_path)
         with pytest.raises(RuntimeError):
             with span("doomed"):
                 raise RuntimeError("boom")
-        tracing.shutdown()
-        (event,) = load_spans(tmp_path)
-        assert event["attrs"]["error"] == "RuntimeError"
+        journal.shutdown()
+        (record,) = journal.load(tmp_path)
+        assert record["error"] == "RuntimeError"
 
     def test_env_round_trip_joins_the_trace(self, tmp_path):
-        tracer = tracing.configure(tmp_path, trace_id="abc")
-        env = tracer.env()
-        assert env == {"REPRO_TRACE_DIR": str(tmp_path),
+        sink = journal.configure(tmp_path, trace_id="abc")
+        env = sink.env()
+        assert env == {"REPRO_EVENTS_DIR": str(tmp_path),
                        "REPRO_TRACE_ID": "abc"}
-        tracing.shutdown()
-        joined = tracing.configure_from_env(env)
+        journal.shutdown()
+        joined = journal.configure_from_env(env)
         assert joined is not None and joined.trace_id == "abc"
-        assert tracing.configure_from_env({}) is None
+        assert joined.events_dir == tmp_path
+        assert journal.configure_from_env({}) is None
 
     def test_adopt_is_idempotent(self, tmp_path):
-        tracing.configure(tmp_path, trace_id="abc")
+        journal.configure(tmp_path, trace_id="abc")
         with span("s"):
-            ctx = tracing.current_context()
+            ctx = journal.current_context()
         assert ctx.trace_id == "abc"
-        first = tracing.active()
-        assert tracing.adopt(ctx) is True
-        assert tracing.active() is first       # no churn when joined
-        tracing.shutdown()
-        assert tracing.adopt(ctx) is True      # re-joins from scratch
-        assert tracing.active().trace_id == "abc"
+        first = journal.active()
+        assert journal.adopt(ctx) == ctx.span_id
+        assert journal.active() is first       # no churn when joined
+        journal.shutdown()
+        assert journal.adopt(ctx) == ctx.span_id   # re-joins from scratch
+        assert journal.active().trace_id == "abc"
+        assert journal.adopt(None) is None     # nothing to join
+
+    def test_context_pickles_and_parents_the_receiving_span(
+            self, tmp_path):
+        import pickle
+        journal.configure(tmp_path)
+        with span("dispatch"):
+            wire = pickle.dumps(journal.current_context())
+        journal.shutdown()                     # "another process"
+        ctx = pickle.loads(wire)
+        with span("job", parent_id=journal.adopt(ctx)):
+            pass
+        journal.shutdown()
+        roots, orphans, children = build_tree(load_spans(tmp_path))
+        assert [r["kind"] for r in roots] == ["dispatch"] and not orphans
+        assert [c["kind"] for c in children[ctx.span_id]] == ["job"]
+        assert {r["trace_id"] for r in journal.load(tmp_path)} == \
+            {ctx.trace_id}
 
     def test_broken_sink_goes_silent_not_fatal(self, tmp_path):
-        tracer = tracing.configure(tmp_path)
+        journal.configure(tmp_path)
         cycle: dict = {}
         cycle["self"] = cycle
-        tracer.emit({"bad": cycle})        # unserialisable → broken
+        journal.emit("bad", payload=cycle)     # unserialisable → broken
         with span("after-breakage"):
             pass
-        assert load_spans(tmp_path) == []
+        assert journal.load(tmp_path) == []
+
+    def test_unwritable_directory_disables_the_sink(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        env = {"REPRO_EVENTS_DIR": str(blocker / "events")}
+        assert journal.configure_from_env(env) is None
+        ctx = journal.TraceContext("t", "s", str(blocker / "events"))
+        assert journal.adopt(ctx) is None
+        assert journal.active() is None
+        with span("unrecorded") as handle:     # verification proceeds
+            assert handle is None
 
 
 class TestTraceReport:
-    def _event(self, span_id, parent, name, **extra):
-        return {"trace_id": "t", "span_id": span_id,
-                "parent_id": parent, "name": name, "start": 0.0,
-                "dur": 1.0, "host": "h", "pid": 1, **extra}
+    def _event(self, span_id, parent, kind, **extra):
+        return {"ts": 0.0, "kind": kind, "host": "h", "pid": 1,
+                "trace_id": "t", "parent_id": parent,
+                "span_id": span_id, "dur": 1.0, **extra}
 
     def test_tree_and_orphan_detection(self):
         spans = [self._event("a", None, "campaign"),
@@ -317,30 +353,31 @@ class TestTraceReport:
         assert [c["span_id"] for c in children["a"]] == ["b"]
 
     def test_aggregate_groups_by_attr(self):
-        spans = [self._event("a", None, "job",
-                             attrs={"worker": "w1"}),
-                 self._event("b", None, "job",
-                             attrs={"worker": "w1"}),
-                 self._event("c", None, "job",
-                             attrs={"worker": "w2"})]
+        spans = [self._event("a", None, "job", worker="w1"),
+                 self._event("b", None, "job", worker="w1"),
+                 self._event("c", None, "job", worker="w2")]
         totals = aggregate(spans, "job", "worker")
         assert totals["w1"] == (2, 2.0)
         assert totals["w2"] == (1, 1.0)
 
     def test_load_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "trace-h-1.jsonl"
+        path = tmp_path / "journal-h-1.jsonl"
         good = json.dumps(self._event("a", None, "s"))
-        path.write_text(good + "\n" + '{"torn": \n', encoding="utf-8")
-        assert len(load_spans(tmp_path)) == 1
+        point = json.dumps({"ts": 0.0, "kind": "check_start",
+                            "parent_id": "a"})
+        path.write_text(good + "\n" + point + "\n" + '{"torn": \n',
+                        encoding="utf-8")
+        # The tree is built from the records that have a span_id.
+        assert [s["span_id"] for s in load_spans(tmp_path)] == ["a"]
+        assert load_spans(path) == load_spans(tmp_path)   # single file
 
     def test_strict_cli_exit_codes(self, tmp_path, capsys):
         from scripts import trace_report
-        path = tmp_path / "trace-h-1.jsonl"
+        path = tmp_path / "journal-h-1.jsonl"
         path.write_text(
             json.dumps(self._event("a", None, "campaign")) + "\n" +
             json.dumps(self._event("x", "gone", "check")) + "\n",
             encoding="utf-8")
-        import sys
         argv = sys.argv
         try:
             sys.argv = ["trace_report.py", str(tmp_path), "--strict"]
@@ -352,50 +389,122 @@ class TestTraceReport:
         assert "orphan" in capsys.readouterr().out
 
 
+def _assert_one_tree(events_dir, report):
+    """The acceptance bar for a journaled campaign: every record under
+    the campaign's trace id, no span written twice, and the span
+    records one tree — a single ``campaign`` root, zero orphans, every
+    span reachable from the root.  Returns (records, spans, root,
+    children)."""
+    records = journal.load(events_dir)
+    assert report.trace_id
+    assert {r["trace_id"] for r in records} == {report.trace_id}
+    spans = [r for r in records if "span_id" in r]
+    assert len({s["span_id"] for s in spans}) == len(spans)
+    roots, orphans, children = build_tree(spans)
+    assert [r["kind"] for r in roots] == ["campaign"]
+    assert orphans == []
+    reachable = set()
+    stack = [roots[0]["span_id"]]
+    while stack:
+        node = stack.pop()
+        reachable.add(node)
+        stack.extend(c["span_id"] for c in children.get(node, ()))
+    assert reachable == {s["span_id"] for s in spans}
+    # Point records hang off a node of the tree (or off nothing: a
+    # service thread has no ambient span).
+    assert {r["parent_id"] for r in records} <= reachable | {None}
+    phases = {c["kind"]: c for c in children[roots[0]["span_id"]]}
+    assert set(phases) == {"compile", "dispatch", "store"}
+    # Campaign totals join their trace: the report's phase clock IS
+    # the span records' clock.
+    for name, record in phases.items():
+        assert report.phase_seconds[name] == record["dur"]
+    assert roots[0]["properties"] == len(report.rows)
+    # Journaling leaves no global behind once the campaign returns.
+    assert journal.active() is None
+    return records, spans, roots[0], children
+
+
 class TestDistributedTraceStitching:
     def test_two_worker_http_campaign_yields_one_tree(self, service,
                                                       tmp_path):
-        """The acceptance bar: a distributed campaign over the HTTP
-        backend, traced, reconstructs as ONE tree — a single campaign
-        root, zero orphan spans, with spans contributed by the
-        coordinator process and both worker processes."""
-        trace_dir = tmp_path / "trace"
+        """A distributed campaign over the HTTP backend, journaled,
+        reconstructs as ONE tree with spans contributed by the
+        coordinator process and the worker processes."""
+        events_dir = tmp_path / "events"
         report = run_campaign(
             designs=["updown_counter", "sync_counters_bug"],
             backend=service.address, workers=2, lease_seconds=10,
-            max_k=3, trace_dir=trace_dir)
+            max_k=3, events_dir=events_dir)
         assert report.mismatches == 0
-        assert report.trace_id
-
-        spans = load_spans(trace_dir)
-        assert {s["trace_id"] for s in spans} == {report.trace_id}
-        roots, orphans, children = build_tree(spans)
-        assert [r["name"] for r in roots] == ["campaign"]
-        assert orphans == []
-
-        # Every span is reachable from the single root.
-        reachable = set()
-        stack = [roots[0]["span_id"]]
-        while stack:
-            node = stack.pop()
-            reachable.add(node)
-            stack.extend(c["span_id"] for c in children.get(node, ()))
-        assert reachable == {s["span_id"] for s in spans}
+        records, spans, root, _ = _assert_one_tree(events_dir, report)
 
         # The tree genuinely crosses processes: the coordinator plus
         # at least one spawned worker contributed spans, and every
         # dispatched job produced a "job" span under "dispatch".
-        pids = {s["pid"] for s in spans}
-        assert len(pids) >= 2
-        job_spans = [s for s in spans if s["name"] == "job"]
-        assert job_spans and all(s["pid"] != roots[0]["pid"]
+        assert len({s["pid"] for s in spans}) >= 2
+        job_spans = [s for s in spans if s["kind"] == "job"]
+        assert job_spans and all(s["pid"] != root["pid"]
                                  for s in job_spans)
-        assert {s["name"] for s in children[roots[0]["span_id"]]} == \
-            {"compile", "dispatch", "record"}
-        checks = [s for s in spans if s["name"] == "check"]
-        assert checks, "solver checks must appear in the trace"
-        # Tracing leaves no global behind once the campaign returns.
-        assert tracing.active() is None
+        assert all(s["result"] == "completed" for s in job_spans)
+        checks = [s for s in spans if s["kind"] == "check"]
+        assert checks, "solver checks must appear in the tree"
+        # The service runs in this process, so its queue forensics
+        # land in the same stream.
+        assert {"queue_enqueue", "queue_claim", "worker_start",
+                "worker_exit", "job_start", "check_start"} <= \
+            {r["kind"] for r in records}
+
+    MODES = {"jobs=1": dict(jobs=1), "jobs=2": dict(jobs=2),
+             "workers=2": dict(workers=2, lease_seconds=10)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_yields_one_tree_under_one_trace_id(
+            self, mode, tmp_path):
+        report = run_campaign(
+            designs=["updown_counter", "sync_counters_bug"],
+            cache_dir=tmp_path / "cache", max_k=3,
+            events_dir=tmp_path / "events", **self.MODES[mode])
+        assert report.mismatches == 0
+        _, spans, _, _ = _assert_one_tree(tmp_path / "events", report)
+        for check in (s for s in spans if s["kind"] == "check"):
+            # "Slow solve" is a read-time filter: every solver-origin
+            # check record carries its duration and the solver effort.
+            assert check["origin"] == "solver"
+            assert {"status", "k", "solve_seconds", "sat_queries",
+                    "conflicts", "propagations"} <= set(check)
+
+    def test_spawned_pool_children_join_the_journal(self, tmp_path):
+        """Under the ``spawn`` start method a pool child inherits
+        neither the module-global journal nor the environment's say-so:
+        it joins through the ``TraceContext`` on its ``CheckTask``."""
+        script = (
+            "import json, multiprocessing, os, sys\n"
+            "from repro.flow import run_campaign\n"
+            "from repro.obs import journal\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    report = run_campaign(\n"
+            "        designs=['updown_counter', 'gray_counter',\n"
+            "                 'sync_counters_bug'],\n"
+            "        jobs=2, max_k=3, events_dir=sys.argv[1])\n"
+            "    checks = [r for r in journal.load(sys.argv[1])\n"
+            "              if r['kind'] == 'check']\n"
+            "    print(json.dumps({\n"
+            "        'parent': os.getpid(),\n"
+            "        'pids': sorted({r['pid'] for r in checks}),\n"
+            "        'traces': sorted({r['trace_id'] for r in checks}),\n"
+            "        'trace_id': report.trace_id}))\n")
+        path = tmp_path / "spawned.py"
+        path.write_text(script)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, str(path), str(tmp_path / "events")],
+            env=env, capture_output=True, text=True, timeout=120,
+            check=True).stdout
+        seen = json.loads(out.splitlines()[-1])
+        assert set(seen["pids"]) - {seen["parent"]}, seen
+        assert seen["traces"] == [seen["trace_id"]]
 
     def test_untraced_campaign_emits_nothing(self, tmp_path):
         report = run_campaign(designs=["updown_counter"], max_k=3,
@@ -517,147 +626,151 @@ class TestStatusCli:
     def test_campaign_trace_flag_prints_pointer(self, tmp_path, capsys):
         assert main(["campaign", "updown_counter", "--max-k", "2",
                      "--cache-dir", str(tmp_path / "cache"),
-                     "--trace", str(tmp_path / "trace")]) == 0
+                     "--events", str(tmp_path / "events")]) == 0
         out = capsys.readouterr().out
         assert "trace " in out and "trace_report.py" in out
-        assert load_spans(tmp_path / "trace")
+        assert load_spans(tmp_path / "events")
 
 
 class TestEventJournal:
     def test_emit_is_noop_without_journal(self):
-        assert events.active() is None
-        events.emit("orphaned", detail=1)        # must not raise
-        assert events.slow_solve_threshold() is None
+        assert journal.active() is None
+        journal.emit("orphaned", detail=1)       # must not raise
 
     def test_configure_emit_load_round_trip(self, tmp_path):
-        journal = events.configure(tmp_path, slow_solve_seconds=2.5)
-        assert events.active() is journal
-        assert events.slow_solve_threshold() == 2.5
-        events.emit("check_start", design="d", property="p")
-        events.emit("check_finish", design="d", status="proven")
-        loaded = events.load_events(tmp_path)
-        assert [e["kind"] for e in loaded] == \
-            ["check_start", "check_finish"]
+        sink = journal.configure(tmp_path)
+        assert journal.active() is sink
+        journal.emit("check_start", design="d", property="p")
+        journal.emit("queue_claim", job_id="j")
+        loaded = journal.load(tmp_path)
+        assert [r["kind"] for r in loaded] == \
+            ["check_start", "queue_claim"]
         first = loaded[0]
         assert first["design"] == "d" and first["property"] == "p"
-        for always in ("ts", "kind", "host", "pid"):
+        for always in ("ts", "kind", "host", "pid", "trace_id",
+                       "parent_id"):
             assert always in first
-        assert "trace_id" not in first           # no tracer configured
-        events.shutdown()
-        assert events.active() is None
+        assert first["trace_id"] == sink.trace_id
+        assert first["parent_id"] is None        # no span is current
+        assert "span_id" not in first and "dur" not in first
+        journal.shutdown()
+        assert journal.active() is None
 
     def test_events_carry_ambient_trace_context(self, tmp_path):
-        tracing.configure(tmp_path / "trace", trace_id="t9")
-        events.configure(tmp_path / "events")
+        journal.configure(tmp_path, trace_id="t9")
         with span("solve") as handle:
-            events.emit("check_start")
-        events.shutdown()
-        (event,) = events.load_events(tmp_path / "events")
-        assert event["trace_id"] == "t9"
-        assert event["span_id"] == handle.span_id
-
-    def test_ring_is_bounded_and_filterable(self, tmp_path):
-        journal = events.EventJournal(tmp_path, ring_size=3)
-        for i in range(5):
-            journal.emit("tick", i=i)
-        journal.emit("tock")
-        assert len(journal.recent()) == 3
-        assert [e["i"] for e in journal.recent("tick")] == [3, 4]
-        journal.close()
+            journal.emit("check_start")
+        journal.shutdown()
+        by_kind = {r["kind"]: r for r in journal.load(tmp_path)}
+        point, closing = by_kind["check_start"], by_kind["solve"]
+        assert point["trace_id"] == closing["trace_id"] == "t9"
+        assert point["parent_id"] == handle.span_id == closing["span_id"]
 
     def test_load_skips_torn_and_foreign_files(self, tmp_path):
-        path = tmp_path / "events-h-1.jsonl"
+        path = tmp_path / "journal-h-1.jsonl"
         later = json.dumps({"ts": 2.0, "kind": "b"})
         earlier = json.dumps({"ts": 1.0, "kind": "a"})
         path.write_text(later + "\n" + earlier + "\n" + '{"torn": \n',
                         encoding="utf-8")
-        (tmp_path / "notes.txt").write_text("not an event file")
-        loaded = events.load_events(tmp_path)
-        assert [e["kind"] for e in loaded] == ["a", "b"]  # ts-sorted
-        assert events.load_events(tmp_path / "missing") == []
+        (tmp_path / "notes.txt").write_text("not a journal file")
+        loaded = journal.load(tmp_path)
+        assert [r["kind"] for r in loaded] == ["a", "b"]  # ts-sorted
+        assert journal.load(tmp_path / "missing") == []
 
-    def test_env_round_trip_joins_the_journal(self, tmp_path):
-        journal = events.configure(tmp_path, slow_solve_seconds=7.0)
-        env = journal.env()
-        assert env == {"REPRO_EVENTS_DIR": str(tmp_path),
-                       "REPRO_SLOW_SOLVE_SECONDS": "7.0"}
-        events.shutdown()
-        joined = events.configure_from_env(env)
-        assert joined is not None
-        assert joined.slow_solve_seconds == 7.0
-        assert joined.events_dir == tmp_path
-        assert events.configure_from_env({}) is None
-
-    def test_broken_sink_goes_silent_ring_keeps_filling(self, tmp_path):
-        journal = events.configure(tmp_path)
+    def test_io_error_silences_the_sink(self, tmp_path):
+        sink = journal.configure(tmp_path)
         journal.emit("first")
-        journal._handle().close()        # simulate an I/O failure
+        sink._handle().close()           # simulate an I/O failure
         journal.emit("second")           # must not raise
-        assert [e["kind"] for e in journal.recent()] == \
-            ["first", "second"]
-        events.shutdown()
-        assert [e["kind"] for e in events.load_events(tmp_path)] == \
-            ["first"]
+        with span("third"):              # nor may a span
+            pass
+        journal.shutdown()
+        assert [r["kind"] for r in journal.load(tmp_path)] == ["first"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_writes_its_own_file(self, tmp_path):
+        journal.configure(tmp_path)
+        journal.emit("before_fork")
+        pid = os.fork()
+        if pid == 0:                     # the child: one record, exit
+            journal.emit("from_child")
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        journal.emit("after_fork")
+        journal.shutdown()
+        by_pid = {}
+        for record in journal.load(tmp_path):
+            by_pid.setdefault(record["pid"], []).append(record["kind"])
+        assert by_pid == {os.getpid(): ["before_fork", "after_fork"],
+                          pid: ["from_child"]}
+        assert len(list(tmp_path.glob("journal-*.jsonl"))) == 2
 
     def test_campaign_journal_records_forensics(self, tmp_path):
         report = run_campaign(designs=["updown_counter"], max_k=3,
                               cache_dir=tmp_path / "cache",
                               events_dir=tmp_path / "events")
         assert report.mismatches == 0
-        loaded = events.load_events(tmp_path / "events")
-        kinds = [e["kind"] for e in loaded]
-        assert kinds[0] == "campaign_start"
-        assert kinds[-1] == "campaign_finish"
-        checks = [e for e in loaded if e["kind"] == "check_finish"]
+        loaded = journal.load(tmp_path / "events")
+        kinds = [r["kind"] for r in loaded]
+        # Records sort by when their subject began: the campaign span
+        # opens first, and its one record is also the finish event.
+        assert set(kinds[:2]) == {"campaign", "campaign_start"}
+        assert not {"campaign_finish", "campaign_phase",
+                    "check_finish"} & set(kinds)
+        checks = [r for r in loaded if r["kind"] == "check"]
         assert checks
-        assert all(e["origin"] in ("solver", "cache") for e in checks)
-        assert events.active() is None   # campaign cleans up after itself
+        assert all(r["origin"] in ("solver", "cache") for r in checks)
+        # One check_start per check that ran; a solver check's record
+        # has a duration, and nothing restates it.
+        solved = [r for r in checks if r["origin"] == "solver"]
+        assert all("dur" in r and "span_id" in r for r in solved)
+        assert kinds.count("check_start") == len(solved)
+        assert journal.active() is None  # campaign cleans up after itself
 
     def test_store_settled_campaign_journals_checks_but_no_fabric(
             self, service, tmp_path, coordinators):
         """A warm distributed rerun is settled by the coordinator's
-        probe: the journal shows one cache-origin ``check_finish`` per
+        probe: the journal shows one cache-origin ``check`` record per
         consulted slot under the campaign's trace id — and no worker,
         claim or job, because none existed."""
         def run(label):
             return run_campaign(
                 designs=["updown_counter", "sync_counters_bug"],
                 backend=service.address, workers=2, lease_seconds=10,
-                max_k=3, trace_dir=tmp_path / label / "trace",
-                events_dir=tmp_path / label / "events")
+                max_k=3, events_dir=tmp_path / label)
 
         cold, warm = run("cold"), run("warm")
         assert coordinators[-1]._spawned == 0
-        cold_kinds = {e["kind"] for e in
-                      events.load_events(tmp_path / "cold" / "events")}
-        assert {"worker_start", "queue_claim", "job_start"} <= cold_kinds
+        cold_kinds = {r["kind"] for r in journal.load(tmp_path / "cold")}
+        assert {"worker_start", "queue_claim", "job_start", "job"} <= \
+            cold_kinds
 
-        journal = events.load_events(tmp_path / "warm" / "events")
-        kinds = [e["kind"] for e in journal]
-        assert kinds[0] == "campaign_start"
-        assert kinds[-1] == "campaign_finish"
+        records = journal.load(tmp_path / "warm")
+        kinds = {r["kind"] for r in records}
         assert not {"worker_start", "worker_exit", "queue_claim",
-                    "job_start", "job_finish"} & set(kinds)
-        checks = [e for e in journal if e["kind"] == "check_finish"]
+                    "job_start", "job", "check_start"} & kinds
+        checks = [r for r in records if r["kind"] == "check"]
         assert len(checks) == warm.cache.hits == len(warm.rows)
         assert warm.trace_id and warm.trace_id != cold.trace_id
-        for event in checks:
-            assert event["origin"] == "cache" and event["tier"] == "disk"
-            assert event["trace_id"] == warm.trace_id
-        assert sorted(e["property"] for e in checks) == \
+        for record in checks:
+            # A cache hit is a point record: a tier, no duration.
+            assert record["origin"] == "cache" and record["tier"] == "disk"
+            assert "dur" not in record and "span_id" not in record
+        assert {r["trace_id"] for r in records} == {warm.trace_id}
+        assert sorted(r["property"] for r in checks) == \
             sorted(r.property_name for r in warm.rows)
         # Store-settled jobs have no "job" span and no second process.
-        spans = load_spans(tmp_path / "warm" / "trace")
-        assert {s["name"] for s in spans} == \
-            {"campaign", "compile", "dispatch", "record"}
-        assert len({s["pid"] for s in spans}) == 1
+        spans = load_spans(tmp_path / "warm")
+        assert {s["kind"] for s in spans} == \
+            {"campaign", "compile", "dispatch", "store"}
+        assert len({r["pid"] for r in records}) == 1
 
 
 class TestModeParity:
     """``jobs`` decides who executes a cache miss and nothing else: the
     inline race and the pooled one report the same verdicts, the same
-    attempt-log shape, and — pass for pass — the same journal events
-    and ``repro_checks_total`` growth."""
+    attempt-log shape, and — pass for pass — the same ``check``
+    records and ``repro_checks_total`` growth."""
 
     CORPUS_DESIGN = "counters/updown_counter.aag"
     ANSWERED = {"solver", "memory", "disk"}
@@ -691,25 +804,25 @@ class TestModeParity:
                                      else self.UNRUN), row
 
     def _cold_then_warm(self, name, jobs, events_dir):
-        """Per pass: ({property: (status, winner)}, check_finish
+        """Per pass: ({property: (status, winner)}, ``check`` record
         multiset, repro_checks_total growth)."""
         from repro.flow import VerificationSession
         design = self._design(name)
         session = VerificationSession(design)
         passes = []
         for label in ("cold", "warm"):
-            events.configure(events_dir / label)
+            journal.configure(events_dir / label)
             before = get_registry().snapshot()
             batch = session.verify_all(jobs=jobs)
             grown = obs_metrics.delta(before, get_registry().snapshot())
-            events.shutdown()
+            journal.shutdown()
             for outcome in batch.outcomes:
                 self._check_log(design, session, outcome)
             finished = sorted(
-                (e["property"], e["strategy"], e["status"], e["origin"],
-                 e.get("tier"))
-                for e in events.load_events(events_dir / label)
-                if e["kind"] == "check_finish")
+                (r["property"], r["strategy"], r["status"], r["origin"],
+                 r.get("tier"))
+                for r in journal.load(events_dir / label)
+                if r["kind"] == "check")
             passes.append((
                 {o.property_name: (o.status, o.strategy)
                  for o in batch.outcomes},
@@ -777,11 +890,10 @@ class TestModeParity:
                 (warm.cache.hits, warm.cache.misses, warm.cache.stores,
                  warm.cache.disk_hits),
                 (warm.dispatched_jobs, warm.fallback_reruns),
-                sorted((e["design"], e["property"], e["strategy"],
-                        e["status"], e["origin"], e.get("tier"))
-                       for e in events.load_events(
-                           tmp_path / label / "events")
-                       if e["kind"] == "check_finish"),
+                sorted((r["design"], r["property"], r["strategy"],
+                        r["status"], r["origin"], r.get("tier"))
+                       for r in journal.load(tmp_path / label / "events")
+                       if r["kind"] == "check"),
                 grown.get("repro_checks_total", {}).get("samples", {}))
         inline = columns["jobs=1"]
         rows, cache, _dispatched, finished, counts = inline
@@ -974,6 +1086,10 @@ class TestTopExplainCli:
             assert f"updown_counter.{spec.name}:" in out
             assert "provenance:" in out and "winner:" in out
             assert "journal" in out
+            # Span records print with their duration, next to the
+            # point records of the same property.
+            assert " check_start: " in out
+            assert re.search(r" check \(\d+\.\d{3}s\): ", out)
 
     def test_explain_missing_entry_fails_cleanly(self, tmp_path,
                                                  capsys):
@@ -983,11 +1099,11 @@ class TestTopExplainCli:
 
 
 class TestTraceReportArtifacts:
-    def _event(self, span_id, parent, name, start=0.0, dur=1.0,
+    def _event(self, span_id, parent, kind, ts=0.0, dur=1.0,
                **extra):
-        return {"trace_id": "t", "span_id": span_id,
-                "parent_id": parent, "name": name, "start": start,
-                "dur": dur, "host": "h", "pid": 1, **extra}
+        return {"ts": ts, "kind": kind, "host": "h", "pid": 1,
+                "trace_id": "t", "parent_id": parent,
+                "span_id": span_id, "dur": dur, **extra}
 
     def test_kind_percentiles(self):
         from scripts.trace_report import kind_percentiles
@@ -1023,9 +1139,8 @@ class TestTraceReportArtifacts:
     def test_render_html_timeline(self):
         from scripts.trace_report import render_html
         spans = [self._event("a", None, "campaign", dur=2.0),
-                 self._event("b", "a", "job", start=0.5, dur=1.0,
-                             host="w", pid=2,
-                             attrs={"worker": "w1"})]
+                 self._event("b", "a", "job", ts=0.5, dur=1.0,
+                             host="w", pid=2, worker="w1")]
         html = render_html(spans, title='trace <"x">')
         assert html.count('<div class="lane">') == 2   # one per process
         assert "h:1" in html and "w:2 (w1)" in html    # worker annotated
@@ -1036,7 +1151,7 @@ class TestTraceReportArtifacts:
     def test_cli_writes_folded_and_html_artifacts(self, tmp_path,
                                                   capsys):
         from scripts import trace_report
-        trace = tmp_path / "trace-h-1.jsonl"
+        trace = tmp_path / "journal-h-1.jsonl"
         trace.write_text(
             json.dumps(self._event("a", None, "campaign")) + "\n" +
             json.dumps(self._event("b", "a", "check")) + "\n",
@@ -1058,7 +1173,7 @@ class TestTraceReportArtifacts:
 
     def test_strict_failure_names_span_ids(self, tmp_path, capsys):
         from scripts import trace_report
-        trace = tmp_path / "trace-h-1.jsonl"
+        trace = tmp_path / "journal-h-1.jsonl"
         trace.write_text(
             json.dumps(self._event("a", None, "campaign")) + "\n" +
             json.dumps(self._event("x", "gone", "check")) + "\n",
