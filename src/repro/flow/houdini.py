@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import IRError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache, run_cached
@@ -175,7 +176,7 @@ def _drop_falsified(system: TransitionSystem,
         resolved = system.resolve_defines(prop.bad)
         try:
             is_bad = E.evaluate(resolved, env) == 1
-        except Exception:
+        except IRError:
             is_bad = False  # monitors outside this trace: keep candidate
         if is_bad:
             newly_dropped.append((prop, reason))

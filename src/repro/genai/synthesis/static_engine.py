@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 
+from repro.errors import SimulationError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.sim.simulator import Simulator
@@ -208,17 +209,16 @@ class StaticSynthesizer:
             return self._samples
         samples: list[dict[str, int]] = []
         pinned = self._reset_pin()
+        sim = Simulator(self.system, check_constraints=False)
         for run in range(self.sim_runs):
-            sim = Simulator(self.system, check_constraints=False)
             try:
                 sim.reset()
-            except Exception:
+            except SimulationError:
                 sim.load_state({n: 0 for n in self.system.states})
             stim = RandomStimulus(self.sim_cycles, seed=self.seed + run,
                                   pinned=pinned)
-            for inputs in stim.cycles(self.system, sim.state_values):
-                snap = sim.step(inputs)
-                samples.append(dict(snap.values))
+            for inputs in stim.cycles(self.system, lambda: sim.state_values):
+                samples.append(sim.step(inputs).values)
         self._samples = samples
         return samples
 

@@ -107,6 +107,10 @@ _INTERN: dict[tuple, Expr] = {}
 #: recycled), so an entry is valid for as long as it exists.
 _DIGESTS: dict[Expr, bytes] = {}
 
+#: tuple of roots -> its evaluation :class:`Program`, keyed like
+#: ``_DIGESTS`` by the interned nodes themselves.
+_PROGRAMS: dict[tuple[Expr, ...], "Program"] = {}
+
 
 def _mk(op: str, width: int, args: tuple[Expr, ...] = (),
         name: str | None = None, value: int | None = None,
@@ -126,13 +130,15 @@ def intern_table_size() -> int:
 
 
 def clear_intern_table() -> None:
-    """Drop the intern table (and the digest memo hanging off it).
+    """Drop the intern table (and the digest and program memos hanging
+    off it).
 
     Only safe when no expressions from before the call will be compared
     against expressions created after it; intended for long test sessions.
     """
     _INTERN.clear()
     _DIGESTS.clear()
+    _PROGRAMS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -610,85 +616,110 @@ def support(root: Expr) -> set[str]:
     return {n.name for n in iter_dag([root]) if n.is_var}
 
 
-def _eval_node(node: Expr, vals: dict[int, int],
-               env: Mapping[str, int]) -> int:
-    op = node.op
-    w = node.width
-    if op == "const":
-        return node.value
-    if op == "var":
+#: op -> factory(node, *argument slots) -> step(slot values) -> value: the
+#: concrete semantics of every operator with arguments.  Widths, masks and
+#: slots are bound when a :class:`Program` is built; ``s`` is the sign bit
+#: (``x ^ s`` orders two's-complement values as unsigned ones, and
+#: ``(x ^ s) - s`` is the signed reading of ``x``).
+_KERNELS: dict[str, Callable[..., Callable[[list[int]], int]]] = {
+    "not": lambda n, a: lambda v, m=mask(n.width): ~v[a] & m,
+    "neg": lambda n, a: lambda v, m=mask(n.width): -v[a] & m,
+    "redand": lambda n, a: lambda v, full=mask(n.args[0].width):
+        1 if v[a] == full else 0,
+    "redor": lambda n, a: lambda v: 1 if v[a] else 0,
+    "redxor": lambda n, a: lambda v: v[a].bit_count() & 1,
+    "extract": lambda n, a: lambda v, lo=n.params[1], m=mask(n.width):
+        (v[a] >> lo) & m,
+    "ite": lambda n, c, a, b: lambda v: v[a] if v[c] else v[b],
+    "and": lambda n, a, b: lambda v: v[a] & v[b],
+    "or": lambda n, a, b: lambda v: v[a] | v[b],
+    "xor": lambda n, a, b: lambda v: v[a] ^ v[b],
+    "add": lambda n, a, b: lambda v, m=mask(n.width): (v[a] + v[b]) & m,
+    "sub": lambda n, a, b: lambda v, m=mask(n.width): (v[a] - v[b]) & m,
+    "mul": lambda n, a, b: lambda v, m=mask(n.width): (v[a] * v[b]) & m,
+    "shl": lambda n, a, b: lambda v, w=n.width, m=mask(n.width):
+        (v[a] << v[b]) & m if v[b] < w else 0,
+    "lshr": lambda n, a, b: lambda v, w=n.width:
+        v[a] >> v[b] if v[b] < w else 0,
+    "ashr": lambda n, a, b: lambda v, top=n.width - 1, m=mask(n.width),
+        s=1 << n.width - 1: (((v[a] ^ s) - s) >> min(v[b], top)) & m,
+    "eq": lambda n, a, b: lambda v: 1 if v[a] == v[b] else 0,
+    "ne": lambda n, a, b: lambda v: 1 if v[a] != v[b] else 0,
+    "ult": lambda n, a, b: lambda v: 1 if v[a] < v[b] else 0,
+    "ule": lambda n, a, b: lambda v: 1 if v[a] <= v[b] else 0,
+    "slt": lambda n, a, b: lambda v, s=1 << n.args[0].width - 1:
+        1 if v[a] ^ s < v[b] ^ s else 0,
+    "sle": lambda n, a, b: lambda v, s=1 << n.args[0].width - 1:
+        1 if v[a] ^ s <= v[b] ^ s else 0,
+    "concat": lambda n, a, b: lambda v, shift=n.args[1].width:
+        (v[a] << shift) | v[b],
+}
+
+
+class Program:
+    """Straight-line evaluator of a fixed tuple of roots.
+
+    The shared DAG under the roots is flattened once, children before
+    parents, into slots: variables first, then constants, then one bound
+    step per operator node.  ``len(program)`` is the number of distinct
+    nodes; running it is a flat loop over the steps.
+    """
+
+    __slots__ = ("_vars", "_consts", "_steps", "_outs")
+
+    def __init__(self, roots: tuple[Expr, ...]):
+        nodes = list(iter_dag(roots))
+        variables = [n for n in nodes if n.op == "var"]
+        consts = [n for n in nodes if n.op == "const"]
+        slot = {id(n): i for i, n in enumerate(variables + consts)}
+        self._vars = [(n.name, mask(n.width)) for n in variables]
+        self._consts = [n.value for n in consts]
+        self._steps = []
+        for n in nodes:
+            if id(n) in slot:
+                continue
+            factory = _KERNELS.get(n.op)
+            if factory is None:
+                raise IRError(f"evaluate: unknown operator {n.op!r}")
+            self._steps.append(factory(n, *(slot[id(a)] for a in n.args)))
+            slot[id(n)] = len(slot)
+        self._outs = [slot[id(r)] for r in roots]
+
+    def __len__(self) -> int:
+        return len(self._vars) + len(self._consts) + len(self._steps)
+
+    def run(self, env: Mapping[str, int]) -> list[int]:
+        """Values of the roots under ``env`` (variable name -> int, wrapped
+        into the variable's width)."""
         try:
-            return to_unsigned(env[node.name], w)
-        except KeyError:
-            raise IRError(f"evaluate: no value for variable {node.name!r}")
-    a = vals[id(node.args[0])] if node.args else 0
-    if op == "not":
-        return (~a) & mask(w)
-    if op == "neg":
-        return (-a) & mask(w)
-    if op == "redand":
-        return int(a == mask(node.args[0].width))
-    if op == "redor":
-        return int(a != 0)
-    if op == "redxor":
-        return popcount(a) & 1
-    if op == "extract":
-        hi, lo = node.params
-        return (a >> lo) & mask(w)
-    if op == "ite":
-        cond = vals[id(node.args[0])]
-        return vals[id(node.args[1])] if cond else vals[id(node.args[2])]
-    b = vals[id(node.args[1])]
-    aw = node.args[0].width
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "add":
-        return (a + b) & mask(w)
-    if op == "sub":
-        return (a - b) & mask(w)
-    if op == "mul":
-        return (a * b) & mask(w)
-    if op == "shl":
-        return (a << b) & mask(w) if b < w else 0
-    if op == "lshr":
-        return a >> b if b < w else 0
-    if op == "ashr":
-        return to_unsigned(to_signed(a, w) >> min(b, w - 1), w)
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op == "ult":
-        return int(a < b)
-    if op == "ule":
-        return int(a <= b)
-    if op == "slt":
-        return int(to_signed(a, aw) < to_signed(b, aw))
-    if op == "sle":
-        return int(to_signed(a, aw) <= to_signed(b, aw))
-    if op == "concat":
-        return (a << node.args[1].width) | b
-    raise IRError(f"evaluate: unknown operator {op!r}")
+            v = [env[name] & m for name, m in self._vars]
+        except KeyError as missing:
+            raise IRError("evaluate: no value for variable "
+                          f"{missing.args[0]!r}") from None
+        v += self._consts
+        push = v.append
+        for step in self._steps:
+            push(step(v))
+        return [v[i] for i in self._outs]
+
+
+def program(roots: Iterable[Expr]) -> Program:
+    """The :class:`Program` for ``roots``, built once per distinct tuple."""
+    key = tuple(roots)
+    found = _PROGRAMS.get(key)
+    if found is None:
+        found = _PROGRAMS[key] = Program(key)
+    return found
 
 
 def evaluate(root: Expr, env: Mapping[str, int]) -> int:
     """Evaluate ``root`` under ``env`` (variable name -> int value)."""
-    vals: dict[int, int] = {}
-    for node in iter_dag([root]):
-        vals[id(node)] = _eval_node(node, vals, env)
-    return vals[id(root)]
+    return program((root,)).run(env)[0]
 
 
 def evaluate_many(roots: list[Expr], env: Mapping[str, int]) -> list[int]:
-    """Evaluate several roots sharing one memo table."""
-    vals: dict[int, int] = {}
-    for node in iter_dag(roots):
-        vals[id(node)] = _eval_node(node, vals, env)
-    return [vals[id(r)] for r in roots]
+    """Evaluate several roots, each shared sub-expression once."""
+    return program(roots).run(env)
 
 
 def substitute(root: Expr, mapping: Mapping[str, Expr],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.sim.simulator import Simulator
@@ -44,29 +45,39 @@ def screen_invariants(system: TransitionSystem,
     reports = [ScreenReport(passed=True, cycles_checked=0)
                for _ in candidates]
     resolved = [system.resolve_defines(c) for c in candidates]
+    alive = list(range(len(candidates)))
+    sim = Simulator(system, check_constraints=False)
     for run_index in range(runs):
-        sim = Simulator(system, check_constraints=False)
+        if not alive:
+            break
         try:
             sim.reset()
-        except Exception:
+        except SimulationError:
             # Designs with nondeterministic reset are screened from the
             # all-zero state, which is always reachable-equivalent for the
             # shipped designs.
             sim.load_state({name: 0 for name in system.states})
         stimulus = RandomStimulus(cycles_per_run, seed=seed + run_index,
                                   pinned=pinned)
-        alive = [i for i, r in enumerate(reports) if r.passed]
-        if not alive:
-            break
-        for inputs in stimulus.cycles(system, sim.state_values):
+        # All live candidates are one program over the cycle's snapshot;
+        # it is rebuilt only when a candidate dies.
+        live = E.program(resolved[i] for i in alive)
+        checked = 0
+        for inputs in stimulus.cycles(system, lambda: sim.state_values):
             snap = sim.step(inputs)
-            for i in list(alive):
-                reports[i].cycles_checked += 1
-                if not E.evaluate(resolved[i], snap.values):
-                    reports[i].passed = False
-                    reports[i].failed_at = snap.time
-                    reports[i].failing_env = dict(snap.values)
-                    alive.remove(i)
+            checked += 1
+            verdicts = live.run(snap.values)
+            if all(verdicts):
+                continue
+            for i, holds in zip(alive, verdicts):
+                if not holds:
+                    reports[i] = ScreenReport(
+                        False, reports[i].cycles_checked + checked,
+                        failed_at=snap.time, failing_env=snap.values)
+            alive = [i for i, holds in zip(alive, verdicts) if holds]
             if not alive:
                 break
+            live = E.program(resolved[i] for i in alive)
+        for i in alive:
+            reports[i].cycles_checked += checked
     return reports

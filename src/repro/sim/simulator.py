@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from repro.errors import SimulationError
+from repro.errors import IRError, SimulationError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 
@@ -51,10 +51,17 @@ class Simulator:
                  check_constraints: bool = True):
         system.validate()
         self.system = system
-        self.check_constraints = check_constraints
         self.time = 0
         self._state: dict[str, int] = {}
         self._initialized = False
+        # One program per cycle: defines, then the constraints that are
+        # checked, then every next-state function, shared sub-DAGs once.
+        self._defines = list(system.defines)
+        self._checked = list(system.constraints) if check_constraints else []
+        self._registers = list(system.states)
+        self._step = E.program(
+            [system.defines[name] for name in self._defines] + self._checked
+            + [system.next[name] for name in self._registers])
 
     # ------------------------------------------------------------------
     # Initialization
@@ -77,13 +84,13 @@ class Simulator:
                 self._state[name] = overrides.pop(name)
             elif name in self.system.init:
                 init_expr = self.system.init[name]
-                free = E.support(init_expr)
-                missing = free - set(env)
-                if missing:
+                try:
+                    self._state[name] = E.evaluate(init_expr, env)
+                except IRError:
+                    missing = E.support(init_expr) - set(env)
                     raise SimulationError(
                         f"init of {name!r} depends on {sorted(missing)}; "
-                        "supply overrides")
-                self._state[name] = E.evaluate(init_expr, env)
+                        "supply overrides") from None
             else:
                 raise SimulationError(
                     f"state {name!r} has no init value; pass an override")
@@ -118,8 +125,8 @@ class Simulator:
 
     def peek(self, inputs: Mapping[str, int]) -> SimState:
         """Current-cycle valuation (including defines) without advancing."""
-        env = self._full_env(inputs)
-        return SimState(self.time, env)
+        return SimState(self.time,
+                        self.system.env_with_defines(self._env(inputs)))
 
     def step(self, inputs: Mapping[str, int]) -> SimState:
         """Evaluate the current cycle, then advance the registers.
@@ -127,18 +134,18 @@ class Simulator:
         Returns the *current* cycle's full valuation (the values a waveform
         would show for this cycle).
         """
-        env = self._full_env(inputs)
-        if self.check_constraints:
-            for cond in self.system.constraints:
-                if not E.evaluate(cond, env):
-                    raise SimulationError(
-                        f"constraint violated at cycle {self.time}: "
-                        f"{E.to_sexpr(cond, max_depth=4)}")
-        names = list(self.system.states)
-        next_values = E.evaluate_many(
-            [self.system.next[n] for n in names], env)
+        env = self._env(inputs)
+        values = self._step.run(env)
+        defines = len(self._defines)
+        env.update(zip(self._defines, values))
+        for cond, holds in zip(self._checked, values[defines:]):
+            if not holds:
+                raise SimulationError(
+                    f"constraint violated at cycle {self.time}: "
+                    f"{E.to_sexpr(cond, max_depth=4)}")
         snapshot = SimState(self.time, env)
-        self._state = {n: v for n, v in zip(names, next_values)}
+        self._state = dict(zip(
+            self._registers, values[defines + len(self._checked):]))
         self.time += 1
         return snapshot
 
@@ -156,7 +163,8 @@ class Simulator:
 
     # ------------------------------------------------------------------
 
-    def _full_env(self, inputs: Mapping[str, int]) -> dict[str, int]:
+    def _env(self, inputs: Mapping[str, int]) -> dict[str, int]:
+        """The registers plus this cycle's inputs, wrapped to width."""
         if not self._initialized:
             raise SimulationError("call reset() or load_state() first")
         env: dict[str, int] = dict(self._state)
@@ -164,4 +172,4 @@ class Simulator:
             if name not in inputs:
                 raise SimulationError(f"missing input {name!r}")
             env[name] = inputs[name] & ((1 << v.width) - 1)
-        return self.system.env_with_defines(env)
+        return env

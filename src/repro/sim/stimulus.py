@@ -9,19 +9,23 @@ it rejection-samples inputs until the constraints hold.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.utils.bits import mask
+
+
+#: Reads the register values of the cycle about to be driven, e.g.
+#: ``lambda: sim.state_values``; asked afresh for every cycle.
+StateReader = Callable[[], Mapping[str, int]]
 
 
 class Stimulus:
     """Base class; subclasses yield one input map per cycle."""
 
     def cycles(self, system: TransitionSystem,
-               state_values: Mapping[str, int] | None = None
+               state: StateReader | None = None
                ) -> Iterator[dict[str, int]]:
         raise NotImplementedError
 
@@ -33,7 +37,7 @@ class VectorStimulus(Stimulus):
         self.vectors = [dict(v) for v in vectors]
 
     def cycles(self, system: TransitionSystem,
-               state_values: Mapping[str, int] | None = None
+               state: StateReader | None = None
                ) -> Iterator[dict[str, int]]:
         for v in self.vectors:
             yield dict(v)
@@ -65,38 +69,31 @@ class RandomStimulus(Stimulus):
         self.max_retries = max_retries
 
     def cycles(self, system: TransitionSystem,
-               state_values: Mapping[str, int] | None = None
+               state: StateReader | None = None
                ) -> Iterator[dict[str, int]]:
         rng = random.Random(self.seed)
-        input_constraints = [
+        # A constraint is enforced when it reads an input and everything
+        # else it reads can be looked up: registers only through `state`.
+        inputs = set(system.inputs)
+        readable = inputs if state is None else inputs | set(system.states)
+        check = E.program(
             c for c in system.constraints
-            if E.support(c) & set(system.inputs)]
+            if inputs & (free := E.support(c)) and free <= readable)
+        plan = [(name, 1 << v.width, self.pinned.get(name))
+                for name, v in system.inputs.items()]
         for _ in range(self.length):
-            inputs = self._sample(system, rng, input_constraints,
-                                  state_values)
-            yield inputs
+            yield self._sample(rng, plan, check, state)
 
-    def _sample(self, system: TransitionSystem, rng: random.Random,
-                constraints: list[E.Expr],
-                state_values: Mapping[str, int] | None) -> dict[str, int]:
+    def _sample(self, rng: random.Random,
+                plan: list[tuple[str, int, int | None]], check: E.Program,
+                state: StateReader | None) -> dict[str, int]:
         for _ in range(self.max_retries):
-            inputs = {}
-            for name, v in system.inputs.items():
-                if name in self.pinned:
-                    inputs[name] = self.pinned[name] & mask(v.width)
-                else:
-                    inputs[name] = rng.randrange(1 << v.width)
-            if not constraints:
+            inputs = {name: rng.randrange(span) if pin is None
+                      else pin & (span - 1) for name, span, pin in plan}
+            if not len(check):
                 return inputs
-            env = dict(inputs)
-            if state_values:
-                env.update(state_values)
-            try:
-                if all(E.evaluate(c, env) for c in constraints):
-                    return inputs
-            except Exception:
-                # Constraint mentions state we were not given; treat the
-                # sample as acceptable rather than guessing.
+            env = inputs if state is None else {**inputs, **state()}
+            if all(check.run(env)):
                 return inputs
         raise SimulationError(
             "could not satisfy input constraints after "

@@ -39,7 +39,7 @@ class TestEveryDesign:
         sim = Simulator(system, check_constraints=False)
         sim.reset()
         stim = RandomStimulus(20, seed=1, pinned=_reset_pins(system))
-        for inputs in stim.cycles(system, sim.state_values):
+        for inputs in stim.cycles(system, lambda: sim.state_values):
             sim.step(inputs)
 
     def test_spec_is_substantive(self, design):

@@ -1,11 +1,18 @@
 """Unit + property tests for the expression IR."""
 
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import IRError
 from repro.ir import expr as E
 from repro.utils.bits import mask, to_signed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestInterning:
@@ -189,6 +196,152 @@ class TestSupportAndTraversal:
         for _ in range(5000):
             e = E.add(e, E.const(1, 8))
         assert E.evaluate(e, {"x": 0}) == 5000 % 256
+
+
+def reference_evaluate(root: E.Expr, env: dict[str, int]) -> int:
+    """Tree-walking evaluator straight from the semantics table in the
+    ``repro.ir.expr`` docstring: the reference the kernel is held to.
+    Recursive and unmemoised on purpose; only for small test DAGs."""
+    op, w = root.op, root.width
+    if op == "const":
+        return root.value
+    if op == "var":
+        return env[root.name] & mask(w)
+    vals = [reference_evaluate(arg, env) for arg in root.args]
+    a = vals[0]
+    aw = root.args[0].width
+    if op == "ite":
+        return vals[1] if a else vals[2]
+    if op == "extract":
+        hi, lo = root.params
+        return sum(((a >> i) & 1) << (i - lo) for i in range(lo, hi + 1))
+    if op in ("redand", "redor", "redxor"):
+        bits = [(a >> i) & 1 for i in range(aw)]
+        return {"redand": int(all(bits)), "redor": int(any(bits)),
+                "redxor": sum(bits) % 2}[op]
+    if op == "not":
+        return mask(w) - a
+    if op == "neg":
+        return (2 ** w - a) % 2 ** w
+    b = vals[1]
+    if op in ("slt", "sle"):
+        sa, sb = to_signed(a, aw), to_signed(b, aw)
+        return int(sa < sb if op == "slt" else sa <= sb)
+    if op == "ashr":
+        return (to_signed(a, w) // 2 ** min(b, w)) % 2 ** w
+    if op == "concat":
+        return a * 2 ** root.args[1].width + b
+    return {"and": a & b, "or": a | b, "xor": a ^ b,
+            "add": (a + b) % 2 ** w, "sub": (a - b) % 2 ** w,
+            "mul": (a * b) % 2 ** w,
+            "shl": (a * 2 ** b) % 2 ** w if b < w else 0,
+            "lshr": a // 2 ** b if b < w else 0,
+            "eq": int(a == b), "ne": int(a != b),
+            "ult": int(a < b), "ule": int(a <= b)}[op]
+
+
+def random_dag(rng: random.Random, width: int, size: int
+               ) -> tuple[list[E.Expr], dict[str, int]]:
+    """``size`` operator nodes over a small pool (heavy sharing) at one
+    base ``width``, every operator of the table reachable, plus an
+    environment for the variables."""
+    names = ["p", "q", "r"]
+    words = [E.var(n, width) for n in names]
+    words.append(E.const(rng.getrandbits(width), width))
+    bools = [E.var("flag", 1)]
+    env = {n: rng.getrandbits(width) for n in names}
+    env["flag"] = rng.getrandbits(1)
+    binary = [E.and_, E.or_, E.xor, E.add, E.sub, E.mul, E.shl, E.lshr,
+              E.ashr]
+    compare = [E.eq, E.ne, E.ult, E.ule, E.slt, E.sle]
+    for _ in range(size):
+        a, b = rng.choice(words), rng.choice(words)
+        kind = rng.randrange(6)
+        if kind == 0:
+            words.append(rng.choice(binary)(a, b))
+        elif kind == 1:
+            words.append(rng.choice([E.not_, E.neg])(a))
+        elif kind == 2:
+            bools.append(rng.choice(compare)(a, b))
+        elif kind == 3:
+            bools.append(rng.choice([E.redand, E.redor, E.redxor])(a))
+        elif kind == 4:
+            words.append(E.ite(rng.choice(bools), a, b))
+        else:
+            # concat then extract back to the base width, at a random
+            # offset, so both appear without the widths drifting.
+            lo = rng.randrange(width + 1)
+            words.append(E.extract(E.concat(a, b), lo + width - 1, lo))
+    return words[4:] + bools[1:], env
+
+
+class TestKernel:
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 16, 31, 32, 33, 64])
+    def test_agrees_with_reference_on_random_dags(self, width):
+        rng = random.Random(width)
+        seen_ops = set()
+        for _ in range(30):
+            roots, env = random_dag(rng, width, 25)
+            roots = [r for r in roots if not r.is_const]
+            expected = [reference_evaluate(r, env) for r in roots]
+            assert E.evaluate_many(roots, env) == expected
+            assert [E.evaluate(r, env) for r in roots] == expected
+            seen_ops |= {n.op for n in E.iter_dag(roots)}
+        if width >= 7:
+            assert seen_ops == E._OPS
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_shift_amounts_at_and_beyond_the_width(self, width):
+        a, n = E.var("a", width), E.var("n", width.bit_length() + 1)
+        shifts = [E.shl(a, n), E.lshr(a, n), E.ashr(a, n)]
+        for value in (0, 1, mask(width), 1 << (width - 1)):
+            for amount in (0, 1, width - 1, width, width + 1, mask(n.width)):
+                env = {"a": value, "n": amount}
+                assert E.evaluate_many(shifts, env) == \
+                    [reference_evaluate(s, env) for s in shifts]
+
+    def test_shared_subdag_is_one_slot(self):
+        x, y = E.var("x", 8), E.var("y", 8)
+        shared = E.mul(E.add(x, y), E.add(x, y))
+        roots = [E.eq(shared, E.const(9, 8)), E.ult(shared, y), shared]
+        prog = E.program(roots)
+        assert len(prog) == len(list(E.iter_dag(roots))) == 7
+        env = {"x": 200, "y": 59}
+        assert prog.run(env) == [E.evaluate(r, env) for r in roots] \
+            == [1, 1, 9]
+        assert E.program(tuple(roots)) is prog
+
+    def test_missing_variable_is_named(self):
+        e = E.add(E.var("here", 4), E.var("ghost", 4))
+        with pytest.raises(IRError, match="'ghost'"):
+            E.evaluate(e, {"here": 1})
+        with pytest.raises(IRError, match="'ghost'"):
+            E.evaluate_many([e, E.var("here", 4)], {"here": 1})
+
+    def test_env_values_wrap_to_the_variable_width(self):
+        x = E.var("x", 4)
+        assert E.evaluate(x, {"x": 0x1F}) == 0xF
+        assert E.evaluate(E.add(x, E.const(1, 4)), {"x": -1}) == 0
+        assert E.evaluate(E.ult(x, E.const(3, 4)), {"x": 16}) == 1
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(IRError, match="bogus"):
+            E.evaluate(E._mk("bogus", 4, (E.var("x", 4),)), {"x": 0})
+
+    def test_clearing_the_intern_table_drops_programs(self):
+        # In a child interpreter: clearing the table under a running
+        # test session would break identity for every live expression.
+        script = (
+            "from repro.ir import expr as E\n"
+            "e = lambda: E.sub(E.var('x', 8), E.const(1, 8))\n"
+            "assert E.evaluate(e(), {'x': 0}) == 255\n"
+            "assert E._PROGRAMS\n"
+            "E.clear_intern_table()\n"
+            "assert not E._PROGRAMS\n"
+            "assert E.evaluate(e(), {'x': 3}) == 2\n"
+            "assert len(E._PROGRAMS) == 1\n")
+        subprocess.run([sys.executable, "-c", script],
+                       env={"PYTHONPATH": str(SRC)}, check=True)
 
 
 class TestStructuralSignature:
