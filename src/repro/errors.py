@@ -59,7 +59,14 @@ class ElaborationError(HdlError):
 
 
 class PropertyError(ReproError):
-    """Invalid SVA property (parse, name resolution, or compilation)."""
+    """Invalid SVA property.  ``kind`` says how, for the hallucination
+    taxonomy: ``malformed`` (not a well-formed property),
+    ``unknown_signal`` (names something the design lacks) or
+    ``unsupported`` (a construct or shape outside the subset)."""
+
+    def __init__(self, message: str, kind: str = "malformed"):
+        super().__init__(message)
+        self.kind = kind
 
 
 class TraceError(ReproError):

@@ -26,7 +26,6 @@ from repro.errors import IRError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache, run_cached
-from repro.mc.portfolio import PortfolioScheduler
 from repro.mc.property import SafetyProperty
 from repro.mc.result import ProofStats, Status
 from repro.trace.trace import Trace
@@ -49,44 +48,18 @@ def houdini_prove(system: TransitionSystem,
                   bmc_bound: int = 10,
                   lemmas: list[tuple[E.Expr, int]] | None = None,
                   max_rounds: int = 25,
-                  jobs: int = 1,
                   cache: ResultCache | None = None) -> HoudiniResult:
     """Run the Houdini fixpoint; see the module docstring.
 
     ``lemmas`` are previously proven invariants assumed throughout (they
     only ever help).  ``max_k`` bounds the induction depth tried for the
-    conjunction — each k runs its own drop-to-fixpoint loop.
-
-    ``jobs > 1`` adds a *parallel per-candidate BMC screen* before the
-    conjunction loop: each candidate is bounded-checked independently
-    across the worker pool, and individually-falsified ones (the
-    hallucinated assertions the paper warns about) are dropped in bulk
-    instead of one conjunction counterexample at a time.  ``cache``
+    conjunction — each k runs its own drop-to-fixpoint loop.  ``cache``
     memoizes every conjunction query, so the screen of round ``n`` is
     free when round ``n+1`` re-tries the same surviving set.
     """
     stats = ProofStats()
     dropped: list[tuple[SafetyProperty, str]] = []
     active = list(candidates)
-
-    if jobs > 1 and len(active) > 1:
-        scheduler = PortfolioScheduler(
-            jobs=jobs, strategies=("bmc",),
-            strategy_options={"bmc": {"bound": bmc_bound}}, cache=cache)
-        survivors = []
-        violated = {}
-        for outcome in scheduler.run_batch(system, active,
-                                           lemmas=list(lemmas or [])):
-            stats.accumulate(outcome.result.stats)
-            if outcome.status is Status.VIOLATED:
-                violated[outcome.property_name] = outcome.result.k
-        for prop in active:
-            if prop.name in violated:
-                dropped.append((prop, "falsified from reset at cycle "
-                                f"{violated[prop.name]} (parallel screen)"))
-            else:
-                survivors.append(prop)
-        active = survivors
 
     # Round 0: BMC screen of the conjunction (drop real violations).
     rounds = 0

@@ -2,11 +2,10 @@
 
 Pipeline stages (each one a measured filter):
 
-1. build the lemma prompt from the design's specification and RTL;
-2. one LLM call; extract SVA snippets from the response text;
-3. parse + name-resolve (hallucination triage);
-4. simulation screening against randomized reachable states;
-5. Houdini inductive fixpoint — survivors are *proven* invariants;
+1. build the lemma prompt from the design's specification and RTL; one
+   LLM call;
+2. — 5. the candidate funnel (:mod:`repro.flow.funnel`): extract,
+   parse + resolve, screen, Houdini — survivors are *proven* invariants;
 6. prove every target property twice — without and with the proven
    lemmas — and report the effort delta (the paper's "faster proof for
    complex properties").
@@ -23,17 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.designs.base import Design
-from repro.flow.houdini import houdini_prove
+from repro.flow.funnel import CandidateFunnel
 from repro.flow.stats import AssertionOutcome, FlowStats
 from repro.genai.client import LLMClient
-from repro.genai.parse import extract_assertions, validate_assertions
 from repro.genai.prompts import lemma_prompt
 from repro.mc.cache import ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
-from repro.sim.screening import screen_invariants
 from repro.sva.compile import MonitorContext
+
+PDR_MAX_FRAMES = 12  # frame budget of the cross-feed PDR run
 
 
 @dataclass
@@ -87,97 +86,29 @@ class LemmaGenerationFlow:
 
     def __init__(self, client: LLMClient,
                  engine_config: EngineConfig | None = None,
-                 screen_runs: int = 6,
-                 screen_cycles: int = 40,
-                 houdini_k: int = 3,
-                 houdini_bmc_bound: int = 8,
-                 jobs: int = 1,
                  cache: ResultCache | None = None,
-                 pdr_cross_feed: bool = False,
-                 pdr_max_frames: int = 12):
+                 pdr_cross_feed: bool = False):
         self.client = client
         self.engine_config = engine_config or EngineConfig()
-        self.screen_runs = screen_runs
-        self.screen_cycles = screen_cycles
-        self.houdini_k = houdini_k
-        self.houdini_bmc_bound = houdini_bmc_bound
-        self.jobs = jobs
         self.cache = cache
         self.pdr_cross_feed = pdr_cross_feed
-        self.pdr_max_frames = pdr_max_frames
 
     # ------------------------------------------------------------------
 
     def run(self, design: Design,
             targets: list[str] | None = None) -> LemmaFlowResult:
         """Execute the flow; ``targets`` defaults to all design properties."""
-        stats = FlowStats()
-        outcomes: list[AssertionOutcome] = []
-        system = design.system()
+        ctx = MonitorContext(design.system())
+        funnel = CandidateFunnel(ctx, cache=self.cache)
+        stats = funnel.stats
 
-        # 1-2. Prompt the model and recover assertion snippets.
+        # 1. Prompt the model.
         prompt = lemma_prompt(design.spec, design.rtl)
         response = self.client.complete(prompt)
-        stats.note_response(response.latency_s, response.prompt_tokens,
-                            response.completion_tokens)
-        snippets = extract_assertions(response.text)
-        stats.assertions_emitted = len(snippets)
 
-        # 3. Parse and resolve against the design.
-        validated = validate_assertions(system, snippets)
-        usable = []
-        for record in validated:
-            if record.usable:
-                stats.assertions_parsed += 1
-                stats.assertions_resolved += 1
-                usable.append(record)
-            else:
-                stage = "parse" if record.status == "syntax_error" \
-                    else "resolve"
-                outcomes.append(AssertionOutcome(
-                    record.raw_text, stage=stage, detail=record.error))
-
-        # 4. Compile into a shared monitored system, then screen.
-        ctx = MonitorContext(system)
-        compiled: list[tuple[AssertionOutcome, SafetyProperty]] = []
-        for record in usable:
-            prop = ctx.add(record.ast)
-            outcome = AssertionOutcome(record.raw_text, stage="screen")
-            outcomes.append(outcome)
-            compiled.append((outcome, prop))
-        screen_input = [prop.good for _, prop in compiled]
-        reports = screen_invariants(
-            ctx.system, screen_input, runs=self.screen_runs,
-            cycles_per_run=self.screen_cycles)
-        survivors: list[tuple[AssertionOutcome, SafetyProperty]] = []
-        for (outcome, prop), report in zip(compiled, reports):
-            if report.passed:
-                stats.assertions_screened += 1
-                outcome.stage = "proof"
-                survivors.append((outcome, prop))
-            else:
-                outcome.detail = (f"falsified by simulation at cycle "
-                                  f"{report.failed_at}")
-
-        # 5. Houdini: prove the maximal inductive subset.
-        houdini = houdini_prove(
-            ctx.system, [prop for _, prop in survivors],
-            max_k=self.houdini_k, bmc_bound=self.houdini_bmc_bound,
-            jobs=self.jobs, cache=self.cache)
-        stats.proof_wall_s += houdini.stats.wall_seconds
-        stats.sat_conflicts += houdini.stats.conflicts
-        proven_set = {id(p) for p in houdini.proven}
-        lemmas: list[SafetyProperty] = []
-        for outcome, prop in survivors:
-            if id(prop) in proven_set:
-                outcome.stage = "lemma"
-                outcome.proven = True
-                stats.assertions_proven += 1
-                lemmas.append(prop)
-            else:
-                reason = next((r for c, r in houdini.dropped
-                               if c is prop), "not inductive")
-                outcome.detail = reason
+        # 2-5. Extract, triage, screen, Houdini: what survives is proven.
+        proven, _ = funnel.prove(funnel.admit(response))
+        lemmas = [prop for _, prop in proven]
 
         # 6. Target comparisons: without vs with lemmas.
         comparisons = []
@@ -202,14 +133,13 @@ class LemmaGenerationFlow:
             comparison = TargetComparison(target_name, without, with_lemmas)
             comparisons.append(comparison)
             if comparison.enabled_proof or comparison.speedup > 1.2:
-                for outcome in outcomes:
-                    if outcome.stage == "lemma":
-                        outcome.useful = True
+                for outcome, _ in proven:
+                    outcome.useful = True
 
         return LemmaFlowResult(
             design=design.name, model=getattr(self.client, "model_name",
                                               "unknown"),
-            outcomes=outcomes, lemmas=lemmas, targets=comparisons,
+            outcomes=funnel.outcomes, lemmas=lemmas, targets=comparisons,
             stats=stats, response_text=response.text)
 
     def _pdr_assist(self, engine: ProofEngine, target_prop, spec,
@@ -224,7 +154,7 @@ class LemmaGenerationFlow:
         the way leaves the original result untouched.
         """
         pdr_result = engine.check(target_prop, "pdr",
-                                  max_frames=self.pdr_max_frames)
+                                  max_frames=PDR_MAX_FRAMES)
         stats.note_proof(pdr_result)
         if engine.add_invariant_lemmas(pdr_result) > 0:
             rerun = engine.prove(target_prop, max_k=spec.max_k)

@@ -5,12 +5,13 @@ The loop the paper describes, automated end to end:
 1. attempt k-induction on the target property;
 2. on step failure, render the step counterexample as waveform text (the
    paper's Fig. 3 artifact) and build the repair prompt (CEX + RTL);
-3. the LLM proposes strengthening invariants; parse, resolve, screen;
+3. the LLM proposes strengthening invariants; the candidate funnel
+   (:mod:`repro.flow.funnel`) parses, resolves and screens them;
 4. candidates that survive screening enter a Houdini pass *jointly with
    the target*: if the target lands in the inductive subset, the proof is
    closed; otherwise proven candidates become lemmas and the loop
    re-attempts the induction with a strengthened hypothesis;
-5. iterate up to ``max_iterations``.
+5. iterate up to ``MAX_ITERATIONS``.
 
 A base-case failure at any point is a real bug and terminates the loop
 with VIOLATED (GenAI cannot — and must not — repair those).
@@ -21,18 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.designs.base import Design
-from repro.flow.houdini import houdini_prove
+from repro.flow.funnel import HOUDINI_K, CandidateFunnel
 from repro.flow.stats import AssertionOutcome, FlowStats
 from repro.genai.client import LLMClient
-from repro.genai.parse import extract_assertions, validate_assertions
 from repro.genai.prompts import repair_prompt
 from repro.mc.cache import ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
-from repro.sim.screening import screen_invariants
 from repro.sva.compile import MonitorContext
 from repro.trace.wave import render_for_prompt
+
+MAX_ITERATIONS = 4  # trips around the loop before giving up
+CEX_SIGNALS = 12    # signals shown to the model, most-active first
 
 
 @dataclass
@@ -82,23 +84,9 @@ class InductionRepairFlow:
 
     def __init__(self, client: LLMClient,
                  engine_config: EngineConfig | None = None,
-                 max_iterations: int = 4,
-                 screen_runs: int = 6,
-                 screen_cycles: int = 40,
-                 houdini_k: int = 3,
-                 houdini_bmc_bound: int = 8,
-                 cex_signals: int = 12,
-                 jobs: int = 1,
                  cache: ResultCache | None = None):
         self.client = client
         self.engine_config = engine_config or EngineConfig()
-        self.max_iterations = max_iterations
-        self.screen_runs = screen_runs
-        self.screen_cycles = screen_cycles
-        self.houdini_k = houdini_k
-        self.houdini_bmc_bound = houdini_bmc_bound
-        self.cex_signals = cex_signals
-        self.jobs = jobs
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -106,21 +94,20 @@ class InductionRepairFlow:
     def run(self, design: Design, property_name: str,
             max_k: int | None = None) -> RepairFlowResult:
         spec = design.property_spec(property_name)
-        system = design.system()
-        ctx = MonitorContext(system)
+        ctx = MonitorContext(design.system())
         target = ctx.add(spec.sva, name=spec.name)
         engine = ProofEngine(ctx.system, self.engine_config,
                              cache=self.cache)
         depth = max_k if max_k is not None else spec.max_k
 
-        stats = FlowStats()
-        outcomes: list[AssertionOutcome] = []
+        funnel = CandidateFunnel(ctx, cache=self.cache)
+        stats = funnel.stats
         iterations: list[RepairIteration] = []
         helpers: list[SafetyProperty] = []
         final: CheckResult | None = None
         status = Status.UNKNOWN
 
-        for index in range(1, self.max_iterations + 1):
+        for index in range(1, MAX_ITERATIONS + 1):
             stats.iterations = index
             result = engine.prove(target, max_k=depth)
             stats.note_proof(result)
@@ -154,78 +141,29 @@ class InductionRepairFlow:
                             if s.kind in ("state", "input")
                             and not s.name.startswith("_mon.")]
             cex_text = render_for_prompt(
-                trace.restricted(signal_names[:self.cex_signals]))
+                trace.restricted(signal_names[:CEX_SIGNALS]))
             iteration.cex_text = cex_text
             prompt = repair_prompt(design.rtl, spec.sva, cex_text)
             response = self.client.complete(prompt)
-            stats.note_response(response.latency_s,
-                                response.prompt_tokens,
-                                response.completion_tokens)
 
             # 3. Parse / resolve / screen.
-            snippets = extract_assertions(response.text)
-            stats.assertions_emitted += len(snippets)
-            iteration.emitted = len(snippets)
-            validated = validate_assertions(system, snippets)
-            candidates: list[tuple[AssertionOutcome, SafetyProperty]] = []
-            for record in validated:
-                if not record.usable:
-                    stage = "parse" if record.status == "syntax_error" \
-                        else "resolve"
-                    outcomes.append(AssertionOutcome(
-                        record.raw_text, stage=stage, detail=record.error))
-                    continue
-                stats.assertions_parsed += 1
-                stats.assertions_resolved += 1
-                prop = ctx.add(record.ast)
-                outcome = AssertionOutcome(record.raw_text, stage="screen")
-                outcomes.append(outcome)
-                candidates.append((outcome, prop))
-            if candidates:
-                reports = screen_invariants(
-                    ctx.system, [p.good for _, p in candidates],
-                    runs=self.screen_runs,
-                    cycles_per_run=self.screen_cycles)
-                screened = []
-                for (outcome, prop), report in zip(candidates, reports):
-                    if report.passed:
-                        stats.assertions_screened += 1
-                        outcome.stage = "proof"
-                        screened.append((outcome, prop))
-                    else:
-                        outcome.detail = ("falsified by simulation at "
-                                          f"cycle {report.failed_at}")
-                candidates = screened
-
+            emitted_before = stats.assertions_emitted
+            candidates = funnel.admit(response)
+            iteration.emitted = stats.assertions_emitted - emitted_before
             if not candidates:
                 continue  # nothing usable this round; ask again
 
             # 4. Houdini jointly with the target: closing in one shot.
-            houdini = houdini_prove(
-                ctx.system,
-                [prop for _, prop in candidates] + [target],
-                max_k=max(self.houdini_k, depth),
-                bmc_bound=self.houdini_bmc_bound,
-                lemmas=engine.lemma_pairs(),
-                jobs=self.jobs, cache=self.cache)
-            stats.proof_wall_s += houdini.stats.wall_seconds
-            stats.sat_conflicts += houdini.stats.conflicts
-            proven_ids = {id(p) for p in houdini.proven}
-            for outcome, prop in candidates:
-                if id(prop) in proven_ids:
-                    outcome.stage = "lemma"
-                    outcome.proven = True
-                    outcome.useful = True
-                    stats.assertions_proven += 1
-                    helpers.append(prop)
-                    engine.add_lemma(prop.name, prop.good, prop.valid_from)
-                    iteration.proven_helpers.append(prop.name)
-                else:
-                    reason = next((r for c, r in houdini.dropped
-                                   if c is prop), "not inductive")
-                    outcome.detail = reason
+            proven, target_proven = funnel.prove(
+                candidates, target=target, max_k=max(HOUDINI_K, depth),
+                lemmas=engine.lemma_pairs())
+            for outcome, prop in proven:
+                outcome.useful = True
+                helpers.append(prop)
+                engine.add_lemma(prop.name, prop.good, prop.valid_from)
+                iteration.proven_helpers.append(prop.name)
             # If the target itself survived Houdini, it is proven.
-            if id(target) in proven_ids:
+            if target_proven:
                 status = Status.PROVEN
                 final = engine.prove(target, max_k=depth)
                 stats.note_proof(final)
@@ -237,4 +175,4 @@ class InductionRepairFlow:
             design=design.name, property_name=property_name,
             model=getattr(self.client, "model_name", "unknown"),
             status=status, iterations=iterations, helpers=helpers,
-            outcomes=outcomes, stats=stats, final=final)
+            outcomes=funnel.outcomes, stats=stats, final=final)

@@ -225,24 +225,20 @@ class VerificationSession:
             wall_seconds=wall, jobs=jobs,
             cache_stats=self.cache.stats.since(stats_before))
 
-    def lemma_flow(self, targets: list[str] | None = None,
-                   **flow_kwargs) -> LemmaFlowResult:
+    def lemma_flow(self, targets: list[str] | None = None
+                   ) -> LemmaFlowResult:
         """Run the Fig. 1 helper-assertion-generation flow."""
-        flow_kwargs.setdefault("jobs", self.jobs)
-        flow_kwargs.setdefault("cache", self.cache)
         flow = LemmaGenerationFlow(self.client,
                                    engine_config=self.engine_config,
-                                   **flow_kwargs)
+                                   cache=self.cache)
         return flow.run(self.design, targets=targets)
 
-    def repair(self, property_name: str, max_k: int | None = None,
-               **flow_kwargs) -> RepairFlowResult:
+    def repair(self, property_name: str,
+               max_k: int | None = None) -> RepairFlowResult:
         """Run the Fig. 2 induction-step-failure repair loop."""
-        flow_kwargs.setdefault("jobs", self.jobs)
-        flow_kwargs.setdefault("cache", self.cache)
         flow = InductionRepairFlow(self.client,
                                    engine_config=self.engine_config,
-                                   **flow_kwargs)
+                                   cache=self.cache)
         return flow.run(self.design, property_name, max_k=max_k)
 
 

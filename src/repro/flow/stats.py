@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.genai.client import LLMResponse
 from repro.mc.result import CheckResult
 
 
@@ -57,18 +58,12 @@ class FlowStats:
     sat_conflicts: int = 0
     iterations: int = 0
 
-    def note_response(self, latency_s: float, prompt_tokens: int,
-                      completion_tokens: int) -> None:
+    def note_response(self, response: LLMResponse) -> None:
         self.llm_calls += 1
-        self.llm_latency_s += latency_s
-        self.prompt_tokens += prompt_tokens
-        self.completion_tokens += completion_tokens
+        self.llm_latency_s += response.latency_s
+        self.prompt_tokens += response.prompt_tokens
+        self.completion_tokens += response.completion_tokens
 
     def note_proof(self, result: CheckResult) -> None:
         self.proof_wall_s += result.stats.wall_seconds
         self.sat_conflicts += result.stats.conflicts
-
-    @property
-    def total_wall_s(self) -> float:
-        """End-to-end cost a user would wait for (LLM latency + proofs)."""
-        return self.llm_latency_s + self.proof_wall_s

@@ -91,14 +91,9 @@ def validate_assertions(system: TransitionSystem,
         scratch = MonitorContext(system)
         try:
             scratch.add(ast_node)
-        except (PropertyError, HdlError) as exc:
-            message = str(exc)
-            if "unknown signal" in message:
-                record.status = "unknown_signal"
-            elif "unsupported" in message:
-                record.status = "unsupported"
-            else:
-                record.status = "syntax_error"
-            record.error = message
+        except PropertyError as exc:
+            record.status = "syntax_error" if exc.kind == "malformed" \
+                else exc.kind
+            record.error = str(exc)
         out.append(record)
     return out

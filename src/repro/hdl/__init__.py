@@ -8,6 +8,8 @@ system``:
 * :mod:`repro.hdl.parser` — recursive-descent parser for modules,
   declarations, ``always_ff``/``always_comb``/``assign``, statements and
   expressions;
+* :mod:`repro.hdl.lower` — the one lowering of an expression AST into
+  the bit-vector IR, shared with the SVA property compiler;
 * :mod:`repro.hdl.elaborate` — elaboration: parameter evaluation, width
   inference, symbolic execution of processes, reset extraction, hierarchy
   flattening, unpacked-array lowering — producing a

@@ -22,8 +22,8 @@ class HdlExpr:
 @dataclass
 class Number(HdlExpr):
     value: int = 0
-    width: int | None = None  # None: unsized decimal or '0/'1 fill
-    is_fill: bool = False     # '0 / '1 literal (expands to context width)
+    width: int | None = None  # None: unsized decimal, or '0 / '1 fill
+                              # (value 0 / -1: expands to context width)
 
 
 @dataclass

@@ -36,13 +36,11 @@ from dataclasses import dataclass
 
 from repro.errors import ElaborationError
 from repro.hdl import ast
+from repro.hdl.lower import Lowerer, Unsized, const_eval, resize
 from repro.hdl.parser import parse_source
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.utils.bits import mask
-
-_NATURAL_WIDTH = 32  # width of unsized decimal literals, as in Verilog
-
 
 @dataclass
 class _SignalInfo:
@@ -57,15 +55,6 @@ class _SignalInfo:
     driver: str | None = None          # "input"|"assign"|"comb"|"ff"|"inst"
     driver_ref: object | None = None   # AST node or instance tuple
     initial: ast.HdlExpr | None = None
-
-
-class _Unsized:
-    """An unsized constant awaiting a context width."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
 
 
 def elaborate(source: str | ast.Module | list[ast.Module],
@@ -183,6 +172,11 @@ class _ModuleElaborator:
         self._child_systems: dict[str, TransitionSystem] = {}
         self._child_outputs: dict[str, tuple[str, str]] = {}
         self._collect_signals()
+        self._lowerer = Lowerer(
+            signal=self._lower_signal, error=ElaborationError,
+            arrays={info.name: (info.elem_width, info.n_elems)
+                    for info in self.signals.values() if info.is_array},
+            params=self.params)
         self._find_clock_and_resets()
         self._assign_drivers()
 
@@ -206,48 +200,8 @@ class _ModuleElaborator:
 
     def _const_eval(self, e: ast.HdlExpr,
                     env: dict[str, int] | None = None) -> int:
-        env = self.params if env is None else env
-        if isinstance(e, ast.Number):
-            return e.value
-        if isinstance(e, ast.Ident):
-            if e.name in env:
-                return env[e.name]
-            raise ElaborationError(
-                f"{e.name!r} is not a constant", e.line)
-        if isinstance(e, ast.Unary):
-            v = self._const_eval(e.operand, env)
-            return {"-": -v, "+": v, "!": int(v == 0), "~": ~v}.get(
-                e.op, self._const_unsupported(e))
-        if isinstance(e, ast.Binary):
-            a = self._const_eval(e.left, env)
-            b = self._const_eval(e.right, env)
-            ops = {
-                "+": a + b, "-": a - b, "*": a * b,
-                "/": a // b if b else 0, "%": a % b if b else 0,
-                "<<": a << b, ">>": a >> b,
-                "&": a & b, "|": a | b, "^": a ^ b,
-                "==": int(a == b), "!=": int(a != b),
-                "<": int(a < b), "<=": int(a <= b),
-                ">": int(a > b), ">=": int(a >= b),
-                "&&": int(bool(a) and bool(b)),
-                "||": int(bool(a) or bool(b)),
-            }
-            if e.op in ops:
-                return ops[e.op]
-            self._const_unsupported(e)
-        if isinstance(e, ast.Ternary):
-            return (self._const_eval(e.then, env)
-                    if self._const_eval(e.cond, env)
-                    else self._const_eval(e.other, env))
-        if isinstance(e, ast.Call) and e.func == "$clog2":
-            v = self._const_eval(e.args[0], env)
-            return max(0, (v - 1).bit_length())
-        self._const_unsupported(e)
-
-    def _const_unsupported(self, e: ast.HdlExpr) -> int:
-        raise ElaborationError(
-            f"expression is not elaboration-time constant "
-            f"({type(e).__name__})", e.line)
+        return const_eval(e, self.params if env is None else env,
+                          ElaborationError)
 
     # ------------------------------------------------------------------
     # Signal table
@@ -439,6 +393,7 @@ class _ModuleElaborator:
     def build(self, system_name: str,
               constrain_reset: bool = True) -> TransitionSystem:
         system = TransitionSystem(system_name)
+        system.arrays = dict(self._lowerer.arrays)
         self.system = system
 
         # Inputs: all input ports except the clock.
@@ -508,8 +463,8 @@ class _ModuleElaborator:
                 raise ElaborationError(
                     f"input port {port.name!r} of {inst.name!r} unconnected",
                     inst.line)
-            bindings[port.name] = self._resize(
-                self._lower_expr(conn), child_width)
+            bindings[port.name] = resize(
+                self._lowerer.lower(conn), child_width)
 
         subst: dict[str, E.Expr] = dict(bindings)
         for state_name, v in child_sys.states.items():
@@ -518,6 +473,8 @@ class _ModuleElaborator:
         for state_name, v in child_sys.states.items():
             new_name = prefix + state_name
             self.system.add_state(new_name, v.width)
+            if state_name in child_sys.arrays:
+                self.system.arrays[new_name] = child_sys.arrays[state_name]
             if state_name in child_sys.init:
                 self.system.set_init(
                     new_name, E.substitute(child_sys.init[state_name],
@@ -540,7 +497,7 @@ class _ModuleElaborator:
                 continue
             resolved = child_sys.resolve_defines(
                 child_sys.lookup(port_name))
-            self._lower_memo[conn_name] = self._resize(
+            self._lower_memo[conn_name] = resize(
                 E.substitute(resolved, subst),
                 self._info(conn_name).width)
 
@@ -600,7 +557,7 @@ class _ModuleElaborator:
         if isinstance(stmt, ast.NullStmt):
             return env, nb
         if isinstance(stmt, ast.Assign):
-            value = self._lower_expr(stmt.value, env=env)
+            value = self._lowerer.lower(stmt.value, env)
             name = self._target_name(stmt.target)
             info = self._info(name, stmt.line)
             # Read-modify-write base for partial updates: blocking sees the
@@ -623,7 +580,7 @@ class _ModuleElaborator:
                 nb[name] = whole
             return env, nb
         if isinstance(stmt, ast.If):
-            cond = self._bool(self._lower_expr(stmt.cond, env=env))
+            cond = self._lowerer.cond(stmt.cond, env)
             env_t, nb_t = self._exec_stmt(stmt.then, dict(env), dict(nb),
                                           base_env)
             if stmt.other is not None:
@@ -640,10 +597,7 @@ class _ModuleElaborator:
             f"unsupported statement {type(stmt).__name__}", stmt.line)
 
     def _exec_case(self, stmt: ast.Case, env, nb, base_env):
-        subject = self._lower_expr(stmt.subject, env=env)
-        if isinstance(subject, _Unsized):
-            subject = E.const(subject.value, _NATURAL_WIDTH)
-        chain: ast.Stmt | None = None
+        self._lowerer.lower(stmt.subject, env)  # checked even if unlabelled
         default_body: ast.Stmt = ast.NullStmt(line=stmt.line)
         labeled = []
         for item in stmt.items:
@@ -694,18 +648,18 @@ class _ModuleElaborator:
                       info: _SignalInfo,
                       env: dict[str, E.Expr]) -> E.Expr:
         if isinstance(target, ast.Ident):
-            return self._resize(value, info.width)
+            return resize(value, info.width)
         if isinstance(target, ast.Slice):
             msb = self._const_eval(target.msb)
             lsb = self._const_eval(target.lsb)
             width = msb - lsb + 1
             return self._splice(current, lsb, width,
-                                self._resize(value, width))
+                                resize(value, width))
         if isinstance(target, ast.Index):
             if info.is_array:
-                index = self._lower_expr(target.index, env=env)
+                index = self._lowerer.lower(target.index, env)
                 return self._array_write(
-                    current, index, self._resize(value, info.elem_width),
+                    current, index, resize(value, info.elem_width),
                     info)
             try:
                 bit_index = self._const_eval(target.index)
@@ -714,7 +668,7 @@ class _ModuleElaborator:
                     "dynamic bit-select on assignment targets is not "
                     "supported (use an array)", target.line)
             return self._splice(current, bit_index, 1,
-                                self._resize(value, 1))
+                                resize(value, 1))
         raise ElaborationError("unsupported assignment target", target.line)
 
     @staticmethod
@@ -734,7 +688,7 @@ class _ModuleElaborator:
 
     def _array_write(self, whole: E.Expr, index, value: E.Expr,
                      info: _SignalInfo) -> E.Expr:
-        if isinstance(index, _Unsized):
+        if isinstance(index, Unsized):
             lsb = index.value * info.elem_width
             if lsb + info.elem_width > info.width:
                 raise ElaborationError(
@@ -751,25 +705,15 @@ class _ModuleElaborator:
         placed = E.shl(E.zext(value, total), shift_amount)
         return E.or_(cleared, placed)
 
-    def _array_read(self, whole: E.Expr, index, info: _SignalInfo) -> E.Expr:
-        if isinstance(index, _Unsized):
-            lsb = index.value * info.elem_width
-            if lsb + info.elem_width > info.width:
-                raise ElaborationError(
-                    f"array index {index.value} out of range for "
-                    f"{info.name!r}")
-            return E.extract(whole, lsb + info.elem_width - 1, lsb)
-        total = info.width
-        shift_amount = E.mul(E.zext(index, total),
-                             E.const(info.elem_width, total))
-        shifted = E.lshr(whole, shift_amount)
-        return E.extract(shifted, info.elem_width - 1, 0)
-
     # ------------------------------------------------------------------
     # Signal lowering (wires, comb outputs, instance outputs)
     # ------------------------------------------------------------------
 
     def _lower_signal(self, name: str, line: int = 0) -> E.Expr:
+        """A name read as data (the lowerer's ``signal`` door)."""
+        if name == self.clock:
+            raise ElaborationError(
+                f"the clock {name!r} cannot be read as data", line)
         if name in self._lower_memo:
             return self._lower_memo[name]
         info = self._info(name, line)
@@ -790,11 +734,11 @@ class _ModuleElaborator:
         if info.driver == "input" or info.driver == "ff":
             return E.var(name, info.width)
         if info.driver == "decl":
-            return self._resize(self._lower_expr(info.driver_ref),
-                                info.width)
+            return resize(self._lowerer.lower(info.driver_ref),
+                          info.width)
         if info.driver == "assign":
             a: ast.ContinuousAssign = info.driver_ref
-            value = self._resize(self._lower_expr(a.value), info.width)
+            value = resize(self._lowerer.lower(a.value), info.width)
             if isinstance(a.target, ast.Ident):
                 return value
             raise ElaborationError(
@@ -810,7 +754,7 @@ class _ModuleElaborator:
                     raise ElaborationError(
                         f"always_comb leaves {sorted(missing)} unassigned "
                         "on some path", comb.line)
-                results = {k: self._resize(v, self._info(k).width)
+                results = {k: resize(v, self._info(k).width)
                            for k, v in env.items()}
                 self._comb_results[id(comb)] = results
             return results[name]
@@ -823,203 +767,6 @@ class _ModuleElaborator:
             # Free cut point, registered as an input by build().
             return E.var(name, info.width)
         raise ElaborationError(f"cannot lower signal {name!r}", line)
-
-    # ------------------------------------------------------------------
-    # Expression lowering
-    # ------------------------------------------------------------------
-
-    def _bool(self, value) -> E.Expr:
-        """Coerce to a 1-bit condition (Verilog truthiness: != 0)."""
-        if isinstance(value, _Unsized):
-            return E.true() if value.value else E.false()
-        if value.width == 1:
-            return value
-        return E.redor(value)
-
-    def _resize(self, value, width: int) -> E.Expr:
-        if isinstance(value, _Unsized):
-            return E.const(value.value, width)
-        if value.width == width:
-            return value
-        if value.width > width:
-            return E.extract(value, width - 1, 0)
-        return E.zext(value, width)
-
-    def _unify(self, a, b) -> tuple[E.Expr, E.Expr]:
-        """Bring two operands to a common width (Verilog max-extension)."""
-        if isinstance(a, _Unsized) and isinstance(b, _Unsized):
-            return (E.const(a.value, _NATURAL_WIDTH),
-                    E.const(b.value, _NATURAL_WIDTH))
-        if isinstance(a, _Unsized):
-            return E.const(a.value, b.width), b
-        if isinstance(b, _Unsized):
-            return a, E.const(b.value, a.width)
-        width = max(a.width, b.width)
-        return self._resize(a, width), self._resize(b, width)
-
-    def _lower_expr(self, e: ast.HdlExpr,
-                    env: dict[str, E.Expr] | None = None):
-        """Lower an expression; may return ``_Unsized`` for bare constants."""
-        if isinstance(e, ast.Number):
-            if e.is_fill:
-                # '0 / '1: context-width fill; -1 marks all-ones.
-                return _Unsized(-1 if e.value == -1 else 0)
-            if e.width is None:
-                return _Unsized(e.value)
-            return E.const(e.value, e.width)
-        if isinstance(e, ast.Ident):
-            if e.name in self.params:
-                return _Unsized(self.params[e.name])
-            if env is not None and e.name in env:
-                return env[e.name]
-            if e.name == self.clock:
-                raise ElaborationError(
-                    f"the clock {e.name!r} cannot be read as data", e.line)
-            return self._lower_signal(e.name, e.line)
-        if isinstance(e, ast.Unary):
-            return self._lower_unary(e, env)
-        if isinstance(e, ast.Binary):
-            return self._lower_binary(e, env)
-        if isinstance(e, ast.Ternary):
-            cond = self._bool(self._lower_expr(e.cond, env))
-            then_v, else_v = self._unify(self._lower_expr(e.then, env),
-                                         self._lower_expr(e.other, env))
-            return E.ite(cond, then_v, else_v)
-        if isinstance(e, ast.Concat):
-            parts = []
-            for part in e.parts:
-                v = self._lower_expr(part, env)
-                if isinstance(v, _Unsized):
-                    raise ElaborationError(
-                        "unsized constants are not allowed in "
-                        "concatenations", e.line)
-                parts.append(v)
-            result = parts[0]
-            for p in parts[1:]:
-                result = E.concat(result, p)
-            return result
-        if isinstance(e, ast.Repl):
-            count = self._const_eval(e.count)
-            operand = self._lower_expr(e.operand, env)
-            if isinstance(operand, _Unsized):
-                raise ElaborationError(
-                    "unsized constants are not allowed in replications",
-                    e.line)
-            return E.repeat(operand, count)
-        if isinstance(e, ast.Index):
-            return self._lower_index(e, env)
-        if isinstance(e, ast.Slice):
-            base = self._lower_expr(e.base, env)
-            if isinstance(base, _Unsized):
-                base = E.const(base.value, _NATURAL_WIDTH)
-            msb = self._const_eval(e.msb)
-            lsb = self._const_eval(e.lsb)
-            return E.extract(base, msb, lsb)
-        if isinstance(e, ast.Call):
-            return self._lower_call(e, env)
-        raise ElaborationError(
-            f"unsupported expression {type(e).__name__}", e.line)
-
-    def _lower_index(self, e: ast.Index, env):
-        if isinstance(e.base, ast.Ident):
-            name = e.base.name
-            info = self.signals.get(name)
-            if info is not None and info.is_array:
-                whole = env[name] if env is not None and name in env \
-                    else self._lower_signal(name, e.line)
-                index = self._lower_expr(e.index, env)
-                return self._array_read(whole, index, info)
-        base = self._lower_expr(e.base, env)
-        if isinstance(base, _Unsized):
-            base = E.const(base.value, _NATURAL_WIDTH)
-        index = self._lower_expr(e.index, env)
-        if isinstance(index, _Unsized):
-            if not (0 <= index.value < base.width):
-                raise ElaborationError(
-                    f"bit index {index.value} out of range", e.line)
-            return E.extract(base, index.value, index.value)
-        shifted = E.lshr(base, self._resize(index, base.width))
-        return E.extract(shifted, 0, 0)
-
-    def _lower_unary(self, e: ast.Unary, env):
-        operand = self._lower_expr(e.operand, env)
-        if e.op in ("!",):
-            return E.not_(self._bool(operand))
-        if isinstance(operand, _Unsized):
-            operand = E.const(operand.value, _NATURAL_WIDTH)
-        if e.op == "~":
-            return E.not_(operand)
-        if e.op == "-":
-            return E.neg(operand)
-        if e.op == "+":
-            return operand
-        if e.op == "&":
-            return E.redand(operand)
-        if e.op == "|":
-            return E.redor(operand)
-        if e.op == "^":
-            return E.redxor(operand)
-        if e.op == "~&":
-            return E.not_(E.redand(operand))
-        if e.op == "~|":
-            return E.not_(E.redor(operand))
-        if e.op in ("~^", "^~"):
-            return E.not_(E.redxor(operand))
-        raise ElaborationError(f"unsupported unary operator {e.op!r}",
-                               e.line)
-
-    def _lower_binary(self, e: ast.Binary, env):
-        if e.op in ("&&", "||"):
-            a = self._bool(self._lower_expr(e.left, env))
-            b = self._bool(self._lower_expr(e.right, env))
-            return E.and_(a, b) if e.op == "&&" else E.or_(a, b)
-        a = self._lower_expr(e.left, env)
-        b = self._lower_expr(e.right, env)
-        if e.op in ("<<", ">>", ">>>"):
-            if isinstance(a, _Unsized):
-                a = E.const(a.value, _NATURAL_WIDTH)
-            if isinstance(b, _Unsized):
-                b = E.const(b.value, max(1, b.value.bit_length()))
-            return {"<<": E.shl, ">>": E.lshr, ">>>": E.ashr}[e.op](a, b)
-        a, b = self._unify(a, b)
-        simple = {
-            "+": E.add, "-": E.sub, "*": E.mul,
-            "&": E.and_, "|": E.or_, "^": E.xor,
-            "==": E.eq, "!=": E.ne, "===": E.eq, "!==": E.ne,
-            "<": E.ult, "<=": E.ule, ">": E.ugt, ">=": E.uge,
-        }
-        if e.op in ("~^", "^~"):
-            return E.not_(E.xor(a, b))
-        if e.op in simple:
-            return simple[e.op](a, b)
-        if e.op in ("/", "%"):
-            raise ElaborationError(
-                "division/modulo on signals is not supported (constant "
-                "folding only)", e.line)
-        raise ElaborationError(f"unsupported binary operator {e.op!r}",
-                               e.line)
-
-    def _lower_call(self, e: ast.Call, env):
-        def arg(i: int) -> E.Expr:
-            v = self._lower_expr(e.args[i], env)
-            if isinstance(v, _Unsized):
-                return E.const(v.value, _NATURAL_WIDTH)
-            return v
-
-        if e.func == "$countones":
-            return E.countones(arg(0))
-        if e.func == "$onehot":
-            return E.onehot(arg(0))
-        if e.func == "$onehot0":
-            return E.onehot0(arg(0))
-        if e.func == "$signed" or e.func == "$unsigned":
-            return arg(0)
-        if e.func == "$clog2":
-            return _Unsized(self._const_eval(e.args[0]))
-        if e.func == "$isunknown":
-            return E.false()  # two-state model: never unknown
-        raise ElaborationError(f"unsupported system call {e.func!r}",
-                               e.line)
 
 
 def _ast_clock(module: ast.Module, library: dict[str, ast.Module],

@@ -521,9 +521,8 @@ def _parse_primary(ts: TokenStream) -> ast.HdlExpr:
     token = ts.peek()
     if token.kind == "number":
         ts.next()
-        is_fill = token.text.startswith("'") and token.text[1:] in ("0", "1")
         return ast.Number(value=token.value, width=token.width,
-                          is_fill=is_fill, line=token.line)
+                          line=token.line)
     if token.kind == "id":
         ts.next()
         if token.text.startswith("$"):

@@ -83,4 +83,6 @@ def cone_of_influence(system: TransitionSystem,
     for cond in system.constraints:
         if E.support(cond) <= kept_names:
             reduced.constraints.append(cond)
+    reduced.arrays = {name: shape for name, shape in system.arrays.items()
+                      if reduced.has_signal(name)}
     return reduced

@@ -62,6 +62,9 @@ class TransitionSystem:
         # them yet, so checks on justice properties must answer UNKNOWN.
         self.justice: list[list[E.Expr]] = []
         self.fairness: list[E.Expr] = []
+        # Unpacked-array shapes, name -> (elem_width, n_elems): the signal
+        # is one flat vector, an index on it reads the element (hdl/lower).
+        self.arrays: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -224,6 +227,7 @@ class TransitionSystem:
         other.constraints = list(self.constraints)
         other.justice = [list(conds) for conds in self.justice]
         other.fairness = list(self.fairness)
+        other.arrays = dict(self.arrays)
         return other
 
     def resolve_defines(self, root: E.Expr) -> E.Expr:

@@ -3,9 +3,9 @@
 Parses a practical subset of SystemVerilog Assertions and compiles each
 property into a safety monitor over the design's transition system:
 
-* boolean layer: full expression syntax over design signals, plus
-  ``$past(e[, n])``, ``$stable``, ``$rose``, ``$fell``, ``$onehot``,
-  ``$onehot0``, ``$countones``, ``$isunknown``;
+* boolean layer: the RTL's own expression semantics (one lowering,
+  :mod:`repro.hdl.lower`) over design signals, plus ``$past(e[, n])``,
+  ``$stable``, ``$changed``, ``$rose``, ``$fell``;
 * sequence layer: bounded concatenation with ``##N`` delays;
 * property layer: overlapping ``|->`` and non-overlapping ``|=>``
   implication, ``disable iff (expr)``, bare boolean invariants.

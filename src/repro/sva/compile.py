@@ -22,6 +22,7 @@ import itertools
 
 from repro.errors import PropertyError
 from repro.hdl import ast as hast
+from repro.hdl.lower import Lowerer
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
@@ -29,6 +30,15 @@ from repro.sva.ast import PropertyAst, SequenceAst
 from repro.sva.parser import parse_property
 
 _uid_counter = itertools.count()
+
+#: Sampled-value calls over (value now, value one cycle ago); ``$rose`` /
+#: ``$fell`` see bit 0 only.
+_SAMPLED = {
+    "$stable": E.eq,
+    "$changed": E.ne,
+    "$rose": lambda now, before: E.and_(now, E.not_(before)),
+    "$fell": lambda now, before: E.and_(E.not_(now), before),
+}
 
 
 class MonitorContext:
@@ -84,6 +94,11 @@ class _PropertyCompiler:
         self.prop_name = prop_name
         self.valid_from = 0
         self._mon_index = itertools.count()
+        self.lowerer = Lowerer(
+            signal=self._signal, error=self._error, arrays=system.arrays,
+            calls={"$past": self._call_past,
+                   **dict.fromkeys(_SAMPLED, self._call_sampled)},
+            logical={"->": E.bool_implies})
 
     # -- helpers ---------------------------------------------------------
 
@@ -117,25 +132,17 @@ class _PropertyCompiler:
             current = self._delay_reg(current, "seq", init=E.false())
         return current
 
-    # -- expression lowering ---------------------------------------------
+    # -- expression lowering (the property door of hdl/lower.py) ----------
 
-    def lower(self, e: hast.HdlExpr) -> E.Expr:
-        value = self._lower(e)
-        if isinstance(value, _Unsized):
-            return E.const(value.value, 32)
-        return value
-
-    def lower_bool(self, e: hast.HdlExpr) -> E.Expr:
-        value = self._lower(e)
-        if isinstance(value, _Unsized):
-            return E.true() if value.value else E.false()
-        return value if value.width == 1 else E.redor(value)
+    def _error(self, message: str, line: int,
+               kind: str = "unsupported") -> PropertyError:
+        return PropertyError(
+            f"property {self.prop_name!r}: {message} (line {line})", kind)
 
     def _signal(self, name: str, line: int) -> E.Expr:
         if not self.system.has_signal(name):
-            raise PropertyError(
-                f"property {self.prop_name!r} references unknown signal "
-                f"{name!r} (line {line})")
+            raise self._error(f"unknown signal {name!r}", line,
+                              "unknown_signal")
         ref = self.system.lookup(name)
         # Defines are referenced by variable so traces stay readable; the
         # model checker resolves them via resolve_defines.
@@ -143,154 +150,18 @@ class _PropertyCompiler:
             return E.var(name, ref.width)
         return ref
 
-    def _lower(self, e: hast.HdlExpr):
-        if isinstance(e, hast.Number):
-            if e.is_fill:
-                return _Unsized(e.value)
-            if e.width is None:
-                return _Unsized(e.value)
-            return E.const(e.value, e.width)
-        if isinstance(e, hast.Ident):
-            return self._signal(e.name, e.line)
-        if isinstance(e, hast.Unary):
-            return self._lower_unary(e)
-        if isinstance(e, hast.Binary):
-            return self._lower_binary(e)
-        if isinstance(e, hast.Ternary):
-            cond = self.lower_bool(e.cond)
-            a, b = self._unify(self._lower(e.then), self._lower(e.other))
-            return E.ite(cond, a, b)
-        if isinstance(e, hast.Concat):
-            parts = [self._must_sized(self._lower(p), p) for p in e.parts]
-            out = parts[0]
-            for p in parts[1:]:
-                out = E.concat(out, p)
-            return out
-        if isinstance(e, hast.Repl):
-            count = self._const_int(e.count)
-            return E.repeat(self._must_sized(self._lower(e.operand),
-                                             e.operand), count)
-        if isinstance(e, hast.Index):
-            base = self._must_sized(self._lower(e.base), e.base)
-            index = self._lower(e.index)
-            if isinstance(index, _Unsized):
-                return E.extract(base, index.value, index.value)
-            shifted = E.lshr(base, _resize(index, base.width))
-            return E.extract(shifted, 0, 0)
-        if isinstance(e, hast.Slice):
-            base = self._must_sized(self._lower(e.base), e.base)
-            return E.extract(base, self._const_int(e.msb),
-                             self._const_int(e.lsb))
-        if isinstance(e, hast.Call):
-            return self._lower_call(e)
-        raise PropertyError(
-            f"unsupported expression in property {self.prop_name!r}")
+    def _call_past(self, e: hast.Call, env) -> E.Expr:
+        value = self.lowerer.arg(e, env, at_most=2)
+        depth = self.lowerer.const(e.args[1]) if len(e.args) > 1 else 1
+        if depth < 1:
+            raise self._error("$past depth must be >= 1", e.line)
+        return self._past(value, depth)
 
-    def _lower_call(self, e: hast.Call):
-        if e.func == "$past":
-            value = self._must_sized(self._lower(e.args[0]), e.args[0])
-            depth = self._const_int(e.args[1]) if len(e.args) > 1 else 1
-            if depth < 1:
-                raise PropertyError("$past depth must be >= 1")
-            return self._past(value, depth)
-        if e.func == "$stable":
-            value = self._must_sized(self._lower(e.args[0]), e.args[0])
-            return E.eq(value, self._past(value, 1))
-        if e.func == "$changed":
-            value = self._must_sized(self._lower(e.args[0]), e.args[0])
-            return E.ne(value, self._past(value, 1))
-        if e.func == "$rose":
-            value = self._must_sized(self._lower(e.args[0]), e.args[0])
-            b = E.extract(value, 0, 0)
-            return E.and_(b, E.not_(self._past(b, 1)))
-        if e.func == "$fell":
-            value = self._must_sized(self._lower(e.args[0]), e.args[0])
-            b = E.extract(value, 0, 0)
-            return E.and_(E.not_(b), self._past(b, 1))
-        if e.func == "$countones":
-            return E.countones(self._must_sized(self._lower(e.args[0]),
-                                                e.args[0]))
-        if e.func == "$onehot":
-            return E.onehot(self._must_sized(self._lower(e.args[0]),
-                                             e.args[0]))
-        if e.func == "$onehot0":
-            return E.onehot0(self._must_sized(self._lower(e.args[0]),
-                                              e.args[0]))
-        if e.func == "$isunknown":
-            return E.false()
-        raise PropertyError(
-            f"unsupported system function {e.func!r} in property "
-            f"{self.prop_name!r}")
-
-    def _lower_unary(self, e: hast.Unary):
-        if e.op == "!":
-            return E.not_(self.lower_bool(e.operand))
-        operand = self._must_sized(self._lower(e.operand), e.operand)
-        table = {
-            "~": E.not_, "-": E.neg, "+": lambda x: x,
-            "&": E.redand, "|": E.redor, "^": E.redxor,
-        }
-        if e.op in table:
-            return table[e.op](operand)
-        if e.op in ("~&",):
-            return E.not_(E.redand(operand))
-        if e.op in ("~|",):
-            return E.not_(E.redor(operand))
-        if e.op in ("~^", "^~"):
-            return E.not_(E.redxor(operand))
-        raise PropertyError(f"unsupported unary {e.op!r} in property")
-
-    def _lower_binary(self, e: hast.Binary):
-        if e.op == "&&":
-            return E.and_(self.lower_bool(e.left), self.lower_bool(e.right))
-        if e.op == "||":
-            return E.or_(self.lower_bool(e.left), self.lower_bool(e.right))
-        if e.op == "->":
-            return E.bool_implies(self.lower_bool(e.left),
-                                  self.lower_bool(e.right))
-        a = self._lower(e.left)
-        b = self._lower(e.right)
-        if e.op in ("<<", ">>", ">>>"):
-            a = self._must_sized(a, e.left)
-            if isinstance(b, _Unsized):
-                b = E.const(b.value, max(1, b.value.bit_length()))
-            return {"<<": E.shl, ">>": E.lshr, ">>>": E.ashr}[e.op](a, b)
-        a, b = self._unify(a, b)
-        table = {
-            "+": E.add, "-": E.sub, "*": E.mul,
-            "&": E.and_, "|": E.or_, "^": E.xor,
-            "==": E.eq, "!=": E.ne, "===": E.eq, "!==": E.ne,
-            "<": E.ult, "<=": E.ule, ">": E.ugt, ">=": E.uge,
-        }
-        if e.op in ("~^", "^~"):
-            return E.not_(E.xor(a, b))
-        if e.op in table:
-            return table[e.op](a, b)
-        raise PropertyError(f"unsupported operator {e.op!r} in property")
-
-    def _unify(self, a, b):
-        if isinstance(a, _Unsized) and isinstance(b, _Unsized):
-            return E.const(a.value, 32), E.const(b.value, 32)
-        if isinstance(a, _Unsized):
-            return E.const(a.value, b.width), b
-        if isinstance(b, _Unsized):
-            return a, E.const(b.value, a.width)
-        width = max(a.width, b.width)
-        return _resize(a, width), _resize(b, width)
-
-    def _must_sized(self, value, node) -> E.Expr:
-        if isinstance(value, _Unsized):
-            return E.const(value.value, 32)
-        return value
-
-    def _const_int(self, e: hast.HdlExpr) -> int:
-        value = self._lower(e)
-        if isinstance(value, _Unsized):
-            return value.value
-        if value.is_const:
-            return value.value
-        raise PropertyError(
-            f"expected a constant in property {self.prop_name!r}")
+    def _call_sampled(self, e: hast.Call, env) -> E.Expr:
+        value = self.lowerer.arg(e, env)
+        if e.func in ("$rose", "$fell"):
+            value = E.extract(value, 0, 0)
+        return _SAMPLED[e.func](value, self._past(value, 1))
 
     # -- property compilation ---------------------------------------------
 
@@ -302,7 +173,7 @@ class _PropertyCompiler:
                 "meaningful in a consequent")
         matched: E.Expr | None = None
         for delay, expr in seq.elements:
-            flag = self.lower_bool(expr)
+            flag = self.lowerer.cond(expr)
             if matched is None:
                 matched = flag
             else:
@@ -316,7 +187,7 @@ class _PropertyCompiler:
                 raise PropertyError(
                     f"property {self.prop_name!r}: a bare invariant cannot "
                     "start with a ## delay")
-            good = self.lower_bool(prop.consequent.elements[0][1])
+            good = self.lowerer.cond(prop.consequent.elements[0][1])
             bad = E.not_(good)
         else:
             matched = self._sequence_match(prop.antecedent)
@@ -325,31 +196,14 @@ class _PropertyCompiler:
             # Consequent: every element must hold at its offset from the
             # antecedent match; failure of any element is a violation.
             fails = []
-            offset = 0
             delayed = matched
             for delay, expr in prop.consequent.elements:
                 delayed = self._delayed_match(delayed, delay)
-                offset += delay
                 fails.append(E.and_(delayed,
-                                    E.not_(self.lower_bool(expr))))
+                                    E.not_(self.lowerer.cond(expr))))
             bad = E.bool_or(*fails)
         if prop.disable is not None:
-            bad = E.and_(bad, E.not_(self.lower_bool(prop.disable)))
+            bad = E.and_(bad, E.not_(self.lowerer.cond(prop.disable)))
         return SafetyProperty(self.prop_name, bad,
                               valid_from=self.valid_from,
                               source_text=prop.source_text.strip())
-
-
-class _Unsized:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-
-def _resize(value: E.Expr, width: int) -> E.Expr:
-    if value.width == width:
-        return value
-    if value.width > width:
-        return E.extract(value, width - 1, 0)
-    return E.zext(value, width)

@@ -394,3 +394,36 @@ class TestElaborator:
                   assign y = a / b;
                 endmodule
             """)
+
+    def test_unary_operators_are_elaboration_time_constants(self):
+        """`-N`, `!N`, `~N` in a parameter value (the constant evaluator
+        once built its unary result with an eagerly-raising default)."""
+        system = elaborate("""
+            module m (input [7:0] a, output [7:0] y, z, w);
+              parameter N = 3;
+              parameter M = -N + 8;
+              localparam Z = !N;
+              localparam I = ~N + 5;
+              assign y = a + M;
+              assign z = a + Z;
+              assign w = a + I;
+            endmodule
+        """)
+        env = {"a": 10}
+        assert E.evaluate(system.lookup("y"), env) == 15
+        assert E.evaluate(system.lookup("z"), env) == 10
+        assert E.evaluate(system.lookup("w"), env) == 11
+
+    def test_clog2_means_the_same_in_a_signal_expression(self):
+        """`$clog2(DEPTH)` is 4 for DEPTH = 16 — in a localparam and in
+        a right-hand side (which once read it as DEPTH itself)."""
+        system = elaborate("""
+            module m (input [7:0] a, output [7:0] y, z);
+              parameter DEPTH = 16;
+              localparam AW = $clog2(DEPTH);
+              assign y = a + $clog2(DEPTH);
+              assign z = a + AW;
+            endmodule
+        """)
+        assert system.lookup("y") is system.lookup("z")
+        assert E.evaluate(system.lookup("y"), {"a": 1}) == 5
