@@ -14,9 +14,16 @@ through frame boundaries.  Unrolling happens here, not on expressions:
 
 Lowering choices (ripple-carry adders, barrel shifters, shift-and-add
 multipliers, MSB-first comparison chains) favour simplicity and small code
-over minimal gate count; the SAT solver sees instances in the thousands of
-clauses for the shipped designs, where these encodings are perfectly
-adequate.
+over minimal gate count.  What they cost the solver is decided one layer
+down: every XOR, XNOR, multiplexer and full-adder sum written here goes
+through ``AIG.xor_`` / ``mux`` and is three AND rows in the graph, and
+under a plain Tseitin-of-ANDs encoding that was measured *not* adequate
+for XOR trees (the ECC pipeline's syndrome logic: three variables, nine
+clauses and a two-step implication chain per XOR, twice the propagations
+of the direct encoding).  :mod:`repro.aig.cnf` therefore recognises the
+three-row shape and encodes the XOR / ITE it came from, and encodes only
+the cones a query asks for; keep building those gates through the
+``AIG`` helpers so the shape stays recognisable.
 """
 
 from __future__ import annotations

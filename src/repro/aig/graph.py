@@ -5,8 +5,10 @@ literals ``2*i`` (positive) and ``2*i + 1`` (negated); node 0 is the
 constant false, so literal 0 is FALSE and literal 1 is TRUE.  Every
 internal node is a two-input AND; inversion lives on the edges.
 
-The graph grows append-only, which the CNF layer exploits to emit Tseitin
-clauses incrementally.
+The graph grows append-only and node ids are topologically ordered
+(fanins precede their AND), which the CNF layer exploits: a literal's
+DIMACS image, once encoded, never changes, and a sorted cone is a valid
+encoding order.
 """
 
 from __future__ import annotations
@@ -137,9 +139,9 @@ class AIG:
             raise BitBlastError(f"node {node} is not an AND node")
         return pair
 
-    def rows_from(self, start: int) -> list[tuple[int, int] | None]:
-        """Per node >= ``start``: its fanin pair, or None for an input."""
-        return self._ands[start:]
+    def row(self, node: int) -> tuple[int, int] | None:
+        """The fanin pair of ``node``, or None for an input / node 0."""
+        return self._ands[node]
 
     def nodes_from(self, start: int) -> Iterable[tuple[int, int, int]]:
         """Yield ``(node, fanin_a, fanin_b)`` for AND nodes >= ``start``."""

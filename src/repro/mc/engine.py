@@ -232,10 +232,24 @@ class ProofEngine:
         """
         if not self.config.use_coi:
             return self.system
-        roots = [self.system.resolve_defines(prop.bad)]
+        roots = list(self._coi_roots(prop.bad))
         for _, good, _vf in self.lemmas:
-            roots.append(self.system.resolve_defines(good))
+            roots.extend(self._coi_roots(good))
         for good, _vf in (extra_lemmas or []):
-            roots.append(self.system.resolve_defines(good))
+            roots.extend(self._coi_roots(good))
         roots.extend(self.system.constraints)
         return cone_of_influence(self.system, roots)
+
+    def _coi_roots(self, expr: E.Expr) -> Iterator[E.Expr]:
+        """``expr`` resolved, plus the body of every define it names.
+
+        The engines resolve the property against the *scoped* system, so
+        each define it reads must survive scoping even when the reading
+        folds away (``full == <full's own body>`` resolves to a
+        constant, whose support would keep nothing).
+        """
+        system = self.system
+        yield system.resolve_defines(expr)
+        for name in E.support(expr):
+            if name in system.defines:
+                yield system.defines[name]

@@ -56,13 +56,11 @@ class FrameSolver:
         return self.cnf.assumption(self.lit_at(expr, t))
 
     def solve(self, assumptions: list[int] | None = None) -> bool:
-        self.cnf.encode_new_nodes()
         self.queries += 1
         return self.solver.solve(assumptions or [])
 
     def solve_limited(self, assumptions: list[int] | None = None,
                       conflict_budget: int | None = None) -> bool | None:
-        self.cnf.encode_new_nodes()
         self.queries += 1
         return self.solver.solve_limited(assumptions or [],
                                          conflict_budget=conflict_budget)

@@ -211,7 +211,6 @@ class PdrContext:
               conflict_budget: int | None = None) -> bool | None:
         """One query; ``kind`` (a :data:`QUERY_KINDS` name) says which
         of the algorithm's questions it is."""
-        self.cnf.encode_new_nodes()
         self.query_mix[kind] += 1
         if _metrics.metrics_enabled():
             _M_QUERIES.labels(kind).inc()

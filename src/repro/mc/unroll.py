@@ -20,6 +20,7 @@ reference the framed blast is tested against.
 
 from __future__ import annotations
 
+from repro.errors import BitBlastError
 from repro.ir import expr as E
 from repro.ir.expr import timed_name, untimed_name  # noqa: F401 (re-export)
 from repro.ir.system import TransitionSystem
@@ -41,9 +42,18 @@ class Unroller:
         """Rewrite an expression over design vars into its time-``t`` copy.
 
         ``expr`` must already be resolved (no define names); the system's
-        :meth:`~repro.ir.system.TransitionSystem.resolve_defines` does that.
+        :meth:`~repro.ir.system.TransitionSystem.resolve_defines` does
+        that.  A name that is neither an input nor a state is an error —
+        left untimed it would reach the bit-blaster as a free input,
+        the same hole ``BitBlaster.signals`` closes for framed blasts.
         """
-        return E.substitute(expr, self._mapping(t))
+        mapping = self._mapping(t)
+        for name in E.support(expr):
+            if name not in mapping:
+                raise BitBlastError(
+                    f"unknown signal {name!r}: neither an input nor a "
+                    "state of the design being unrolled")
+        return E.substitute(expr, mapping)
 
     def init_constraints(self) -> list[E.Expr]:
         """Equations pinning initialized registers at time 0."""

@@ -109,8 +109,8 @@ class SubprocessSolver:
     trade for BMC-style workloads where each depth's query dwarfs the
     encoding cost.  Implements the slice of the ``Solver`` interface the
     ``CnfBuilder``/``FrameSolver`` plumbing uses: ``add_var``,
-    ``add_clause``, ``add_and_gate``, ``solve``, ``solve_limited``,
-    ``model_value``, ``model``, ``num_vars``, ``stats``.
+    ``add_clause``, ``add_and_gate``, ``add_ite_gate``, ``solve``,
+    ``solve_limited``, ``model_value``, ``model``, ``num_vars``, ``stats``.
     """
 
     spec: ExternalSolverSpec
@@ -151,6 +151,19 @@ class SubprocessSolver:
         self.stats.clauses_added += 3
         return g
 
+    def add_ite_gate(self, s: int, t: int, e: int) -> int:
+        """A fresh literal ``g`` with ``g <-> (t if s else e)`` as four
+        recorded clauses, six for a proper multiplexer (``t != -e``; see
+        ``Solver.add_ite_gate``); nothing ever folds here either."""
+        s, t, e = self._checked((s, t, e))
+        g = self.add_var()
+        clauses = [[g, -s, -t], [-g, -s, t], [g, s, -e], [-g, s, e]]
+        if t != -e:
+            clauses += ([g, -t, -e], [-g, t, e])
+        self._clauses += clauses
+        self.stats.clauses_added += len(clauses)
+        return g
+
     def _checked(self, dimacs_lits) -> list[int]:
         lits = [int(d) for d in dimacs_lits]
         for d in lits:
@@ -176,6 +189,7 @@ class SubprocessSolver:
         indeterminate None as an exhausted budget.
         """
         self._model = []
+        self.stats.solves += 1
         if not self._ok:
             return False
         clauses = self._clauses

@@ -98,6 +98,9 @@ class SatStats:
     db_reductions: int = 0
     max_vars: int = 0
     clauses_added: int = 0
+    #: ``solve_limited`` calls so far.  A model belongs to one call, so
+    #: this is also the token model-derived memos are keyed on.
+    solves: int = 0
     #: Wall time spent inside ``solve_limited`` — the denominator for
     #: the propagations/sec figures the perf-regression harness tracks.
     solve_seconds: float = 0.0
@@ -279,6 +282,75 @@ class Solver:
         self.stats.clauses_added += 3
         return g
 
+    def add_ite_gate(self, s: int, t: int, e: int) -> int:
+        """The DIMACS literal that stands for ``t if s else e``.
+
+        Sibling of :meth:`add_and_gate` for the multiplexer / XOR shape
+        (``t == -e`` is ``s XOR e``).  Level-0 facts fold first: a
+        decided selector makes the gate the chosen data literal, equal
+        data literals make it that literal, and a data literal that is
+        decided — or is the selector itself, which decides it on its
+        own branch — leaves an AND / OR, which :meth:`add_and_gate`
+        folds further.  Only an open gate allocates a variable ``g``
+        and stores ``(g -s -t) (-g -s t) (g s -e) (-g s e)`` directly
+        in the arena and watch lists — plus, for a proper multiplexer,
+        the redundant ``(g -t -e) (-g t e)``: they let agreeing data
+        decide the gate before the selector is known, which on
+        multiplexer-heavy datapaths (an up/down counter's BMC) halves
+        the propagations (for an XOR they would be tautologies).  Same
+        precondition as ``add_clause``: decision level 0 only.
+        """
+        if self._trail_lim:
+            raise SatError("add_ite_gate called while search is in progress")
+        ls = self._from_dimacs(s)
+        lt = self._from_dimacs(t)
+        le = self._from_dimacs(e)
+        if not self._ok:
+            return t  # formula already UNSAT: any literal will do
+        lv = self._lv
+        value = lv[ls]
+        if value:
+            return t if value > 0 else e
+        if lt == le:
+            return t
+        value = 1 if lt == ls else -1 if lt == ls ^ 1 else lv[lt]
+        if value:       # s ? 1 : e  ==  s | e;   s ? 0 : e  ==  -s & e
+            return -self.add_and_gate(-s, -e) if value > 0 \
+                else self.add_and_gate(-s, e)
+        value = -1 if le == ls else 1 if le == ls ^ 1 else lv[le]
+        if value:       # s ? t : 1  ==  -s | t;  s ? t : 0  ==  s & t
+            return -self.add_and_gate(s, -t) if value > 0 \
+                else self.add_and_gate(s, t)
+        g = self.add_var()
+        pos = g << 1
+        neg = pos | 1
+        ns = ls ^ 1
+        ca = self._ca
+        c1 = len(ca)
+        c2 = c1 + 5
+        c3 = c1 + 10
+        c4 = c1 + 15
+        ca += (3, 0, pos, ns, lt ^ 1, 3, 0, neg, ns, lt,
+               3, 0, pos, ls, le ^ 1, 3, 0, neg, ls, le)
+        watches = self._watches
+        watches[neg] += (c1, ns, c3, ls)
+        watches[pos] += (c2, ns, c4, ls)
+        watches[ls] += (c1, pos, c2, neg)
+        watches[ns] += (c3, pos, c4, neg)
+        self._clauses += (c1, c2, c3, c4)
+        self.stats.clauses_added += 4
+        if lt != le ^ 1:
+            c5 = c1 + 20
+            c6 = c1 + 25
+            ca += (3, 0, pos, lt ^ 1, le ^ 1, 3, 0, neg, lt, le)
+            watches[neg] += (c5, lt ^ 1)
+            watches[pos] += (c6, lt)
+            watches[lt] += (c5, pos)
+            watches[lt ^ 1] += (c6, neg)
+            self._clauses += (c5, c6)
+            self.stats.clauses_added += 2
+        return g
+
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
@@ -305,6 +377,7 @@ class Solver:
         A non-positive budget still permits conflict-free solves.
         """
         self._core = None
+        self.stats.solves += 1
         if not self._ok:
             # UNSAT outright: no model survives, no assumption is to blame.
             self._model = []

@@ -11,6 +11,7 @@ can offer about itself:
 * SVA implication semantics vs a reference monitor interpreter.
 """
 
+import itertools
 import random
 
 import pytest
@@ -189,7 +190,6 @@ class TestCnfEquisatisfiability:
         cnf = CnfBuilder(bb.aig, solver)
         lit = bb.blast_bool(expr)
         cnf.assert_lit(lit)
-        cnf.encode_new_nodes()
         sat = solver.solve()
         if sat:
             env = {"x": cnf.bits_value(bb.var_bits("x")),
@@ -208,7 +208,6 @@ class TestCnfEquisatisfiability:
         solver = Solver()
         cnf = CnfBuilder(bb.aig, solver)
         cnf.assert_lit(bb.blast_bool(contradiction))
-        cnf.encode_new_nodes()
         assert solver.solve() is False
 
 
@@ -249,6 +248,28 @@ def _grow(rng: random.Random, aig: AIG, pool: list[int]) -> None:
         pool.append(gate(a, b, c) if gate == aig.mux else gate(a, b))
 
 
+def _grow_shapes(rng: random.Random, aig: AIG, pool: list[int]) -> None:
+    """One more gate over ``pool``, in the shapes the bit-blaster writes;
+    now and then also a bare AND that *is* an inner row of an XOR built
+    before or after it, so shapes share their inner nodes."""
+    a, b, c = (rng.choice(pool) ^ rng.getrandbits(1) for _ in range(3))
+    kind = rng.randrange(6)
+    if kind == 0:
+        pool.append(aig.and_(a, b))
+    elif kind == 1:
+        pool.append(aig.xor_(a, b))
+    elif kind == 2:
+        pool.append(aig.mux(a, b, c))
+    elif kind == 3:
+        pool.extend(aig.full_adder(a, b, c))
+    elif kind == 4:
+        pool.append(aig.and_(a, b))
+        pool.append(aig.xor_(a, b))
+    else:
+        pool.append(aig.xnor_(a, b))
+        pool.append(aig.and_(a ^ 1, b ^ 1))
+
+
 class TestEncoderDifferential:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -263,7 +284,7 @@ class TestEncoderDifferential:
         units = []
         for _ in range(rng.randint(2, 6)):
             _grow(rng, aig, pool)
-            fused.encode_new_nodes()
+            fused.encode_new_nodes(*pool)    # everything so far
             naive.encode_new_nodes()
             # Unit assertions between encode passes are what later
             # gates fold against.
@@ -312,10 +333,15 @@ class TestEncoderDifferential:
         assert cnf.lit_to_dimacs(alias) == cnf.lit_to_dimacs(z)
         assert cnf.lit_to_dimacs(negated_alias) == -cnf.lit_to_dimacs(z)
         assert cnf.lit_to_dimacs(const) == cnf.lit_to_dimacs(y)
-        # One input and one open gate: two variables, three clauses.
-        assert cnf.solver.num_vars() == vars_before + 2
-        assert cnf.solver.stats.clauses_added == stored_before + 3
+        # The three folded gates cost one variable between them (z, the
+        # input they were asked over) and no clause; nobody has asked
+        # for the open gate yet, so it has cost nothing.
+        assert cnf.solver.num_vars() == vars_before + 1
+        assert cnf.solver.stats.clauses_added == stored_before
         assert cnf.solver.solve([cnf.assumption(open_gate)]) is True
+        # Asked for: its other input, its own variable, three clauses.
+        assert cnf.solver.num_vars() == vars_before + 3
+        assert cnf.solver.stats.clauses_added == stored_before + 3
         assert cnf.lit_value(alias) is True
         assert cnf.lit_value(negated_alias) is False
         assert cnf.lit_value(negated_alias ^ 1) is True
@@ -343,6 +369,206 @@ class TestEncoderDifferential:
         solver.add_clause([-a])
         assert solver.solve() is False
         assert solver.add_and_gate(a, b) in (a, b)  # dead formula: no-op
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_demand_driven_encoder_agrees_with_naive_reference(self, seed):
+        """Only requested cones are encoded, in XOR / ITE shapes where
+        the AIG has them: same verdicts as one-variable-per-node Tseitin
+        under any assumptions, and every node — encoded or not — reads
+        back from the model as the AIG's own evaluation."""
+        rng = random.Random(seed)
+        aig = AIG()
+        pool = [aig.new_input() for _ in range(rng.randint(2, 5))]
+        for _ in range(rng.randint(4, 20)):
+            _grow_shapes(rng, aig, pool)
+        demand = CnfBuilder(aig, Solver())
+        naive = _NaiveEncoder(aig, Solver())
+        naive.encode_new_nodes()
+        units = [rng.choice(pool) ^ rng.getrandbits(1)
+                 for _ in range(rng.randint(0, 2))]
+        for unit in units:
+            demand.assert_lit(unit)
+            naive.solver.add_clause([naive.dimacs(unit)])
+        for _ in range(2):      # the AIG keeps growing between queries
+            _grow_shapes(rng, aig, pool)
+        naive.encode_new_nodes()
+        every_lit = [lit for node in range(aig.num_nodes)
+                     for lit in (2 * node, 2 * node + 1)]
+        for _ in range(5):
+            assumed = [rng.choice(pool) ^ rng.getrandbits(1)
+                       for _ in range(rng.randint(0, 3))]
+            got = demand.solver.solve([demand.assumption(lit)
+                                       for lit in assumed])
+            assert got == naive.solver.solve([naive.dimacs(lit)
+                                              for lit in assumed])
+            if not got:
+                continue
+            inputs = [demand.lit_value(2 * node)
+                      for node in range(1, aig.num_nodes)
+                      if not aig.is_and(node)]
+            assert [demand.lit_value(lit) for lit in every_lit] == \
+                aig.evaluate(inputs, every_lit)
+            assert all(demand.lit_value(lit) for lit in units + assumed)
+        # Demand never pays for more than the reference does.
+        assert demand.solver.num_vars() <= naive.solver.num_vars()
+
+    @pytest.mark.parametrize("inner_first", [False, True])
+    def test_inner_and_of_an_xor_is_encoded_only_when_asked(
+            self, inner_first):
+        aig = AIG()
+        a, b = aig.new_input(), aig.new_input()
+        x = aig.xor_(a, b)
+        inner = aig.and_(a, b)      # one of the XOR's own three rows
+        assert aig.num_ands == 3
+        cnf = CnfBuilder(aig, Solver())
+        solver = cnf.solver
+        base_vars, base_clauses = solver.num_vars(), \
+            solver.stats.clauses_added
+        for step, lit in enumerate((inner, x) if inner_first
+                                   else (x, inner)):
+            cnf.lit_to_dimacs(lit)
+            if step == 0:
+                # Two inputs plus the gate asked for, and only it.
+                assert solver.num_vars() == base_vars + 3
+                assert solver.stats.clauses_added == base_clauses + \
+                    (3 if inner_first else 4)
+        # Either order: one variable and four ternary clauses for the
+        # XOR, one and three for the AND, none for the other two rows.
+        assert solver.num_vars() == base_vars + 4
+        assert solver.stats.clauses_added == base_clauses + 7
+        for va in (False, True):
+            for vb in (False, True):
+                assumed = [cnf.assumption(a ^ (not va)),
+                           cnf.assumption(b ^ (not vb))]
+                assert solver.solve(assumed) is True
+                assert cnf.lit_value(x) is (va != vb)
+                assert cnf.lit_value(inner) is (va and vb)
+                for lit, value in ((x, va != vb), (inner, va and vb)):
+                    wrong = cnf.assumption(lit ^ value)
+                    assert solver.solve(assumed + [wrong]) is False
+
+    def test_unrequested_logic_costs_nothing_and_still_reads_back(self):
+        aig = AIG()
+        ins = [aig.new_input() for _ in range(6)]
+        asked = aig.mux(ins[0], ins[1], ins[2])
+        total, carry = aig.full_adder(ins[3], ins[4], ins[5])
+        mixed = aig.and_(asked, aig.xor_(total, ins[0]))  # over both
+        cnf = CnfBuilder(aig, Solver())
+        cnf.assert_lit(asked)
+        # Constant, three inputs, one ITE: the adder never reached the
+        # solver, nor did the multiplexer's two inner ANDs.
+        assert cnf.solver.num_vars() == 5
+        assert cnf.solver.stats.clauses_added == 1 + 6 + 1
+        assert cnf.solver.solve() is True
+        inputs = [cnf.lit_value(lit) for lit in ins]
+        assert inputs[3:] == [False, False, False]      # never encoded
+        roots = [asked, total, carry, mixed, mixed ^ 1]
+        assert [cnf.lit_value(lit) for lit in roots] == \
+            aig.evaluate(inputs, roots)
+        # A later request encodes the rest of the cone, and the values
+        # read before (same formula, new solve) stay AIG-consistent.
+        assert cnf.solver.solve([cnf.assumption(carry)]) is True
+        inputs = [cnf.lit_value(lit) for lit in ins]
+        assert sum(inputs[3:]) >= 2
+        assert [cnf.lit_value(lit) for lit in roots] == \
+            aig.evaluate(inputs, roots)
+
+    def test_image_younger_than_the_model_reads_by_evaluation(self):
+        """Asking for a literal *after* a solve gives it a variable the
+        model does not have; its value is still the AIG's."""
+        aig = AIG()
+        a, b, c = (aig.new_input() for _ in range(3))
+        x = aig.xor_(a, b)
+        late = aig.mux(x, c, a)
+        cnf = CnfBuilder(aig, Solver())
+        assert cnf.solver.solve([cnf.assumption(x),
+                                 cnf.assumption(a)]) is True
+        cnf.lit_to_dimacs(late)         # encodes c and the multiplexer
+        assert cnf.lit_value(c) is False        # unconstrained then
+        assert cnf.lit_value(late) is False     # x ? c : a, x true
+        assert cnf.lit_value(late ^ 1) is True
+        assert cnf.solver.solve([cnf.assumption(late)]) is True
+        assert cnf.lit_value(late) is True
+
+
+class TestIteGate:
+    """``Solver.add_ite_gate``: the truth table through every fold."""
+
+    LITS = (1, -1, 2, -2, 3, -3)
+
+    @staticmethod
+    def _ite(s, t, e, values):
+        def val(d):
+            return values[abs(d)] ^ (d < 0)
+        return val(t) if val(s) else val(e)
+
+    @pytest.mark.parametrize(
+        "facts", list(itertools.product((0, 1, -1), repeat=3)))
+    def test_truth_table_under_level0_facts(self, facts):
+        """Every operand triple over three variables — distinct, equal,
+        complementary, the selector among the data — with each variable
+        open, true or false at level 0."""
+        for s in self.LITS:
+            for t in self.LITS:
+                for e in self.LITS:
+                    solver = Solver()
+                    for _ in range(3):
+                        solver.add_var()
+                    for var, fact in zip((1, 2, 3), facts):
+                        if fact:
+                            solver.add_clause([var * fact])
+                    before = (solver.num_vars(),
+                              solver.stats.clauses_added)
+                    g = solver.add_ite_gate(s, t, e)
+                    grown = (solver.num_vars() - before[0],
+                             solver.stats.clauses_added - before[1])
+                    decided = [bool(facts[abs(d) - 1]) for d in (s, t, e)]
+                    if decided[0] or t == e:
+                        assert grown == (0, 0)      # a chosen literal
+                    elif decided[1] or decided[2] or \
+                            abs(s) in (abs(t), abs(e)):
+                        # An AND / OR of two operands, itself folded
+                        # (or pinned: x AND -x is a variable and a unit).
+                        assert grown in ((0, 0), (1, 3), (1, 1))
+                    else:
+                        # Four ternary clauses; a proper multiplexer
+                        # (not an XOR) adds the two redundant ones.
+                        assert grown == (1, 4 if t == -e else 6)
+                    self._check_function(solver, g, s, t, e, facts)
+
+    def _check_function(self, solver, g, s, t, e, facts):
+        for bits in range(8):
+            values = {v: bool(bits >> (v - 1) & 1) for v in (1, 2, 3)}
+            if any(fact and values[var] != (fact > 0)
+                   for var, fact in zip((1, 2, 3), facts)):
+                continue
+            assumed = [v if values[v] else -v for v in (1, 2, 3)]
+            want = self._ite(s, t, e, values)
+            decisions = solver.stats.decisions
+            assert solver.solve(assumed) is True
+            assert solver.model_value(abs(g)) ^ (g < 0) == want
+            # ... by unit propagation alone: every clause is watched.
+            assert solver.stats.decisions == decisions
+            assert solver.solve(assumed + [-g if want else g]) is False
+
+    def test_gate_call_keeps_add_clause_preconditions(self):
+        solver = Solver()
+        a, b, c = solver.add_var(), solver.add_var(), solver.add_var()
+        with pytest.raises(SatError):
+            solver.add_ite_gate(a, 0, c)
+        with pytest.raises(SatError):
+            solver.add_ite_gate(a, b, c + 1)
+        assert solver.num_vars() == 3
+        solver._trail_lim.append(len(solver._trail))    # mid-search
+        with pytest.raises(SatError, match="search is in progress"):
+            solver.add_ite_gate(a, b, c)
+        solver._cancel_until(0)
+        solver.add_clause([a])
+        solver.add_clause([-a])
+        assert solver.solve() is False
+        # Dead formula: a literal comes back, nothing is allocated.
+        assert solver.add_ite_gate(a, b, c) in (a, b, c)
+        assert solver.num_vars() == 3
 
 
 def _design_roots(system: TransitionSystem) -> list[E.Expr]:

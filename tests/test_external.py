@@ -155,8 +155,9 @@ class TestSubprocessSolver:
     def test_gate_encoding_parity_through_cnf_builder(
             self, style, stdout_binary, file_binary):
         """``CnfBuilder`` drives the external solver through the fused
-        gate call: three recorded clauses per AND, nothing folded, and
-        the same verdicts and consistent models as the in-process
+        gate calls: three recorded clauses per AND, four per XOR / ITE
+        shape, nothing folded, no variable for a node nobody asked for,
+        and the same verdicts and consistent models as the in-process
         solver, which folds."""
         binary = stdout_binary if style == "stdout" else file_binary
         x, y = E.var("x", 4), E.var("y", 4)
@@ -165,6 +166,13 @@ class TestSubprocessSolver:
                   E.and_(E.ult(x, E.const(2, 4)), E.ult(y, E.const(7, 4)))]
         blaster = BitBlaster()
         ext = SubprocessSolver(_spec_for(binary, style))
+        gates = {"and": 0, "xor": 0, "ite": 0}
+        for name in ("add_and_gate", "add_ite_gate"):
+            def counted(*lits, _real=getattr(ext, name)):
+                gates["and" if len(lits) == 2 else
+                      "xor" if lits[1] == -lits[2] else "ite"] += 1
+                return _real(*lits)
+            setattr(ext, name, counted)
         ext_cnf = CnfBuilder(blaster.aig, ext)
         int_cnf = CnfBuilder(blaster.aig, Solver())
         # x is odd first: gates blasted afterwards see a level-0 fact.
@@ -180,11 +188,16 @@ class TestSubprocessSolver:
                 env = {name: ext_cnf.bits_value(blaster.var_bits(name))
                        for name in ("x", "y")}
                 assert E.evaluate(E.and_(target, probe), env) == 1
-        # Never folds: a variable per node plus the constant, the
-        # constant's unit + two asserted units + 3 clauses per AND.
-        aig = blaster.aig
-        assert ext.num_vars() == aig.num_nodes
-        assert ext.stats.clauses_added == 3 + 3 * aig.num_ands
+        # Never folds: the constant, the eight input bits and one
+        # variable per gate call; the constant's unit + two asserted
+        # units + 3 clauses per AND + 4 per XOR + 6 per multiplexer.
+        # The adder's and the comparisons' XORs went down as shapes, so
+        # their inner ANDs (nobody asked for them) have no variable.
+        assert gates["and"] and gates["xor"]
+        assert ext.num_vars() == 1 + 8 + sum(gates.values())
+        assert ext.stats.clauses_added == 3 + 3 * gates["and"] + \
+            4 * gates["xor"] + 6 * gates["ite"]
+        assert ext.num_vars() < blaster.aig.num_nodes
         assert int_cnf.solver.num_vars() < ext.num_vars()
 
     def test_gate_call_validates_literals(self, stdout_binary):
@@ -199,6 +212,39 @@ class TestSubprocessSolver:
         assert ext.solve([g]) is True
         assert ext.model_value(a) is True and ext.model_value(b) is False
         assert ext.solve([g, b]) is False
+        for bad in (0, 4, -4):
+            with pytest.raises(SatError, match="bad literal"):
+                ext.add_ite_gate(a, b, bad)
+        assert ext.num_vars() == 3 and ext.stats.clauses_added == 3
+
+    def test_ite_gate_truth_table(self, stdout_binary):
+        """Distinct operands, equal and complementary data, the selector
+        among the data: always a fresh variable and four recorded
+        clauses (six unless it is an XOR), and under each input
+        assignment every gate is forced
+        to its value (the wrong polarity of any of them is UNSAT)."""
+        ext = SubprocessSolver(_spec_for(stdout_binary, "stdout"))
+        a, b, c = ext.add_var(), ext.add_var(), ext.add_var()
+        triples = [(a, b, c), (-a, c, -b), (a, b, -b), (c, -a, a),
+                   (a, b, b), (a, a, c), (b, c, -b), (a, -a, a)]
+        gates = [ext.add_ite_gate(*triple) for triple in triples]
+        assert gates == list(range(4, 4 + len(triples)))
+        assert ext.stats.clauses_added == sum(
+            4 if t == -e else 6 for _s, t, e in triples)
+        for bits in range(8):
+            values = {v: bool(bits >> (v - 1) & 1) for v in (a, b, c)}
+
+            def val(d):
+                return values[abs(d)] ^ (d < 0)
+
+            assumed = [v if values[v] else -v for v in (a, b, c)]
+            want = [val(t) if val(s) else val(e) for s, t, e in triples]
+            assert ext.solve(assumed) is True
+            assert [ext.model_value(g) for g in gates] == want
+            guard = ext.add_var()
+            ext.add_clause([-guard] + [-g if value else g
+                                       for g, value in zip(gates, want)])
+            assert ext.solve(assumed + [guard]) is False
 
     def test_assumptions_become_units(self, stdout_binary):
         ext = SubprocessSolver(_spec_for(stdout_binary, "stdout"))

@@ -14,12 +14,14 @@ from repro.mc import (
     Status,
     bmc,
     k_induction,
+    pdr,
 )
 from repro.mc.bmc import bmc_probe
 from repro.mc.engine import EngineConfig
 from repro.mc.frame import FrameSolver
 from repro.mc.unroll import Unroller, timed_name, untimed_name
 from repro.qa.oracle import replay_trace
+from repro.sva.compile import MonitorContext
 from repro.trace.trace import TraceKind
 
 
@@ -149,7 +151,8 @@ class TestUnknownSignal:
         lambda s, p: bmc(s, p, bound=3),
         lambda s, p: bmc_probe(s, p, bound=3),
         lambda s, p: k_induction(s, p, KInductionOptions(max_k=2)),
-    ], ids=["bmc", "bmc_probe", "k_induction"])
+        lambda s, p: pdr(s, p),
+    ], ids=["bmc", "bmc_probe", "k_induction", "pdr"])
     def test_property_over_unknown_signal_raises(self, counter_system,
                                                  check):
         with pytest.raises(BitBlastError, match="'ghost'"):
@@ -159,12 +162,29 @@ class TestUnknownSignal:
         lambda s, p, lemmas: bmc(s, p, bound=3, lemmas=lemmas),
         lambda s, p, lemmas: k_induction(
             s, p, KInductionOptions(max_k=2), lemmas=lemmas),
-    ], ids=["bmc", "k_induction"])
+        lambda s, p, lemmas: pdr(s, p, lemmas=lemmas),
+    ], ids=["bmc", "k_induction", "pdr"])
     def test_lemma_over_unknown_signal_raises(self, counter_system, check):
         prop = SafetyProperty.from_invariant(
             "small", E.ule(E.var("count", 4), E.const(15, 4)))
         with pytest.raises(BitBlastError, match="'ghost'"):
             check(counter_system, prop, [(self.GHOST, 0)])
+
+
+    @pytest.mark.parametrize("strategy, proven", [
+        ("k_induction", Status.PROVEN), ("pdr", Status.PROVEN),
+        ("bmc", Status.BOUNDED_OK)])
+    def test_define_whose_reading_folds_away_survives_scoping(
+            self, strategy, proven):
+        """``full == <full's own body>`` resolves to a constant, so the
+        cone of influence kept no register and dropped the define the
+        engines then had to resolve: k-induction and BMC raised, PDR
+        read ``full`` as a free input and answered VIOLATED."""
+        ctx = MonitorContext(get_design("fifo_ctrl").system())
+        prop = ctx.add("full == ((wptr - rptr) == 5'd16)")
+        engine = ProofEngine(ctx.system)
+        assert "full" in engine.scoped_system(prop).defines
+        assert engine.check(prop, strategy).status is proven
 
 
 class TestFrameBinding:

@@ -69,7 +69,6 @@ def _init_escapes(frames, clause):
     so many words — the independent reference for the engine's
     (mostly syntactic) initiation check."""
     ctx = frames.ctx
-    ctx.cnf.encode_new_nodes()
     return ctx.solver.solve(
         list(frames.activation(0)) +
         ctx.cube_assumptions(negate_cube(clause), 0))
