@@ -3,19 +3,30 @@
 Given a set of candidate invariants, find the maximal subset whose
 *conjunction* is k-inductive (every survivor is then individually proven,
 since the conjunction's base and step cases passed).  The algorithm is
-the classic Houdini loop adapted to k-induction:
+the classic Houdini loop adapted to k-induction, decisive question first:
 
-1. **BMC screen** — bounded check of the conjunction from the initial
-   state; any candidate observed false in a counterexample is certainly
-   not an invariant and is dropped (these are the hallucinated/wrong
-   assertions the paper warns about);
+0. **first step** — k-induction of the whole conjunction at k=1.  When
+   it proves, every candidate is proven after one query.  That is the
+   answer the screen below would have led to: a conjunction that passes
+   its base case and is 1-inductive holds on every reachable state, so
+   the screen could only have answered BOUNDED_OK and dropped nothing;
+1. **BMC screen** — asked only when the first step did not prove:
+   bounded check of the conjunction from the initial state; any
+   candidate observed false in a counterexample is certainly not an
+   invariant and is dropped (these are the hallucinated/wrong assertions
+   the paper warns about);
 2. **step fixpoint** — attempt the inductive step of the conjunction;
    when it fails, evaluate each candidate on the *last frame* of the step
    counterexample and drop the falsified ones; repeat until the step
-   passes (survivors proven) or the set empties.
+   passes (survivors proven) or the set empties.  When the screen dropped
+   nothing, the first round here is the query of step 0 — same set, same
+   k — and its answer is reused, not asked again.
 
 Dropping only ever removes candidates falsified by a concrete model, so
 the procedure is sound and reaches the unique maximal inductive subset.
+Proven and dropped sets are exactly those of the screen-then-step order
+(``tests/test_flows.py`` keeps it as the differential reference); only
+the number of queries asked differs.
 """
 
 from __future__ import annotations
@@ -27,13 +38,14 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache, run_cached
 from repro.mc.property import SafetyProperty
-from repro.mc.result import ProofStats, Status
+from repro.mc.result import CheckResult, ProofStats, Status
 from repro.trace.trace import Trace
 
 
 @dataclass
 class HoudiniResult:
-    """Outcome of one Houdini run."""
+    """Outcome of one Houdini run; ``rounds`` counts the conjunction
+    queries asked."""
 
     proven: list[SafetyProperty]
     dropped: list[tuple[SafetyProperty, str]]  # (candidate, reason)
@@ -53,33 +65,51 @@ def houdini_prove(system: TransitionSystem,
 
     ``lemmas`` are previously proven invariants assumed throughout (they
     only ever help).  ``max_k`` bounds the induction depth tried for the
-    conjunction — each k runs its own drop-to-fixpoint loop.  ``cache``
-    memoizes every conjunction query, so the screen of round ``n`` is
-    free when round ``n+1`` re-tries the same surviving set.
+    conjunction — each k runs its own drop-to-fixpoint loop.
+    ``max_rounds`` budgets the screen rounds plus the step rounds; the
+    first step is asked up front only when that budget reaches a step
+    round.  ``cache`` memoizes every conjunction query across runs: a
+    repeated run over the same set is answered from it.  Within one run
+    no query repeats — the screen re-runs only after a drop, on a
+    different set.
     """
     stats = ProofStats()
     dropped: list[tuple[SafetyProperty, str]] = []
     active = list(candidates)
+    asked = 0
 
-    # Round 0: BMC screen of the conjunction (drop real violations).
-    rounds = 0
+    def ask(strategy: str, options: dict) -> CheckResult:
+        nonlocal asked
+        asked += 1
+        result = run_cached(strategy, system, _conjoin(active), options,
+                            lemmas=lemmas, cache=cache)
+        stats.accumulate(result.stats)
+        return result
+
+    # Step 0: the whole conjunction's k=1 step usually decides the run.
+    first_step: CheckResult | None = None
+    if active and max_k >= 1 and max_rounds >= 2:
+        first_step = ask("k_induction", _step_options(1))
+        if first_step.status is Status.PROVEN:
+            return HoudiniResult(active, [], k=1, rounds=asked, stats=stats)
+
+    # BMC screen of the conjunction (drop real violations).
+    rounds = 0  # position in the screen-then-step budget
     while active:
         rounds += 1
         if rounds > max_rounds:
             break
-        conj = _conjoin(active)
-        result = run_cached("bmc", system, conj, {"bound": bmc_bound},
-                            lemmas=lemmas, cache=cache)
-        stats.accumulate(result.stats)
+        result = ask("bmc", {"bound": bmc_bound})
         if result.status is not Status.VIOLATED:
             break
+        first_step = None  # asked of a set that no longer stands
         active, newly_dropped = _drop_falsified(
             system, active, result.cex, at_time=result.k,
             reason=f"falsified from reset at cycle {result.k}")
         dropped.extend(newly_dropped)
 
     if not active:
-        return HoudiniResult([], dropped, rounds=rounds, stats=stats)
+        return HoudiniResult([], dropped, rounds=asked, stats=stats)
 
     # Step fixpoint with increasing k.
     for k in range(1, max_k + 1):
@@ -88,15 +118,13 @@ def houdini_prove(system: TransitionSystem,
             if rounds > max_rounds:
                 return HoudiniResult([], dropped + [
                     (c, "houdini round budget exhausted") for c in active],
-                    k=k, rounds=rounds, stats=stats)
-            conj = _conjoin(active)
-            result = run_cached(
-                "k_induction", system, conj,
-                {"max_k": k, "keep_last_step_cex": True},
-                lemmas=lemmas, cache=cache)
-            stats.accumulate(result.stats)
+                    k=k, rounds=asked, stats=stats)
+            if first_step is not None:
+                result, first_step = first_step, None
+            else:
+                result = ask("k_induction", _step_options(k))
             if result.status is Status.PROVEN:
-                return HoudiniResult(active, dropped, k=k, rounds=rounds,
+                return HoudiniResult(active, dropped, k=k, rounds=asked,
                                      stats=stats)
             if result.status is Status.VIOLATED:
                 # Should have been caught by the BMC screen; drop and go on.
@@ -121,8 +149,12 @@ def houdini_prove(system: TransitionSystem,
 
     remaining = [(c, f"no inductive subset within k={max_k}")
                  for c in active]
-    return HoudiniResult([], dropped + remaining, k=max_k, rounds=rounds,
+    return HoudiniResult([], dropped + remaining, k=max_k, rounds=asked,
                          stats=stats)
+
+
+def _step_options(k: int) -> dict:
+    return {"max_k": k, "keep_last_step_cex": True}
 
 
 def _conjoin(props: list[SafetyProperty]) -> SafetyProperty:

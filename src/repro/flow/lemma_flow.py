@@ -8,7 +8,8 @@ Pipeline stages (each one a measured filter):
    parse + resolve, screen, Houdini — survivors are *proven* invariants;
 6. prove every target property twice — without and with the proven
    lemmas — and report the effort delta (the paper's "faster proof for
-   complex properties").
+   complex properties"); with no lemma proven the two are one query,
+   asked and booked once.
 
 With ``pdr_cross_feed=True`` a third engine joins stage 6: any target
 k-induction still cannot close runs through IC3/PDR, and a PROVEN
@@ -124,8 +125,12 @@ class LemmaGenerationFlow:
             for i, lemma in enumerate(lemmas):
                 engine.add_lemma(f"lemma_{i}", lemma.good,
                                  lemma.valid_from)
-            with_lemmas = engine.prove(target_prop, max_k=spec.max_k)
-            stats.note_proof(with_lemmas)
+            if lemmas:
+                with_lemmas = engine.prove(target_prop, max_k=spec.max_k)
+                stats.note_proof(with_lemmas)
+            else:
+                # No lemma: the same query, already answered and booked.
+                with_lemmas = without
             if with_lemmas.status is not Status.PROVEN and \
                     self.pdr_cross_feed:
                 with_lemmas = self._pdr_assist(engine, target_prop,

@@ -1,7 +1,7 @@
 """Content-keyed cache of model-checking results.
 
 The paper's flows re-run the formal tool constantly over *identical*
-queries: every Houdini round re-screens the surviving conjunction, the
+queries: a repeated Houdini run re-asks the same conjunction, the
 repair loop re-proves the target between LLM calls, and benchmark sweeps
 repeat whole configurations.  A query is fully determined by
 

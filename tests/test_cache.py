@@ -306,8 +306,8 @@ class TestCacheBehaviour:
 
 class TestHoudiniStyleReuse:
     def test_repeated_houdini_query_hits_cache(self, sync_counters_system):
-        """The acceptance-criterion scenario: Houdini re-screens the same
-        candidate set (same system, same lemma set) and must be answered
+        """The acceptance-criterion scenario: Houdini re-asks the same
+        conjunction (same system, same lemma set) and must be answered
         from cache the second time around."""
         from repro.flow.houdini import houdini_prove
 
