@@ -22,6 +22,7 @@ from repro.genai.parse import extract_assertions, validate_assertions
 from repro.ir import expr as E
 from repro.mc.cache import ResultCache
 from repro.mc.property import SafetyProperty
+from repro.mc.result import CheckResult
 from repro.sim.screening import screen_invariants
 from repro.sva.compile import MonitorContext
 
@@ -80,11 +81,13 @@ class CandidateFunnel:
               target: SafetyProperty | None = None,
               max_k: int = HOUDINI_K,
               lemmas: list[tuple[E.Expr, int]] | None = None
-              ) -> tuple[list[Candidate], bool]:
+              ) -> tuple[list[Candidate], CheckResult | None]:
         """Stage 5: the maximal inductive subset of ``survivors``.
 
-        With a ``target`` the fixpoint runs jointly with it; the flag
-        says whether the target itself landed in the inductive subset.
+        With a ``target`` the fixpoint runs jointly with it; when the
+        target itself lands in the inductive subset, the second item is
+        Houdini's PROVEN answer for that conjunction (its effort is
+        booked here, once), else None.
         """
         candidates = [prop for _, prop in survivors]
         if target is not None:
@@ -105,4 +108,5 @@ class CandidateFunnel:
             else:
                 outcome.detail = next((r for c, r in houdini.dropped
                                        if c is prop), "not inductive")
-        return proven, any(p is target for p in houdini.proven)
+        target_proven = any(p is target for p in houdini.proven)
+        return proven, houdini.answer if target_proven else None

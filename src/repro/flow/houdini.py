@@ -45,13 +45,15 @@ from repro.trace.trace import Trace
 @dataclass
 class HoudiniResult:
     """Outcome of one Houdini run; ``rounds`` counts the conjunction
-    queries asked."""
+    queries asked, and ``answer`` is the PROVEN answer for the
+    conjunction of ``proven`` (None when nothing was proven)."""
 
     proven: list[SafetyProperty]
     dropped: list[tuple[SafetyProperty, str]]  # (candidate, reason)
     k: int = 0
     rounds: int = 0
     stats: ProofStats = field(default_factory=ProofStats)
+    answer: CheckResult | None = None
 
 
 def houdini_prove(system: TransitionSystem,
@@ -91,7 +93,8 @@ def houdini_prove(system: TransitionSystem,
     if active and max_k >= 1 and max_rounds >= 2:
         first_step = ask("k_induction", _step_options(1))
         if first_step.status is Status.PROVEN:
-            return HoudiniResult(active, [], k=1, rounds=asked, stats=stats)
+            return HoudiniResult(active, [], k=1, rounds=asked, stats=stats,
+                                 answer=first_step)
 
     # BMC screen of the conjunction (drop real violations).
     rounds = 0  # position in the screen-then-step budget
@@ -125,7 +128,7 @@ def houdini_prove(system: TransitionSystem,
                 result = ask("k_induction", _step_options(k))
             if result.status is Status.PROVEN:
                 return HoudiniResult(active, dropped, k=k, rounds=asked,
-                                     stats=stats)
+                                     stats=stats, answer=result)
             if result.status is Status.VIOLATED:
                 # Should have been caught by the BMC screen; drop and go on.
                 active, newly_dropped = _drop_falsified(

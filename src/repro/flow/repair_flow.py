@@ -154,7 +154,7 @@ class InductionRepairFlow:
                 continue  # nothing usable this round; ask again
 
             # 4. Houdini jointly with the target: closing in one shot.
-            proven, target_proven = funnel.prove(
+            proven, answer = funnel.prove(
                 candidates, target=target, max_k=max(HOUDINI_K, depth),
                 lemmas=engine.lemma_pairs())
             for outcome, prop in proven:
@@ -162,11 +162,11 @@ class InductionRepairFlow:
                 helpers.append(prop)
                 engine.add_lemma(prop.name, prop.good, prop.valid_from)
                 iteration.proven_helpers.append(prop.name)
-            # If the target itself survived Houdini, it is proven.
-            if target_proven:
+            # If the target itself survived Houdini, Houdini's answer
+            # proves it; that query is already booked.
+            if answer is not None:
                 status = Status.PROVEN
-                final = engine.prove(target, max_k=depth)
-                stats.note_proof(final)
+                final = answer
                 iterations.append(RepairIteration(
                     index=index + 1, induction=final))
                 break

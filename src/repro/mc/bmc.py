@@ -17,13 +17,14 @@ from repro.ir.system import TransitionSystem
 from repro.mc.frame import FrameSolver, StatsTimer
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, ProofStats, Status
+from repro.sat.solver import Solver
 from repro.trace.trace import TraceKind
 
 
 def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
         lemmas: list[tuple[E.Expr, int]] | None = None,
         conflict_budget: int | None = None,
-        frame: FrameSolver | None = None) -> CheckResult:
+        solver: Solver | None = None) -> CheckResult:
     """Search for a counterexample to ``prop`` within ``bound`` cycles.
 
     ``lemmas`` are ``(good_expr, valid_from)`` pairs *already proven*
@@ -36,27 +37,17 @@ def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
     BOUNDED_OK with an 'inconclusive' note — fine for bug *hunting*,
     never used for proofs.
 
-    ``frame`` lets a caller supply a pre-built (and possibly
-    differently-backed) :class:`FrameSolver` — the external-solver
-    strategy reuses this exact loop over a subprocess-backed frame.
+    ``solver`` backs the frame with another solver — the
+    external-solver strategy runs this exact loop over a subprocess.
     """
     resolved = prop.resolved_against(system)
-    lemma_pairs = [(system.resolve_defines(g), vf)
-                   for g, vf in (lemmas or [])]
     stats = ProofStats()
-    if frame is None:
-        frame = FrameSolver(system)
+    frame = FrameSolver(system, lemmas, solver=solver)
     with StatsTimer(stats):
         frame.add_init()
-        for g, vf in lemma_pairs:
-            if vf <= 0:
-                frame.assert_at(g, 0)
         for t in range(bound + 1):
             if t > 0:
                 frame.add_frame(t - 1)
-                for g, vf in lemma_pairs:
-                    if vf <= t:
-                        frame.assert_at(g, t)
             stats.max_depth = t
             if t < resolved.valid_from:
                 continue
@@ -100,18 +91,12 @@ def bmc_probe(system: TransitionSystem, prop: SafetyProperty, bound: int,
     more expensive reasoning, never as a proof.
     """
     resolved = prop.resolved_against(system)
-    lemma_pairs = [(system.resolve_defines(g), vf)
-                   for g, vf in (lemmas or [])]
     stats = ProofStats()
-    frame = FrameSolver(system)
+    frame = FrameSolver(system, lemmas)
     with StatsTimer(stats):
         frame.add_init()
-        for t in range(bound + 1):
-            if t > 0:
-                frame.add_frame(t - 1)
-            for g, vf in lemma_pairs:
-                if vf <= t:
-                    frame.assert_at(g, t)
+        for t in range(1, bound + 1):
+            frame.add_frame(t - 1)
         stats.max_depth = bound
         any_bad = frame.blaster.aig.or_many(
             frame.lit_at(resolved.bad, t)

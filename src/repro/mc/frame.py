@@ -11,6 +11,13 @@ resolved* expressions plus a time and lowers them through
 ``BitBlaster.blast(expr, frame=t)``, so no timed copy of the design is
 ever built.  A variable that is neither an input nor a state of the
 system raises :class:`~repro.errors.BitBlastError`.
+
+Proven lemmas are placed here and nowhere else: the frame that creates
+time ``t`` asserts every lemma that holds there.  On a path rooted by
+:meth:`FrameSolver.add_init` a lemma holds from its ``valid_from`` on
+(monitor warm-up cycles are exempt); on an unrooted path (the induction
+step, PDR's one step) the frames sit at arbitrary late times, so every
+lemma holds at every frame.
 """
 
 from __future__ import annotations
@@ -28,16 +35,28 @@ from repro.trace.trace import Trace, TraceKind
 
 
 class FrameSolver:
-    """Incremental SAT context for unrolled transition-system formulas."""
+    """Incremental SAT context for unrolled transition-system formulas.
 
-    def __init__(self, system: TransitionSystem):
+    ``lemmas`` are ``(good_expr, valid_from)`` pairs *already proven*
+    invariant (see the module docstring for where they are asserted).
+    ``solver`` replaces the in-process CDCL solver with anything that
+    speaks its interface (the external-binary bridge of
+    :mod:`repro.sat.external`).
+    """
+
+    def __init__(self, system: TransitionSystem,
+                 lemmas: list[tuple[E.Expr, int]] | None = None,
+                 solver: Solver | None = None):
         system.validate()
         self.system = system
-        self.solver = Solver()
+        self.solver = solver if solver is not None else Solver()
         self.blaster = BitBlaster()
         self.blaster.signals = system.inputs.keys() | system.states.keys()
         self.cnf = CnfBuilder(self.blaster.aig, self.solver)
         self.queries = 0
+        self._lemmas = [(system.resolve_defines(g), vf)
+                       for g, vf in (lemmas or [])]
+        self._rooted = False
 
     # ------------------------------------------------------------------
     # Assertions / assumptions at the expression level
@@ -70,9 +89,10 @@ class FrameSolver:
     # ------------------------------------------------------------------
 
     def add_init(self) -> None:
-        """Pin initialized registers at time 0, then the time-0
-        constraints.  A variable-free init defines ``s@0`` as its
-        constant bits; one that reads variables stays an equation."""
+        """Root the path: pin initialized registers at time 0, then the
+        time-0 constraints and lemmas.  A variable-free init defines
+        ``s@0`` as its constant bits; one that reads variables stays an
+        equation."""
         equations = []
         for name, init_expr in self.system.init.items():
             if E.support(init_expr):
@@ -81,22 +101,33 @@ class FrameSolver:
                 self._define(name, 0, init_expr, 0)
         for name, init_expr in equations:
             self._define(name, 0, init_expr, 0, bind=False)
+        self._rooted = True
         self.add_constraints(0)
 
     def add_frame(self, t: int) -> None:
-        """Define the states at t+1 from frame t, plus constraints at t+1.
+        """Define the states at t+1 from frame t, plus constraints and
+        lemmas at t+1.
 
-        Constraints at time 0 are added by :meth:`add_init` (BMC) or by the
-        caller (induction step case, which has no init).
+        Time 0 is opened by :meth:`add_init` (a rooted path) or by the
+        caller's :meth:`add_constraints` (an unrooted one).
         """
         for name, next_expr in self.system.next.items():
             self._define(name, t + 1, next_expr, t)
         self.add_constraints(t + 1)
 
     def add_constraints(self, t: int) -> None:
-        """Assert the system's environment assumptions at time ``t``."""
+        """Assert the environment assumptions at time ``t``, then the
+        lemmas that hold there."""
         for c in self.system.constraints:
             self.assert_at(c, t)
+        self.add_lemmas(t)
+
+    def add_lemmas(self, t: int) -> None:
+        """Assert the lemmas that hold at time ``t`` (all of them on an
+        unrooted path)."""
+        for g, vf in self._lemmas:
+            if vf <= t or not self._rooted:
+                self.assert_at(g, t)
 
     def state_distinct(self, t1: int, t2: int) -> int:
         """AIG literal: some register differs between ``t1`` and ``t2``
@@ -139,16 +170,16 @@ class FrameSolver:
             return 0
         return self.cnf.bits_value(bits)
 
+    def frame_values(self, t: int) -> dict[str, int]:
+        """Every input and state word at time ``t`` in the model."""
+        return {name: self.timed_value(name, t)
+                for name in [*self.system.inputs, *self.system.states]}
+
     def extract_trace(self, length: int, kind: TraceKind,
                       property_name: str | None = None,
                       note: str = "") -> Trace:
         """Pull a full trace of the current model for frames 0..length-1."""
-        envs = []
-        for t in range(length):
-            env = {}
-            for name in list(self.system.inputs) + list(self.system.states):
-                env[name] = self.timed_value(name, t)
-            envs.append(env)
+        envs = [self.frame_values(t) for t in range(length)]
         return Trace.from_model_values(self.system, envs, kind,
                                        property_name=property_name,
                                        note=note)

@@ -55,26 +55,18 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
     """
     opts = options or KInductionOptions()
     resolved = prop.resolved_against(system)
-    lemma_pairs = [(system.resolve_defines(g), vf)
-                   for g, vf in (lemmas or [])]
     stats = ProofStats()
 
-    base = FrameSolver(system)
-    step = FrameSolver(system)
+    base = FrameSolver(system, lemmas)
+    step = FrameSolver(system, lemmas)
     step_cex: Trace | None = None
 
     with StatsTimer(stats):
         # ---- time 0 plumbing -----------------------------------------
-        # Base case: lemmas hold from their valid_from on.  Step case: the
-        # window sits at arbitrary late absolute times, so every lemma
-        # holds at every frame.
+        # The base case is rooted in init; the step case is not, so its
+        # frames assume every lemma (see repro.mc.frame).
         base.add_init()
-        for g, vf in lemma_pairs:
-            if vf <= 0:
-                base.assert_at(g, 0)
         step.add_constraints(0)
-        for g, _vf in lemma_pairs:
-            step.assert_at(g, 0)
 
         base_depth = 0  # frames already unrolled in the base solver
 
@@ -88,9 +80,6 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
                 t = base_depth
                 if t > 0:
                     base.add_frame(t - 1)
-                    for g, vf in lemma_pairs:
-                        if vf <= t:
-                            base.assert_at(g, t)
                 if t >= resolved.valid_from:
                     if base.solve([base.assumption_at(resolved.bad, t)]):
                         trace = base.extract_trace(
@@ -106,8 +95,6 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
 
             # ---- inductive step: good at 0..k-1, bad at k ---------------
             step.add_frame(k - 1)
-            for g, _vf in lemma_pairs:
-                step.assert_at(g, k)
             step.assert_at(resolved.good, k - 1)
             if opts.simple_path:
                 for earlier in range(k):

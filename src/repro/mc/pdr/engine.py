@@ -107,18 +107,16 @@ class _PdrRun:
         self.opts = opts
         self.stats = ProofStats()
         resolved = prop.resolved_against(system)
-        lemma_pairs = [(system.resolve_defines(g), vf) for g, vf in lemmas]
         self.max_vf = max([resolved.valid_from] +
-                          [vf for _g, vf in lemma_pairs], default=0)
+                          [vf for _g, vf in lemmas], default=0)
         if self.max_vf > 0:
-            self.system, self.bad, gated = _with_age(
-                system, resolved, lemma_pairs, self.max_vf)
+            self.system, self.bad, lemmas = _with_age(
+                system, resolved, lemmas, self.max_vf)
         else:
             self.system = system
             self.bad = resolved.bad
-            gated = [g for g, _vf in lemma_pairs]
-        self.ctx = PdrContext(self.system)
-        self.frames = FrameTrapezoid(self.ctx, lemmas=gated)
+        self.ctx = PdrContext(self.system, lemmas)
+        self.frames = FrameTrapezoid(self.ctx)
         self.queue = ObligationQueue()
         self.obligations = 0
         self.lifter = CubeLifter(self.ctx, self.bad) \
@@ -216,11 +214,11 @@ class _PdrRun:
 
     def _main_loop(self) -> CheckResult:
         ctx, frames = self.ctx, self.frames
-        bad_lit = ctx.expr_assumption(self.bad, 0)
+        bad_lit = ctx.assumption_at(self.bad, 0)
 
         # 0-step check: a bad initial state needs no frames at all.
         if self._solve_or_raise(list(frames.activation(0)) + [bad_lit]):
-            trace = self._trace([ctx.frame_env(0)])
+            trace = self._trace([ctx.frame_values(0)])
             return self._result(Status.VIOLATED, k=0, cex=trace,
                                 detail="bad state at cycle 0")
 
@@ -232,7 +230,7 @@ class _PdrRun:
             # Clear every bad state the top frame still admits.
             while self._solve_or_raise(list(frames.activation(k)) +
                                        [bad_lit]):
-                env = ctx.frame_env(0)
+                env = ctx.frame_values(0)
                 cube = self._predecessor_cube(None)
                 cex = self._block(Obligation(cube, k, env))
                 if cex is not None:
@@ -295,7 +293,7 @@ class _PdrRun:
             assumptions = list(frames.activation(ob.level - 1)) + \
                 [guard] + ctx.cube_assumptions(ob.cube, 1)
             if self._consecution_sat(assumptions, guard):
-                env = ctx.frame_env(0)
+                env = ctx.frame_values(0)
                 cube = self._predecessor_cube(ob)
                 ctx.retire_guard(guard)
                 self.queue.push(Obligation(cube, ob.level - 1, env,
@@ -380,12 +378,12 @@ class _PdrRun:
         for pred in candidates:
             base = list(frames.activation(0))
             holds_at_init = ctx.solve(
-                base + [ctx.expr_assumption(E.not_(pred), 0)],
+                base + [ctx.assumption_at(E.not_(pred), 0)],
                 "initiation", conflict_budget=self._probe_budget())
             if holds_at_init is not False:
                 continue
             holds_after_step = ctx.solve(
-                base + [ctx.expr_assumption(E.not_(pred), 1)],
+                base + [ctx.assumption_at(E.not_(pred), 1)],
                 "consecution", conflict_budget=self._probe_budget())
             if holds_after_step is not False:
                 continue
@@ -430,13 +428,14 @@ class _PdrRun:
 def _with_age(system: TransitionSystem, resolved: SafetyProperty,
               lemma_pairs: list[tuple[E.Expr, int]],
               max_vf: int) -> tuple[TransitionSystem, E.Expr,
-                                    list[E.Expr]]:
+                                    list[tuple[E.Expr, int]]]:
     """Compose a saturating age counter onto the system.
 
     Returns the augmented system, the age-gated bad expression, and the
-    age-gated lemma expressions: ``bad`` only counts once the counter
-    reached the property's warm-up, and each lemma is assumed only once
-    its own warm-up passed.
+    age-gated lemma pairs: ``bad`` only counts once the counter reached
+    the property's warm-up, and each lemma is assumed only once its own
+    warm-up passed (the counter carries it, so every pair's
+    ``valid_from`` is 0).
     """
     width = max(1, max_vf.bit_length())
     aug = system.clone(f"{system.name}+pdr_age")
@@ -449,8 +448,7 @@ def _with_age(system: TransitionSystem, resolved: SafetyProperty,
                  E.uge(age, E.const(resolved.valid_from, width)))
     gated = []
     for good, vf in lemma_pairs:
-        if vf <= 0:
-            gated.append(good)
-        else:
-            gated.append(E.or_(E.ult(age, E.const(vf, width)), good))
+        if vf > 0:
+            good = E.or_(E.ult(age, E.const(vf, width)), good)
+        gated.append((good, 0))
     return aug, bad, gated

@@ -7,10 +7,10 @@ over-approximates the states reachable in at most ``i`` steps); as
 holds a subset of the inner frames' clauses.  This module owns both
 halves of that machinery:
 
-* :class:`PdrContext` — a single incremental
-  :class:`~repro.sat.solver.Solver` holding **one** unrolled step
-  (transition ``0 → 1`` plus the time-0 environment constraints).  All
-  PDR queries are solved here under assumptions: per-*level* activation
+* :class:`PdrContext` — the engines' one frame stamp
+  (:class:`~repro.mc.frame.FrameSolver`) holding **one** unrolled step:
+  ``state@1`` bound to the next-state functions at time 0, plus the
+  time-0 environment constraints and the lemmas.  All PDR queries are solved here under assumptions: per-*level* activation
   literals select which frames participate, time-1 cube literals pose
   "is this state reachable in one step", and throwaway activation
   literals guard the temporary ``¬cube`` clause of a relative-induction
@@ -52,14 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.aig.bitblast import BitBlaster
-from repro.aig.cnf import CnfBuilder
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc.result import ProofStats
-from repro.mc.unroll import Unroller, timed_name
+from repro.mc.frame import FrameSolver
 from repro.obs import metrics as _metrics
-from repro.sat.solver import Solver
 
 #: The questions PDR puts to its solver, by call site: is a bad state in
 #: the top frame, does an obligation's cube have a predecessor, does a
@@ -125,48 +121,45 @@ class FrameMember:
             for name, bit, value in self.clause)
 
 
-class PdrContext:
-    """Shared incremental solver state for every PDR query on one system.
+class PdrContext(FrameSolver):
+    """The frame stamp of :mod:`repro.mc.frame`, holding PDR's one step.
 
-    The context asserts the one-step transition relation and the time-0
-    environment constraints once; everything else — frames, init, cubes,
-    temporary blocking clauses — rides on assumption literals.  Time-1
-    constraints are deliberately **not** asserted: the trace semantics
-    (matching BMC) require constraints only up to the cycle under
-    examination, and successor cubes were themselves discovered under
-    their own time-0 constraints.
+    Time 0 carries the environment constraints and the lemmas; each
+    ``state@1`` is *bound* to its next-state function read at time 0,
+    so the transition is functional — no equation clauses — and time-1
+    cube literals are the next-state bits themselves.  Everything else
+    — frames, init, cubes, temporary blocking clauses — rides on
+    assumption literals.  Time-1 constraints are deliberately **not**
+    asserted: the trace semantics (matching BMC) require constraints
+    only up to the cycle under examination, and successor cubes were
+    themselves discovered under their own time-0 constraints.  The
+    path is unrooted (init is a guarded frame member, not pinned), so
+    every lemma is asserted at both ends of the step — frame
+    strengthening that is sound because lemmas hold in every
+    reachable state.
     """
 
-    def __init__(self, system: TransitionSystem):
-        system.validate()
-        self.system = system
-        self.unroller = Unroller(system)
-        self.solver = Solver()
-        self.blaster = BitBlaster()
-        self.cnf = CnfBuilder(self.blaster.aig, self.solver)
+    def __init__(self, system: TransitionSystem,
+                 lemmas: list[tuple[E.Expr, int]] | None = None):
+        super().__init__(system, lemmas)
         #: Queries asked so far, by call site (see :data:`QUERY_KINDS`).
         self.query_mix = dict.fromkeys(QUERY_KINDS, 0)
         self.pushes_skipped = 0
         self.core_literals_dropped = 0
-        self._state_bits: dict[tuple[str, int], list[int]] = {}
-        for eq in self.unroller.transition(0):
-            self._assert(eq)
-        for cond in self.unroller.constraints_at(0):
-            self._assert(cond)
-        # Force state bits at both times so cube literals and model
+        self.add_constraints(0)
+        for name, next_expr in system.next.items():
+            self._define(name, 1, next_expr, 0)
+        self.add_lemmas(1)
+        # Blast every state at both times so cube literals and model
         # extraction never depend on which registers the transition
         # happens to read.
-        for name, v in system.states.items():
-            for t in (0, 1):
-                self._state_bits[(name, t)] = self.blaster.blast(
-                    E.var(timed_name(name, t), v.width))
+        self._state_bits = {
+            (name, t): self.blaster.blast(v, frame=t)
+            for name, v in system.states.items() for t in (0, 1)}
 
     # ------------------------------------------------------------------
     # Low-level plumbing
     # ------------------------------------------------------------------
-
-    def _assert(self, timed_expr: E.Expr) -> None:
-        self.cnf.assert_lit(self.blaster.blast_bool(timed_expr))
 
     def new_guard(self) -> int:
         """A fresh activation variable (assume +guard to enable)."""
@@ -178,8 +171,8 @@ class PdrContext:
 
     def guarded_expr(self, guard: int, expr: E.Expr, t: int) -> None:
         """Assert ``guard -> expr@t`` (expr untimed, resolved, width 1)."""
-        lit = self.blaster.blast_bool(self.unroller.at_time(expr, t))
-        self.solver.add_clause([-guard, self.cnf.lit_to_dimacs(lit)])
+        self.solver.add_clause(
+            [-guard, self.cnf.lit_to_dimacs(self.lit_at(expr, t))])
 
     def guarded_clause(self, guard: int, clause: tuple[BitLit, ...],
                        t: int) -> None:
@@ -187,11 +180,6 @@ class PdrContext:
         self.solver.add_clause(
             [-guard] + [self.bit_dimacs(name, bit, value, t)
                         for name, bit, value in clause])
-
-    def expr_assumption(self, expr: E.Expr, t: int) -> int:
-        """Assumption literal for an untimed width-1 expression at ``t``."""
-        lit = self.blaster.blast_bool(self.unroller.at_time(expr, t))
-        return self.cnf.assumption(lit)
 
     def bit_dimacs(self, name: str, bit: int, value: int, t: int) -> int:
         """DIMACS literal asserting state bit ``name[bit] == value@t``."""
@@ -214,10 +202,8 @@ class PdrContext:
         self.query_mix[kind] += 1
         if _metrics.metrics_enabled():
             _M_QUERIES.labels(kind).inc()
-        if conflict_budget is None:
-            return self.solver.solve(assumptions)
-        return self.solver.solve_limited(assumptions,
-                                         conflict_budget=conflict_budget)
+        return self.solve_limited(assumptions,
+                                  conflict_budget=conflict_budget)
 
     def refuted_part(self, cube: Cube, t: int) -> Cube:
         """The literals of ``cube`` the refutation just found rests on.
@@ -254,22 +240,6 @@ class PdrContext:
                 lits.append((name, i, int(self.cnf.lit_value(aig_lit))))
         return tuple(lits)
 
-    def frame_env(self, t: int = 0) -> dict[str, int]:
-        """Input + state word values at time ``t`` (for trace frames)."""
-        env: dict[str, int] = {}
-        for name, v in list(self.system.inputs.items()) + \
-                list(self.system.states.items()):
-            bits = self.blaster.var_bits(timed_name(name, t))
-            if bits is None:
-                env[name] = 0  # never blasted: unconstrained
-            else:
-                env[name] = self.cnf.bits_value(bits)
-        return env
-
-    @property
-    def queries(self) -> int:
-        return sum(self.query_mix.values())
-
     def query_summary(self) -> str:
         """The query mix for a result's ``detail``, largest kind first:
         ``1240 queries: 760 generalize, 307 consecution, 140 push (81
@@ -282,9 +252,6 @@ class PdrContext:
             elif n:
                 parts.append(f"{n} {kind}")
         return f"{self.queries} queries: " + ", ".join(parts)
-
-    def stats_snapshot(self) -> ProofStats:
-        return ProofStats.from_solver(self.solver.stats, self.queries)
 
 
 class FrameTrapezoid:
@@ -299,12 +266,7 @@ class FrameTrapezoid:
     solver (it is implied) and keeps its learnt consequences alive.
     """
 
-    def __init__(self, ctx: PdrContext,
-                 lemmas: list[E.Expr] | None = None):
-        """``lemmas`` are already-proven invariant expressions (resolved,
-        width 1, possibly warm-up-gated by the engine), asserted
-        permanently at both ends of the step — frame strengthening that
-        is sound because lemmas hold in every reachable state."""
+    def __init__(self, ctx: PdrContext):
         self.ctx = ctx
         self.levels: list[list[FrameMember]] = [[], []]  # F_0, F_1
         self._acts: list[int] = [ctx.new_guard(), ctx.new_guard()]
@@ -312,15 +274,10 @@ class FrameTrapezoid:
         # Ledger member -> the full time-0 state (as a literal set) of
         # the model that defeated its last push from its current level.
         self._push_witness: dict[FrameMember, frozenset[BitLit]] = {}
-        for good in (lemmas or []):
-            for t in (0, 1):
-                ctx._assert(ctx.unroller.at_time(good, t))
         # F_0 is the initial states, guarded by the level-0 literal.
-        init_guard = self._acts[0]
-        for eq in ctx.unroller.init_constraints():
-            ctx.solver.add_clause(
-                [-init_guard,
-                 ctx.cnf.lit_to_dimacs(ctx.blaster.blast_bool(eq))])
+        states = ctx.system.states
+        for name, init_expr in ctx.system.init.items():
+            ctx.guarded_expr(self._acts[0], E.eq(states[name], init_expr), 0)
 
     # ------------------------------------------------------------------
 
@@ -457,7 +414,7 @@ class FrameTrapezoid:
         ctx = self.ctx
         assumptions = list(self.activation(level))
         if member.pred is not None:
-            assumptions.append(ctx.expr_assumption(E.not_(member.pred), 1))
+            assumptions.append(ctx.assumption_at(E.not_(member.pred), 1))
         else:
             assumptions += ctx.cube_assumptions(
                 negate_cube(member.clause), 1)

@@ -47,32 +47,26 @@ X = 2
 class CubeLifter:
     """Ternary lifting over one :class:`PdrContext`'s AIG.
 
-    Construction blasts the next-state functions, the constraints, and
-    ``bad`` at time 0; structural hashing makes these the same nodes the
-    context's asserted transition already created, so the AIG does not
-    meaningfully grow and any straggler nodes are Tseitin-encoded by the
-    next ``ctx.solve``.
+    The next-state function bits are the context's bound ``state@1``
+    bits; the constraints and ``bad`` at time 0 blast to the nodes the
+    context's queries already ask about, so the AIG does not
+    meaningfully grow.
     """
 
     def __init__(self, ctx: PdrContext, bad: E.Expr):
         self.ctx = ctx
-        blaster = ctx.blaster
-        unroller = ctx.unroller
         system = ctx.system
         #: (state name, bit) -> AIG literal of its next-state function @0.
-        self._ns_lits: dict[tuple[str, int], int] = {}
-        for name, next_expr in system.next.items():
-            bits = blaster.blast(unroller.at_time(next_expr, 0))
-            for i, lit in enumerate(bits):
-                self._ns_lits[(name, i)] = lit
-        self._constraint_lits = [
-            blaster.blast_bool(c) for c in unroller.constraints_at(0)]
-        self._bad_lit = blaster.blast_bool(unroller.at_time(bad, 0))
+        self._ns_lits: dict[tuple[str, int], int] = {
+            (name, i): lit for name in system.next
+            for i, lit in enumerate(ctx.state_bit_lits(name, 1))}
+        self._constraint_lits = [ctx.lit_at(c, 0)
+                                 for c in system.constraints]
+        self._bad_lit = ctx.lit_at(bad, 0)
         #: (state name, bit) -> AIG input node holding it at time 0.
-        self._bit_node: dict[tuple[str, int], int] = {}
-        for name in system.states:
-            for i, lit in enumerate(ctx.state_bit_lits(name, 0)):
-                self._bit_node[(name, i)] = lit >> 1
+        self._bit_node: dict[tuple[str, int], int] = {
+            (name, i): lit >> 1 for name in system.states
+            for i, lit in enumerate(ctx.state_bit_lits(name, 0))}
         self.lifts = 0
         self.dropped_bits = 0
 

@@ -183,8 +183,6 @@ class ExternalBmcStrategy:
             lemmas: Lemmas | None = None, *, bound: int = 20,
             binary: str | None = None,
             timeout_s: float | None = None) -> CheckResult:
-        from repro.aig.cnf import CnfBuilder
-        from repro.mc.frame import FrameSolver
         from repro.sat.external import SubprocessSolver, find_external_solver
         spec = find_external_solver(binary)
         if spec is None:
@@ -192,11 +190,8 @@ class ExternalBmcStrategy:
             return CheckResult(
                 prop.name, Status.UNKNOWN, k=0, stats=ProofStats(),
                 detail=f"no external SAT binary available ({wanted})")
-        frame = FrameSolver(system)
-        ext = SubprocessSolver(spec, timeout_s=timeout_s)
-        frame.solver = ext
-        frame.cnf = CnfBuilder(frame.blaster.aig, ext)
-        result = bmc(system, prop, bound, lemmas=lemmas, frame=frame)
+        result = bmc(system, prop, bound, lemmas=lemmas,
+                     solver=SubprocessSolver(spec, timeout_s=timeout_s))
         result.detail = (f"[{spec.name or spec.path}] "
                          f"{result.detail}" if result.detail
                          else f"via {spec.name or spec.path}")

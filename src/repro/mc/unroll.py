@@ -11,11 +11,12 @@ Timed variables are plain IR variables with mangled names, so the same
 bit-blaster/CNF pipeline used for combinational formulas handles unrolled
 paths with no special cases.
 
-This is the *expression-level* form of unrolling.  BMC and k-induction
-stamp frames at the bit level instead (``BitBlaster.blast(expr,
-frame=t)``, see :mod:`repro.mc.frame`); the unroller is kept for PDR's
-one-step context, which builds its two frames once per run, and as the
-reference the framed blast is tested against.
+This is the *expression-level* form of unrolling, and no engine uses
+it: BMC, k-induction and PDR all stamp frames at the bit level
+(``BitBlaster.blast(expr, frame=t)`` plus ``bind``, see
+:mod:`repro.mc.frame`).  The unroller stays as the reference the framed
+blast and PDR's bound step are tested against, and as the seam the
+end-to-end benchmark's tracer counts ``ir.unroll_*`` on.
 """
 
 from __future__ import annotations

@@ -321,6 +321,29 @@ class TestExternalStrategy:
         assert external.cex is not None
         assert len(external.cex.steps) == len(internal.cex.steps)
 
+    def test_lemma_parity_with_internal_bmc(self, monkeypatch,
+                                            stdout_binary):
+        """The external solver backs the same frame stamp, lemmas
+        included: a lemma holds from its ``valid_from`` on, so it hides
+        a bad state at cycle 1 only when it is valid from there."""
+        monkeypatch.setenv("REPRO_SAT_BINARY", str(stdout_binary))
+        system = TransitionSystem("latch")
+        x = system.add_input("x", 3)
+        s = system.add_state("s", 3, init=E.const(0, 3))
+        system.set_next("s", x)
+        prop = SafetyProperty.from_invariant(
+            "not_5", E.ne(s, E.const(5, 3)))
+        for valid_from, status in ((1, Status.BOUNDED_OK),
+                                   (2, Status.VIOLATED)):
+            lemmas = [(E.ne(s, E.const(5, 3)), valid_from)]
+            engine = ProofEngine(system)
+            external = engine.check(prop, "external", bound=3,
+                                    extra_lemmas=lemmas)
+            internal = engine.check(prop, "bmc", bound=3,
+                                    extra_lemmas=lemmas)
+            assert external.status is internal.status is status
+            assert external.k == internal.k
+
     def test_wins_a_portfolio_race(self, monkeypatch, stdout_binary):
         """With a binary installed, the external refuter racing a slow
         prover must claim the win — the ISSUE's acceptance scenario."""

@@ -271,6 +271,30 @@ class TestRepairFlow:
         helper_texts = [h.source_text for h in result.helpers]
         assert any("count1 == count2" in t for t in helper_texts)
 
+    def test_effort_booked_once_per_solver_answer(self, monkeypatch):
+        """When Houdini proves the target jointly with its helpers, that
+        answer is the flow's final one: the target is not re-proven
+        after it, and every answered query is booked exactly once."""
+        asked, answered = [], []
+        run_check_task = cache_mod.run_check_task
+
+        def recording(task):
+            result = run_check_task(task)
+            asked.append(task)
+            answered.append(result)
+            return result
+
+        monkeypatch.setattr(cache_mod, "run_check_task", recording)
+        session = VerificationSession(get_design("sync_counters"),
+                                      model="gpt-4o", seed=1)
+        result = session.repair("equal_count")
+        assert result.helpers
+        assert result.status is result.final.status is Status.PROVEN
+        assert result.final is answered[-1]
+        assert asked[-1].prop.name == "houdini_conjunction"
+        assert result.stats.proof_wall_s == pytest.approx(
+            sum(r.stats.wall_seconds for r in answered), rel=1e-9)
+
     def test_fifo_occupancy(self):
         session = VerificationSession(get_design("fifo_ctrl"),
                                       model="gpt-4o", seed=1)

@@ -38,6 +38,7 @@ from repro.mc.pdr.frames import negate_cube
 from repro.mc.portfolio import depth_options
 from repro.mc.property import SafetyProperty
 from repro.mc.strategy import CheckTask
+from repro.mc.unroll import Unroller
 from repro.campaign.store import ProofStore
 from repro.qa import fuzz_designs, replay_trace
 from repro.sim.simulator import Simulator
@@ -219,8 +220,9 @@ class TestVerdictParity:
     engines may ever disagree on a conclusive verdict, and conclusive
     verdicts must match the design's ground truth."""
 
-    #: What the sweep budgets settled before generalization went
-    #: core-first; how PDR asks its questions must not cost a verdict.
+    #: What the sweep budgets settle (every other case is UNKNOWN);
+    #: neither how PDR asks its questions nor how it stamps its one step
+    #: may cost or flip a verdict.
     SETTLED = {
         ("sync_counters_bug", "counters_equal"),
         ("updown_counter", "upper_bound"), ("updown_counter", "never_top"),
@@ -285,9 +287,101 @@ class TestVerdictParity:
                     assert bounded.status is not Status.VIOLATED, case
                 else:
                     assert kind.status is not Status.PROVEN, case
-        # The engine is not vacuous: everything the tight sweep budgets
-        # used to settle, they still settle.
-        assert settled >= self.SETTLED
+        # The engine is not vacuous and no status moved: exactly what
+        # the tight sweep budgets settled, they settle.
+        assert settled == self.SETTLED
+
+
+class TestFrameStampParity:
+    """PDR's one step is stamped by :class:`~repro.mc.frame.FrameSolver`
+    like every other engine's frames; the E9 rows (k-induction, plain
+    and seeded PDR under the E9 budgets) keep their statuses, row for
+    row, and every invariant certificate re-checks."""
+
+    E9_BUDGETS = dict(max_frames=18, conflict_budget=3000,
+                      propagation_budget=500_000, gen_budget=500,
+                      max_obligations=2000)
+    #: (design, property) -> (k_induction, pdr, pdr_seeded) status.
+    E9_ROWS = {
+        ("traffic_onehot", "mutual_exclusion"):
+            ("unknown", "proven", "proven"),
+        ("rr_arbiter", "grant_onehot0"): ("unknown", "proven", "proven"),
+        ("lfsr16", "never_zero"): ("proven", "proven", "proven"),
+        ("sync_counters", "equal_count"): ("unknown", "unknown", "proven"),
+        ("fifo_ctrl", "count_matches_pointers"):
+            ("proven", "unknown", "proven"),
+    }
+
+    def test_e9_rows_keep_their_statuses(self):
+        for (design_name, prop_name), expected in self.E9_ROWS.items():
+            _design, spec, ctx, prop = _compile(design_name, prop_name)
+            engine = ProofEngine(ctx.system)
+            statuses = []
+            for strategy, options in (
+                    ("k_induction", {"max_k": spec.max_k}),
+                    ("pdr", self.E9_BUDGETS),
+                    ("pdr_seeded", self.E9_BUDGETS)):
+                result = engine.check(prop, strategy, **options)
+                statuses.append(result.status.value)
+                if result.invariant:
+                    report = check_certificate(engine.scoped_system(prop),
+                                               prop, result.invariant)
+                    assert report.ok, (design_name, strategy,
+                                       report.one_line())
+            assert tuple(statuses) == expected, (design_name, prop_name)
+
+
+class TestFramedStep:
+    """Differential: with every time-0 state and input bit pinned on a
+    :class:`PdrContext`, the bound ``state@1`` reads the next-state
+    functions' values (``E.evaluate``), its literals are those of the
+    expression-level unrolling (``blast(Unroller.at_time(next, 0))``),
+    and the solver refutes every other successor."""
+
+    @staticmethod
+    def _systems():
+        for design in all_designs():
+            yield design.name, design.system()
+        for design in fuzz_designs(1, 60):
+            yield design.name, design.system
+
+    def test_state_at_1_is_the_next_state_function(self):
+        rng = random.Random(29)
+        stepped = 0
+        for name, system in self._systems():
+            ctx = PdrContext(system)
+            unroller = Unroller(system)
+            for state, next_expr in system.next.items():
+                assert ctx.state_bit_lits(state, 1) == ctx.blaster.blast(
+                    unroller.at_time(next_expr, 0)), (name, state)
+            signals = {**system.inputs, **system.states}
+            for _ in range(3):
+                env = {sig: rng.getrandbits(var.width)
+                       for sig, var in signals.items()}
+                pins = []
+                for sig, var in signals.items():
+                    for i, lit in enumerate(
+                            ctx.blaster.blast(var, frame=0)):
+                        d = ctx.cnf.lit_to_dimacs(lit)
+                        pins.append(d if (env[sig] >> i) & 1 else -d)
+                legal = all(E.evaluate(c, env)
+                            for c in system.constraints)
+                assert ctx.solve_limited(pins) is legal, name
+                if not legal:
+                    continue
+                stepped += 1
+                expected = {state: E.evaluate(next_expr, env)
+                            for state, next_expr in system.next.items()}
+                for state, value in expected.items():
+                    assert ctx.timed_value(state, 1) == value, (name, state)
+                if expected:
+                    other = E.bool_or(*(
+                        E.ne(system.states[state],
+                             E.const(value, system.states[state].width))
+                        for state, value in expected.items()))
+                    assert ctx.solve_limited(
+                        pins + [ctx.assumption_at(other, 1)]) is False, name
+        assert stepped > 150
 
 
 class TestSeeding:
