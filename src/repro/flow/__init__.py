@@ -6,12 +6,13 @@
 * :class:`~repro.flow.repair_flow.InductionRepairFlow` — Fig. 2: on an
   inductive-step failure, the CEX waveform and RTL go back to the LLM,
   which proposes a strengthening invariant; the loop iterates until the
-  proof closes.
+  proof closes or a round teaches it nothing new.
 
 Both flows enforce the soundness discipline the paper's conclusion calls
 for: **no LLM output is ever assumed unproven**.  Candidates pass
 simulation screening and a Houdini-style inductive fixpoint
-(:mod:`repro.flow.houdini`) before they may strengthen anything.
+(:mod:`repro.flow.houdini`) before they may strengthen anything; each
+distinct proven lemma is held once, in the funnel's lemma bank.
 """
 
 from repro.flow.stats import AssertionOutcome, FlowStats

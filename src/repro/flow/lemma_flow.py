@@ -10,12 +10,6 @@ Pipeline stages (each one a measured filter):
    lemmas — and report the effort delta (the paper's "faster proof for
    complex properties"); with no lemma proven the two are one query,
    asked and booked once.
-
-With ``pdr_cross_feed=True`` a third engine joins stage 6: any target
-k-induction still cannot close runs through IC3/PDR, and a PROVEN
-result's inductive-invariant certificate is re-assumed as lemmas for a
-final k-induction pass — PDR-discovered strengthenings feeding the
-paper's core proof method exactly like LLM-generated ones do.
 """
 
 from __future__ import annotations
@@ -32,8 +26,6 @@ from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
 from repro.sva.compile import MonitorContext
-
-PDR_MAX_FRAMES = 12  # frame budget of the cross-feed PDR run
 
 
 @dataclass
@@ -87,12 +79,10 @@ class LemmaGenerationFlow:
 
     def __init__(self, client: LLMClient,
                  engine_config: EngineConfig | None = None,
-                 cache: ResultCache | None = None,
-                 pdr_cross_feed: bool = False):
+                 cache: ResultCache | None = None):
         self.client = client
         self.engine_config = engine_config or EngineConfig()
         self.cache = cache
-        self.pdr_cross_feed = pdr_cross_feed
 
     # ------------------------------------------------------------------
 
@@ -107,69 +97,35 @@ class LemmaGenerationFlow:
         prompt = lemma_prompt(design.spec, design.rtl)
         response = self.client.complete(prompt)
 
-        # 2-5. Extract, triage, screen, Houdini: what survives is proven.
-        proven, _ = funnel.prove(funnel.admit(response))
-        lemmas = [prop for _, prop in proven]
+        # 2-5. Extract, triage, screen, Houdini: what survives is banked.
+        funnel.prove(funnel.admit(response))
+        lemmas = funnel.lemma_pairs()
 
         # 6. Target comparisons: without vs with lemmas.
+        engine = ProofEngine(ctx.system, self.engine_config, cache=self.cache)
         comparisons = []
         target_names = targets if targets is not None else \
             [p.name for p in design.properties if p.expect == "proven"]
         for target_name in target_names:
             spec = design.property_spec(target_name)
             target_prop = ctx.add(spec.sva, name=spec.name)
-            engine = ProofEngine(ctx.system, self.engine_config,
-                                 cache=self.cache)
             without = engine.prove(target_prop, max_k=spec.max_k)
             stats.note_proof(without)
-            for i, lemma in enumerate(lemmas):
-                engine.add_lemma(f"lemma_{i}", lemma.good,
-                                 lemma.valid_from)
             if lemmas:
-                with_lemmas = engine.prove(target_prop, max_k=spec.max_k)
+                with_lemmas = engine.prove(target_prop, max_k=spec.max_k,
+                                           extra_lemmas=lemmas)
                 stats.note_proof(with_lemmas)
             else:
                 # No lemma: the same query, already answered and booked.
                 with_lemmas = without
-            if with_lemmas.status is not Status.PROVEN and \
-                    self.pdr_cross_feed:
-                with_lemmas = self._pdr_assist(engine, target_prop,
-                                               spec, with_lemmas, stats)
             comparison = TargetComparison(target_name, without, with_lemmas)
             comparisons.append(comparison)
             if comparison.enabled_proof or comparison.speedup > 1.2:
-                for outcome, _ in proven:
+                for outcome, _ in funnel.bank.values():
                     outcome.useful = True
 
         return LemmaFlowResult(
             design=design.name, model=getattr(self.client, "model_name",
                                               "unknown"),
-            outcomes=funnel.outcomes, lemmas=lemmas, targets=comparisons,
-            stats=stats, response_text=response.text)
-
-    def _pdr_assist(self, engine: ProofEngine, target_prop, spec,
-                    with_lemmas: CheckResult,
-                    stats: FlowStats) -> CheckResult:
-        """Cross-feed: close a stuck target with a PDR invariant.
-
-        Runs IC3/PDR on the target; a PROVEN result's invariant
-        certificate is re-assumed as lemmas
-        (:meth:`~repro.mc.engine.ProofEngine.add_invariant_lemmas`) and
-        k-induction gets one more attempt with them.  Any failure along
-        the way leaves the original result untouched.
-        """
-        pdr_result = engine.check(target_prop, "pdr",
-                                  max_frames=PDR_MAX_FRAMES)
-        stats.note_proof(pdr_result)
-        if engine.add_invariant_lemmas(pdr_result) > 0:
-            rerun = engine.prove(target_prop, max_k=spec.max_k)
-            stats.note_proof(rerun)
-            if rerun.status is Status.PROVEN:
-                rerun.detail += \
-                    " (with PDR-discovered invariant lemmas)"
-                return rerun
-        if pdr_result.status is Status.PROVEN:
-            # Proven, but with no reusable certificate (warm-up runs
-            # emit none): the PDR verdict itself is the result.
-            return pdr_result
-        return with_lemmas
+            outcomes=funnel.outcomes, lemmas=funnel.lemmas,
+            targets=comparisons, stats=stats, response_text=response.text)

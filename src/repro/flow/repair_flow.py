@@ -9,12 +9,14 @@ The loop the paper describes, automated end to end:
    (:mod:`repro.flow.funnel`) parses, resolves and screens them;
 4. candidates that survive screening enter a Houdini pass *jointly with
    the target*: if the target lands in the inductive subset, the proof is
-   closed; otherwise proven candidates become lemmas and the loop
-   re-attempts the induction with a strengthened hypothesis;
-5. iterate up to ``MAX_ITERATIONS``.
+   closed; otherwise proven candidates enter the funnel's lemma bank and
+   the loop re-attempts the induction with a strengthened hypothesis;
+5. iterate until a round banks nothing new (the bank unchanged, the
+   next round would repeat it query for query), at most ``MAX_ITERATIONS``.
 
 A base-case failure at any point is a real bug and terminates the loop
-with VIOLATED (GenAI cannot — and must not — repair those).
+with VIOLATED (GenAI cannot — and must not — repair those).  A helper is
+``useful`` only when the target ends PROVEN with it in the bank.
 """
 
 from __future__ import annotations
@@ -103,13 +105,13 @@ class InductionRepairFlow:
         funnel = CandidateFunnel(ctx, cache=self.cache)
         stats = funnel.stats
         iterations: list[RepairIteration] = []
-        helpers: list[SafetyProperty] = []
         final: CheckResult | None = None
         status = Status.UNKNOWN
 
         for index in range(1, MAX_ITERATIONS + 1):
             stats.iterations = index
-            result = engine.prove(target, max_k=depth)
+            result = engine.prove(target, max_k=depth,
+                                  extra_lemmas=funnel.lemma_pairs())
             stats.note_proof(result)
             iteration = RepairIteration(index=index, induction=result)
             iterations.append(iteration)
@@ -151,17 +153,12 @@ class InductionRepairFlow:
             candidates = funnel.admit(response)
             iteration.emitted = stats.assertions_emitted - emitted_before
             if not candidates:
-                continue  # nothing usable this round; ask again
+                break  # a round that banks nothing new ends the loop
 
             # 4. Houdini jointly with the target: closing in one shot.
             proven, answer = funnel.prove(
-                candidates, target=target, max_k=max(HOUDINI_K, depth),
-                lemmas=engine.lemma_pairs())
-            for outcome, prop in proven:
-                outcome.useful = True
-                helpers.append(prop)
-                engine.add_lemma(prop.name, prop.good, prop.valid_from)
-                iteration.proven_helpers.append(prop.name)
+                candidates, target=target, max_k=max(HOUDINI_K, depth))
+            iteration.proven_helpers = [prop.name for _, prop in proven]
             # If the target itself survived Houdini, Houdini's answer
             # proves it; that query is already booked.
             if answer is not None:
@@ -170,9 +167,14 @@ class InductionRepairFlow:
                 iterations.append(RepairIteration(
                     index=index + 1, induction=final))
                 break
+            if not proven:
+                break  # likewise: the next round would repeat this one
 
+        if status is Status.PROVEN:
+            for outcome, _ in funnel.bank.values():
+                outcome.useful = True
         return RepairFlowResult(
             design=design.name, property_name=property_name,
             model=getattr(self.client, "model_name", "unknown"),
-            status=status, iterations=iterations, helpers=helpers,
+            status=status, iterations=iterations, helpers=funnel.lemmas,
             outcomes=funnel.outcomes, stats=stats, final=final)

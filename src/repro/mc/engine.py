@@ -66,25 +66,6 @@ class ProofEngine:
     def clear_lemmas(self) -> None:
         self.lemmas.clear()
 
-    def add_invariant_lemmas(self, result: CheckResult,
-                             prefix: str = "pdr_inv") -> int:
-        """Re-assume a PDR invariant certificate as proven lemmas.
-
-        Each conjunct of a PROVEN result's ``invariant`` holds in every
-        reachable state (the conjunction is 1-step inductive and the
-        conjuncts are its consequences), so they qualify as global
-        assumptions for any other engine — this is the cross-feed that
-        lets k-induction close proofs with PDR-discovered
-        strengthenings.  Returns the number of lemmas added.
-        """
-        if result.status is not Status.PROVEN or not result.invariant:
-            return 0
-        added = 0
-        for good in result.invariant:
-            self.add_lemma(f"{prefix}_{added}", good, valid_from=0)
-            added += 1
-        return added
-
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------

@@ -6,18 +6,28 @@ every assertion here corresponds to a claim the benchmarks quantify.
 
 import pytest
 
+import repro.flow.funnel as funnel_mod
 import repro.flow.houdini as houdini_mod
 import repro.mc.cache as cache_mod
 from repro.designs import all_designs, get_design
-from repro.flow import HoudiniResult, VerificationSession, houdini_prove
-from repro.flow.funnel import HOUDINI_BMC_BOUND, HOUDINI_K
+from repro.flow import (HoudiniResult, InductionRepairFlow,
+                        VerificationSession, houdini_prove)
+from repro.flow.funnel import (HOUDINI_BMC_BOUND, HOUDINI_K, SCREEN_CYCLES,
+                               SCREEN_RUNS)
 from repro.flow.houdini import _conjoin, _drop_falsified
-from repro.genai.client import LLMResponse
-from repro.mc import Status
+from repro.flow.repair_flow import CEX_SIGNALS
+from repro.genai.client import LLMResponse, SimulatedLLM
+from repro.genai.parse import extract_assertions, validate_assertions
+from repro.genai.personas import PAPER_MODELS
+from repro.genai.prompts import repair_prompt
+from repro.ir.expr import structural_digest
+from repro.mc import ProofEngine, Status
 from repro.mc.cache import ResultCache, run_cached
 from repro.mc.engine import EngineConfig
 from repro.mc.result import ProofStats
+from repro.sim.screening import screen_invariants
 from repro.sva import MonitorContext
+from repro.trace.wave import render_for_prompt
 
 
 def _screen_first_reference(system, candidates, max_k=3, bmc_bound=10,
@@ -352,7 +362,136 @@ class TestRepairFlow:
                                       client=SilentLLM())
         result = session.repair("equal_count", max_k=1)
         assert not result.converged
-        assert len(result.iterations) <= 4
+        # An empty answer banks nothing, so asking again would repeat it.
+        assert result.stats.llm_calls == len(result.iterations) == 1
+
+
+def _parent_repair_reference(client, design, property_name):
+    """The repair loop before the lemma bank: four rounds, every proven
+    candidate assumed (duplicates too), an empty round asks again.
+    Kept as the reference ``InductionRepairFlow`` must agree with.
+    Returns (status, assumed lemmas, LLM calls)."""
+    spec = design.property_spec(property_name)
+    ctx = MonitorContext(design.system())
+    target = ctx.add(spec.sva, name=spec.name)
+    cache = ResultCache()
+    engine = ProofEngine(ctx.system, cache=cache)
+    lemmas, calls = [], 0
+    for index in range(1, 5):
+        result = engine.prove(target, max_k=spec.max_k, extra_lemmas=lemmas)
+        if result.status is not Status.UNKNOWN or result.step_cex is None:
+            return result.status, lemmas, calls
+        if index == 1 and engine.probe_bugs(
+                target, conflict_budget=1500).status is Status.VIOLATED:
+            return Status.VIOLATED, lemmas, calls
+        trace = result.step_cex
+        names = [s.name for s in trace.signals if s.kind in
+                 ("state", "input") and not s.name.startswith("_mon.")]
+        cex_text = render_for_prompt(trace.restricted(names[:CEX_SIGNALS]))
+        response = client.complete(repair_prompt(design.rtl, spec.sva,
+                                                 cex_text))
+        calls += 1
+        props = [ctx.add(r.ast) for r in validate_assertions(
+            ctx.base, extract_assertions(response.text)) if r.usable]
+        reports = screen_invariants(
+            ctx.system, [p.good for p in props], runs=SCREEN_RUNS,
+            cycles_per_run=SCREEN_CYCLES) if props else []
+        survivors = [p for p, r in zip(props, reports) if r.passed]
+        if not survivors:
+            continue
+        houdini = houdini_prove(
+            ctx.system, survivors + [target],
+            max_k=max(HOUDINI_K, spec.max_k), bmc_bound=HOUDINI_BMC_BOUND,
+            lemmas=list(lemmas), cache=cache)
+        proven = {id(p) for p in houdini.proven}
+        lemmas += [(p.good, p.valid_from) for p in survivors
+                   if id(p) in proven]
+        if id(target) in proven:
+            return Status.PROVEN, lemmas, calls
+    return Status.UNKNOWN, lemmas, calls
+
+
+def _bank_key(good, valid_from):
+    return structural_digest(good), valid_from
+
+
+# genai_flows' repair targets, plus the two fifo_ctrl targets of Fig. 1.
+_REPAIR_CASES = [("sync_counters", "equal_count"),
+                 ("traffic_onehot", "mutual_exclusion"),
+                 ("sync_counters_bug", "counters_equal"),
+                 ("fifo_ctrl", "occupancy_bound"),
+                 ("fifo_ctrl", "empty_means_zero")]
+
+
+class TestRepairMatchesParentLoop:
+    @pytest.mark.parametrize("model", PAPER_MODELS)
+    @pytest.mark.parametrize("design,prop", _REPAIR_CASES)
+    def test_same_verdict_and_lemmas_for_no_more_calls(self, design, prop,
+                                                       model):
+        status, lemmas, calls = _parent_repair_reference(
+            SimulatedLLM(model, seed=1), get_design(design), prop)
+        result = InductionRepairFlow(
+            SimulatedLLM(model, seed=1), cache=ResultCache()).run(
+                get_design(design), prop)
+        assert result.status is status
+        banked = [_bank_key(h.good, h.valid_from) for h in result.helpers]
+        assert set(banked) == {_bank_key(g, vf) for g, vf in lemmas}
+        assert len(banked) == len(set(banked))
+        assert result.stats.llm_calls <= calls
+
+
+class TestLemmaBank:
+    @pytest.mark.parametrize("model,calls", [("llama-3-70b", 3),
+                                             ("gemini-1.5-pro", 2)])
+    def test_repair_stops_when_a_round_banks_nothing(self, model, calls):
+        """traffic_onehot's weak-model rounds re-propose what is
+        banked; the first round that adds nothing ends the loop."""
+        session = VerificationSession(get_design("traffic_onehot"),
+                                      model=model, seed=1)
+        result = session.repair("mutual_exclusion")
+        assert result.status is Status.UNKNOWN
+        assert result.stats.llm_calls == calls
+        banked = [structural_digest(h.good) for h in result.helpers]
+        assert len(banked) == len(set(banked))
+        assert result.stats.assertions_proven == len(banked)
+
+    @pytest.mark.parametrize("model,useful", [
+        ("llama-3-70b", []), ("gpt-4o", ["$onehot(state);"])])
+    def test_useful_only_when_the_target_is_proven(self, model, useful):
+        session = VerificationSession(get_design("traffic_onehot"),
+                                      model=model, seed=1)
+        result = session.repair("mutual_exclusion")
+        assert [o.raw_text.splitlines()[1].strip()
+                for o in result.outcomes if o.useful] == useful
+
+    def test_repeated_assertion_screened_and_proven_once(self,
+                                                         monkeypatch):
+        screened = []
+
+        def recording(system, goods, **kwargs):
+            screened.extend(goods)
+            return screen_invariants(system, goods, **kwargs)
+
+        class EchoLLM:
+            model_name = "echo"
+
+            def complete(self, prompt):
+                block = ("```systemverilog\nproperty same;\n"
+                         "  count1 == count2;\nendproperty\n```\n")
+                return LLMResponse(text=block * 2, model="echo",
+                                   prompt_tokens=10, completion_tokens=5,
+                                   latency_s=0.01)
+
+        monkeypatch.setattr(funnel_mod, "screen_invariants", recording)
+        session = VerificationSession(get_design("sync_counters"),
+                                      client=EchoLLM())
+        result = session.lemma_flow(targets=["equal_count"])
+        assert result.stats.assertions_resolved == 2
+        assert len(screened) == 1
+        assert result.stats.assertions_proven == len(result.lemmas) == 1
+        assert [o.detail for o in result.outcomes] == \
+            ["", "repeats an earlier candidate"]
+        assert result.targets[0].enabled_proof
 
 
 class TestLemmaFlow:

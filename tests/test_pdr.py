@@ -153,15 +153,18 @@ class TestProofsAndCertificates:
         assert certificate.k == 1
 
     def test_invariant_conjuncts_are_reassumable_lemmas(self):
-        """add_invariant_lemmas feeds the certificate back into
-        k-induction, which then closes the proof it could not close."""
+        """Each certificate conjunct holds in every reachable state, so
+        re-assumed as lemmas it lets k-induction close the proof it
+        could not close."""
         design, spec, ctx, prop = _compile("traffic_onehot",
                                            "mutual_exclusion")
         engine = ProofEngine(ctx.system)
         stuck = engine.check(prop, "k_induction", max_k=spec.max_k)
         assert stuck.status is Status.UNKNOWN
-        added = engine.add_invariant_lemmas(engine.check(prop, "pdr"))
-        assert added > 0
+        certified = engine.check(prop, "pdr")
+        assert certified.status is Status.PROVEN and certified.invariant
+        for i, good in enumerate(certified.invariant):
+            engine.add_lemma(f"pdr_inv_{i}", good)
         closed = engine.prove(prop, max_k=spec.max_k)
         assert closed.status is Status.PROVEN
 
@@ -541,53 +544,6 @@ class TestCachingAndLayers:
                     for r in report.rows}
         assert statuses[("traffic_onehot", "mutual_exclusion")] == \
             "proven"
-
-
-class TestLemmaFlowCrossFeed:
-    def test_pdr_invariants_enable_kinduction(self):
-        """Fig. 1 flow with PDR assist: when the LLM's lemmas are not
-        enough, the PDR certificate closes the target through plain
-        k-induction."""
-        from repro.flow.lemma_flow import LemmaGenerationFlow
-        from repro.genai.client import SimulatedLLM
-
-        design = get_design("traffic_onehot")
-        # The worst persona in the roster: mostly hallucinated lemmas,
-        # so the PDR cross-feed is what has to close the target.
-        client = SimulatedLLM("scrambler", seed=3)
-        flow = LemmaGenerationFlow(client, pdr_cross_feed=True)
-        result = flow.run(design, targets=["mutual_exclusion"])
-        comparison = result.targets[0]
-        if comparison.with_lemmas.status is Status.PROVEN and \
-                comparison.without.status is not Status.PROVEN:
-            assert comparison.enabled_proof
-        # Whether or not the persona's own lemmas sufficed, the flow
-        # must end with a proof once PDR assist is on.
-        assert comparison.with_lemmas.status is Status.PROVEN
-
-    def test_uncertified_pdr_proof_still_counts(self):
-        """Warm-up targets (valid_from > 0) prove through PDR without a
-        reusable certificate; the assist must surface that PROVEN
-        verdict instead of discarding it for lack of lemmas."""
-        from dataclasses import replace as dc_replace
-
-        from repro.flow.lemma_flow import LemmaGenerationFlow
-        from repro.flow.stats import FlowStats
-        from repro.genai.client import SimulatedLLM
-
-        design = get_design("shift_pipe")
-        spec = dc_replace(design.property_spec("latency3"), max_k=2)
-        ctx = MonitorContext(design.system())
-        prop = ctx.add(spec.sva, name=spec.name)
-        engine = ProofEngine(ctx.system)
-        stuck = engine.check(prop, "k_induction", max_k=spec.max_k)
-        assert stuck.status is Status.UNKNOWN
-        flow = LemmaGenerationFlow(SimulatedLLM("gpt-4o"),
-                                   pdr_cross_feed=True)
-        assisted = flow._pdr_assist(engine, prop, spec, stuck,
-                                    FlowStats())
-        assert assisted.status is Status.PROVEN
-        assert assisted.invariant is None  # the uncertified path
 
 
 class TestDirectApi:
