@@ -6,10 +6,17 @@ strategies (a prover like k-induction plus a refuter like BMC), fans the
 whole batch across a ``ProcessPoolExecutor``, and streams per-property
 outcomes back **in completion order**:
 
-* the first *conclusive* result (PROVEN / VIOLATED) for a property wins
-  its race, and the losing siblings are cancelled (queued siblings are
-  dropped; already-running ones finish and are discarded — workers are
-  not killed mid-solve);
+* the pool's queue is *slot-major*: every race's first configured
+  strategy is submitted before any race's second, so when the batch
+  has more races than workers a race is usually won before its later
+  slots have started.  The first *conclusive* result (PROVEN /
+  VIOLATED) wins its race and its siblings' futures are cancelled: a
+  sibling still queued is dropped unrun (``"cancelled"`` in the attempt
+  log), one already running finishes — workers are not killed
+  mid-solve — and its result reaches the cache after the race's
+  outcome (``"discarded"``).  A batch whose slots all fit in the pool
+  (one property at ``jobs=2``) still starts every slot at once, so it
+  keeps its latency race;
 * if every strategy comes back inconclusive, the most informative
   inconclusive result is reported (earliest strategy in the configured
   order, so a k-induction UNKNOWN with its step CEX beats a BMC
@@ -115,7 +122,7 @@ class PortfolioOutcome:
     result: CheckResult
     strategy: str               # spec string that produced `result`
     attempts: int = 0           # strategy results actually observed
-    cancelled: int = 0          # siblings dropped after the win
+    cancelled: int = 0          # slots never run: dropped or skipped
     from_cache: bool = False
     tag: str = ""               # the task's tag, passed through
     #: One plain dict per raced slot, in configured order — the effort
@@ -149,9 +156,11 @@ def attempt_record(spec: str, result: CheckResult, origin: str,
 
 
 def unrun_record(spec: str, origin: str) -> dict:
-    """A ledger row for a slot that produced no result: ``"skipped"``
-    (never started — an earlier slot already won) or ``"cancelled"``
-    (submitted to the pool, then dropped/discarded after the win)."""
+    """A ledger row for a slot that produced no result for its race:
+    ``"skipped"`` (never handed to a pool — an earlier slot already
+    won), ``"cancelled"`` (dropped from the pool's queue after the win,
+    never run) or ``"discarded"`` (already running at the win: it ran
+    to the end and was cached, after the race's outcome)."""
     return {"strategy": spec, "status": "", "origin": origin,
             "winner": False, "k": 0, "wall_seconds": 0.0, "effort": {}}
 
@@ -299,7 +308,11 @@ class PortfolioScheduler:
             if group.decided or group.exhausted:
                 yield group.outcome()
 
-        queued = [entry for entry in queued if not entry[0].decided]
+        # Slot-major: every race's first strategy is queued before any
+        # race's second, so a race won early drops its later slots
+        # before they start (sort is stable: race order within a slot).
+        queued = sorted((entry for entry in queued if not entry[0].decided),
+                        key=lambda entry: entry[1])
         if not queued:
             return
         workers = min(self.jobs, len(queued), (os.cpu_count() or 1) * 4)
@@ -307,7 +320,7 @@ class PortfolioScheduler:
             executor = ProcessPoolExecutor(max_workers=workers)
         except (OSError, ValueError):
             # No usable multiprocessing in this environment (restricted
-            # sandboxes): the queue runs inline, in configured order.
+            # sandboxes): the queue runs inline, in the same order.
             for group, slot, check, found in queued:
                 if not group.decided and self._land(
                         group, slot, run_check_task(check), found):
@@ -342,9 +355,13 @@ class PortfolioScheduler:
 
         ``found`` is the slot's cache miss, through which the result is
         counted and cached; a crashed worker's stand-in result has none
-        and is neither.  The first conclusive result drops the group's
-        queued siblings (running ones finish and are cached, but their
-        race is over).
+        and is neither.  The first conclusive result cancels the
+        group's pooled siblings: one still in the pool's queue is
+        dropped unrun (``"cancelled"``); one already running cannot be
+        stopped, so it finishes, lands here after the outcome, is
+        cached, and counts for nothing in its race (``"discarded"``).
+        With the queue in slot-major order most refuters are still
+        queued when their prover wins.
         """
         if found is not None:
             settle(self.cache, found, result)
@@ -352,9 +369,8 @@ class PortfolioScheduler:
             return False
         group.record(slot, result)
         if group.decided:
-            for sibling in group.futures.values():
-                if sibling.cancel():
-                    group.cancelled += 1
+            group.cancelled = {sibling for sibling, future
+                               in group.futures.items() if future.cancel()}
         return group.decided or group.exhausted
 
 
@@ -370,7 +386,7 @@ class _RaceGroup:
         #: slot -> (result, origin): "solver", or the cache tier
         self.results: dict[int, tuple[CheckResult, str]] = {}
         self.futures: dict[int, Future] = {}    # slots handed to the pool
-        self.cancelled = 0                      # of which dropped unrun
+        self.cancelled: set[int] = set()        # of which dropped unrun
         self.winner_slot: int | None = None
 
     @property
@@ -379,7 +395,7 @@ class _RaceGroup:
 
     @property
     def exhausted(self) -> bool:
-        return len(self.results) + self.cancelled >= len(self.strategies)
+        return len(self.results) >= len(self.strategies)
 
     def record(self, slot: int, result: CheckResult,
                origin: str = "solver") -> None:
@@ -392,9 +408,11 @@ class _RaceGroup:
         most informative inconclusive result (configured order).
 
         The attempt log has one row per slot.  A slot without a result
-        is ``"cancelled"`` when it reached the pool (dropped from its
-        queue, or still running and soon discarded) and ``"skipped"``
-        when the race was decided before it was ever started.
+        is ``"skipped"`` when the race was decided before it reached a
+        pool, ``"cancelled"`` when it was dropped from the pool's queue
+        and ``"discarded"`` when it was already running (see
+        :func:`unrun_record`); ``cancelled`` counts the first two, the
+        slots that never ran.
         """
         best = self.winner_slot if self.decided else min(self.results)
         log = []
@@ -404,13 +422,14 @@ class _RaceGroup:
                                           winner=slot == best))
             else:
                 log.append(unrun_record(
-                    spec, "cancelled" if slot in self.futures
-                    else "skipped"))
+                    spec, "skipped" if slot not in self.futures
+                    else "cancelled" if slot in self.cancelled
+                    else "discarded"))
         result, origin = self.results[best]
-        skipped = sum(1 for row in log if row["origin"] == "skipped")
         return PortfolioOutcome(
             self.task.prop.name, result, self.strategies[best],
             attempts=len(self.results),
-            cancelled=self.cancelled + skipped,
+            cancelled=sum(1 for row in log
+                          if row["origin"] in ("cancelled", "skipped")),
             from_cache=origin != "solver", tag=self.task.tag,
             attempt_log=log)

@@ -774,7 +774,7 @@ class TestModeParity:
 
     CORPUS_DESIGN = "counters/updown_counter.aag"
     ANSWERED = {"solver", "memory", "disk"}
-    UNRUN = {"skipped", "cancelled"}
+    UNRUN = {"skipped", "cancelled", "discarded"}
 
     @staticmethod
     def _design(name):

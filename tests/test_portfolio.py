@@ -195,6 +195,109 @@ class TestPoolEdges:
         assert cache.stats.stores == 0 and len(cache) == 0
 
 
+
+def _shifted_equalities(n: int) -> list[SafetyProperty]:
+    """``n`` distinct inductive equalities over the sync counters."""
+    c1, c2 = E.var("count1", 8), E.var("count2", 8)
+    return [SafetyProperty.from_invariant(
+        f"eq_plus_{i}", E.eq(E.add(c1, E.const(i, 8)),
+                             E.add(c2, E.const(i, 8))))
+        for i in range(n)]
+
+
+class TestSlotMajorQueue:
+    """The pool's queue holds every race's first strategy before any
+    race's second, so a won race drops the refuter it no longer needs."""
+
+    RACE = ("k_induction(max_k=2)", "bmc(bound=12)")
+
+    def test_won_races_drop_their_queued_refuters(self,
+                                                  sync_counters_system):
+        props = _shifted_equalities(8)
+        sequential = PortfolioScheduler(jobs=1, strategies=self.RACE) \
+            .run_batch(sync_counters_system, props)
+        jobs = 2
+        pooled = PortfolioScheduler(jobs=jobs, strategies=self.RACE) \
+            .run_batch(sync_counters_system, props)
+        status = lambda outcomes: {o.property_name: o.status
+                                   for o in outcomes}
+        assert status(pooled) == status(sequential)
+        assert set(status(pooled).values()) == {Status.PROVEN}
+        # Only a call the pool has not yet handed on can be cancelled:
+        # up to ``jobs`` sit in its workers and ``jobs + 1`` in its call
+        # queue, so at most that many refuters run past their race.
+        refuters = [o.attempt_log[1] for o in pooled]
+        dropped = [row for row in refuters if row["origin"] == "cancelled"]
+        assert len(dropped) >= len(props) - (2 * jobs + 1), refuters
+        assert all(row["origin"] in ("cancelled", "discarded", "solver")
+                   for row in refuters), refuters
+        for outcome in pooled:
+            unrun = [row["origin"] for row in outcome.attempt_log
+                     if row["origin"] in ("cancelled", "skipped")]
+            assert outcome.cancelled == len(unrun)
+
+    def test_one_race_still_hands_both_slots_to_the_pool(
+            self, sync_counters_system):
+        [outcome] = PortfolioScheduler(jobs=2, strategies=self.RACE) \
+            .run_batch(sync_counters_system, [_equal_prop(8)])
+        assert outcome.status is Status.PROVEN
+        origins = [row["origin"] for row in outcome.attempt_log]
+        assert origins[0] == "solver" and "skipped" not in origins
+        # A refuter that was running at the win is discarded, not
+        # counted as a slot that never ran.
+        assert outcome.cancelled == origins.count("cancelled")
+
+    def test_fallback_walks_the_pools_queue_order(
+            self, monkeypatch, sync_counters_system, diverging_system):
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.mc.portfolio as portfolio
+
+        tasks = [VerifyTask(diverging_system, _equal_prop(3), tag="bad"),
+                 *(VerifyTask(sync_counters_system, prop)
+                   for prop in _shifted_equalities(3))]
+        race = ("k_induction(max_k=1)", "bmc(bound=8)")
+        status = lambda outcomes: {(o.tag, o.property_name): o.status
+                                   for o in outcomes}
+        sequential = status(PortfolioScheduler(
+            jobs=1, strategies=race).run(tasks))
+
+        submitted = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, check):
+                submitted.append((check.key, check.strategy))
+                return super().submit(fn, check)
+
+        monkeypatch.setattr(portfolio, "ProcessPoolExecutor",
+                            RecordingPool)
+        pooled = status(PortfolioScheduler(jobs=2, strategies=race)
+                        .run(tasks))
+        assert [spec for _key, spec in submitted] == \
+            [race[0]] * len(tasks) + [race[1]] * len(tasks)
+
+        def unusable(*_args, **_kwargs):
+            raise OSError("no multiprocessing here")
+
+        walked = []
+        real_run = portfolio.run_check_task
+
+        def recording_run(check):
+            walked.append((check.key, check.strategy))
+            return real_run(check)
+
+        monkeypatch.setattr(portfolio, "ProcessPoolExecutor", unusable)
+        monkeypatch.setattr(portfolio, "run_check_task", recording_run)
+        fallback = status(PortfolioScheduler(jobs=2, strategies=race)
+                          .run(tasks))
+        assert fallback == pooled == sequential
+        assert sequential[("bad", "equal")] is Status.VIOLATED
+        # Every first slot, then the refuter of the one race they left
+        # open: the pool's queue with the decided races' slots dropped.
+        assert walked == [entry for entry in submitted
+                          if entry[1] == race[0] or entry[0][0] == 0]
+
+
 class TestEngineBatchApi:
     def test_prove_all_alignment(self, sync_counters_system):
         engine = ProofEngine(sync_counters_system)
