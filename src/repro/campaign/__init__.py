@@ -20,15 +20,13 @@ Layering (registry -> scheduler -> portfolio -> two-tier cache -> report):
   (verdict counts, cache hit tiers, adaptive-vs-full job accounting).
 """
 
-from repro.campaign.adaptive import (AdaptiveSelector, StrategyChoice,
-                                     base_strategy_name)
+from repro.campaign.adaptive import AdaptiveSelector, StrategyChoice
 from repro.campaign.report import CampaignReport, CampaignRow, WorkerStat
 from repro.campaign.scheduler import (CONCLUSIVE_STATUSES, CampaignJob,
                                       CampaignScheduler, Dispatcher,
                                       DispatchOutcome, DispatchResult,
                                       LocalDispatcher, compile_design,
-                                      fallback_jobs, inline_spec,
-                                      race_specs)
+                                      fallback_jobs, race_specs)
 from repro.campaign.store import ProofStore, StrategyStats
 
 __all__ = [
@@ -46,9 +44,7 @@ __all__ = [
     "StrategyChoice",
     "StrategyStats",
     "WorkerStat",
-    "base_strategy_name",
     "compile_design",
     "fallback_jobs",
-    "inline_spec",
     "race_specs",
 ]

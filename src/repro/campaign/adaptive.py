@@ -33,9 +33,6 @@ from typing import Mapping, Sequence
 from repro.campaign.store import ProofStore, StrategyStats
 from repro.mc.strategy import spec_name
 
-#: The name campaign callers know :func:`~repro.mc.strategy.spec_name` by.
-base_strategy_name = spec_name
-
 
 @dataclass
 class StrategyChoice:
@@ -105,7 +102,7 @@ class AdaptiveSelector:
         """
 
         def stats_for(spec: str) -> StrategyStats:
-            name = base_strategy_name(spec)
+            name = spec_name(spec)
             return stats_by_name.get(name, StrategyStats("", name))
 
         total_wins = sum(s.wins for s in stats_by_name.values())

@@ -32,20 +32,19 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
 
-from repro.campaign.adaptive import (AdaptiveSelector, StrategyChoice,
-                                     base_strategy_name)
+from repro.campaign.adaptive import AdaptiveSelector, StrategyChoice
 from repro.campaign.report import CampaignReport, CampaignRow, WorkerStat
 from repro.campaign.store import ProofStore, verdict_provenance
 from repro.designs.base import Design, PropertySpec
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
-                                PortfolioScheduler, VerifyTask,
-                                depth_options)
+                                PortfolioScheduler, VerifyTask)
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 from repro.mc.result import Status
-from repro.mc.strategy import resolve_strategy, spec_name
+from repro.mc.strategy import (resolve_strategy, spec_name,
+                               strategy_option_names)
 from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 from repro.sva.compile import MonitorContext
@@ -93,44 +92,40 @@ def compile_design(design: Design) -> list[
             for spec, prop in compiled]
 
 
-def inline_spec(spec: str, options: Mapping) -> str:
-    """Bake option overrides into a spec string (spec-bound options win).
-
-    ``inline_spec("bmc", {"bound": 6})`` -> ``"bmc(bound=6)"``; an
-    option the spec already binds (written inline, or baked into its
-    registry name like ``k_induction_sp``) keeps its value — the same
-    precedence :func:`~repro.mc.portfolio.depth_options` applies.  The
-    spec is parsed and validated by ``resolve_strategy`` itself, so a
-    malformed spec raises the canonical ``StrategyError`` instead of
-    silently dropping arguments.  Campaign jobs carry per-property
-    depths this way, and because cache keying canonicalizes options,
-    the keys they produce are exactly the ones a single-design run of
-    the same query produces.
-    """
-    _strategy, bound_options = resolve_strategy(spec)
-    name = spec_name(spec)
-    merged = {**options, **bound_options}
-    if not merged:
-        return name
-    rendered = ", ".join(f"{k}={merged[k]!r}" for k in sorted(merged))
-    return f"{name}({rendered})"
-
-
 def race_specs(strategies: Sequence[str], max_k: int | None = None,
-               bound: int | None = None,
-               simple_path: bool | None = None) -> tuple[str, ...]:
+               bound: int | None = None) -> tuple[str, ...]:
     """One property's race: ``strategies`` with the caller's depth
-    limits baked into each spec (:func:`~repro.mc.portfolio
-    .depth_options` rendered by :func:`inline_spec`).
+    limits baked into each spec string.
+
+    ``max_k`` goes to every prover (the k-induction family) and
+    ``bound`` to every refute-only spec (the BMC family):
+    ``race_specs(("bmc",), bound=6)`` is ``("bmc(bound=6)",)``.
+    Options the spec already binds — written inline or baked into its
+    registry name — win (``"bmc(bound=4)"`` keeps its 4), and an option
+    is applied only where ``strategy.run`` accepts it: PDR measures
+    depth in frames, not unrolling steps, so ``max_k`` deliberately
+    passes it by.  Each spec is parsed by ``resolve_strategy``, so a
+    malformed one raises ``StrategyError``.
 
     Campaign jobs and ``verify_all`` both build their per-property
-    races here, which is what keeps their store keys — and the spec
-    strings their history rows carry — the same for the same query.
+    races here, which keeps the spec strings their attempt logs carry
+    the same for the same query; cache keys canonicalize options, so
+    they would agree regardless.
     """
-    overrides = depth_options(strategies, max_k=max_k, bound=bound,
-                              simple_path=simple_path)
-    return tuple(inline_spec(spec, overrides.get(spec, {}))
-                 for spec in strategies)
+    race = []
+    for spec in strategies:
+        strategy, bound_options = resolve_strategy(spec)
+        depth = {"max_k": max_k} if strategy.can_prove else {"bound": bound}
+        accepted = strategy_option_names(strategy)
+        merged = {k: v for k, v in depth.items()
+                  if v is not None and k in accepted}
+        merged.update(bound_options)
+        name = spec_name(spec)
+        if merged:
+            rendered = ", ".join(f"{k}={merged[k]!r}" for k in sorted(merged))
+            name = f"{name}({rendered})"
+        race.append(name)
+    return tuple(race)
 
 
 @dataclass
@@ -238,25 +233,21 @@ def fallback_jobs(pool: Sequence[CampaignJob],
 class LocalDispatcher:
     """In-process dispatch through one shared :class:`PortfolioScheduler`.
 
-    ``jobs`` is the global process-pool limit across every design in the
-    pool; the cache (two-tier when backed by the proof store) is shared
-    by the first pass and the fallback reruns, so a rerun's
-    already-raced specs answer from cache and the extra dispatch is
-    exactly the pruned remainder.
+    Every job's task carries its own race.  ``jobs`` is the global
+    process-pool limit across every design in the pool; the cache
+    (two-tier when backed by the proof store) is shared by the first
+    pass and the fallback reruns, so a rerun's already-raced specs
+    answer from cache and the extra dispatch is exactly the pruned
+    remainder.
     """
 
-    def __init__(self, jobs: int = 1,
-                 strategies: Sequence[str] = DEFAULT_PORTFOLIO,
-                 cache: ResultCache | None = None):
+    def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
         self.jobs = jobs
-        self.strategies = tuple(strategies)
         self.cache = cache if cache is not None else ResultCache()
 
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         stats_before = replace(self.cache.stats)
-        scheduler = PortfolioScheduler(jobs=self.jobs,
-                                       strategies=self.strategies,
-                                       cache=self.cache)
+        scheduler = PortfolioScheduler(jobs=self.jobs, cache=self.cache)
         outcomes: dict[tuple[str, str], DispatchOutcome] = {}
         dispatched = sum(len(j.choice.specs) for j in pool)
 
@@ -309,8 +300,7 @@ class CampaignScheduler:
         # Local in-process dispatch unless a distributed (or test)
         # dispatcher is plugged in — one interface either way.
         self.dispatcher: Dispatcher = dispatcher if dispatcher is not None \
-            else LocalDispatcher(jobs=jobs, strategies=self.base,
-                                 cache=self.cache)
+            else LocalDispatcher(jobs=jobs, cache=self.cache)
 
     # ------------------------------------------------------------------
 
@@ -394,7 +384,7 @@ class CampaignScheduler:
                     history.append(dict(
                         design=job.design.name, family=job.design.family,
                         property_name=job.prop.name,
-                        strategy=base_strategy_name(outcome.strategy),
+                        strategy=spec_name(outcome.strategy),
                         status=outcome.status,
                         wall_seconds=outcome.wall_seconds,
                         from_cache=outcome.from_cache))

@@ -90,11 +90,7 @@ def spec_from_job(job: CampaignJob, fallback: bool = False) -> JobSpec:
         design=job.design.name,
         property_name=job.prop.name,
         specs=tuple(specs),
-        full_specs=job.full_specs,
-        was_pruned=job.choice.was_pruned and not fallback,
-        tier=job.choice.tier,
         priority=job.expected_wall,
-        order=job.order,
         fallback=fallback,
         # Stamped at enqueue time: workers parent their "job" span on
         # the span current here (the campaign's dispatch span).

@@ -32,21 +32,16 @@ JOB_DONE = "done"
 class JobSpec:
     """One (design, property, strategy-race) unit of distributable work.
 
-    ``specs`` is the (possibly adaptively pruned) race to run;
-    ``full_specs`` the un-pruned portfolio the coordinator falls back to
-    when a pruned race stays inconclusive.  ``priority`` carries the
-    campaign's longest-expected-first ordering into the queue.
+    ``specs`` is the race to run: adaptively pruned on a first pass,
+    the full portfolio on a ``fallback`` rerun.  ``priority`` carries
+    the campaign's longest-expected-first ordering into the queue.
     """
 
     job_id: str
     design: str
     property_name: str
     specs: tuple[str, ...]
-    full_specs: tuple[str, ...]
-    was_pruned: bool = False
-    tier: str = "full"              # adaptive tier that shaped the race
     priority: float = 0.0
-    order: int = 0                  # report position (registry order)
     fallback: bool = False          # this IS the full-portfolio rerun
     #: Journal pointer of the dispatching span: workers join the stream
     #: and parent their "job" record under it, so a distributed campaign

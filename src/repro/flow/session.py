@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.campaign import (CampaignReport, CampaignScheduler, ProofStore,
-                            base_strategy_name, race_specs)
+                            compile_design, race_specs)
 from repro.designs.base import Design
 from repro.designs.registry import select_designs
 from repro.flow.lemma_flow import LemmaFlowResult, LemmaGenerationFlow
@@ -42,8 +42,10 @@ from repro.flow.repair_flow import InductionRepairFlow, RepairFlowResult
 from repro.genai.client import LLMClient, SimulatedLLM
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
-from repro.mc.portfolio import DEFAULT_PORTFOLIO, PortfolioOutcome
+from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
+                                PortfolioScheduler, VerifyTask)
 from repro.mc.result import CheckResult, Status
+from repro.mc.strategy import spec_name
 from repro.obs import journal as _journal
 from repro.sva.compile import MonitorContext
 
@@ -175,37 +177,32 @@ class VerificationSession:
         justice_outcomes = [
             PortfolioOutcome(n, self._justice_unknown(n), strategy="none")
             for n in justice_names]
+        jobs = jobs if jobs is not None else self.jobs
         if not names:
             return BatchVerifyResult(
                 design=self.design.name, outcomes=justice_outcomes,
-                wall_seconds=0.0,
-                jobs=jobs if jobs is not None else self.jobs)
-        ctx, props = self._compile(names)
-        engine = self._engine(ctx)
-        jobs = jobs if jobs is not None else self.jobs
-        # Depth limits apply to default and explicit portfolios alike
-        # (inline spec options like "bmc(bound=6)" still win), and are
-        # baked in *per property* — each property races at its own
-        # spec.max_k, through the helper the campaign scheduler builds
-        # the same query's race with, so single-design runs and
-        # campaigns share proof-store entries even on designs with
-        # heterogeneous depths.
+                wall_seconds=0.0, jobs=jobs)
+        # Each task is built the way a campaign builds its job: one
+        # compile_design pass scopes every property, and race_specs
+        # bakes the property's own depth (spec.max_k unless ``max_k``
+        # overrides it) into its race — so single-design runs and
+        # campaigns share proof-store entries and attempt-log spelling.
         base = tuple(strategies) if strategies is not None \
             else DEFAULT_PORTFOLIO
         bound = bmc_bound if bmc_bound is not None \
             else self.engine_config.bmc_bound
-        per_prop: dict[str, tuple[str, ...]] = {}
+        compiled = {prop.name: (spec, prop, scoped)
+                    for spec, prop, scoped in compile_design(self.design)}
+        tasks = []
         for name in names:
-            depth = max_k if max_k is not None else \
-                self.design.property_spec(name).max_k
-            per_prop[name] = race_specs(
-                base, max_k=depth, bound=bound,
-                simple_path=self.engine_config.simple_path)
+            spec, prop, scoped = compiled[name]
+            tasks.append(VerifyTask(scoped, prop, strategies=race_specs(
+                base, max_k=max_k if max_k is not None else spec.max_k,
+                bound=bound)))
         stats_before = replace(self.cache.stats)
         start = time.perf_counter()
-        outcomes = list(engine.check_portfolio(
-            props, jobs=jobs, strategies=strategies,
-            per_prop_strategies=per_prop))
+        outcomes = list(PortfolioScheduler(jobs=jobs, cache=self.cache)
+                        .stream(tasks))
         wall = time.perf_counter() - start
         if self.store is not None:
             # Single-design batches feed the same history campaigns
@@ -215,7 +212,7 @@ class VerificationSession:
                 design=self.design.name,
                 family=self.design.family,
                 property_name=outcome.property_name,
-                strategy=base_strategy_name(outcome.strategy),
+                strategy=spec_name(outcome.strategy),
                 status=outcome.result.status.value,
                 wall_seconds=outcome.result.stats.wall_seconds,
                 from_cache=outcome.from_cache)

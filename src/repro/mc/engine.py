@@ -2,22 +2,21 @@
 
 :class:`ProofEngine` is the "formal tool" box in the paper's Fig. 1/Fig. 2
 diagrams: it owns a design, applies cone-of-influence reduction per
-property, runs BMC or k-induction, manages the proven-lemma pool, and
-reports uniform :class:`~repro.mc.result.CheckResult` records.
+property, runs single BMC or k-induction checks, manages the
+proven-lemma pool, and reports uniform
+:class:`~repro.mc.result.CheckResult` records.  Batches of properties
+race through :class:`~repro.mc.portfolio.PortfolioScheduler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from repro.ir import expr as E
 from repro.ir.passes import cone_of_influence
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache, run_cached
-from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
-                                PortfolioScheduler, VerifyTask,
-                                depth_options)
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
 
@@ -28,8 +27,6 @@ class EngineConfig:
 
     max_k: int = 10
     bmc_bound: int = 20
-    use_coi: bool = True
-    simple_path: bool = False
 
 
 class ProofEngine:
@@ -107,15 +104,13 @@ class ProofEngine:
     def prove(self, prop: SafetyProperty,
               max_k: int | None = None,
               use_lemmas: bool = True,
-              extra_lemmas: list[tuple[E.Expr, int]] | None = None,
-              simple_path: bool | None = None) -> CheckResult:
+              extra_lemmas: list[tuple[E.Expr, int]] | None = None
+              ) -> CheckResult:
         """k-induction proof attempt (the paper's core proof method)."""
         return self.check(
             prop, "k_induction", use_lemmas=use_lemmas,
             extra_lemmas=extra_lemmas,
-            max_k=max_k if max_k is not None else self.config.max_k,
-            simple_path=self.config.simple_path
-            if simple_path is None else simple_path)
+            max_k=max_k if max_k is not None else self.config.max_k)
 
     def prove_or_refute(self, prop: SafetyProperty,
                         max_k: int | None = None) -> CheckResult:
@@ -131,73 +126,6 @@ class ProofEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Batch / portfolio dispatch
-    # ------------------------------------------------------------------
-
-    def _batch_tasks(self, props: Sequence[SafetyProperty],
-                     use_lemmas: bool = True,
-                     per_prop_strategies: Mapping[str, Sequence[str]] |
-                     None = None) -> list[VerifyTask]:
-        lemmas = self.lemma_pairs() if use_lemmas else []
-        overrides = per_prop_strategies or {}
-        return [VerifyTask(self.scoped_system(p), p, list(lemmas),
-                           strategies=tuple(overrides[p.name])
-                           if p.name in overrides else None)
-                for p in props]
-
-    def _scheduler(self, jobs: int,
-                   strategies: Sequence[str] | None,
-                   strategy_options: Mapping[str, Mapping] | None
-                   ) -> PortfolioScheduler:
-        if strategies is None:
-            strategies = DEFAULT_PORTFOLIO
-        if strategy_options is None:
-            strategy_options = depth_options(
-                strategies, max_k=self.config.max_k,
-                bound=self.config.bmc_bound,
-                simple_path=self.config.simple_path)
-        return PortfolioScheduler(jobs=jobs, strategies=strategies,
-                                  strategy_options=strategy_options,
-                                  cache=self.cache)
-
-    def check_portfolio(self, props: Sequence[SafetyProperty] |
-                        SafetyProperty,
-                        jobs: int = 1,
-                        strategies: Sequence[str] | None = None,
-                        strategy_options: Mapping[str, Mapping] |
-                        None = None,
-                        use_lemmas: bool = True,
-                        per_prop_strategies: Mapping[str, Sequence[str]] |
-                        None = None
-                        ) -> Iterator[PortfolioOutcome]:
-        """Race complementary strategies over a batch of properties.
-
-        Each property is cone-of-influence scoped independently, the
-        whole batch fans out over ``jobs`` worker processes, and
-        outcomes stream back in completion order.
-        ``per_prop_strategies`` overrides the race for named properties
-        (spec strings with inline options, e.g. per-property depths).
-        """
-        if isinstance(props, SafetyProperty):
-            props = [props]
-        scheduler = self._scheduler(jobs, strategies, strategy_options)
-        return scheduler.stream(self._batch_tasks(
-            props, use_lemmas, per_prop_strategies=per_prop_strategies))
-
-    def prove_all(self, props: Sequence[SafetyProperty],
-                  jobs: int = 1,
-                  strategies: Sequence[str] | None = None,
-                  strategy_options: Mapping[str, Mapping] | None = None,
-                  use_lemmas: bool = True) -> list[CheckResult]:
-        """Batch verification; results aligned with ``props`` order."""
-        by_name: dict[str, CheckResult] = {}
-        for outcome in self.check_portfolio(
-                props, jobs=jobs, strategies=strategies,
-                strategy_options=strategy_options, use_lemmas=use_lemmas):
-            by_name[outcome.property_name] = outcome.result
-        return [by_name[p.name] for p in props]
-
-    # ------------------------------------------------------------------
 
     def scoped_system(self, prop: SafetyProperty,
                       extra_lemmas: list[tuple[E.Expr, int]] | None = None
@@ -211,8 +139,6 @@ class ProofEngine:
         builds its own :class:`VerifyTask`s (the campaign scheduler)
         must scope through here or its keys silently fork.
         """
-        if not self.config.use_coi:
-            return self.system
         roots = list(self._coi_roots(prop.bad))
         for _, good, _vf in self.lemmas:
             roots.extend(self._coi_roots(good))

@@ -44,56 +44,18 @@ import os
 from concurrent.futures import (CancelledError, Future,
                                 ProcessPoolExecutor, as_completed)
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import Lookup, ResultCache, key_task, lookup, settle
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
-from repro.mc.strategy import (CheckTask, resolve_strategy,
-                               run_check_task, strategy_option_names)
+from repro.mc.strategy import CheckTask, resolve_strategy, run_check_task
 from repro.obs import journal as _journal
 
 #: Complementary default race: k-induction proves, BMC refutes.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("k_induction", "bmc")
-
-
-def depth_options(strategies: Sequence[str],
-                  max_k: int | None = None,
-                  bound: int | None = None,
-                  simple_path: bool | None = None
-                  ) -> dict[str, dict]:
-    """Per-spec option overrides applying caller depth limits.
-
-    Maps induction depth (``max_k``/``simple_path``) onto every
-    k-induction-family spec and the BMC ``bound`` onto every BMC-family
-    spec, *without* clobbering options the spec already sets inline
-    (``"bmc(bound=6)"`` keeps its 6).  Options a strategy's ``run``
-    signature does not accept are never applied — PDR measures depth in
-    frames, not unrolling steps, so ``max_k`` deliberately passes it
-    by (bound it with ``max_frames`` in the spec).  The single place
-    the engine defaults and ``verify_all`` both derive portfolio
-    options from, so extending :data:`DEFAULT_PORTFOLIO` cannot
-    silently desynchronize the call sites.
-    """
-    overrides: dict[str, dict] = {}
-    for spec in strategies:
-        strategy, inline = resolve_strategy(spec)
-        accepted = strategy_option_names(strategy)
-        options: dict = {}
-        if strategy.can_prove:  # k-induction family
-            if max_k is not None and "max_k" not in inline:
-                options["max_k"] = max_k
-            if simple_path is not None and "simple_path" not in inline:
-                options["simple_path"] = simple_path
-        else:                   # bmc family
-            if bound is not None and "bound" not in inline:
-                options["bound"] = bound
-        options = {k: v for k, v in options.items() if k in accepted}
-        if options:
-            overrides[spec] = options
-    return overrides
 
 
 @dataclass
@@ -103,8 +65,11 @@ class VerifyTask:
     ``tag`` is opaque caller identity (the campaign scheduler stamps the
     design name on it) carried through to the outcome, so one flattened
     cross-design batch can be demultiplexed afterwards.  ``strategies``,
-    when set, overrides the scheduler's portfolio for this task only —
-    the hook adaptive selection uses to order or prune each job's race.
+    when set, overrides the scheduler's portfolio for this task only:
+    campaigns and ``verify_all`` set it on every task, with the
+    property's depths baked in by
+    :func:`~repro.campaign.scheduler.race_specs`, and adaptive selection
+    orders or prunes it.
     """
 
     system: TransitionSystem
@@ -174,14 +139,13 @@ class PortfolioScheduler:
     """Races strategy portfolios over a batch of properties.
 
     ``strategies`` are spec strings (see
-    :func:`~repro.mc.strategy.resolve_strategy`); ``strategy_options``
-    optionally overrides options per spec (e.g. ``{"bmc":
-    {"bound": 12}}``).  ``jobs > 1`` enables the process pool.
+    :func:`~repro.mc.strategy.resolve_strategy`), the race of every
+    task that does not carry its own; options go inline
+    (``"bmc(bound=12)"``).  ``jobs > 1`` enables the process pool.
     """
 
     def __init__(self, jobs: int = 1,
                  strategies: Sequence[str] = DEFAULT_PORTFOLIO,
-                 strategy_options: Mapping[str, Mapping] | None = None,
                  cache: ResultCache | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -191,8 +155,6 @@ class PortfolioScheduler:
             resolve_strategy(spec)  # fail fast on bad specs
         self.jobs = jobs
         self.strategies = tuple(strategies)
-        self.strategy_options = {k: dict(v) for k, v in
-                                 (strategy_options or {}).items()}
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -244,7 +206,6 @@ class PortfolioScheduler:
                 check = CheckTask(
                     key=(index, slot), system=group.task.system,
                     prop=group.task.prop, strategy=spec,
-                    options=dict(self.strategy_options.get(spec, {})),
                     lemmas=group.task.lemmas, trace=trace)
                 slots.append((slot, check, key_task(cache, check)))
             keyed.append(slots)

@@ -1,10 +1,10 @@
 """Uniformly-invokable check strategies and their registry.
 
 Every way the system can answer "does this property hold?" — plain BMC,
-the budgeted BMC probe, k-induction, and k-induction with the simple-path
-constraint — is wrapped as a :class:`Strategy`: a stateless, picklable
-object with one ``run(system, prop, lemmas, **options)`` entry point
-returning the usual :class:`~repro.mc.result.CheckResult`.  The registry
+the budgeted BMC probe, k-induction, PDR and an external SAT binary — is
+wrapped as a :class:`Strategy`: a stateless, picklable object with one
+``run(system, prop, lemmas, **options)`` entry point returning the usual
+:class:`~repro.mc.result.CheckResult`.  The registry
 maps *spec strings* like ``"bmc"`` or ``"k_induction(simple_path=True)"``
 to a strategy plus bound options, so schedulers, the CLI, and the result
 cache all speak the same vocabulary.
@@ -279,10 +279,6 @@ def resolve_strategy(spec: str) -> tuple[Strategy, dict]:
 register_strategy(BmcStrategy())
 register_strategy(BmcProbeStrategy())
 register_strategy(KInductionStrategy())
-# The simple-path variant is its own portfolio entry: complete for finite
-# systems, quadratically more clauses — worth racing, not defaulting.
-register_strategy(KInductionStrategy(), name="k_induction_sp",
-                  defaults={"simple_path": True})
 register_strategy(PdrStrategy())
 # Seeded PDR pre-loads frames with GenAI-synthesized candidate lemmas
 # (and store-mined invariants when seed_store_dir points at a campaign
@@ -330,7 +326,7 @@ def _signature_defaults(strategy: Strategy) -> tuple[tuple[str, object], ...]:
 def strategy_option_names(strategy: Strategy) -> frozenset[str]:
     """The keyword options ``strategy.run`` accepts.
 
-    Depth mapping (:func:`~repro.mc.portfolio.depth_options`) uses this
+    Depth baking (:func:`~repro.campaign.scheduler.race_specs`) uses this
     to apply caller limits only where they exist — PDR, for example,
     has no ``max_k``.
     """

@@ -5,7 +5,7 @@ import sqlite3
 import pytest
 
 from repro.campaign import (AdaptiveSelector, CampaignScheduler,
-                            ProofStore, base_strategy_name, inline_spec)
+                            ProofStore, race_specs)
 from repro.designs import get_design, select_designs
 from repro.flow import VerificationSession, run_campaign
 from repro.ir.system import Signal
@@ -320,13 +320,10 @@ class TestTwoTierCache:
 class TestAdaptiveSelector:
     PORTFOLIO = ("k_induction", "bmc")
 
-    def test_base_strategy_name(self):
-        assert base_strategy_name("bmc(bound=6)") == "bmc"
-        assert base_strategy_name("k_induction") == "k_induction"
-
-    def test_base_strategy_name_is_the_registry_spelling(self):
+    def test_spec_name(self):
         from repro.mc.strategy import spec_name
-        assert base_strategy_name is spec_name
+        assert spec_name("bmc(bound=6)") == "bmc"
+        assert spec_name("k_induction") == "k_induction"
         assert spec_name(" pdr_seeded ( seed_limit=4 ) ") == "pdr_seeded"
         assert spec_name("none") == "none"      # justice outcomes
 
@@ -381,38 +378,55 @@ class TestAdaptiveSelector:
             AdaptiveSelector(ProofStore.open(tmp_path), min_samples=0)
 
 
-class TestInlineSpec:
-    def test_bakes_options(self):
-        assert inline_spec("bmc", {"bound": 6}) == "bmc(bound=6)"
+class TestRaceSpecs:
+    def test_bakes_depths(self):
+        assert race_specs(("k_induction", "bmc"), max_k=3, bound=9) == \
+            ("k_induction(max_k=3)", "bmc(bound=9)")
 
-    def test_existing_inline_options_win(self):
-        assert inline_spec("bmc(bound=4)", {"bound": 9}) == "bmc(bound=4)"
+    def test_inline_options_win(self):
+        assert race_specs(("bmc(bound=4)", "k_induction(max_k=2)"),
+                          max_k=3, bound=9) == \
+            ("bmc(bound=4)", "k_induction(max_k=2)")
 
-    def test_no_options_is_identity(self):
-        assert inline_spec("k_induction", {}) == "k_induction"
+    def test_no_depths_is_identity(self):
+        assert race_specs(("k_induction", "bmc")) == ("k_induction", "bmc")
 
-    def test_registry_defaults_win_like_depth_options(self):
-        # k_induction_sp's registered simple_path=True is spec-bound.
-        assert inline_spec("k_induction_sp", {"simple_path": False}) == \
-            "k_induction_sp(simple_path=True)"
+    def test_pdr_is_passed_by_max_k(self):
+        """--max-k maps onto k-induction but passes PDR by (its depth
+        is frames, not unrolling steps)."""
+        assert race_specs(("k_induction", "pdr", "bmc"),
+                          max_k=3, bound=12) == \
+            ("k_induction(max_k=3)", "pdr", "bmc(bound=12)")
 
-    def test_malformed_specs_raise_instead_of_dropping_args(self):
+    def test_registry_defaults_are_spec_bound(self):
+        assert race_specs(("pdr_seeded",), max_k=3) == \
+            ("pdr_seeded(seed_static=True)",)
+
+    @pytest.mark.parametrize("spec", ["bmc(6)", "not_a_strategy",
+                                      "k_induction_sp"])
+    def test_malformed_specs_raise_instead_of_dropping_args(self, spec):
         from repro.mc import StrategyError
 
         with pytest.raises(StrategyError):
-            inline_spec("bmc(6)", {})
-        with pytest.raises(StrategyError):
-            inline_spec("not_a_strategy", {"bound": 6})
+            race_specs((spec,), bound=6)
 
+    def test_verify_all_and_campaign_race_the_same_specs(self):
+        """One design through ``verify_all`` and through a one-design
+        campaign: every property's attempt log names the same specs."""
+        def logged(rows):
+            return {name: [row["strategy"] for row in log]
+                    for name, log in rows}
 
-    def test_race_specs_bakes_depths_like_both_callers_did(self):
-        from repro.campaign import race_specs
-        assert race_specs(("k_induction", "bmc(bound=4)", "pdr"),
-                          max_k=3, bound=9) == \
-            ("k_induction(max_k=3)", "bmc(bound=4)", "pdr")
-        assert race_specs(("k_induction", "bmc"), max_k=3, bound=9,
-                          simple_path=False) == \
-            ("k_induction(max_k=3, simple_path=False)", "bmc(bound=9)")
+        batch = VerificationSession(get_design("updown_counter")) \
+            .verify_all(max_k=3)
+        report = run_campaign(designs=["updown_counter"], max_k=3)
+        session_logs = logged((o.property_name, o.attempt_log)
+                              for o in batch.outcomes)
+        assert session_logs == logged((r.property_name, r.attempts)
+                                      for r in report.rows)
+        assert session_logs and all(
+            log == ["k_induction(max_k=3)", "bmc(bound=20)"]
+            for log in session_logs.values())
 
 
 CAMPAIGN_DESIGNS = ["updown_counter", "gray_counter", "sync_counters_bug"]

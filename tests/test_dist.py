@@ -25,7 +25,6 @@ def _spec(job_id: str = "d1::p1", design: str = "d1", prop: str = "p1",
           priority: float = 0.0, fallback: bool = False) -> JobSpec:
     return JobSpec(job_id=job_id, design=design, property_name=prop,
                    specs=("k_induction", "bmc"),
-                   full_specs=("k_induction", "bmc"),
                    priority=priority, fallback=fallback)
 
 
@@ -46,8 +45,7 @@ def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
     race = (f"k_induction(max_k={max_k})", "bmc")
     return [JobSpec(job_id=f"{design_name}::{spec.name}",
                     design=design_name, property_name=spec.name,
-                    specs=race, full_specs=race,
-                    priority=float(-i), order=i)
+                    specs=race, priority=float(-i))
             for i, spec in enumerate(design.properties)]
 
 
@@ -219,9 +217,9 @@ class TestWorker:
         queue = WorkQueue.open(tmp_path)
         queue.enqueue([
             JobSpec(job_id="cold", design=design, property_name=prop,
-                    specs=race, full_specs=race, priority=1.0),
+                    specs=race, priority=1.0),
             JobSpec(job_id="warm", design=design, property_name=prop,
-                    specs=race, full_specs=race, priority=0.0),
+                    specs=race, priority=0.0),
         ])
         queue.set_state(STATE_CLOSED)
         Worker(tmp_path, worker_id="w1", lease_seconds=10,
@@ -235,7 +233,7 @@ class TestWorker:
         queue.enqueue([
             JobSpec(job_id="bad", design="updown_counter",
                     property_name="no_such_property",
-                    specs=("bmc",), full_specs=("bmc",), priority=1.0),
+                    specs=("bmc",), priority=1.0),
         ] + _design_specs("updown_counter"), max_attempts=2)
         queue.set_state(STATE_CLOSED)
         done = Worker(tmp_path, worker_id="w1", lease_seconds=10,

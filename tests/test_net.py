@@ -28,7 +28,6 @@ def _spec(job_id: str = "d1::p1", design: str = "d1", prop: str = "p1",
           priority: float = 0.0) -> JobSpec:
     return JobSpec(job_id=job_id, design=design, property_name=prop,
                    specs=("k_induction", "bmc"),
-                   full_specs=("k_induction", "bmc"),
                    priority=priority)
 
 
@@ -48,8 +47,7 @@ def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
     race = (f"k_induction(max_k={max_k})", "bmc")
     return [JobSpec(job_id=f"{design_name}::{spec.name}",
                     design=design_name, property_name=spec.name,
-                    specs=race, full_specs=race,
-                    priority=float(-i), order=i)
+                    specs=race, priority=float(-i))
             for i, spec in enumerate(design.properties)]
 
 

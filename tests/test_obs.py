@@ -793,8 +793,7 @@ class TestModeParity:
         configured = race_specs(
             DEFAULT_PORTFOLIO,
             max_k=design.property_spec(outcome.property_name).max_k,
-            bound=session.engine_config.bmc_bound,
-            simple_path=session.engine_config.simple_path)
+            bound=session.engine_config.bmc_bound)
         log = outcome.attempt_log
         assert tuple(row["strategy"] for row in log) == configured
         winner, = [row for row in log if row["winner"]]
@@ -1192,7 +1191,7 @@ class TestTraceReportArtifacts:
 def _spec(job_id: str):
     from repro.dist import JobSpec
     return JobSpec(job_id=job_id, design="d", property_name="p",
-                   specs=("bmc",), full_specs=("bmc",), priority=0.0)
+                   specs=("bmc",), priority=0.0)
 
 
 def _design_specs(design_name: str):
@@ -1203,6 +1202,5 @@ def _design_specs(design_name: str):
     race = ("k_induction(max_k=3)", "bmc")
     return [JobSpec(job_id=f"{design_name}::{spec.name}",
                     design=design_name, property_name=spec.name,
-                    specs=race, full_specs=race, priority=float(-i),
-                    order=i)
+                    specs=race, priority=float(-i))
             for i, spec in enumerate(design.properties)]

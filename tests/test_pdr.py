@@ -35,7 +35,6 @@ from repro.mc.pdr import (FrameMember, FrameTrapezoid, PdrContext,
                           store_seed_predicates)
 from repro.mc.pdr.engine import _PdrRun
 from repro.mc.pdr.frames import negate_cube
-from repro.mc.portfolio import depth_options
 from repro.mc.property import SafetyProperty
 from repro.mc.strategy import CheckTask
 from repro.mc.unroll import Unroller
@@ -91,15 +90,6 @@ class TestRegistry:
     def test_capabilities(self):
         strategy, _ = resolve_strategy("pdr")
         assert strategy.can_prove and strategy.can_refute
-
-    def test_depth_options_skip_pdr(self):
-        """--max-k must map onto k-induction but pass PDR by (its depth
-        is frames, not unrolling steps)."""
-        overrides = depth_options(["k_induction", "pdr", "bmc"],
-                                  max_k=3, bound=12)
-        assert overrides["k_induction"] == {"max_k": 3}
-        assert overrides["bmc"] == {"bound": 12}
-        assert "pdr" not in overrides
 
     def test_check_task_pickles_and_runs(self):
         """PDR tasks must survive the worker-process boundary."""

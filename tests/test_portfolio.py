@@ -298,31 +298,31 @@ class TestSlotMajorQueue:
                           if entry[1] == race[0] or entry[0][0] == 0]
 
 
-class TestEngineBatchApi:
-    def test_prove_all_alignment(self, sync_counters_system):
-        engine = ProofEngine(sync_counters_system)
-        props = [
-            SafetyProperty.from_invariant(
-                "eq", E.eq(E.var("count1", 8), E.var("count2", 8))),
-            SafetyProperty.from_invariant(
-                "self_le", E.ule(E.var("count2", 8), E.var("count2", 8))),
-        ]
-        results = engine.prove_all(props, jobs=1)
-        assert [r.property_name for r in results] == ["eq", "self_le"]
-        assert all(r.status is Status.PROVEN for r in results)
+class TestBatchResults:
+    def test_verify_all_result_for_each_property(self):
+        design = get_design("updown_counter")
+        names = [p.name for p in reversed(design.properties)]
+        batch = VerificationSession(design).verify_all(names, jobs=1)
+        # jobs=1 completes races in the requested order.
+        assert [o.property_name for o in batch.outcomes] == names
+        for name in names:
+            assert batch.result_for(name).property_name == name
+            assert batch.result_for(name).status is Status.PROVEN
 
-    def test_check_portfolio_respects_engine_lemmas(self,
-                                                    sync_counters_system):
+    def test_task_lemmas_reach_the_race(self, sync_counters_system):
         engine = ProofEngine(sync_counters_system)
         # equal_msb alone is not inductive; the equality lemma closes it.
         msb = SafetyProperty.from_invariant(
             "msb", E.eq(E.bit(E.var("count1", 8), 7),
                         E.bit(E.var("count2", 8), 7)))
-        unaided = engine.prove_all([msb], jobs=1)[0]
+        [unaided] = PortfolioScheduler().run(
+            [VerifyTask(engine.scoped_system(msb), msb)])
         assert unaided.status is Status.UNKNOWN
         engine.add_lemma("eq", E.eq(E.var("count1", 8),
                                     E.var("count2", 8)))
-        aided = engine.prove_all([msb], jobs=1)[0]
+        [aided] = PortfolioScheduler().run(
+            [VerifyTask(engine.scoped_system(msb), msb,
+                        lemmas=engine.lemma_pairs())])
         assert aided.status is Status.PROVEN
 
 

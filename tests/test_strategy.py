@@ -23,8 +23,8 @@ def equal_prop():
 class TestRegistry:
     def test_builtin_strategies_registered(self):
         names = strategy_names()
-        for expected in ("bmc", "bmc_probe", "k_induction",
-                         "k_induction_sp"):
+        for expected in ("bmc", "bmc_probe", "k_induction", "pdr",
+                         "pdr_seeded", "external"):
             assert expected in names
 
     def test_get_strategy_capabilities(self):
@@ -62,14 +62,11 @@ class TestSpecResolution:
         assert strategy.name == "k_induction"
         assert options == {"max_k": 3, "simple_path": True}
 
-    def test_registered_defaults_applied(self):
-        strategy, options = resolve_strategy("k_induction_sp")
-        assert strategy.name == "k_induction"
-        assert options == {"simple_path": True}
-
     def test_spec_overrides_registered_defaults(self):
-        _, options = resolve_strategy("k_induction_sp(simple_path=False)")
-        assert options == {"simple_path": False}
+        strategy, options = resolve_strategy(
+            "pdr_seeded(seed_static=False)")
+        assert strategy.name == "pdr"
+        assert options == {"seed_static": False}
 
     @pytest.mark.parametrize("spec", [
         "", "bmc)", "bmc(bound)", "bmc(3)", "bmc(bound=open('x'))",
