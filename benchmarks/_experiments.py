@@ -366,7 +366,7 @@ def run_e7(jobs: int = 4) -> Table:
 
 
 # ---------------------------------------------------------------------------
-# E8 — the campaign subsystem (persistent store + adaptive selection)
+# E8 — the campaign subsystem (persistent proof store)
 # ---------------------------------------------------------------------------
 
 E8_DESIGNS = ["updown_counter", "gray_counter", "lfsr16", "alu_accum",
@@ -374,13 +374,11 @@ E8_DESIGNS = ["updown_counter", "gray_counter", "lfsr16", "alu_accum",
 
 
 def run_e8(jobs: int = 1) -> Table:
-    """Cross-design campaign: cold store, warm store, and no-adaptive.
+    """Cross-design campaign: cold store, then warm store.
 
-    One temp proof store serves three campaigns over the same designs:
-    a cold run that fills the store, a warm adaptive rerun (every query
-    should come back from the disk tier, and mined history should prune
-    the strategy races), and a warm full-portfolio rerun as the job-count
-    baseline adaptive selection is measured against.
+    One temp proof store serves two campaigns over the same designs: a
+    cold run that fills the store and a warm rerun (every query should
+    come back from the disk tier).
     """
     import tempfile
 
@@ -388,26 +386,22 @@ def run_e8(jobs: int = 1) -> Table:
     from repro.flow import run_campaign
 
     table = Table(["mode", "wall (s)", "proven", "violated", "unknown",
-                   "disk hits", "jobs dispatched", "portfolio jobs"],
+                   "disk hits"],
                   title=f"E8: verification campaign over "
                         f"{len(E8_DESIGNS)} designs")
 
     def add_row(label: str, report: CampaignReport) -> None:
         table.add_row(label, report.wall_seconds, report.proved,
                       report.falsified, report.unknown,
-                      report.cache.disk_hits, report.dispatched_jobs,
-                      report.full_portfolio_jobs)
+                      report.cache.disk_hits)
 
     with tempfile.TemporaryDirectory() as cache_dir:
         cold = run_campaign(designs=E8_DESIGNS, cache_dir=cache_dir,
                             jobs=jobs, max_k=3)
-        add_row("cold store (adaptive)", cold)
+        add_row("cold store", cold)
         warm = run_campaign(designs=E8_DESIGNS, cache_dir=cache_dir,
                             jobs=jobs, max_k=3)
-        add_row("warm store (adaptive)", warm)
-        full = run_campaign(designs=E8_DESIGNS, cache_dir=cache_dir,
-                            jobs=jobs, max_k=3, adaptive=False)
-        add_row("warm store (full portfolio)", full)
+        add_row("warm store", warm)
     return table
 
 

@@ -4,7 +4,8 @@ Layering (registry -> scheduler -> portfolio -> two-tier cache -> report):
 
 * :class:`~repro.campaign.store.ProofStore` — persistent SQLite proof
   store; plugs into :class:`~repro.mc.cache.ResultCache` as its disk
-  tier and accumulates the outcome history adaptive selection mines.
+  tier and accumulates the outcome history whose wall-clock medians
+  order the next campaign's pool.
   One implementation of the :class:`~repro.dist.backend.StoreBackend`
   interface — campaigns can point the same cache tier at a
   ``repro-verify serve`` instance on another machine instead
@@ -13,24 +14,19 @@ Layering (registry -> scheduler -> portfolio -> two-tier cache -> report):
   designs into one job pool and drives the existing
   :class:`~repro.mc.portfolio.PortfolioScheduler` under a global job
   limit.
-* :class:`~repro.campaign.adaptive.AdaptiveSelector` — per-family
-  strategy ordering/pruning from store statistics, with a
-  full-portfolio fallback that keeps verdicts identical.
 * :class:`~repro.campaign.report.CampaignReport` — JSON + text summary
-  (verdict counts, cache hit tiers, adaptive-vs-full job accounting).
+  (verdict counts, cache hit tiers, provenance, solver effort).
 """
 
-from repro.campaign.adaptive import AdaptiveSelector, StrategyChoice
 from repro.campaign.report import CampaignReport, CampaignRow, WorkerStat
 from repro.campaign.scheduler import (CONCLUSIVE_STATUSES, CampaignJob,
                                       CampaignScheduler, Dispatcher,
                                       DispatchOutcome, DispatchResult,
                                       LocalDispatcher, compile_design,
-                                      fallback_jobs, race_specs)
+                                      race_specs)
 from repro.campaign.store import ProofStore, StrategyStats
 
 __all__ = [
-    "AdaptiveSelector",
     "CONCLUSIVE_STATUSES",
     "CampaignJob",
     "CampaignReport",
@@ -41,10 +37,8 @@ __all__ = [
     "Dispatcher",
     "LocalDispatcher",
     "ProofStore",
-    "StrategyChoice",
     "StrategyStats",
     "WorkerStat",
     "compile_design",
-    "fallback_jobs",
     "race_specs",
 ]

@@ -2,8 +2,7 @@
 
 The report is the campaign's contract with CI and with the benchmarks:
 verdict counts, cache hit *tiers* (memory LRU vs persistent disk store
-vs solver), and the adaptive-vs-full-portfolio job accounting that shows
-what history mining saved.
+vs solver), verdict provenance and the solver effort the run spent.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class CampaignRow:
     wall_seconds: float
     k: int
     from_cache: bool
-    adaptive_fallback: bool = False   # re-raced with the full portfolio
     worker: str = ""             # worker id, distributed campaigns only
     #: Machine-independent solver-effort counters of the winning run
     #: (conflicts, decisions, propagations, ...) — what engine
@@ -81,10 +79,7 @@ class CampaignReport:
     rows: list[CampaignRow]
     wall_seconds: float
     jobs: int
-    adaptive: bool
-    dispatched_jobs: int         # strategy slots actually scheduled
-    full_portfolio_jobs: int     # slots a non-adaptive run would schedule
-    fallback_reruns: int         # pruned races re-run with full portfolio
+    fallback_reruns: int = 0     # always 0; read by benchmarks/e2e/tracer.py
     cache: CacheStats = field(default_factory=CacheStats)
     store_results: int = 0       # persistent store size after the run
     workers: int = 0             # worker processes (0 = in-process run)
@@ -161,10 +156,6 @@ class CampaignReport:
             "mismatches": self.mismatches,
             "wall_seconds": self.wall_seconds,
             "jobs": self.jobs,
-            "adaptive": self.adaptive,
-            "dispatched_jobs": self.dispatched_jobs,
-            "full_portfolio_jobs": self.full_portfolio_jobs,
-            "fallback_reruns": self.fallback_reruns,
             "store_results": self.store_results,
             "phases": dict(self.phase_seconds),
             "trace_id": self.trace_id,
@@ -202,7 +193,6 @@ class CampaignReport:
                     "wall_seconds": r.wall_seconds,
                     "k": r.k,
                     "from_cache": r.from_cache,
-                    "adaptive_fallback": r.adaptive_fallback,
                     "worker": r.worker,
                     "effort": dict(r.effort),
                     "provenance": r.provenance,
@@ -220,27 +210,21 @@ class CampaignReport:
                        "strategy", "wall (s)", "origin"],
                       title=f"campaign over {len(self.designs)} designs")
         for r in self.rows:
-            origin = "cache" if r.from_cache else "solver"
-            if r.adaptive_fallback:
-                origin += "+fallback"
             table.add_row(r.design, r.property_name, r.status, r.expect,
-                          r.strategy, r.wall_seconds, origin)
+                          r.strategy, r.wall_seconds,
+                          "cache" if r.from_cache else "solver")
         return table
 
     def summary_lines(self) -> list[str]:
-        mode = "adaptive" if self.adaptive else "full portfolio"
         parallelism = f"workers={self.workers}" if self.workers \
             else f"jobs={self.jobs}"
         lines = [
             f"campaign: {len(self.rows)} properties over "
             f"{len(self.designs)} designs in {self.wall_seconds:.3f}s "
-            f"({parallelism}, {mode})",
+            f"({parallelism})",
             f"  verdicts: {self.proved} proven, {self.falsified} "
             f"falsified, {self.unknown} unknown, "
             f"{self.mismatches} expectation mismatches",
-            f"  jobs: {self.dispatched_jobs} dispatched vs "
-            f"{self.full_portfolio_jobs} full-portfolio "
-            f"({self.fallback_reruns} fallback reruns)",
             f"  solver effort: "
             f"{self.effort_totals.get('conflicts', 0)} conflicts, "
             f"{self.effort_totals.get('decisions', 0)} decisions, "

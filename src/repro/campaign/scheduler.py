@@ -8,12 +8,10 @@ through one :class:`~repro.mc.portfolio.PortfolioScheduler` so the
 global ``jobs`` limit governs every design at once — a short design's
 properties fill worker slots while a long design's proofs grind.
 
-Each job's race comes from :class:`~repro.campaign.adaptive
-.AdaptiveSelector` (per-family ordering/pruning mined from the store);
-any pruned race that ends inconclusive is re-raced with the full
-portfolio, so adaptive campaigns report the same verdicts as full ones.
-Every final outcome is appended to the store's history, feeding the next
-campaign's selector.
+Every job races the configured portfolio (:func:`race_specs`); a won
+race drops its still-queued refuters and a cached one stops at its first
+conclusive slot.  Every final outcome is appended to the store's
+history, whose wall-clock medians order the next campaign's pool.
 
 Execution is delegated through the :class:`Dispatcher` interface:
 :class:`LocalDispatcher` streams the pool through one in-process
@@ -30,9 +28,8 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
-from repro.campaign.adaptive import AdaptiveSelector, StrategyChoice
 from repro.campaign.report import CampaignReport, CampaignRow, WorkerStat
 from repro.campaign.store import ProofStore, verdict_provenance
 from repro.designs.base import Design, PropertySpec
@@ -136,8 +133,6 @@ class CampaignJob:
     spec: PropertySpec
     prop: SafetyProperty
     task: VerifyTask
-    full_specs: tuple[str, ...]     # the un-pruned race for this job
-    choice: StrategyChoice
     expected_wall: float            # scheduling priority (bigger = first)
     order: int = 0                  # registry position, for stable reports
 
@@ -162,7 +157,6 @@ class DispatchOutcome:
     wall_seconds: float
     k: int
     from_cache: bool
-    fallback: bool = False       # settled by the full-portfolio rerun
     worker_id: str = ""          # distributed dispatch only
     #: Cumulative solver-effort snapshot of the winning run (conflicts /
     #: decisions / propagations / ...), machine-independent — see
@@ -179,7 +173,6 @@ class DispatchOutcome:
 
     @classmethod
     def from_portfolio(cls, outcome: PortfolioOutcome,
-                       fallback: bool = False,
                        worker_id: str = "") -> "DispatchOutcome":
         """The dispatch record of one finished portfolio race (with
         ``outcome.tag`` naming the design) — shared by the in-process
@@ -190,7 +183,7 @@ class DispatchOutcome:
             strategy=outcome.strategy,
             wall_seconds=outcome.result.stats.wall_seconds,
             k=outcome.result.k, from_cache=outcome.from_cache,
-            fallback=fallback, worker_id=worker_id,
+            worker_id=worker_id,
             effort=outcome.result.stats.effort_dict(),
             attempts=list(outcome.attempt_log))
 
@@ -200,8 +193,6 @@ class DispatchResult:
     """Everything one dispatch pass hands back to the campaign."""
 
     outcomes: dict[tuple[str, str], DispatchOutcome]
-    dispatched_specs: int = 0    # strategy slots actually scheduled
-    fallback_reruns: int = 0     # pruned races re-run with full portfolio
     cache: CacheStats = field(default_factory=CacheStats)
     workers: int = 0             # worker processes (0 = in-process)
     worker_stats: list[WorkerStat] = field(default_factory=list)
@@ -210,35 +201,20 @@ class DispatchResult:
 class Dispatcher(Protocol):
     """Executes a campaign job pool and reports one outcome per job.
 
-    Implementations own the whole execution policy — including the
-    adaptive-fallback contract: any job whose pruned race stayed
-    inconclusive must be re-raced with its ``full_specs`` before the
-    result is returned (see :func:`fallback_jobs`), so every dispatcher
-    reports the same verdicts a full-portfolio run would.
+    Each job's ``task.strategies`` is its race; implementations own the
+    execution policy (in-process pool, queue and workers, ...).
     """
 
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         ...
 
 
-def fallback_jobs(pool: Sequence[CampaignJob],
-                  outcomes: Mapping[tuple[str, str], DispatchOutcome]
-                  ) -> list[CampaignJob]:
-    """Jobs whose pruned race stayed inconclusive: re-race these in full."""
-    return [job for job in pool
-            if job.choice.was_pruned and
-            not outcomes[job.identity].conclusive]
-
-
 class LocalDispatcher:
     """In-process dispatch through one shared :class:`PortfolioScheduler`.
 
     Every job's task carries its own race.  ``jobs`` is the global
-    process-pool limit across every design in the pool; the cache
-    (two-tier when backed by the proof store) is shared by the first
-    pass and the fallback reruns, so a rerun's already-raced specs
-    answer from cache and the extra dispatch is exactly the pruned
-    remainder.
+    process-pool limit across every design in the pool; the cache is
+    two-tier when backed by the proof store.
     """
 
     def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
@@ -248,26 +224,10 @@ class LocalDispatcher:
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         stats_before = replace(self.cache.stats)
         scheduler = PortfolioScheduler(jobs=self.jobs, cache=self.cache)
-        outcomes: dict[tuple[str, str], DispatchOutcome] = {}
-        dispatched = sum(len(j.choice.specs) for j in pool)
-
-        for outcome in scheduler.stream([j.task for j in pool]):
-            outcomes[(outcome.tag, outcome.property_name)] = \
-                DispatchOutcome.from_portfolio(outcome)
-
-        rerun = fallback_jobs(pool, outcomes)
-        if rerun:
-            dispatched += sum(len(j.choice.pruned) for j in rerun)
-            tasks = [replace(j.task, strategies=j.full_specs)
-                     for j in rerun]
-            for outcome in scheduler.stream(tasks):
-                outcomes[(outcome.tag, outcome.property_name)] = \
-                    DispatchOutcome.from_portfolio(outcome, fallback=True)
-
-        return DispatchResult(
-            outcomes=outcomes, dispatched_specs=dispatched,
-            fallback_reruns=len(rerun),
-            cache=self.cache.stats.since(stats_before))
+        outcomes = {(o.tag, o.property_name): DispatchOutcome.from_portfolio(o)
+                    for o in scheduler.stream([j.task for j in pool])}
+        return DispatchResult(outcomes=outcomes,
+                              cache=self.cache.stats.since(stats_before))
 
 
 class CampaignScheduler:
@@ -276,8 +236,6 @@ class CampaignScheduler:
     def __init__(self, designs: Sequence[Design], store: ProofStore,
                  jobs: int = 1,
                  strategies: Sequence[str] | None = None,
-                 adaptive: bool = True,
-                 min_samples: int = 3,
                  max_k: int | None = None,
                  bmc_bound: int | None = None,
                  cache: ResultCache | None = None,
@@ -290,8 +248,6 @@ class CampaignScheduler:
         self.base = tuple(strategies or DEFAULT_PORTFOLIO)
         for spec in self.base:
             resolve_strategy(spec)  # fail fast on bad specs
-        self.adaptive = adaptive
-        self.min_samples = min_samples
         self.max_k = max_k
         self.bmc_bound = bmc_bound if bmc_bound is not None \
             else EngineConfig().bmc_bound
@@ -306,8 +262,6 @@ class CampaignScheduler:
 
     def build_jobs(self) -> list[CampaignJob]:
         """The flattened job pool, ordered longest-expected-first."""
-        selector = AdaptiveSelector(self.store, self.min_samples) \
-            if self.adaptive else None
         history = self.store.expected_walls()   # one read for the pool
         pool: list[CampaignJob] = []
         for design in self.designs:
@@ -316,34 +270,25 @@ class CampaignScheduler:
             # single-design runs (and like distributed workers, which
             # recompile from the same registry entry).
             for spec, prop, scoped in compile_design(design):
-                full = self._full_specs(spec)
-                choice = selector.choose(
-                    design.family, full, design=design.name,
-                    property_name=prop.name) \
-                    if selector is not None else StrategyChoice(full)
+                depth = self.max_k if self.max_k is not None else spec.max_k
                 task = VerifyTask(scoped, prop, tag=design.name,
-                                  strategies=choice.specs)
+                                  strategies=race_specs(
+                                      self.base, max_k=depth,
+                                      bound=self.bmc_bound))
+                # A job with no solver history is prioritised by its
+                # structural size.
+                structural = float(
+                    (len(scoped.states) + len(scoped.inputs)) * depth)
                 pool.append(CampaignJob(
                     design=design, spec=spec, prop=prop, task=task,
-                    full_specs=full, choice=choice,
-                    expected_wall=history.get(
-                        (design.name, spec.name),
-                        self._structural_wall(spec, scoped)),
+                    expected_wall=history.get((design.name, spec.name),
+                                              structural),
                     order=len(pool)))
         # Longest first: with history, seconds; cold jobs use a large
         # structural proxy, which also (deliberately) schedules the
         # unknown ahead of the known.
         pool.sort(key=lambda j: -j.expected_wall)
         return pool
-
-    def _full_specs(self, spec: PropertySpec) -> tuple[str, ...]:
-        depth = self.max_k if self.max_k is not None else spec.max_k
-        return race_specs(self.base, max_k=depth, bound=self.bmc_bound)
-
-    def _structural_wall(self, spec: PropertySpec, scoped) -> float:
-        """The scheduling priority of a job with no solver history."""
-        depth = self.max_k if self.max_k is not None else spec.max_k
-        return float((len(scoped.states) + len(scoped.inputs)) * depth)
 
     # ------------------------------------------------------------------
 
@@ -356,12 +301,10 @@ class CampaignScheduler:
                           jobs=self.jobs)
             with _phase(phases, "compile"):
                 pool = self.build_jobs()
-            full_total = sum(len(j.full_specs) for j in pool)
 
             # The dispatcher executes the pool (in-process or across
-            # worker processes) and owns the pruned-race fallback
-            # contract; the campaign only records and reports what came
-            # back.
+            # worker processes); the campaign only records and reports
+            # what came back.
             with _phase(phases, "dispatch", jobs=len(pool)):
                 result = self.dispatcher.dispatch(pool)
             # "solve" is the in-job portion of "dispatch" (sum of
@@ -397,7 +340,6 @@ class CampaignScheduler:
                         "strategy": outcome.strategy,
                         "provenance": provenance,
                         "from_cache": outcome.from_cache,
-                        "fallback": outcome.fallback,
                         "worker": outcome.worker_id,
                         "wall_seconds": outcome.wall_seconds,
                         "k": outcome.k,
@@ -411,7 +353,6 @@ class CampaignScheduler:
                         wall_seconds=outcome.wall_seconds,
                         k=outcome.k,
                         from_cache=outcome.from_cache,
-                        adaptive_fallback=outcome.fallback,
                         worker=outcome.worker_id,
                         effort=dict(outcome.effort),
                         provenance=provenance,
@@ -433,10 +374,6 @@ class CampaignScheduler:
             rows=rows,
             wall_seconds=time.perf_counter() - start,
             jobs=self.jobs,
-            adaptive=self.adaptive,
-            dispatched_jobs=result.dispatched_specs,
-            full_portfolio_jobs=full_total,
-            fallback_reruns=result.fallback_reruns,
             cache=result.cache,
             store_results=len(self.store),
             workers=result.workers,

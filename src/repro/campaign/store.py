@@ -14,9 +14,9 @@ One SQLite file holds three tables:
   across process restarts.
 
 * ``history`` — one row per reported verification outcome with design /
-  family / property / strategy identity and wall time, the raw material
-  :class:`~repro.campaign.adaptive.AdaptiveSelector` mines for
-  per-family strategy statistics.
+  family / property / strategy identity and wall time; its wall-clock
+  medians (:meth:`ProofStore.expected_walls`) order the next campaign's
+  pool longest-expected-first.
 
 * ``ledger`` — the per-property *effort ledger*: one row per
   (design, property) holding the full story of its current verdict —
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.mc.result import CheckResult
+from repro.mc.strategy import StrategyError, resolve_strategy
 
 #: Bump on any incompatible change to the tables or the pickle payload
 #: layout; mismatched stores are wiped and rebuilt (they are caches).
@@ -142,14 +143,20 @@ def verdict_provenance(strategy: str, from_cache: bool) -> str:
 
     * ``"store"`` — answered from the proof store / result cache
       (nothing was solved in this run);
-    * ``"seeded"`` — a seeded-lemma strategy won the race
-      (``pdr_seeded``, or any spec carrying ``seed_*`` options): the
+    * ``"seeded"`` — a strategy that loads seed lemmas won the race
+      (its resolved options give ``seeds``, set ``seed_static`` — as
+      ``pdr_seeded`` does — or set ``seed_store_dir``): the
       GenAI-augmented flow's contribution is visible in the verdict;
     * ``"engine"`` — a plain engine solved it right here.
     """
     if from_cache:
         return "store"
-    if "seed" in strategy:     # pdr_seeded, or any seed_* option
+    try:
+        _strategy, options = resolve_strategy(strategy)
+    except StrategyError:      # not a spec (a poisoned job's is "")
+        return "engine"
+    if options.get("seeds") or options.get("seed_static") or \
+            options.get("seed_store_dir") is not None:
         return "seeded"
     return "engine"
 
@@ -375,7 +382,7 @@ class ProofStore:
         return out
 
     # ------------------------------------------------------------------
-    # Outcome history: what adaptive selection mines
+    # Outcome history: what campaigns record and order their pools by
     # ------------------------------------------------------------------
 
     def record(self, *, design: str, family: str, property_name: str,
@@ -543,9 +550,7 @@ class ProofStore:
     def property_stats(self
                        ) -> dict[tuple[str, str], dict[str, "StrategyStats"]]:
         """Per-(design, property) view of the same history: strategy ->
-        stats.  The adaptive selector's most precise tier — on a warm
-        regression rerun it pins each property to the strategy that
-        settled it before."""
+        stats."""
         with self._lock:
             try:
                 rows = _with_lock_retry(lambda: self._conn.execute(

@@ -11,7 +11,7 @@ Subcommands::
                         [--workers N]         # ... across N worker processes
                         [--worker-jobs N]     # ... each with a local pool
                         [--backend sqlite:DIR | http://HOST:PORT]
-                        [--cache-dir DIR] [--no-adaptive] [--json PATH]
+                        [--cache-dir DIR] [--json PATH]
                         [--events DIR]        # the run's record stream
                         [--corpus DIR]        # + every AIGER/BTOR2 file
                                               #   under DIR as a design
@@ -229,7 +229,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     report = run_campaign(
         designs=designs or None, cache_dir=args.cache_dir,
         jobs=args.jobs, strategies=_split_strategies(args.strategy),
-        adaptive=not args.no_adaptive, min_samples=args.min_samples,
         max_k=args.max_k, bmc_bound=args.bound, workers=args.workers,
         lease_seconds=args.lease, wall_timeout=args.wall_timeout,
         backend=args.backend, worker_jobs=args.worker_jobs,
@@ -564,9 +563,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"  winner: {entry['strategy']} (k={entry['k']}) in "
           f"{entry['wall_seconds']:.3f}s")
     origin = "proof store / cache" if entry["from_cache"] else "solver"
-    print(f"  origin: {origin}" +
-          (", after an adaptive full-portfolio fallback rerun"
-           if entry["fallback"] else ""))
+    print(f"  origin: {origin}")
     if entry["worker"]:
         print(f"  worker: {entry['worker']}")
     if entry.get("recorded"):
@@ -731,8 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="cross-design campaign with persistent proof store and "
-             "adaptive strategy selection")
+        help="cross-design campaign over a persistent proof store")
     p.add_argument("designs", nargs="*",
                    help="design names (default: every built-in design)")
     p.add_argument("--jobs", type=int, default=1,
@@ -756,12 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "cannot detect)")
     p.add_argument("--strategy", default="portfolio",
                    help="'portfolio' (default) or '+'-joined specs")
-    p.add_argument("--no-adaptive", action="store_true",
-                   help="always race the full portfolio (no history "
-                        "mining)")
-    p.add_argument("--min-samples", type=int, default=3,
-                   help="settled outcomes a family needs before "
-                        "adaptive selection trusts its history")
     p.add_argument("--max-k", type=int, default=None,
                    help="induction depth override (default: per "
                         "property)")

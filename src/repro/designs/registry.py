@@ -174,7 +174,7 @@ def select_designs(names: Iterable[str] | None = None) -> list[Design]:
 
 def designs_by_family(designs: Iterable[Design] | None = None
                       ) -> dict[str, list[Design]]:
-    """Designs grouped by family (adaptive selection's unit).
+    """Designs grouped by family.
 
     Groups the registry by default; pass ``designs`` (e.g. a corpus
     load) to group an explicit set instead.

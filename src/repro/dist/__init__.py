@@ -21,7 +21,7 @@ Layering (coordinator -> backend -> queue/store -> workers):
   claim, recompile from the registry, race through the portfolio
   scheduler into the shared store, heartbeat throughout.
 * :mod:`repro.dist.coordinator` — supervision (requeue, respawn, inline
-  drain, adaptive-fallback reruns); :class:`Coordinator` is the drop-in
+  drain); :class:`Coordinator` is the drop-in
   :class:`~repro.campaign.scheduler.Dispatcher` that makes
   ``CampaignScheduler.run()`` identical for local and distributed runs.
 """

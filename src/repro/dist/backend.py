@@ -127,11 +127,11 @@ class StoreBackend(Protocol):
 
     This is the :class:`~repro.mc.cache.CacheBacking` protocol (the
     disk tier behind :class:`~repro.mc.cache.ResultCache`) plus the
-    outcome-history surface adaptive selection mines.  The degrade
-    contract holds for every implementation: ``load``/``store`` and the
-    history methods never raise into a proof — an unreachable or broken
-    backend reads as a cache miss / empty history, so verification
-    always proceeds (just colder).
+    outcome history campaigns record and order their pools by.  The
+    degrade contract holds for every implementation: ``load``/``store``
+    and the history methods never raise into a proof — an unreachable
+    or broken backend reads as a cache miss / empty history, so
+    verification always proceeds (just colder).
 
     ``load_many`` / ``expected_walls`` / ``record_outcomes`` are the
     batch forms a campaign uses — one call where the per-item methods
@@ -147,8 +147,6 @@ class StoreBackend(Protocol):
     def record_outcomes(self, history: list[dict],
                         ledger: list[dict]) -> None: ...
     def history_size(self) -> int: ...
-    def strategy_stats(self) -> dict: ...
-    def property_stats(self) -> dict: ...
     def expected_wall(self, design: str,
                       property_name: str) -> float | None: ...
     def expected_walls(self, design: str | None = None

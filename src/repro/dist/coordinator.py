@@ -23,12 +23,7 @@ queue and starts no process.  While workers run:
   leases);
 * dead worker processes are respawned while work remains (up to a
   budget), and if no worker can run at all the coordinator drains the
-  queue inline, so a campaign always terminates with a verdict per job;
-* after the first pass, any adaptively pruned race that stayed
-  inconclusive goes through the same probe-then-enqueue pass with the
-  full portfolio (the same fallback contract the in-process dispatcher
-  honors), keeping distributed verdicts identical to single-process
-  ones.
+  queue inline, so a campaign always terminates with a verdict per job.
 
 The coordinator is itself a campaign
 :class:`~repro.campaign.scheduler.Dispatcher` (:meth:`Coordinator
@@ -49,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.campaign.scheduler import (CampaignJob, DispatchOutcome,
-                                      DispatchResult, fallback_jobs)
+                                      DispatchResult)
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
                                 open_store, parse_backend)
@@ -62,9 +57,6 @@ from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.portfolio import PortfolioScheduler
 from repro.obs import journal as _journal
 
-#: Suffix distinguishing full-portfolio rerun jobs from first-pass jobs.
-FALLBACK_SUFFIX = "::full"
-
 
 class CampaignConflictError(ReproError):
     """Another campaign is actively running on the shared backend.
@@ -76,29 +68,25 @@ class CampaignConflictError(ReproError):
     conflict — its leases expire and the new campaign takes over."""
 
 
-def job_id_for(design: str, property_name: str,
-               fallback: bool = False) -> str:
-    base = f"{design}::{property_name}"
-    return base + FALLBACK_SUFFIX if fallback else base
+def job_id_for(design: str, property_name: str) -> str:
+    return f"{design}::{property_name}"
 
 
-def spec_from_job(job: CampaignJob, fallback: bool = False) -> JobSpec:
+def spec_from_job(job: CampaignJob) -> JobSpec:
     """Serialize one campaign job for the queue (names, not objects)."""
-    specs = job.full_specs if fallback else job.choice.specs
     return JobSpec(
-        job_id=job_id_for(job.design.name, job.prop.name, fallback),
+        job_id=job_id_for(*job.identity),
         design=job.design.name,
         property_name=job.prop.name,
-        specs=tuple(specs),
+        specs=tuple(job.task.strategies),
         priority=job.expected_wall,
-        fallback=fallback,
         # Stamped at enqueue time: workers parent their "job" span on
         # the span current here (the campaign's dispatch span).
         trace=_journal.current_context())
 
 
 class Coordinator:
-    """Drives one distributed campaign pass over a shared backend.
+    """Drives one distributed campaign over a shared backend.
 
     ``backend`` is the rendezvous every worker shares (directory path,
     ``sqlite:DIR``, or ``http://HOST:PORT``); ``workers`` local worker
@@ -109,7 +97,7 @@ class Coordinator:
     whole run as a last-resort stall guard.  ``cache`` is the
     campaign's store-backed result cache, through which the pool is
     probed before anything is enqueued; without one the coordinator
-    opens the backend's store for the pass.
+    opens the backend's store for the campaign.
     """
 
     def __init__(self, backend: str | Path | Backend,
@@ -138,7 +126,7 @@ class Coordinator:
         self.requeued: list[tuple[str, str]] = []  # (job_id, dead worker)
         self._procs: dict[str, subprocess.Popen] = {}
         self._spawned = 0
-        self._wanted = 0                    # workers the open pass needs
+        self._wanted = 0                    # workers the enqueued jobs need
         self._owns_queue = False            # begin_campaign succeeded
         self._started = time.monotonic()    # wall_timeout reference
         self._backend_answered = False      # ever reached at all?
@@ -325,30 +313,20 @@ class Coordinator:
                campaign_lease=self._campaign_lease).run()
 
     # ------------------------------------------------------------------
-    # The campaign pass
+    # The campaign dispatch
     # ------------------------------------------------------------------
 
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         """Execute the pool across workers; one outcome per job.
 
-        One coordinator drives one pass: the queue handle opened at
-        construction is closed when the pass ends."""
+        One coordinator drives one dispatch: the queue handle opened at
+        construction is closed when it ends."""
         self._started = time.monotonic()
         probed_from = replace(self.cache.stats)
-        results: dict[str, JobResult] = {}
         try:
-            outcomes = self._run_pass(pool, False, results)
-            # Adaptive-fallback contract: re-race pruned-but-unsettled
-            # jobs with the full portfolio (already-raced specs answer
-            # from the shared store, so the extra work is the pruned
-            # remainder only).
-            rerun = fallback_jobs(pool, outcomes)
-            outcomes.update(self._run_pass(rerun, True, results))
+            outcomes, results = self._settle(pool)
             return DispatchResult(
                 outcomes=outcomes,
-                dispatched_specs=sum(len(j.choice.specs) for j in pool)
-                + sum(len(j.choice.pruned) for j in rerun),
-                fallback_reruns=len(rerun),
                 # The store reads this campaign made: the probe's here
                 # plus each executed job's in its worker.
                 cache=_sum_cache_stats(
@@ -363,37 +341,35 @@ class Coordinator:
             if self._own_store is not None:
                 self._own_store.close()
 
-    def _run_pass(self, jobs: Sequence[CampaignJob], fallback: bool,
-                  results: dict[str, JobResult]
-                  ) -> dict[tuple[str, str], DispatchOutcome]:
-        """One probe-then-enqueue pass: the jobs the store settles are
-        answered here, the rest by workers (``results`` takes what the
-        queue then holds)."""
-        tasks = [replace(job.task, strategies=job.full_specs)
-                 if fallback else job.task for job in jobs]
+    def _settle(self, jobs: Sequence[CampaignJob]
+                ) -> tuple[dict[tuple[str, str], DispatchOutcome],
+                           dict[str, JobResult]]:
+        """Probe, then enqueue: the jobs the store settles are answered
+        here, the rest by workers.  Returns every job's outcome and the
+        queue's results (empty when nothing was enqueued)."""
         outcomes: dict[tuple[str, str], DispatchOutcome] = {}
         enqueued: list[CampaignJob] = []
-        for job, settled in zip(
-                jobs, PortfolioScheduler(cache=self.cache).probe(tasks)):
+        probe = PortfolioScheduler(cache=self.cache).probe(
+            [job.task for job in jobs])
+        for job, settled in zip(jobs, probe):
             if settled is None:
                 enqueued.append(job)
             else:
-                outcomes[job.identity] = DispatchOutcome.from_portfolio(
-                    settled, fallback=fallback)
+                outcomes[job.identity] = \
+                    DispatchOutcome.from_portfolio(settled)
         if not enqueued:
-            return outcomes
+            return outcomes, {}
         self._take_queue()
         self._with_backend_retry(lambda: self.queue.enqueue(
-            [spec_from_job(job, fallback=fallback) for job in enqueued]))
+            [spec_from_job(job) for job in enqueued]))
         self._wanted = min(self.workers, len(enqueued))
         for _ in range(self._wanted - self._reap_processes()):
             self._spawn_worker()
         self._await_drained()
-        results.update(self._with_backend_retry(self.queue.results))
+        results = self._with_backend_retry(self.queue.results)
         for job in enqueued:
-            outcomes[job.identity] = _outcome_for(results, job,
-                                                  fallback=fallback)
-        return outcomes
+            outcomes[job.identity] = _outcome_for(results, job)
+        return outcomes, results
 
     def _take_queue(self) -> None:
         """Atomically take the queue for this campaign, once (one
@@ -415,17 +391,17 @@ class Coordinator:
         self._owns_queue = True
 
 
-def _outcome_for(results: dict[str, JobResult], job: CampaignJob,
-                 fallback: bool = False) -> DispatchOutcome:
+def _outcome_for(results: dict[str, JobResult],
+                 job: CampaignJob) -> DispatchOutcome:
     """The queue's verdict for one job; UNKNOWN if its result row is
     unreadable (a torn write must not crash the whole campaign)."""
-    result = results.get(job_id_for(*job.identity, fallback=fallback))
+    result = results.get(job_id_for(*job.identity))
     if result is not None:
         return result.outcome
     return DispatchOutcome(
         design=job.design.name, property_name=job.prop.name,
-        status="unknown", strategy=job.full_specs[0],
-        wall_seconds=0.0, k=0, from_cache=False, fallback=fallback)
+        status="unknown", strategy=job.task.strategies[0],
+        wall_seconds=0.0, k=0, from_cache=False)
 
 
 def _sum_cache_stats(parts: Iterable[CacheStats]) -> CacheStats:

@@ -32,9 +32,8 @@ JOB_DONE = "done"
 class JobSpec:
     """One (design, property, strategy-race) unit of distributable work.
 
-    ``specs`` is the race to run: adaptively pruned on a first pass,
-    the full portfolio on a ``fallback`` rerun.  ``priority`` carries
-    the campaign's longest-expected-first ordering into the queue.
+    ``specs`` is the race to run.  ``priority`` carries the campaign's
+    longest-expected-first ordering into the queue.
     """
 
     job_id: str
@@ -42,7 +41,6 @@ class JobSpec:
     property_name: str
     specs: tuple[str, ...]
     priority: float = 0.0
-    fallback: bool = False          # this IS the full-portfolio rerun
     #: Journal pointer of the dispatching span: workers join the stream
     #: and parent their "job" record under it, so a distributed campaign
     #: reconstructs as one tree.  None when no journal is configured.

@@ -350,8 +350,7 @@ class WorkQueue:
                 design=spec.design, property_name=spec.property_name,
                 status="unknown",
                 strategy=spec.specs[0] if spec.specs else "",
-                wall_seconds=0.0, k=0, from_cache=False,
-                fallback=spec.fallback),
+                wall_seconds=0.0, k=0, from_cache=False),
             error=error)
         self._conn.execute(
             "UPDATE jobs SET status = ?, result = ?, updated = ? "

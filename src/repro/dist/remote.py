@@ -44,7 +44,6 @@ import urllib.request
 from typing import Iterable
 
 from repro.campaign.report import WorkerStat
-from repro.campaign.store import StrategyStats
 from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
 from repro.errors import ReproError
 from repro.mc.result import CheckResult
@@ -245,18 +244,6 @@ class RemoteProofStore(_RemoteProxy):
             return self._call("history_size")
         except _REMOTE_ERRORS:
             return 0
-
-    def strategy_stats(self) -> dict[tuple[str, str], StrategyStats]:
-        try:
-            return self._call("strategy_stats")
-        except _REMOTE_ERRORS:
-            return {}
-
-    def property_stats(self) -> dict:
-        try:
-            return self._call("property_stats")
-        except _REMOTE_ERRORS:
-            return {}
 
     def expected_wall(self, design: str,
                       property_name: str) -> float | None:

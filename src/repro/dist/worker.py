@@ -261,8 +261,7 @@ class Worker:
         return JobResult(
             job_id=spec.job_id,
             outcome=DispatchOutcome.from_portfolio(
-                outcome, fallback=spec.fallback,
-                worker_id=self.worker_id),
+                outcome, worker_id=self.worker_id),
             cache=self.cache.stats.since(stats_before))
 
     def _compile(self, spec: JobSpec):

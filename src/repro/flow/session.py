@@ -206,8 +206,8 @@ class VerificationSession:
         wall = time.perf_counter() - start
         if self.store is not None:
             # Single-design batches feed the same history campaigns
-            # mine, so every `verify --cache-dir` run sharpens the
-            # adaptive selector.
+            # order their pools by, so every `verify --cache-dir` run
+            # refines the next campaign's longest-expected-first order.
             self.store.record_outcomes([dict(
                 design=self.design.name,
                 family=self.design.family,
@@ -241,11 +241,8 @@ class VerificationSession:
 
 def run_campaign(designs: list[str] | None = None,
                  cache_dir: str | Path | None = None,
-                 store: ProofStore | None = None,
                  jobs: int = 1,
                  strategies: list[str] | None = None,
-                 adaptive: bool = True,
-                 min_samples: int = 3,
                  max_k: int | None = None,
                  bmc_bound: int | None = None,
                  workers: int = 0,
@@ -258,11 +255,12 @@ def run_campaign(designs: list[str] | None = None,
     """Verify many designs in one cross-design campaign.
 
     ``designs`` are registry names (default: the whole registry).  With
-    ``cache_dir`` (or an explicit ``store``) the campaign is incremental:
-    results persist in the on-disk proof store, repeated campaigns are
-    answered from it without re-proving, and its accumulated history
-    drives adaptive strategy selection.  Without either, an in-memory
-    store scopes all of that to this process.
+    ``cache_dir`` the campaign is incremental: results persist in the
+    on-disk proof store, repeated campaigns are answered from it without
+    re-proving, and its accumulated history orders the pool
+    longest-expected-first.  Without it, an in-memory store scopes all
+    of that to this process.  Every property races the whole
+    ``strategies`` portfolio (default: the standard one).
 
     ``backend`` picks where the queue and store live:
     ``sqlite:DIR`` is shorthand for ``cache_dir=DIR``, and
@@ -282,9 +280,8 @@ def run_campaign(designs: list[str] | None = None,
     solver call (alive and still beating) keeps its lease;
     ``wall_timeout`` bounds the whole distributed run as the guard for
     that case.  A distributed sqlite-backend run needs an on-disk
-    rendezvous point, so without a
-    ``cache_dir`` (or a file-backed ``store``) a temporary directory is
-    used and discarded afterwards — matching the single-process
+    rendezvous point, so without a ``cache_dir`` a temporary directory
+    is used and discarded afterwards — matching the single-process
     in-memory default.
 
     ``events_dir`` captures the run's record stream
@@ -306,23 +303,14 @@ def run_campaign(designs: list[str] | None = None,
     remote = resolved is not None and resolved.is_remote
     scratch_dir: str | None = None
     if not remote and workers > 0 and cache_dir is None:
-        if store is not None and store.path is not None:
-            cache_dir = store.path.parent
-        else:
-            if store is not None:
-                raise ValueError(
-                    "a distributed campaign (workers >= 1) cannot share "
-                    "an in-memory store across processes; pass cache_dir, "
-                    "a file-backed store, or an http:// backend")
-            scratch_dir = tempfile.mkdtemp(prefix="repro-campaign-")
-            cache_dir = scratch_dir
-    if store is None:
-        if remote:
-            from repro.dist.remote import RemoteProofStore
-            store = RemoteProofStore(resolved.location)
-        else:
-            store = ProofStore.open(cache_dir) if cache_dir is not None \
-                else ProofStore.in_memory()
+        scratch_dir = tempfile.mkdtemp(prefix="repro-campaign-")
+        cache_dir = scratch_dir
+    if remote:
+        from repro.dist.remote import RemoteProofStore
+        store = RemoteProofStore(resolved.location)
+    else:
+        store = ProofStore.open(cache_dir) if cache_dir is not None \
+            else ProofStore.in_memory()
     if events_dir is not None:
         _journal.configure(events_dir)
     try:
@@ -341,8 +329,7 @@ def run_campaign(designs: list[str] | None = None,
                 worker_jobs=worker_jobs, cache=cache)
         scheduler = CampaignScheduler(
             selected, store, jobs=jobs,
-            strategies=strategies, adaptive=adaptive,
-            min_samples=min_samples, max_k=max_k, bmc_bound=bmc_bound,
+            strategies=strategies, max_k=max_k, bmc_bound=bmc_bound,
             cache=cache, dispatcher=dispatcher)
         return scheduler.run()
     finally:

@@ -6,7 +6,7 @@ induction one cube at a time (:mod:`repro.mc.pdr.engine`).  Registered
 with the strategy registry as ``pdr`` and ``pdr_seeded`` (frames
 pre-seeded with GenAI-synthesized and store-mined candidate lemmas —
 see :mod:`repro.mc.pdr.seed`), so every scheduling layer — portfolio
-races, campaigns, adaptive selection, distributed workers, and the CLI
+races, campaigns, distributed workers, and the CLI
 — gains the engine through the registry with no engine-specific code.
 """
 

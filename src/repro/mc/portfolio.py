@@ -68,8 +68,7 @@ class VerifyTask:
     when set, overrides the scheduler's portfolio for this task only:
     campaigns and ``verify_all`` set it on every task, with the
     property's depths baked in by
-    :func:`~repro.campaign.scheduler.race_specs`, and adaptive selection
-    orders or prunes it.
+    :func:`~repro.campaign.scheduler.race_specs`.
     """
 
     system: TransitionSystem

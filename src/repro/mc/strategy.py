@@ -282,8 +282,8 @@ register_strategy(KInductionStrategy())
 register_strategy(PdrStrategy())
 # Seeded PDR pre-loads frames with GenAI-synthesized candidate lemmas
 # (and store-mined invariants when seed_store_dir points at a campaign
-# cache): its own registry entry so adaptive selection can learn when
-# seeding pays for a design family.
+# cache): its own registry entry so a race, and the ledger's "seeded"
+# provenance, can name it in one word.
 register_strategy(PdrStrategy(), name="pdr_seeded",
                   defaults={"seed_static": True})
 # The external-binary BMC racer: opt-in (never in the default

@@ -1,15 +1,15 @@
-"""Campaign subsystem: proof store, two-tier cache, adaptive scheduling."""
+"""Campaign subsystem: proof store, two-tier cache, campaign scheduling."""
 
 import sqlite3
 
 import pytest
 
-from repro.campaign import (AdaptiveSelector, CampaignScheduler,
-                            ProofStore, race_specs)
+from repro.campaign import CampaignScheduler, ProofStore, race_specs
 from repro.designs import get_design, select_designs
 from repro.flow import VerificationSession, run_campaign
 from repro.ir.system import Signal
 from repro.mc import ResultCache, Status
+from repro.mc.portfolio import DEFAULT_PORTFOLIO
 from repro.mc.result import CheckResult, ProofStats
 from repro.trace.trace import Trace, TraceKind
 
@@ -317,9 +317,7 @@ class TestTwoTierCache:
         assert ResultCache().prefetch(["k"]) == {}    # no backing at all
 
 
-class TestAdaptiveSelector:
-    PORTFOLIO = ("k_induction", "bmc")
-
+class TestRaceSpecs:
     def test_spec_name(self):
         from repro.mc.strategy import spec_name
         assert spec_name("bmc(bound=6)") == "bmc"
@@ -327,58 +325,6 @@ class TestAdaptiveSelector:
         assert spec_name(" pdr_seeded ( seed_limit=4 ) ") == "pdr_seeded"
         assert spec_name("none") == "none"      # justice outcomes
 
-    def test_thin_history_keeps_full_portfolio(self, tmp_path):
-        selector = AdaptiveSelector(ProofStore.open(tmp_path))
-        choice = selector.choose("fam", self.PORTFOLIO)
-        assert choice.specs == self.PORTFOLIO
-        assert choice.tier == "full" and not choice.was_pruned
-
-    def test_property_history_pins_and_prunes(self, tmp_path):
-        store = ProofStore.open(tmp_path)
-        store.record(design="d", family="fam", property_name="p",
-                     strategy="bmc", status="violated",
-                     wall_seconds=0.1, from_cache=False)
-        choice = AdaptiveSelector(store).choose(
-            "fam", self.PORTFOLIO, design="d", property_name="p")
-        assert choice.tier == "property"
-        assert choice.specs == ("bmc",)
-        assert choice.pruned == ("k_induction",)
-
-    def test_family_dominance_prunes(self, tmp_path):
-        store = ProofStore.open(tmp_path)
-        for i in range(3):
-            store.record(design="d", family="fam",
-                         property_name=f"p{i}", strategy="k_induction",
-                         status="proven", wall_seconds=0.1,
-                         from_cache=False)
-        choice = AdaptiveSelector(store).choose(
-            "fam", self.PORTFOLIO, design="d", property_name="new_prop")
-        assert choice.tier == "family"
-        assert choice.specs == ("k_induction",)
-        assert choice.pruned == ("bmc",)
-
-    def test_split_family_orders_without_pruning(self, tmp_path):
-        store = ProofStore.open(tmp_path)
-        for i in range(3):
-            store.record(design="d", family="fam",
-                         property_name=f"p{i}", strategy="bmc",
-                         status="violated", wall_seconds=0.1,
-                         from_cache=False)
-        store.record(design="d", family="fam", property_name="q",
-                     strategy="k_induction", status="proven",
-                     wall_seconds=0.1, from_cache=False)
-        choice = AdaptiveSelector(store).choose("fam", self.PORTFOLIO)
-        assert choice.tier == "family"
-        # bmc won more: it runs first, but nothing is dropped.
-        assert choice.specs == ("bmc", "k_induction")
-        assert not choice.was_pruned
-
-    def test_min_samples_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            AdaptiveSelector(ProofStore.open(tmp_path), min_samples=0)
-
-
-class TestRaceSpecs:
     def test_bakes_depths(self):
         assert race_specs(("k_induction", "bmc"), max_k=3, bound=9) == \
             ("k_induction(max_k=3)", "bmc(bound=9)")
@@ -433,11 +379,10 @@ CAMPAIGN_DESIGNS = ["updown_counter", "gray_counter", "sync_counters_bug"]
 
 
 class TestCampaign:
-    def test_warm_rerun_is_incremental_and_prunes(self, tmp_path):
+    def test_warm_rerun_is_incremental(self, tmp_path):
         """The acceptance criterion: a repeated campaign in a fresh
-        process answers every unchanged query from the disk store, and
-        adaptive selection dispatches strictly fewer strategy jobs while
-        reporting the same verdicts."""
+        process answers every unchanged query from the disk store and
+        reports the same verdicts."""
         cold = run_campaign(designs=CAMPAIGN_DESIGNS,
                             cache_dir=tmp_path, max_k=3)
         assert cold.mismatches == 0
@@ -447,9 +392,30 @@ class TestCampaign:
                             cache_dir=tmp_path, max_k=3)
         assert warm.disk_hit_rate >= 0.9
         assert all(r.from_cache for r in warm.rows)
-        assert warm.dispatched_jobs < warm.full_portfolio_jobs
+        assert warm.cache.misses == 0
         assert {(r.property_name, r.status) for r in warm.rows} == \
             {(r.property_name, r.status) for r in cold.rows}
+
+    def test_warm_race_stops_at_first_conclusive_slot(self, tmp_path):
+        """A store-settled race stops at its first conclusive slot: the
+        slots after the winner are skipped, not looked up, so a warm
+        rerun's lookups are exactly the slots up to each winner."""
+        run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path, max_k=3)
+        warm = run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path,
+                            max_k=3)
+        consulted = 0
+        for row in warm.rows:
+            won = [a["winner"] for a in row.attempts].index(True)
+            assert [a["origin"] for a in row.attempts[:won + 1]] == \
+                ["disk"] * (won + 1)
+            assert all(a["status"] == "unknown"
+                       for a in row.attempts[:won])
+            assert all(a["origin"] == "skipped"
+                       for a in row.attempts[won + 1:])
+            consulted += won + 1
+        assert warm.cache.misses == 0
+        assert warm.cache.hits == warm.cache.disk_hits == consulted
+        assert consulted < sum(len(row.attempts) for row in warm.rows)
 
     def test_parallel_campaign_matches_sequential(self, tmp_path):
         sequential = run_campaign(designs=CAMPAIGN_DESIGNS,
@@ -460,29 +426,70 @@ class TestCampaign:
         assert {(r.property_name, r.status) for r in parallel.rows} == \
             {(r.property_name, r.status) for r in sequential.rows}
 
-    def test_misleading_history_triggers_fallback(self, tmp_path):
-        """A pruned race that cannot settle re-races the full portfolio,
-        so adaptive campaigns never lose verdicts to bad history."""
+    def test_every_row_races_the_full_portfolio(self, tmp_path):
+        """History orders the pool, never prunes a race.  A store that
+        says k-induction settled the seeded-bug property every time (it
+        cannot within max_k=3; only BMC sees the divergence) still races
+        the whole portfolio, and BMC finds the bug in one pass; once the
+        store holds the campaign's own history, every row of a rerun
+        still races each slot of the full portfolio, in order."""
         store = ProofStore.open(tmp_path)
-        # Lie: claim k-induction settles the seeded-bug property (it
-        # cannot within max_k=3 — only BMC sees the divergence).
-        store.record(design="sync_counters_bug", family="counters",
-                     property_name="counters_equal",
-                     strategy="k_induction", status="proven",
-                     wall_seconds=0.1, from_cache=False)
-        report = CampaignScheduler(
-            select_designs(["sync_counters_bug"]), store,
-            max_k=3).run()
-        [row] = report.rows
+        for _ in range(3):
+            store.record(design="sync_counters_bug", family="counters",
+                         property_name="counters_equal",
+                         strategy="k_induction", status="proven",
+                         wall_seconds=0.1, from_cache=False)
+        scheduler = CampaignScheduler(
+            select_designs(["sync_counters_bug"]), store, max_k=3)
+        race = race_specs(DEFAULT_PORTFOLIO, max_k=3,
+                          bound=scheduler.bmc_bound)
+        [job] = scheduler.build_jobs()
+        assert job.task.strategies == race
+        [row] = scheduler.run().rows
         assert row.status == "violated"
-        assert row.adaptive_fallback
-        assert report.fallback_reruns == 1
+        assert len(row.attempts) == 2
+        for _ in range(2):
+            report = run_campaign(designs=CAMPAIGN_DESIGNS,
+                                  cache_dir=tmp_path, max_k=3)
+            for row in report.rows:
+                assert [a["strategy"] for a in row.attempts] == list(race)
+        assert store.history_size() == 3 + 1 + 2 * len(report.rows)
 
-    def test_no_adaptive_races_full_portfolio(self, tmp_path):
-        report = run_campaign(designs=["updown_counter"],
-                              cache_dir=tmp_path, max_k=3,
-                              adaptive=False)
-        assert report.dispatched_jobs == report.full_portfolio_jobs
+    def test_campaign_reads_history_once(self, tmp_path, monkeypatch):
+        """The pool's order is a campaign's one history read; the
+        per-strategy aggregates are never scanned."""
+        walls = ProofStore.expected_walls
+        reads: list[tuple] = []
+        scans: list[str] = []
+
+        def counted(self, *args):
+            reads.append(args)
+            return walls(self, *args)
+
+        monkeypatch.setattr(ProofStore, "expected_walls", counted)
+        for name in ("strategy_stats", "property_stats"):
+            monkeypatch.setattr(ProofStore, name,
+                                lambda self, name=name: scans.append(name))
+        for _ in range(2):
+            run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path,
+                         max_k=3)
+        assert reads == [(), ()]
+        assert scans == []
+
+    def test_report_names_no_strategy_selection(self, tmp_path):
+        """Neither the JSON nor the text report carries a selection mode,
+        a dispatched-versus-full job count or a fallback count."""
+        report = run_campaign(designs=["sync_counters_bug"],
+                              cache_dir=tmp_path, max_k=3)
+        payload = report.to_dict()
+        assert not {"adaptive", "dispatched_jobs", "full_portfolio_jobs",
+                    "fallback_reruns"} & set(payload)
+        assert all("adaptive_fallback" not in row
+                   for row in payload["results"])
+        assert report.fallback_reruns == 0
+        text = report.to_text()
+        for word in ("adaptive", "dispatched", "fallback", "full portfolio"):
+            assert word not in text
 
     def test_longest_expected_first_uses_history(self, tmp_path):
         store = ProofStore.open(tmp_path)

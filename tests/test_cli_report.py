@@ -54,6 +54,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gpt-4o" in out and "llama-3-70b" in out
 
+    def test_campaign_has_no_strategy_selection_flags(self, capsys):
+        with pytest.raises(SystemExit) as shown:
+            main(["campaign", "--help"])
+        assert shown.value.code == 0
+        out = capsys.readouterr().out
+        assert "--jobs" in out
+        assert "--no-adaptive" not in out and "--min-samples" not in out
+        with pytest.raises(SystemExit) as refused:
+            main(["campaign", "updown_counter", "--no-adaptive"])
+        assert refused.value.code == 2
+
     def test_prove_success(self, capsys):
         assert main(["prove", "updown_counter", "upper_bound"]) == 0
         assert "proven" in capsys.readouterr().out

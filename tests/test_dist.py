@@ -22,10 +22,9 @@ from repro.mc.result import CheckResult, ProofStats
 
 
 def _spec(job_id: str = "d1::p1", design: str = "d1", prop: str = "p1",
-          priority: float = 0.0, fallback: bool = False) -> JobSpec:
+          priority: float = 0.0) -> JobSpec:
     return JobSpec(job_id=job_id, design=design, property_name=prop,
-                   specs=("k_induction", "bmc"),
-                   priority=priority, fallback=fallback)
+                   specs=("k_induction", "bmc"), priority=priority)
 
 
 def _result(spec: JobSpec, status: str = "proven",
@@ -338,11 +337,6 @@ class TestDistributedCampaign:
         assert report.mismatches == 0
         assert report.workers == 2
 
-    def test_in_memory_store_is_rejected(self):
-        with pytest.raises(ValueError):
-            run_campaign(designs=["updown_counter"], max_k=3, workers=2,
-                         store=ProofStore.in_memory())
-
     def test_warm_distributed_rerun_hits_the_shared_store(self, tmp_path):
         cold = run_campaign(designs=self.DESIGNS, cache_dir=tmp_path,
                             max_k=3, workers=2, lease_seconds=10)
@@ -422,54 +416,61 @@ class TestProbeBeforeEnqueue:
         assert queue.counts() == {JOB_PENDING: 1}     # not reset
         assert queue.state() == STATE_OPEN            # not closed
 
-    def _mislead(self, cache_dir, **campaign) -> ProofStore:
-        """Verify the seeded-bug design locally, then replace its
-        history with a lie — k-induction settles it — so the next
-        campaign prunes its race down to a strategy whose stored answer
-        is UNKNOWN."""
-        run_campaign(designs=["sync_counters_bug"], cache_dir=cache_dir,
-                     max_k=3, adaptive=False, **campaign)
-        store = ProofStore.open(cache_dir)
-        store._conn.execute("DELETE FROM history")
-        store._conn.commit()
-        store.record(design=self.BUG[0], family="counters",
-                     property_name=self.BUG[1], strategy="k_induction",
-                     status="proven", wall_seconds=0.1, from_cache=False)
-        return store
+    def test_job_spec_carries_the_campaign_race(self, tmp_path):
+        from repro.campaign import CampaignScheduler
+        from repro.designs import select_designs
+        from repro.dist.coordinator import spec_from_job
+        scheduler = CampaignScheduler(select_designs(["updown_counter"]),
+                                      ProofStore.open(tmp_path), max_k=3)
+        jobs = scheduler.build_jobs()
+        assert jobs
+        for job in jobs:
+            spec = spec_from_job(job)
+            assert spec.job_id == f"updown_counter::{job.prop.name}"
+            assert spec.specs == job.task.strategies
+            assert spec.priority == job.expected_wall
 
-    def test_pruned_unknown_from_the_store_goes_through_the_fallback_probe(
+    def test_history_does_not_shape_the_distributed_race(
             self, tmp_path, coordinators):
-        # Only k-induction's UNKNOWN is stored: the first probe
-        # exhausts the pruned race from the store, the fallback probe
-        # finds BMC missing and enqueues exactly that rerun.
-        self._mislead(tmp_path, strategies=["k_induction"])
-        report = run_campaign(designs=["sync_counters_bug"],
-                              cache_dir=tmp_path, max_k=3, workers=1,
-                              lease_seconds=10)
+        """A history claiming k-induction settles the seeded bug changes
+        neither the enqueued job nor its verdict: one job, both slots
+        raced, BMC's counterexample."""
+        store = ProofStore.open(tmp_path)
+        for _ in range(3):
+            store.record(design=self.BUG[0], family="counters",
+                         property_name=self.BUG[1], strategy="k_induction",
+                         status="proven", wall_seconds=0.1, from_cache=False)
+        store.close()
+        report = run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path,
+                              max_k=3, workers=1, lease_seconds=10)
         [row] = report.rows
-        assert row.status == "violated" and row.adaptive_fallback
-        assert report.fallback_reruns == 1
-        assert row.worker and not row.from_cache
+        assert row.status == "violated" and row.worker
+        assert [a["status"] for a in row.attempts] == ["unknown", "violated"]
         assert list(WorkQueue.open(tmp_path).results()) == \
-            ["::".join(self.BUG) + "::full"]
-        assert sum(s.jobs_done for s in report.worker_stats) == 1
+            ["::".join(self.BUG)]
         [coordinator] = coordinators
         assert coordinator._spawned == 1
 
-    def test_fallback_probe_settles_what_the_store_already_holds(
-            self, tmp_path, coordinators):
-        # Both answers are stored: the rerun is settled by the second
-        # probe and still reported as a fallback.
-        self._mislead(tmp_path)
-        report = run_campaign(designs=["sync_counters_bug"],
-                              cache_dir=tmp_path, max_k=3, workers=1,
-                              lease_seconds=10)
+    def test_partly_stored_race_is_enqueued_whole(self, tmp_path,
+                                                  coordinators):
+        """The probe settles a race only when the store decides it: with
+        just k-induction's UNKNOWN stored, the seeded bug's job is
+        enqueued once, and its worker reads that slot from the store and
+        solves only BMC."""
+        run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path, max_k=3,
+                     strategies=["k_induction"])
+        report = run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path,
+                              max_k=3, workers=1, lease_seconds=10)
         [row] = report.rows
-        assert row.status == "violated" and row.adaptive_fallback
-        assert report.fallback_reruns == 1
-        assert row.from_cache and row.worker == ""
+        assert row.status == "violated"
+        assert row.worker and not row.from_cache
+        assert [(a["origin"], a["status"]) for a in row.attempts] == \
+            [("disk", "unknown"), ("solver", "violated")]
+        assert list(WorkQueue.open(tmp_path).results()) == \
+            ["::".join(self.BUG)]
+        assert sum(s.jobs_done for s in report.worker_stats) == 1
         [coordinator] = coordinators
-        assert coordinator._spawned == 0 and not coordinator._owns_queue
+        assert coordinator._spawned == 1
 
     def test_uncacheable_strategies_are_never_settled_by_the_probe(
             self, tmp_path):
@@ -499,7 +500,7 @@ class TestProbeBeforeEnqueue:
             return run_campaign(designs=["updown_counter"],
                                 cache_dir=tmp_path, max_k=3, workers=1,
                                 strategies=["external", "bmc"],
-                                adaptive=False, lease_seconds=10)
+                                lease_seconds=10)
 
         cold, warm = run(), run()
         assert _verdicts(warm) == _verdicts(cold)

@@ -249,13 +249,20 @@ class TestRemoteStore:
                          strategy="bmc", status="proven",
                          wall_seconds=0.25, from_cache=False)
         assert store.history_size() == 2
-        stats = store.strategy_stats()[("fam", "bmc")]
-        assert stats.attempts == 2 and stats.wins == 2
-        assert stats.median_wall == pytest.approx(0.25)
         assert store.expected_wall("d", "p") == pytest.approx(0.25)
-        assert ("d", "p") in store.property_stats()
         # The service's own on-disk store holds the same rows.
         assert ProofStore.open(service.cache_dir).history_size() == 2
+
+    def test_history_aggregates_are_not_served(self, service):
+        """Campaigns no longer mine per-strategy aggregates, so the
+        service does not serve them: a client that asks gets a 404,
+        which an older client's degrade path reads as no history."""
+        from repro.dist.server import STORE_METHODS
+        assert not {"strategy_stats", "property_stats"} & STORE_METHODS
+        store = RemoteProofStore(service.address)
+        for name in ("strategy_stats", "property_stats"):
+            with pytest.raises(RemoteOperationError):
+                store._call(name)
 
     def test_unreachable_store_degrades_to_misses(self):
         """The cache contract across the network: no proof ever fails
@@ -269,7 +276,6 @@ class TestRemoteStore:
                      strategy="bmc", status="proven",
                      wall_seconds=0.1, from_cache=False)
         assert store.history_size() == 0
-        assert store.strategy_stats() == {}
         assert store.expected_wall("d", "p") is None
         assert len(store) == 0
 

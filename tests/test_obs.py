@@ -750,15 +750,16 @@ class TestEventJournal:
         assert not {"worker_start", "worker_exit", "queue_claim",
                     "job_start", "job", "check_start"} & kinds
         checks = [r for r in records if r["kind"] == "check"]
-        assert len(checks) == warm.cache.hits == len(warm.rows)
+        consulted = sorted(row.property_name for row in warm.rows
+                           for a in row.attempts if a["origin"] != "skipped")
+        assert len(checks) == warm.cache.hits == len(consulted)
         assert warm.trace_id and warm.trace_id != cold.trace_id
         for record in checks:
             # A cache hit is a point record: a tier, no duration.
             assert record["origin"] == "cache" and record["tier"] == "disk"
             assert "dur" not in record and "span_id" not in record
         assert {r["trace_id"] for r in records} == {warm.trace_id}
-        assert sorted(r["property"] for r in checks) == \
-            sorted(r.property_name for r in warm.rows)
+        assert sorted(r["property"] for r in checks) == consulted
         # Store-settled jobs have no "job" span and no second process.
         spans = load_spans(tmp_path / "warm")
         assert {s["kind"] for s in spans} == \
@@ -888,17 +889,17 @@ class TestModeParity:
                    for a in r.attempts]) for r in warm.rows],
                 (warm.cache.hits, warm.cache.misses, warm.cache.stores,
                  warm.cache.disk_hits),
-                (warm.dispatched_jobs, warm.fallback_reruns),
                 sorted((r["design"], r["property"], r["strategy"],
                         r["status"], r["origin"], r.get("tier"))
                        for r in journal.load(tmp_path / label / "events")
                        if r["kind"] == "check"),
                 grown.get("repro_checks_total", {}).get("samples", {}))
         inline = columns["jobs=1"]
-        rows, cache, _dispatched, finished, counts = inline
+        rows, cache, finished, counts = inline
         assert rows and all(row[4] and row[5] == "store" and row[6] == ""
                             for row in rows)
-        assert cache[0] == len(rows) and cache[1:3] == (0, 0)
+        consulted = [a for row in rows for a in row[7] if a[2] != "skipped"]
+        assert cache[0] == len(consulted) and cache[1:3] == (0, 0)
         assert finished and counts
         assert columns["jobs=2"] == inline
         assert columns["workers=2"] == inline
@@ -989,11 +990,38 @@ class TestEffortLedger:
     def test_verdict_provenance_classification(self):
         from repro.campaign.store import verdict_provenance
         assert verdict_provenance("bmc", from_cache=True) == "store"
-        assert verdict_provenance("pdr_seeded(n=1)", False) == "seeded"
-        assert verdict_provenance("pdr(seed_lemmas=3)", False) == \
+        assert verdict_provenance("pdr_seeded", False) == "seeded"
+        assert verdict_provenance("pdr(seed_store_dir='/x')", False) == \
+            "seeded"
+        assert verdict_provenance("pdr(seeds=('a == b',))", False) == \
             "seeded"
         assert verdict_provenance("k_induction(max_k=5)", False) == \
             "engine"
+        # Seeded means a seed was loaded, not "seed" in the spec text.
+        assert verdict_provenance("pdr_seeded(seed_static=False)",
+                                  False) == "engine"
+        assert verdict_provenance("pdr(seed_limit=4)", False) == "engine"
+        assert verdict_provenance("", False) == "engine"
+
+    def test_unseeded_pdr_win_is_ledgered_engine(self, tmp_path, capsys):
+        """A PDR win is credited to seeding only when a seed was loaded:
+        with static seeding off it is an engine verdict in the rows, the
+        ledger and ``explain``."""
+        from repro.campaign import ProofStore
+        for spec, provenance in (("pdr_seeded(seed_static=False)",
+                                  "engine"),
+                                 ("pdr_seeded", "seeded")):
+            cache = tmp_path / provenance
+            report = run_campaign(designs=["updown_counter"], max_k=3,
+                                  cache_dir=cache, strategies=[spec])
+            assert {r.provenance for r in report.rows} == {provenance}
+            prop = report.rows[0].property_name
+            entry = ProofStore.open(cache).ledger_entry("updown_counter",
+                                                        prop)
+            assert entry["provenance"] == provenance
+            assert main(["explain", "updown_counter", prop,
+                         "--cache-dir", str(cache)]) == 0
+            assert f"provenance: {provenance} " in capsys.readouterr().out
 
     def test_ledger_round_trips_over_http(self, service):
         from repro.dist import RemoteProofStore
