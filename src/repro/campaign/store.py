@@ -183,6 +183,13 @@ class ProofStore:
     thread and cache readers.  Multi-process sharing works at the file
     level (WAL journaling when available) — each process keeps its own
     connection.
+
+    The :class:`~repro.dist.backend.StoreBackend` methods are the
+    store's interface and its wire surface.  The per-item forms beside
+    them (``record``, ``record_ledger``, ``expected_wall``,
+    ``strategy_stats``, ``property_stats``) are off both: nothing in
+    the package calls them, and they remain only because the
+    end-to-end benchmark's tracer patches them by name.
     """
 
     FILENAME = "proofs.sqlite"
@@ -467,17 +474,6 @@ class ProofStore:
             except sqlite3.Error:
                 pass
 
-    @classmethod
-    def _ledger_row_to_dict(cls, row) -> dict:
-        entry = dict(zip(cls._LEDGER_COLUMNS + ("recorded",), row))
-        entry["from_cache"] = bool(entry["from_cache"])
-        entry["fallback"] = bool(entry["fallback"])
-        try:
-            entry["attempts"] = json.loads(entry["attempts"])
-        except (TypeError, ValueError):
-            entry["attempts"] = []
-        return entry
-
     def ledger_entry(self, design: str,
                      property_name: str) -> dict | None:
         """The effort-ledger row for one property, or ``None``."""
@@ -491,25 +487,16 @@ class ProofStore:
                     sql, (design, property_name)).fetchone())
             except sqlite3.Error:
                 return None
-        return None if row is None else self._ledger_row_to_dict(row)
-
-    def ledger_rows(self, design: str | None = None) -> list[dict]:
-        """Every ledger row (optionally one design's), stable order."""
-        sql = ("SELECT design, property, status, strategy, provenance, "
-               "from_cache, fallback, worker, wall_seconds, k, "
-               "attempts, recorded FROM ledger")
-        params: tuple = ()
-        if design is not None:
-            sql += " WHERE design = ?"
-            params = (design,)
-        sql += " ORDER BY design, property"
-        with self._lock:
-            try:
-                rows = _with_lock_retry(lambda: self._conn.execute(
-                    sql, params).fetchall())
-            except sqlite3.Error:
-                return []
-        return [self._ledger_row_to_dict(row) for row in rows]
+        if row is None:
+            return None
+        entry = dict(zip(self._LEDGER_COLUMNS + ("recorded",), row))
+        entry["from_cache"] = bool(entry["from_cache"])
+        entry["fallback"] = bool(entry["fallback"])
+        try:
+            entry["attempts"] = json.loads(entry["attempts"])
+        except (TypeError, ValueError):
+            entry["attempts"] = []
+        return entry
 
     def history_size(self) -> int:
         with self._lock:
@@ -605,16 +592,3 @@ class ProofStore:
             walls.setdefault((name, prop), []).append(wall)
         return {pair: statistics.median(samples)
                 for pair, samples in walls.items()}
-
-    def clear(self) -> None:
-        def wipe() -> None:
-            self._conn.execute("DELETE FROM results")
-            self._conn.execute("DELETE FROM history")
-            self._conn.execute("DELETE FROM ledger")
-            self._conn.commit()
-
-        with self._lock:
-            try:
-                _with_lock_retry(wipe)
-            except sqlite3.Error:
-                pass

@@ -20,7 +20,7 @@ Subcommands::
                         [--out DIR]           # designs, shrink + bundle any
                         [--replay DIR]        # disagreement; replay a bundle
     repro-verify export DESIGN                # serialize a design (with
-                        [--format aiger|btor2|blif]   # compiled monitors)
+                        [--format aiger|btor2]  # compiled monitors)
                         [--binary] [-o FILE]  # as an interchange file
     repro-verify status --backend SPEC        # live backend snapshot
                         [--metrics]           # + Prometheus metrics text
@@ -348,10 +348,11 @@ def _remote_status(base_url: str, args: argparse.Namespace) -> int:
           f"history rows")
     print(f"  503s served: shutdown={unavailable.get('shutdown', 0)}, "
           f"lock_contention={unavailable.get('lock_contention', 0)}")
-    from repro.dist.remote import RemoteWorkQueue, _REMOTE_ERRORS
+    from repro.dist import (RemoteBackendError, RemoteOperationError,
+                            open_queue)
     try:
-        snapshot = RemoteWorkQueue(base).worker_snapshot()
-    except _REMOTE_ERRORS:
+        snapshot = open_queue(base).worker_snapshot()
+    except (RemoteBackendError, RemoteOperationError):
         snapshot = []
     if snapshot:
         print(_worker_table(snapshot).to_text())
@@ -805,10 +806,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "export",
         help="serialize a design plus its compiled property monitors "
-             "as AIGER (.aag/.aig), BTOR2, or BLIF")
+             "as AIGER (.aag/.aig) or BTOR2")
     p.add_argument("design")
     p.add_argument("--format", default="aiger",
-                   choices=["aiger", "btor2", "blif"],
+                   choices=["aiger", "btor2"],
                    help="interchange format (default: aiger)")
     p.add_argument("--binary", action="store_true",
                    help="binary AIGER (.aig) instead of ascii (.aag); "

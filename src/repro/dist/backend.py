@@ -21,6 +21,10 @@ string:
     :class:`~repro.dist.remote.RemoteProofStore`.  Any machine that can
     reach the service can join a campaign — no shared filesystem.
 
+The protocols are also the wire: the server allow-lists and the client
+generates exactly the :data:`QUEUE_METHODS` / :data:`STORE_METHODS`
+derived from them.
+
 Every consumer (coordinator, workers, campaign scheduler, session) goes
 through :func:`parse_backend` + :func:`open_queue` / :func:`open_store`
 and never branches on the backend kind again: the lease / heartbeat /
@@ -41,13 +45,13 @@ from __future__ import annotations
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.campaign.report import WorkerStat
 from repro.campaign.store import ProofStore, _is_lock_error
 from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
 from repro.dist.queue import WorkQueue
-from repro.mc.result import CheckResult
+from repro.mc.cache import CacheBacking
 
 #: Errors meaning "the backend did not answer this time", not "the
 #: operation is invalid": SQLite lock/IO trouble, or the HTTP service
@@ -95,13 +99,12 @@ class QueueBackend(Protocol):
       discarded, so every job reports exactly one verdict.
     """
 
-    def reset(self) -> None: ...
     def begin_campaign(self, owner: str,
                        lease_seconds: float) -> bool: ...
     def renew_campaign(self, owner: str,
                        lease_seconds: float) -> None: ...
     def end_campaign(self, owner: str) -> None: ...
-    def enqueue(self, specs: Iterable[JobSpec],
+    def enqueue(self, specs: list[JobSpec],
                 max_attempts: int = ...) -> int: ...
     def set_state(self, state: str) -> None: ...
     def state(self) -> str: ...
@@ -114,7 +117,6 @@ class QueueBackend(Protocol):
     def complete(self, result: JobResult, worker_id: str) -> bool: ...
     def fail(self, job_id: str, worker_id: str, error: str) -> None: ...
     def counts(self) -> dict[str, int]: ...
-    def unfinished(self) -> int: ...
     def results(self) -> dict[str, JobResult]: ...
     def worker_stats(self) -> list[WorkerStat]: ...
     def worker_snapshot(self) -> list[dict]: ...
@@ -122,42 +124,51 @@ class QueueBackend(Protocol):
 
 
 @runtime_checkable
-class StoreBackend(Protocol):
+class StoreBackend(CacheBacking, Protocol):
     """The proof-store interface every backend implements.
 
     This is the :class:`~repro.mc.cache.CacheBacking` protocol (the
     disk tier behind :class:`~repro.mc.cache.ResultCache`) plus the
-    outcome history campaigns record and order their pools by.  The
-    degrade contract holds for every implementation: ``load``/``store``
-    and the history methods never raise into a proof — an unreachable
-    or broken backend reads as a cache miss / empty history, so
-    verification always proceeds (just colder).
+    outcome history campaigns record and order their pools by, and the
+    effort ledger ``explain`` reads.  The degrade contract holds for
+    every implementation: no method raises into a proof — an
+    unreachable or broken backend reads as a cache miss / empty
+    history, so verification always proceeds (just colder).
 
     ``load_many`` / ``expected_walls`` / ``record_outcomes`` are the
-    batch forms a campaign uses — one call where the per-item methods
-    (thin wrappers over them) would take one per job.
+    batch forms: one call per campaign, not one per job.
     """
 
-    def load(self, key: str) -> CheckResult | None: ...
-    def load_many(self, keys: list[str]) -> dict[str, CheckResult]: ...
-    def store(self, key: str, result: CheckResult) -> None: ...
-    def record(self, *, design: str, family: str, property_name: str,
-               strategy: str, status: str, wall_seconds: float,
-               from_cache: bool) -> None: ...
     def record_outcomes(self, history: list[dict],
                         ledger: list[dict]) -> None: ...
     def history_size(self) -> int: ...
-    def expected_wall(self, design: str,
-                      property_name: str) -> float | None: ...
     def expected_walls(self, design: str | None = None
                        ) -> dict[tuple[str, str], float]: ...
-    def record_ledger(self, entry: dict) -> None: ...
     def ledger_entry(self, design: str,
                      property_name: str) -> dict | None: ...
-    def ledger_rows(self, design: str | None = None) -> list[dict]: ...
-    def clear(self) -> None: ...
     def __len__(self) -> int: ...
     def close(self) -> None: ...
+
+
+def _wire_methods(*protocols: type) -> frozenset[str]:
+    """The public methods of backend protocols: their wire surface.
+
+    ``close`` stays off the wire — it ends a client's handle, never
+    the service's — and dunder names stay off the URL.  ``vars`` sees
+    only a protocol's own members, so a base protocol is named too.
+    """
+    return frozenset(name for protocol in protocols
+                     for name, member in vars(protocol).items()
+                     if callable(member) and not name.startswith("_")
+                     ) - {"close"}
+
+
+#: Queue methods callable over the wire (the QueueBackend surface).
+QUEUE_METHODS = _wire_methods(QueueBackend)
+
+#: Store methods callable over the wire (the StoreBackend surface,
+#: with its CacheBacking base); ``size`` maps to ``len(store)``.
+STORE_METHODS = _wire_methods(StoreBackend, CacheBacking) | {"size"}
 
 
 @dataclass(frozen=True)

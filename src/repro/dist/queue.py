@@ -159,17 +159,6 @@ class WorkQueue:
     # Coordinator side
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
-        """Wipe all queue state for a fresh campaign (store untouched)."""
-        def wipe() -> None:
-            with self._txn():
-                self._conn.execute("DELETE FROM jobs")
-                self._conn.execute("DELETE FROM workers")
-                self._conn.execute("DELETE FROM meta")
-
-        with self._lock:
-            _with_lock_retry(wipe)
-
     def _meta(self, key: str) -> str | None:
         """One meta value (caller holds the lock and a transaction)."""
         row = self._conn.execute(
@@ -431,10 +420,10 @@ class WorkQueue:
 
         def write() -> None:
             with self._txn():
-                # Upsert, not update: a coordinator's reset() wipes the
-                # workers table, and a standalone worker that registered
-                # before the campaign must reappear, not vanish from the
-                # throughput accounting.
+                # Upsert, not update: a coordinator's begin_campaign()
+                # wipes the workers table, and a standalone worker that
+                # registered before the campaign must reappear, not
+                # vanish from the throughput accounting.
                 self._conn.execute(
                     "INSERT OR IGNORE INTO workers (worker_id, started, "
                     "last_heartbeat) VALUES (?, ?, ?)",
@@ -538,7 +527,9 @@ class WorkQueue:
         return counts
 
     def unfinished(self) -> int:
-        """Jobs not yet done (pending + leased)."""
+        """Jobs not yet done (pending + leased).  Not on the wire and
+        not called in the package: the end-to-end benchmark's tracer
+        patches it by name."""
         counts = self.counts()
         return counts.get(JOB_PENDING, 0) + counts.get(JOB_LEASED, 0)
 

@@ -30,9 +30,13 @@ Failure semantics mirror each side's local contract:
 * **Store calls degrade.**  The store is a cache; a failing service —
   unreachable, erroring, *or older than this client* (a 404 for
   ``load_many`` / ``expected_walls`` / ``record_outcomes``) — reads as
-  a miss on ``load``/``load_many``, a no-op on ``store``/``record``/
+  a miss on ``load``/``load_many``, a no-op on ``store``/
   ``record_outcomes``, and empty statistics — never an exception into
   a proof.
+
+Neither class spells out a method: each gets a generated forwarder
+(a class attribute, so protocol ``isinstance`` checks see it) per name
+in :data:`~repro.dist.backend.QUEUE_METHODS` / ``STORE_METHODS``.
 """
 
 from __future__ import annotations
@@ -41,12 +45,10 @@ import http.client
 import pickle
 import urllib.error
 import urllib.request
-from typing import Iterable
+from typing import Callable
 
-from repro.campaign.report import WorkerStat
-from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
+from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
 from repro.errors import ReproError
-from repro.mc.result import CheckResult
 
 #: Default per-request timeout (seconds).  Every wire call is one
 #: quick SQLite transaction server-side; anything slower means the
@@ -64,14 +66,38 @@ class RemoteOperationError(ReproError):
     permanent: version skew, bad request, server-side exception)."""
 
 
-#: What the store's degrade paths swallow: any remote failure at all.
-_REMOTE_ERRORS = (RemoteBackendError, RemoteOperationError)
+def _forwarder(name: str, miss: Callable[[], object] | None):
+    """One wire call as a method.  With a ``miss``, any remote failure
+    reads as ``miss()`` instead of raising (the store's degrade path)."""
+    def method(self, *args, **kwargs):
+        try:
+            return self._call(name, *args, **kwargs)
+        except (RemoteBackendError, RemoteOperationError):
+            if miss is None:
+                raise
+            return miss()
+    method.__name__ = name
+    return method
 
 
 class _RemoteProxy:
-    """Shared wire-call plumbing for the queue and store clients."""
+    """Shared wire-call plumbing for the queue and store clients.
 
-    _scope = ""  # "queue" | "store"
+    A subclass names its URL ``scope`` and the wire ``methods`` it
+    forwards; ``misses`` (store only) maps a method to what a failed
+    call reads as — ``None`` for any method it does not name.
+    """
+
+    _scope: str  # "queue" | "store"
+
+    def __init_subclass__(cls, *, scope: str, methods: frozenset[str],
+                          misses: dict[str, Callable[[], object]]
+                          | None = None):
+        cls._scope = scope
+        for name in methods:
+            miss = None if misses is None \
+                else misses.get(name, lambda: None)
+            setattr(cls, name, _forwarder(name, miss))
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT):
         self.url = url.rstrip("/")
@@ -116,7 +142,8 @@ class _RemoteProxy:
         """Nothing to release: requests are independent (no session)."""
 
 
-class RemoteWorkQueue(_RemoteProxy):
+class RemoteWorkQueue(_RemoteProxy, scope="queue",
+                      methods=QUEUE_METHODS):
     """:class:`~repro.dist.backend.QueueBackend` over HTTP.
 
     Every method is the same atomic server-side transaction the SQLite
@@ -124,70 +151,11 @@ class RemoteWorkQueue(_RemoteProxy):
     transport failures raise :class:`RemoteBackendError`.
     """
 
-    _scope = "queue"
 
-    def reset(self) -> None:
-        self._call("reset")
-
-    def begin_campaign(self, owner: str, lease_seconds: float) -> bool:
-        return self._call("begin_campaign", owner, lease_seconds)
-
-    def renew_campaign(self, owner: str, lease_seconds: float) -> None:
-        self._call("renew_campaign", owner, lease_seconds)
-
-    def end_campaign(self, owner: str) -> None:
-        self._call("end_campaign", owner)
-
-    def enqueue(self, specs: Iterable[JobSpec],
-                max_attempts: int | None = None) -> int:
-        kwargs = {} if max_attempts is None \
-            else {"max_attempts": max_attempts}
-        # Materialize: generators don't pickle.
-        return self._call("enqueue", list(specs), **kwargs)
-
-    def set_state(self, state: str) -> None:
-        self._call("set_state", state)
-
-    def state(self) -> str:
-        return self._call("state")
-
-    def requeue_expired(self, now: float | None = None
-                        ) -> list[tuple[str, str]]:
-        return self._call("requeue_expired", now)
-
-    def register_worker(self, worker_id: str, pid: int) -> None:
-        self._call("register_worker", worker_id, pid)
-
-    def claim(self, worker_id: str,
-              lease_seconds: float) -> Lease | None:
-        return self._call("claim", worker_id, lease_seconds)
-
-    def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None:
-        self._call("heartbeat", beat, lease_seconds)
-
-    def complete(self, result: JobResult, worker_id: str) -> bool:
-        return self._call("complete", result, worker_id)
-
-    def fail(self, job_id: str, worker_id: str, error: str) -> None:
-        self._call("fail", job_id, worker_id, error)
-
-    def counts(self) -> dict[str, int]:
-        return self._call("counts")
-
-    def unfinished(self) -> int:
-        return self._call("unfinished")
-
-    def results(self) -> dict[str, JobResult]:
-        return self._call("results")
-
-    def worker_stats(self) -> list[WorkerStat]:
-        return self._call("worker_stats")
-
-    def worker_snapshot(self) -> list[dict]:
-        return self._call("worker_snapshot")
-
-
-class RemoteProofStore(_RemoteProxy):
+class RemoteProofStore(_RemoteProxy, scope="store",
+                       methods=STORE_METHODS,
+                       misses={"load_many": dict, "expected_walls": dict,
+                               "history_size": int, "size": int}):
     """:class:`~repro.dist.backend.StoreBackend` over HTTP.
 
     Implements the :class:`~repro.mc.cache.CacheBacking` protocol, so
@@ -198,94 +166,5 @@ class RemoteProofStore(_RemoteProxy):
     failures and reports a miss / empty history instead.
     """
 
-    _scope = "store"
-
-    #: Remote stores have no local file; ``run_campaign`` keys on this.
-    path = None
-
-    def load(self, key: str) -> CheckResult | None:
-        try:
-            return self._call("load", key)
-        except _REMOTE_ERRORS:
-            return None
-
-    def load_many(self, keys: list[str]) -> dict[str, CheckResult]:
-        try:
-            return self._call("load_many", list(keys))
-        except _REMOTE_ERRORS:
-            return {}
-
-    def store(self, key: str, result: CheckResult) -> None:
-        try:
-            self._call("store", key, result)
-        except _REMOTE_ERRORS:
-            pass
-
-    def record(self, *, design: str, family: str, property_name: str,
-               strategy: str, status: str, wall_seconds: float,
-               from_cache: bool) -> None:
-        try:
-            self._call("record", design=design, family=family,
-                       property_name=property_name, strategy=strategy,
-                       status=status, wall_seconds=wall_seconds,
-                       from_cache=from_cache)
-        except _REMOTE_ERRORS:
-            pass
-
-    def record_outcomes(self, history: list[dict],
-                        ledger: list[dict]) -> None:
-        try:
-            self._call("record_outcomes", list(history), list(ledger))
-        except _REMOTE_ERRORS:
-            pass
-
-    def history_size(self) -> int:
-        try:
-            return self._call("history_size")
-        except _REMOTE_ERRORS:
-            return 0
-
-    def expected_wall(self, design: str,
-                      property_name: str) -> float | None:
-        try:
-            return self._call("expected_wall", design, property_name)
-        except _REMOTE_ERRORS:
-            return None
-
-    def expected_walls(self, design: str | None = None
-                       ) -> dict[tuple[str, str], float]:
-        try:
-            return self._call("expected_walls", design)
-        except _REMOTE_ERRORS:
-            return {}
-
-    def record_ledger(self, entry: dict) -> None:
-        try:
-            self._call("record_ledger", entry)
-        except _REMOTE_ERRORS:
-            pass
-
-    def ledger_entry(self, design: str,
-                     property_name: str) -> dict | None:
-        try:
-            return self._call("ledger_entry", design, property_name)
-        except _REMOTE_ERRORS:
-            return None
-
-    def ledger_rows(self, design: str | None = None) -> list[dict]:
-        try:
-            return self._call("ledger_rows", design)
-        except _REMOTE_ERRORS:
-            return []
-
-    def clear(self) -> None:
-        try:
-            self._call("clear")
-        except _REMOTE_ERRORS:
-            pass
-
     def __len__(self) -> int:
-        try:
-            return self._call("size")
-        except _REMOTE_ERRORS:
-            return 0
+        return self.size()

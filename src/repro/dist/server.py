@@ -10,9 +10,13 @@ Wire protocol (deliberately minimal — both ends are this package):
 
 * ``POST /queue/<method>`` and ``POST /store/<method>`` carry one
   pickled ``(args, kwargs)`` tuple and return the pickled result of
-  calling that method on the service's queue or store.  Methods are
-  allow-listed; anything else is a 404.  A method that raises returns
-  a 500 whose body pickles ``{"ok": False, "error": ...}``.
+  calling that method on the service's queue or store.  The allow-list
+  is :data:`~repro.dist.backend.QUEUE_METHODS` /
+  :data:`~repro.dist.backend.STORE_METHODS` in :mod:`repro.dist.backend`,
+  derived from the two backend protocols; anything else is a 404
+  (booked under the ``invalid`` metrics endpoint, so unknown paths
+  add no series).  A method that raises returns a 500 whose body
+  pickles ``{"ok": False, "error": ...}``.
 * ``GET /health`` returns a JSON snapshot (queue counts, store size,
   uptime) for load balancers, smoke tests, and humans with ``curl``.
 
@@ -46,30 +50,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.campaign.store import ProofStore, _is_lock_error
-from repro.dist.backend import QueueBackend, StoreBackend
+from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
 from repro.dist.queue import WorkQueue
 from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 
 DEFAULT_PORT = 7333
-
-def _wire_methods(protocol: type) -> frozenset[str]:
-    """The public methods of a backend protocol: its wire surface.
-
-    ``close`` stays off the wire — it ends a client's handle, never
-    the service's — and dunder names stay off the URL.
-    """
-    return frozenset(name for name, member in vars(protocol).items()
-                     if callable(member) and not name.startswith("_")
-                     ) - {"close"}
-
-
-#: Queue methods callable over the wire (the QueueBackend surface).
-QUEUE_METHODS = _wire_methods(QueueBackend)
-
-#: Store methods callable over the wire (the StoreBackend surface);
-#: ``size`` maps to ``len(store)``.
-STORE_METHODS = _wire_methods(StoreBackend) | {"size"}
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -140,7 +126,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         started = time.perf_counter()
         scope, _, method = self.path.strip("/").partition("/")
-        endpoint = f"{scope}.{method}" if method else (scope or "invalid")
+        target = self.service.dispatch_target(scope, method)
+        # Only allow-listed calls get their own metric series: a label
+        # per unknown path would let any client grow /metrics forever.
+        endpoint = "invalid" if target is None else f"{scope}.{method}"
         if not self.service.checkin():
             # Shutting down: answer 503 (clients treat it as transient
             # unreachability) rather than racing the closing handles.
@@ -154,15 +143,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 endpoint, 503, time.perf_counter() - started)
             return
         try:
-            self._dispatch()
+            self._dispatch(target)
         finally:
             self.service.checkout()
             self.service.observe_request(
                 endpoint, self._status, time.perf_counter() - started)
 
-    def _dispatch(self) -> None:
-        scope, _, method = self.path.strip("/").partition("/")
-        target = self.service.dispatch_target(scope, method)
+    def _dispatch(self, target) -> None:
         if target is None:
             self._reply(404, pickle.dumps(
                 {"ok": False,

@@ -87,4 +87,4 @@ class DesignError(ReproError):
 
 class FormatError(ReproError):
     """Malformed or unsupported interchange-format input/output
-    (AIGER, BTOR2, BLIF)."""
+    (AIGER, BTOR2)."""

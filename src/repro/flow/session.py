@@ -306,8 +306,8 @@ def run_campaign(designs: list[str] | None = None,
         scratch_dir = tempfile.mkdtemp(prefix="repro-campaign-")
         cache_dir = scratch_dir
     if remote:
-        from repro.dist.remote import RemoteProofStore
-        store = RemoteProofStore(resolved.location)
+        from repro.dist.backend import open_store
+        store = open_store(resolved)
     else:
         store = ProofStore.open(cache_dir) if cache_dir is not None \
             else ProofStore.in_memory()

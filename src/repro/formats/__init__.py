@@ -1,4 +1,4 @@
-"""Standard-format interchange: AIGER, BTOR2, and BLIF.
+"""Standard-format interchange: AIGER and BTOR2.
 
 Readers normalize foreign files into canonical in-memory models;
 writers serialize the repro IR for external model checkers and logic
@@ -9,7 +9,6 @@ Design level so imported files plug into every verification layer.
 from repro.formats.aiger import (AigerModel, Latch, read_aiger,
                                  read_aiger_file, write_aiger_ascii,
                                  write_aiger_binary, write_aiger_file)
-from repro.formats.blif import BlifNetlist, read_blif, write_blif
 from repro.formats.bridge import (aiger_stats, aiger_to_system,
                                   system_to_aiger)
 from repro.formats.btor2 import read_btor2, read_btor2_file, write_btor2
@@ -26,9 +25,6 @@ __all__ = [
     "write_aiger_ascii",
     "write_aiger_binary",
     "write_aiger_file",
-    "BlifNetlist",
-    "read_blif",
-    "write_blif",
     "aiger_stats",
     "aiger_to_system",
     "system_to_aiger",

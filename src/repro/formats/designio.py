@@ -17,14 +17,13 @@ from pathlib import Path
 from repro.designs.base import Design, PropertySpec
 from repro.errors import FormatError
 from repro.formats import aiger as aiger_mod
-from repro.formats import blif as blif_mod
 from repro.formats import btor2 as btor2_mod
 from repro.formats.bridge import (aiger_to_system, prop_metadata_line,
                                   system_to_aiger)
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
 
-EXPORT_FORMATS = ("aiger", "btor2", "blif")
+EXPORT_FORMATS = ("aiger", "btor2")
 
 AIGER_SUFFIXES = (".aag", ".aig")
 BTOR2_SUFFIXES = (".btor2", ".btor")
@@ -63,7 +62,7 @@ def export_design(design: Design, fmt: str,
                   binary: bool = False) -> str | bytes:
     """Serialize ``design`` (monitors included) in an interchange format.
 
-    Returns text for ``btor2``/``blif`` and ascii ``aiger``; bytes for
+    Returns text for ``btor2`` and ascii ``aiger``; bytes for
     binary ``aiger`` (``binary=True``).
     """
     if fmt not in EXPORT_FORMATS:
@@ -74,8 +73,6 @@ def export_design(design: Design, fmt: str,
     if fmt == "btor2":
         return btor2_mod.write_btor2(system, props, metadata=metadata)
     model = system_to_aiger(system, props, metadata=metadata)
-    if fmt == "blif":
-        return blif_mod.write_blif(model, name=design.name)
     if binary:
         return aiger_mod.write_aiger_binary(model)
     return aiger_mod.write_aiger_ascii(model)

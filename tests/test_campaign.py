@@ -157,8 +157,10 @@ class TestProofStore:
         batched.record_outcomes(history, ledger)
 
         def ledger_view(store):
-            return [{k: v for k, v in row.items() if k != "recorded"}
-                    for row in store.ledger_rows()]
+            entries = [store.ledger_entry("d1", name)
+                       for name in ("p1", "p2", "p3")]
+            return [entry and {k: v for k, v in entry.items()
+                               if k != "recorded"} for entry in entries]
 
         for store in (per_row, batched):
             assert store.history_size() == 6
@@ -169,8 +171,8 @@ class TestProofStore:
                 ("d1", "p1"): pytest.approx(0.3),
                 ("d1", "p2"): pytest.approx(0.7)}
             assert store.expected_walls("elsewhere") == {}
-            assert [row["property"] for row in store.ledger_rows()] == \
-                ["p1", "p2"]
+            assert [entry and entry["property"]
+                    for entry in ledger_view(store)] == ["p1", "p2", None]
             assert store.ledger_entry("d1", "p1")["attempts"] == \
                 [{"strategy": "bmc", "k": 1}]
         assert ledger_view(batched) == ledger_view(per_row)
@@ -185,7 +187,7 @@ class TestProofStore:
         poisoned = ledger + [dict(ledger[0], design=None)]  # NOT NULL
         store.record_outcomes(history, poisoned)             # no raise
         assert store.history_size() == 0
-        assert store.ledger_rows() == []
+        assert store.ledger_entry("d1", "p1") is None
 
         commits = []
         store._conn.set_trace_callback(
@@ -194,7 +196,8 @@ class TestProofStore:
         store._conn.set_trace_callback(None)
         assert commits == ["COMMIT"]
         assert store.history_size() == 6
-        assert len(store.ledger_rows()) == 2
+        assert all(store.ledger_entry("d1", name) is not None
+                   for name in ("p1", "p2"))
         store.record_outcomes([], [])                        # nothing to do
         assert store.history_size() == 6
 

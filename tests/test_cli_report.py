@@ -1,5 +1,10 @@
 """CLI and reporting tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -95,3 +100,19 @@ class TestCli:
         assert main(["lemma", "sync_counters", "--model", "oracle"]) == 0
         out = capsys.readouterr().out
         assert "lemma flow on sync_counters" in out
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.flow"])
+def test_importing_does_not_load_the_fabric(module):
+    """The CLI and the flows reach the distributed fabric lazily:
+    importing them must not pull in ``repro.dist`` (and with it the
+    HTTP server), which would tax every command's start-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60,
+        check=True).stdout.split()
+    assert "repro.dist" not in loaded
+    assert "http.server" not in loaded

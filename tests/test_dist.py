@@ -167,11 +167,12 @@ class TestWorkQueue:
 
     def test_worker_stats_survive_coordinator_reset(self, tmp_path):
         # A standalone worker registers, then a coordinator starts a
-        # campaign (reset wipes the tables): the worker's completions
-        # must re-create its stats row, not vanish from the accounting.
+        # campaign (begin_campaign wipes the tables): the worker's
+        # completions must re-create its stats row, not vanish from
+        # the accounting.
         queue = WorkQueue.open(tmp_path)
         queue.register_worker("standalone", pid=42)
-        queue.reset()
+        assert queue.begin_campaign("c1", lease_seconds=30) is True
         queue.enqueue([_spec("a")])
         lease = queue.claim("standalone", lease_seconds=30)
         assert queue.complete(_result(lease.spec,
@@ -181,13 +182,14 @@ class TestWorkQueue:
         assert stat.worker_id == "standalone"
         assert stat.jobs_done == 1
 
-    def test_state_and_reset(self, tmp_path):
+    def test_state_and_begin_campaign(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
         assert queue.state() == STATE_OPEN       # the default
         queue.set_state(STATE_CLOSED)
         assert queue.state() == STATE_CLOSED
         queue.enqueue([_spec("a")])
-        queue.reset()
+        # A campaign starts from a wiped, open queue.
+        assert queue.begin_campaign("c1", lease_seconds=30) is True
         assert queue.counts() == {}
         assert queue.state() == STATE_OPEN
 

@@ -1,4 +1,4 @@
-"""Interchange formats: AIGER/BTOR2/BLIF round-trips and the corpus.
+"""Interchange formats: AIGER/BTOR2 round-trips and the corpus.
 
 The load-bearing invariant is *canonical serialization*: the readers
 renumber arbitrary input into one canonical model, so isomorphism
@@ -21,9 +21,9 @@ from repro.designs.registry import CORPUS_ENV, designs_by_family
 from repro.errors import DesignError, FormatError, ReproError
 from repro.formats import (AigerModel, Latch, aiger_to_system,
                            export_design, import_design, read_aiger,
-                           read_blif, read_btor2, system_to_aiger,
+                           read_btor2, system_to_aiger,
                            write_aiger_ascii, write_aiger_binary,
-                           write_blif, write_btor2)
+                           write_btor2)
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc import Status, bmc
@@ -135,26 +135,6 @@ class TestBtor2:
             read_btor2(text)
 
 
-class TestBlif:
-    def test_exported_blif_parses_back(self):
-        model = _toggle_model()
-        net = read_blif(write_blif(model, "toggle"))
-        assert net.model == "toggle"
-        assert net.inputs == ["en"]
-        # outputs: o0 + b0 + c0
-        assert len(net.outputs) == 3
-        assert [lat[1] for lat in net.latches] == ["toggle"]
-        and_tables = [o for o, (ins, _) in net.names.items()
-                      if len(ins) == 2]
-        assert len(and_tables) == len(model.ands)
-
-    def test_malformed_blif_raises(self):
-        with pytest.raises(FormatError):
-            read_blif(".model m\n.latch\n")
-        with pytest.raises(FormatError):
-            read_blif("01 1\n")               # row outside a table
-
-
 class TestDesignIO:
     def test_metadata_survives_export_import(self, tmp_path):
         design = get_design("updown_counter")
@@ -263,7 +243,6 @@ class TestFuzzRoundTrip:
         # Canonical serialization == isomorphism witness.
         assert write_aiger_ascii(from_ascii) == text
         assert write_aiger_ascii(from_binary) == text
-        read_blif(write_blif(model))          # BLIF stays parseable
 
     @settings(max_examples=15, deadline=None)
     @given(model=aiger_models())

@@ -88,12 +88,17 @@ class TestBackendParsing:
     def test_every_implementation_defines_the_whole_protocol(self, service):
         """The wire allow-lists are computed from the two protocols, so
         a protocol method is remotely callable by construction — given
-        that the local and the remote class both define it."""
+        that the local and the remote class both define it.  Members a
+        protocol inherits (StoreBackend's CacheBacking base) count."""
+        from typing import Generic, Protocol
+
         from repro.dist import QueueBackend, StoreBackend
-        from repro.dist.server import QUEUE_METHODS, STORE_METHODS
+        from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
 
         def declared(protocol):
-            return {name for name, member in vars(protocol).items()
+            return {name for base in protocol.__mro__
+                    if base not in (Protocol, Generic, object)
+                    for name, member in vars(base).items()
                     if callable(member) and
                     (not name.startswith("_") or name == "__len__")}
 
@@ -101,14 +106,16 @@ class TestBackendParsing:
                 (QueueBackend, (WorkQueue, RemoteWorkQueue)),
                 (StoreBackend, (ProofStore, RemoteProofStore))):
             methods = declared(protocol)
-            assert "close" in methods and len(methods) > 10
+            assert "close" in methods and len(methods) > 8
             for cls in implementations:
                 missing = sorted(name for name in methods
                                  if not callable(getattr(cls, name, None)))
                 assert not missing, (cls.__name__, missing)
+        assert {"load", "load_many", "store"} <= declared(StoreBackend)
         assert QUEUE_METHODS == declared(QueueBackend) - {"close"}
         assert STORE_METHODS == \
             declared(StoreBackend) - {"close", "__len__"} | {"size"}
+        assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (16, 8)
         for scope, names in (("queue", QUEUE_METHODS),
                              ("store", STORE_METHODS)):
             for name in names:
@@ -136,7 +143,6 @@ class TestRemoteQueue:
         lease = queue.claim("w1", lease_seconds=30)
         assert queue.complete(_result(lease.spec), "w1") is True
         assert queue.counts() == {JOB_DONE: 1}
-        assert queue.unfinished() == 0
         assert queue.results()["a"].outcome.status == "proven"
         (stat,) = queue.worker_stats()
         assert (stat.worker_id, stat.jobs_done) == ("w1", 1)
@@ -218,13 +224,13 @@ class TestRemoteQueue:
         assert poisoned.outcome.status == "unknown"
         assert poisoned.error == "boom again"
 
-    def test_state_and_reset(self, service):
+    def test_state_and_begin_campaign(self, service):
         queue = RemoteWorkQueue(service.address)
         assert queue.state() == STATE_OPEN
         queue.set_state(STATE_CLOSED)
         assert queue.state() == STATE_CLOSED
         queue.enqueue([_spec("a")])
-        queue.reset()
+        assert queue.begin_campaign("c1", lease_seconds=30) is True
         assert queue.counts() == {}
         assert queue.state() == STATE_OPEN
 
@@ -239,30 +245,17 @@ class TestRemoteStore:
         assert loaded == result
         assert store.load("missing") is None
         assert len(store) == 1
-        store.clear()
-        assert len(store) == 0
 
     def test_history_round_trip(self, service):
         store = RemoteProofStore(service.address)
-        for _ in range(2):
-            store.record(design="d", family="fam", property_name="p",
-                         strategy="bmc", status="proven",
-                         wall_seconds=0.25, from_cache=False)
+        store.record_outcomes(
+            [dict(design="d", family="fam", property_name="p",
+                  strategy="bmc", status="proven", wall_seconds=0.25,
+                  from_cache=False)] * 2, [])
         assert store.history_size() == 2
-        assert store.expected_wall("d", "p") == pytest.approx(0.25)
+        assert store.expected_walls() == {("d", "p"): pytest.approx(0.25)}
         # The service's own on-disk store holds the same rows.
         assert ProofStore.open(service.cache_dir).history_size() == 2
-
-    def test_history_aggregates_are_not_served(self, service):
-        """Campaigns no longer mine per-strategy aggregates, so the
-        service does not serve them: a client that asks gets a 404,
-        which an older client's degrade path reads as no history."""
-        from repro.dist.server import STORE_METHODS
-        assert not {"strategy_stats", "property_stats"} & STORE_METHODS
-        store = RemoteProofStore(service.address)
-        for name in ("strategy_stats", "property_stats"):
-            with pytest.raises(RemoteOperationError):
-                store._call(name)
 
     def test_unreachable_store_degrades_to_misses(self):
         """The cache contract across the network: no proof ever fails
@@ -272,11 +265,14 @@ class TestRemoteStore:
                              stats=ProofStats())
         store.store("k", result)          # no raise
         assert store.load("k") is None
-        store.record(design="d", family="f", property_name="p",
-                     strategy="bmc", status="proven",
-                     wall_seconds=0.1, from_cache=False)
+        store.record_outcomes(
+            [dict(design="d", family="f", property_name="p",
+                  strategy="bmc", status="proven", wall_seconds=0.1,
+                  from_cache=False)],
+            [{"design": "d", "property": "p"}])
         assert store.history_size() == 0
-        assert store.expected_wall("d", "p") is None
+        assert store.expected_walls() == {}
+        assert store.ledger_entry("d", "p") is None
         assert len(store) == 0
 
     def test_queue_calls_raise_on_unreachable_backend(self):
@@ -322,7 +318,7 @@ class TestBatchSurface:
     NEW_CALLS = {"load_many", "expected_walls", "record_outcomes"}
 
     def test_the_protocol_carries_the_batch_calls_onto_the_wire(self):
-        from repro.dist.server import STORE_METHODS
+        from repro.dist.backend import STORE_METHODS
         assert self.NEW_CALLS <= STORE_METHODS
 
     def test_load_many_round_trips_traces_and_invariants(self, any_store):
@@ -367,11 +363,10 @@ class TestBatchSurface:
             {("d", "p"): pytest.approx(0.4)}
         assert any_store.expected_walls("d") == any_store.expected_walls()
         assert any_store.expected_walls("other") == {}
-        assert any_store.expected_wall("d", "p") == pytest.approx(0.4)
-        assert any_store.expected_wall("d", "q") is None
-        [row] = any_store.ledger_rows()
+        row = any_store.ledger_entry("d", "p")
         assert (row["property"], row["k"]) == ("p", 5)
         assert row["attempts"] == [{"strategy": "bmc(bound=5)"}]
+        assert any_store.ledger_entry("d", "q") is None
 
     def test_unreachable_service_degrades(self):
         store = RemoteProofStore(DEAD_URL, timeout=0.5)
@@ -400,7 +395,7 @@ class TestBatchSurface:
         assert store.load_many(["k"]) == {}
         assert store.expected_walls() == {}
         store.record_outcomes([], [{"design": "d", "property": "p"}])
-        assert store.ledger_rows() == []
+        assert store.ledger_entry("d", "p") is None
 
     def test_campaign_against_an_older_server_still_verifies(
             self, older_service, coordinators):
@@ -451,6 +446,52 @@ class TestService:
         queue = RemoteWorkQueue(service.address)
         with pytest.raises(RemoteOperationError, match="TypeError"):
             queue._call("claim")   # missing required arguments
+
+    REMOVED_CALLS = (
+        ("store", "strategy_stats", (), {}),
+        ("store", "property_stats", (), {}),
+        ("queue", "reset", (), {}),
+        ("queue", "unfinished", (), {}),
+        ("store", "clear", (), {}),
+        ("store", "record", (), dict(
+            design="d", family="f", property_name="p", strategy="bmc",
+            status="proven", wall_seconds=0.1, from_cache=False)),
+        ("store", "record_ledger", ({"design": "d", "property": "q"},),
+         {}),
+        ("store", "expected_wall", ("d", "p"), {}),
+        ("store", "ledger_rows", (), {}),
+    )
+
+    def test_removed_calls_are_gone_and_touch_nothing(self, service):
+        """Calls no campaign makes are off the wire: each answers 404
+        (a permanent RemoteOperationError, which an older client's
+        store degrade path reads as a miss), no client generates a
+        method for it, and the served queue and store keep their rows.
+        The history aggregates went with adaptive selection; the rest
+        had no caller at all."""
+        queue = RemoteWorkQueue(service.address)
+        store = RemoteProofStore(service.address)
+        queue.enqueue([_spec("a")])
+        store.store("k", CheckResult("p", Status.PROVEN, k=1,
+                                     stats=ProofStats()))
+        store.record_outcomes(
+            [dict(design="d", family="f", property_name="p",
+                  strategy="bmc", status="proven", wall_seconds=0.1,
+                  from_cache=False)],
+            [{"design": "d", "property": "p", "status": "proven"}])
+        clients = {"queue": queue, "store": store}
+        for scope, name, args, kwargs in self.REMOVED_CALLS:
+            client = clients[scope]
+            assert not hasattr(client, name), name
+            with pytest.raises(RemoteOperationError,
+                               match="unknown endpoint") as caught:
+                client._call(name, *args, **kwargs)
+            assert caught.value.__cause__.code == 404
+        assert queue.counts() == {JOB_PENDING: 1}
+        assert len(store) == 1 and store.history_size() == 1
+        assert store.expected_walls() == {("d", "p"): pytest.approx(0.1)}
+        assert store.ledger_entry("d", "p")["status"] == "proven"
+        assert store.ledger_entry("d", "q") is None
 
 
 class TestWorkerOverHTTP:
@@ -705,7 +746,7 @@ class TestRemoteProbe:
         before = _wire_requests(service)
         warm = self._run(service)
         asked = _wire_requests(service) - before - 1   # less that read
-        # Three history reads, one probe, one record, one size — not
+        # One history read, one probe, one record, one size — not
         # a handful of round trips per job, as the cold half made.
         assert 0 < asked <= 15, asked
         assert before > 4 * asked

@@ -534,6 +534,30 @@ class TestServiceObservability:
             text = response.read().decode()
         assert 'endpoint="/metrics"' in text
 
+    def test_unknown_post_paths_share_one_invalid_series(self, service):
+        """A POST outside the allow-list is booked as ``invalid``, as
+        an unknown GET is: distinct bogus paths (removed calls among
+        them) must not each mint a new metrics series."""
+        import urllib.error
+        paths = [f"/store/bogus_{i}" for i in range(20)] + \
+            [f"/nowhere_{i}/x" for i in range(20)] + \
+            ["/queue/reset", "/store/clear", "/queue/", "/"]
+        for path in paths:
+            request = urllib.request.Request(
+                f"{service.address}{path}", data=b"", method="POST")
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=5)
+            assert caught.value.code == 404
+        with urllib.request.urlopen(f"{service.address}/metrics",
+                                    timeout=5) as response:
+            text = response.read().decode()
+        series = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                      if line.startswith("repro_http_requests_total{"))
+        assert list(series) == \
+            ['repro_http_requests_total{endpoint="invalid",status="404"}']
+        assert float(*series.values()) == len(paths)
+        assert "bogus" not in text and "nowhere" not in text
+
     def test_queue_metrics_track_lease_churn(self, service, tmp_path):
         registry = service.metrics
         queue = RemoteWorkQueue(service.address)
@@ -982,8 +1006,8 @@ class TestEffortLedger:
         store.record_ledger(self._entry(status="UNKNOWN", attempts=[]))
         assert store.ledger_entry("d1", "p1")["status"] == "UNKNOWN"
         store.record_ledger(self._entry(property="p0"))
-        rows = store.ledger_rows("d1")
-        assert [r["property"] for r in rows] == ["p0", "p1"]
+        assert store.ledger_entry("d1", "p0")["status"] == "PROVEN"
+        assert store.ledger_entry("d1", "p1")["status"] == "UNKNOWN"
         assert store.ledger_entry("d1", "absent") is None
         store.close()
 
@@ -1025,21 +1049,24 @@ class TestEffortLedger:
 
     def test_ledger_round_trips_over_http(self, service):
         from repro.dist import RemoteProofStore
+        from repro.campaign import ProofStore
         remote = RemoteProofStore(service.address)
-        remote.record_ledger(self._entry())
+        remote.record_outcomes([], [self._entry()])
         entry = remote.ledger_entry("d1", "p1")
         assert entry is not None and entry["provenance"] == "seeded"
         assert entry["attempts"] == \
             [{"strategy": "bmc", "status": "timeout"}]
-        assert [r["property"] for r in remote.ledger_rows("d1")] == \
-            ["p1"]
+        assert remote.ledger_entry("d1", "p0") is None
+        # The row landed in the service's own on-disk store.
+        served = ProofStore.open(service.cache_dir)
+        assert served.ledger_entry("d1", "p1") == entry
+        served.close()
 
     def test_remote_ledger_degrades_on_unreachable_backend(self):
         from repro.dist import RemoteProofStore
         remote = RemoteProofStore("http://127.0.0.1:9")
-        remote.record_ledger(self._entry())     # swallowed, not raised
+        remote.record_outcomes([], [self._entry()])  # swallowed
         assert remote.ledger_entry("d1", "p1") is None
-        assert remote.ledger_rows() == []
 
 
 class TestTopExplainCli:
