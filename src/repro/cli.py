@@ -22,12 +22,9 @@ Subcommands::
     repro-verify export DESIGN                # serialize a design (with
                         [--format aiger|btor2]  # compiled monitors)
                         [--binary] [-o FILE]  # as an interchange file
-    repro-verify status --backend SPEC        # live backend snapshot
-                        [--metrics]           # + Prometheus metrics text
-                        [--watch SECONDS]     # refresh until interrupted
-    repro-verify top    --backend SPEC        # refreshing fleet view:
-                        [--interval S] [--once]  # queue depth, per-worker
-                        [--events DIR]        # stats, wedged-worker alarm
+    repro-verify status --backend SPEC        # fleet view: queue depth,
+                        [--watch SECONDS]     # per-worker stats, wedged-
+                        [--events DIR]        # worker alarm
     repro-verify explain DESIGN PROP          # reconstruct a verdict's
                         --backend SPEC        # story from the effort
                         [--events DIR]        # ledger + record stream
@@ -50,6 +47,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.designs import all_designs, get_design
@@ -214,8 +212,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     designs = list(args.designs)
     if args.corpus:
-        import os
-
         from repro.designs import load_corpus
         from repro.designs.registry import CORPUS_ENV
 
@@ -277,7 +273,13 @@ def _resolve_backend_arg(args: argparse.Namespace, what: str):
             f"{what} needs a target: pass --backend sqlite:DIR, "
             "--backend http://HOST:PORT, or --cache-dir DIR")
     from repro.dist.backend import parse_backend
-    return parse_backend(backend)
+    resolved = parse_backend(backend)
+    # Opening a store or queue creates its files: a read-only command
+    # pointed at a mistyped directory must not leave an empty one behind.
+    if not resolved.is_remote and not os.path.isdir(resolved.location):
+        raise ValueError(
+            f"{what}: no such backend directory {resolved.location!r}")
+    return resolved
 
 
 def _worker_table(snapshot: list[dict]) -> Table:
@@ -297,139 +299,20 @@ def _worker_table(snapshot: list[dict]) -> Table:
     return table
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    import time
-
-    resolved = _resolve_backend_arg(args, "status")
-    while True:
-        if resolved.is_remote:
-            code = _remote_status(resolved.location, args)
-        else:
-            code = _local_status(resolved, args)
-        if not args.watch:
-            return code
-        try:
-            time.sleep(args.watch)
-        except KeyboardInterrupt:
-            return code
-        print(f"\n--- {time.strftime('%H:%M:%S')} "
-              f"(refreshing every {args.watch:g}s, Ctrl-C to stop) ---")
+#: A worker holding one job this many times longer than the fleet's
+#: median per-job solve time is flagged ``WEDGED?``.
+WEDGED_FACTOR = 10
 
 
-def _remote_status(base_url: str, args: argparse.Namespace) -> int:
-    import json
-    import urllib.error
-    import urllib.request
+def _wedged_workers(snapshot: list[dict]) -> list[tuple[dict, float]]:
+    """The wedged-worker heuristic over a queue worker snapshot.
 
-    base = base_url.rstrip("/")
-    try:
-        with urllib.request.urlopen(base + "/health",
-                                    timeout=10) as resp:
-            health = json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        body = exc.read().decode(errors="replace")
-        print(f"backend {base}: HTTP {exc.code} — {body.strip()}")
-        return 1
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        print(f"error: backend {base} unreachable: {exc}",
-              file=sys.stderr)
-        return 1
-    counts = health.get("queue", {}).get("counts", {})
-    unavailable = health.get("unavailable_503", {})
-    print(f"backend {base}: {health.get('status', '?')}, "
-          f"up {health.get('uptime_seconds', 0.0):.1f}s")
-    print(f"  cache dir: {health.get('cache_dir', '?')}")
-    print(f"  queue: state={health.get('queue', {}).get('state', '?')}, "
-          f"pending={counts.get('pending', 0)}, "
-          f"leased={counts.get('leased', 0)}, "
-          f"done={counts.get('done', 0)}")
-    print(f"  store: {health.get('store', {}).get('results', 0)} "
-          f"results, {health.get('store', {}).get('history', 0)} "
-          f"history rows")
-    print(f"  503s served: shutdown={unavailable.get('shutdown', 0)}, "
-          f"lock_contention={unavailable.get('lock_contention', 0)}")
-    from repro.dist import (RemoteBackendError, RemoteOperationError,
-                            open_queue)
-    try:
-        snapshot = open_queue(base).worker_snapshot()
-    except (RemoteBackendError, RemoteOperationError):
-        snapshot = []
-    if snapshot:
-        print(_worker_table(snapshot).to_text())
-    if args.metrics:
-        try:
-            with urllib.request.urlopen(base + "/metrics",
-                                        timeout=10) as resp:
-                print(resp.read().decode(errors="replace"), end="")
-        except (urllib.error.URLError, OSError) as exc:
-            print(f"error: /metrics unreachable: {exc}",
-                  file=sys.stderr)
-            return 1
-    return 0
-
-
-def _local_status(resolved, args: argparse.Namespace) -> int:
-    from repro.dist.backend import open_queue, open_store
-    queue = open_queue(resolved)
-    store = open_store(resolved)
-    try:
-        counts = queue.counts()
-        print(f"backend {resolved.spec()}")
-        print(f"  queue: state={queue.state()}, "
-              f"pending={counts.get('pending', 0)}, "
-              f"leased={counts.get('leased', 0)}, "
-              f"done={counts.get('done', 0)}")
-        print(f"  store: {len(store)} results, "
-              f"{store.history_size()} history rows")
-        snapshot = queue.worker_snapshot()
-        if snapshot:
-            print(_worker_table(snapshot).to_text())
-        if args.metrics:
-            from repro.obs import metrics
-            print(metrics.get_registry().render(), end="")
-    finally:
-        queue.close()
-        store.close()
-    return 0
-
-
-def _parse_metrics_text(text: str) -> dict[str, float]:
-    """Prometheus exposition text -> {'name{labels}': value}."""
-    values: dict[str, float] = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        try:
-            values[name] = float(value)
-        except ValueError:
-            continue
-    return values
-
-
-def _fetch_remote_metrics(base_url: str) -> dict[str, float]:
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(base_url.rstrip("/") + "/metrics",
-                                    timeout=10) as resp:
-            return _parse_metrics_text(resp.read().decode(
-                errors="replace"))
-    except (urllib.error.URLError, OSError):
-        return {}
-
-
-def _wedged_workers(snapshot: list[dict], lease: float,
-                    factor: float) -> list[tuple[dict, float]]:
-    """The `top` wedged-worker heuristic.
-
-    A worker is flagged when its heartbeat is alive (age within twice
-    the lease horizon — the queue has not written it off) yet it has
-    held one job for more than ``factor`` times the fleet's median
-    per-job solve time: the classic signature of a solver stuck inside
-    one SAT call, which heartbeats alone can never detect.  Returns
-    ``(worker, threshold)`` pairs.
+    A worker is flagged when its lease is alive (the queue has not
+    written it off) yet it has held one job for more than
+    :data:`WEDGED_FACTOR` times the fleet's median per-job solve time:
+    the classic signature of a solver stuck inside one SAT call, which
+    heartbeats alone can never detect.  Returns ``(worker, threshold)``
+    pairs.
     """
     per_job = sorted(
         w["busy_seconds"] / w["jobs_done"]
@@ -437,56 +320,43 @@ def _wedged_workers(snapshot: list[dict], lease: float,
     if not per_job:
         return []
     median = per_job[len(per_job) // 2]
-    # Floor at one lease horizon: with a handful of sub-second warmup
-    # jobs the median alone would flag every normal solve.
-    threshold = max(factor * median, lease)
     flagged = []
     for w in snapshot:
         age = w.get("job_age_seconds")
-        alive = w.get("heartbeat_age_seconds", 0.0) <= 2 * lease
-        if alive and age is not None and age > threshold:
+        remaining = w.get("lease_remaining_seconds")
+        if age is None or remaining <= 0:
+            continue
+        # Floor at the worker's lease horizon (a heartbeat stamps its
+        # time and the new expiry together): with a handful of
+        # sub-second warmup jobs the median alone would flag every
+        # normal solve.
+        threshold = max(WEDGED_FACTOR * median,
+                        w["heartbeat_age_seconds"] + remaining)
+        if age > threshold:
             flagged.append((w, threshold))
     return flagged
 
 
-def _top_snapshot(resolved, queue, store,
-                  args: argparse.Namespace) -> list[str]:
-    import time
-
+def _fleet_view(queue, store) -> list[str]:
+    """The ``status`` view of one backend, read through its protocol."""
     counts = queue.counts()
-    state = queue.state()
     snapshot = queue.worker_snapshot()
     lines = [
-        f"repro-verify top — {resolved.spec()} — "
-        f"{time.strftime('%H:%M:%S')}",
-        f"  queue: state={state}, pending={counts.get('pending', 0)}, "
+        f"  queue: state={queue.state()}, "
+        f"pending={counts.get('pending', 0)}, "
         f"leased={counts.get('leased', 0)}, "
         f"done={counts.get('done', 0)}",
-        f"  store: {len(store)} results",
+        f"  store: {len(store)} results, "
+        f"{store.history_size()} history rows",
     ]
-    if resolved.is_remote:
-        metrics = _fetch_remote_metrics(resolved.location)
-        claimed = metrics.get(
-            'repro_queue_claims_total{result="claimed"}', 0)
-        accepted = metrics.get(
-            'repro_queue_completions_total{result="accepted"}', 0)
-        beats = metrics.get("repro_queue_heartbeats_total", 0)
-        lines.append(
-            f"  service: {claimed:g} claims, {accepted:g} completions, "
-            f"{beats:g} heartbeats "
-            f"(up {metrics.get('repro_service_uptime_seconds', 0):g}s)")
     if snapshot:
         lines.append(_worker_table(snapshot).to_text())
-    else:
-        lines.append("  (no workers registered)")
-    for worker, threshold in _wedged_workers(snapshot, args.lease,
-                                             args.wedged_factor):
+    for worker, threshold in _wedged_workers(snapshot):
         lines.append(
             f"  WEDGED? {worker['worker_id']} has held "
             f"{worker['current_job']} for "
-            f"{worker['job_age_seconds']:.1f}s "
-            f"(> {threshold:.1f}s = {args.wedged_factor:g}x median "
-            f"solve) while still heartbeating")
+            f"{worker['job_age_seconds']:.1f}s (> {threshold:.1f}s) "
+            f"while its lease is alive")
         _journal.emit("worker_wedged", worker=worker["worker_id"],
                       job_id=worker["current_job"],
                       job_age_seconds=round(
@@ -495,32 +365,36 @@ def _top_snapshot(resolved, queue, store,
     return lines
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
+def _cmd_status(args: argparse.Namespace) -> int:
     import time
 
-    resolved = _resolve_backend_arg(args, "top")
+    from repro.dist.backend import open_queue, open_store
+
+    resolved = _resolve_backend_arg(args, "status")
     if args.events and _journal.active() is None:
         _journal.configure(args.events)
-    from repro.dist.backend import open_queue, open_store
     queue = open_queue(resolved)
     store = open_store(resolved)
     try:
         while True:
             try:
-                lines = _top_snapshot(resolved, queue, store, args)
-            except Exception as exc:
-                lines = [f"backend {resolved.spec()} unreachable: "
-                         f"{type(exc).__name__}: {exc}"]
-                if args.once:
-                    print("\n".join(lines), file=sys.stderr)
+                lines = _fleet_view(queue, store)
+            except (OSError, ReproError) as exc:
+                message = (f"error: backend {resolved.spec()} "
+                           f"unreachable: {type(exc).__name__}: {exc}")
+                if not args.watch:
+                    print(message, file=sys.stderr)
                     return 1
-            if not args.once:
+                lines = [message]
+            if args.watch:
                 print("\x1b[2J\x1b[H", end="")   # clear + home
+            print(f"backend {resolved.spec()} — "
+                  f"{time.strftime('%H:%M:%S')}")
             print("\n".join(lines))
-            if args.once:
+            if not args.watch:
                 return 0
             try:
-                time.sleep(args.interval)
+                time.sleep(args.watch)
             except KeyboardInterrupt:
                 return 0
     finally:
@@ -820,47 +694,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "status",
-        help="live snapshot of a backend: queue depth, store size, "
-             "worker throughput, 503 breakdown (and --metrics for the "
-             "full Prometheus dump)")
+        help="fleet view of a backend: queue depth, store size, "
+             "per-worker throughput and lease ages, wedged-worker "
+             "detection (lease alive but one job held far past the "
+             "fleet's median solve time)")
     p.add_argument("--cache-dir", default=None,
                    help="shared directory holding the work queue and "
                         "proof store (same as --backend sqlite:DIR)")
     _add_backend(p)
-    p.add_argument("--metrics", action="store_true",
-                   help="also print the Prometheus metrics text "
-                        "(GET /metrics on http backends)")
     p.add_argument("--watch", type=float, default=None,
                    metavar="SECONDS",
-                   help="re-print the snapshot every SECONDS until "
+                   help="redraw the view every SECONDS until "
                         "interrupted (Ctrl-C)")
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser(
-        "top",
-        help="refreshing fleet view of a backend: queue depth, "
-             "per-worker throughput and lease ages, wedged-worker "
-             "detection (heartbeat alive but one job held far past "
-             "the fleet's median solve time)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared directory holding the work queue and "
-                        "proof store (same as --backend sqlite:DIR)")
-    _add_backend(p)
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="refresh period in seconds (default: 2)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (scripts, CI)")
-    p.add_argument("--lease", type=float, default=15.0,
-                   help="the fleet's lease horizon, for the liveness "
-                        "half of the wedged heuristic (default: 15)")
-    p.add_argument("--wedged-factor", type=float, default=10.0,
-                   help="flag a worker holding one job longer than "
-                        "this many times the median per-job solve "
-                        "time (default: 10)")
     p.add_argument("--events", default=None, metavar="DIR",
                    help="journal worker_wedged warning records into "
                         "DIR when the heuristic fires")
-    p.set_defaults(func=_cmd_top)
+    p.set_defaults(func=_cmd_status)
 
     p = sub.add_parser(
         "explain",

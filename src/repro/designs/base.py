@@ -98,6 +98,3 @@ class Design:
         raise DesignError(
             f"design {self.name!r} has no property {name!r}; available: "
             f"{[p.name for p in self.properties]}")
-
-    def helper_properties(self) -> list[PropertySpec]:
-        return [p for p in self.properties if p.needs_helper]

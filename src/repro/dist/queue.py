@@ -559,10 +559,11 @@ class WorkQueue:
                 for w, j, b in rows]
 
     def worker_snapshot(self) -> list[dict]:
-        """Fleet forensics for ``repro-verify top``: one plain dict per
-        registered worker — heartbeat age, throughput, and the job it
-        currently holds (with lease age) if any.  Plain dicts so the
-        snapshot serialises over the network backend unchanged.
+        """Fleet forensics for ``repro-verify status``: one plain dict
+        per registered worker — heartbeat age, throughput, and the job
+        it currently holds (with its age and lease time remaining) if
+        any.  Plain dicts so the snapshot serialises over the network
+        backend unchanged.
         """
         now = time.time()
 

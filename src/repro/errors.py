@@ -77,10 +77,6 @@ class GenAiError(ReproError):
     """GenAI substrate failure (unknown persona, malformed prompt, ...)."""
 
 
-class FlowError(ReproError):
-    """Verification flow orchestration error."""
-
-
 class DesignError(ReproError):
     """Unknown design name or inconsistent design bundle."""
 

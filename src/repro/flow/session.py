@@ -67,10 +67,6 @@ class BatchVerifyResult:
         raise KeyError(property_name)
 
     @property
-    def all_conclusive(self) -> bool:
-        return all(o.status.conclusive for o in self.outcomes)
-
-    @property
     def any_violated(self) -> bool:
         return any(o.status is Status.VIOLATED for o in self.outcomes)
 

@@ -49,10 +49,6 @@ class LLMResponse:
     completion_tokens: int
     latency_s: float
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 class LLMClient(Protocol):
     """Anything that can answer a prompt (swap in a real API client here)."""

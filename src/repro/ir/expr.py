@@ -95,10 +95,6 @@ class Expr:
     def is_var(self) -> bool:
         return self.op == "var"
 
-    @property
-    def is_bool(self) -> bool:
-        return self.width == 1
-
 
 _INTERN: dict[tuple, Expr] = {}
 

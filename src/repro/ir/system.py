@@ -177,9 +177,6 @@ class TransitionSystem:
     def state_names(self) -> list[str]:
         return list(self.states)
 
-    def input_names(self) -> list[str]:
-        return list(self.inputs)
-
     def validate(self) -> None:
         """Check internal consistency; raises :class:`SystemError_`."""
         for name in self.states:

@@ -245,9 +245,9 @@ class ResultCache:
             if result is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                # Shallow per-field copy: callers mutate `detail` (e.g.
-                # prove_or_refute appends a note) and must not see each
-                # other's annotations or share a stats object.
+                # Shallow per-field copy: a caller that annotates its
+                # result's `detail` must not change what another caller
+                # (or the cache) sees, nor share a stats object.
                 return replace(result, stats=replace(result.stats))
             if self.backing is not None:
                 if prefetched is not None:

@@ -18,7 +18,7 @@ from repro.ir.passes import cone_of_influence
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache, run_cached
 from repro.mc.property import SafetyProperty
-from repro.mc.result import CheckResult, Status
+from repro.mc.result import CheckResult
 
 
 @dataclass
@@ -59,9 +59,6 @@ class ProofEngine:
 
     def lemma_pairs(self) -> list[tuple[E.Expr, int]]:
         return [(g, vf) for _, g, vf in self.lemmas]
-
-    def clear_lemmas(self) -> None:
-        self.lemmas.clear()
 
     # ------------------------------------------------------------------
     # Checks
@@ -111,19 +108,6 @@ class ProofEngine:
             prop, "k_induction", use_lemmas=use_lemmas,
             extra_lemmas=extra_lemmas,
             max_k=max_k if max_k is not None else self.config.max_k)
-
-    def prove_or_refute(self, prop: SafetyProperty,
-                        max_k: int | None = None) -> CheckResult:
-        """Induction first; on UNKNOWN, deepen BMC to look for a real bug."""
-        result = self.prove(prop, max_k=max_k)
-        if result.status is not Status.UNKNOWN:
-            return result
-        refutation = self.check_bmc(prop)
-        if refutation.status is Status.VIOLATED:
-            return refutation
-        result.detail += (
-            f"; no counterexample within {self.config.bmc_bound} cycles")
-        return result
 
     # ------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ the model checker's queries for offline inspection.
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from repro.errors import SatError
 from repro.sat.solver import Solver
@@ -62,8 +62,3 @@ def solver_from_dimacs(text: str) -> Solver:
     for clause in clauses:
         solver.add_clause(clause)
     return solver
-
-
-def write_dimacs(fp: TextIO, num_vars: int,
-                 clauses: Iterable[list[int]]) -> None:
-    fp.write(to_dimacs(num_vars, clauses))

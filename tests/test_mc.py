@@ -407,17 +407,6 @@ class TestEngine:
                                     E.var("count2", 8)))
         assert engine.prove(prop).status is Status.PROVEN
 
-    def test_prove_or_refute_finds_deep_bug(self):
-        s = TransitionSystem("deepbug")
-        c = s.add_state("c", 8, init=E.const(0, 8))
-        s.set_next("c", E.add(c, E.const(1, 8)))
-        prop = SafetyProperty.from_invariant(
-            "small", E.ult(E.var("c", 8), E.const(10, 8)))
-        engine = ProofEngine(s, EngineConfig(max_k=2, bmc_bound=15))
-        result = engine.prove_or_refute(prop)
-        assert result.status is Status.VIOLATED
-        assert result.k == 10
-
     def test_bad_lemma_width_rejected(self, sync_counters_system):
         engine = ProofEngine(sync_counters_system)
         with pytest.raises(ValueError):

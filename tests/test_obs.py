@@ -623,13 +623,13 @@ class TestServiceObservability:
 
 class TestStatusCli:
     def test_remote_status(self, service, capsys):
-        assert main(["status", "--backend", service.address,
-                     "--metrics"]) == 0
+        RemoteWorkQueue(service.address).register_worker("w1", pid=1)
+        assert main(["status", "--backend", service.address]) == 0
         out = capsys.readouterr().out
         assert f"backend {service.address}" in out
         assert "queue: state=open" in out
-        assert "503s served: shutdown=0, lock_contention=0" in out
-        assert "# TYPE repro_http_requests_total counter" in out
+        assert "store: 0 results, 0 history rows" in out
+        assert "workers" in out and "w1" in out
 
     def test_local_status(self, tmp_path, capsys):
         run_campaign(designs=["updown_counter"], max_k=3,
@@ -645,7 +645,24 @@ class TestStatusCli:
 
     def test_unreachable_backend_fails_cleanly(self, capsys):
         assert main(["status", "--backend", "http://127.0.0.1:9"]) == 1
-        assert capsys.readouterr().err != ""
+        assert "unreachable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["top", "--once"],
+                                      ["status", "--metrics"]])
+    def test_dashboard_knobs_are_gone(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_read_only_commands_reject_missing_directory(self, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "no-such-dir"
+        for argv in (["status", "--cache-dir", str(missing)],
+                     ["explain", "d", "p", "--cache-dir", str(missing)],
+                     ["status", "--backend", f"sqlite:{missing}"]):
+            assert main(argv) != 0
+            assert "no such backend directory" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_campaign_trace_flag_prints_pointer(self, tmp_path, capsys):
         assert main(["campaign", "updown_counter", "--max-k", "2",
@@ -1075,23 +1092,55 @@ class TestTopExplainCli:
         fleet = [
             {"worker_id": "ok", "jobs_done": 4, "busy_seconds": 4.0,
              "heartbeat_age_seconds": 1.0, "current_job": "j1",
-             "job_age_seconds": 5.0},
+             "job_age_seconds": 5.0, "lease_remaining_seconds": 14.0},
             {"worker_id": "stuck", "jobs_done": 4, "busy_seconds": 4.0,
              "heartbeat_age_seconds": 1.0, "current_job": "j2",
-             "job_age_seconds": 400.0},
+             "job_age_seconds": 400.0, "lease_remaining_seconds": 14.0},
             {"worker_id": "dead", "jobs_done": 4, "busy_seconds": 4.0,
              "heartbeat_age_seconds": 120.0, "current_job": "j3",
-             "job_age_seconds": 400.0},
+             "job_age_seconds": 400.0, "lease_remaining_seconds": -105.0},
             {"worker_id": "idle", "jobs_done": 0, "busy_seconds": 0.0,
              "heartbeat_age_seconds": 1.0, "current_job": None,
-             "job_age_seconds": None},
+             "job_age_seconds": None, "lease_remaining_seconds": None},
         ]
-        flagged = _wedged_workers(fleet, lease=15.0, factor=10.0)
-        # Median per-job solve is 1s; the threshold floors at one
-        # lease horizon (15s).  Only "stuck" is alive AND over it.
+        flagged = _wedged_workers(fleet)
+        # Median per-job solve is 1s; the threshold floors at the
+        # worker's lease horizon (beat age + remaining = 15s).  Only
+        # "stuck" has a live lease AND is over it.
         assert [(w["worker_id"], t) for w, t in flagged] == \
             [("stuck", 15.0)]
-        assert _wedged_workers(fleet[-1:], 15.0, 10.0) == []
+        assert _wedged_workers(fleet[-1:]) == []
+
+    def test_status_flags_and_journals_a_wedged_worker(self, tmp_path,
+                                                       capsys):
+        import time
+
+        from repro.dist import Heartbeat
+        queue = WorkQueue.open(tmp_path / "cache")
+        queue.enqueue([_spec("a"), _spec("b")])
+        for worker_id in ("w-ok", "w-stuck"):
+            queue.register_worker(worker_id, pid=1)
+            lease = queue.claim(worker_id, lease_seconds=30)
+            queue.heartbeat(Heartbeat(worker_id, time.time(),
+                                      lease.spec.job_id), lease_seconds=30)
+        # A fleet median of 1s per job; w-stuck's claim is 400s old.
+        queue._conn.execute(
+            "UPDATE workers SET jobs_done = 4, busy_seconds = 4.0")
+        queue._conn.execute(
+            "UPDATE jobs SET updated = ? WHERE worker_id = 'w-stuck'",
+            (time.time() - 400,))
+        queue.close()
+        assert main(["status", "--cache-dir", str(tmp_path / "cache"),
+                     "--events", str(tmp_path / "events")]) == 0
+        out = capsys.readouterr().out
+        wedged = [line for line in out.splitlines() if "WEDGED?" in line]
+        assert len(wedged) == 1 and "w-stuck" in wedged[0]
+        journal.shutdown()
+        records = [r for r in journal.load(tmp_path / "events")
+                   if r["kind"] == "worker_wedged"]
+        assert len(records) == 1
+        assert records[0]["worker"] == "w-stuck"
+        assert records[0]["threshold_seconds"] == pytest.approx(30.0)
 
     def test_worker_snapshot_reports_leases(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
@@ -1104,27 +1153,6 @@ class TestTopExplainCli:
         assert snap["job_age_seconds"] >= 0
         assert snap["lease_remaining_seconds"] > 0
         queue.close()
-
-    def test_top_once_local(self, tmp_path, capsys):
-        run_campaign(designs=["updown_counter"], max_k=3,
-                     cache_dir=tmp_path)
-        assert main(["top", "--once", "--cache-dir",
-                     str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "repro-verify top" in out
-        assert "queue: state=" in out and "store:" in out
-
-    def test_top_once_remote_shows_service_counters(self, service,
-                                                    capsys):
-        assert main(["top", "--once", "--backend",
-                     service.address]) == 0
-        out = capsys.readouterr().out
-        assert "service:" in out and "claims" in out
-
-    def test_top_once_unreachable_backend_fails(self, capsys):
-        assert main(["top", "--once", "--backend",
-                     "http://127.0.0.1:9"]) == 1
-        assert capsys.readouterr().err != ""
 
     def test_explain_reconstructs_every_property(self, tmp_path,
                                                  capsys):
