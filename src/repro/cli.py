@@ -747,8 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds between claim attempts when idle")
     p.add_argument("--idle-timeout", type=float, default=60.0,
                    help="exit after this many idle seconds — no "
-                        "claimable work or no reachable backend (the "
-                        "coordinator-closed queue also ends the worker)")
+                        "claimable work or no reachable backend (a "
+                        "closed queue with nothing to claim ends the "
+                        "worker at once)")
     p.add_argument("--max-jobs", type=int, default=None,
                    help="exit after completing this many jobs")
     p.add_argument("--jobs", type=int, default=1,

@@ -11,7 +11,13 @@ queue, spawns local workers (each one a real ``repro-verify worker``
 process pointed at the shared backend — a cache directory other
 machines can mount, or a ``repro-verify serve`` URL other machines can
 reach), and supervises.  A pool the store settles entirely takes no
-queue and starts no process.  While workers run:
+queue and starts no process.
+
+The queue is closed the moment the pool is enqueued: the pool is
+final, so each worker leaves as soon as nothing is claimable, and the
+coordinator's supervision tick ends early when one of its workers
+exits.  A campaign therefore returns when its last job does, not on
+the tick after.  While workers run:
 
 * expired leases are requeued, so the job of any worker that stopped
   heartbeating (killed, SIGSTOPped, machine-dead, or cut off from the
@@ -22,8 +28,9 @@ queue and starts no process.  While workers run:
   beating; that failure mode is bounded by ``wall_timeout``, not by
   leases);
 * dead worker processes are respawned while work remains (up to a
-  budget), and if no worker can run at all the coordinator drains the
-  queue inline, so a campaign always terminates with a verdict per job.
+  budget) — including a job requeued after every worker has left —
+  and if no worker can run at all the coordinator drains the queue
+  inline, so a campaign always terminates with a verdict per job.
 
 The coordinator is itself a campaign
 :class:`~repro.campaign.scheduler.Dispatcher` (:meth:`Coordinator
@@ -188,8 +195,8 @@ class Coordinator:
             # Best-effort close/release signals only: this runs in
             # dispatch()'s finally clause, so raising here would mask the
             # primary exception and skip reaping the spawned processes
-            # below (workers idle out, and an unreleased campaign
-            # claim lapses on its own).
+            # below (workers on a closed queue leave on their own, and
+            # an unreleased campaign claim lapses).
             pass
         deadline = time.monotonic() + max(self.poll_interval * 10, 2.0)
         for proc in self._procs.values():
@@ -256,15 +263,16 @@ class Coordinator:
     def _await_drained(self) -> None:
         """Block until every enqueued job is done.
 
-        The loop requeues expired leases, respawns dead workers while
-        pending work and respawn budget remain, and — if no worker
-        process can run at all — drains the queue inline so the
-        campaign still terminates.  A backend that stops answering
-        does not end the campaign: the loop keeps polling, workers
-        retry on their own, and queue state — leases included — is on
-        disk behind the backend, so the run resumes where it stopped
-        once the backend answers again.  Only ``wall_timeout`` bounds
-        that patience.
+        Each tick ends when a spawned worker exits or after
+        ``poll_interval``, whichever comes first.  The loop requeues
+        expired leases, respawns dead workers while pending work and
+        respawn budget remain, and — if no worker process can run at
+        all — drains the queue inline so the campaign still
+        terminates.  A backend that stops answering does not end the
+        campaign: the loop keeps polling, workers retry on their own,
+        and queue state — leases included — is on disk behind the
+        backend, so the run resumes where it stopped once the backend
+        answers again.  Only ``wall_timeout`` bounds that patience.
         """
         while True:
             self._check_wall_timeout()
@@ -273,8 +281,9 @@ class Coordinator:
                 self.queue.renew_campaign(self._campaign_id,
                                           self._campaign_lease)
                 # One snapshot answers both questions per tick — the
-                # supervision loop runs at 5 Hz against what may be a
-                # remote service, so every redundant wire call counts.
+                # supervision loop runs at up to 5 Hz against what may
+                # be a remote service, so every redundant wire call
+                # counts.
                 counts = self.queue.counts()
             except TRANSIENT_BACKEND_ERRORS as exc:
                 if not is_transient_error(exc):
@@ -295,7 +304,22 @@ class Coordinator:
                         # rather than deadlock the campaign.
                         self._drain_inline()
                         continue
+            self._await_tick()
+
+    def _await_tick(self) -> None:
+        """Sleep one supervision tick, cut short when a worker exits.
+
+        Workers leave once nothing is claimable, so a worker's exit is
+        the moment the queue is likeliest to have drained; with none
+        alive the tick is a plain sleep."""
+        live = next(iter(self._procs.values()), None)
+        if live is None:
             time.sleep(self.poll_interval)
+            return
+        try:
+            live.wait(timeout=self.poll_interval)
+        except subprocess.TimeoutExpired:
+            pass
 
     def _drain_inline(self) -> None:
         """Run pending jobs in this process (no workers available).
@@ -362,6 +386,11 @@ class Coordinator:
         self._take_queue()
         self._with_backend_retry(lambda: self.queue.enqueue(
             [spec_from_job(job) for job in enqueued]))
+        # The pool is final once enqueued: a closed queue lets each
+        # worker leave the moment nothing is claimable, and its exit is
+        # what wakes the supervision loop.
+        self._with_backend_retry(
+            lambda: self.queue.set_state(STATE_CLOSED))
         self._wanted = min(self.workers, len(enqueued))
         for _ in range(self._wanted - self._reap_processes()):
             self._spawn_worker()

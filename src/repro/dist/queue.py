@@ -13,7 +13,9 @@ protocol, whatever transport carries the calls.
 The lease protocol:
 
 * the coordinator ``enqueue``\\ s :class:`~repro.dist.protocol.JobSpec`
-  rows (highest campaign priority first) and opens the queue;
+  rows (highest campaign priority first) and closes the queue behind
+  them: the pool is final, so a worker that finds nothing claimable
+  leaves;
 * a worker ``claim``\\ s the best pending job inside one ``BEGIN
   IMMEDIATE`` transaction — claims are atomic across processes, two
   workers can never hold the same job;
@@ -84,7 +86,7 @@ CREATE TABLE IF NOT EXISTS meta (
 
 #: Queue lifecycle states (``meta`` table, key ``state``).
 STATE_OPEN = "open"          # more work may still arrive; workers poll
-STATE_CLOSED = "closed"      # campaign over; idle workers exit
+STATE_CLOSED = "closed"      # the pool is final; workers leave when nothing is claimable
 
 
 class WorkQueue:

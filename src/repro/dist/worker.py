@@ -24,6 +24,13 @@ the ordinary crashed-worker path instead of wedging a campaign.
 job's strategy race fans out across that many local processes
 (``repro-verify worker --jobs N``).
 
+A worker leaves when a claim finds nothing to take on a closed queue.
+The coordinator closes the queue as soon as it has enqueued its pool,
+so every worker — spawned or standalone — leaves once the campaign has
+nothing left to claim, and the coordinator's supervision wakes on that
+exit.  A job requeued later is re-raced by a worker the coordinator
+respawns.
+
 Run standalone via ``repro-verify worker --backend SPEC`` (point any
 number of machines/processes at one shared directory or one service
 URL), or let the coordinator spawn local workers with
@@ -68,10 +75,10 @@ class Worker:
     ``backend`` names the rendezvous (directory path, ``sqlite:DIR``,
     or ``http://HOST:PORT``).  ``lease_seconds`` is the crash-detection
     horizon: a worker that stops heartbeating for this long forfeits
-    its job.  ``idle_timeout`` (seconds without claimable work *or*
-    without a reachable backend) and ``max_jobs`` bound standalone
-    workers; coordinator-spawned workers instead exit when the queue
-    closes.
+    its job.  Every worker leaves when a claim finds nothing on a
+    closed queue; ``idle_timeout`` (seconds without claimable work on
+    an open queue *or* without a reachable backend) and ``max_jobs``
+    further bound standalone workers.
     """
 
     def __init__(self, backend: str | Path | Backend,
@@ -118,7 +125,8 @@ class Worker:
     # ------------------------------------------------------------------
 
     def run(self) -> int:
-        """Process jobs until the queue closes (or idle/max bounds hit).
+        """Process jobs until a closed queue has nothing left to claim
+        (or idle/max bounds hit).
 
         Returns the number of jobs this worker completed.
         """

@@ -351,6 +351,92 @@ class TestDistributedCampaign:
         assert verdicts(warm) == verdicts(cold)
 
 
+def _campaign_jobs(cache_dir: Path):
+    """The updown_counter campaign's job pool, as a dispatcher gets it."""
+    from repro.campaign import CampaignScheduler
+    from repro.designs import select_designs
+    return CampaignScheduler(select_designs(["updown_counter"]),
+                             ProofStore.open(cache_dir),
+                             max_k=3).build_jobs()
+
+
+@pytest.fixture
+def spawned(monkeypatch) -> list:
+    """Every worker process a ``Coordinator`` spawns while the test runs
+    (the coordinator forgets them once it has shut them down)."""
+    from repro.dist import Coordinator
+    procs: list = []
+    spawn = Coordinator._spawn_worker
+
+    def recording_spawn(self):
+        started = spawn(self)
+        if started:
+            procs.append(self._procs[f"w{self._spawned}"])
+        return started
+
+    monkeypatch.setattr(Coordinator, "_spawn_worker", recording_spawn)
+    return procs
+
+
+class TestCampaignEndsWithItsLastJob:
+    """The pool is closed when it is enqueued, so workers leave as soon
+    as nothing is claimable, and the coordinator wakes on their exit
+    instead of on its next supervision tick."""
+
+    def test_dispatch_returns_before_one_poll_interval(self, tmp_path,
+                                                       spawned):
+        from repro.dist import Coordinator
+        jobs = _campaign_jobs(tmp_path)
+        coordinator = Coordinator(tmp_path, workers=1, poll_interval=5.0,
+                                  lease_seconds=10)
+        started = time.monotonic()
+        result = coordinator.dispatch(jobs)
+        elapsed = time.monotonic() - started
+        assert set(result.outcomes) == {job.identity for job in jobs}
+        assert all(outcome.worker_id == "w1"
+                   for outcome in result.outcomes.values())
+        [worker] = spawned
+        assert worker.poll() == 0          # left on its own, not killed
+        # The supervision sleep and the worker's idle poll would each
+        # cost a full 5 s tick.
+        assert elapsed < coordinator.poll_interval
+
+    def test_job_requeued_after_the_workers_left_goes_to_a_respawn(
+            self, tmp_path, spawned, monkeypatch):
+        from repro.dist import Coordinator
+        command = Coordinator._worker_command
+
+        def claim_and_exit_as_w1(self, worker_id):
+            if worker_id != "w1":
+                return command(self, worker_id)
+            # w1 holds the best job's lease and its process exits
+            # without completing it.  The claim is made here, before w2
+            # exists, so the real worker can never drain it first.
+            WorkQueue.open(tmp_path).claim("w1", self.lease_seconds)
+            return [sys.executable, "-c", "pass"]
+
+        monkeypatch.setattr(Coordinator, "_worker_command",
+                            claim_and_exit_as_w1)
+        jobs = _campaign_jobs(tmp_path)
+        # The coordinator requeues only on a tick, and it ticks when the
+        # worker it waits on (w2 before any respawn) exits or after
+        # poll_interval, so w2 has left before w1's job is pending again.
+        coordinator = Coordinator(tmp_path, workers=2, lease_seconds=0.5,
+                                  poll_interval=2.0, wall_timeout=60)
+        result = coordinator.dispatch(jobs)
+        [lost] = [job for job, worker in coordinator.requeued
+                  if worker == "w1"]
+        assert set(result.outcomes) == {job.identity for job in jobs}
+        assert sorted(WorkQueue.open(tmp_path).results()) == \
+            sorted("::".join(job.identity) for job in jobs)
+        assert sum(stat.jobs_done for stat in result.worker_stats) == \
+            len(jobs)
+        completer = result.outcomes[tuple(lost.split("::"))].worker_id
+        assert completer not in ("w1", "w2")      # a respawned worker
+        assert len(spawned) >= 3
+        assert all(proc.poll() is not None for proc in spawned)
+
+
 def _verdicts(report):
     return {(r.design, r.property_name, r.status) for r in report.rows}
 
