@@ -186,8 +186,8 @@ def run_e5() -> Table:
         t0 = time.perf_counter()
         helper_result = engine.prove(helper, max_k=1)
         assert helper_result.status is Status.PROVEN
-        engine.add_lemma("helper", helper.good, helper.valid_from)
-        with_helper = engine.prove(target, max_k=2)
+        with_helper = engine.prove(
+            target, max_k=2, lemmas=[(helper.good, helper.valid_from)])
         t_with = time.perf_counter() - t0
         effect = "enabled proof" if (
             without.status is not Status.PROVEN
@@ -212,8 +212,8 @@ def run_e5() -> Table:
     t0 = time.perf_counter()
     helper_result = engine.prove(helper, max_k=1)
     assert helper_result.status is Status.PROVEN
-    engine.add_lemma(name, helper.good, helper.valid_from)
-    with_helper = engine.prove(target, max_k=1)
+    with_helper = engine.prove(
+        target, max_k=1, lemmas=[(helper.good, helper.valid_from)])
     t_with = time.perf_counter() - t0
     table.add_row("ecc single_error_corrected",
                   f"{without.status.value} (k={without.k})", t_without,

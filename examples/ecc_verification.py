@@ -53,11 +53,11 @@ golden_name, golden_sva = design.golden_helpers[0]
 helper_prop = ctx.add(golden_sva, name=golden_name)
 helper_result = engine.prove(helper_prop, max_k=1)
 assert helper_result.status is Status.PROVEN
-engine.add_lemma(golden_name, helper_prop.good, helper_prop.valid_from)
+lemmas = [(helper_prop.good, helper_prop.valid_from)]
 
 for prop in design.properties:
     target = ctx.add(design.property_spec(prop.name).sva, name=prop.name)
-    with_helper = engine.prove(target, max_k=1)
+    with_helper = engine.prove(target, max_k=1, lemmas=lemmas)
     table.add_row(prop.name, "unknown (k=1)",
                   with_helper.status.value,
                   with_helper.k)

@@ -144,9 +144,9 @@ def verdict_provenance(strategy: str, from_cache: bool) -> str:
     * ``"store"`` — answered from the proof store / result cache
       (nothing was solved in this run);
     * ``"seeded"`` — a strategy that loads seed lemmas won the race
-      (its resolved options give ``seeds``, set ``seed_static`` — as
-      ``pdr_seeded`` does — or set ``seed_store_dir``): the
-      GenAI-augmented flow's contribution is visible in the verdict;
+      (its resolved options give ``seeds`` or set ``seed_static``, as
+      ``pdr_seeded`` does): the GenAI-augmented flow's contribution is
+      visible in the verdict;
     * ``"engine"`` — a plain engine solved it right here.
     """
     if from_cache:
@@ -155,8 +155,7 @@ def verdict_provenance(strategy: str, from_cache: bool) -> str:
         _strategy, options = resolve_strategy(strategy)
     except StrategyError:      # not a spec (a poisoned job's is "")
         return "engine"
-    if options.get("seeds") or options.get("seed_static") or \
-            options.get("seed_store_dir") is not None:
+    if options.get("seeds") or options.get("seed_static"):
         return "seeded"
     return "engine"
 
@@ -358,35 +357,6 @@ class ProofStore:
                     "SELECT COUNT(*) FROM results").fetchone()[0])
             except sqlite3.Error:
                 return 0
-
-    def invariant_payloads(self, limit: int = 256) -> list[list]:
-        """Invariant certificates of stored *proven* results.
-
-        Each entry is one result's ``invariant`` conjunct list (PDR's
-        inductive-invariant certificate), newest results first.  The
-        PDR seeding path (:mod:`repro.mc.pdr.seed`) mines these so a
-        warm campaign hands new runs the strengthenings earlier runs
-        already proved.  Unreadable payloads are skipped — same
-        degrade-don't-raise contract as ``load``.
-        """
-        with self._lock:
-            try:
-                rows = _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT payload FROM results WHERE status = ? "
-                    "ORDER BY created DESC LIMIT ?",
-                    ("proven", limit)).fetchall())
-            except sqlite3.Error:
-                return []
-        out: list[list] = []
-        for (payload,) in rows:
-            try:
-                result = pickle.loads(payload)
-            except Exception:
-                continue
-            invariant = getattr(result, "invariant", None)
-            if isinstance(result, CheckResult) and invariant:
-                out.append(list(invariant))
-        return out
 
     # ------------------------------------------------------------------
     # Outcome history: what campaigns record and order their pools by

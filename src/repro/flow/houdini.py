@@ -91,7 +91,7 @@ def houdini_prove(system: TransitionSystem,
     # Step 0: the whole conjunction's k=1 step usually decides the run.
     first_step: CheckResult | None = None
     if active and max_k >= 1 and max_rounds >= 2:
-        first_step = ask("k_induction", _step_options(1))
+        first_step = ask("k_induction", {"max_k": 1})
         if first_step.status is Status.PROVEN:
             return HoudiniResult(active, [], k=1, rounds=asked, stats=stats,
                                  answer=first_step)
@@ -125,7 +125,7 @@ def houdini_prove(system: TransitionSystem,
             if first_step is not None:
                 result, first_step = first_step, None
             else:
-                result = ask("k_induction", _step_options(k))
+                result = ask("k_induction", {"max_k": k})
             if result.status is Status.PROVEN:
                 return HoudiniResult(active, dropped, k=k, rounds=asked,
                                      stats=stats, answer=result)
@@ -154,10 +154,6 @@ def houdini_prove(system: TransitionSystem,
                  for c in active]
     return HoudiniResult([], dropped + remaining, k=max_k, rounds=asked,
                          stats=stats)
-
-
-def _step_options(k: int) -> dict:
-    return {"max_k": k, "keep_last_step_cex": True}
 
 
 def _conjoin(props: list[SafetyProperty]) -> SafetyProperty:

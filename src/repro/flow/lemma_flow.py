@@ -113,7 +113,7 @@ class LemmaGenerationFlow:
             stats.note_proof(without)
             if lemmas:
                 with_lemmas = engine.prove(target_prop, max_k=spec.max_k,
-                                           extra_lemmas=lemmas)
+                                           lemmas=lemmas)
                 stats.note_proof(with_lemmas)
             else:
                 # No lemma: the same query, already answered and booked.

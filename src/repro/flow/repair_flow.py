@@ -111,7 +111,7 @@ class InductionRepairFlow:
         for index in range(1, MAX_ITERATIONS + 1):
             stats.iterations = index
             result = engine.prove(target, max_k=depth,
-                                  extra_lemmas=funnel.lemma_pairs())
+                                  lemmas=funnel.lemma_pairs())
             stats.note_proof(result)
             iteration = RepairIteration(index=index, induction=result)
             iterations.append(iteration)

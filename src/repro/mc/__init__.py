@@ -7,8 +7,7 @@ from repro.mc.result import CheckResult, ProofStats, Status
 from repro.mc.bmc import bmc
 from repro.mc.kinduction import KInductionOptions, k_induction
 from repro.mc.pdr import PdrOptions, pdr
-from repro.mc.cache import (CacheBacking, CacheStats, ResultCache,
-                            run_cached, strategy_cacheable)
+from repro.mc.cache import CacheBacking, CacheStats, ResultCache, run_cached
 from repro.mc.certcheck import (CertificateReport, ObligationFailure,
                                 check_certificate)
 from repro.mc.strategy import (CheckTask, Strategy, StrategyError,
@@ -49,7 +48,6 @@ __all__ = [
     "resolve_strategy",
     "run_cached",
     "run_check_task",
-    "strategy_cacheable",
     "strategy_names",
     "strategy_option_names",
 ]

@@ -292,20 +292,6 @@ class ResultCache:
             self._entries.clear()
 
 
-def strategy_cacheable(strategy, options: Mapping) -> bool:
-    """May this invocation's result be cached under its query key?
-
-    The key fingerprints the system/property/lemmas/options — which is
-    only sound when the strategy is a deterministic function of those.
-    A strategy can opt specific invocations out by exposing
-    ``cacheable(options)`` (e.g. PDR runs seeded from a proof store:
-    their outcome improves as the store warms, and a cached early
-    UNKNOWN would pin the property to its worst attempt forever).
-    """
-    probe = getattr(strategy, "cacheable", None)
-    return True if probe is None else bool(probe(options))
-
-
 class Lookup(NamedTuple):
     """What :func:`lookup` learned about one task's query."""
 
@@ -318,10 +304,11 @@ class Lookup(NamedTuple):
 def key_task(cache: ResultCache | None, task: CheckTask) -> Lookup:
     """Key ``task``'s query without asking anyone for it — the only
     place a query is keyed.  ``key`` stays ``None`` with no cache or an
-    uncacheable invocation, which nothing may then answer or store."""
-    strategy, options = resolve_strategy(task.strategy)
-    options.update(task.options)
-    if cache is None or not strategy_cacheable(strategy, options):
+    uncacheable strategy (one whose class sets ``cacheable = False``:
+    its verdict depends on something the key cannot fingerprint), which
+    nothing may then answer or store."""
+    strategy, options = resolve_strategy(task.strategy, task.options)
+    if cache is None or not getattr(strategy, "cacheable", True):
         return Lookup(strategy.name, None)
     return Lookup(strategy.name, query_key(
         task.system, task.prop, strategy.name,

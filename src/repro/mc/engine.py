@@ -2,8 +2,9 @@
 
 :class:`ProofEngine` is the "formal tool" box in the paper's Fig. 1/Fig. 2
 diagrams: it owns a design, applies cone-of-influence reduction per
-property, runs single BMC or k-induction checks, manages the
-proven-lemma pool, and reports uniform
+property, runs single BMC or k-induction checks under the proven lemmas
+each call passes (``lemmas=``, the only way a lemma reaches a check, so
+it is always in the query key), and reports uniform
 :class:`~repro.mc.result.CheckResult` records.  Batches of properties
 race through :class:`~repro.mc.portfolio.PortfolioScheduler`.
 """
@@ -30,7 +31,7 @@ class EngineConfig:
 
 
 class ProofEngine:
-    """The formal tool: proves properties, accumulates proven lemmas."""
+    """The formal tool: proves properties of one design."""
 
     def __init__(self, system: TransitionSystem,
                  config: EngineConfig | None = None,
@@ -39,34 +40,13 @@ class ProofEngine:
         self.system = system
         self.config = config or EngineConfig()
         self.cache = cache
-        # (name, good expr, valid_from) — proven global assumptions.
-        self.lemmas: list[tuple[str, E.Expr, int]] = []
-
-    # ------------------------------------------------------------------
-    # Lemma pool
-    # ------------------------------------------------------------------
-
-    def add_lemma(self, name: str, good: E.Expr,
-                  valid_from: int = 0) -> None:
-        """Register an *already proven* invariant as a global assumption.
-
-        ``valid_from`` exempts monitor warm-up cycles (a lemma built from
-        ``$past`` chains says nothing before its chains fill).
-        """
-        if good.width != 1:
-            raise ValueError("lemmas must be 1-bit expressions")
-        self.lemmas.append((name, good, valid_from))
-
-    def lemma_pairs(self) -> list[tuple[E.Expr, int]]:
-        return [(g, vf) for _, g, vf in self.lemmas]
 
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
 
     def check(self, prop: SafetyProperty, strategy: str,
-              use_lemmas: bool = True,
-              extra_lemmas: list[tuple[E.Expr, int]] | None = None,
+              lemmas: list[tuple[E.Expr, int]] | None = None,
               **options) -> CheckResult:
         """Run one check through the strategy registry (and the cache).
 
@@ -74,49 +54,48 @@ class ProofEngine:
         ``"k_induction(simple_path=True)"``, ...); every specialized
         entry point below funnels through here, so caching and
         cone-of-influence scoping behave identically everywhere.
+        ``lemmas`` are *already proven* 1-bit invariants as
+        ``(good, valid_from)`` pairs, assumed at every frame;
+        ``valid_from`` exempts monitor warm-up cycles (a lemma built
+        from ``$past`` chains says nothing before its chains fill).
         """
-        system = self.scoped_system(prop, extra_lemmas)
-        lemmas = list(self.lemma_pairs()) if use_lemmas else []
-        lemmas += list(extra_lemmas or [])
-        return run_cached(strategy, system, prop, options,
-                          lemmas=lemmas, cache=self.cache)
+        return run_cached(strategy, self.scoped_system(prop, lemmas), prop,
+                          options, lemmas=lemmas, cache=self.cache)
 
     def check_bmc(self, prop: SafetyProperty,
                   bound: int | None = None,
-                  use_lemmas: bool = True,
                   conflict_budget: int | None = None) -> CheckResult:
         """Bounded search for a real counterexample."""
-        return self.check(prop, "bmc", use_lemmas=use_lemmas,
-                          bound=bound or self.config.bmc_bound,
+        return self.check(prop, "bmc", bound=self._bound(bound),
                           conflict_budget=conflict_budget)
 
     def probe_bugs(self, prop: SafetyProperty,
                    bound: int | None = None,
                    conflict_budget: int = 4000) -> CheckResult:
         """Cheap single-shot bug triage (see :func:`repro.mc.bmc.bmc_probe`)."""
-        return self.check(prop, "bmc_probe",
-                          bound=bound or self.config.bmc_bound,
+        return self.check(prop, "bmc_probe", bound=self._bound(bound),
                           conflict_budget=conflict_budget)
 
     def prove(self, prop: SafetyProperty,
               max_k: int | None = None,
-              use_lemmas: bool = True,
-              extra_lemmas: list[tuple[E.Expr, int]] | None = None
+              lemmas: list[tuple[E.Expr, int]] | None = None
               ) -> CheckResult:
         """k-induction proof attempt (the paper's core proof method)."""
         return self.check(
-            prop, "k_induction", use_lemmas=use_lemmas,
-            extra_lemmas=extra_lemmas,
+            prop, "k_induction", lemmas=lemmas,
             max_k=max_k if max_k is not None else self.config.max_k)
+
+    def _bound(self, bound: int | None) -> int:
+        return bound if bound is not None else self.config.bmc_bound
 
     # ------------------------------------------------------------------
 
     def scoped_system(self, prop: SafetyProperty,
-                      extra_lemmas: list[tuple[E.Expr, int]] | None = None
+                      lemmas: list[tuple[E.Expr, int]] | None = None
                       ) -> TransitionSystem:
         """Cone-of-influence-reduce the design for this query.
 
-        The reduction must keep everything the property, the active lemmas,
+        The reduction must keep everything the property, the lemmas,
         and the environment constraints mention; lemma expressions are
         roots too because they are asserted at every frame.  Public
         because cache keys fingerprint the scoped system: any layer that
@@ -124,9 +103,7 @@ class ProofEngine:
         must scope through here or its keys silently fork.
         """
         roots = list(self._coi_roots(prop.bad))
-        for _, good, _vf in self.lemmas:
-            roots.extend(self._coi_roots(good))
-        for good, _vf in (extra_lemmas or []):
+        for good, _vf in (lemmas or []):
             roots.extend(self._coi_roots(good))
         roots.extend(self.system.constraints)
         return cone_of_influence(self.system, roots)

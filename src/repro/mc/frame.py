@@ -120,9 +120,9 @@ class FrameSolver:
         lemmas that hold there."""
         for c in self.system.constraints:
             self.assert_at(c, t)
-        self.add_lemmas(t)
+        self.assume_lemmas(t)
 
-    def add_lemmas(self, t: int) -> None:
+    def assume_lemmas(self, t: int) -> None:
         """Assert the lemmas that hold at time ``t`` (all of them on an
         unrooted path)."""
         for g, vf in self._lemmas:

@@ -39,7 +39,6 @@ class KInductionOptions:
 
     max_k: int = 10
     simple_path: bool = False
-    keep_last_step_cex: bool = True
 
 
 def k_induction(system: TransitionSystem, prop: SafetyProperty,
@@ -104,11 +103,10 @@ def k_induction(system: TransitionSystem, prop: SafetyProperty,
                 return CheckResult(
                     prop.name, Status.PROVEN, k=k, step_cex=None,
                     stats=stats, detail=f"induction converged at k={k}")
-            if opts.keep_last_step_cex:
-                step_cex = step.extract_trace(
-                    k + 1, TraceKind.STEP_CEX,
-                    property_name=prop.name,
-                    note=f"inductive step fails at k={k}")
+            step_cex = step.extract_trace(
+                k + 1, TraceKind.STEP_CEX,
+                property_name=prop.name,
+                note=f"inductive step fails at k={k}")
 
     _collect(stats, base, step)
     return CheckResult(prop.name, Status.UNKNOWN, k=opts.max_k,

@@ -4,8 +4,8 @@ The third proof engine next to BMC and k-induction: instead of
 unrolling, it maintains inductive frames and blocks counterexamples to
 induction one cube at a time (:mod:`repro.mc.pdr.engine`).  Registered
 with the strategy registry as ``pdr`` and ``pdr_seeded`` (frames
-pre-seeded with GenAI-synthesized and store-mined candidate lemmas —
-see :mod:`repro.mc.pdr.seed`), so every scheduling layer — portfolio
+pre-seeded with GenAI-synthesized candidate lemmas — see
+:mod:`repro.mc.pdr.seed`), so every scheduling layer — portfolio
 races, campaigns, distributed workers, and the CLI
 — gains the engine through the registry with no engine-specific code.
 """
@@ -16,8 +16,7 @@ from repro.mc.pdr.obligations import (Obligation, ObligationQueue,
                                       generalize_clause)
 from repro.mc.pdr.seed import (compile_seed_predicates,
                                gather_seed_predicates,
-                               static_seed_predicates,
-                               store_seed_predicates)
+                               static_seed_predicates)
 
 __all__ = [
     "AGE_STATE",
@@ -32,5 +31,4 @@ __all__ = [
     "generalize_clause",
     "pdr",
     "static_seed_predicates",
-    "store_seed_predicates",
 ]

@@ -62,10 +62,9 @@ class PdrOptions:
     seed).  ``max_obligations`` is the queue-side runaway guard.
     ``lift_cubes`` enables ternary-simulation lifting of predecessor
     cubes (:mod:`repro.mc.pdr.lift`) — on by default, the switch exists
-    for A/B parity checks.  The ``seed_*`` options feed
-    :mod:`repro.mc.pdr.seed`: explicit SVA bodies, static-synthesis
-    candidates mined from the design, and invariants mined from a
-    campaign proof store.
+    for A/B parity checks.  ``seeds`` and ``seed_static`` feed
+    :mod:`repro.mc.pdr.seed`: explicit SVA bodies and static-synthesis
+    candidates mined from the design.
     """
 
     max_frames: int = 25
@@ -76,8 +75,6 @@ class PdrOptions:
     lift_cubes: bool = True
     seeds: tuple[str, ...] = ()
     seed_static: bool = False
-    seed_store_dir: str | None = None
-    seed_limit: int = 16
 
 
 class _Budget(Exception):
@@ -371,9 +368,7 @@ class _PdrRun:
 
         candidates = gather_seed_predicates(
             self.original, seeds=self.opts.seeds,
-            static=self.opts.seed_static,
-            store_dir=self.opts.seed_store_dir,
-            limit=self.opts.seed_limit)
+            static=self.opts.seed_static)
         ctx, frames = self.ctx, self.frames
         for pred in candidates:
             base = list(frames.activation(0))

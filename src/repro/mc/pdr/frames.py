@@ -149,7 +149,7 @@ class PdrContext(FrameSolver):
         self.add_constraints(0)
         for name, next_expr in system.next.items():
             self._define(name, 1, next_expr, 0)
-        self.add_lemmas(1)
+        self.assume_lemmas(1)
         # Blast every state at both times so cube literals and model
         # extraction never depend on which registers the transition
         # happens to read.

@@ -2,7 +2,7 @@
 
 The paper's thesis — generated lemmas strengthen induction-based proofs
 — applies twice over to IC3/PDR, whose frames are *made of* candidate
-invariants.  This module gathers candidate predicates from three
+invariants.  This module gathers candidate predicates from two
 sources and normalizes them into the only shape the frame trapezoid can
 hold, width-1 expressions over the system's **state** variables:
 
@@ -12,12 +12,10 @@ hold, width-1 expressions over the system's **state** variables:
   :class:`~repro.genai.synthesis.static_engine.StaticSynthesizer`
   candidate generator run directly on the design (symmetric registers,
   one-hot shapes, mined affine relations, ...), i.e. the simulated-LLM
-  analysis the Fig. 1 flow uses, feeding PDR instead of Houdini;
-* **the campaign proof store** (``seed_store_dir=...``) — invariant
-  certificates from earlier *proven* PDR results
-  (:meth:`~repro.campaign.store.ProofStore.invariant_payloads`), so a
-  warm campaign hands each new run the strengthenings its predecessors
-  already discovered.
+  analysis the Fig. 1 flow uses, feeding PDR instead of Houdini.
+
+Both are functions of the specification and the system, so the query
+key that fingerprints those covers the seeds too.
 
 Everything returned here is still a *candidate*: the engine's
 admission checks (``init → p`` and ``init ∧ T → p'``) decide membership
@@ -37,30 +35,24 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 
 
+#: Most seed predicates one run admission-probes.
+SEED_LIMIT = 16
+
+
 def gather_seed_predicates(system: TransitionSystem,
                            seeds: tuple[str, ...] = (),
-                           static: bool = False,
-                           store_dir: str | None = None,
-                           limit: int = 16) -> list[E.Expr]:
-    """All seed predicates for one run, deduplicated, capped at ``limit``.
+                           static: bool = False) -> list[E.Expr]:
+    """All seed predicates for one run, deduplicated, capped at
+    :data:`SEED_LIMIT`.
 
-    Order encodes priority: explicit seeds first, then store-mined
-    invariants (already proven somewhere), then static-synthesis
+    Order encodes priority: explicit seeds first, then static-synthesis
     candidates (heuristic).
     """
-    out: list[E.Expr] = []
-    out += compile_seed_predicates(system, list(seeds))
-    if store_dir is not None:
-        out += store_seed_predicates(store_dir, system)
+    out = compile_seed_predicates(system, list(seeds))
     if static:
         out += static_seed_predicates(system)
-    seen: set[int] = set()
-    unique: list[E.Expr] = []
-    for pred in out:
-        if id(pred) not in seen:      # exprs are interned: id == identity
-            seen.add(id(pred))
-            unique.append(pred)
-    return unique[:limit]
+    # Exprs are interned, so dict keys dedupe by identity, in order.
+    return list(dict.fromkeys(out))[:SEED_LIMIT]
 
 
 def compile_seed_predicates(system: TransitionSystem,
@@ -110,39 +102,6 @@ def static_seed_predicates(system: TransitionSystem,
     except Exception:
         return []  # a design the synthesizer cannot simulate seeds nothing
     return compile_seed_predicates(system, [c.sva for c in candidates])
-
-
-def store_seed_predicates(store_dir: str, system: TransitionSystem,
-                          limit: int = 64) -> list[E.Expr]:
-    """Invariant conjuncts mined from a campaign proof store.
-
-    Every proven result in the store that carries a PDR invariant
-    certificate contributes its conjuncts; only those that type-check
-    against *this* system's state variables (same names, same widths)
-    survive — certificates from unrelated designs filter out naturally.
-    The store degrades rather than raises, matching the cache-tier
-    contract: an unreadable store seeds nothing.
-    """
-    from repro.campaign.store import ProofStore
-
-    try:
-        store = ProofStore.open(store_dir)
-    except Exception:
-        return []
-    try:
-        payloads = store.invariant_payloads(limit=limit)
-    finally:
-        try:
-            store.close()
-        except Exception:
-            pass
-    out: list[E.Expr] = []
-    for conjuncts in payloads:
-        for pred in conjuncts:
-            if isinstance(pred, E.Expr) and \
-                    _usable_state_predicate(pred, system):
-                out.append(pred)
-    return out
 
 
 def _usable_state_predicate(pred: E.Expr,

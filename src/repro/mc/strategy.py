@@ -99,10 +99,8 @@ class KInductionStrategy:
 
     def run(self, system: TransitionSystem, prop: SafetyProperty,
             lemmas: Lemmas | None = None, *, max_k: int = 10,
-            simple_path: bool = False,
-            keep_last_step_cex: bool = True) -> CheckResult:
-        options = KInductionOptions(max_k=max_k, simple_path=simple_path,
-                                    keep_last_step_cex=keep_last_step_cex)
+            simple_path: bool = False) -> CheckResult:
+        options = KInductionOptions(max_k=max_k, simple_path=simple_path)
         return k_induction(system, prop, options, lemmas=lemmas)
 
 
@@ -114,21 +112,14 @@ class PdrStrategy:
     bound it with ``max_frames`` in the spec instead
     (``"pdr(max_frames=12)"``).
 
-    The ``seed_*`` options pre-load frame 1 with candidate invariants
-    (see :mod:`repro.mc.pdr.seed`); ``pdr_seeded`` is the registered
-    variant with static GenAI synthesis seeding on by default."""
+    ``seeds`` and ``seed_static`` pre-load frame 1 with candidate
+    invariants (see :mod:`repro.mc.pdr.seed`); ``pdr_seeded`` is the
+    registered variant with static GenAI synthesis seeding on by
+    default."""
 
     name: str = "pdr"
     can_prove: bool = True
     can_refute: bool = True
-
-    @staticmethod
-    def cacheable(options: Mapping) -> bool:
-        """Store-seeded runs are not cacheable: their outcome depends
-        on the proof store's *contents*, which the query key cannot
-        fingerprint — a cached early UNKNOWN would otherwise pin the
-        property forever and defeat cross-run seed mining."""
-        return options.get("seed_store_dir") is None
 
     def run(self, system: TransitionSystem, prop: SafetyProperty,
             lemmas: Lemmas | None = None, *, max_frames: int = 25,
@@ -138,8 +129,6 @@ class PdrStrategy:
             max_obligations: int = 20_000,
             seeds: tuple = (),
             seed_static: bool = False,
-            seed_store_dir: str | None = None,
-            seed_limit: int = 16,
             lift_cubes: bool = True) -> CheckResult:
         from repro.mc.pdr import PdrOptions, pdr
         options = PdrOptions(
@@ -147,7 +136,6 @@ class PdrStrategy:
             propagation_budget=propagation_budget,
             gen_budget=gen_budget, max_obligations=max_obligations,
             seeds=tuple(seeds), seed_static=seed_static,
-            seed_store_dir=seed_store_dir, seed_limit=seed_limit,
             lift_cubes=lift_cubes)
         return pdr(system, prop, options, lemmas=lemmas)
 
@@ -170,14 +158,11 @@ class ExternalBmcStrategy:
     name: str = "external"
     can_prove: bool = False
     can_refute: bool = True
-
-    @staticmethod
-    def cacheable(options: Mapping) -> bool:
-        """Never cacheable: the verdict depends on which (if any)
-        binary is installed, which the query key cannot fingerprint —
-        a cached UNKNOWN from a binary-less machine would otherwise pin
-        the property on machines that do have one."""
-        return False
+    # Never cacheable: the verdict depends on which (if any) binary is
+    # installed, which the query key cannot fingerprint — a cached
+    # UNKNOWN from a binary-less machine would otherwise pin the
+    # property on machines that do have one.
+    cacheable = False
 
     def run(self, system: TransitionSystem, prop: SafetyProperty,
             lemmas: Lemmas | None = None, *, bound: int = 20,
@@ -246,11 +231,16 @@ def spec_name(spec: str) -> str:
     return m.group(1) if m else spec
 
 
-def resolve_strategy(spec: str) -> tuple[Strategy, dict]:
+def resolve_strategy(spec: str, overrides: Mapping = {}
+                     ) -> tuple[Strategy, dict]:
     """Parse ``"name"`` or ``"name(key=value, ...)"`` into (strategy, options).
 
     Option values are Python literals (``max_k=3``, ``simple_path=True``).
-    Options written in the spec override the name's registered defaults.
+    Options written in the spec override the name's registered defaults,
+    and ``overrides`` (a task's or a call's options) override those;
+    one that is not a keyword-only parameter of the strategy's ``run``
+    is a :class:`StrategyError` here, not a ``TypeError`` wherever the
+    check happens to run.
     """
     m = _SPEC_RE.match(spec)
     if m is None:
@@ -273,6 +263,13 @@ def resolve_strategy(spec: str) -> tuple[Strategy, dict]:
         except (SyntaxError, ValueError) as exc:
             raise StrategyError(
                 f"bad options in strategy spec {spec!r}: {exc}")
+    options.update(overrides)
+    accepted = strategy_option_names(strategy)
+    if not accepted.issuperset(options):
+        unknown = ", ".join(sorted(set(options) - accepted))
+        raise StrategyError(
+            f"strategy {name!r} takes no option {unknown}; "
+            f"accepted: {', '.join(sorted(accepted))}")
     return strategy, options
 
 
@@ -280,9 +277,8 @@ register_strategy(BmcStrategy())
 register_strategy(BmcProbeStrategy())
 register_strategy(KInductionStrategy())
 register_strategy(PdrStrategy())
-# Seeded PDR pre-loads frames with GenAI-synthesized candidate lemmas
-# (and store-mined invariants when seed_store_dir points at a campaign
-# cache): its own registry entry so a race, and the ledger's "seeded"
+# Seeded PDR pre-loads frames with GenAI-synthesized candidate lemmas:
+# its own registry entry so a race, and the ledger's "seeded"
 # provenance, can name it in one word.
 register_strategy(PdrStrategy(), name="pdr_seeded",
                   defaults={"seed_static": True})
@@ -357,8 +353,7 @@ def run_check_task(task: CheckTask) -> CheckResult:
     returned) and the ``check`` record carrying the verdict and the
     solver effort are written once, by the process that solved.
     """
-    strategy, options = resolve_strategy(task.strategy)
-    options.update(task.options)
+    strategy, options = resolve_strategy(task.strategy, task.options)
     with _journal.span("check", parent_id=_journal.adopt(task.trace),
                        design=task.system.name, property=task.prop.name,
                        strategy=strategy.name, origin="solver") as sp:

@@ -325,7 +325,7 @@ class TestRaceSpecs:
         from repro.mc.strategy import spec_name
         assert spec_name("bmc(bound=6)") == "bmc"
         assert spec_name("k_induction") == "k_induction"
-        assert spec_name(" pdr_seeded ( seed_limit=4 ) ") == "pdr_seeded"
+        assert spec_name(" pdr_seeded ( max_frames=4 ) ") == "pdr_seeded"
         assert spec_name("none") == "none"      # justice outcomes
 
     def test_bakes_depths(self):

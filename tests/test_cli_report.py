@@ -79,6 +79,19 @@ class TestCli:
                      "--max-k", "1"]) == 1
         assert "unknown" in capsys.readouterr().out
 
+    def test_bmc_bound_zero_is_depth_zero(self, capsys):
+        assert main(["bmc", "sync_counters_bug", "counters_equal",
+                     "--bound", "0"]) == 0
+        assert "violated" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_spec_option_the_strategy_does_not_take(self, jobs, capsys):
+        assert main(["verify", "updown_counter", "--strategy",
+                     "bmc(bnd=3)", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "takes no option bnd" in err
+
     def test_bmc_finds_bug(self, capsys):
         assert main(["bmc", "sync_counters_bug", "counters_equal"]) == 1
         out = capsys.readouterr().out

@@ -100,14 +100,15 @@ def test_golden_helper_closes_proof(design, prop):
     property provable — the ground truth behind the flow evaluations."""
     ctx = MonitorContext(design.system())
     engine = ProofEngine(ctx.system, EngineConfig(max_k=prop.max_k))
+    lemmas = []
     for name, sva in design.golden_helpers:
         helper = ctx.add(sva, name=name)
         helper_result = engine.prove(helper, max_k=2)
         assert helper_result.status is Status.PROVEN, \
             f"golden helper {name} of {design.name} is not inductive"
-        engine.add_lemma(name, helper.good, helper.valid_from)
+        lemmas.append((helper.good, helper.valid_from))
     target = ctx.add(prop.sva, name=prop.name)
-    result = engine.prove(target, max_k=prop.max_k)
+    result = engine.prove(target, max_k=prop.max_k, lemmas=lemmas)
     assert result.status is Status.PROVEN
 
 

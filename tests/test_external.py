@@ -338,9 +338,9 @@ class TestExternalStrategy:
             lemmas = [(E.ne(s, E.const(5, 3)), valid_from)]
             engine = ProofEngine(system)
             external = engine.check(prop, "external", bound=3,
-                                    extra_lemmas=lemmas)
+                                    lemmas=lemmas)
             internal = engine.check(prop, "bmc", bound=3,
-                                    extra_lemmas=lemmas)
+                                    lemmas=lemmas)
             assert external.status is internal.status is status
             assert external.k == internal.k
 

@@ -67,7 +67,7 @@ def _screen_first_reference(system, candidates, max_k=3, bmc_bound=10,
                     k=k, rounds=rounds, stats=stats)
             result = run_cached(
                 "k_induction", system, _conjoin(active),
-                {"max_k": k, "keep_last_step_cex": True},
+                {"max_k": k},
                 lemmas=lemmas, cache=cache)
             stats.accumulate(result.stats)
             if result.status is Status.PROVEN:
@@ -245,7 +245,7 @@ class TestHoudiniQueryOrder:
             "fifo_ctrl", ["count <= 5'd16", "count == wptr - rptr"])
         result = houdini_prove(system, candidates, max_k=2)
         assert [(s, o) for s, o, _ in asked] == \
-            [("k_induction", {"max_k": 1, "keep_last_step_cex": True})]
+            [("k_induction", {"max_k": 1})]
         assert (result.rounds, result.k) == (1, 1)
         assert [p.name for p in result.proven] == ["c0", "c1"]
 
@@ -378,7 +378,7 @@ def _parent_repair_reference(client, design, property_name):
     engine = ProofEngine(ctx.system, cache=cache)
     lemmas, calls = [], 0
     for index in range(1, 5):
-        result = engine.prove(target, max_k=spec.max_k, extra_lemmas=lemmas)
+        result = engine.prove(target, max_k=spec.max_k, lemmas=lemmas)
         if result.status is not Status.UNKNOWN or result.step_cex is None:
             return result.status, lemmas, calls
         if index == 1 and engine.probe_bugs(

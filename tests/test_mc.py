@@ -4,6 +4,7 @@ import pytest
 
 from repro.designs.registry import get_design
 from repro.errors import BitBlastError
+from repro.flow.session import VerificationSession
 from repro.hdl import elaborate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
@@ -403,11 +404,30 @@ class TestEngine:
                      E.not_(E.redand(E.var("count2", 8))))
         prop = SafetyProperty("equal_count", bad)
         assert engine.prove(prop).status is Status.UNKNOWN
-        engine.add_lemma("eq", E.eq(E.var("count1", 8),
-                                    E.var("count2", 8)))
-        assert engine.prove(prop).status is Status.PROVEN
+        eq = E.eq(E.var("count1", 8), E.var("count2", 8))
+        assert engine.prove(prop, lemmas=[(eq, 0)]).status is \
+            Status.PROVEN
+
+    def test_bound_zero_searches_depth_zero(self):
+        """``bound=0`` is a bound, not "use the default" (20, which
+        finds this design's depth-16 bug)."""
+        design = get_design("sync_counters_bug")
+        session = VerificationSession(design)
+        zero = session.bmc("counters_equal", bound=0)
+        assert (zero.status, zero.k) == (Status.BOUNDED_OK, 0)
+        deep = session.bmc("counters_equal", bound=16)
+        assert (deep.status, deep.k) == (Status.VIOLATED, 16)
+        ctx = MonitorContext(design.system())
+        spec = design.property_spec("counters_equal")
+        prop = ctx.add(spec.sva, name=spec.name)
+        probe = ProofEngine(ctx.system).probe_bugs(prop, bound=0)
+        assert probe.status is not Status.VIOLATED and probe.k == 0
 
     def test_bad_lemma_width_rejected(self, sync_counters_system):
         engine = ProofEngine(sync_counters_system)
-        with pytest.raises(ValueError):
-            engine.add_lemma("bad", E.var("count1", 8))
+        prop = SafetyProperty.from_invariant(
+            "eq", E.eq(E.var("count1", 8), E.var("count2", 8)))
+        for strategy in ("k_induction", "bmc", "pdr"):
+            with pytest.raises(BitBlastError):
+                engine.check(prop, strategy,
+                             lemmas=[(E.var("count1", 8), 0)])

@@ -1032,8 +1032,6 @@ class TestEffortLedger:
         from repro.campaign.store import verdict_provenance
         assert verdict_provenance("bmc", from_cache=True) == "store"
         assert verdict_provenance("pdr_seeded", False) == "seeded"
-        assert verdict_provenance("pdr(seed_store_dir='/x')", False) == \
-            "seeded"
         assert verdict_provenance("pdr(seeds=('a == b',))", False) == \
             "seeded"
         assert verdict_provenance("k_induction(max_k=5)", False) == \
@@ -1041,6 +1039,10 @@ class TestEffortLedger:
         # Seeded means a seed was loaded, not "seed" in the spec text.
         assert verdict_provenance("pdr_seeded(seed_static=False)",
                                   False) == "engine"
+        # A spec that no longer resolves (a removed option) is not a
+        # seeded run.
+        assert verdict_provenance("pdr(seed_store_dir='/x')", False) == \
+            "engine"
         assert verdict_provenance("pdr(seed_limit=4)", False) == "engine"
         assert verdict_provenance("", False) == "engine"
 

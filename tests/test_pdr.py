@@ -9,8 +9,9 @@ Coverage contract (the PR's acceptance criteria):
 * verdict parity pdr-vs-kinduction-vs-bmc across every registry design
   (conclusive verdicts never contradict, and match expectations);
 * GenAI/static seeding closes proofs k-induction alone cannot close at
-  its default depth, and proof-store mining feeds invariants across
-  runs;
+  its default depth;
+* a PROVEN certificate survives the cache's disk tier and still
+  re-certifies when read back;
 * the engine participates in portfolio and campaign scheduling through
   the registry with no layer-specific code.
 """
@@ -31,10 +32,10 @@ from repro.mc.certcheck import check_certificate
 from repro.mc.engine import ProofEngine
 from repro.mc.pdr import (FrameMember, FrameTrapezoid, PdrContext,
                           compile_seed_predicates, gather_seed_predicates,
-                          generalize_clause, pdr, PdrOptions,
-                          store_seed_predicates)
+                          generalize_clause, pdr, PdrOptions)
 from repro.mc.pdr.engine import _PdrRun
 from repro.mc.pdr.frames import negate_cube
+from repro.mc.pdr.seed import SEED_LIMIT
 from repro.mc.property import SafetyProperty
 from repro.mc.strategy import CheckTask
 from repro.mc.unroll import Unroller
@@ -153,9 +154,9 @@ class TestProofsAndCertificates:
         assert stuck.status is Status.UNKNOWN
         certified = engine.check(prop, "pdr")
         assert certified.status is Status.PROVEN and certified.invariant
-        for i, good in enumerate(certified.invariant):
-            engine.add_lemma(f"pdr_inv_{i}", good)
-        closed = engine.prove(prop, max_k=spec.max_k)
+        closed = engine.prove(prop, max_k=spec.max_k,
+                              lemmas=[(good, 0)
+                                      for good in certified.invariant])
         assert closed.status is Status.PROVEN
 
     def test_warmup_property_proves_without_certificate(self):
@@ -272,8 +273,7 @@ class TestVerdictParity:
                 # ... and never contradict the other engines, at any
                 # bound (shallow runs keep the sweep fast).
                 kind = engine.check(prop, "k_induction",
-                                    max_k=min(spec.max_k, 2),
-                                    keep_last_step_cex=False)
+                                    max_k=min(spec.max_k, 2))
                 bounded = engine.check(prop, "bmc", bound=4)
                 if pdr_result.status is Status.PROVEN:
                     assert kind.status is not Status.VIOLATED, case
@@ -425,78 +425,45 @@ class TestSeeding:
         assert rejected == []
 
     def test_gather_dedupes_and_caps(self):
+        """A repeated seed counts once, explicit seeds come before the
+        static candidates, and the list is cut at :data:`SEED_LIMIT`."""
         system = get_design("sync_counters").system()
+        explicit = ("count1 == count2",) + tuple(
+            f"count1 != 8'd{i}" for i in range(SEED_LIMIT))
         preds = gather_seed_predicates(
-            system, seeds=("count1 == count2", "count1 == count2"),
-            static=True, limit=3)
-        assert 1 <= len(preds) <= 3
+            system, seeds=(explicit[0],) + explicit, static=True)
+        assert len(preds) == SEED_LIMIT
         assert len({id(p) for p in preds}) == len(preds)
-
-    def test_store_mined_seeds_round_trip(self, tmp_path):
-        """A proven PDR certificate lands in the proof store through
-        the ordinary cache tier; a later run mines it back as seeds —
-        and an unrelated design mines nothing."""
-        store = ProofStore.open(tmp_path)
-        cache = ResultCache(backing=store)
-        _design, _spec, ctx, prop = _compile("traffic_onehot",
-                                             "mutual_exclusion")
-        engine = ProofEngine(ctx.system, cache=cache)
-        result = engine.check(prop, "pdr")
-        assert result.status is Status.PROVEN
-        assert store.invariant_payloads()
-        mined = store_seed_predicates(str(tmp_path), ctx.system)
-        assert mined, "certificate conjuncts should mine back"
-        other = store_seed_predicates(
-            str(tmp_path), get_design("sync_counters").system())
-        assert other == []  # foreign state names filter out
-        # End to end: a fresh seeded run admits the mined invariants.
-        rerun = _run_pdr("traffic_onehot", "mutual_exclusion",
-                         seed_store_dir=str(tmp_path))
-        assert rerun.status is Status.PROVEN
-        match = re.search(r"(\d+) seeded", rerun.detail)
-        assert match and int(match.group(1)) >= 1
-        store.close()
-
-    def test_missing_store_dir_degrades(self, tmp_path):
-        result = _run_pdr("traffic_onehot", "mutual_exclusion",
-                          seed_store_dir=str(tmp_path / "nope"))
-        assert result.status is Status.PROVEN
-
-    def test_store_seeded_runs_are_not_cached(self, tmp_path):
-        """A store-seeded result depends on the store's *contents*,
-        which the query key cannot see — so it must bypass the cache
-        entirely (a cached early UNKNOWN would pin the property to its
-        worst attempt and defeat cross-run mining)."""
-        from repro.mc import strategy_cacheable
-
-        strategy, _ = resolve_strategy("pdr")
-        assert strategy_cacheable(strategy, {"seed_store_dir": None})
-        assert not strategy_cacheable(strategy,
-                                      {"seed_store_dir": "/x"})
-        _design, _spec, ctx, prop = _compile("traffic_onehot",
-                                             "mutual_exclusion")
-        engine = ProofEngine(ctx.system)
-        scoped = engine.scoped_system(prop)
-        cache = ResultCache()
-        options = {"seed_store_dir": str(tmp_path)}
-        run_cached("pdr", scoped, prop, options, cache=cache)
-        run_cached("pdr", scoped, prop, options, cache=cache)
-        assert cache.stats.hits == 0 and cache.stats.stores == 0
+        assert preds == compile_seed_predicates(
+            system, list(explicit))[:SEED_LIMIT]
 
 
 class TestCachingAndLayers:
-    def test_run_cached_round_trip_preserves_invariant(self):
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_run_cached_round_trip_preserves_invariant(self, tier,
+                                                       tmp_path):
+        """A PROVEN certificate comes back from either cache tier with
+        the same conjuncts; read back from the proof store it still
+        re-certifies (later runs assume it as lemmas)."""
         _design, _spec, ctx, prop = _compile("traffic_onehot",
                                              "mutual_exclusion")
         engine = ProofEngine(ctx.system)
         scoped = engine.scoped_system(prop)
-        cache = ResultCache()
+        store = ProofStore.open(tmp_path) if tier == "disk" else None
+        cache = ResultCache(backing=store)
         first = run_cached("pdr", scoped, prop, {}, cache=cache)
+        if store is not None:
+            cache = ResultCache(backing=store)   # empty memory tier
         hit = run_cached("pdr", scoped, prop, {}, cache=cache)
         assert cache.stats.hits == 1
+        assert cache.stats.disk_hits == (1 if store is not None else 0)
         assert hit.status is Status.PROVEN
         assert [E.to_sexpr(g) for g in hit.invariant] == \
             [E.to_sexpr(g) for g in first.invariant]
+        report = check_certificate(scoped, prop, hit.invariant)
+        assert report.ok, report.one_line()
+        if store is not None:
+            store.close()
 
     def test_campaign_with_pdr_strategy(self, tmp_path):
         """`pdr` slots into a campaign via the registry alone — same

@@ -318,11 +318,10 @@ class TestBatchResults:
         [unaided] = PortfolioScheduler().run(
             [VerifyTask(engine.scoped_system(msb), msb)])
         assert unaided.status is Status.UNKNOWN
-        engine.add_lemma("eq", E.eq(E.var("count1", 8),
-                                    E.var("count2", 8)))
+        lemmas = [(E.eq(E.var("count1", 8), E.var("count2", 8)), 0)]
         [aided] = PortfolioScheduler().run(
-            [VerifyTask(engine.scoped_system(msb), msb,
-                        lemmas=engine.lemma_pairs())])
+            [VerifyTask(engine.scoped_system(msb, lemmas), msb,
+                        lemmas=lemmas)])
         assert aided.status is Status.PROVEN
 
 

@@ -7,11 +7,14 @@ import pytest
 from repro.ir import expr as E
 from repro.mc import Status
 from repro.mc.bmc import bmc
+from repro.mc.cache import ResultCache
+from repro.mc.engine import ProofEngine
 from repro.mc.kinduction import k_induction
 from repro.mc.property import SafetyProperty
 from repro.mc.strategy import (CheckTask, StrategyError, get_strategy,
                                register_strategy, resolve_strategy,
-                               run_check_task, strategy_names)
+                               run_check_task, strategy_names,
+                               strategy_option_names)
 
 
 @pytest.fixture
@@ -75,6 +78,38 @@ class TestSpecResolution:
     def test_malformed_or_unknown_specs(self, spec):
         with pytest.raises(StrategyError):
             resolve_strategy(spec)
+
+    @pytest.mark.parametrize("spec,option", [
+        ("bmc(bnd=3)", "bnd"),
+        ("pdr_seeded(seed_store_dir='x')", "seed_store_dir"),
+        ("k_induction(keep_last_step_cex=False)", "keep_last_step_cex"),
+    ])
+    def test_options_the_strategy_does_not_take(self, spec, option):
+        """Rejected where the spec is parsed, naming the option and what
+        the strategy does take — not a ``TypeError`` in whichever
+        process happens to run the check."""
+        accepted = ", ".join(sorted(strategy_option_names(
+            resolve_strategy(spec.split("(")[0])[0])))
+        with pytest.raises(StrategyError) as raised:
+            resolve_strategy(spec)
+        assert f"takes no option {option}; accepted: {accepted}" in \
+            str(raised.value)
+
+    @pytest.mark.parametrize("cache", [None, ResultCache()],
+                             ids=["uncached", "cached"])
+    def test_call_options_the_strategy_does_not_take(
+            self, cache, sync_counters_system, equal_prop):
+        """Options passed beside the spec are checked the same way,
+        whether or not a cache keys the query first."""
+        engine = ProofEngine(sync_counters_system, cache=cache)
+        with pytest.raises(StrategyError, match="takes no option bnd"):
+            engine.check(equal_prop, "bmc", bnd=3)
+        task = CheckTask(key=(), system=sync_counters_system,
+                         prop=equal_prop, strategy="k_induction",
+                         options={"keep_last_step_cex": False})
+        with pytest.raises(StrategyError,
+                           match="takes no option keep_last_step_cex"):
+            run_check_task(task)
 
 
 class TestRunCheckTask:

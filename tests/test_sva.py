@@ -194,8 +194,7 @@ class TestCompileSemantics:
         engine = ProofEngine(ctx.system, EngineConfig(max_k=3))
         r1 = engine.prove(p1)
         assert r1.status is Status.PROVEN
-        engine.add_lemma("a", p1.good, p1.valid_from)
-        r2 = engine.prove(p2)
+        r2 = engine.prove(p2, lemmas=[(p1.good, p1.valid_from)])
         assert r2.status is Status.PROVEN
 
     def test_duplicate_names_uniquified(self, shift_design):
