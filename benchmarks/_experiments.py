@@ -429,7 +429,7 @@ def run_e9() -> Table:
 
     For each case, three configurations run over one compiled system:
     k-induction at the property's default depth, plain PDR, and
-    GenAI-seeded PDR.  Conflicts and propagations are the headline
+    PDR seeded from the mined candidate pool.  Conflicts and propagations are the headline
     columns — the machine-independent effort measures the campaign
     report now carries per row — because wall time on this substrate
     mixes solver effort with Python overhead.

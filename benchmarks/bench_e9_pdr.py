@@ -1,14 +1,14 @@
-"""E9 — IC3/PDR vs k-induction, GenAI-seeded vs unseeded.
+"""E9 — IC3/PDR vs k-induction, seeded (mined lemmas) vs unseeded.
 
 Runs the three engine configurations over the invariant-shaped targets
-and checks the PR's headline claims:
+and checks the headline claims:
 
 * PDR proves needs-helper properties (one-hot pointer/state shapes)
   that k-induction cannot close at the property's default depth;
-* GenAI seeding extends that reach to relational invariants
-  (lock-step counter equality, FIFO occupancy), closing cases plain
-  PDR gives up on within the same budgets — or closing them with
-  strictly fewer solver conflicts;
+* seeding from the mined candidate pool extends that reach to
+  relational invariants (lock-step counter equality, FIFO occupancy),
+  closing cases plain PDR gives up on within the same budgets — or
+  closing them with strictly fewer solver conflicts;
 * no configuration ever contradicts another's conclusive verdict.
 """
 

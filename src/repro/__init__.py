@@ -21,8 +21,9 @@ Quick start::
 Subsystem map: :mod:`repro.hdl` (RTL frontend), :mod:`repro.sva`
 (properties), :mod:`repro.ir`/:mod:`repro.sim` (model + simulator),
 :mod:`repro.aig`/:mod:`repro.sat` (proof engine core), :mod:`repro.mc`
-(BMC/k-induction), :mod:`repro.trace` (CEX/waveforms), :mod:`repro.genai`
-(LLM substrate), :mod:`repro.flow` (the paper's flows),
+(BMC/k-induction), :mod:`repro.trace` (CEX/waveforms), :mod:`repro.mine`
+(candidate-lemma mining), :mod:`repro.genai` (LLM substrate over the
+mined pool), :mod:`repro.flow` (the paper's flows),
 :mod:`repro.designs` (the evaluated design suite).
 """
 

@@ -145,8 +145,8 @@ def verdict_provenance(strategy: str, from_cache: bool) -> str:
       (nothing was solved in this run);
     * ``"seeded"`` — a strategy that loads seed lemmas won the race
       (its resolved options give ``seeds`` or set ``seed_static``, as
-      ``pdr_seeded`` does): the GenAI-augmented flow's contribution is
-      visible in the verdict;
+      ``pdr_seeded`` does): lemmas mined from the design (or passed
+      as explicit seeds) helped, with no LLM in the loop;
     * ``"engine"`` — a plain engine solved it right here.
     """
     if from_cache:

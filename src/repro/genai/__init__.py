@@ -1,31 +1,25 @@
-"""GenAI substrate: prompt templates, simulated LLMs, response parsing.
+"""The LLM contract over :mod:`repro.mine`'s candidate pool.
 
-This package is the reproduction's stand-in for the paper's OpenAI /
-Llama / Gemini APIs (offline substitution documented in DESIGN.md).  The
-interfaces are those of a real deployment:
-
-* :mod:`repro.genai.prompts` builds the two prompt texts of the paper's
-  Fig. 1 (spec + RTL -> helper assertions) and Fig. 2 (CEX + RTL ->
-  inductive invariant);
-* :class:`repro.genai.client.SimulatedLLM` consumes the *prompt text
-  only* — it re-parses the embedded RTL/spec/CEX like a model reading its
-  context window — runs real invariant-synthesis engines underneath, and
-  renders a chat-style natural-language answer with SVA code blocks;
-* per-model :mod:`personas <repro.genai.personas>` shape recall,
-  precision, hallucination rate, verbosity, and latency so the Section V
-  model comparison (GPT-4-class >> Llama/Gemini) is reproducible;
-* :mod:`repro.genai.parse` extracts and validates SVA from free-form
-  response text, flagging hallucinations the way a verification engineer
-  (or the paper's recommended human-in-the-loop review) would.
+The reproduction's offline stand-in for the paper's OpenAI / Llama /
+Gemini APIs (see ``docs/architecture.md``), with the interfaces of a
+real deployment: :mod:`~repro.genai.prompts` builds the Fig. 1 (spec +
+RTL -> helper assertions) and Fig. 2 (CEX + RTL -> inductive invariant)
+prompts; :class:`~repro.genai.client.SimulatedLLM` reads *only the
+prompt text* and samples the mined pool through a per-model
+:mod:`persona <repro.genai.personas>` (recall, junk, hallucination rate,
+latency — the Section V model comparison); :mod:`~repro.genai.textgen`
+and :mod:`~repro.genai.hallucinate` render the chat-style answer and a
+weak model's corruptions of it; :mod:`~repro.genai.parse` extracts and
+validates the SVA again, flagging hallucinations the way a reviewing
+engineer would.
 """
 
-from repro.genai.client import ChatMessage, LLMClient, LLMResponse, SimulatedLLM
+from repro.genai.client import LLMClient, LLMResponse, SimulatedLLM
 from repro.genai.personas import ModelPersona, get_persona, list_personas
 from repro.genai.prompts import lemma_prompt, repair_prompt
 from repro.genai.parse import ExtractedAssertion, extract_assertions, validate_assertions
 
 __all__ = [
-    "ChatMessage",
     "ExtractedAssertion",
     "LLMClient",
     "LLMResponse",

@@ -2,12 +2,12 @@
 
 :class:`SimulatedLLM` honours the text contract end to end: it receives
 *only the prompt string*, recovers the RTL / specification / CEX sections
-from it (the way a real model reads its context window), runs the
-invariant-synthesis engines, applies its persona's quality profile
-(recall sampling, junk injection, hallucination corruption), and renders
-a chat-style response.  The flows then parse that text back — so the
-whole paper pipeline, including its failure modes, is exercised without
-network access.
+from it (the way a real model reads its context window), draws the
+design's mined candidate pool (:mod:`repro.mine`), samples it through
+its persona's quality profile (recall sampling, junk injection,
+hallucination corruption), and renders a chat-style response.  The
+flows then parse that text back — so the whole paper pipeline,
+including its failure modes, is exercised without network access.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-import time
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -25,18 +24,8 @@ from repro.ir.system import TransitionSystem
 from repro.genai.hallucinate import corrupt
 from repro.genai.personas import ModelPersona, get_persona
 from repro.genai.prompts import split_prompt
-from repro.genai.synthesis.candidates import Candidate
-from repro.genai.synthesis.cex_engine import rank_for_cex
-from repro.genai.synthesis.static_engine import StaticSynthesizer
 from repro.genai.textgen import render_response
-
-
-@dataclass
-class ChatMessage:
-    """One chat turn (kept for API familiarity; prompts are single-turn)."""
-
-    role: str
-    content: str
+from repro.mine import Candidate, StaticSynthesizer, rank_for_cex
 
 
 @dataclass
@@ -65,16 +54,13 @@ def _count_tokens(text: str) -> int:
 
 
 class SimulatedLLM:
-    """Offline stand-in for the paper's GPT-4/Llama/Gemini endpoints."""
+    """Offline stand-in for the paper's GPT-4/Llama/Gemini endpoints: a
+    persona sampler over the design's mined candidate pool."""
 
-    def __init__(self, model: str = "gpt-4o", seed: int = 0,
-                 sleep: bool = False,
-                 max_candidates: int = 24):
+    def __init__(self, model: str = "gpt-4o", seed: int = 0):
         self.persona: ModelPersona = get_persona(model)
         self.model_name = self.persona.name
         self.seed = seed
-        self.sleep = sleep
-        self.max_candidates = max_candidates
         self._system_cache: dict[str, TransitionSystem] = {}
         self.calls = 0
 
@@ -94,7 +80,7 @@ class SimulatedLLM:
         synthesizer = StaticSynthesizer(system,
                                         spec_text=sections.get("spec", ""),
                                         seed=self.seed)
-        pool = synthesizer.candidates(self.max_candidates)
+        pool = synthesizer.candidates()
         if task == "repair":
             env = _parse_cex_env(sections.get("cex", ""))
             pool = rank_for_cex(system, pool, env)
@@ -106,8 +92,6 @@ class SimulatedLLM:
                    (prompt_tokens + completion_tokens) / 1000.0 *
                    self.persona.latency_per_1k_tokens_s)
         latency *= rng.uniform(0.85, 1.15)
-        if self.sleep:
-            time.sleep(latency)
         return LLMResponse(text=text, model=self.model_name,
                            prompt_tokens=prompt_tokens,
                            completion_tokens=completion_tokens,

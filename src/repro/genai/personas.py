@@ -3,7 +3,7 @@
 The paper's Section V observes that assertions from OpenAI models
 (GPT-4-Turbo, GPT-4o) were "much better" than those from Llama or Gemini.
 A persona packages that observation into sampling parameters applied to
-the synthesis engine's ranked candidates:
+the mined pool's ranked candidates (:mod:`repro.mine`):
 
 ``recall``
     probability that a high-confidence candidate actually appears in the

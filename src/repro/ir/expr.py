@@ -799,7 +799,7 @@ def structural_signature(root: Expr, var_renaming: Mapping[str, str]) -> str:
 
     Two expressions are structurally equal modulo renaming iff their
     signatures under the corresponding renamings coincide.  Used by the
-    invariant-synthesis engine to spot symmetric registers (e.g. the
+    candidate miner to spot symmetric registers (e.g. the
     paper's ``count1``/``count2``).
     """
     memo: dict[int, str] = {}

@@ -63,8 +63,8 @@ class PdrOptions:
     ``lift_cubes`` enables ternary-simulation lifting of predecessor
     cubes (:mod:`repro.mc.pdr.lift`) — on by default, the switch exists
     for A/B parity checks.  ``seeds`` and ``seed_static`` feed
-    :mod:`repro.mc.pdr.seed`: explicit SVA bodies and static-synthesis
-    candidates mined from the design.
+    :mod:`repro.mc.pdr.seed`: explicit SVA bodies and the candidate
+    pool mined from the design (:mod:`repro.mine`).
     """
 
     max_frames: int = 25

@@ -98,8 +98,8 @@ class FrameMember:
     """One element of a frame: a blocking clause or a seeded predicate.
 
     Exactly one of ``clause``/``pred`` is set.  ``seeded`` marks members
-    admitted from external candidates (GenAI synthesis or the proof
-    store) rather than discovered by obligation blocking.
+    admitted from external candidates (explicit seeds or the mined
+    pool) rather than discovered by obligation blocking.
     """
 
     clause: tuple[BitLit, ...] | None = None

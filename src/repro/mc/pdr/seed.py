@@ -8,11 +8,11 @@ hold, width-1 expressions over the system's **state** variables:
 
 * **explicit SVA bodies** (the ``seeds=(...)`` strategy option) — e.g.
   helper assertions a user or an LLM flow already produced;
-* **static synthesis** (``seed_static=True``) — the
-  :class:`~repro.genai.synthesis.static_engine.StaticSynthesizer`
-  candidate generator run directly on the design (symmetric registers,
-  one-hot shapes, mined affine relations, ...), i.e. the simulated-LLM
-  analysis the Fig. 1 flow uses, feeding PDR instead of Houdini.
+* **mined candidates** (``seed_static=True``) — the
+  :class:`~repro.mine.static_engine.StaticSynthesizer` pool for the
+  design (symmetric registers, one-hot shapes, mined affine relations,
+  ...), the same pool the simulated LLM's personas sample, feeding PDR
+  instead of Houdini.
 
 Both are functions of the specification and the system, so the query
 key that fingerprints those covers the seeds too.
@@ -23,14 +23,14 @@ of frame 1, and ordinary consecution decides how far each seed
 propagates.  A wrong seed costs two SAT probes; it can never unsound
 the proof.
 
-Normalization rules: a candidate is dropped when it fails to parse,
-needs monitor state (``$past`` chains — frames are single-state), has a
-warm-up offset, mentions inputs or unknown signals, or is constant.
+Normalization rules: a candidate is dropped when it has no single-state
+predicate (:func:`~repro.mine.candidates.state_predicate`: it fails to
+parse, has a warm-up offset or needs monitor state — frames are
+single-state), mentions inputs or unknown signals, or is constant.
 """
 
 from __future__ import annotations
 
-from repro.errors import HdlError, PropertyError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 
@@ -45,8 +45,8 @@ def gather_seed_predicates(system: TransitionSystem,
     """All seed predicates for one run, deduplicated, capped at
     :data:`SEED_LIMIT`.
 
-    Order encodes priority: explicit seeds first, then static-synthesis
-    candidates (heuristic).
+    Order encodes priority: explicit seeds first, then mined candidates
+    (heuristic).
     """
     out = compile_seed_predicates(system, list(seeds))
     if static:
@@ -59,48 +59,27 @@ def compile_seed_predicates(system: TransitionSystem,
                             svas: list[str]) -> list[E.Expr]:
     """Compile SVA bodies into state predicates (see module docstring).
 
-    Candidates that fail to parse, resolve, or normalize are silently
-    dropped — seeding is best-effort by contract.
+    Candidates that fail to compile or normalize are silently dropped —
+    seeding is best-effort by contract.
     """
-    from repro.sva.compile import MonitorContext
+    from repro.mine import state_predicate  # mine -> sva -> mc: import late
 
     out: list[E.Expr] = []
     for text in svas:
-        try:
-            ctx = MonitorContext(system)
-            prop = ctx.add(text, name="seed")
-        except (PropertyError, HdlError):
-            continue
-        if prop.valid_from > 0 or \
-                len(ctx.system.states) != len(system.states):
-            continue  # needs monitor state: not a single-state predicate
-        good = system.resolve_defines(E.not_(prop.bad))
-        if _usable_state_predicate(good, system):
+        good = state_predicate(system, text)
+        if good is not None and _usable_state_predicate(good, system):
             out.append(good)
     return out
 
 
-def static_seed_predicates(system: TransitionSystem,
-                           spec_text: str = "",
-                           max_candidates: int = 12,
-                           sim_runs: int = 3,
-                           sim_cycles: int = 24,
-                           seed: int = 0) -> list[E.Expr]:
-    """Candidate predicates from the static synthesis engine.
-
-    Runs the same analytical core the simulated-LLM personas sample
-    from, with a lighter simulation budget than the flows use — seeds
-    only need to be *plausible*; the admission probes are the filter.
-    """
-    from repro.genai.synthesis import StaticSynthesizer
+def static_seed_predicates(system: TransitionSystem) -> list[E.Expr]:
+    """Predicates from the design's mined candidate pool."""
+    from repro.mine import StaticSynthesizer
 
     try:
-        synthesizer = StaticSynthesizer(system, spec_text=spec_text,
-                                        seed=seed, sim_runs=sim_runs,
-                                        sim_cycles=sim_cycles)
-        candidates = synthesizer.candidates(max_candidates=max_candidates)
+        candidates = StaticSynthesizer(system).candidates()
     except Exception:
-        return []  # a design the synthesizer cannot simulate seeds nothing
+        return []  # a design the miner cannot simulate seeds nothing
     return compile_seed_predicates(system, [c.sva for c in candidates])
 
 

@@ -114,8 +114,8 @@ class PdrStrategy:
 
     ``seeds`` and ``seed_static`` pre-load frame 1 with candidate
     invariants (see :mod:`repro.mc.pdr.seed`); ``pdr_seeded`` is the
-    registered variant with static GenAI synthesis seeding on by
-    default."""
+    registered variant that seeds from the design's mined candidate
+    pool (:mod:`repro.mine`) by default — mined lemmas, not an LLM's."""
 
     name: str = "pdr"
     can_prove: bool = True
@@ -231,6 +231,10 @@ def spec_name(spec: str) -> str:
     return m.group(1) if m else spec
 
 
+# Options that count cycles or frames: never negative.
+_DEPTH_OPTIONS = ("bound", "max_k", "max_frames")
+
+
 def resolve_strategy(spec: str, overrides: Mapping = {}
                      ) -> tuple[Strategy, dict]:
     """Parse ``"name"`` or ``"name(key=value, ...)"`` into (strategy, options).
@@ -238,9 +242,10 @@ def resolve_strategy(spec: str, overrides: Mapping = {}
     Option values are Python literals (``max_k=3``, ``simple_path=True``).
     Options written in the spec override the name's registered defaults,
     and ``overrides`` (a task's or a call's options) override those;
-    one that is not a keyword-only parameter of the strategy's ``run``
-    is a :class:`StrategyError` here, not a ``TypeError`` wherever the
-    check happens to run.
+    one that is not a keyword-only parameter of the strategy's ``run``,
+    or a negative ``bound`` / ``max_k`` / ``max_frames``, is a
+    :class:`StrategyError` here, not a ``TypeError`` or a nonsense
+    verdict wherever the check happens to run.
     """
     m = _SPEC_RE.match(spec)
     if m is None:
@@ -270,6 +275,12 @@ def resolve_strategy(spec: str, overrides: Mapping = {}
         raise StrategyError(
             f"strategy {name!r} takes no option {unknown}; "
             f"accepted: {', '.join(sorted(accepted))}")
+    for option in _DEPTH_OPTIONS:
+        value = options.get(option)
+        if isinstance(value, int) and value < 0:
+            raise StrategyError(
+                f"strategy {name!r}: {option}={value} is negative; "
+                "depths count cycles or frames from 0")
     return strategy, options
 
 
@@ -277,7 +288,7 @@ register_strategy(BmcStrategy())
 register_strategy(BmcProbeStrategy())
 register_strategy(KInductionStrategy())
 register_strategy(PdrStrategy())
-# Seeded PDR pre-loads frames with GenAI-synthesized candidate lemmas:
+# Seeded PDR pre-loads frames with mined candidate lemmas:
 # its own registry entry so a race, and the ledger's "seeded"
 # provenance, can name it in one word.
 register_strategy(PdrStrategy(), name="pdr_seeded",

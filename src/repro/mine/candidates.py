@@ -1,8 +1,14 @@
-"""Candidate helper assertions produced by the synthesis engines."""
+"""Candidate helper assertions produced by the mining engines, and the
+single-state predicate a candidate body stands for."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.errors import HdlError, PropertyError
+from repro.ir import expr as E
+from repro.ir.system import TransitionSystem
+from repro.sva.compile import MonitorContext
 
 
 @dataclass
@@ -34,3 +40,21 @@ def dedupe(candidates: list[Candidate]) -> list[Candidate]:
         if k not in best or c.score > best[k].score:
             best[k] = c
     return sorted(best.values(), key=lambda c: -c.score)
+
+
+def state_predicate(system: TransitionSystem, body: str) -> E.Expr | None:
+    """The "good" predicate an SVA body asserts of one state, with
+    ``system``'s defines resolved.
+
+    ``None`` when the body has no single-state meaning: it fails to
+    parse or names an unknown signal, has a warm-up offset (``$past``
+    chains), or needs monitor state of its own.
+    """
+    try:
+        ctx = MonitorContext(system)
+        prop = ctx.add(body, name="cand")
+    except (PropertyError, HdlError):
+        return None
+    if prop.valid_from > 0 or len(ctx.system.states) != len(system.states):
+        return None
+    return ctx.system.resolve_defines(E.not_(prop.bad))

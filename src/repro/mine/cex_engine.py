@@ -14,52 +14,32 @@ of the window — add `count1 == count2`"."""
 
 from __future__ import annotations
 
-from repro.errors import HdlError, PropertyError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.genai.synthesis.candidates import Candidate
-from repro.sva.parser import parse_property
-from repro.sva.compile import MonitorContext
+from repro.mine.candidates import Candidate, state_predicate
 
 
 def candidate_holds_on(system: TransitionSystem, sva_body: str,
                        env: dict[str, int]) -> bool | None:
     """Evaluate a candidate body on a single state valuation.
 
-    Returns None when the candidate cannot be evaluated statelessly
-    (parse failure, unknown signals, or $past-style history operators).
+    Returns None when the candidate has no single-state predicate (see
+    :func:`~repro.mine.candidates.state_predicate`) or mentions a
+    signal ``env`` does not value.
     """
-    try:
-        ast_node = parse_property(sva_body, name="cand")
-    except (PropertyError, HdlError):
+    good = state_predicate(system, sva_body)
+    if good is None or not E.support(good) <= set(env):
         return None
-    scratch = MonitorContext(system)
-    try:
-        prop = scratch.add(ast_node)
-    except (PropertyError, HdlError):
-        return None
-    if prop.valid_from > 0:
-        return None  # history operators: not a single-state predicate
-    resolved = scratch.system.resolve_defines(prop.bad)
-    needed = E.support(resolved)
-    missing = needed - set(env)
-    if missing:
-        return None
-    return E.evaluate(resolved, env) == 0
+    return E.evaluate(good, env) == 1
 
 
 def rank_for_cex(system: TransitionSystem,
                  pool: list[Candidate],
-                 pre_state: dict[str, int],
-                 inputs_at_0: dict[str, int] | None = None
-                 ) -> list[Candidate]:
+                 pre_state: dict[str, int]) -> list[Candidate]:
     """Reorder the candidate pool against an induction pre-state."""
-    env = dict(pre_state)
-    if inputs_at_0:
-        env.update(inputs_at_0)
     ranked: list[Candidate] = []
     for c in pool:
-        holds = candidate_holds_on(system, c.sva, env)
+        holds = candidate_holds_on(system, c.sva, pre_state)
         boosted = Candidate(sva=c.sva, kind=c.kind, score=c.score,
                             rationale=c.rationale, signals=c.signals)
         if holds is False:

@@ -1,7 +1,8 @@
 """Static + simulation-based invariant candidate generation.
 
-This engine is the analytical core behind the simulated LLM's "design
-understanding".  It combines:
+This engine is the analytical core of the candidate pool — what PDR's
+frame seeding admits and what the simulated LLM's personas sample as
+their "design understanding".  It combines:
 
 * **structural templates** over the elaborated transition system —
   symmetric registers (the paper's ``count1``/``count2``), saturation
@@ -16,8 +17,9 @@ understanding".  It combines:
   matching structural candidates, modeling the Fig. 1 flow's use of the
   spec as an input.
 
-Everything emitted is a *candidate*: the flows screen and prove before
-assuming.  Scores encode confidence and drive persona recall sampling.
+Everything emitted is a *candidate*: PDR admits and the flows screen and
+prove before assuming.  Scores encode confidence and drive persona
+recall sampling.
 """
 
 from __future__ import annotations
@@ -29,8 +31,15 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus
-from repro.genai.synthesis.candidates import Candidate, dedupe
+from repro.mine.candidates import Candidate, dedupe
 from repro.utils.bits import mask, popcount
+
+
+#: Randomized runs from reset, cycles per run, and pool size: one
+#: budget for every consumer of the pool.
+SIM_RUNS = 6
+SIM_CYCLES = 48
+MAX_CANDIDATES = 24
 
 
 def _hex(value: int, width: int) -> str:
@@ -41,12 +50,10 @@ class StaticSynthesizer:
     """Generates candidate invariants for one design."""
 
     def __init__(self, system: TransitionSystem, spec_text: str = "",
-                 seed: int = 0, sim_runs: int = 6, sim_cycles: int = 48):
+                 seed: int = 0):
         self.system = system
         self.spec_text = spec_text or ""
         self.seed = seed
-        self.sim_runs = sim_runs
-        self.sim_cycles = sim_cycles
         self._samples: list[dict[str, int]] | None = None
         # Only "user" state (not SVA monitors) participates in templates.
         self.states = {n: v for n, v in system.states.items()
@@ -54,8 +61,9 @@ class StaticSynthesizer:
 
     # ------------------------------------------------------------------
 
-    def candidates(self, max_candidates: int = 24) -> list[Candidate]:
-        """The ranked candidate list for this design."""
+    def candidates(self) -> list[Candidate]:
+        """This design's best :data:`MAX_CANDIDATES` candidates, best
+        first."""
         out: list[Candidate] = []
         out += self._symmetric_registers()
         out += self._shadow_registers()
@@ -67,7 +75,7 @@ class StaticSynthesizer:
         out = dedupe(out)
         out = self._apply_spec_hints(out)
         out.sort(key=lambda c: -c.score)
-        return out[:max_candidates]
+        return out[:MAX_CANDIDATES]
 
     # ------------------------------------------------------------------
     # Structural templates
@@ -210,12 +218,12 @@ class StaticSynthesizer:
         samples: list[dict[str, int]] = []
         pinned = self._reset_pin()
         sim = Simulator(self.system, check_constraints=False)
-        for run in range(self.sim_runs):
+        for run in range(SIM_RUNS):
             try:
                 sim.reset()
             except SimulationError:
                 sim.load_state({n: 0 for n in self.system.states})
-            stim = RandomStimulus(self.sim_cycles, seed=self.seed + run,
+            stim = RandomStimulus(SIM_CYCLES, seed=self.seed + run,
                                   pinned=pinned)
             for inputs in stim.cycles(self.system, lambda: sim.state_values):
                 samples.append(sim.step(inputs).values)

@@ -2,9 +2,10 @@
 
 The simulator is the executable semantics of the IR: the model checker and
 the bit-blaster are both cross-checked against it in the test suite.  It is
-also used operationally by the GenAI substrate to screen candidate
-invariants against simulated reachable states before any SAT effort is
-spent, and by the trace layer to re-derive define values from a SAT model.
+also used operationally to mine candidate invariants (:mod:`repro.mine`)
+and to screen them against simulated reachable states before any SAT
+effort is spent, and by the trace layer to re-derive define values from
+a SAT model.
 """
 
 from __future__ import annotations

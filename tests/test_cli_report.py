@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import ProofStore
 from repro.cli import main
 from repro.report import Table
 
@@ -91,6 +92,32 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
         assert "takes no option bnd" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "updown_counter", "--strategy", "bmc", "--bound", "-2"],
+        ["verify", "updown_counter", "--strategy", "pdr(max_frames=-1)"],
+        ["verify", "updown_counter", "--max-k", "-1"],
+    ], ids=["bound", "max_frames", "max_k"])
+    def test_negative_depth_is_refused_and_not_cached(self, argv, jobs,
+                                                      tmp_path, capsys):
+        assert main(argv + ["--jobs", jobs,
+                            "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "is negative" in err
+        assert len(ProofStore.open(tmp_path)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["bmc", "updown_counter", "upper_bound", "--bound", "-1"],
+        ["prove", "updown_counter", "upper_bound", "--max-k", "-1"],
+    ], ids=["bmc", "prove"])
+    def test_negative_depth_single_check(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            "is negative" in captured.err
 
     def test_bmc_finds_bug(self, capsys):
         assert main(["bmc", "sync_counters_bug", "counters_equal"]) == 1

@@ -1,5 +1,6 @@
 """GenAI substrate tests: prompts, extraction, personas, hallucination,
-synthesis engines, and the simulated client's text round trip."""
+the mined candidate pool the simulated client samples, and its text
+round trip."""
 
 import random
 
@@ -20,8 +21,11 @@ from repro.genai.client import _parse_cex_env
 from repro.genai.hallucinate import corrupt
 from repro.genai.personas import PAPER_MODELS
 from repro.genai.prompts import split_prompt
-from repro.genai.synthesis import StaticSynthesizer, rank_for_cex
-from repro.genai.synthesis.candidates import Candidate, dedupe
+from repro.ir import expr as E
+from repro.mc.pdr.seed import compile_seed_predicates
+from repro.mine import StaticSynthesizer, rank_for_cex, state_predicate
+from repro.mine.candidates import Candidate, dedupe
+from repro.mine.cex_engine import candidate_holds_on
 
 
 class TestPrompts:
@@ -201,6 +205,36 @@ class TestCexRanking:
         assert ranked[0].sva == "count1 == count2"
         assert ranked[0].score > 0.9
         assert ranked[1].score < 0.5  # satisfied by the CEX: useless
+
+
+class TestStatePredicate:
+    """One SVA -> state-predicate compiler behind both consumers of the
+    pool: CEX ranking and PDR's frame seeding."""
+
+    @pytest.mark.parametrize("body", [
+        "count1 == ",
+        "count1 == bogus",
+        "count1 == $past(count2)",
+        "count1 == 0 |=> count2 == 0",
+    ], ids=["syntax_error", "unknown_signal", "past", "monitor_state"])
+    def test_no_single_state_meaning(self, body):
+        system = get_design("sync_counters").system()
+        env = {"count1": 5, "count2": 9, "rst": 0}
+        assert state_predicate(system, body) is None
+        assert candidate_holds_on(system, body, env) is None
+        assert compile_seed_predicates(system, [body]) == []
+
+    def test_both_consumers_see_one_expr(self):
+        system = get_design("sync_counters").system()
+        good = state_predicate(system, "count1 == count2")
+        assert good is not None and good.width == 1
+        seeds = compile_seed_predicates(system, ["count1 == count2"])
+        assert len(seeds) == 1 and seeds[0] is good
+        for count2, holds in ((5, True), (9, False)):
+            env = {"count1": 5, "count2": count2}
+            assert E.evaluate(good, env) == holds
+            assert candidate_holds_on(system, "count1 == count2",
+                                      env) is holds
 
 
 class TestSimulatedClient:

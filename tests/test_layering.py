@@ -1,11 +1,11 @@
 """The engine stack imports nothing above it.
 
 Model checking and everything it stands on (SAT, AIG, IR, SVA,
-simulation, traces, HDL, file formats) must not reach up into the
-layers that schedule and persist its work: a check whose inputs come
-from a campaign store or a worker fabric is a check the query key
-cannot see.  ``repro.genai`` is not on the list yet: PDR's static
-seeding still runs its synthesizer.
+simulation, traces, HDL, file formats, candidate mining) must not reach
+up into the layers that schedule and persist its work: a check whose
+inputs come from a campaign store or a worker fabric is a check the
+query key cannot see.  Nor into the LLM layer: the candidates PDR
+seeds its frames with are mined from the design, not asked of a model.
 """
 
 import ast
@@ -15,8 +15,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ENGINE_STACK = ("mc", "sat", "aig", "ir", "sva", "sim", "trace", "hdl",
-                "formats")
-ABOVE = ("repro.campaign", "repro.dist", "repro.flow", "repro.cli")
+                "formats", "mine")
+ABOVE = ("repro.campaign", "repro.dist", "repro.flow", "repro.cli",
+         "repro.genai")
 
 
 def _imported_modules(source: str, package: str) -> list[tuple[int, str]]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.designs.registry import get_design
 from repro.errors import SimulationError
 from repro.flow.houdini import _drop_falsified
-from repro.genai.synthesis.static_engine import StaticSynthesizer
+from repro.mine.static_engine import StaticSynthesizer
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty

@@ -95,6 +95,37 @@ class TestSpecResolution:
         assert f"takes no option {option}; accepted: {accepted}" in \
             str(raised.value)
 
+    @pytest.mark.parametrize("spec", [
+        "bmc(bound=-1)", "bmc_probe(bound=-1)", "k_induction(max_k=-1)",
+        "pdr(max_frames=-1)", "pdr_seeded(max_frames=-2)",
+    ])
+    def test_negative_depths(self, spec):
+        with pytest.raises(StrategyError, match="=-[12] is negative"):
+            resolve_strategy(spec)
+
+    def test_zero_depth_is_legal(self):
+        assert resolve_strategy("bmc(bound=0)")[1] == {"bound": 0}
+        assert resolve_strategy("k_induction", {"max_k": 0})[1] == \
+            {"max_k": 0}
+
+    @pytest.mark.parametrize("cache", [None, ResultCache()],
+                             ids=["uncached", "cached"])
+    def test_negative_call_depth(self, cache, sync_counters_system,
+                                 equal_prop):
+        """A depth passed beside the spec is checked the same way, and
+        nothing reaches the cache."""
+        engine = ProofEngine(sync_counters_system, cache=cache)
+        with pytest.raises(StrategyError, match="bound=-1 is negative"):
+            engine.check(equal_prop, "bmc", bound=-1)
+        task = CheckTask(key=(), system=sync_counters_system,
+                         prop=equal_prop, strategy="pdr",
+                         options={"max_frames": -1})
+        with pytest.raises(StrategyError,
+                           match="max_frames=-1 is negative"):
+            run_check_task(task)
+        if cache is not None:
+            assert len(cache) == 0
+
     @pytest.mark.parametrize("cache", [None, ResultCache()],
                              ids=["uncached", "cached"])
     def test_call_options_the_strategy_does_not_take(
