@@ -15,11 +15,11 @@ import time
 from repro.designs import get_design
 from repro.flow import VerificationSession
 from repro.genai.personas import PAPER_MODELS
-from repro.hdl import elaborate
-from repro.mc import ProofEngine, Status
-from repro.mc.engine import EngineConfig
+from repro.hdl.elaborate import elaborate
+from repro.mc.engine import EngineConfig, ProofEngine
+from repro.mc.result import Status
 from repro.report import Table
-from repro.sva import MonitorContext
+from repro.sva.compile import MonitorContext
 
 SEED = 1
 
@@ -434,8 +434,6 @@ def run_e9() -> Table:
     report now carries per row — because wall time on this substrate
     mixes solver effort with Python overhead.
     """
-    from repro.mc.engine import ProofEngine
-
     table = Table(["design.property", "strategy", "status", "k",
                    "t (s)", "conflicts", "propagations"],
                   title="E9: IC3/PDR vs k-induction, seeded vs unseeded")

@@ -12,11 +12,12 @@ decode-correctness properties close at k=1.
 Run:  python examples/ecc_verification.py
 """
 
-from repro import Status, VerificationSession, get_design
-from repro.mc import ProofEngine
-from repro.mc.engine import EngineConfig
+from repro.designs import get_design
+from repro.flow import VerificationSession
+from repro.mc.engine import EngineConfig, ProofEngine
+from repro.mc.result import Status
 from repro.report import Table
-from repro.sva import MonitorContext
+from repro.sva.compile import MonitorContext
 
 design = get_design("ecc_pipeline")
 print(design.spec)

@@ -10,7 +10,9 @@ induction-step CEX and closes the proof.
 Run:  python examples/fifo_induction_repair.py
 """
 
-from repro import Status, VerificationSession, get_design
+from repro.designs import get_design
+from repro.flow import VerificationSession
+from repro.mc.result import Status
 from repro.report import Table
 from repro.trace.wave import render_for_prompt
 

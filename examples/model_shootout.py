@@ -11,7 +11,8 @@ Gemini on every column.
 Run:  python examples/model_shootout.py
 """
 
-from repro import VerificationSession, get_design
+from repro.designs import get_design
+from repro.flow import VerificationSession
 from repro.genai.personas import PAPER_MODELS
 from repro.report import Table
 

@@ -16,7 +16,9 @@ Reproduces Listings 1-3 and Fig. 3 of Kumar & Gadde (SOCC 2024):
 Run:  python examples/quickstart.py
 """
 
-from repro import Status, VerificationSession, get_design
+from repro.designs import get_design
+from repro.flow import VerificationSession
+from repro.mc.result import Status
 from repro.trace.wave import render_bit_wave, render_wave
 
 design = get_design("sync_counters")

@@ -32,10 +32,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from repro.designs import load_corpus                    # noqa: E402
 from repro.designs.base import Design                    # noqa: E402
 from repro.designs.registry import all_designs           # noqa: E402
-from repro.formats import (export_design, import_design,  # noqa: E402
-                           read_aiger_file, write_aiger_ascii)
-from repro.mc import ProofEngine, bmc                    # noqa: E402
-from repro.mc.engine import EngineConfig                 # noqa: E402
+from repro.formats.aiger import (read_aiger_file,        # noqa: E402
+                                 write_aiger_ascii)
+from repro.formats.designio import (export_design,       # noqa: E402
+                                    import_design)
+from repro.mc.bmc import bmc                             # noqa: E402
+from repro.mc.engine import EngineConfig, ProofEngine    # noqa: E402
 from repro.mc.property import SafetyProperty             # noqa: E402
 from repro.sva.compile import MonitorContext             # noqa: E402
 

@@ -9,7 +9,10 @@ Conventions this script enforces (and the docs follow):
   outside the repository (e.g. the CI badge's ``../../actions/...``
   GitHub routing trick) and absolute URLs are skipped.
 * Fenced ``bash`` blocks are *runnable documentation*: every
-  ``repro-verify ...`` line in them is executed and must exit 0.
+  ``repro-verify ...`` line in them is executed and must exit 0.  The
+  leading ``repro-verify`` runs as ``<this python> -m repro`` with the
+  tree's ``src/`` first on ``PYTHONPATH``, so the gate checks this
+  checkout and needs no installed console script.
   Long-running commands (``serve``, ``worker``), backgrounded lines
   (trailing ``&``), and non-``repro-verify`` lines are skipped.
   Illustrative shell transcripts belong in ``console`` fences, which
@@ -22,7 +25,9 @@ Run from the repository root: ``python scripts/check_docs.py``
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -103,16 +108,27 @@ def runnable(line: str) -> bool:
     return subcommand not in ("serve", "worker")
 
 
+def snippet_env() -> dict[str, str]:
+    """The environment snippets run in: this tree's ``src/`` first."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_snippets(path: Path) -> list[str]:
     errors = []
+    env = snippet_env()
     for line in bash_snippet_lines(path):
         if not runnable(line):
             continue
         print(f"  $ {line}")
+        command = f"{shlex.quote(sys.executable)} -m repro" + \
+            line[len("repro-verify"):]
         started = time.perf_counter()
         try:
-            proc = subprocess.run(line, shell=True, cwd=REPO_ROOT,
-                                  timeout=SNIPPET_TIMEOUT,
+            proc = subprocess.run(command, shell=True, cwd=REPO_ROOT,
+                                  env=env, timeout=SNIPPET_TIMEOUT,
                                   capture_output=True, text=True)
         except subprocess.TimeoutExpired:
             errors.append(f"{path.name}: snippet timed out -> {line}")

@@ -30,8 +30,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.designs.registry import all_designs          # noqa: E402
-from repro.formats import (export_design, read_aiger,   # noqa: E402
-                           write_aiger_ascii, write_aiger_binary)
+from repro.formats.aiger import (read_aiger,             # noqa: E402
+                                 write_aiger_ascii, write_aiger_binary)
+from repro.formats.designio import export_design        # noqa: E402
 
 #: Designs that also get a BTOR2 twin (word-level export coverage).
 BTOR2_TWINS = {"updown_counter", "alu_accum", "fifo_ctrl", "lfsr16"}

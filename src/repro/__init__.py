@@ -11,7 +11,8 @@ GPT-4-Turbo / GPT-4o / Llama / Gemini comparison.
 
 Quick start::
 
-    from repro import VerificationSession, get_design
+    from repro.designs import get_design
+    from repro.flow import VerificationSession
 
     session = VerificationSession(get_design("sync_counters"),
                                   model="gpt-4o")
@@ -26,37 +27,3 @@ Subsystem map: :mod:`repro.hdl` (RTL frontend), :mod:`repro.sva`
 mined pool), :mod:`repro.flow` (the paper's flows),
 :mod:`repro.designs` (the evaluated design suite).
 """
-
-from repro.designs import Design, PropertySpec, all_designs, get_design
-from repro.flow import (
-    InductionRepairFlow,
-    LemmaGenerationFlow,
-    VerificationSession,
-)
-from repro.genai import SimulatedLLM, get_persona, list_personas
-from repro.hdl import elaborate
-from repro.mc import CheckResult, ProofEngine, SafetyProperty, Status
-from repro.sva import MonitorContext, compile_property
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "CheckResult",
-    "Design",
-    "InductionRepairFlow",
-    "LemmaGenerationFlow",
-    "MonitorContext",
-    "ProofEngine",
-    "PropertySpec",
-    "SafetyProperty",
-    "SimulatedLLM",
-    "Status",
-    "VerificationSession",
-    "all_designs",
-    "compile_property",
-    "elaborate",
-    "get_design",
-    "get_persona",
-    "list_personas",
-    "__version__",
-]

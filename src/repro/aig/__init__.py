@@ -1,7 +1,1 @@
 """Bit-level lowering: and-inverter graphs, word-to-bit blasting, CNF."""
-
-from repro.aig.graph import AIG, FALSE, TRUE
-from repro.aig.bitblast import BitBlaster
-from repro.aig.cnf import CnfBuilder
-
-__all__ = ["AIG", "FALSE", "TRUE", "BitBlaster", "CnfBuilder"]

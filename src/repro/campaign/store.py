@@ -188,7 +188,8 @@ class ProofStore:
     them (``record``, ``record_ledger``, ``expected_wall``,
     ``strategy_stats``, ``property_stats``) are off both: nothing in
     the package calls them, and they remain only because the
-    end-to-end benchmark's tracer patches them by name.
+    end-to-end benchmark's tracer patches them by name
+    (``tests/test_bench_surface.py`` fails if one goes).
     """
 
     FILENAME = "proofs.sqlite"

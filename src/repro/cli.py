@@ -54,7 +54,8 @@ from repro.designs import all_designs, get_design
 from repro.errors import ReproError
 from repro.flow import VerificationSession, run_campaign
 from repro.genai import get_persona, list_personas
-from repro.mc import Status, get_strategy, resolve_strategy, strategy_names
+from repro.mc.result import Status
+from repro.mc.strategy import get_strategy, resolve_strategy, strategy_names
 from repro.obs import journal as _journal
 from repro.report import Table
 from repro.trace.wave import render_for_prompt
@@ -147,7 +148,7 @@ def _cmd_bmc(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.formats import export_design
+    from repro.formats.designio import export_design
 
     design = get_design(args.design)
     payload = export_design(design, args.format, binary=args.binary)

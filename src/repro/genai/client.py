@@ -25,7 +25,9 @@ from repro.genai.hallucinate import corrupt
 from repro.genai.personas import ModelPersona, get_persona
 from repro.genai.prompts import split_prompt
 from repro.genai.textgen import render_response
-from repro.mine import Candidate, StaticSynthesizer, rank_for_cex
+from repro.mine.candidates import Candidate
+from repro.mine.static_engine import StaticSynthesizer
+from repro.mine.cex_engine import rank_for_cex
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.genai.personas import ModelPersona
-from repro.mine import Candidate
+from repro.mine.candidates import Candidate
 
 _INTROS = {
     "OpenAI": [

@@ -19,9 +19,3 @@ Supported constructs are documented in the parser; everything outside the
 subset raises a precise :class:`~repro.errors.HdlError` with the source
 location.
 """
-
-from repro.hdl.lexer import Token, tokenize
-from repro.hdl.parser import parse_module, parse_source
-from repro.hdl.elaborate import elaborate
-
-__all__ = ["Token", "elaborate", "parse_module", "parse_source", "tokenize"]

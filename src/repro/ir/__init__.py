@@ -8,102 +8,3 @@ compiler — consume this IR, so its evaluation semantics (documented per
 operator in :mod:`repro.ir.expr`) are the single source of truth for the
 whole stack.
 """
-
-from repro.ir.expr import (
-    Expr,
-    add,
-    and_,
-    ashr,
-    bool_and,
-    bool_implies,
-    bool_not,
-    bool_or,
-    concat,
-    const,
-    countones,
-    eq,
-    evaluate,
-    extract,
-    false,
-    ite,
-    lshr,
-    mul,
-    ne,
-    neg,
-    not_,
-    or_,
-    redand,
-    redor,
-    redxor,
-    repeat,
-    sext,
-    sge,
-    sgt,
-    shl,
-    sle,
-    slt,
-    sub,
-    support,
-    substitute,
-    true,
-    uge,
-    ugt,
-    ule,
-    ult,
-    var,
-    xor,
-    zext,
-)
-from repro.ir.system import Signal, TransitionSystem
-from repro.ir.passes import cone_of_influence, deep_simplify, state_support
-
-__all__ = [
-    "Expr",
-    "Signal",
-    "TransitionSystem",
-    "add",
-    "and_",
-    "ashr",
-    "bool_and",
-    "bool_implies",
-    "bool_not",
-    "bool_or",
-    "concat",
-    "cone_of_influence",
-    "const",
-    "countones",
-    "deep_simplify",
-    "eq",
-    "evaluate",
-    "extract",
-    "false",
-    "ite",
-    "lshr",
-    "mul",
-    "ne",
-    "neg",
-    "not_",
-    "or_",
-    "redand",
-    "redor",
-    "redxor",
-    "repeat",
-    "sext",
-    "sge",
-    "sgt",
-    "shl",
-    "sle",
-    "slt",
-    "state_support",
-    "sub",
-    "substitute",
-    "support",
-    "true",
-    "uge",
-    "ugt",
-    "ule",
-    "ult",
-    "var",
-    "xor",
-    "zext",
-]

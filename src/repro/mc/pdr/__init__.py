@@ -9,26 +9,3 @@ pre-seeded with mined candidate lemmas — see
 races, campaigns, distributed workers, and the CLI
 — gains the engine through the registry with no engine-specific code.
 """
-
-from repro.mc.pdr.engine import AGE_STATE, PdrOptions, pdr
-from repro.mc.pdr.frames import FrameMember, FrameTrapezoid, PdrContext
-from repro.mc.pdr.obligations import (Obligation, ObligationQueue,
-                                      generalize_clause)
-from repro.mc.pdr.seed import (compile_seed_predicates,
-                               gather_seed_predicates,
-                               static_seed_predicates)
-
-__all__ = [
-    "AGE_STATE",
-    "FrameMember",
-    "FrameTrapezoid",
-    "Obligation",
-    "ObligationQueue",
-    "PdrContext",
-    "PdrOptions",
-    "compile_seed_predicates",
-    "gather_seed_predicates",
-    "generalize_clause",
-    "pdr",
-    "static_seed_predicates",
-]

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
+from repro.mine.candidates import state_predicate
+from repro.mine.static_engine import StaticSynthesizer
 
 
 #: Most seed predicates one run admission-probes.
@@ -62,8 +64,6 @@ def compile_seed_predicates(system: TransitionSystem,
     Candidates that fail to compile or normalize are silently dropped —
     seeding is best-effort by contract.
     """
-    from repro.mine import state_predicate  # mine -> sva -> mc: import late
-
     out: list[E.Expr] = []
     for text in svas:
         good = state_predicate(system, text)
@@ -74,8 +74,6 @@ def compile_seed_predicates(system: TransitionSystem,
 
 def static_seed_predicates(system: TransitionSystem) -> list[E.Expr]:
     """Predicates from the design's mined candidate pool."""
-    from repro.mine import StaticSynthesizer
-
     try:
         candidates = StaticSynthesizer(system).candidates()
     except Exception:

@@ -130,7 +130,7 @@ class PdrStrategy:
             seeds: tuple = (),
             seed_static: bool = False,
             lift_cubes: bool = True) -> CheckResult:
-        from repro.mc.pdr import PdrOptions, pdr
+        from repro.mc.pdr.engine import PdrOptions, pdr
         options = PdrOptions(
             max_frames=max_frames, conflict_budget=conflict_budget,
             propagation_budget=propagation_budget,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.errors import BitBlastError
 from repro.ir import expr as E
-from repro.ir.expr import timed_name, untimed_name  # noqa: F401 (re-export)
+from repro.ir.expr import timed_name
 from repro.ir.system import TransitionSystem
 
 

@@ -19,10 +19,3 @@ seeding (:mod:`repro.mc.pdr.seed`) and the simulated LLM
 still has to pass admission, screening or an inductive proof before
 anything assumes it.
 """
-
-from repro.mine.candidates import Candidate, state_predicate
-from repro.mine.static_engine import StaticSynthesizer
-from repro.mine.cex_engine import rank_for_cex
-
-__all__ = ["Candidate", "StaticSynthesizer", "rank_for_cex",
-           "state_predicate"]

@@ -1,6 +1,1 @@
 """From-scratch CDCL SAT solver with a MiniSat-style interface."""
-
-from repro.sat.solver import SatStats, Solver
-from repro.sat.dimacs import parse_dimacs, to_dimacs
-
-__all__ = ["SatStats", "Solver", "parse_dimacs", "to_dimacs"]

@@ -1,14 +1,1 @@
 """Cycle-accurate word-level simulation of transition systems."""
-
-from repro.sim.simulator import SimState, Simulator
-from repro.sim.stimulus import RandomStimulus, Stimulus, VectorStimulus
-from repro.sim.screening import screen_invariants
-
-__all__ = [
-    "RandomStimulus",
-    "SimState",
-    "Simulator",
-    "Stimulus",
-    "VectorStimulus",
-    "screen_invariants",
-]

@@ -17,16 +17,3 @@ accumulates several properties over one shared clone so that proven
 helpers can be assumed while proving targets — the mechanism behind the
 paper's lemma flow.
 """
-
-from repro.sva.ast import PropertyAst, SequenceAst
-from repro.sva.parser import parse_properties, parse_property
-from repro.sva.compile import MonitorContext, compile_property
-
-__all__ = [
-    "MonitorContext",
-    "PropertyAst",
-    "SequenceAst",
-    "compile_property",
-    "parse_properties",
-    "parse_property",
-]

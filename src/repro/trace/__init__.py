@@ -1,21 +1,1 @@
 """Counterexample traces, VCD export, and ASCII waveform rendering."""
-
-from repro.trace.trace import Trace, TraceKind
-from repro.trace.vcd import to_vcd
-from repro.trace.wave import render_wave, render_bit_wave
-from repro.trace.analyze import (
-    pre_state,
-    signals_differing,
-    violated_here,
-)
-
-__all__ = [
-    "Trace",
-    "TraceKind",
-    "pre_state",
-    "render_bit_wave",
-    "render_wave",
-    "signals_differing",
-    "to_vcd",
-    "violated_here",
-]

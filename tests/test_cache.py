@@ -10,10 +10,11 @@ import pytest
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc import ProofEngine, ResultCache, Status
-from repro.mc.cache import (expr_fingerprint, query_key, run_cached,
-                            system_fingerprint)
+from repro.mc.cache import (ResultCache, expr_fingerprint, query_key,
+                            run_cached, system_fingerprint)
+from repro.mc.engine import ProofEngine
 from repro.mc.property import SafetyProperty
+from repro.mc.result import Status
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -8,9 +8,9 @@ from repro.campaign import CampaignScheduler, ProofStore, race_specs
 from repro.designs import get_design, select_designs
 from repro.flow import VerificationSession, run_campaign
 from repro.ir.system import Signal
-from repro.mc import ResultCache, Status
+from repro.mc.cache import ResultCache
 from repro.mc.portfolio import DEFAULT_PORTFOLIO
-from repro.mc.result import CheckResult, ProofStats
+from repro.mc.result import CheckResult, ProofStats, Status
 from repro.trace.trace import Trace, TraceKind
 
 
@@ -354,7 +354,7 @@ class TestRaceSpecs:
     @pytest.mark.parametrize("spec", ["bmc(6)", "not_a_strategy",
                                       "k_induction_sp"])
     def test_malformed_specs_raise_instead_of_dropping_args(self, spec):
-        from repro.mc import StrategyError
+        from repro.mc.strategy import StrategyError
 
         with pytest.raises(StrategyError):
             race_specs((spec,), bound=6)

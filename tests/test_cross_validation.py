@@ -22,15 +22,17 @@ from repro.aig.cnf import CnfBuilder
 from repro.aig.graph import AIG
 from repro.designs.registry import design_names, get_design
 from repro.errors import BitBlastError, SatError
-from repro.hdl import elaborate
+from repro.hdl.elaborate import elaborate
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc import SafetyProperty, Status, bmc, k_induction
-from repro.mc.kinduction import KInductionOptions
+from repro.mc.bmc import bmc
+from repro.mc.kinduction import KInductionOptions, k_induction
+from repro.mc.property import SafetyProperty
+from repro.mc.result import Status
 from repro.mc.unroll import Unroller
 from repro.qa.generate import random_design
 from repro.sat.solver import Solver
-from repro.sim import Simulator
+from repro.sim.simulator import Simulator
 from repro.sva.compile import MonitorContext
 from repro.utils.bits import mask
 
@@ -768,7 +770,7 @@ class TestSvaAgainstReferenceMonitor:
             endmodule
         """
         design = elaborate(rtl)
-        from repro.sva import compile_property
+        from repro.sva.compile import compile_property
         # True property: req |=> busy.
         system, good_prop = compile_property(design, "req |=> busy",
                                              name="ok")

@@ -7,10 +7,11 @@ import pytest
 from repro.designs import all_designs, design_names, get_design
 from repro.errors import DesignError
 from repro.flow import VerificationSession
-from repro.mc import ProofEngine, Status
-from repro.mc.engine import EngineConfig
-from repro.sim import RandomStimulus, Simulator
-from repro.sva import MonitorContext
+from repro.mc.engine import EngineConfig, ProofEngine
+from repro.mc.result import Status
+from repro.sim.simulator import Simulator
+from repro.sim.stimulus import RandomStimulus
+from repro.sva.compile import MonitorContext
 
 
 class TestRegistry:
@@ -130,7 +131,7 @@ class TestPaperListingFidelity:
         assert helpers[0][1] == "count1 == count2"
 
     def test_width_parameter_sweepable(self):
-        from repro.hdl import elaborate
+        from repro.hdl.elaborate import elaborate
         system = elaborate(get_design("sync_counters").rtl,
                            params={"W": 16})
         assert system.states["count1"].width == 16

@@ -17,8 +17,7 @@ from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         Heartbeat, JobResult, JobSpec, Lease, WorkQueue,
                         Worker)
 from repro.flow import run_campaign
-from repro.mc import Status
-from repro.mc.result import CheckResult, ProofStats
+from repro.mc.result import CheckResult, ProofStats, Status
 
 
 def _spec(job_id: str = "d1::p1", design: str = "d1", prop: str = "p1",
@@ -563,7 +562,7 @@ class TestProbeBeforeEnqueue:
     def test_uncacheable_strategies_are_never_settled_by_the_probe(
             self, tmp_path):
         from repro.campaign import compile_design
-        from repro.mc import ResultCache
+        from repro.mc.cache import ResultCache
         from repro.mc.portfolio import PortfolioScheduler, VerifyTask
         store = ProofStore.open(tmp_path)
         cache = ResultCache(backing=store)

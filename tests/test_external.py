@@ -23,12 +23,14 @@ from repro.designs import get_design
 from repro.errors import SatError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc import PortfolioScheduler, ProofEngine, Status, VerifyTask
+from repro.mc.engine import ProofEngine
+from repro.mc.portfolio import PortfolioScheduler, VerifyTask
+from repro.mc.result import Status
 from repro.mc.property import SafetyProperty
 from repro.sat.external import (ExternalSolverSpec, SubprocessSolver,
                                 find_external_solver)
 from repro.sat.solver import Solver
-from repro.sva import MonitorContext
+from repro.sva.compile import MonitorContext
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -21,12 +21,11 @@ from repro.genai.parse import extract_assertions, validate_assertions
 from repro.genai.personas import PAPER_MODELS
 from repro.genai.prompts import repair_prompt
 from repro.ir.expr import structural_digest
-from repro.mc import ProofEngine, Status
 from repro.mc.cache import ResultCache, run_cached
-from repro.mc.engine import EngineConfig
-from repro.mc.result import ProofStats
+from repro.mc.engine import EngineConfig, ProofEngine
+from repro.mc.result import ProofStats, Status
 from repro.sim.screening import screen_invariants
-from repro.sva import MonitorContext
+from repro.sva.compile import MonitorContext
 from repro.trace.wave import render_for_prompt
 
 
@@ -331,7 +330,6 @@ class TestRepairFlow:
         result = session.repair("occupancy_bound", max_k=2)
         # Whatever happened, every adopted helper was proven: re-prove
         # them from scratch to double-check the flow's bookkeeping.
-        from repro.mc import ProofEngine
         for helper in result.helpers:
             # Helper proven => its own k-induction must succeed given
             # the previously-proven ones; weaker check: BMC finds no CEX.

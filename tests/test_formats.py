@@ -19,14 +19,15 @@ from hypothesis import given, settings, strategies as st
 from repro.designs import Design, PropertySpec, get_design, load_corpus
 from repro.designs.registry import CORPUS_ENV, designs_by_family
 from repro.errors import DesignError, FormatError, ReproError
-from repro.formats import (AigerModel, Latch, aiger_to_system,
-                           export_design, import_design, read_aiger,
-                           read_btor2, system_to_aiger,
-                           write_aiger_ascii, write_aiger_binary,
-                           write_btor2)
+from repro.formats.aiger import (AigerModel, Latch, read_aiger,
+                                 write_aiger_ascii, write_aiger_binary)
+from repro.formats.bridge import aiger_to_system, system_to_aiger
+from repro.formats.btor2 import read_btor2, write_btor2
+from repro.formats.designio import export_design, import_design
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc import Status, bmc
+from repro.mc.bmc import bmc
+from repro.mc.result import Status
 from repro.mc.property import SafetyProperty
 
 

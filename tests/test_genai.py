@@ -23,9 +23,9 @@ from repro.genai.personas import PAPER_MODELS
 from repro.genai.prompts import split_prompt
 from repro.ir import expr as E
 from repro.mc.pdr.seed import compile_seed_predicates
-from repro.mine import StaticSynthesizer, rank_for_cex, state_predicate
-from repro.mine.candidates import Candidate, dedupe
-from repro.mine.cex_engine import candidate_holds_on
+from repro.mine.candidates import Candidate, dedupe, state_predicate
+from repro.mine.cex_engine import candidate_holds_on, rank_for_cex
+from repro.mine.static_engine import StaticSynthesizer
 
 
 class TestPrompts:

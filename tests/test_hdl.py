@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ElaborationError, LexError, ParseError
-from repro.hdl import elaborate, parse_module, parse_source, tokenize
+from repro.hdl.elaborate import elaborate
+from repro.hdl.lexer import tokenize
+from repro.hdl.parser import parse_module, parse_source
 from repro.ir import expr as E
-from repro.sim import Simulator
+from repro.sim.simulator import Simulator
 
 
 class TestLexer:

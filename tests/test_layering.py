@@ -6,9 +6,18 @@ up into the layers that schedule and persist its work: a check whose
 inputs come from a campaign store or a worker fabric is a check the
 query key cannot see.  Nor into the LLM layer: the candidates PDR
 seeds its frames with are mined from the design, not asked of a model.
+
+The walk below reads the source; the two pins after it hold the same
+rule at run time.  A package init of the engine stack (and the
+top-level ``repro`` init) holds a docstring and no import, so importing
+a module loads its own imports and nothing a facade would pull in
+beside them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +73,46 @@ def test_the_walk_sees_nested_and_relative_imports():
              in _imported_modules(source, "repro.mc")]
     assert found == ["repro.campaign.store", "repro.dist", "repro.mc"]
     assert [_is_above(m) for m in found] == [True, True, False]
+
+
+def _engine_modules() -> list[str]:
+    names = []
+    for layer in ENGINE_STACK:
+        for path in sorted((SRC / layer).rglob("*.py")):
+            parts = path.relative_to(SRC.parent).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            names.append(".".join(parts))
+    return names
+
+
+def test_importing_the_engine_stack_loads_nothing_above_it():
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module(name)\n"
+              "print(*sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *_engine_modules()],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "repro.mc.pdr.engine" in loaded
+    assert [name for name in loaded if _is_above(name)] == []
+
+
+def _package_inits() -> list[Path]:
+    inits = [SRC / "__init__.py"]
+    for layer in ENGINE_STACK:
+        inits += sorted((SRC / layer).rglob("__init__.py"))
+    return inits
+
+
+@pytest.mark.parametrize(
+    "init", _package_inits(),
+    ids=lambda path: str(path.parent.relative_to(SRC.parent)))
+def test_package_init_is_only_a_docstring(init):
+    imports = [node.lineno for node in ast.walk(ast.parse(init.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and not (isinstance(node, ast.ImportFrom)
+                        and node.module == "__future__")]
+    assert imports == []

@@ -24,10 +24,10 @@ from repro.errors import ElaborationError, PropertyError
 from repro.flow import VerificationSession
 from repro.genai.client import LLMResponse
 from repro.genai.parse import validate_assertions
-from repro.hdl import elaborate
+from repro.hdl.elaborate import elaborate
 from repro.ir import expr as E
 from repro.ir.passes import cone_of_influence
-from repro.mc import Status
+from repro.mc.result import Status
 from repro.mc.cache import system_fingerprint
 from repro.mc.engine import ProofEngine
 from repro.mc.kinduction import KInductionOptions, k_induction

@@ -5,22 +5,18 @@ import pytest
 from repro.designs.registry import get_design
 from repro.errors import BitBlastError
 from repro.flow.session import VerificationSession
-from repro.hdl import elaborate
+from repro.hdl.elaborate import elaborate
 from repro.ir import expr as E
+from repro.ir.expr import timed_name, untimed_name
 from repro.ir.system import TransitionSystem
-from repro.mc import (
-    KInductionOptions,
-    ProofEngine,
-    SafetyProperty,
-    Status,
-    bmc,
-    k_induction,
-    pdr,
-)
-from repro.mc.bmc import bmc_probe
-from repro.mc.engine import EngineConfig
+from repro.mc.bmc import bmc, bmc_probe
+from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.frame import FrameSolver
-from repro.mc.unroll import Unroller, timed_name, untimed_name
+from repro.mc.kinduction import KInductionOptions, k_induction
+from repro.mc.pdr.engine import pdr
+from repro.mc.property import SafetyProperty
+from repro.mc.result import Status
+from repro.mc.unroll import Unroller
 from repro.qa.oracle import replay_trace
 from repro.sva.compile import MonitorContext
 from repro.trace.trace import TraceKind

@@ -17,8 +17,7 @@ from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         RemoteWorkQueue, WorkQueue, Worker, open_queue,
                         open_store, parse_backend)
 from repro.flow import run_campaign
-from repro.mc import Status
-from repro.mc.result import CheckResult, ProofStats
+from repro.mc.result import CheckResult, ProofStats, Status
 
 #: Nothing listens here: connecting must fail fast (port 9 = discard).
 DEAD_URL = "http://127.0.0.1:9"

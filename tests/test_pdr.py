@@ -25,19 +25,20 @@ import pytest
 from repro.designs import all_designs, get_design
 from repro.flow import run_campaign
 from repro.ir import expr as E
-from repro.mc import (KInductionOptions, ResultCache, Status,
-                      k_induction, resolve_strategy, run_cached,
-                      run_check_task, strategy_names)
+from repro.mc.cache import ResultCache, run_cached
 from repro.mc.certcheck import check_certificate
 from repro.mc.engine import ProofEngine
-from repro.mc.pdr import (FrameMember, FrameTrapezoid, PdrContext,
-                          compile_seed_predicates, gather_seed_predicates,
-                          generalize_clause, pdr, PdrOptions)
-from repro.mc.pdr.engine import _PdrRun
-from repro.mc.pdr.frames import negate_cube
-from repro.mc.pdr.seed import SEED_LIMIT
+from repro.mc.kinduction import KInductionOptions, k_induction
+from repro.mc.pdr.engine import PdrOptions, _PdrRun, pdr
+from repro.mc.pdr.frames import (FrameMember, FrameTrapezoid, PdrContext,
+                                 negate_cube)
+from repro.mc.pdr.obligations import generalize_clause
+from repro.mc.pdr.seed import (SEED_LIMIT, compile_seed_predicates,
+                               gather_seed_predicates)
 from repro.mc.property import SafetyProperty
-from repro.mc.strategy import CheckTask
+from repro.mc.result import Status
+from repro.mc.strategy import (CheckTask, resolve_strategy, run_check_task,
+                               strategy_names)
 from repro.mc.unroll import Unroller
 from repro.campaign.store import ProofStore
 from repro.qa import fuzz_designs, replay_trace
@@ -558,8 +559,7 @@ class TestLiftingAndSubsumption:
     def test_lifter_drops_bits_on_wide_predecessors(self):
         """On the lock-step counters most state bits are irrelevant to
         any single blocked cube, so lifting must shed some."""
-        from repro.hdl import elaborate
-        from repro.mc.pdr.engine import _PdrRun
+        from repro.hdl.elaborate import elaborate
         design = get_design("sync_counters")
         system = elaborate(design.rtl, params={"W": 4},
                            top="sync_counters")
@@ -576,8 +576,6 @@ class TestLiftingAndSubsumption:
         """The ledger keeps only the strongest clause per region: a new
         subset clause evicts weaker ones below it, and a new superset
         clause covered by an equal-or-wider member is skipped."""
-        from repro.mc.pdr.frames import (FrameMember, FrameTrapezoid,
-                                         PdrContext)
         ctx = PdrContext(counter_system)
         frames = FrameTrapezoid(ctx)
         frames.add_frame()  # levels 0..2

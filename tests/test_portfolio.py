@@ -6,8 +6,10 @@ from repro.designs import get_design
 from repro.flow import VerificationSession
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-from repro.mc import (PortfolioScheduler, ProofEngine, ResultCache,
-                      Status, VerifyTask)
+from repro.mc.cache import ResultCache
+from repro.mc.engine import ProofEngine
+from repro.mc.portfolio import PortfolioScheduler, VerifyTask
+from repro.mc.result import Status
 from repro.mc.property import SafetyProperty
 
 STRATEGIES = ("k_induction(max_k=2)", "bmc(bound=4)")
@@ -41,7 +43,7 @@ class TestSchedulerConstruction:
             PortfolioScheduler(strategies=())
 
     def test_rejects_bad_spec_eagerly(self):
-        from repro.mc import StrategyError
+        from repro.mc.strategy import StrategyError
         with pytest.raises(StrategyError):
             PortfolioScheduler(strategies=("not_a_strategy",))
 

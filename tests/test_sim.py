@@ -13,7 +13,8 @@ from repro.mine.static_engine import StaticSynthesizer
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
-from repro.sim import RandomStimulus, Simulator, VectorStimulus
+from repro.sim.simulator import Simulator
+from repro.sim.stimulus import RandomStimulus, VectorStimulus
 from repro.sim.screening import screen_invariants
 from repro.trace.trace import Trace, TraceKind
 

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.ir import expr as E
-from repro.mc import Status
+from repro.mc.result import Status
 from repro.mc.bmc import bmc
 from repro.mc.cache import ResultCache
 from repro.mc.engine import ProofEngine

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import PropertyError
-from repro.hdl import elaborate
-from repro.mc import ProofEngine, Status
-from repro.mc.engine import EngineConfig
-from repro.sva import MonitorContext, compile_property, parse_property
-from repro.sva.parser import parse_properties
+from repro.hdl.elaborate import elaborate
+from repro.mc.engine import EngineConfig, ProofEngine
+from repro.mc.result import Status
+from repro.sva.compile import MonitorContext, compile_property
+from repro.sva.parser import parse_properties, parse_property
 
 SHIFT_RTL = """
 module shiftreg (input clk, rst, input [7:0] din,

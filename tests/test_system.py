@@ -120,7 +120,9 @@ class TestConeOfInfluence:
         assert len(reduced.constraints) == 1
 
     def test_reduction_is_sound_for_proofs(self):
-        from repro.mc import SafetyProperty, Status, k_induction
+        from repro.mc.kinduction import k_induction
+        from repro.mc.property import SafetyProperty
+        from repro.mc.result import Status
         s = self._two_island_system()
         reduced = cone_of_influence(
             s, [E.ule(s.lookup("a"), E.const(15, 4))])

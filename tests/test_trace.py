@@ -5,17 +5,10 @@ import pytest
 from repro.errors import TraceError
 from repro.ir import expr as E
 from repro.ir.system import Signal
-from repro.trace import (
-    Trace,
-    TraceKind,
-    pre_state,
-    render_bit_wave,
-    render_wave,
-    signals_differing,
-    to_vcd,
-    violated_here,
-)
-from repro.trace.wave import render_for_prompt
+from repro.trace.analyze import pre_state, signals_differing, violated_here
+from repro.trace.trace import Trace, TraceKind
+from repro.trace.vcd import to_vcd
+from repro.trace.wave import render_bit_wave, render_for_prompt, render_wave
 
 
 @pytest.fixture
