@@ -198,7 +198,7 @@ class ProofStore:
         """Open (creating or recovering as needed) the store at ``path``.
 
         ``None`` opens a process-lifetime in-memory store — useful for
-        campaigns run without ``--cache-dir`` and for tests.
+        campaigns run without ``--backend`` and for tests.
         """
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()

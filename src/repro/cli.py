@@ -5,13 +5,11 @@ Subcommands::
     repro-verify list                         # designs and properties
     repro-verify verify DESIGN [PROP ...]     # batch portfolio verification
                         [--jobs N] [--strategy SPEC[+SPEC...]]
-                        [--cache-dir DIR]
+                        [--backend SPEC]
     repro-verify campaign [DESIGN ...]        # cross-design campaign over
                         [--jobs N]            # the persistent proof store
                         [--workers N]         # ... across N worker processes
-                        [--worker-jobs N]     # ... each with a local pool
-                        [--backend sqlite:DIR | http://HOST:PORT]
-                        [--cache-dir DIR] [--json PATH]
+                        [--backend SPEC] [--json PATH]
                         [--events DIR]        # the run's record stream
                         [--corpus DIR]        # + every AIGER/BTOR2 file
                                               #   under DIR as a design
@@ -32,16 +30,21 @@ Subcommands::
                         [--host H] [--port P] # over HTTP for other machines
                         [--events DIR]        # journal queue forensics
     repro-verify worker --backend SPEC        # standalone campaign worker
-                        [--id ID] [--lease S] [--idle-timeout S] [--jobs N]
+                        [--id ID] [--lease S]
     repro-verify prove  DESIGN PROP [--max-k] # plain k-induction
     repro-verify bmc    DESIGN PROP [--bound]
     repro-verify repair DESIGN PROP [--model] # Fig. 2 flow
+                        [--backend SPEC]
     repro-verify lemma  DESIGN [--model]      # Fig. 1 flow
+                        [--backend SPEC]
     repro-verify wave   DESIGN PROP           # show the step CEX waveform
     repro-verify models                       # available personas
     repro-verify strategies                   # registered check strategies
 
-(Also available as ``python -m repro ...``.)
+A backend ``SPEC`` is a directory (or ``sqlite:DIR``) holding the
+proof store and work queue, or the ``http://HOST:PORT`` of a
+``repro-verify serve`` instance.  (Also available as
+``python -m repro ...``.)
 """
 
 from __future__ import annotations
@@ -108,8 +111,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     design = get_design(args.design)
-    session = VerificationSession(design, cache_dir=args.cache_dir,
-                                  backend=args.backend)
+    session = VerificationSession(design, backend=args.backend)
     strategies = _split_strategies(args.strategy)
     result = session.verify_all(
         properties=args.properties or None, jobs=args.jobs,
@@ -224,11 +226,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             if r]
         os.environ[CORPUS_ENV] = os.pathsep.join(dict.fromkeys(roots))
     report = run_campaign(
-        designs=designs or None, cache_dir=args.cache_dir,
+        designs=designs or None, backend=args.backend,
         jobs=args.jobs, strategies=_split_strategies(args.strategy),
         max_k=args.max_k, bmc_bound=args.bound, workers=args.workers,
         lease_seconds=args.lease, wall_timeout=args.wall_timeout,
-        backend=args.backend, worker_jobs=args.worker_jobs,
         events_dir=args.events)
     print(report.to_text())
     if args.events:
@@ -251,30 +252,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.dist import Worker
-    backend = args.backend if args.backend is not None else args.cache_dir
-    if backend is None:
-        raise ValueError(
-            "a worker needs a rendezvous: pass --backend sqlite:DIR, "
-            "--backend http://HOST:PORT, or --cache-dir DIR")
-    worker = Worker(backend, worker_id=args.id,
-                    lease_seconds=args.lease,
-                    poll_interval=args.poll_interval,
-                    idle_timeout=args.idle_timeout,
-                    max_jobs=args.max_jobs,
-                    jobs=args.jobs)
+    worker = Worker(args.backend, worker_id=args.id,
+                    lease_seconds=args.lease)
     done = worker.run()
     print(f"worker {worker.worker_id}: completed {done} jobs")
     return 0
 
 
 def _resolve_backend_arg(args: argparse.Namespace, what: str):
-    backend = args.backend if args.backend is not None else args.cache_dir
-    if backend is None:
+    if args.backend is None:
         raise ValueError(
-            f"{what} needs a target: pass --backend sqlite:DIR, "
-            "--backend http://HOST:PORT, or --cache-dir DIR")
+            f"{what} needs a target: pass --backend DIR, "
+            "--backend sqlite:DIR or --backend http://HOST:PORT")
     from repro.dist.backend import parse_backend
-    resolved = parse_backend(backend)
+    resolved = parse_backend(args.backend)
     # Opening a store or queue creates its files: a read-only command
     # pointed at a mistyped directory must not leave an empty one behind.
     if not resolved.is_remote and not os.path.isdir(resolved.location):
@@ -431,8 +422,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     provenance_story = {
         "engine": "solved fresh by the engine",
         "store": "answered from the proof store (no solver ran)",
-        "seeded": "a seeded-lemma strategy won the race "
-                  "(GenAI-assisted proof)",
+        "seeded": "a strategy seeded with lemmas mined from the "
+                  "design (or given as seeds) won the race, with no "
+                  "LLM in the loop",
     }.get(entry["provenance"], entry["provenance"] or "unknown")
     print(f"{args.design}.{args.property}: {entry['status']}")
     print(f"  provenance: {entry['provenance']} — {provenance_story}")
@@ -523,7 +515,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     session = VerificationSession(get_design(args.design),
                                   model=args.model, seed=args.seed,
-                                  cache_dir=args.cache_dir)
+                                  backend=args.backend)
     result = session.repair(args.property)
     print("\n".join(result.summary_lines()))
     for outcome in result.outcomes:
@@ -534,7 +526,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_lemma(args: argparse.Namespace) -> int:
     session = VerificationSession(get_design(args.design),
                                   model=args.model, seed=args.seed,
-                                  cache_dir=args.cache_dir)
+                                  backend=args.backend)
     result = session.lemma_flow()
     print("\n".join(result.summary_lines()))
     for outcome in result.outcomes:
@@ -554,18 +546,14 @@ def _cmd_wave(args: argparse.Namespace) -> int:
     return 1
 
 
-def _add_cache_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache-dir", default=None,
-                   help="directory of the persistent proof store; runs "
-                        "read and write the same store campaigns use")
-
-
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default=None,
+def _add_backend(p: argparse.ArgumentParser, required: bool = False
+                 ) -> None:
+    p.add_argument("--backend", default=None, required=required,
+                   metavar="SPEC",
                    help="where the proof store (and work queue) lives: "
-                        "'sqlite:DIR' for an on-disk store, or "
-                        "'http://HOST:PORT' for a repro-verify serve "
-                        "instance; overrides --cache-dir")
+                        "a directory (or 'sqlite:DIR') for an on-disk "
+                        "store, or 'http://HOST:PORT' for a "
+                        "repro-verify serve instance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--bound", type=int, default=None,
                    help="BMC bound for the default portfolio refuter")
-    _add_cache_dir(p)
     _add_backend(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -613,10 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dispatch the job pool across N worker "
                         "processes through the shared work queue "
                         "(0 = run in-process)")
-    p.add_argument("--worker-jobs", type=int, default=1,
-                   help="process-pool size inside each spawned worker: "
-                        "one claimed job's strategy race fans out "
-                        "across this many local processes")
     p.add_argument("--lease", type=float, default=15.0,
                    help="distributed lease/heartbeat horizon in "
                         "seconds: a worker silent this long forfeits "
@@ -645,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also campaign over every AIGER/BTOR2 file "
                         "under DIR (loaded via the corpus importer; "
                         "designs are named by relative path)")
-    _add_cache_dir(p)
     _add_backend(p)
     p.set_defaults(func=_cmd_campaign)
 
@@ -699,9 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
              "per-worker throughput and lease ages, wedged-worker "
              "detection (lease alive but one job held far past the "
              "fleet's median solve time)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared directory holding the work queue and "
-                        "proof store (same as --backend sqlite:DIR)")
     _add_backend(p)
     p.add_argument("--watch", type=float, default=None,
                    metavar="SECONDS",
@@ -717,12 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reconstruct the story of one verdict from the effort "
              "ledger: which strategies raced, what each cost, which "
              "won, and whether the answer came from the engine, the "
-             "proof store, or a seeded-lemma assist")
+             "proof store, or lemmas mined from the design")
     p.add_argument("design")
     p.add_argument("property")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory of the proof store the campaign "
-                        "wrote (same as --backend sqlite:DIR)")
     _add_backend(p)
     p.add_argument("--events", default=None, metavar="DIR",
                    help="also print this (design, property)'s records "
@@ -733,30 +709,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "worker",
         help="run one standalone campaign worker against a shared "
-             "backend (see `campaign --workers` and `serve`)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared directory holding the work queue and "
-                        "proof store (same as --backend sqlite:DIR)")
-    _add_backend(p)
+             "backend (see `campaign --workers` and `serve`); it "
+             "races one claimed job at a time, so run one worker per "
+             "core, and leaves once a closed queue has nothing to "
+             "claim or after 60 idle seconds")
+    _add_backend(p, required=True)
     p.add_argument("--id", default=None,
                    help="worker id (default: derived from hostname "
                         "and pid; must be unique across all joined "
                         "machines)")
     p.add_argument("--lease", type=float, default=15.0,
                    help="lease/heartbeat horizon in seconds")
-    p.add_argument("--poll-interval", type=float, default=0.2,
-                   help="seconds between claim attempts when idle")
-    p.add_argument("--idle-timeout", type=float, default=60.0,
-                   help="exit after this many idle seconds — no "
-                        "claimable work or no reachable backend (a "
-                        "closed queue with nothing to claim ends the "
-                        "worker at once)")
-    p.add_argument("--max-jobs", type=int, default=None,
-                   help="exit after completing this many jobs")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="process-pool size inside this worker: each "
-                        "claimed job's strategy race fans out across "
-                        "this many local processes")
     p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser(
@@ -798,14 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property")
     p.add_argument("--model", default="gpt-4o")
     p.add_argument("--seed", type=int, default=0)
-    _add_cache_dir(p)
+    _add_backend(p)
     p.set_defaults(func=_cmd_repair)
 
     p = sub.add_parser("lemma", help="Fig. 1 lemma-generation flow")
     p.add_argument("design")
     p.add_argument("--model", default="gpt-4o")
     p.add_argument("--seed", type=int, default=0)
-    _add_cache_dir(p)
+    _add_backend(p)
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("wave", help="show an induction-step CEX waveform")

@@ -52,13 +52,13 @@ from typing import Iterable, Sequence
 
 from repro.campaign.scheduler import (CampaignJob, DispatchOutcome,
                                       DispatchResult)
+from repro.dist import worker as _worker
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
                                 open_store, parse_backend)
 from repro.dist.protocol import (JOB_LEASED, JOB_PENDING, JobResult,
                                  JobSpec)
 from repro.dist.queue import STATE_CLOSED
-from repro.dist.worker import Worker
 from repro.errors import ReproError
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.portfolio import PortfolioScheduler
@@ -98,33 +98,27 @@ class Coordinator:
     ``backend`` is the rendezvous every worker shares (directory path,
     ``sqlite:DIR``, or ``http://HOST:PORT``); ``workers`` local worker
     processes are spawned via ``python -m repro worker``, each racing
-    one claimed job across ``worker_jobs`` local processes;
-    ``lease_seconds`` bounds crash detection (a worker silent that long
-    forfeits its job); ``wall_timeout`` (None = unbounded) bounds the
-    whole run as a last-resort stall guard.  ``cache`` is the
-    campaign's store-backed result cache, through which the pool is
-    probed before anything is enqueued; without one the coordinator
-    opens the backend's store for the campaign.
+    one claimed job at a time; ``lease_seconds`` bounds crash detection
+    (a worker silent that long forfeits its job); ``wall_timeout``
+    (None = unbounded) bounds the whole run as a last-resort stall
+    guard.  Dead workers are respawned up to ``2 * workers`` times.
+    ``cache`` is the campaign's store-backed result cache, through
+    which the pool is probed before anything is enqueued; without one
+    the coordinator opens the backend's store for the campaign.  The
+    supervision tick is :data:`repro.dist.worker.POLL_INTERVAL`.
     """
 
     def __init__(self, backend: str | Path | Backend,
                  workers: int = 2,
                  lease_seconds: float = 15.0,
-                 poll_interval: float = 0.2,
                  wall_timeout: float | None = None,
-                 max_respawns: int | None = None,
-                 worker_jobs: int = 1,
                  cache: ResultCache | None = None):
         if workers < 1:
             raise ValueError("a distributed campaign needs >= 1 worker")
         self.backend = parse_backend(backend)
         self.workers = workers
         self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
         self.wall_timeout = wall_timeout
-        self.max_respawns = max_respawns if max_respawns is not None \
-            else workers * 2
-        self.worker_jobs = worker_jobs
         self.queue = open_queue(self.backend)
         self._own_store = open_store(self.backend) if cache is None \
             else None
@@ -151,9 +145,7 @@ class Coordinator:
         return [sys.executable, "-m", "repro", "worker",
                 "--backend", self.backend.spec(),
                 "--id", worker_id,
-                "--lease", str(self.lease_seconds),
-                "--poll-interval", str(self.poll_interval),
-                "--jobs", str(self.worker_jobs)]
+                "--lease", str(self.lease_seconds)]
 
     def _spawn_worker(self) -> bool:
         self._spawned += 1
@@ -198,7 +190,7 @@ class Coordinator:
             # below (workers on a closed queue leave on their own, and
             # an unreleased campaign claim lapses).
             pass
-        deadline = time.monotonic() + max(self.poll_interval * 10, 2.0)
+        deadline = time.monotonic() + max(_worker.POLL_INTERVAL * 10, 2.0)
         for proc in self._procs.values():
             remaining = deadline - time.monotonic()
             try:
@@ -255,7 +247,7 @@ class Coordinator:
                         f"backend {self.backend.spec()} never answered "
                         f"within {self.NEVER_ANSWERED_GRACE}s: "
                         f"{exc}") from exc
-                time.sleep(self.poll_interval)
+                time.sleep(_worker.POLL_INTERVAL)
                 continue
             self._backend_answered = True
             return value
@@ -264,15 +256,16 @@ class Coordinator:
         """Block until every enqueued job is done.
 
         Each tick ends when a spawned worker exits or after
-        ``poll_interval``, whichever comes first.  The loop requeues
-        expired leases, respawns dead workers while pending work and
-        respawn budget remain, and — if no worker process can run at
-        all — drains the queue inline so the campaign still
-        terminates.  A backend that stops answering does not end the
-        campaign: the loop keeps polling, workers retry on their own,
-        and queue state — leases included — is on disk behind the
-        backend, so the run resumes where it stopped once the backend
-        answers again.  Only ``wall_timeout`` bounds that patience.
+        :data:`~repro.dist.worker.POLL_INTERVAL`, whichever comes
+        first.  The loop requeues expired leases, respawns dead workers
+        while pending work and respawn budget remain, and — if no
+        worker process can run at all — drains the queue inline so the
+        campaign still terminates.  A backend that stops answering does
+        not end the campaign: the loop keeps polling, workers retry on
+        their own, and queue state — leases included — is on disk
+        behind the backend, so the run resumes where it stopped once
+        the backend answers again.  Only ``wall_timeout`` bounds that
+        patience.
         """
         while True:
             self._check_wall_timeout()
@@ -288,15 +281,14 @@ class Coordinator:
             except TRANSIENT_BACKEND_ERRORS as exc:
                 if not is_transient_error(exc):
                     raise  # disk full, corrupt file: fail loudly
-                time.sleep(self.poll_interval)
+                time.sleep(_worker.POLL_INTERVAL)
                 continue
             pending = counts.get(JOB_PENDING, 0)
             if pending + counts.get(JOB_LEASED, 0) == 0:
                 return
             alive = self._reap_processes()
             if pending > 0 and alive < self._wanted:
-                in_budget = \
-                    self._spawned - self.workers < self.max_respawns
+                in_budget = self._spawned - self.workers < 2 * self.workers
                 if not in_budget or not self._spawn_worker():
                     if alive == 0:
                         # Workers keep dying (or cannot spawn at all,
@@ -314,10 +306,10 @@ class Coordinator:
         alive the tick is a plain sleep."""
         live = next(iter(self._procs.values()), None)
         if live is None:
-            time.sleep(self.poll_interval)
+            time.sleep(_worker.POLL_INTERVAL)
             return
         try:
-            live.wait(timeout=self.poll_interval)
+            live.wait(timeout=_worker.POLL_INTERVAL)
         except subprocess.TimeoutExpired:
             pass
 
@@ -328,13 +320,11 @@ class Coordinator:
         also carries the campaign ownership claim: its beat thread
         renews the claim that ``_await_drained`` (blocked here) cannot,
         keeping a long inline drain safe from takeover."""
-        Worker(self.backend, worker_id="w-inline",
-               lease_seconds=self.lease_seconds,
-               poll_interval=self.poll_interval,
-               idle_timeout=self.poll_interval,
-               jobs=self.worker_jobs,
-               campaign_owner=self._campaign_id,
-               campaign_lease=self._campaign_lease).run()
+        _worker.Worker(self.backend, worker_id="w-inline",
+                       lease_seconds=self.lease_seconds,
+                       idle_timeout=_worker.POLL_INTERVAL,
+                       campaign_owner=self._campaign_id,
+                       campaign_lease=self._campaign_lease).run()
 
     # ------------------------------------------------------------------
     # The campaign dispatch

@@ -50,10 +50,10 @@ from typing import Callable
 from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
 from repro.errors import ReproError
 
-#: Default per-request timeout (seconds).  Every wire call is one
-#: quick SQLite transaction server-side; anything slower means the
-#: service is unreachable or melting, and the caller's retry/degrade
-#: path should take over.
+#: Per-request timeout (seconds), read at call time.  Every wire call
+#: is one quick SQLite transaction server-side; anything slower means
+#: the service is unreachable or melting, and the caller's
+#: retry/degrade path should take over.
 DEFAULT_TIMEOUT = 10.0
 
 
@@ -99,9 +99,8 @@ class _RemoteProxy:
                 else misses.get(name, lambda: None)
             setattr(cls, name, _forwarder(name, miss))
 
-    def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, url: str):
         self.url = url.rstrip("/")
-        self.timeout = timeout
 
     def _call(self, method: str, *args, **kwargs):
         body = pickle.dumps((args, kwargs), pickle.HIGHEST_PROTOCOL)
@@ -110,7 +109,7 @@ class _RemoteProxy:
             headers={"Content-Type": "application/octet-stream"})
         try:
             with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
+                                        timeout=DEFAULT_TIMEOUT) as response:
                 payload = pickle.loads(response.read())
         except urllib.error.HTTPError as exc:
             # The server answered with an error status: usually a real

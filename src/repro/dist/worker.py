@@ -20,9 +20,8 @@ outage outlasts ``lease_seconds`` its job is requeued for a healthier
 worker, and any late completion it eventually reports is discarded by
 the queue's guarded completion.  Backend loss therefore degrades into
 the ordinary crashed-worker path instead of wedging a campaign.
-``jobs`` sizes the process pool *inside* this worker: one claimed
-job's strategy race fans out across that many local processes
-(``repro-verify worker --jobs N``).
+A worker races its one claimed job inline, in its own process; to use
+more cores, run more workers.
 
 A worker leaves when a claim finds nothing to take on a closed queue.
 The coordinator closes the queue as soon as it has enqueued its pool,
@@ -68,6 +67,10 @@ _M_JOBS = _metrics.counter(
     "repro_worker_jobs_total", "jobs processed by outcome",
     labels=("result",))
 
+#: Seconds between claim attempts while nothing is claimable, and the
+#: coordinator's supervision tick.  Read at call time.
+POLL_INTERVAL = 0.2
+
 
 class Worker:
     """One worker process's claim/prove/report loop.
@@ -77,17 +80,14 @@ class Worker:
     horizon: a worker that stops heartbeating for this long forfeits
     its job.  Every worker leaves when a claim finds nothing on a
     closed queue; ``idle_timeout`` (seconds without claimable work on
-    an open queue *or* without a reachable backend) and ``max_jobs``
-    further bound standalone workers.
+    an open queue *or* without a reachable backend) further bounds a
+    standalone worker.
     """
 
     def __init__(self, backend: str | Path | Backend,
                  worker_id: str | None = None,
                  lease_seconds: float = 15.0,
-                 poll_interval: float = 0.2,
-                 idle_timeout: float | None = None,
-                 max_jobs: int | None = None,
-                 jobs: int = 1,
+                 idle_timeout: float = 60.0,
                  campaign_owner: str | None = None,
                  campaign_lease: float = 0.0):
         self.backend = parse_backend(backend)
@@ -97,10 +97,7 @@ class Worker:
         self.worker_id = worker_id or \
             f"w-{socket.gethostname()}-{os.getpid()}"
         self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
         self.idle_timeout = idle_timeout
-        self.max_jobs = max_jobs
-        self.jobs = jobs
         # Set by a coordinator draining inline: while this worker has
         # the coordinator's thread, its beats also renew the campaign
         # ownership claim, so a long inline drain cannot lapse and be
@@ -116,7 +113,7 @@ class Worker:
         self.queue = open_queue(self.backend)
         self.store = open_store(self.backend)
         self.cache = ResultCache(backing=self.store)
-        self._scheduler = PortfolioScheduler(jobs=jobs, cache=self.cache)
+        self._scheduler = PortfolioScheduler(cache=self.cache)
         # design name -> property name -> (compiled prop, scoped system)
         self._compiled: dict[str, dict] = {}
         self._current_job: str | None = None
@@ -126,7 +123,7 @@ class Worker:
 
     def run(self) -> int:
         """Process jobs until a closed queue has nothing left to claim
-        (or idle/max bounds hit).
+        (or ``idle_timeout`` passes).
 
         Returns the number of jobs this worker completed.
         """
@@ -137,11 +134,11 @@ class Worker:
         beats = threading.Thread(target=self._beat_loop, daemon=True)
         beats.start()
         _journal.emit("worker_start", worker=self.worker_id,
-                      backend=str(self.backend), jobs=self.jobs)
+                      backend=str(self.backend))
         done = 0
         idle_since: float | None = None
         try:
-            while self.max_jobs is None or done < self.max_jobs:
+            while True:
                 lease = None
                 try:
                     claim_started = time.perf_counter()
@@ -163,11 +160,10 @@ class Worker:
                     now = time.monotonic()
                     if idle_since is None:
                         idle_since = now
-                    elif self.idle_timeout is not None and \
-                            now - idle_since >= self.idle_timeout:
+                    elif now - idle_since >= self.idle_timeout:
                         break
-                    time.sleep(self.poll_interval)
-                    _M_IDLE_SECONDS.inc(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
+                    _M_IDLE_SECONDS.inc(POLL_INTERVAL)
                     continue
                 idle_since = None
                 if self._process(lease):

@@ -16,13 +16,12 @@ check it triggers — direct proofs, portfolio batches, and both GenAI
 flows — so any repeated query (Houdini rounds, repair retries, repeated
 CLI invocations on one session) is answered from cache.
 
-Handing the session a campaign :class:`~repro.campaign.store.ProofStore`
-makes that cache two-tier: single-design runs then read and write the
-same persistent store campaigns use, and their outcomes feed the store's
-history.  The store can live behind any backend — a local directory
-(``cache_dir``) or a ``repro-verify serve`` URL (``backend``), in which
-case the disk tier is on another machine.  :func:`run_campaign` is the
-cross-design entry point the CLI's ``campaign`` command drives.
+Handing the session a ``backend`` (a directory, ``sqlite:DIR`` or a
+``repro-verify serve`` URL) makes that cache two-tier: single-design
+runs then read and write the same persistent proof store campaigns use,
+and their outcomes feed the store's history — on this machine or on
+another one.  :func:`run_campaign` is the cross-design entry point the
+CLI's ``campaign`` command drives.
 """
 
 from __future__ import annotations
@@ -82,11 +81,11 @@ class BatchVerifyResult:
 class VerificationSession:
     """One design + one model + shared engine configuration + one cache.
 
-    ``store`` (or ``cache_dir``, which opens one; or ``backend``, a
-    ``sqlite:DIR | http://HOST:PORT`` spec) plugs the campaign
-    subsystem's persistent proof store in as the cache's disk tier, so
-    a single-design CLI run warm-starts from — and contributes to — the
-    same results campaigns use, wherever that store lives.
+    ``backend`` (a directory, ``sqlite:DIR`` or ``http://HOST:PORT``)
+    plugs the campaign subsystem's persistent proof store in as the
+    cache's disk tier, so a single-design CLI run warm-starts from — and
+    contributes to — the same results campaigns use, wherever that
+    store lives.
     """
 
     def __init__(self, design: Design,
@@ -94,24 +93,16 @@ class VerificationSession:
                  client: LLMClient | None = None,
                  seed: int = 0,
                  engine_config: EngineConfig | None = None,
-                 cache: ResultCache | None = None,
-                 jobs: int = 1,
-                 store: ProofStore | None = None,
-                 cache_dir: str | Path | None = None,
-                 backend: str | None = None):
+                 backend: str | Path | None = None):
         self.design = design
         self.client: LLMClient = client if client is not None \
             else SimulatedLLM(model, seed=seed)
         self.engine_config = engine_config or EngineConfig()
-        if store is None and backend is not None:
+        self.store = None
+        if backend is not None:
             from repro.dist.backend import open_store
-            store = open_store(backend)
-        if store is None and cache_dir is not None:
-            store = ProofStore.open(cache_dir)
-        self.store = store
-        self.cache = cache if cache is not None \
-            else ResultCache(backing=store)
-        self.jobs = jobs
+            self.store = open_store(backend)
+        self.cache = ResultCache(backing=self.store)
 
     # ------------------------------------------------------------------
 
@@ -153,7 +144,7 @@ class VerificationSession:
         return self._engine(ctx).check_bmc(prop, bound=bound)
 
     def verify_all(self, properties: list[str] | None = None,
-                   jobs: int | None = None,
+                   jobs: int = 1,
                    strategies: list[str] | None = None,
                    max_k: int | None = None,
                    bmc_bound: int | None = None) -> BatchVerifyResult:
@@ -173,7 +164,6 @@ class VerificationSession:
         justice_outcomes = [
             PortfolioOutcome(n, self._justice_unknown(n), strategy="none")
             for n in justice_names]
-        jobs = jobs if jobs is not None else self.jobs
         if not names:
             return BatchVerifyResult(
                 design=self.design.name, outcomes=justice_outcomes,
@@ -202,7 +192,7 @@ class VerificationSession:
         wall = time.perf_counter() - start
         if self.store is not None:
             # Single-design batches feed the same history campaigns
-            # order their pools by, so every `verify --cache-dir` run
+            # order their pools by, so every `verify --backend` run
             # refines the next campaign's longest-expected-first order.
             self.store.record_outcomes([dict(
                 design=self.design.name,
@@ -245,7 +235,6 @@ def run_campaign(designs: list[str] | None = None,
                  lease_seconds: float = 15.0,
                  wall_timeout: float | None = None,
                  backend: str | None = None,
-                 worker_jobs: int = 1,
                  events_dir: str | Path | None = None
                  ) -> CampaignReport:
     """Verify many designs in one cross-design campaign.
@@ -268,10 +257,9 @@ def run_campaign(designs: list[str] | None = None,
 
     ``workers=N`` (N >= 1) dispatches the job pool across N local worker
     processes instead of running it in-process: the coordinator leases
-    jobs through the shared work queue, workers write into the shared
-    store (each racing one job across ``worker_jobs`` local processes),
-    and crashed workers' jobs are requeued (see :mod:`repro.dist`).
-    Verdicts are identical either way.
+    jobs through the shared work queue, workers race one job at a time
+    into the shared store, and crashed workers' jobs are requeued (see
+    :mod:`repro.dist`).  Verdicts are identical either way.
     Crash detection is heartbeat-based, so a worker stuck *inside* one
     solver call (alive and still beating) keeps its lease;
     ``wall_timeout`` bounds the whole distributed run as the guard for
@@ -322,7 +310,7 @@ def run_campaign(designs: list[str] | None = None,
             dispatcher = Coordinator(
                 resolved if remote else cache_dir, workers=workers,
                 lease_seconds=lease_seconds, wall_timeout=wall_timeout,
-                worker_jobs=worker_jobs, cache=cache)
+                cache=cache)
         scheduler = CampaignScheduler(
             selected, store, jobs=jobs,
             strategies=strategies, max_k=max_k, bmc_bound=bmc_bound,

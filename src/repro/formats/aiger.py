@@ -519,12 +519,3 @@ def _write_leb(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
-
-
-def write_aiger_file(model: AigerModel, path: str | Path) -> None:
-    """Write ``model`` to ``path``; binary iff the suffix is ``.aig``."""
-    path = Path(path)
-    if path.suffix == ".aig":
-        path.write_bytes(write_aiger_binary(model))
-    else:
-        path.write_text(write_aiger_ascii(model))

@@ -332,15 +332,3 @@ def aiger_to_system(model: AigerModel, name: str
         system.add_fairness(of_lit(lit))
     system.validate()
     return system, props
-
-
-def aiger_stats(model: AigerModel) -> dict[str, int]:
-    """Shape summary used by reports and tests."""
-    return {
-        "inputs": model.num_inputs,
-        "latches": len(model.latches),
-        "ands": len(model.ands),
-        "outputs": len(model.outputs),
-        "bads": len(model.bads),
-        "constraints": len(model.constraints),
-    }

@@ -1,9 +1,9 @@
 """Analysis and transformation passes over the IR.
 
-These are deliberately small and composable: deep re-simplification,
-variable support computation through the transition relation, and
-cone-of-influence (COI) reduction, which is the workhorse that keeps
-SAT instances small when checking properties that touch few registers.
+These are deliberately small and composable: variable support
+computation through the transition relation, and cone-of-influence
+(COI) reduction, which is the workhorse that keeps SAT instances small
+when checking properties that touch few registers.
 """
 
 from __future__ import annotations
@@ -12,17 +12,6 @@ from typing import Iterable
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
-
-
-def deep_simplify(root: E.Expr) -> E.Expr:
-    """Re-run all construction-time folding rules bottom-up.
-
-    Useful after :func:`repro.ir.expr.substitute` introduced constants into
-    a DAG built earlier.  (``substitute`` already rebuilds through the
-    factories, so this is mostly a no-op safety net and a convenient hook
-    for future rules.)
-    """
-    return E.substitute(root, {})
 
 
 def state_support(system: TransitionSystem,

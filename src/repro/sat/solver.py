@@ -984,9 +984,6 @@ class Solver:
         del self._trail_lim[level:]
         self._qhead = len(trail)
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _value(self, lit: int) -> int:
         a = self._lv[lit]
         if a == 0:
@@ -1088,16 +1085,6 @@ class Solver:
             i = child
         heap[i] = v
         pos[v] = i
-
-    def _bump_var(self, v: int) -> None:
-        act = self._activity
-        act[v] += self._var_inc
-        if act[v] > 1e100:
-            for u in range(1, self._nvars + 1):
-                act[u] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._hpos[v] >= 0:
-            self._sift_up(self._hpos[v])
 
     def _bump_clause(self, cref: int) -> None:
         cact = self._cact

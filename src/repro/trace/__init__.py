@@ -1,1 +1,1 @@
-"""Counterexample traces, VCD export, and ASCII waveform rendering."""
+"""Counterexample traces and ASCII waveform rendering."""

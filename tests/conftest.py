@@ -42,6 +42,27 @@ def coordinators(monkeypatch) -> list:
 
 
 @pytest.fixture
+def fabric_timing(monkeypatch):
+    """Set the distributed fabric's timing constants for one test:
+    ``fabric_timing(poll=S)`` is a worker's idle poll and the
+    coordinator's supervision tick, ``fabric_timing(timeout=S)`` the
+    per-request wire timeout.  Both are read at call time, so the
+    setting holds in this process only: workers a coordinator spawns
+    run the defaults."""
+    import repro.dist.remote as remote
+    import repro.dist.worker as worker
+
+    def set_timing(poll: float | None = None,
+                   timeout: float | None = None) -> None:
+        if poll is not None:
+            monkeypatch.setattr(worker, "POLL_INTERVAL", poll)
+        if timeout is not None:
+            monkeypatch.setattr(remote, "DEFAULT_TIMEOUT", timeout)
+
+    return set_timing
+
+
+@pytest.fixture
 def counter_system() -> TransitionSystem:
     """A 4-bit wrapping counter with enable."""
     s = TransitionSystem("counter4")

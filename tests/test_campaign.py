@@ -536,7 +536,7 @@ class TestCampaign:
 class TestSessionStoreWiring:
     def test_single_design_run_shares_campaign_store(self, tmp_path):
         design = get_design("updown_counter")
-        first = VerificationSession(design, cache_dir=tmp_path)
+        first = VerificationSession(design, backend=tmp_path)
         first.verify_all(max_k=3)
         assert first.store.history_size() == 2
         # A later campaign warm-starts from the single-design run.
@@ -549,7 +549,7 @@ class TestSessionStoreWiring:
         run_campaign(designs=["updown_counter"], cache_dir=tmp_path,
                      max_k=3)
         session = VerificationSession(get_design("updown_counter"),
-                                      cache_dir=tmp_path)
+                                      backend=tmp_path)
         batch = session.verify_all(max_k=3)
         assert batch.cache_stats.disk_hits > 0
         assert batch.cache_stats.misses == 0
@@ -560,7 +560,7 @@ class TestSessionStoreWiring:
         induction depths (rr_arbiter: max_k 3/2/2)."""
         design = get_design("rr_arbiter")
         assert len({p.max_k for p in design.properties}) > 1
-        VerificationSession(design, cache_dir=tmp_path).verify_all()
+        VerificationSession(design, backend=tmp_path).verify_all()
         report = run_campaign(designs=["rr_arbiter"],
                               cache_dir=tmp_path)
         assert report.cache.misses == 0

@@ -102,7 +102,7 @@ class TestCli:
     def test_negative_depth_is_refused_and_not_cached(self, argv, jobs,
                                                       tmp_path, capsys):
         assert main(argv + ["--jobs", jobs,
-                            "--cache-dir", str(tmp_path)]) == 2
+                            "--backend", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
         assert "is negative" in err

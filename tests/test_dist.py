@@ -194,12 +194,13 @@ class TestWorkQueue:
 
 
 class TestWorker:
-    def test_worker_drains_queue_into_shared_store(self, tmp_path):
+    def test_worker_drains_queue_into_shared_store(self, tmp_path,
+                                                   fabric_timing):
+        fabric_timing(poll=0.02)
         queue = WorkQueue.open(tmp_path)
         queue.enqueue(_design_specs("updown_counter"))
         queue.set_state(STATE_CLOSED)    # drain, then exit
-        worker = Worker(tmp_path, worker_id="w1", lease_seconds=10,
-                        poll_interval=0.02)
+        worker = Worker(tmp_path, worker_id="w1", lease_seconds=10)
         assert worker.run() == 2
         queue_after = WorkQueue.open(tmp_path)
         results = queue_after.results()
@@ -210,7 +211,18 @@ class TestWorker:
         store = ProofStore.open(tmp_path)
         assert len(store) > 0
 
-    def test_second_identical_job_answers_from_shared_store(self, tmp_path):
+    def test_worker_leaves_a_closed_empty_queue_at_once(self, tmp_path,
+                                                        fabric_timing):
+        fabric_timing(poll=5.0)
+        WorkQueue.open(tmp_path).set_state(STATE_CLOSED)
+        started = time.monotonic()
+        assert Worker(tmp_path, worker_id="w1").run() == 0
+        # An idle poll would cost a full 5 s.
+        assert time.monotonic() - started < 5.0
+
+    def test_second_identical_job_answers_from_shared_store(
+            self, tmp_path, fabric_timing):
+        fabric_timing(poll=0.02)
         design = "updown_counter"
         prop = get_design(design).properties[0].name
         race = ("k_induction(max_k=3)", "bmc")
@@ -222,13 +234,14 @@ class TestWorker:
                     specs=race, priority=0.0),
         ])
         queue.set_state(STATE_CLOSED)
-        Worker(tmp_path, worker_id="w1", lease_seconds=10,
-               poll_interval=0.02).run()
+        Worker(tmp_path, worker_id="w1", lease_seconds=10).run()
         results = WorkQueue.open(tmp_path).results()
         assert results["cold"].outcome.from_cache is False
         assert results["warm"].outcome.from_cache is True
 
-    def test_unrunnable_job_is_poisoned_and_worker_survives(self, tmp_path):
+    def test_unrunnable_job_is_poisoned_and_worker_survives(
+            self, tmp_path, fabric_timing):
+        fabric_timing(poll=0.02)
         queue = WorkQueue.open(tmp_path)
         queue.enqueue([
             JobSpec(job_id="bad", design="updown_counter",
@@ -236,8 +249,7 @@ class TestWorker:
                     specs=("bmc",), priority=1.0),
         ] + _design_specs("updown_counter"), max_attempts=2)
         queue.set_state(STATE_CLOSED)
-        done = Worker(tmp_path, worker_id="w1", lease_seconds=10,
-                      poll_interval=0.02).run()
+        done = Worker(tmp_path, worker_id="w1", lease_seconds=10).run()
         assert done == 2                 # the two real jobs completed
         results = WorkQueue.open(tmp_path).results()
         assert len(results) == 3
@@ -272,7 +284,8 @@ def _claim_and_hang(cache_dir: Path, lease_seconds: float):
 
 class TestCrashRecovery:
     def test_killed_worker_job_is_requeued_and_completed_once(
-            self, tmp_path):
+            self, tmp_path, fabric_timing):
+        fabric_timing(poll=0.02)
         queue = WorkQueue.open(tmp_path)
         specs = _design_specs("updown_counter")
         queue.enqueue(specs)
@@ -294,7 +307,7 @@ class TestCrashRecovery:
         # A surviving worker completes everything: every job has exactly
         # one verdict, none lost to the crash, none duplicated.
         survivor = Worker(tmp_path, worker_id="survivor",
-                          lease_seconds=10, poll_interval=0.02)
+                          lease_seconds=10)
         assert survivor.run() == len(specs)
         results = WorkQueue.open(tmp_path).results()
         assert sorted(results) == sorted(s.job_id for s in specs)
@@ -382,12 +395,12 @@ class TestCampaignEndsWithItsLastJob:
     as nothing is claimable, and the coordinator wakes on their exit
     instead of on its next supervision tick."""
 
-    def test_dispatch_returns_before_one_poll_interval(self, tmp_path,
-                                                       spawned):
+    def test_dispatch_returns_before_one_poll_interval(
+            self, tmp_path, spawned, fabric_timing):
         from repro.dist import Coordinator
+        fabric_timing(poll=5.0)
         jobs = _campaign_jobs(tmp_path)
-        coordinator = Coordinator(tmp_path, workers=1, poll_interval=5.0,
-                                  lease_seconds=10)
+        coordinator = Coordinator(tmp_path, workers=1, lease_seconds=10)
         started = time.monotonic()
         result = coordinator.dispatch(jobs)
         elapsed = time.monotonic() - started
@@ -396,12 +409,25 @@ class TestCampaignEndsWithItsLastJob:
                    for outcome in result.outcomes.values())
         [worker] = spawned
         assert worker.poll() == 0          # left on its own, not killed
-        # The supervision sleep and the worker's idle poll would each
-        # cost a full 5 s tick.
-        assert elapsed < coordinator.poll_interval
+        # The supervision sleep would cost a full 5 s tick.
+        assert elapsed < 5.0
+
+    def test_spawn_command_names_only_backend_id_and_lease(self,
+                                                           tmp_path):
+        from repro.cli import build_parser
+        from repro.dist import Coordinator
+        command = Coordinator(tmp_path, workers=1,
+                              lease_seconds=10)._worker_command("w1")
+        assert command == [sys.executable, "-m", "repro", "worker",
+                           "--backend", f"sqlite:{tmp_path}",
+                           "--id", "w1", "--lease", "10"]
+        # ... and the worker's own parser takes every one of them.
+        args = build_parser().parse_args(command[3:])
+        assert (args.backend, args.id, args.lease) == \
+            (f"sqlite:{tmp_path}", "w1", 10.0)
 
     def test_job_requeued_after_the_workers_left_goes_to_a_respawn(
-            self, tmp_path, spawned, monkeypatch):
+            self, tmp_path, spawned, monkeypatch, fabric_timing):
         from repro.dist import Coordinator
         command = Coordinator._worker_command
 
@@ -419,9 +445,11 @@ class TestCampaignEndsWithItsLastJob:
         jobs = _campaign_jobs(tmp_path)
         # The coordinator requeues only on a tick, and it ticks when the
         # worker it waits on (w2 before any respawn) exits or after
-        # poll_interval, so w2 has left before w1's job is pending again.
+        # one poll interval, so w2 has left before w1's job is pending
+        # again.
+        fabric_timing(poll=2.0)
         coordinator = Coordinator(tmp_path, workers=2, lease_seconds=0.5,
-                                  poll_interval=2.0, wall_timeout=60)
+                                  wall_timeout=60)
         result = coordinator.dispatch(jobs)
         [lost] = [job for job, worker in coordinator.requeued
                   if worker == "w1"]

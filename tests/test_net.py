@@ -256,10 +256,11 @@ class TestRemoteStore:
         # The service's own on-disk store holds the same rows.
         assert ProofStore.open(service.cache_dir).history_size() == 2
 
-    def test_unreachable_store_degrades_to_misses(self):
+    def test_unreachable_store_degrades_to_misses(self, fabric_timing):
         """The cache contract across the network: no proof ever fails
         because the store is down — loads miss, stores drop."""
-        store = RemoteProofStore(DEAD_URL, timeout=0.5)
+        fabric_timing(timeout=0.5)
+        store = RemoteProofStore(DEAD_URL)
         result = CheckResult("p", Status.PROVEN, k=1,
                              stats=ProofStats())
         store.store("k", result)          # no raise
@@ -274,8 +275,10 @@ class TestRemoteStore:
         assert store.ledger_entry("d", "p") is None
         assert len(store) == 0
 
-    def test_queue_calls_raise_on_unreachable_backend(self):
-        queue = RemoteWorkQueue(DEAD_URL, timeout=0.5)
+    def test_queue_calls_raise_on_unreachable_backend(self,
+                                                     fabric_timing):
+        fabric_timing(timeout=0.5)
+        queue = RemoteWorkQueue(DEAD_URL)
         with pytest.raises(RemoteBackendError):
             queue.claim("w1", lease_seconds=30)
         with pytest.raises(RemoteBackendError):
@@ -367,8 +370,9 @@ class TestBatchSurface:
         assert row["attempts"] == [{"strategy": "bmc(bound=5)"}]
         assert any_store.ledger_entry("d", "q") is None
 
-    def test_unreachable_service_degrades(self):
-        store = RemoteProofStore(DEAD_URL, timeout=0.5)
+    def test_unreachable_service_degrades(self, fabric_timing):
+        fabric_timing(timeout=0.5)
+        store = RemoteProofStore(DEAD_URL)
         assert store.load_many(["k"]) == {}
         assert store.expected_walls() == {}
         store.record_outcomes(
@@ -494,12 +498,14 @@ class TestService:
 
 
 class TestWorkerOverHTTP:
-    def test_worker_drains_queue_into_served_store(self, service):
+    def test_worker_drains_queue_into_served_store(self, service,
+                                                   fabric_timing):
+        fabric_timing(poll=0.02)
         queue = RemoteWorkQueue(service.address)
         queue.enqueue(_design_specs("updown_counter"))
         queue.set_state(STATE_CLOSED)
         worker = Worker(service.address, worker_id="w1",
-                        lease_seconds=10, poll_interval=0.02)
+                        lease_seconds=10)
         assert worker.run() == 2
         results = queue.results()
         assert {r.outcome.status for r in results.values()} == {"proven"}
@@ -509,22 +515,25 @@ class TestWorkerOverHTTP:
         assert len(RemoteProofStore(service.address)) > 0
         assert len(ProofStore.open(service.cache_dir)) > 0
 
-    def test_worker_with_connection_refused_idles_out(self):
+    def test_worker_with_connection_refused_idles_out(self,
+                                                      fabric_timing):
         """A worker pointed at a dead service exits cleanly after its
         idle timeout instead of crashing or spinning forever."""
+        fabric_timing(poll=0.02, timeout=0.5)
         worker = Worker(DEAD_URL, worker_id="w1", lease_seconds=1,
-                        poll_interval=0.02, idle_timeout=0.2)
-        worker.queue.timeout = 0.5
+                        idle_timeout=0.2)
         assert worker.run() == 0
 
-    def test_worker_surfaces_permanent_backend_errors(self, tmp_path):
+    def test_worker_surfaces_permanent_backend_errors(self, tmp_path,
+                                                      fabric_timing):
         """Unreachability is retried; corruption is not: a permanent
         backend failure must crash the worker loudly, never be ridden
         out as 'idle' until it exits 0 with no hint."""
         import sqlite3
 
+        fabric_timing(poll=0.02)
         worker = Worker(tmp_path, worker_id="w1", lease_seconds=1,
-                        poll_interval=0.02, idle_timeout=5.0)
+                        idle_timeout=5.0)
         broken = sqlite3.DatabaseError("file is not a database")
 
         def corrupt_claim(worker_id, lease_seconds):
@@ -535,7 +544,7 @@ class TestWorkerOverHTTP:
             worker.run()
 
     def test_inline_drain_keeps_renewing_the_campaign_claim(
-            self, tmp_path):
+            self, tmp_path, fabric_timing):
         """A coordinator draining inline is blocked inside Worker.run,
         so the inline worker's beats must renew the campaign ownership
         claim — otherwise it lapses mid-drain and a second campaign
@@ -544,8 +553,9 @@ class TestWorkerOverHTTP:
         assert queue.begin_campaign("c1", lease_seconds=0.3) is True
         queue.enqueue(_design_specs("updown_counter"))
         queue.set_state(STATE_CLOSED)
+        fabric_timing(poll=0.02)
         done = Worker(tmp_path, worker_id="w-inline",
-                      lease_seconds=0.15, poll_interval=0.02,
+                      lease_seconds=0.15,
                       campaign_owner="c1", campaign_lease=60.0).run()
         assert done == 2
         time.sleep(0.35)    # past the original 0.3s claim window
@@ -555,7 +565,8 @@ class TestWorkerOverHTTP:
 
 
 class TestServerRestart:
-    def test_restart_mid_campaign_requeues_leased_jobs(self, tmp_path):
+    def test_restart_mid_campaign_requeues_leased_jobs(self, tmp_path,
+                                                       fabric_timing):
         """Kill the server while a job is leased: after a restart on
         the same cache dir, the lease expires, the job is requeued, a
         survivor completes it, and the dead claimant's late completion
@@ -582,8 +593,9 @@ class TestServerRestart:
             # reclaimed on the first reap.
             assert client.requeue_expired() == \
                 [(stale.spec.job_id, "doomed")]
+            fabric_timing(poll=0.02)
             survivor = Worker(revived.address, worker_id="survivor",
-                              lease_seconds=10, poll_interval=0.02)
+                              lease_seconds=10)
             assert survivor.run() == len(specs)
             # The presumed-dead claimant reports late: discarded.
             assert client.complete(_result(stale.spec,
@@ -599,7 +611,8 @@ class TestServerRestart:
 
 
 class TestCoordinatorSurvivesServerBounce:
-    def test_campaign_rides_through_server_outage(self, tmp_path):
+    def test_campaign_rides_through_server_outage(self, tmp_path,
+                                                  fabric_timing):
         """The coordinator must poll through a backend outage, not
         crash: with the server down, the campaign pauses (every queue
         call retries); once it is back on the same cache dir and port,
@@ -619,8 +632,8 @@ class TestCoordinatorSurvivesServerBounce:
             ProofStore.in_memory(), max_k=3).build_jobs()
         svc.close()     # the backend is already down when the run starts
 
-        coordinator = Coordinator(url, workers=1,
-                                  lease_seconds=5.0, poll_interval=0.05)
+        fabric_timing(poll=0.05)
+        coordinator = Coordinator(url, workers=1, lease_seconds=5.0)
         box = {}
 
         def run() -> None:
@@ -649,8 +662,8 @@ class TestCoordinatorSurvivesServerBounce:
         finally:
             revived.close()
 
-    def test_second_campaign_refuses_to_clobber_a_live_one(self,
-                                                           service):
+    def test_second_campaign_refuses_to_clobber_a_live_one(
+            self, service, fabric_timing):
         """A campaign resets the queue on start, so a backend with
         jobs under live lease (another coordinator's workers are
         solving) must be refused, not wiped."""
@@ -665,8 +678,8 @@ class TestCoordinatorSurvivesServerBounce:
         pool = CampaignScheduler(
             select_designs(["updown_counter"]),
             ProofStore.in_memory(), max_k=3).build_jobs()
-        coordinator = Coordinator(service.address, workers=1,
-                                  poll_interval=0.02)
+        fabric_timing(poll=0.02)
+        coordinator = Coordinator(service.address, workers=1)
         with pytest.raises(CampaignConflictError, match="active"):
             coordinator.dispatch(pool)
         # The live campaign's job is untouched.
@@ -698,7 +711,8 @@ class TestCoordinatorSurvivesServerBounce:
         assert not is_transient_error(
             sqlite3.DatabaseError("file is not a database"))
 
-    def test_never_reachable_backend_fails_fast(self, monkeypatch):
+    def test_never_reachable_backend_fails_fast(self, monkeypatch,
+                                                fabric_timing):
         """Ride-through patience is for outages, not typos: a backend
         that has never answered at all fails the campaign with a clear
         error instead of hanging forever."""
@@ -710,9 +724,8 @@ class TestCoordinatorSurvivesServerBounce:
             select_designs(["updown_counter"]),
             ProofStore.in_memory(), max_k=3).build_jobs()
         monkeypatch.setattr(Coordinator, "NEVER_ANSWERED_GRACE", 0.2)
-        coordinator = Coordinator(DEAD_URL, workers=1,
-                                  poll_interval=0.02)
-        coordinator.queue.timeout = 0.3
+        fabric_timing(poll=0.02, timeout=0.3)
+        coordinator = Coordinator(DEAD_URL, workers=1)
         with pytest.raises(TimeoutError, match="never answered"):
             coordinator.dispatch(pool)
 

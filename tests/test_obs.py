@@ -605,7 +605,9 @@ class TestServiceObservability:
         assert 'repro_http_unavailable_total{reason="shutdown"} 1' \
             in text
 
-    def test_worker_metrics_cover_claims_and_jobs(self, service):
+    def test_worker_metrics_cover_claims_and_jobs(self, service,
+                                                  fabric_timing):
+        fabric_timing(poll=0.02)
         queue = RemoteWorkQueue(service.address)
         queue.enqueue(_design_specs("updown_counter"))
         queue.set_state("closed")
@@ -615,7 +617,7 @@ class TestServiceObservability:
         before = (jobs.labels("completed").value,
                   claims._default.count)
         done = Worker(service.address, worker_id="w1",
-                      lease_seconds=10, poll_interval=0.02).run()
+                      lease_seconds=10).run()
         assert done == 2
         assert jobs.labels("completed").value == before[0] + 2
         assert claims._default.count > before[1]
@@ -634,7 +636,7 @@ class TestStatusCli:
     def test_local_status(self, tmp_path, capsys):
         run_campaign(designs=["updown_counter"], max_k=3,
                      cache_dir=tmp_path)
-        assert main(["status", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["status", "--backend", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "queue: state=" in out
         assert "store:" in out
@@ -651,14 +653,14 @@ class TestStatusCli:
                                       ["status", "--metrics"]])
     def test_dashboard_knobs_are_gone(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--cache-dir", str(tmp_path)])
+            main(argv + ["--backend", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_read_only_commands_reject_missing_directory(self, tmp_path,
                                                          capsys):
         missing = tmp_path / "no-such-dir"
-        for argv in (["status", "--cache-dir", str(missing)],
-                     ["explain", "d", "p", "--cache-dir", str(missing)],
+        for argv in (["status", "--backend", str(missing)],
+                     ["explain", "d", "p", "--backend", str(missing)],
                      ["status", "--backend", f"sqlite:{missing}"]):
             assert main(argv) != 0
             assert "no such backend directory" in capsys.readouterr().err
@@ -666,7 +668,7 @@ class TestStatusCli:
 
     def test_campaign_trace_flag_prints_pointer(self, tmp_path, capsys):
         assert main(["campaign", "updown_counter", "--max-k", "2",
-                     "--cache-dir", str(tmp_path / "cache"),
+                     "--backend", str(tmp_path / "cache"),
                      "--events", str(tmp_path / "events")]) == 0
         out = capsys.readouterr().out
         assert "trace " in out and "trace_report.py" in out
@@ -1063,8 +1065,24 @@ class TestEffortLedger:
                                                         prop)
             assert entry["provenance"] == provenance
             assert main(["explain", "updown_counter", prop,
-                         "--cache-dir", str(cache)]) == 0
+                         "--backend", str(cache)]) == 0
             assert f"provenance: {provenance} " in capsys.readouterr().out
+
+    def test_explain_credits_a_seeded_verdict_to_the_miner(self,
+                                                          tmp_path,
+                                                          capsys):
+        """``seeded`` means lemmas mined from the design (or explicit
+        seeds) won the race with no LLM in the loop: ``explain`` must
+        not call it a GenAI proof."""
+        from repro.campaign import ProofStore
+        store = ProofStore.open(tmp_path)
+        store.record_outcomes([], [self._entry()])
+        store.close()
+        assert main(["explain", "d1", "p1", "--backend",
+                     str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "provenance: seeded" in out
+        assert "mined" in out and "GenAI" not in out
 
     def test_ledger_round_trips_over_http(self, service):
         from repro.dist import RemoteProofStore
@@ -1132,7 +1150,7 @@ class TestTopExplainCli:
             "UPDATE jobs SET updated = ? WHERE worker_id = 'w-stuck'",
             (time.time() - 400,))
         queue.close()
-        assert main(["status", "--cache-dir", str(tmp_path / "cache"),
+        assert main(["status", "--backend", str(tmp_path / "cache"),
                      "--events", str(tmp_path / "events")]) == 0
         out = capsys.readouterr().out
         wedged = [line for line in out.splitlines() if "WEDGED?" in line]
@@ -1164,7 +1182,7 @@ class TestTopExplainCli:
                      events_dir=tmp_path / "events")
         for spec in get_design("updown_counter").properties:
             assert main(["explain", "updown_counter", spec.name,
-                         "--cache-dir", str(tmp_path / "cache"),
+                         "--backend", str(tmp_path / "cache"),
                          "--events", str(tmp_path / "events")]) == 0
             out = capsys.readouterr().out
             assert f"updown_counter.{spec.name}:" in out
@@ -1178,7 +1196,7 @@ class TestTopExplainCli:
     def test_explain_missing_entry_fails_cleanly(self, tmp_path,
                                                  capsys):
         assert main(["explain", "ghost", "p",
-                     "--cache-dir", str(tmp_path)]) == 1
+                     "--backend", str(tmp_path)]) == 1
         assert "no ledger entry" in capsys.readouterr().err
 
 

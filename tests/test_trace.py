@@ -1,13 +1,10 @@
-"""Trace, waveform rendering, VCD, and CEX analysis tests."""
+"""Trace model and waveform rendering tests."""
 
 import pytest
 
 from repro.errors import TraceError
-from repro.ir import expr as E
 from repro.ir.system import Signal
-from repro.trace.analyze import pre_state, signals_differing, violated_here
 from repro.trace.trace import Trace, TraceKind
-from repro.trace.vcd import to_vcd
 from repro.trace.wave import render_bit_wave, render_for_prompt, render_wave
 
 
@@ -67,49 +64,3 @@ class TestRendering:
     def test_absolute_labels_for_bmc(self, small_trace):
         small_trace.kind = TraceKind.BMC_CEX
         assert "k+0" not in render_wave(small_trace)
-
-
-class TestVcd:
-    def test_header_and_changes(self, small_trace):
-        vcd = to_vcd(small_trace)
-        assert "$enddefinitions" in vcd
-        assert "$var wire 8" in vcd
-        assert "#0" in vcd and "#2" in vcd
-        # count2 transitions to 0 at time 1: b0 must appear.
-        assert "\nb0 " in vcd
-
-    def test_unchanged_values_not_redumped(self, small_trace):
-        vcd = to_vcd(small_trace)
-        # en stays 1: appears once in the dumpvars block only.
-        en_id = None
-        for line in vcd.splitlines():
-            if line.startswith("$var wire 1"):
-                en_id = line.split()[3]
-        assert en_id is not None
-        changes = [line for line in vcd.splitlines()
-                   if line == f"1{en_id}" or line == f"0{en_id}"]
-        assert len(changes) == 1
-
-
-class TestAnalysis:
-    def test_pre_state(self, small_trace):
-        pre = pre_state(small_trace)
-        assert pre == {"count1": 0xFC, "count2": 0xFF}
-
-    def test_signals_differing(self, small_trace):
-        bits = signals_differing(small_trace, "count1", "count2", 0)
-        assert bits == [0, 1]  # fc ^ ff == 0b11
-
-    def test_violated_here(self, small_trace, sync_counters_system):
-        candidate = E.eq(E.var("count1", 8), E.var("count2", 8))
-        assert violated_here(sync_counters_system, small_trace, candidate,
-                             time=0)
-
-    def test_first_violation(self, small_trace, sync_counters_system):
-        from repro.trace.analyze import first_violation
-        candidate = E.eq(E.var("count1", 8), E.var("count2", 8))
-        assert first_violation(sync_counters_system, small_trace,
-                               candidate) == 0
-        trivially_true = E.ule(E.var("count1", 8), E.const(255, 8))
-        assert first_violation(sync_counters_system, small_trace,
-                               trivially_true) is None
