@@ -142,6 +142,111 @@ class TestCli:
         assert "lemma flow on sync_counters" in out
 
 
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """Every subcommand's option strings, by subcommand name."""
+    import argparse
+
+    from repro.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in parser._actions
+                   for opt in action.option_strings}
+            for name, parser in sub.choices.items()}
+
+
+class TestOnlyTheKnobsADeploymentTurns:
+    """The store is named one way (``--backend``), a worker races its
+    job inline, and the fabric's tuning values are constants: the flags
+    and parameters that once set them stay gone."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "updown_counter", "--cache-dir", "D"],
+        ["campaign", "updown_counter", "--cache-dir", "D"],
+        ["status", "--cache-dir", "D"],
+        ["explain", "d", "p", "--cache-dir", "D"],
+        ["repair", "d", "p", "--cache-dir", "D"],
+        ["lemma", "d", "--cache-dir", "D"],
+        ["worker", "--backend", "D", "--cache-dir", "D"],
+        ["campaign", "updown_counter", "--worker-jobs", "2"],
+        ["worker", "--backend", "D", "--jobs", "2"],
+        ["worker", "--backend", "D", "--poll-interval", "0.1"],
+        ["worker", "--backend", "D", "--idle-timeout", "5"],
+        ["worker", "--backend", "D", "--max-jobs", "3"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_only_serve_names_a_cache_dir(self):
+        options = _subcommand_options()
+        assert [name for name, opts in options.items()
+                if "--cache-dir" in opts] == ["serve"]
+        for name in ("verify", "campaign", "status", "explain", "worker",
+                     "repair", "lemma"):
+            assert "--backend" in options[name], name
+
+    def test_worker_takes_only_backend_id_and_lease(self):
+        assert _subcommand_options()["worker"] == \
+            {"-h", "--help", "--backend", "--id", "--lease"}
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda d: _session(store=None), "store"),
+        (lambda d: _session(cache_dir=d), "cache_dir"),
+        (lambda d: _session(cache=None), "cache"),
+        (lambda d: _session(jobs=2), "jobs"),
+        (lambda d: _run_campaign(designs=["updown_counter"],
+                                 cache_dir=d, worker_jobs=2),
+         "worker_jobs"),
+        (lambda d: _coordinator(d, worker_jobs=2), "worker_jobs"),
+        (lambda d: _coordinator(d, max_respawns=1), "max_respawns"),
+        (lambda d: _coordinator(d, poll_interval=0.1), "poll_interval"),
+        (lambda d: _worker(d, jobs=2), "jobs"),
+        (lambda d: _worker(d, poll_interval=0.1), "poll_interval"),
+        (lambda d: _worker(d, max_jobs=3), "max_jobs"),
+        (lambda d: _remote("RemoteWorkQueue", timeout=1.0), "timeout"),
+        (lambda d: _remote("RemoteProofStore", timeout=1.0), "timeout"),
+    ], ids=["session-store", "session-cache_dir", "session-cache",
+            "session-jobs", "run_campaign-worker_jobs",
+            "coordinator-worker_jobs", "coordinator-max_respawns",
+            "coordinator-poll_interval", "worker-jobs",
+            "worker-poll_interval", "worker-max_jobs", "queue-timeout",
+            "store-timeout"])
+    def test_removed_parameter_is_refused(self, build, name, tmp_path):
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{name}'"):
+            build(tmp_path)
+        assert list(tmp_path.iterdir()) == []     # refused before any I/O
+
+
+def _session(**kwargs):
+    from repro.designs.registry import get_design
+    from repro.flow.session import VerificationSession
+    return VerificationSession(get_design("updown_counter"), **kwargs)
+
+
+def _run_campaign(**kwargs):
+    from repro.flow.session import run_campaign
+    return run_campaign(**kwargs)
+
+
+def _coordinator(directory, **kwargs):
+    from repro.dist.coordinator import Coordinator
+    return Coordinator(directory, **kwargs)
+
+
+def _worker(directory, **kwargs):
+    from repro.dist.worker import Worker
+    return Worker(directory, **kwargs)
+
+
+def _remote(proxy, **kwargs):
+    import repro.dist.remote as remote
+    return getattr(remote, proxy)("http://127.0.0.1:9", **kwargs)
+
+
 @pytest.mark.parametrize("module", ["repro.cli", "repro.flow"])
 def test_importing_does_not_load_the_fabric(module):
     """The CLI and the flows reach the distributed fabric lazily:

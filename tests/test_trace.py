@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.ir import expr as E
 from repro.ir.system import Signal
 from repro.trace.trace import Trace, TraceKind
 from repro.trace.wave import render_bit_wave, render_for_prompt, render_wave
@@ -64,3 +65,27 @@ class TestRendering:
     def test_absolute_labels_for_bmc(self, small_trace):
         small_trace.kind = TraceKind.BMC_CEX
         assert "k+0" not in render_wave(small_trace)
+
+    def test_signal_subset_and_cycle_cap(self, small_trace):
+        text = render_wave(small_trace, signals=["count2"], max_cycles=2)
+        assert "count2" in text and "count1" not in text
+        assert "k+1" in text and "k+2" not in text
+        assert "00" in text and "01" not in text
+
+    def test_bit_order_low_to_high(self, small_trace):
+        rows = [line.split()[0] for line in render_bit_wave(
+            small_trace, "count1", bit_high_to_low=False).splitlines()[3:]]
+        assert rows == [f"count1[{b}]" for b in range(8)]
+
+
+class TestFromModelValues:
+    def test_defines_are_recomputed_per_cycle(self, sync_counters_system):
+        s = sync_counters_system
+        s.add_define("diff", E.sub(E.var("count1", 8), E.var("count2", 8)))
+        trace = Trace.from_model_values(
+            s, [{"count1": 3, "count2": 1}, {"count1": 4, "count2": 4}],
+            kind=TraceKind.BMC_CEX, property_name="counters_equal")
+        assert trace.signal_names() == ["count1", "count2", "diff"]
+        assert trace.values_over_time("diff") == [2, 0]
+        assert trace.kind is TraceKind.BMC_CEX
+        assert trace.property_name == "counters_equal"
