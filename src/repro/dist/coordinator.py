@@ -7,11 +7,11 @@ same per-slot cache pass every in-process pool starts with
 read) — and reports every job whose race the store decides or exhausts
 on the spot.  Only the rest is serialized into
 :class:`~repro.dist.protocol.JobSpec` rows; for those it takes the
-queue, spawns local workers (each one a real ``repro-verify worker``
-process pointed at the shared backend — a cache directory other
-machines can mount, or a ``repro-verify serve`` URL other machines can
-reach), and supervises.  A pool the store settles entirely takes no
-queue and starts no process.
+queue, forks local workers (each a :class:`~repro.dist.worker.Worker`
+on the shared backend — a cache directory other machines can mount,
+or a ``repro-verify serve`` URL other machines can reach — that starts
+with the coordinator's modules and journal), and supervises.  A pool
+the store settles entirely takes no queue and starts no process.
 
 The queue is closed the moment the pool is enqueued: the pool is
 final, so each worker leaves as soon as nothing is claimable, and the
@@ -41,10 +41,9 @@ directory, or across machines against a network backend.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
-import subprocess
-import sys
 import time
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -97,8 +96,8 @@ class Coordinator:
 
     ``backend`` is the rendezvous every worker shares (directory path,
     ``sqlite:DIR``, or ``http://HOST:PORT``); ``workers`` local worker
-    processes are spawned via ``python -m repro worker``, each racing
-    one claimed job at a time; ``lease_seconds`` bounds crash detection
+    processes are forked from this one, each racing one claimed job at
+    a time; ``lease_seconds`` bounds crash detection
     (a worker silent that long forfeits its job); ``wall_timeout``
     (None = unbounded) bounds the whole run as a last-resort stall
     guard.  Dead workers are respawned up to ``2 * workers`` times.
@@ -125,7 +124,7 @@ class Coordinator:
         self.cache = cache if cache is not None \
             else ResultCache(backing=self._own_store)
         self.requeued: list[tuple[str, str]] = []  # (job_id, dead worker)
-        self._procs: dict[str, subprocess.Popen] = {}
+        self._procs: dict[str, multiprocessing.Process] = {}
         self._spawned = 0
         self._wanted = 0                    # workers the enqueued jobs need
         self._owns_queue = False            # begin_campaign succeeded
@@ -141,39 +140,23 @@ class Coordinator:
     # Worker process management
     # ------------------------------------------------------------------
 
-    def _worker_command(self, worker_id: str) -> list[str]:
-        return [sys.executable, "-m", "repro", "worker",
-                "--backend", self.backend.spec(),
-                "--id", worker_id,
-                "--lease", str(self.lease_seconds)]
-
     def _spawn_worker(self) -> bool:
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        env = os.environ.copy()
-        # Make `python -m repro` resolve the same package we are running
-        # from, installed or straight out of a source tree.
-        import repro
-        package_parent = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = package_parent + os.pathsep + \
-            env.get("PYTHONPATH", "")
-        # Spawned workers join the campaign's journal from their first
-        # record (worker_start), before any job names it.
-        journal = _journal.active()
-        if journal is not None:
-            env.update(journal.env())
         try:
-            self._procs[worker_id] = subprocess.Popen(
-                self._worker_command(worker_id), env=env,
-                stdout=subprocess.DEVNULL)
-        except OSError:
-            return False  # no subprocesses here; inline drain covers it
+            proc = multiprocessing.get_context("fork").Process(
+                target=_run_worker, name=worker_id,
+                args=(self.backend.spec(), worker_id, self.lease_seconds))
+            proc.start()
+        except (OSError, ValueError):
+            return False  # no fork here; inline drain covers it
+        self._procs[worker_id] = proc
         return True
 
     def _reap_processes(self) -> int:
         """Drop exited workers from the table; returns how many live."""
         for worker_id in list(self._procs):
-            if self._procs[worker_id].poll() is not None:
+            if self._procs[worker_id].exitcode is not None:
                 del self._procs[worker_id]
         return len(self._procs)
 
@@ -192,15 +175,11 @@ class Coordinator:
             pass
         deadline = time.monotonic() + max(_worker.POLL_INTERVAL * 10, 2.0)
         for proc in self._procs.values():
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(remaining, 0.1))
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=1.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+            proc.join(timeout=max(deadline - time.monotonic(), 0.1))
+            for stop in (proc.terminate, proc.kill):
+                if proc.exitcode is None:
+                    stop()
+                    proc.join(timeout=1.0)
         self._procs.clear()
 
     # ------------------------------------------------------------------
@@ -308,10 +287,7 @@ class Coordinator:
         if live is None:
             time.sleep(_worker.POLL_INTERVAL)
             return
-        try:
-            live.wait(timeout=_worker.POLL_INTERVAL)
-        except subprocess.TimeoutExpired:
-            pass
+        live.join(timeout=_worker.POLL_INTERVAL)
 
     def _drain_inline(self) -> None:
         """Run pending jobs in this process (no workers available).
@@ -408,6 +384,13 @@ class Coordinator:
                 f"{self.backend.spec()}; one backend runs one "
                 f"campaign at a time — wait for it to finish")
         self._owns_queue = True
+
+
+def _run_worker(backend: str, worker_id: str,
+                lease_seconds: float) -> None:
+    """A forked worker's whole life (the child's process target)."""
+    _worker.Worker(backend, worker_id=worker_id,
+                   lease_seconds=lease_seconds).run()
 
 
 def _outcome_for(results: dict[str, JobResult],

@@ -32,8 +32,9 @@ respawns.
 
 Run standalone via ``repro-verify worker --backend SPEC`` (point any
 number of machines/processes at one shared directory or one service
-URL), or let the coordinator spawn local workers with
-``campaign --workers N``.
+URL), or let ``campaign --workers N`` fork local workers: each starts
+with the coordinator's modules and journal.  A standalone worker joins
+the journal per job, through the ``JobSpec``'s trace context.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ class Worker:
         # taken over by a second campaign.
         self.campaign_owner = campaign_owner
         self.campaign_lease = campaign_lease
-        # Coordinator-spawned workers inherit the campaign's journal
-        # via REPRO_EVENTS_DIR/REPRO_TRACE_ID; join it before the first
-        # claim so worker_start lands in it too.  (A worker nobody
-        # spawned joins per job, through the JobSpec's TraceContext.)
-        if _journal.active() is None:
-            _journal.configure_from_env()
         self.queue = open_queue(self.backend)
         self.store = open_store(self.backend)
         self.cache = ResultCache(backing=self.store)

@@ -29,9 +29,11 @@ Propagation uses the seams the distributed stack already has:
 * same process / same thread — a :mod:`contextvars` variable carries
   the current span, so nested :func:`span` calls parent automatically
   (and correctly across the coordinator's worker threads);
-* spawned worker processes — :meth:`Journal.env` exports
-  ``REPRO_EVENTS_DIR`` / ``REPRO_TRACE_ID`` and the worker calls
-  :func:`configure_from_env` at startup;
+* forked processes (a coordinator's workers, ``fork``-started pool
+  children) — the child inherits the active journal, which reopens
+  its file under the child's pid on the first record; the journal's
+  lock is held across the fork, so no record is half-written in an
+  inherited buffer and the child never starts with the lock taken;
 * individual jobs — a :class:`TraceContext` rides on ``JobSpec`` /
   ``CheckTask`` records (it pickles; the receiving side parents its
   span on what :func:`adopt` returns), which is how
@@ -57,24 +59,17 @@ from pathlib import Path
 from typing import Iterator
 
 __all__ = [
-    "EVENTS_DIR_ENV",
-    "TRACE_ID_ENV",
     "Journal",
     "TraceContext",
     "active",
     "adopt",
     "configure",
-    "configure_from_env",
     "current_context",
     "emit",
     "load",
     "shutdown",
     "span",
 ]
-
-EVENTS_DIR_ENV = "REPRO_EVENTS_DIR"
-TRACE_ID_ENV = "REPRO_TRACE_ID"
-
 
 def _new_id() -> str:
     return uuid.uuid4().hex[:16]
@@ -136,11 +131,6 @@ class Journal:
         except (OSError, ValueError, TypeError):
             self._broken = True
 
-    def env(self) -> dict[str, str]:
-        """Env vars that let a child process join this journal."""
-        return {EVENTS_DIR_ENV: str(self.events_dir),
-                TRACE_ID_ENV: self.trace_id}
-
     def close(self) -> None:
         with self._lock:
             if self._fh is not None and self._pid == os.getpid():
@@ -165,19 +155,27 @@ def configure(events_dir: str | os.PathLike,
     return _journal
 
 
-def configure_from_env(environ=os.environ) -> Journal | None:
-    """Join the journal advertised by the parent process, if any."""
-    events_dir = environ.get(EVENTS_DIR_ENV)
-    if not events_dir:
-        return None
-    try:
-        return configure(events_dir, environ.get(TRACE_ID_ENV))
-    except OSError:
-        return None
-
-
 def active() -> Journal | None:
     return _journal
+
+
+_forking: Journal | None = None  # its lock is held across a fork
+
+
+def _before_fork() -> None:
+    global _forking
+    _forking = _journal
+    if _forking is not None:
+        _forking._lock.acquire()
+
+
+def _after_fork() -> None:
+    if _forking is not None:
+        _forking._lock.release()
+
+
+os.register_at_fork(before=_before_fork, after_in_parent=_after_fork,
+                    after_in_child=_after_fork)
 
 
 def shutdown() -> None:

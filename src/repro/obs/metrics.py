@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import os
 import threading
+import weakref
 from typing import Iterable
 
 __all__ = [
@@ -256,6 +257,7 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._families: dict[str, Family] = {}
+        _REGISTRIES.add(self)
 
     def _register(self, name: str, help_text: str, kind: str,
                   labels: tuple[str, ...],
@@ -357,7 +359,22 @@ def delta(before: dict[str, dict],
     return out
 
 
+_REGISTRIES: weakref.WeakSet[MetricsRegistry] = weakref.WeakSet()
 _DEFAULT_REGISTRY = MetricsRegistry()
+
+
+def _renew_locks_after_fork() -> None:
+    # A lock another thread of the parent held at the fork (a service
+    # handler mid-increment) would stay held in the child forever.
+    for registry in list(_REGISTRIES):
+        registry._lock = threading.Lock()
+        for family in registry._families.values():
+            family._lock = threading.Lock()
+            for child in family._children.values():
+                child._lock = family._lock
+
+
+os.register_at_fork(after_in_child=_renew_locks_after_fork)
 
 
 def get_registry() -> MetricsRegistry:

@@ -46,9 +46,8 @@ def fabric_timing(monkeypatch):
     """Set the distributed fabric's timing constants for one test:
     ``fabric_timing(poll=S)`` is a worker's idle poll and the
     coordinator's supervision tick, ``fabric_timing(timeout=S)`` the
-    per-request wire timeout.  Both are read at call time, so the
-    setting holds in this process only: workers a coordinator spawns
-    run the defaults."""
+    per-request wire timeout.  Both are read at call time, and the
+    workers a coordinator forks inherit them."""
     import repro.dist.remote as remote
     import repro.dist.worker as worker
 

@@ -55,6 +55,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sync_counters" in out and "equal_count" in out
 
+    def test_reader_that_left_ends_the_command_quietly(self):
+        """`repro-verify list | head -1`: a reader that closes early
+        ends the command with exit 1 and no traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)          # gone before the first line arrives
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list"], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+
     def test_models(self, capsys):
         assert main(["models"]) == 0
         out = capsys.readouterr().out

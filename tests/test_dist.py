@@ -1,5 +1,7 @@
 """Distributed campaign subsystem: queue, protocol, workers, recovery."""
 
+import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -408,39 +410,58 @@ class TestCampaignEndsWithItsLastJob:
         assert all(outcome.worker_id == "w1"
                    for outcome in result.outcomes.values())
         [worker] = spawned
-        assert worker.poll() == 0          # left on its own, not killed
+        assert worker.exitcode == 0        # left on its own, not killed
         # The supervision sleep would cost a full 5 s tick.
         assert elapsed < 5.0
 
-    def test_spawn_command_names_only_backend_id_and_lease(self,
-                                                           tmp_path):
+    def test_forked_worker_is_built_from_backend_id_and_lease(
+            self, tmp_path, monkeypatch):
         from repro.cli import build_parser
         from repro.dist import Coordinator
-        command = Coordinator(tmp_path, workers=1,
-                              lease_seconds=10)._worker_command("w1")
-        assert command == [sys.executable, "-m", "repro", "worker",
-                           "--backend", f"sqlite:{tmp_path}",
-                           "--id", "w1", "--lease", "10"]
-        # ... and the worker's own parser takes every one of them.
-        args = build_parser().parse_args(command[3:])
+        built = tmp_path / "built.json"
+        run = Worker.run
+
+        def recording_run(self):
+            # Patched before the fork, so the child runs it too.
+            built.write_text(json.dumps([
+                self.backend.spec(), self.worker_id, self.lease_seconds,
+                self.idle_timeout, self.campaign_owner]))
+            return run(self)
+
+        monkeypatch.setattr(Worker, "run", recording_run)
+        jobs = _campaign_jobs(tmp_path)
+        Coordinator(tmp_path, workers=1, lease_seconds=10).dispatch(jobs)
+        assert json.loads(built.read_text()) == \
+            [f"sqlite:{tmp_path}", "w1", 10, 60.0, None]
+        # ... and a standalone worker's parser takes the same three.
+        args = build_parser().parse_args(
+            ["worker", "--backend", f"sqlite:{tmp_path}", "--id", "w1",
+             "--lease", "10"])
         assert (args.backend, args.id, args.lease) == \
             (f"sqlite:{tmp_path}", "w1", 10.0)
 
     def test_job_requeued_after_the_workers_left_goes_to_a_respawn(
             self, tmp_path, spawned, monkeypatch, fabric_timing):
         from repro.dist import Coordinator
-        command = Coordinator._worker_command
+        from repro.dist import coordinator as coordinator_module
+        run_worker = coordinator_module._run_worker
+        claimed = tmp_path / "w1-claimed"
 
-        def claim_and_exit_as_w1(self, worker_id):
-            if worker_id != "w1":
-                return command(self, worker_id)
-            # w1 holds the best job's lease and its process exits
-            # without completing it.  The claim is made here, before w2
-            # exists, so the real worker can never drain it first.
-            WorkQueue.open(tmp_path).claim("w1", self.lease_seconds)
-            return [sys.executable, "-c", "pass"]
+        def claim_and_exit_as_w1(backend, worker_id, lease_seconds):
+            if worker_id == "w1":
+                # w1 holds the best job's lease and its process exits
+                # without completing it.
+                WorkQueue.open(tmp_path).claim("w1", lease_seconds)
+                claimed.touch()
+                return
+            # Every other worker starts after that claim, so no real
+            # worker can drain the job first.
+            while not claimed.exists():
+                time.sleep(0.01)
+            run_worker(backend, worker_id, lease_seconds)
 
-        monkeypatch.setattr(Coordinator, "_worker_command",
+        # Patched before the fork, so every child runs it.
+        monkeypatch.setattr(coordinator_module, "_run_worker",
                             claim_and_exit_as_w1)
         jobs = _campaign_jobs(tmp_path)
         # The coordinator requeues only on a tick, and it ticks when the
@@ -461,7 +482,77 @@ class TestCampaignEndsWithItsLastJob:
         completer = result.outcomes[tuple(lost.split("::"))].worker_id
         assert completer not in ("w1", "w2")      # a respawned worker
         assert len(spawned) >= 3
-        assert all(proc.poll() is not None for proc in spawned)
+        assert all(proc.exitcode is not None for proc in spawned)
+
+
+class TestForkedWorkers:
+    """A coordinator's local workers are forks of it: they start with
+    its modules and its journal, and none outlives the campaign."""
+
+    def test_no_worker_outlives_its_campaign(self, tmp_path, spawned):
+        report = run_campaign(designs=["updown_counter",
+                                       "sync_counters_bug"],
+                              cache_dir=tmp_path, max_k=3, workers=2,
+                              lease_seconds=10)
+        assert report.mismatches == 0
+        assert len(spawned) == 2
+        assert multiprocessing.active_children() == []
+        assert [proc.exitcode for proc in spawned] == [0, 0]
+
+    def test_locks_another_thread_holds_do_not_wedge_the_child(
+            self, tmp_path, spawned, monkeypatch):
+        """Another thread holds the journal's lock and a metric
+        family's lock as the coordinator forks: the fork waits for the
+        journal record to finish, the child gets a fresh family lock,
+        and the worker finishes its jobs."""
+        import threading
+
+        from repro.dist import Coordinator
+        from repro.dist import worker as worker_module
+        from repro.obs import journal
+        sink = journal.configure(tmp_path / "events", trace_id="held")
+        family = worker_module._M_CLAIM_SECONDS   # a worker's every claim
+        held, forking, locked, done = (threading.Event() for _ in range(4))
+        spawn = Coordinator._spawn_worker
+
+        def spawn_under_held_journal_lock(self):
+            forking.set()
+            locked.wait(30)
+            return spawn(self)
+
+        monkeypatch.setattr(Coordinator, "_spawn_worker",
+                            spawn_under_held_journal_lock)
+
+        def hold_locks():
+            with family._lock:
+                held.set()
+                forking.wait(30)
+                with sink._lock:     # mid-record as the fork starts
+                    locked.set()
+                    time.sleep(0.2)
+                done.wait(60)
+
+        holder = threading.Thread(target=hold_locks)
+        holder.start()
+        try:
+            assert held.wait(30)
+            jobs = _campaign_jobs(tmp_path / "store")
+            result = Coordinator(tmp_path / "store", workers=1,
+                                 lease_seconds=10,
+                                 wall_timeout=30).dispatch(jobs)
+        finally:
+            done.set()
+            holder.join(30)
+            journal.shutdown()
+        assert not holder.is_alive()
+        assert {outcome.worker_id
+                for outcome in result.outcomes.values()} == {"w1"}
+        [worker] = spawned
+        assert worker.exitcode == 0
+        [start] = [record for record in journal.load(tmp_path / "events")
+                   if record["kind"] == "worker_start"]
+        assert (start["worker"], start["trace_id"]) == ("w1", "held")
+        assert start["pid"] == worker.pid != os.getpid()
 
 
 def _verdicts(report):

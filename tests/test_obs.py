@@ -193,6 +193,7 @@ class TestPdrMetrics:
 
     @staticmethod
     def _pdr_samples():
+        import repro.mc.pdr.frames  # noqa: F401  (registers the families)
         snapshot = get_registry().snapshot()
         return {name: dict(snapshot[name]["samples"])
                 for name in ("repro_pdr_queries_total",
@@ -274,17 +275,6 @@ class TestTracing:
         (record,) = journal.load(tmp_path)
         assert record["error"] == "RuntimeError"
 
-    def test_env_round_trip_joins_the_trace(self, tmp_path):
-        sink = journal.configure(tmp_path, trace_id="abc")
-        env = sink.env()
-        assert env == {"REPRO_EVENTS_DIR": str(tmp_path),
-                       "REPRO_TRACE_ID": "abc"}
-        journal.shutdown()
-        joined = journal.configure_from_env(env)
-        assert joined is not None and joined.trace_id == "abc"
-        assert joined.events_dir == tmp_path
-        assert journal.configure_from_env({}) is None
-
     def test_adopt_is_idempotent(self, tmp_path):
         journal.configure(tmp_path, trace_id="abc")
         with span("s"):
@@ -327,8 +317,6 @@ class TestTracing:
     def test_unwritable_directory_disables_the_sink(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        env = {"REPRO_EVENTS_DIR": str(blocker / "events")}
-        assert journal.configure_from_env(env) is None
         ctx = journal.TraceContext("t", "s", str(blocker / "events"))
         assert journal.adopt(ctx) is None
         assert journal.active() is None
@@ -454,6 +442,21 @@ class TestDistributedTraceStitching:
         assert {"queue_enqueue", "queue_claim", "worker_start",
                 "worker_exit", "job_start", "check_start"} <= \
             {r["kind"] for r in records}
+
+    def test_forked_worker_starts_in_the_campaign_journal(self,
+                                                          tmp_path):
+        """A coordinator's worker is a fork: it records into the
+        campaign's journal from its first record, before any job
+        names the trace."""
+        report = run_campaign(designs=["updown_counter"],
+                              cache_dir=tmp_path / "cache", max_k=3,
+                              workers=1, lease_seconds=10,
+                              events_dir=tmp_path / "events")
+        starts = [record for record in journal.load(tmp_path / "events")
+                  if record["kind"] == "worker_start"]
+        assert [(r["worker"], r["trace_id"]) for r in starts] == \
+            [("w1", report.trace_id)]
+        assert starts[0]["pid"] != os.getpid()
 
     MODES = {"jobs=1": dict(jobs=1), "jobs=2": dict(jobs=2),
              "workers=2": dict(workers=2, lease_seconds=10)}
