@@ -4,8 +4,8 @@ Layering (registry -> scheduler -> portfolio -> two-tier cache -> report):
 
 * :class:`~repro.campaign.store.ProofStore` — persistent SQLite proof
   store; plugs into :class:`~repro.mc.cache.ResultCache` as its disk
-  tier and accumulates the outcome history whose wall-clock medians
-  order the next campaign's pool.
+  tier and keeps one :class:`~repro.campaign.report.CampaignRow` per
+  property in its ledger, whose walls order the next campaign's pool.
   One implementation of the :class:`~repro.dist.backend.StoreBackend`
   interface — campaigns can point the same cache tier at a
   ``repro-verify serve`` instance on another machine instead
@@ -19,20 +19,17 @@ Layering (registry -> scheduler -> portfolio -> two-tier cache -> report):
 """
 
 from repro.campaign.report import CampaignReport, CampaignRow, WorkerStat
-from repro.campaign.scheduler import (CONCLUSIVE_STATUSES, CampaignJob,
-                                      CampaignScheduler, Dispatcher,
-                                      DispatchOutcome, DispatchResult,
+from repro.campaign.scheduler import (CampaignJob, CampaignScheduler,
+                                      Dispatcher, DispatchResult,
                                       LocalDispatcher, compile_design,
-                                      race_specs)
+                                      for_design, race_specs)
 from repro.campaign.store import ProofStore, StrategyStats
 
 __all__ = [
-    "CONCLUSIVE_STATUSES",
     "CampaignJob",
     "CampaignReport",
     "CampaignRow",
     "CampaignScheduler",
-    "DispatchOutcome",
     "DispatchResult",
     "Dispatcher",
     "LocalDispatcher",
@@ -40,5 +37,6 @@ __all__ = [
     "StrategyStats",
     "WorkerStat",
     "compile_design",
+    "for_design",
     "race_specs",
 ]

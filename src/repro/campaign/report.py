@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.mc.cache import CacheStats
 from repro.report import Table
+
+if TYPE_CHECKING:
+    from repro.mc.portfolio import PortfolioOutcome
 
 
 @dataclass
@@ -35,17 +39,23 @@ class WorkerStat:
 
 @dataclass
 class CampaignRow:
-    """One (design, property) outcome inside a campaign."""
+    """One (design, property) verdict: the one record below the race.
+
+    Every dispatcher returns these (:meth:`from_portfolio`), the
+    campaign fills in what only the design knows (``family``,
+    ``expect``, ``provenance``), the proof store's ledger keeps them
+    and ``repro-verify explain`` reads them back.
+    """
 
     design: str
-    family: str
     property_name: str
     status: str                  # "proven" | "violated" | ...
-    expect: str                  # the design's ground-truth verdict
     strategy: str                # spec that produced the result
     wall_seconds: float
     k: int
     from_cache: bool
+    family: str = ""
+    expect: str = "unknown"      # the design's ground-truth verdict
     worker: str = ""             # worker id, distributed campaigns only
     #: Machine-independent solver-effort counters of the winning run
     #: (conflicts, decisions, propagations, ...) — what engine
@@ -58,6 +68,31 @@ class CampaignRow:
     #: The effort ledger: one dict per raced strategy slot (see
     #: :func:`repro.mc.portfolio.attempt_record`).
     attempts: list[dict] = field(default_factory=list)
+
+    @classmethod
+    def from_portfolio(cls, outcome: PortfolioOutcome,
+                       worker: str = "") -> CampaignRow:
+        """The row of one finished portfolio race (``outcome.tag``
+        names the design) — shared by the in-process dispatcher, the
+        distributed workers and ``verify_all``."""
+        return cls(
+            design=outcome.tag, property_name=outcome.property_name,
+            status=outcome.result.status.value,
+            strategy=outcome.strategy,
+            wall_seconds=outcome.result.stats.wall_seconds,
+            k=outcome.result.k, from_cache=outcome.from_cache,
+            worker=worker,
+            effort=outcome.result.stats.effort_dict(),
+            attempts=list(outcome.attempt_log))
+
+    @classmethod
+    def unknown(cls, design: str, property_name: str,
+                strategy: str) -> CampaignRow:
+        """The UNKNOWN verdict of a job that produced no result: one
+        poisoned in the queue, or whose result row is unreadable."""
+        return cls(design=design, property_name=property_name,
+                   status="unknown", strategy=strategy,
+                   wall_seconds=0.0, k=0, from_cache=False)
 
     @property
     def mismatch(self) -> bool:

@@ -2,16 +2,18 @@
 
 A *campaign* verifies many designs in one run.  The scheduler flattens
 the selected designs into one ``(design, property, strategy-race)`` job
-pool, orders it longest-expected-first (history medians from the proof
-store, structural size as the cold fallback), and feeds the whole pool
-through one :class:`~repro.mc.portfolio.PortfolioScheduler` so the
-global ``jobs`` limit governs every design at once — a short design's
-properties fill worker slots while a long design's proofs grind.
+pool, orders it longest-expected-first (the wall each property's last
+verdict took, from the proof store's ledger; structural size when it
+has none), and feeds the whole pool through one
+:class:`~repro.mc.portfolio.PortfolioScheduler` so the global ``jobs``
+limit governs every design at once — a short design's properties fill
+worker slots while a long design's proofs grind.
 
 Every job races the configured portfolio (:func:`race_specs`); a won
 race drops its still-queued refuters and a cached one stops at its first
-conclusive slot.  Every final outcome is appended to the store's
-history, whose wall-clock medians order the next campaign's pool.
+conclusive slot.  Every final verdict is one :class:`CampaignRow`,
+upserted into the store's ledger, whose walls order the next
+campaign's pool.
 
 Execution is delegated through the :class:`Dispatcher` interface:
 :class:`LocalDispatcher` streams the pool through one in-process
@@ -19,8 +21,8 @@ portfolio scheduler, while
 :class:`~repro.dist.coordinator.Coordinator` fans it across
 worker processes rendezvousing on any shared backend (a cache
 directory or a ``repro-verify serve`` URL).  ``CampaignScheduler.run``
-is the same code either way — it records history and builds the report
-from dispatcher-neutral :class:`DispatchOutcome` records.
+is the same code either way — every dispatcher returns rows, and the
+campaign stores them and builds the report from them.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from repro.campaign.store import ProofStore, verdict_provenance
 from repro.designs.base import Design, PropertySpec
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.engine import EngineConfig, ProofEngine
-from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
-                                PortfolioScheduler, VerifyTask)
+from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioScheduler,
+                                VerifyTask)
 from repro.ir.system import TransitionSystem
 from repro.mc.property import SafetyProperty
-from repro.mc.result import Status
 from repro.mc.strategy import (resolve_strategy, spec_name,
                                strategy_option_names)
 from repro.obs import journal as _journal
@@ -61,11 +62,6 @@ def _phase(phases: dict[str, float], name: str, **fields):
         phases[name] = round(time.perf_counter() - started, 6)
         if sp is not None:
             sp.dur = phases[name]
-
-
-#: Status strings that settle a property, derived from the enum so the
-#: two can never drift apart.
-CONCLUSIVE_STATUSES = tuple(s.value for s in Status if s.conclusive)
 
 
 def compile_design(design: Design) -> list[
@@ -141,65 +137,28 @@ class CampaignJob:
         return (self.design.name, self.prop.name)
 
 
-@dataclass
-class DispatchOutcome:
-    """One job's final verdict, as any dispatcher reports it.
-
-    The neutral record both the in-process and the distributed paths
-    emit, so :meth:`CampaignScheduler.run` can record history and build
-    the report without knowing how the job was executed.
-    """
-
-    design: str
-    property_name: str
-    status: str                  # "proven" | "violated" | ...
-    strategy: str                # spec string that produced the verdict
-    wall_seconds: float
-    k: int
-    from_cache: bool
-    worker_id: str = ""          # distributed dispatch only
-    #: Cumulative solver-effort snapshot of the winning run (conflicts /
-    #: decisions / propagations / ...), machine-independent — see
-    #: :meth:`repro.mc.result.ProofStats.effort_dict`.
-    effort: dict = field(default_factory=dict)
-    #: Per-slot effort-ledger rows of the race that produced the verdict
-    #: (see :func:`repro.mc.portfolio.attempt_record`) — plain dicts, so
-    #: the record pickles through the dist protocol unchanged.
-    attempts: list[dict] = field(default_factory=list)
-
-    @property
-    def conclusive(self) -> bool:
-        return self.status in CONCLUSIVE_STATUSES
-
-    @classmethod
-    def from_portfolio(cls, outcome: PortfolioOutcome,
-                       worker_id: str = "") -> "DispatchOutcome":
-        """The dispatch record of one finished portfolio race (with
-        ``outcome.tag`` naming the design) — shared by the in-process
-        dispatcher and the distributed workers."""
-        return cls(
-            design=outcome.tag, property_name=outcome.property_name,
-            status=outcome.result.status.value,
-            strategy=outcome.strategy,
-            wall_seconds=outcome.result.stats.wall_seconds,
-            k=outcome.result.k, from_cache=outcome.from_cache,
-            worker_id=worker_id,
-            effort=outcome.result.stats.effort_dict(),
-            attempts=list(outcome.attempt_log))
+def for_design(row: CampaignRow, design: Design,
+               spec: PropertySpec) -> CampaignRow:
+    """``row`` with what only the design side knows filled in: its
+    ``family``, the property's ``expect`` and the verdict's
+    ``provenance`` (see :func:`verdict_provenance`)."""
+    return replace(row, family=design.family, expect=spec.expect,
+                   provenance=verdict_provenance(row.strategy,
+                                                 row.from_cache))
 
 
 @dataclass
 class DispatchResult:
     """Everything one dispatch pass hands back to the campaign."""
 
-    outcomes: dict[tuple[str, str], DispatchOutcome]
+    rows: dict[tuple[str, str], CampaignRow]   # by (design, property)
     cache: CacheStats = field(default_factory=CacheStats)
     workers: int = 0             # worker processes (0 = in-process)
     worker_stats: list[WorkerStat] = field(default_factory=list)
 
 
 class Dispatcher(Protocol):
-    """Executes a campaign job pool and reports one outcome per job.
+    """Executes a campaign job pool and returns one row per job.
 
     Each job's ``task.strategies`` is its race; implementations own the
     execution policy (in-process pool, queue and workers, ...).
@@ -224,9 +183,9 @@ class LocalDispatcher:
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
         stats_before = replace(self.cache.stats)
         scheduler = PortfolioScheduler(jobs=self.jobs, cache=self.cache)
-        outcomes = {(o.tag, o.property_name): DispatchOutcome.from_portfolio(o)
-                    for o in scheduler.stream([j.task for j in pool])}
-        return DispatchResult(outcomes=outcomes,
+        rows = {(o.tag, o.property_name): CampaignRow.from_portfolio(o)
+                for o in scheduler.stream([j.task for j in pool])}
+        return DispatchResult(rows=rows,
                               cache=self.cache.stats.since(stats_before))
 
 
@@ -262,7 +221,7 @@ class CampaignScheduler:
 
     def build_jobs(self) -> list[CampaignJob]:
         """The flattened job pool, ordered longest-expected-first."""
-        history = self.store.expected_walls()   # one read for the pool
+        walls = self.store.expected_walls()   # one read for the pool
         pool: list[CampaignJob] = []
         for design in self.designs:
             # compile_design scopes through the engine so campaign jobs
@@ -275,18 +234,18 @@ class CampaignScheduler:
                                   strategies=race_specs(
                                       self.base, max_k=depth,
                                       bound=self.bmc_bound))
-                # A job with no solver history is prioritised by its
+                # A job with no ledger row is prioritised by its
                 # structural size.
                 structural = float(
                     (len(scoped.states) + len(scoped.inputs)) * depth)
                 pool.append(CampaignJob(
                     design=design, spec=spec, prop=prop, task=task,
-                    expected_wall=history.get((design.name, spec.name),
-                                              structural),
+                    expected_wall=walls.get((design.name, spec.name),
+                                            structural),
                     order=len(pool)))
-        # Longest first: with history, seconds; cold jobs use a large
-        # structural proxy, which also (deliberately) schedules the
-        # unknown ahead of the known.
+        # Longest first: with a ledger row, seconds; cold jobs use a
+        # large structural proxy, which also (deliberately) schedules
+        # the unknown ahead of the known.
         pool.sort(key=lambda j: -j.expected_wall)
         return pool
 
@@ -310,56 +269,17 @@ class CampaignScheduler:
             # "solve" is the in-job portion of "dispatch" (sum of
             # non-cached job wall times — across workers it can exceed
             # the dispatch wall when jobs ran in parallel).
-            outcomes = [result.outcomes[job.identity] for job in pool]
-            phases["solve"] = round(sum(o.wall_seconds for o in outcomes
-                                        if not o.from_cache), 6)
+            phases["solve"] = round(sum(
+                row.wall_seconds for row in result.rows.values()
+                if not row.from_cache), 6)
 
-            rows, history, ledger = [], [], []
             with _phase(phases, "store"):
-                for job in sorted(pool, key=lambda j: j.order):
-                    outcome = result.outcomes[job.identity]
-                    provenance = verdict_provenance(
-                        outcome.strategy, outcome.from_cache)
-                    # History is recorded here, once per final verdict,
-                    # whichever dispatcher ran the job — distributed
-                    # workers deliberately do not write history, so no
-                    # outcome is double-counted.
-                    history.append(dict(
-                        design=job.design.name, family=job.design.family,
-                        property_name=job.prop.name,
-                        strategy=spec_name(outcome.strategy),
-                        status=outcome.status,
-                        wall_seconds=outcome.wall_seconds,
-                        from_cache=outcome.from_cache))
-                    # The forensic ledger rides along: one row per
-                    # final verdict holding the whole race's story.
-                    ledger.append({
-                        "design": job.design.name,
-                        "property": job.prop.name,
-                        "status": outcome.status,
-                        "strategy": outcome.strategy,
-                        "provenance": provenance,
-                        "from_cache": outcome.from_cache,
-                        "worker": outcome.worker_id,
-                        "wall_seconds": outcome.wall_seconds,
-                        "k": outcome.k,
-                        "attempts": list(outcome.attempts)})
-                    rows.append(CampaignRow(
-                        design=job.design.name, family=job.design.family,
-                        property_name=job.prop.name,
-                        status=outcome.status,
-                        expect=job.spec.expect,
-                        strategy=outcome.strategy,
-                        wall_seconds=outcome.wall_seconds,
-                        k=outcome.k,
-                        from_cache=outcome.from_cache,
-                        worker=outcome.worker_id,
-                        effort=dict(outcome.effort),
-                        provenance=provenance,
-                        attempts=list(outcome.attempts)))
+                rows = [for_design(result.rows[job.identity], job.design,
+                                   job.spec)
+                        for job in sorted(pool, key=lambda j: j.order)]
                 # One transaction, one wire call: the campaign's rows
-                # land together.
-                self.store.record_outcomes(history, ledger)
+                # land together, whichever dispatcher ran the jobs.
+                self.store.record_outcomes(rows)
             if root is not None:
                 root.fields.update(
                     properties=len(rows),

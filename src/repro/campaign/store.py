@@ -1,6 +1,6 @@
 """Persistent on-disk proof store: the campaign subsystem's memory.
 
-One SQLite file holds three tables:
+One SQLite file holds two tables:
 
 * ``results`` — every :class:`~repro.mc.result.CheckResult` ever
   produced, keyed by the same content fingerprints
@@ -13,16 +13,16 @@ One SQLite file holds three tables:
   (system, property, lemma-set, strategy) queries are never re-proven
   across process restarts.
 
-* ``history`` — one row per reported verification outcome with design /
-  family / property / strategy identity and wall time; its wall-clock
-  medians (:meth:`ProofStore.expected_walls`) order the next campaign's
-  pool longest-expected-first.
-
-* ``ledger`` — the per-property *effort ledger*: one row per
-  (design, property) holding the full story of its current verdict —
-  winning strategy, verdict provenance (engine / store / seeded), and
-  a JSON record of every strategy raced with its per-slot effort.
-  ``repro-verify explain`` reads it back.
+* ``ledger`` — the per-property *effort ledger*: one
+  :class:`~repro.campaign.report.CampaignRow` per (design, property),
+  holding the full story of its current verdict — winning strategy and
+  its wall time, verdict provenance (engine / store / seeded), and a
+  JSON record of every strategy raced with its per-slot effort.
+  Campaigns and ``verify --backend`` batches upsert it
+  (:meth:`ProofStore.record_outcomes`), ``repro-verify explain`` reads
+  it back, and its walls (:meth:`ProofStore.expected_walls`) order the
+  next campaign's pool longest-expected-first.  A row answered from
+  the cache carries the wall of the solve that produced it.
 
 Cache-tier contract (every :class:`~repro.dist.backend.StoreBackend`
 implementation honors it): **the store degrades, it never raises into
@@ -48,8 +48,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.campaign.report import CampaignRow
 from repro.mc.result import CheckResult
-from repro.mc.strategy import StrategyError, resolve_strategy
+from repro.mc.strategy import StrategyError, resolve_strategy, spec_name
 
 #: Bump on any incompatible change to the tables or the pickle payload
 #: layout; mismatched stores are wiped and rebuilt (they are caches).
@@ -59,7 +60,9 @@ from repro.mc.strategy import StrategyError, resolve_strategy
 #: v3: the per-property effort ledger table.
 #: v4: result keys are Merkle digests (``mc/cache.py``); rows keyed by
 #: the old S-expression hashes could only ever miss.
-SCHEMA_VERSION = 4
+#: v5: the ledger is the one verdict table (``family`` column, no
+#: ``fallback``); the ``history`` table is gone.
+SCHEMA_VERSION = 5
 
 #: Keys per ``IN (...)`` clause of ``load_many``: under SQLite's
 #: historical 999 host-parameter limit.
@@ -105,29 +108,14 @@ CREATE TABLE IF NOT EXISTS results (
     created      REAL NOT NULL,
     payload      BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS history (
-    id           INTEGER PRIMARY KEY AUTOINCREMENT,
-    design       TEXT NOT NULL,
-    family       TEXT NOT NULL,
-    property     TEXT NOT NULL,
-    strategy     TEXT NOT NULL,
-    status       TEXT NOT NULL,
-    wall_seconds REAL NOT NULL,
-    from_cache   INTEGER NOT NULL,
-    created      REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS history_family_strategy
-    ON history (family, strategy);
-CREATE INDEX IF NOT EXISTS history_design_property
-    ON history (design, property);
 CREATE TABLE IF NOT EXISTS ledger (
     design       TEXT NOT NULL,
     property     TEXT NOT NULL,
+    family       TEXT NOT NULL,
     status       TEXT NOT NULL,
     strategy     TEXT NOT NULL,
     provenance   TEXT NOT NULL,
     from_cache   INTEGER NOT NULL,
-    fallback     INTEGER NOT NULL,
     worker       TEXT NOT NULL,
     wall_seconds REAL NOT NULL,
     k            INTEGER NOT NULL,
@@ -166,9 +154,9 @@ class StrategyStats:
 
     family: str
     strategy: str
-    attempts: int = 0          # outcomes this strategy reported
+    attempts: int = 0          # ledger verdicts this strategy gave
     wins: int = 0              # of which conclusive (PROVEN/VIOLATED)
-    median_wall: float = 0.0   # over solver runs only (cached rows excluded)
+    median_wall: float = 0.0   # of those verdicts' solve walls
 
     @property
     def win_rate(self) -> float:
@@ -189,7 +177,8 @@ class ProofStore:
     ``strategy_stats``, ``property_stats``) are off both: nothing in
     the package calls them, and they remain only because the
     end-to-end benchmark's tracer patches them by name
-    (``tests/test_bench_surface.py`` fails if one goes).
+    (``tests/test_bench_surface.py`` fails if one goes).  Each reads
+    or writes the ledger.
     """
 
     FILENAME = "proofs.sqlite"
@@ -267,7 +256,7 @@ class ProofStore:
             # Older/newer layout: this is a cache, so wipe and rebuild.
             conn.executescript(
                 "DROP TABLE IF EXISTS results;"
-                "DROP TABLE IF EXISTS history;"
+                "DROP TABLE IF EXISTS history;"    # v4 and older
                 "DROP TABLE IF EXISTS ledger;")
         conn.executescript(_SCHEMA)
         conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
@@ -276,9 +265,7 @@ class ProofStore:
         # table named `results` with other columns) fails here, inside
         # the recovery path, rather than on first load/store.
         conn.execute("SELECT key, payload FROM results LIMIT 1")
-        conn.execute("SELECT family, strategy, status, wall_seconds, "
-                     "from_cache FROM history LIMIT 1")
-        conn.execute("SELECT strategy, provenance, attempts "
+        conn.execute("SELECT family, strategy, provenance, attempts "
                      "FROM ledger LIMIT 1")
 
     def close(self) -> None:
@@ -360,83 +347,60 @@ class ProofStore:
                 return 0
 
     # ------------------------------------------------------------------
-    # Outcome history: what campaigns record and order their pools by
+    # Effort ledger: one row per property, the story of its verdict
     # ------------------------------------------------------------------
+
+    _LEDGER_COLUMNS = ("design", "property", "family", "status",
+                       "strategy", "provenance", "from_cache", "worker",
+                       "wall_seconds", "k", "attempts")
 
     def record(self, *, design: str, family: str, property_name: str,
                strategy: str, status: str, wall_seconds: float,
                from_cache: bool) -> None:
-        """Append one reported verification outcome to the history."""
-        self.record_outcomes([dict(
+        """Upsert one verdict given field by field."""
+        self.record_outcomes([CampaignRow(
             design=design, family=family, property_name=property_name,
             strategy=strategy, status=status, wall_seconds=wall_seconds,
-            from_cache=from_cache)], [])
+            k=0, from_cache=from_cache)])
 
-    # ------------------------------------------------------------------
-    # Effort ledger: the forensic story of each property's verdict
-    # ------------------------------------------------------------------
+    def record_ledger(self, row: CampaignRow) -> None:
+        """Upsert one verdict."""
+        self.record_outcomes([row])
 
-    _LEDGER_COLUMNS = ("design", "property", "status", "strategy",
-                       "provenance", "from_cache", "fallback", "worker",
-                       "wall_seconds", "k", "attempts")
-
-    def record_ledger(self, entry: dict) -> None:
-        """Upsert one property's effort-ledger row."""
-        self.record_outcomes([], [entry])
-
-    def record_outcomes(self, history: list[dict],
-                        ledger: list[dict]) -> None:
-        """Everything one campaign (or batch) has to write, in one
-        transaction: the rows appear together or not at all.
-
-        ``history`` rows carry :meth:`record`'s keyword arguments and
-        are appended.  ``ledger`` entries carry the keys of
-        ``_LEDGER_COLUMNS`` (missing ones default sanely) and upsert
-        one row per (design, property) — the ledger answers "why is
-        the verdict what it is *now*", the history table keeps the
-        longitudinal record; ``attempts`` is the race's per-slot record
-        list (see :func:`repro.mc.portfolio.attempt_record`), stored as
-        JSON so it stays queryable without unpickling.
+    def record_outcomes(self, rows: list[CampaignRow]) -> None:
+        """Upsert one ledger row per (design, property), all in one
+        transaction: a campaign's (or batch's) rows appear together or
+        not at all.  The ledger answers "why is the verdict what it is
+        *now*"; ``attempts`` is the race's per-slot record list (see
+        :func:`repro.mc.portfolio.attempt_record`), stored as JSON so
+        it stays queryable without unpickling.
         """
         now = time.time()
-        history_rows = [
-            (row["design"], row["family"], row["property_name"],
-             row["strategy"], row["status"], row["wall_seconds"],
-             int(row["from_cache"]), now) for row in history]
-        ledger_rows = []
-        for entry in ledger:
+        values = []
+        for row in rows:
             try:
-                attempts = json.dumps(entry.get("attempts", []),
+                attempts = json.dumps(row.attempts,
                                       separators=(",", ":"), default=str)
             except (TypeError, ValueError):
                 attempts = "[]"
-            ledger_rows.append(
-                (entry.get("design", ""), entry.get("property", ""),
-                 entry.get("status", ""), entry.get("strategy", ""),
-                 entry.get("provenance", ""),
-                 int(bool(entry.get("from_cache"))),
-                 int(bool(entry.get("fallback"))),
-                 entry.get("worker", ""),
-                 float(entry.get("wall_seconds", 0.0)),
-                 int(entry.get("k", 0)), attempts, now))
-        if not history_rows and not ledger_rows:
+            values.append(
+                (row.design, row.property_name, row.family, row.status,
+                 row.strategy, row.provenance, int(bool(row.from_cache)),
+                 row.worker, float(row.wall_seconds), int(row.k),
+                 attempts, now))
+        if not values:
             return
 
         def write() -> None:
             try:
                 self._conn.executemany(
-                    "INSERT INTO history (design, family, property, "
-                    "strategy, status, wall_seconds, from_cache, created) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)", history_rows)
-                self._conn.executemany(
                     "INSERT OR REPLACE INTO ledger (design, property, "
-                    "status, strategy, provenance, from_cache, fallback, "
+                    "family, status, strategy, provenance, from_cache, "
                     "worker, wall_seconds, k, attempts, recorded) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    ledger_rows)
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", values)
                 self._conn.commit()
             except sqlite3.Error:
-                self._conn.rollback()   # a retry must not append twice
+                self._conn.rollback()   # all of the batch or none of it
                 raise
 
         with self._lock:
@@ -448,118 +412,75 @@ class ProofStore:
     def ledger_entry(self, design: str,
                      property_name: str) -> dict | None:
         """The effort-ledger row for one property, or ``None``."""
-        sql = ("SELECT design, property, status, strategy, provenance, "
-               "from_cache, fallback, worker, wall_seconds, k, "
-               "attempts, recorded FROM ledger "
-               "WHERE design = ? AND property = ?")
-        with self._lock:
-            try:
-                row = _with_lock_retry(lambda: self._conn.execute(
-                    sql, (design, property_name)).fetchone())
-            except sqlite3.Error:
-                return None
-        if row is None:
+        columns = self._LEDGER_COLUMNS + ("recorded",)
+        rows = self._ledger_rows(", ".join(columns),
+                                 " WHERE design = ? AND property = ?",
+                                 (design, property_name))
+        if not rows:
             return None
-        entry = dict(zip(self._LEDGER_COLUMNS + ("recorded",), row))
+        entry = dict(zip(columns, rows[0]))
         entry["from_cache"] = bool(entry["from_cache"])
-        entry["fallback"] = bool(entry["fallback"])
         try:
             entry["attempts"] = json.loads(entry["attempts"])
         except (TypeError, ValueError):
             entry["attempts"] = []
         return entry
 
-    def history_size(self) -> int:
+    def _ledger_rows(self, columns: str, where: str = "",
+                     params: tuple = ()) -> list[tuple]:
         with self._lock:
             try:
                 return _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT COUNT(*) FROM history").fetchone()[0])
+                    f"SELECT {columns} FROM ledger{where}",
+                    params).fetchall())
             except sqlite3.Error:
-                return 0
+                return []
 
     def strategy_stats(self) -> dict[tuple[str, str], StrategyStats]:
-        """Per-(family, strategy) win rates and median solver wall time.
-
-        Cached outcomes count toward attempts/wins (they are evidence of
-        which strategy settles a family's queries) but their near-zero
-        wall times are excluded from the medians.
-        """
-        with self._lock:
-            try:
-                rows = _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT family, strategy, status, wall_seconds, "
-                    "from_cache FROM history").fetchall())
-            except sqlite3.Error:
-                return {}
+        """Per-(family, strategy) win rates and median wall time over
+        the ledger's current verdicts."""
         stats: dict[tuple[str, str], StrategyStats] = {}
         walls: dict[tuple[str, str], list[float]] = {}
-        for family, strategy, status, wall, from_cache in rows:
-            entry = stats.setdefault(
-                (family, strategy), StrategyStats(family, strategy))
+        for family, strategy, status, wall in self._ledger_rows(
+                "family, strategy, status, wall_seconds"):
+            key = (family, spec_name(strategy))
+            entry = stats.setdefault(key, StrategyStats(*key))
             entry.attempts += 1
-            if status in ("proven", "violated"):
-                entry.wins += 1
-            if not from_cache:
-                walls.setdefault((family, strategy), []).append(wall)
+            entry.wins += status in ("proven", "violated")
+            walls.setdefault(key, []).append(wall)
         for key, samples in walls.items():
             stats[key].median_wall = statistics.median(samples)
         return stats
 
     def property_stats(self
                        ) -> dict[tuple[str, str], dict[str, "StrategyStats"]]:
-        """Per-(design, property) view of the same history: strategy ->
-        stats."""
-        with self._lock:
-            try:
-                rows = _with_lock_retry(lambda: self._conn.execute(
-                    "SELECT design, property, strategy, status, "
-                    "wall_seconds, from_cache FROM history").fetchall())
-            except sqlite3.Error:
-                return {}
+        """Per-(design, property) view of the ledger: strategy ->
+        stats of the one verdict it holds."""
         stats: dict[tuple[str, str], dict[str, StrategyStats]] = {}
-        walls: dict[tuple[str, str, str], list[float]] = {}
-        for design, prop, strategy, status, wall, from_cache in rows:
-            per_prop = stats.setdefault((design, prop), {})
-            entry = per_prop.setdefault(
-                strategy, StrategyStats("", strategy))
-            entry.attempts += 1
-            if status in ("proven", "violated"):
-                entry.wins += 1
-            if not from_cache:
-                walls.setdefault((design, prop, strategy),
-                                 []).append(wall)
-        for (design, prop, strategy), samples in walls.items():
-            stats[(design, prop)][strategy].median_wall = \
-                statistics.median(samples)
+        for design, prop, strategy, status, wall in self._ledger_rows(
+                "design, property, strategy, status, wall_seconds"):
+            name = spec_name(strategy)
+            stats.setdefault((design, prop), {})[name] = StrategyStats(
+                "", name, attempts=1,
+                wins=int(status in ("proven", "violated")),
+                median_wall=wall)
         return stats
 
     def expected_wall(self, design: str,
                       property_name: str) -> float | None:
-        """Median solver wall time seen for one (design, property).
+        """The wall the ledger's verdict for one (design, property)
+        took to solve.
 
-        ``None`` when there is no non-cached history — the scheduler
-        falls back to a structural size heuristic.
+        ``None`` when the ledger has no row — the scheduler falls back
+        to a structural size heuristic.
         """
         return self.expected_walls(design).get((design, property_name))
 
     def expected_walls(self, design: str | None = None
                        ) -> dict[tuple[str, str], float]:
-        """Median solver wall time per (design, property) with any
-        non-cached history — every design's, or one's — in one read."""
-        sql = ("SELECT design, property, wall_seconds FROM history "
-               "WHERE from_cache = 0")
-        params: tuple = ()
-        if design is not None:
-            sql += " AND design = ?"
-            params = (design,)
-        with self._lock:
-            try:
-                rows = _with_lock_retry(lambda: self._conn.execute(
-                    sql, params).fetchall())
-            except sqlite3.Error:
-                return {}
-        walls: dict[tuple[str, str], list[float]] = {}
-        for name, prop, wall in rows:
-            walls.setdefault((name, prop), []).append(wall)
-        return {pair: statistics.median(samples)
-                for pair, samples in walls.items()}
+        """The solve wall per (design, property) in the ledger — every
+        design's, or one's — in one read."""
+        where, params = ("", ()) if design is None \
+            else (" WHERE design = ?", (design,))
+        return {(name, prop): wall for name, prop, wall in self._ledger_rows(
+            "design, property, wall_seconds", where, params)}

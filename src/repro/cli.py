@@ -338,8 +338,7 @@ def _fleet_view(queue, store) -> list[str]:
         f"pending={counts.get('pending', 0)}, "
         f"leased={counts.get('leased', 0)}, "
         f"done={counts.get('done', 0)}",
-        f"  store: {len(store)} results, "
-        f"{store.history_size()} history rows",
+        f"  store: {len(store)} results",
     ]
     if snapshot:
         lines.append(_worker_table(snapshot).to_text())
@@ -415,9 +414,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         store.close()
     if entry is None:
         print(f"no ledger entry for {args.design}.{args.property} on "
-              f"{resolved.spec()} — run a campaign against this "
-              f"backend first (ledgers are recorded per campaign "
-              f"verdict)", file=sys.stderr)
+              f"{resolved.spec()} — run a campaign or verify against "
+              f"this backend first (each verdict they reach is "
+              f"recorded)", file=sys.stderr)
         return 1
     provenance_story = {
         "engine": "solved fresh by the engine",

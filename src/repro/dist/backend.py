@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.campaign.report import WorkerStat
+from repro.campaign.report import CampaignRow, WorkerStat
 from repro.campaign.store import ProofStore, _is_lock_error
 from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
 from repro.dist.queue import WorkQueue
@@ -129,19 +129,18 @@ class StoreBackend(CacheBacking, Protocol):
 
     This is the :class:`~repro.mc.cache.CacheBacking` protocol (the
     disk tier behind :class:`~repro.mc.cache.ResultCache`) plus the
-    outcome history campaigns record and order their pools by, and the
-    effort ledger ``explain`` reads.  The degrade contract holds for
-    every implementation: no method raises into a proof — an
-    unreachable or broken backend reads as a cache miss / empty
-    history, so verification always proceeds (just colder).
+    effort ledger: one :class:`~repro.campaign.report.CampaignRow` per
+    property, which campaigns and ``verify`` batches write, whose walls
+    order the next campaign's pool, and which ``explain`` reads.  The
+    degrade contract holds for every implementation: no method raises
+    into a proof — an unreachable or broken backend reads as a cache
+    miss / empty ledger, so verification always proceeds (just colder).
 
     ``load_many`` / ``expected_walls`` / ``record_outcomes`` are the
     batch forms: one call per campaign, not one per job.
     """
 
-    def record_outcomes(self, history: list[dict],
-                        ledger: list[dict]) -> None: ...
-    def history_size(self) -> int: ...
+    def record_outcomes(self, rows: list[CampaignRow]) -> None: ...
     def expected_walls(self, design: str | None = None
                        ) -> dict[tuple[str, str], float]: ...
     def ledger_entry(self, design: str,

@@ -49,8 +49,8 @@ from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.campaign.scheduler import (CampaignJob, DispatchOutcome,
-                                      DispatchResult)
+from repro.campaign.report import CampaignRow
+from repro.campaign.scheduler import CampaignJob, DispatchResult
 from repro.dist import worker as _worker
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
@@ -307,16 +307,16 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def dispatch(self, pool: Sequence[CampaignJob]) -> DispatchResult:
-        """Execute the pool across workers; one outcome per job.
+        """Execute the pool across workers; one row per job.
 
         One coordinator drives one dispatch: the queue handle opened at
         construction is closed when it ends."""
         self._started = time.monotonic()
         probed_from = replace(self.cache.stats)
         try:
-            outcomes, results = self._settle(pool)
+            rows, results = self._settle(pool)
             return DispatchResult(
-                outcomes=outcomes,
+                rows=rows,
                 # The store reads this campaign made: the probe's here
                 # plus each executed job's in its worker.
                 cache=_sum_cache_stats(
@@ -332,12 +332,12 @@ class Coordinator:
                 self._own_store.close()
 
     def _settle(self, jobs: Sequence[CampaignJob]
-                ) -> tuple[dict[tuple[str, str], DispatchOutcome],
+                ) -> tuple[dict[tuple[str, str], CampaignRow],
                            dict[str, JobResult]]:
         """Probe, then enqueue: the jobs the store settles are answered
-        here, the rest by workers.  Returns every job's outcome and the
+        here, the rest by workers.  Returns every job's row and the
         queue's results (empty when nothing was enqueued)."""
-        outcomes: dict[tuple[str, str], DispatchOutcome] = {}
+        rows: dict[tuple[str, str], CampaignRow] = {}
         enqueued: list[CampaignJob] = []
         probe = PortfolioScheduler(cache=self.cache).probe(
             [job.task for job in jobs])
@@ -345,10 +345,9 @@ class Coordinator:
             if settled is None:
                 enqueued.append(job)
             else:
-                outcomes[job.identity] = \
-                    DispatchOutcome.from_portfolio(settled)
+                rows[job.identity] = CampaignRow.from_portfolio(settled)
         if not enqueued:
-            return outcomes, {}
+            return rows, {}
         self._take_queue()
         self._with_backend_retry(lambda: self.queue.enqueue(
             [spec_from_job(job) for job in enqueued]))
@@ -363,8 +362,8 @@ class Coordinator:
         self._await_drained()
         results = self._with_backend_retry(self.queue.results)
         for job in enqueued:
-            outcomes[job.identity] = _outcome_for(results, job)
-        return outcomes, results
+            rows[job.identity] = _row_for(results, job)
+        return rows, results
 
     def _take_queue(self) -> None:
         """Atomically take the queue for this campaign, once (one
@@ -393,17 +392,14 @@ def _run_worker(backend: str, worker_id: str,
                    lease_seconds=lease_seconds).run()
 
 
-def _outcome_for(results: dict[str, JobResult],
-                 job: CampaignJob) -> DispatchOutcome:
+def _row_for(results: dict[str, JobResult],
+             job: CampaignJob) -> CampaignRow:
     """The queue's verdict for one job; UNKNOWN if its result row is
     unreadable (a torn write must not crash the whole campaign)."""
     result = results.get(job_id_for(*job.identity))
     if result is not None:
         return result.outcome
-    return DispatchOutcome(
-        design=job.design.name, property_name=job.prop.name,
-        status="unknown", strategy=job.task.strategies[0],
-        wall_seconds=0.0, k=0, from_cache=False)
+    return CampaignRow.unknown(*job.identity, job.task.strategies[0])
 
 
 def _sum_cache_stats(parts: Iterable[CacheStats]) -> CacheStats:

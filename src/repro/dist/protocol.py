@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.campaign.scheduler import DispatchOutcome
+from repro.campaign.report import CampaignRow
 from repro.mc.cache import CacheStats
 from repro.obs.journal import TraceContext
 
@@ -73,14 +73,14 @@ class Heartbeat:
 class JobResult:
     """A completed job's verdict plus per-job execution accounting.
 
-    ``outcome`` is the dispatcher-neutral verdict record the campaign
-    report consumes; ``cache`` is the worker-side cache traffic this
+    ``outcome`` is the job's verdict row (its ``family``, ``expect``
+    and ``provenance`` are filled in by the campaign); ``cache`` is the worker-side cache traffic this
     job generated (summed by the coordinator into the campaign's cache
     stats); ``error`` is set on jobs that exhausted their attempts.
     """
 
     job_id: str
-    outcome: DispatchOutcome
+    outcome: CampaignRow
     busy_seconds: float = 0.0       # wall time inside the worker
     cache: CacheStats = field(default_factory=CacheStats)
     error: str = ""

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.campaign.report import WorkerStat
-from repro.campaign.scheduler import DispatchOutcome
+from repro.campaign.report import CampaignRow
 # The store's lock-retry policy is deliberately shared: both files sit
 # in the same cache directory and see the same contention patterns.
 from repro.campaign.store import BUSY_TIMEOUT_MS, _with_lock_retry
@@ -337,11 +337,9 @@ class WorkQueue:
         spec: JobSpec = pickle.loads(spec_blob)
         result = JobResult(
             job_id=job_id,
-            outcome=DispatchOutcome(
-                design=spec.design, property_name=spec.property_name,
-                status="unknown",
-                strategy=spec.specs[0] if spec.specs else "",
-                wall_seconds=0.0, k=0, from_cache=False),
+            outcome=CampaignRow.unknown(
+                spec.design, spec.property_name,
+                spec.specs[0] if spec.specs else ""),
             error=error)
         self._conn.execute(
             "UPDATE jobs SET status = ?, result = ?, updated = ? "

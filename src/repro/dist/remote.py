@@ -154,7 +154,7 @@ class RemoteWorkQueue(_RemoteProxy, scope="queue",
 class RemoteProofStore(_RemoteProxy, scope="store",
                        methods=STORE_METHODS,
                        misses={"load_many": dict, "expected_walls": dict,
-                               "history_size": int, "size": int}):
+                               "size": int}):
     """:class:`~repro.dist.backend.StoreBackend` over HTTP.
 
     Implements the :class:`~repro.mc.cache.CacheBacking` protocol, so
@@ -162,7 +162,7 @@ class RemoteProofStore(_RemoteProxy, scope="store",
     exactly like a local :class:`~repro.campaign.store.ProofStore` —
     the "disk" is just on another machine.  The store degrade contract
     is preserved across the network: every method swallows transport
-    failures and reports a miss / empty history instead.
+    failures and reports a miss / empty ledger instead.
     """
 
     def __len__(self) -> int:

@@ -157,9 +157,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) reads to EOF: a client that keeps its
+                # socket open would hold this handler (and its slot).
+                raise ValueError(f"negative Content-Length {length}")
             args, kwargs = pickle.loads(self.rfile.read(length)) \
                 if length else ((), {})
         except Exception as exc:
+            # The body may be unread: the stream has no next request.
+            self.close_connection = True
             self._reply(400, pickle.dumps(
                 {"ok": False, "error": f"bad request body: {exc}"}))
             return
@@ -318,8 +324,7 @@ class ProofService:
             "uptime_seconds": round(time.time() - self.started, 3),
             "queue": {"state": self.queue.state(),
                       "counts": self.queue.counts()},
-            "store": {"results": len(self.store),
-                      "history": self.store.history_size()},
+            "store": {"results": len(self.store)},
             "unavailable_503": self.unavailable_counts(),
         }
 

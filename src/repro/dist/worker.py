@@ -46,7 +46,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.campaign.scheduler import DispatchOutcome, compile_design
+from repro.campaign.report import CampaignRow
+from repro.campaign.scheduler import compile_design
 from repro.designs.registry import get_design
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
@@ -259,8 +260,8 @@ class Worker:
         outcome = next(iter(self._scheduler.stream([task])))
         return JobResult(
             job_id=spec.job_id,
-            outcome=DispatchOutcome.from_portfolio(
-                outcome, worker_id=self.worker_id),
+            outcome=CampaignRow.from_portfolio(
+                outcome, worker=self.worker_id),
             cache=self.cache.stats.since(stats_before))
 
     def _compile(self, spec: JobSpec):

@@ -19,8 +19,8 @@ CLI invocations on one session) is answered from cache.
 Handing the session a ``backend`` (a directory, ``sqlite:DIR`` or a
 ``repro-verify serve`` URL) makes that cache two-tier: single-design
 runs then read and write the same persistent proof store campaigns use,
-and their outcomes feed the store's history — on this machine or on
-another one.  :func:`run_campaign` is the cross-design entry point the
+and their verdicts land in its ledger — on this machine or on another
+one.  :func:`run_campaign` is the cross-design entry point the
 CLI's ``campaign`` command drives.
 """
 
@@ -32,8 +32,9 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.campaign import (CampaignReport, CampaignScheduler, ProofStore,
-                            compile_design, race_specs)
+from repro.campaign import (CampaignReport, CampaignRow, CampaignScheduler,
+                            ProofStore, compile_design, for_design,
+                            race_specs)
 from repro.designs.base import Design
 from repro.designs.registry import select_designs
 from repro.flow.lemma_flow import LemmaFlowResult, LemmaGenerationFlow
@@ -44,7 +45,6 @@ from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioOutcome,
                                 PortfolioScheduler, VerifyTask)
 from repro.mc.result import CheckResult, Status
-from repro.mc.strategy import spec_name
 from repro.obs import journal as _journal
 from repro.sva.compile import MonitorContext
 
@@ -182,27 +182,23 @@ class VerificationSession:
         tasks = []
         for name in names:
             spec, prop, scoped = compiled[name]
-            tasks.append(VerifyTask(scoped, prop, strategies=race_specs(
-                base, max_k=max_k if max_k is not None else spec.max_k,
-                bound=bound)))
+            tasks.append(VerifyTask(
+                scoped, prop, tag=self.design.name, strategies=race_specs(
+                    base, max_k=max_k if max_k is not None else spec.max_k,
+                    bound=bound)))
         stats_before = replace(self.cache.stats)
         start = time.perf_counter()
         outcomes = list(PortfolioScheduler(jobs=jobs, cache=self.cache)
                         .stream(tasks))
         wall = time.perf_counter() - start
         if self.store is not None:
-            # Single-design batches feed the same history campaigns
-            # order their pools by, so every `verify --backend` run
-            # refines the next campaign's longest-expected-first order.
-            self.store.record_outcomes([dict(
-                design=self.design.name,
-                family=self.design.family,
-                property_name=outcome.property_name,
-                strategy=spec_name(outcome.strategy),
-                status=outcome.result.status.value,
-                wall_seconds=outcome.result.stats.wall_seconds,
-                from_cache=outcome.from_cache)
-                for outcome in outcomes], [])
+            # Single-design batches land in the same ledger campaigns
+            # write: `explain` answers for a `verify --backend` verdict,
+            # and its wall orders the next campaign's pool.
+            self.store.record_outcomes([for_design(
+                CampaignRow.from_portfolio(outcome), self.design,
+                compiled[outcome.property_name][0])
+                for outcome in outcomes])
         return BatchVerifyResult(
             design=self.design.name, outcomes=outcomes + justice_outcomes,
             wall_seconds=wall, jobs=jobs,
@@ -242,10 +238,10 @@ def run_campaign(designs: list[str] | None = None,
     ``designs`` are registry names (default: the whole registry).  With
     ``cache_dir`` the campaign is incremental: results persist in the
     on-disk proof store, repeated campaigns are answered from it without
-    re-proving, and its accumulated history orders the pool
-    longest-expected-first.  Without it, an in-memory store scopes all
-    of that to this process.  Every property races the whole
-    ``strategies`` portfolio (default: the standard one).
+    re-proving, and its ledger orders the pool longest-expected-first.
+    Without it, an in-memory store scopes all of that to this process.
+    Every property races the whole ``strategies`` portfolio (default:
+    the standard one).
 
     ``backend`` picks where the queue and store live:
     ``sqlite:DIR`` is shorthand for ``cache_dir=DIR``, and
@@ -319,6 +315,14 @@ def run_campaign(designs: list[str] | None = None,
     finally:
         if events_dir is not None:
             _journal.shutdown()
+        # Only a scratch store is closed here.  A store on `cache_dir`
+        # is left to the cyclic GC (a sqlite3 Connection, its cached
+        # Statements and an lru_cache wrapper form a cycle, so each
+        # call holds about two descriptors until `gc.collect()`):
+        # closing it here made warm campaigns on the in-tree corpus
+        # about 1.5x slower per pass, likely because closing the last
+        # WAL connection checkpoints the WAL and the next pass then
+        # reopens the store cold.
         if scratch_dir is not None:
             store.close()
             shutil.rmtree(scratch_dir, ignore_errors=True)

@@ -222,8 +222,8 @@ _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
 def spec_name(spec: str) -> str:
     """The bare registry name of a spec (``"bmc(bound=6)"`` -> ``"bmc"``).
 
-    The one spelling every layer shares: history rows and ledger
-    provenance key on it, so differently-parameterized runs of one
+    The one spelling every layer shares: the proof store's strategy
+    statistics key on it, so differently-parameterized runs of one
     strategy pool their evidence.  A string that is not a spec at all
     (the ``"none"`` of a justice outcome) is returned unchanged.
     """

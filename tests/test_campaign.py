@@ -1,10 +1,12 @@
 """Campaign subsystem: proof store, two-tier cache, campaign scheduling."""
 
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignScheduler, ProofStore, race_specs
+from repro.campaign import (CampaignRow, CampaignScheduler, ProofStore,
+                            race_specs)
 from repro.designs import get_design, select_designs
 from repro.flow import VerificationSession, run_campaign
 from repro.ir.system import Signal
@@ -130,31 +132,23 @@ class TestProofStore:
 
     @staticmethod
     def _campaign_rows():
-        history = [dict(design="d1", family="fam", property_name=name,
-                        strategy="k_induction", status="proven",
-                        wall_seconds=wall, from_cache=cached)
-                   for name, wall, cached in (
-                       ("p1", 0.1, False), ("p1", 0.5, False),
-                       ("p1", 0.3, False), ("p1", 0.0, True),
-                       ("p2", 0.7, False), ("p3", 0.0, True))]
-        ledger = [{"design": "d1", "property": name, "status": "proven",
-                   "strategy": "k_induction(max_k=3)",
-                   "provenance": "engine", "from_cache": False,
-                   "fallback": False, "worker": "", "wall_seconds": 0.3,
-                   "k": 2, "attempts": [{"strategy": "bmc", "k": 1}]}
-                  for name in ("p1", "p2")]
-        return history, ledger
+        return [CampaignRow(design="d1", family="fam", property_name=name,
+                            status="proven",
+                            strategy="k_induction(max_k=3)",
+                            wall_seconds=wall, k=2, from_cache=cached,
+                            provenance="store" if cached else "engine",
+                            attempts=[{"strategy": "bmc", "k": 1}])
+                for name, wall, cached in (("p1", 0.3, False),
+                                           ("p2", 0.7, True))]
 
     def test_record_outcomes_reads_back_like_the_per_row_calls(
             self, tmp_path):
-        history, ledger = self._campaign_rows()
+        rows = self._campaign_rows()
         per_row = ProofStore.open(tmp_path / "a")
-        for row in history:
-            per_row.record(**row)
-        for entry in ledger:
-            per_row.record_ledger(entry)
+        for row in rows:
+            per_row.record_ledger(row)
         batched = ProofStore.open(tmp_path / "b")
-        batched.record_outcomes(history, ledger)
+        batched.record_outcomes(rows)
 
         def ledger_view(store):
             entries = [store.ledger_entry("d1", name)
@@ -163,43 +157,56 @@ class TestProofStore:
                                if k != "recorded"} for entry in entries]
 
         for store in (per_row, batched):
-            assert store.history_size() == 6
             assert store.expected_wall("d1", "p1") == pytest.approx(0.3)
+            # A row answered from the cache carries its solve's wall.
             assert store.expected_wall("d1", "p2") == pytest.approx(0.7)
-            assert store.expected_wall("d1", "p3") is None   # cached only
+            assert store.expected_wall("d1", "p3") is None
             assert store.expected_walls() == {
                 ("d1", "p1"): pytest.approx(0.3),
                 ("d1", "p2"): pytest.approx(0.7)}
             assert store.expected_walls("elsewhere") == {}
-            assert [entry and entry["property"]
-                    for entry in ledger_view(store)] == ["p1", "p2", None]
-            assert store.ledger_entry("d1", "p1")["attempts"] == \
-                [{"strategy": "bmc", "k": 1}]
+            assert ledger_view(store)[0] == {
+                "design": "d1", "property": "p1", "family": "fam",
+                "status": "proven", "strategy": "k_induction(max_k=3)",
+                "provenance": "engine", "from_cache": False,
+                "worker": "", "wall_seconds": pytest.approx(0.3), "k": 2,
+                "attempts": [{"strategy": "bmc", "k": 1}]}
+            assert ledger_view(store)[2] is None
         assert ledger_view(batched) == ledger_view(per_row)
         assert batched.strategy_stats() == per_row.strategy_stats()
         assert batched.property_stats() == per_row.property_stats()
 
     def test_record_outcomes_is_one_transaction(self, tmp_path):
-        """History and ledger rows of one campaign appear together or
-        not at all, and one call is one commit."""
+        """A campaign's rows appear together or not at all, and one
+        call is one commit."""
         store = ProofStore.open(tmp_path)
-        history, ledger = self._campaign_rows()
-        poisoned = ledger + [dict(ledger[0], design=None)]  # NOT NULL
-        store.record_outcomes(history, poisoned)             # no raise
-        assert store.history_size() == 0
+        rows = self._campaign_rows()
+        poisoned = rows + [replace(rows[0], design=None)]   # NOT NULL
+        store.record_outcomes(poisoned)                      # no raise
         assert store.ledger_entry("d1", "p1") is None
 
         commits = []
         store._conn.set_trace_callback(
             lambda sql: commits.append(sql) if sql == "COMMIT" else None)
-        store.record_outcomes(history, ledger)
+        store.record_outcomes(rows)
         store._conn.set_trace_callback(None)
         assert commits == ["COMMIT"]
-        assert store.history_size() == 6
         assert all(store.ledger_entry("d1", name) is not None
                    for name in ("p1", "p2"))
-        store.record_outcomes([], [])                        # nothing to do
-        assert store.history_size() == 6
+        store.record_outcomes([])                            # nothing to do
+        assert len(store.expected_walls()) == 2
+
+    def test_record_outcomes_upserts_one_row_per_property(self, tmp_path):
+        store = ProofStore.open(tmp_path)
+        first, _ = self._campaign_rows()
+        store.record_outcomes([first])
+        store.record_outcomes([replace(first, status="violated",
+                                       wall_seconds=0.9, worker="w2")])
+        assert store.expected_walls() == {("d1", "p1"): pytest.approx(0.9)}
+        entry = store.ledger_entry("d1", "p1")
+        assert (entry["status"], entry["worker"]) == ("violated", "w2")
+        assert store._conn.execute(
+            "SELECT COUNT(*) FROM ledger").fetchone()[0] == 1
 
     def test_schema_version_mismatch_rebuilds(self, tmp_path):
         store = ProofStore.open(tmp_path)
@@ -215,7 +222,7 @@ class TestProofStore:
         # v3 rows are keyed by S-expression hashes no query produces
         # any more: they could only ever miss, so they are dropped.
         from repro.campaign.store import SCHEMA_VERSION
-        assert SCHEMA_VERSION == 4
+        assert SCHEMA_VERSION == 5
         store = ProofStore.open(tmp_path)
         store.store("old-style-key", _result(with_traces=False))
         store._conn.execute("PRAGMA user_version = 3")
@@ -223,25 +230,43 @@ class TestProofStore:
         store.close()
         assert len(ProofStore.open(tmp_path)) == 0
 
-    def test_history_mining(self, tmp_path):
+    def test_v4_store_with_a_history_table_is_rebuilt(self, tmp_path):
+        conn = sqlite3.connect(tmp_path / ProofStore.FILENAME)
+        conn.executescript(
+            "CREATE TABLE results (key TEXT PRIMARY KEY, payload BLOB);"
+            "INSERT INTO results VALUES ('k1', x'00');"
+            "CREATE TABLE history (id INTEGER PRIMARY KEY, design TEXT);"
+            "CREATE INDEX history_design ON history (design);"
+            "CREATE TABLE ledger (design TEXT, fallback INTEGER);"
+            "PRAGMA user_version = 4;")
+        conn.close()
         store = ProofStore.open(tmp_path)
-        for wall in (0.2, 0.4, 0.6):
-            store.record(design="d1", family="fam",
-                         property_name="p1", strategy="k_induction",
-                         status="proven", wall_seconds=wall,
-                         from_cache=False)
-        store.record(design="d1", family="fam", property_name="p1",
-                     strategy="k_induction", status="proven",
-                     wall_seconds=0.0, from_cache=True)
+        assert len(store) == 0
+        assert _tables(store) == ["ledger", "results"]
+        first, _ = self._campaign_rows()
+        store.record_outcomes([first])
+        assert store.ledger_entry("d1", "p1")["family"] == "fam"
+
+    def test_ledger_mining(self, tmp_path):
+        store = ProofStore.open(tmp_path)
+        for prop, wall, cached in (("p1", 0.2, False), ("p2", 0.4, False),
+                                   ("p3", 0.6, True)):
+            store.record(design="d1", family="fam", property_name=prop,
+                         strategy="k_induction(max_k=3)", status="proven",
+                         wall_seconds=wall, from_cache=cached)
         stats = store.strategy_stats()[("fam", "k_induction")]
-        assert stats.attempts == 4
-        assert stats.wins == 4
-        # Cached rows are evidence for win rates but not for timing.
+        assert (stats.attempts, stats.wins) == (3, 3)
         assert stats.median_wall == pytest.approx(0.4)
-        assert store.expected_wall("d1", "p1") == pytest.approx(0.4)
+        assert store.expected_wall("d1", "p1") == pytest.approx(0.2)
         assert store.expected_wall("d1", "unseen") is None
-        per_prop = store.property_stats()[("d1", "p1")]["k_induction"]
-        assert per_prop.wins == 4
+        per_prop = store.property_stats()[("d1", "p3")]["k_induction"]
+        assert (per_prop.wins, per_prop.median_wall) == \
+            (1, pytest.approx(0.6))
+
+
+def _tables(store: ProofStore) -> list[str]:
+    return sorted(name for (name,) in store._conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'"))
 
 
 class TestTwoTierCache:
@@ -430,18 +455,17 @@ class TestCampaign:
             {(r.property_name, r.status) for r in sequential.rows}
 
     def test_every_row_races_the_full_portfolio(self, tmp_path):
-        """History orders the pool, never prunes a race.  A store that
-        says k-induction settled the seeded-bug property every time (it
-        cannot within max_k=3; only BMC sees the divergence) still races
-        the whole portfolio, and BMC finds the bug in one pass; once the
-        store holds the campaign's own history, every row of a rerun
+        """The ledger orders the pool, never prunes a race.  A store that
+        says k-induction settled the seeded-bug property (it cannot
+        within max_k=3; only BMC sees the divergence) still races the
+        whole portfolio, and BMC finds the bug in one pass; once the
+        store holds the campaign's own verdicts, every row of a rerun
         still races each slot of the full portfolio, in order."""
         store = ProofStore.open(tmp_path)
-        for _ in range(3):
-            store.record(design="sync_counters_bug", family="counters",
-                         property_name="counters_equal",
-                         strategy="k_induction", status="proven",
-                         wall_seconds=0.1, from_cache=False)
+        store.record(design="sync_counters_bug", family="counters",
+                     property_name="counters_equal",
+                     strategy="k_induction", status="proven",
+                     wall_seconds=0.1, from_cache=False)
         scheduler = CampaignScheduler(
             select_designs(["sync_counters_bug"]), store, max_k=3)
         race = race_specs(DEFAULT_PORTFOLIO, max_k=3,
@@ -456,10 +480,32 @@ class TestCampaign:
                                   cache_dir=tmp_path, max_k=3)
             for row in report.rows:
                 assert [a["strategy"] for a in row.attempts] == list(race)
-        assert store.history_size() == 3 + 1 + 2 * len(report.rows)
+        assert set(store.expected_walls()) == \
+            {(r.design, r.property_name) for r in report.rows}
+        assert store.ledger_entry("sync_counters_bug",
+                                  "counters_equal")["status"] == "violated"
 
-    def test_campaign_reads_history_once(self, tmp_path, monkeypatch):
-        """The pool's order is a campaign's one history read; the
+    def test_warm_campaigns_keep_one_ledger_row_per_property(
+            self, tmp_path):
+        """One cold and three warm passes: the ledger holds each
+        property's current verdict once, and it is the store's only
+        table beside the results."""
+        for _ in range(4):
+            report = run_campaign(designs=CAMPAIGN_DESIGNS,
+                                  cache_dir=tmp_path, max_k=3)
+        assert report.provenance_counts == {"store": len(report.rows)}
+        store = ProofStore.open(tmp_path)
+        assert _tables(store) == ["ledger", "results"]
+        assert store._conn.execute(
+            "SELECT COUNT(*) FROM ledger").fetchone()[0] == len(report.rows)
+        for row in report.rows:
+            entry = store.ledger_entry(row.design, row.property_name)
+            assert (entry["family"], entry["status"],
+                    entry["provenance"]) == \
+                (row.family, row.status, "store")
+
+    def test_campaign_reads_the_ledger_once(self, tmp_path, monkeypatch):
+        """The pool's order is a campaign's one ledger read; the
         per-strategy aggregates are never scanned."""
         walls = ProofStore.expected_walls
         reads: list[tuple] = []
@@ -538,7 +584,9 @@ class TestSessionStoreWiring:
         design = get_design("updown_counter")
         first = VerificationSession(design, backend=tmp_path)
         first.verify_all(max_k=3)
-        assert first.store.history_size() == 2
+        assert set(first.store.expected_walls()) == {
+            ("updown_counter", "upper_bound"),
+            ("updown_counter", "never_top")}
         # A later campaign warm-starts from the single-design run.
         report = run_campaign(designs=["updown_counter"],
                               cache_dir=tmp_path, max_k=3)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import DispatchOutcome, ProofStore
+from repro.campaign import CampaignRow, ProofStore
 from repro.designs import get_design
 from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         Heartbeat, JobResult, JobSpec, Lease, WorkQueue,
@@ -32,10 +32,10 @@ def _result(spec: JobSpec, status: str = "proven",
             worker_id: str = "w1") -> JobResult:
     return JobResult(
         job_id=spec.job_id,
-        outcome=DispatchOutcome(
+        outcome=CampaignRow(
             design=spec.design, property_name=spec.property_name,
             status=status, strategy="k_induction", wall_seconds=0.5,
-            k=2, from_cache=False, worker_id=worker_id),
+            k=2, from_cache=False, worker=worker_id),
         busy_seconds=0.5)
 
 
@@ -140,7 +140,7 @@ class TestWorkQueue:
         assert queue.complete(_result(stale.spec, worker_id="w1"),
                               "w1") is False
         assert queue.counts() == {JOB_DONE: 1}
-        assert queue.results()["a"].outcome.worker_id == "w2"
+        assert queue.results()["a"].outcome.worker == "w2"
         stats = {s.worker_id: s.jobs_done for s in queue.worker_stats()}
         assert stats == {"w1": 0, "w2": 1}
 
@@ -156,6 +156,37 @@ class TestWorkQueue:
         poisoned = queue.results()["a"]
         assert poisoned.outcome.status == "unknown"
         assert poisoned.error == "boom again"
+
+    def test_poisoned_job_reaches_the_report_with_its_design(
+            self, tmp_path):
+        """A job poisoned in the queue is an UNKNOWN row, and the
+        campaign fills in its design's family and expectation."""
+        from repro.campaign import CampaignScheduler, DispatchResult
+        from repro.dist.coordinator import spec_from_job
+
+        queue = WorkQueue.open(tmp_path / "queue")
+
+        class Poisoning:
+            def dispatch(self, pool):
+                queue.enqueue([spec_from_job(job) for job in pool],
+                              max_attempts=1)
+                while (lease := queue.claim("w1", 30)) is not None:
+                    queue.fail(lease.spec.job_id, "w1", "boom")
+                return DispatchResult(rows={
+                    (r.outcome.design, r.outcome.property_name): r.outcome
+                    for r in queue.results().values()})
+
+        design = get_design("sync_counters_bug")
+        store = ProofStore.open(tmp_path / "store")
+        report = CampaignScheduler([design], store, max_k=3,
+                                   dispatcher=Poisoning()).run()
+        assert [(r.property_name, r.status, r.family, r.expect)
+                for r in report.rows] == [
+            (spec.name, "unknown", design.family, spec.expect)
+            for spec in design.properties]
+        entry = store.ledger_entry(design.name, design.properties[0].name)
+        assert (entry["status"], entry["family"]) == \
+            ("unknown", design.family)
 
     def test_exhausted_expired_lease_is_poisoned_not_looped(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
@@ -207,7 +238,7 @@ class TestWorker:
         queue_after = WorkQueue.open(tmp_path)
         results = queue_after.results()
         assert {r.outcome.status for r in results.values()} == {"proven"}
-        assert all(r.outcome.worker_id == "w1"
+        assert all(r.outcome.worker == "w1"
                    for r in results.values())
         # Verdicts landed in the shared proof store under content keys.
         store = ProofStore.open(tmp_path)
@@ -314,7 +345,7 @@ class TestCrashRecovery:
         results = WorkQueue.open(tmp_path).results()
         assert sorted(results) == sorted(s.job_id for s in specs)
         assert queue.counts() == {JOB_DONE: len(specs)}
-        assert results[claimed_job].outcome.worker_id == "survivor"
+        assert results[claimed_job].outcome.worker == "survivor"
         assert all(r.outcome.status == "proven"
                    for r in results.values())
 
@@ -339,13 +370,18 @@ class TestDistributedCampaign:
             len(dist.rows)
         assert all(r.worker for r in dist.rows)
 
-    def test_distributed_history_is_recorded_once_per_property(
+    def test_distributed_ledger_is_recorded_once_per_property(
             self, tmp_path):
         report = run_campaign(designs=self.DESIGNS, cache_dir=tmp_path,
                               max_k=3, workers=2, lease_seconds=10)
         store = ProofStore.open(tmp_path)
-        # Only the coordinator writes history — one row per verdict.
-        assert store.history_size() == len(report.rows)
+        # Only the coordinator writes the ledger — one row per verdict,
+        # naming the worker that reached it.
+        for row in report.rows:
+            entry = store.ledger_entry(row.design, row.property_name)
+            assert (entry["status"], entry["worker"], entry["family"]) \
+                == (row.status, row.worker, row.family)
+        assert len(store.expected_walls()) == len(report.rows)
 
     def test_distributed_campaign_without_cache_dir_uses_scratch(self):
         report = run_campaign(designs=["updown_counter"], max_k=3,
@@ -406,9 +442,8 @@ class TestCampaignEndsWithItsLastJob:
         started = time.monotonic()
         result = coordinator.dispatch(jobs)
         elapsed = time.monotonic() - started
-        assert set(result.outcomes) == {job.identity for job in jobs}
-        assert all(outcome.worker_id == "w1"
-                   for outcome in result.outcomes.values())
+        assert set(result.rows) == {job.identity for job in jobs}
+        assert all(row.worker == "w1" for row in result.rows.values())
         [worker] = spawned
         assert worker.exitcode == 0        # left on its own, not killed
         # The supervision sleep would cost a full 5 s tick.
@@ -474,12 +509,12 @@ class TestCampaignEndsWithItsLastJob:
         result = coordinator.dispatch(jobs)
         [lost] = [job for job, worker in coordinator.requeued
                   if worker == "w1"]
-        assert set(result.outcomes) == {job.identity for job in jobs}
+        assert set(result.rows) == {job.identity for job in jobs}
         assert sorted(WorkQueue.open(tmp_path).results()) == \
             sorted("::".join(job.identity) for job in jobs)
         assert sum(stat.jobs_done for stat in result.worker_stats) == \
             len(jobs)
-        completer = result.outcomes[tuple(lost.split("::"))].worker_id
+        completer = result.rows[tuple(lost.split("::"))].worker
         assert completer not in ("w1", "w2")      # a respawned worker
         assert len(spawned) >= 3
         assert all(proc.exitcode is not None for proc in spawned)
@@ -545,8 +580,7 @@ class TestForkedWorkers:
             holder.join(30)
             journal.shutdown()
         assert not holder.is_alive()
-        assert {outcome.worker_id
-                for outcome in result.outcomes.values()} == {"w1"}
+        assert {row.worker for row in result.rows.values()} == {"w1"}
         [worker] = spawned
         assert worker.exitcode == 0
         [start] = [record for record in journal.load(tmp_path / "events")
@@ -586,9 +620,11 @@ class TestProbeBeforeEnqueue:
             assert row.provenance == "store"
             assert all(a["origin"] in ("disk", "memory", "skipped")
                        for a in row.attempts)
-        # History still grows by one row per verdict, written once.
-        assert ProofStore.open(tmp_path).history_size() == \
-            len(cold.rows) + len(warm.rows)
+        # The warm pass rewrites each verdict's one ledger row.
+        store = ProofStore.open(tmp_path)
+        assert len(store.expected_walls()) == len(warm.rows)
+        assert {store.ledger_entry(r.design, r.property_name)["provenance"]
+                for r in warm.rows} == {"store"}
 
     def test_half_warm_store_enqueues_only_the_other_design(
             self, tmp_path, coordinators):
@@ -617,7 +653,7 @@ class TestProbeBeforeEnqueue:
         queue.enqueue([_spec("someone::elses")])
         coordinator = Coordinator(tmp_path, workers=2)
         result = coordinator.dispatch([])
-        assert result.outcomes == {} and result.worker_stats == []
+        assert result.rows == {} and result.worker_stats == []
         assert coordinator._spawned == 0
         assert queue.counts() == {JOB_PENDING: 1}     # not reset
         assert queue.state() == STATE_OPEN            # not closed
@@ -636,16 +672,15 @@ class TestProbeBeforeEnqueue:
             assert spec.specs == job.task.strategies
             assert spec.priority == job.expected_wall
 
-    def test_history_does_not_shape_the_distributed_race(
+    def test_ledger_does_not_shape_the_distributed_race(
             self, tmp_path, coordinators):
-        """A history claiming k-induction settles the seeded bug changes
+        """A ledger claiming k-induction settles the seeded bug changes
         neither the enqueued job nor its verdict: one job, both slots
         raced, BMC's counterexample."""
         store = ProofStore.open(tmp_path)
-        for _ in range(3):
-            store.record(design=self.BUG[0], family="counters",
-                         property_name=self.BUG[1], strategy="k_induction",
-                         status="proven", wall_seconds=0.1, from_cache=False)
+        store.record(design=self.BUG[0], family="counters",
+                     property_name=self.BUG[1], strategy="k_induction",
+                     status="proven", wall_seconds=0.1, from_cache=False)
         store.close()
         report = run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path,
                               max_k=3, workers=1, lease_seconds=10)
@@ -741,4 +776,5 @@ class TestConcurrentStoreWriters:
             assert proc.exitcode == 0
         store = ProofStore.open(tmp_path)
         assert len(store) == writers * writes
-        assert store.history_size() == writers * writes
+        assert store._conn.execute(
+            "SELECT COUNT(*) FROM ledger").fetchone()[0] == writers * writes

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import DispatchOutcome, ProofStore
+from repro.campaign import CampaignRow, ProofStore
 from repro.designs import get_design
 from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         Backend, Heartbeat, JobResult, JobSpec,
@@ -34,11 +34,19 @@ def _result(spec: JobSpec, status: str = "proven",
             worker_id: str = "w1") -> JobResult:
     return JobResult(
         job_id=spec.job_id,
-        outcome=DispatchOutcome(
+        outcome=CampaignRow(
             design=spec.design, property_name=spec.property_name,
             status=status, strategy="k_induction", wall_seconds=0.5,
-            k=2, from_cache=False, worker_id=worker_id),
+            k=2, from_cache=False, worker=worker_id),
         busy_seconds=0.5)
+
+
+def _row(prop: str = "p", wall: float = 0.1, **fields) -> CampaignRow:
+    """One ledger row of design ``d``."""
+    return CampaignRow(**{
+        "design": "d", "property_name": prop, "family": "fam",
+        "status": "proven", "strategy": "bmc", "wall_seconds": wall,
+        "k": 1, "from_cache": False, **fields})
 
 
 def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
@@ -105,7 +113,7 @@ class TestBackendParsing:
                 (QueueBackend, (WorkQueue, RemoteWorkQueue)),
                 (StoreBackend, (ProofStore, RemoteProofStore))):
             methods = declared(protocol)
-            assert "close" in methods and len(methods) > 8
+            assert "close" in methods and len(methods) >= 8
             for cls in implementations:
                 missing = sorted(name for name in methods
                                  if not callable(getattr(cls, name, None)))
@@ -114,7 +122,7 @@ class TestBackendParsing:
         assert QUEUE_METHODS == declared(QueueBackend) - {"close"}
         assert STORE_METHODS == \
             declared(StoreBackend) - {"close", "__len__"} | {"size"}
-        assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (16, 8)
+        assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (16, 7)
         for scope, names in (("queue", QUEUE_METHODS),
                              ("store", STORE_METHODS)):
             for name in names:
@@ -208,7 +216,7 @@ class TestRemoteQueue:
         assert stale_client.complete(_result(stale.spec, worker_id="w1"),
                                      "w1") is False
         results = fresh_client.results()
-        assert results["a"].outcome.worker_id == "w2"
+        assert results["a"].outcome.worker == "w2"
         assert fresh_client.counts() == {JOB_DONE: 1}
 
     def test_fail_requeues_then_poisons(self, service):
@@ -245,16 +253,15 @@ class TestRemoteStore:
         assert store.load("missing") is None
         assert len(store) == 1
 
-    def test_history_round_trip(self, service):
+    def test_ledger_round_trip(self, service):
         store = RemoteProofStore(service.address)
-        store.record_outcomes(
-            [dict(design="d", family="fam", property_name="p",
-                  strategy="bmc", status="proven", wall_seconds=0.25,
-                  from_cache=False)] * 2, [])
-        assert store.history_size() == 2
-        assert store.expected_walls() == {("d", "p"): pytest.approx(0.25)}
+        store.record_outcomes([_row(wall=0.25), _row("q", worker="w1")])
+        assert store.expected_walls() == {("d", "p"): pytest.approx(0.25),
+                                          ("d", "q"): pytest.approx(0.1)}
+        assert store.ledger_entry("d", "q")["worker"] == "w1"
         # The service's own on-disk store holds the same rows.
-        assert ProofStore.open(service.cache_dir).history_size() == 2
+        served = ProofStore.open(service.cache_dir)
+        assert served.ledger_entry("d", "q") == store.ledger_entry("d", "q")
 
     def test_unreachable_store_degrades_to_misses(self, fabric_timing):
         """The cache contract across the network: no proof ever fails
@@ -265,12 +272,7 @@ class TestRemoteStore:
                              stats=ProofStats())
         store.store("k", result)          # no raise
         assert store.load("k") is None
-        store.record_outcomes(
-            [dict(design="d", family="f", property_name="p",
-                  strategy="bmc", status="proven", wall_seconds=0.1,
-                  from_cache=False)],
-            [{"design": "d", "property": "p"}])
-        assert store.history_size() == 0
+        store.record_outcomes([_row()])   # no raise
         assert store.expected_walls() == {}
         assert store.ledger_entry("d", "p") is None
         assert len(store) == 0
@@ -347,38 +349,27 @@ class TestBatchSurface:
         assert sorted(any_store.load_many(keys)) == sorted(stored)
         assert any_store.load_many([]) == {}
 
-    def test_history_is_written_and_read_in_one_call_each(self, any_store):
-        history = [dict(design="d", family="fam", property_name=name,
-                        strategy="bmc", status="proven",
-                        wall_seconds=wall, from_cache=cached)
-                   for name, wall, cached in (("p", 0.2, False),
-                                              ("p", 0.4, False),
-                                              ("p", 0.6, False),
-                                              ("q", 0.0, True))]
-        ledger = [{"design": "d", "property": "p", "status": "proven",
-                   "strategy": "bmc(bound=5)", "provenance": "engine",
-                   "wall_seconds": 0.4, "k": 5,
-                   "attempts": [{"strategy": "bmc(bound=5)"}]}]
-        any_store.record_outcomes(history, ledger)
-        assert any_store.history_size() == 4
+    def test_ledger_is_written_and_read_in_one_call_each(self, any_store):
+        any_store.record_outcomes([
+            _row(wall=0.4, strategy="bmc(bound=5)", provenance="engine",
+                 k=5, attempts=[{"strategy": "bmc(bound=5)"}]),
+            _row("q", wall=0.6, from_cache=True, provenance="store")])
         assert any_store.expected_walls() == \
-            {("d", "p"): pytest.approx(0.4)}
+            {("d", "p"): pytest.approx(0.4), ("d", "q"): pytest.approx(0.6)}
         assert any_store.expected_walls("d") == any_store.expected_walls()
         assert any_store.expected_walls("other") == {}
         row = any_store.ledger_entry("d", "p")
         assert (row["property"], row["k"]) == ("p", 5)
         assert row["attempts"] == [{"strategy": "bmc(bound=5)"}]
-        assert any_store.ledger_entry("d", "q") is None
+        assert any_store.ledger_entry("d", "q")["from_cache"] is True
+        assert any_store.ledger_entry("d", "r") is None
 
     def test_unreachable_service_degrades(self, fabric_timing):
         fabric_timing(timeout=0.5)
         store = RemoteProofStore(DEAD_URL)
         assert store.load_many(["k"]) == {}
         assert store.expected_walls() == {}
-        store.record_outcomes(
-            [dict(design="d", family="f", property_name="p",
-                  strategy="bmc", status="proven", wall_seconds=0.1,
-                  from_cache=False)], [])      # no raise
+        store.record_outcomes([_row()])      # no raise
 
     @pytest.fixture
     def older_service(self, service, monkeypatch):
@@ -397,7 +388,7 @@ class TestBatchSurface:
         assert store.load("k") is not None
         assert store.load_many(["k"]) == {}
         assert store.expected_walls() == {}
-        store.record_outcomes([], [{"design": "d", "property": "p"}])
+        store.record_outcomes([_row()])
         assert store.ledger_entry("d", "p") is None
 
     def test_campaign_against_an_older_server_still_verifies(
@@ -418,7 +409,8 @@ class TestBatchSurface:
             len(warm.rows)
         assert all(r.worker for r in warm.rows)
         assert [c._spawned for c in coordinators] == [1, 1]
-        assert RemoteProofStore(older_service.address).history_size() == 0
+        assert ProofStore.open(older_service.cache_dir
+                               ).expected_walls() == {}
 
 
 class TestService:
@@ -432,6 +424,28 @@ class TestService:
             assert payload["status"] == "ok"
             assert payload["queue"]["state"] == STATE_OPEN
             assert payload["store"]["results"] == 0
+
+    def test_negative_content_length_is_refused_at_once(self, tmp_path):
+        """``rfile.read(-1)`` would read to EOF: a client that keeps its
+        socket open must get its 400 at once, not hold the handler and
+        its in-flight slot until ``close`` gives up draining."""
+        import socket
+        from urllib.parse import urlsplit
+
+        svc = ProofService(cache_dir=tmp_path / "served", port=0).start()
+        where = urlsplit(svc.address)
+        try:
+            with socket.create_connection((where.hostname, where.port),
+                                          timeout=2) as sock:
+                sock.sendall(b"POST /store/load HTTP/1.1\r\n"
+                             b"Host: x\r\nContent-Length: -1\r\n\r\n")
+                status_line = sock.recv(4096).split(b"\r\n", 1)[0]
+                assert status_line.split()[1] == b"400", status_line
+                started = time.monotonic()
+                svc.close()          # the client still holds its socket
+                assert time.monotonic() - started < 2.0
+        finally:
+            svc.close()
 
     def test_unknown_methods_are_rejected_as_permanent(self, service):
         """Version skew / bad endpoints are RemoteOperationError — a
@@ -459,8 +473,8 @@ class TestService:
         ("store", "record", (), dict(
             design="d", family="f", property_name="p", strategy="bmc",
             status="proven", wall_seconds=0.1, from_cache=False)),
-        ("store", "record_ledger", ({"design": "d", "property": "q"},),
-         {}),
+        ("store", "record_ledger", (_row("q"),), {}),
+        ("store", "history_size", (), {}),
         ("store", "expected_wall", ("d", "p"), {}),
         ("store", "ledger_rows", (), {}),
     )
@@ -470,18 +484,15 @@ class TestService:
         (a permanent RemoteOperationError, which an older client's
         store degrade path reads as a miss), no client generates a
         method for it, and the served queue and store keep their rows.
-        The history aggregates went with adaptive selection; the rest
-        had no caller at all."""
+        The history aggregates went with adaptive selection, the
+        history table with the ledger's becoming the one verdict
+        record; the rest had no caller at all."""
         queue = RemoteWorkQueue(service.address)
         store = RemoteProofStore(service.address)
         queue.enqueue([_spec("a")])
         store.store("k", CheckResult("p", Status.PROVEN, k=1,
                                      stats=ProofStats()))
-        store.record_outcomes(
-            [dict(design="d", family="f", property_name="p",
-                  strategy="bmc", status="proven", wall_seconds=0.1,
-                  from_cache=False)],
-            [{"design": "d", "property": "p", "status": "proven"}])
+        store.record_outcomes([_row()])
         clients = {"queue": queue, "store": store}
         for scope, name, args, kwargs in self.REMOVED_CALLS:
             client = clients[scope]
@@ -491,7 +502,7 @@ class TestService:
                 client._call(name, *args, **kwargs)
             assert caught.value.__cause__.code == 404
         assert queue.counts() == {JOB_PENDING: 1}
-        assert len(store) == 1 and store.history_size() == 1
+        assert len(store) == 1
         assert store.expected_walls() == {("d", "p"): pytest.approx(0.1)}
         assert store.ledger_entry("d", "p")["status"] == "proven"
         assert store.ledger_entry("d", "q") is None
@@ -509,7 +520,7 @@ class TestWorkerOverHTTP:
         assert worker.run() == 2
         results = queue.results()
         assert {r.outcome.status for r in results.values()} == {"proven"}
-        assert all(r.outcome.worker_id == "w1"
+        assert all(r.outcome.worker == "w1"
                    for r in results.values())
         # Verdicts landed in the server's store under content keys.
         assert len(RemoteProofStore(service.address)) > 0
@@ -604,7 +615,7 @@ class TestServerRestart:
             results = client.results()
             assert sorted(results) == sorted(s.job_id for s in specs)
             assert client.counts() == {JOB_DONE: len(specs)}
-            assert results[stale.spec.job_id].outcome.worker_id == \
+            assert results[stale.spec.job_id].outcome.worker == \
                 "survivor"
         finally:
             revived.close()
@@ -655,10 +666,9 @@ class TestCoordinatorSurvivesServerBounce:
             assert not thread.is_alive(), "campaign never finished"
             assert "error" not in box, box.get("error")
             result = box["result"]
-            assert set(result.outcomes) == {j.identity for j in pool}
-            assert all(o.conclusive
-                       for o in result.outcomes.values()), \
-                result.outcomes
+            assert set(result.rows) == {j.identity for j in pool}
+            assert all(row.status in ("proven", "violated")
+                       for row in result.rows.values()), result.rows
         finally:
             revived.close()
 
@@ -758,7 +768,7 @@ class TestRemoteProbe:
         before = _wire_requests(service)
         warm = self._run(service)
         asked = _wire_requests(service) - before - 1   # less that read
-        # One history read, one probe, one record, one size — not
+        # One ledger read, one probe, one record, one size — not
         # a handful of round trips per job, as the cold half made.
         assert 0 < asked <= 15, asked
         assert before > 4 * asked
@@ -772,8 +782,11 @@ class TestRemoteProbe:
         assert warm.worker_stats == [] and warm.workers == 2
         assert all(r.from_cache and r.worker == "" and
                    r.provenance == "store" for r in warm.rows)
-        assert RemoteProofStore(service.address).history_size() == \
-            len(cold.rows) + len(warm.rows)
+        # The warm pass rewrote each verdict's one ledger row.
+        served = RemoteProofStore(service.address)
+        assert len(served.expected_walls()) == len(warm.rows)
+        assert all(served.ledger_entry(r.design, r.property_name)
+                   ["provenance"] == "store" for r in warm.rows)
 
     def test_half_warm_served_store_enqueues_only_the_other_design(
             self, service, coordinators):
@@ -821,9 +834,9 @@ class TestRemoteCampaign:
         assert remote.store_results > 0
         assert sum(s.jobs_done for s in remote.worker_stats) == \
             len(remote.rows)
-        # History is recorded once per verdict, in the served store.
-        assert RemoteProofStore(service.address).history_size() == \
-            len(remote.rows)
+        # The ledger holds one row per verdict, in the served store.
+        assert len(RemoteProofStore(service.address).expected_walls()) \
+            == len(remote.rows)
 
     def test_warm_remote_rerun_answers_from_served_store(self, service):
         cold = run_campaign(designs=["updown_counter"], max_k=3,

@@ -633,7 +633,7 @@ class TestStatusCli:
         out = capsys.readouterr().out
         assert f"backend {service.address}" in out
         assert "queue: state=open" in out
-        assert "store: 0 results, 0 history rows" in out
+        assert "store: 0 results\n" in out
         assert "workers" in out and "w1" in out
 
     def test_local_status(self, tmp_path, capsys):
@@ -1002,14 +1002,14 @@ class TestMetricsExpositionEdgeCases:
 class TestEffortLedger:
     @staticmethod
     def _entry(**over):
-        entry = {"design": "d1", "property": "p1", "status": "PROVEN",
-                 "strategy": "pdr_seeded(seed_lemmas=4)",
-                 "provenance": "seeded", "from_cache": False,
-                 "fallback": True, "worker": "w1",
-                 "wall_seconds": 1.25, "k": 7,
-                 "attempts": [{"strategy": "bmc", "status": "timeout"}]}
-        entry.update(over)
-        return entry
+        from repro.campaign import CampaignRow
+        return CampaignRow(**{
+            "design": "d1", "property_name": "p1", "family": "fam",
+            "status": "PROVEN", "strategy": "pdr_seeded(seed_lemmas=4)",
+            "provenance": "seeded", "from_cache": False, "worker": "w1",
+            "wall_seconds": 1.25, "k": 7,
+            "attempts": [{"strategy": "bmc", "status": "timeout"}],
+            **over})
 
     def test_ledger_round_trip_and_upsert(self, tmp_path):
         from repro.campaign import ProofStore
@@ -1018,7 +1018,7 @@ class TestEffortLedger:
         entry = store.ledger_entry("d1", "p1")
         assert entry["status"] == "PROVEN"
         assert entry["provenance"] == "seeded"
-        assert entry["fallback"] is True
+        assert entry["family"] == "fam" and "fallback" not in entry
         assert entry["from_cache"] is False
         assert entry["k"] == 7 and entry["wall_seconds"] == 1.25
         assert entry["attempts"] == \
@@ -1027,7 +1027,7 @@ class TestEffortLedger:
         # One row per (design, property): re-recording replaces.
         store.record_ledger(self._entry(status="UNKNOWN", attempts=[]))
         assert store.ledger_entry("d1", "p1")["status"] == "UNKNOWN"
-        store.record_ledger(self._entry(property="p0"))
+        store.record_ledger(self._entry(property_name="p0"))
         assert store.ledger_entry("d1", "p0")["status"] == "PROVEN"
         assert store.ledger_entry("d1", "p1")["status"] == "UNKNOWN"
         assert store.ledger_entry("d1", "absent") is None
@@ -1079,7 +1079,7 @@ class TestEffortLedger:
         not call it a GenAI proof."""
         from repro.campaign import ProofStore
         store = ProofStore.open(tmp_path)
-        store.record_outcomes([], [self._entry()])
+        store.record_outcomes([self._entry()])
         store.close()
         assert main(["explain", "d1", "p1", "--backend",
                      str(tmp_path)]) == 0
@@ -1091,7 +1091,7 @@ class TestEffortLedger:
         from repro.dist import RemoteProofStore
         from repro.campaign import ProofStore
         remote = RemoteProofStore(service.address)
-        remote.record_outcomes([], [self._entry()])
+        remote.record_outcomes([self._entry()])
         entry = remote.ledger_entry("d1", "p1")
         assert entry is not None and entry["provenance"] == "seeded"
         assert entry["attempts"] == \
@@ -1105,7 +1105,7 @@ class TestEffortLedger:
     def test_remote_ledger_degrades_on_unreachable_backend(self):
         from repro.dist import RemoteProofStore
         remote = RemoteProofStore("http://127.0.0.1:9")
-        remote.record_outcomes([], [self._entry()])  # swallowed
+        remote.record_outcomes([self._entry()])  # swallowed
         assert remote.ledger_entry("d1", "p1") is None
 
 
@@ -1195,6 +1195,18 @@ class TestTopExplainCli:
             # point records of the same property.
             assert " check_start: " in out
             assert re.search(r" check \(\d+\.\d{3}s\): ", out)
+
+    def test_explain_answers_for_a_verify_verdict(self, tmp_path, capsys):
+        """``verify --backend`` lands its verdicts in the same ledger a
+        campaign writes, so ``explain`` tells their story too."""
+        assert main(["verify", "updown_counter",
+                     "--backend", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["explain", "updown_counter", "upper_bound",
+                     "--backend", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "updown_counter.upper_bound: proven" in out
+        assert "provenance: engine" in out and "winner: k_induction" in out
 
     def test_explain_missing_entry_fails_cleanly(self, tmp_path,
                                                  capsys):
