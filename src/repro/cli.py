@@ -330,16 +330,19 @@ def _wedged_workers(snapshot: list[dict]) -> list[tuple[dict, float]]:
 
 
 def _fleet_view(queue, store) -> list[str]:
-    """The ``status`` view of one backend, read through its protocol."""
-    counts = queue.counts()
-    snapshot = queue.worker_snapshot()
-    lines = [
-        f"  queue: state={queue.state()}, "
-        f"pending={counts.get('pending', 0)}, "
-        f"leased={counts.get('leased', 0)}, "
-        f"done={counts.get('done', 0)}",
-        f"  store: {len(store)} results",
-    ]
+    """The ``status`` view of one backend, read through its protocol
+    (``queue`` is None where no queue exists yet)."""
+    if queue is None:
+        snapshot = []
+        lines = ["  queue: none"]
+    else:
+        counts = queue.counts()
+        snapshot = queue.worker_snapshot()
+        lines = [f"  queue: state={queue.state()}, "
+                 f"pending={counts.get('pending', 0)}, "
+                 f"leased={counts.get('leased', 0)}, "
+                 f"done={counts.get('done', 0)}"]
+    lines.append(f"  store: {len(store)} results")
     if snapshot:
         lines.append(_worker_table(snapshot).to_text())
     for worker, threshold in _wedged_workers(snapshot):
@@ -360,14 +363,21 @@ def _cmd_status(args: argparse.Namespace) -> int:
     import time
 
     from repro.dist.backend import open_queue, open_store
+    from repro.dist.queue import WorkQueue
 
     resolved = _resolve_backend_arg(args, "status")
     if args.events and _journal.active() is None:
         _journal.configure(args.events)
-    queue = open_queue(resolved)
+    queue_file = os.path.join(resolved.location, WorkQueue.FILENAME)
+    queue = None
     store = open_store(resolved)
     try:
         while True:
+            # Opening a sqlite queue creates it: only look at one that a
+            # distributed campaign has made (rechecked on every redraw).
+            if queue is None and (resolved.is_remote
+                                  or os.path.exists(queue_file)):
+                queue = open_queue(resolved)
             try:
                 lines = _fleet_view(queue, store)
             except (OSError, ReproError) as exc:
@@ -389,7 +399,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 return 0
     finally:
-        queue.close()
+        if queue is not None:
+            queue.close()
         store.close()
 
 

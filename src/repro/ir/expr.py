@@ -107,6 +107,10 @@ _DIGESTS: dict[Expr, bytes] = {}
 #: ``_DIGESTS`` by the interned nodes themselves.
 _PROGRAMS: dict[tuple[Expr, ...], "Program"] = {}
 
+#: root -> :func:`support`, keyed like ``_DIGESTS`` by the interned node
+#: itself, so every query over one design walks each root's DAG once.
+_SUPPORTS: dict[Expr, frozenset[str]] = {}
+
 
 def _mk(op: str, width: int, args: tuple[Expr, ...] = (),
         name: str | None = None, value: int | None = None,
@@ -126,8 +130,8 @@ def intern_table_size() -> int:
 
 
 def clear_intern_table() -> None:
-    """Drop the intern table (and the digest and program memos hanging
-    off it).
+    """Drop the intern table (and the digest, program and support memos
+    hanging off it).
 
     Only safe when no expressions from before the call will be compared
     against expressions created after it; intended for long test sessions.
@@ -135,6 +139,7 @@ def clear_intern_table() -> None:
     _INTERN.clear()
     _DIGESTS.clear()
     _PROGRAMS.clear()
+    _SUPPORTS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +612,18 @@ def iter_dag(roots: Iterable[Expr]) -> Iterator[Expr]:
                 stack.append((child, False))
 
 
-def support(root: Expr) -> set[str]:
-    """Names of all variables appearing under ``root``."""
-    return {n.name for n in iter_dag([root]) if n.is_var}
+def support(root: Expr) -> frozenset[str]:
+    """Names of all variables appearing under ``root``.
+
+    Memoised per interned root (the DAG under a node never changes), so
+    the cone-of-influence fixpoint and :meth:`TransitionSystem.validate`
+    walk each root once however many properties ask.
+    """
+    found = _SUPPORTS.get(root)
+    if found is None:
+        found = _SUPPORTS[root] = frozenset(
+            n.name for n in iter_dag([root]) if n.is_var)
+    return found
 
 
 #: op -> factory(node, *argument slots) -> step(slot values) -> value: the

@@ -4,6 +4,11 @@ These are deliberately small and composable: variable support
 computation through the transition relation, and cone-of-influence
 (COI) reduction, which is the workhorse that keeps SAT instances small
 when checking properties that touch few registers.
+
+Both read :func:`repro.ir.expr.support`, which is memoised per interned
+root, so scoping every property of one design walks each next/init
+function, define and constraint once rather than once per property and
+fixpoint round.  Nothing is cached on the (mutable) system itself.
 """
 
 from __future__ import annotations
@@ -24,20 +29,23 @@ def state_support(system: TransitionSystem,
     conservatively: any constraint mentioning a relevant variable pulls in
     its entire support.
     """
+    states = system.states.keys()
+    # A constraint's state support does not change between rounds.
+    cond_sups = [sup for cond in system.constraints
+                 if (sup := states & E.support(cond))]
     relevant: set[str] = set()
     frontier: set[str] = set()
     for root in roots:
-        frontier |= E.support(root) & set(system.states)
+        frontier |= states & E.support(root)
     while frontier:
         relevant |= frontier
         next_frontier: set[str] = set()
         for name in frontier:
             for fn in (system.next.get(name), system.init.get(name)):
                 if fn is not None:
-                    next_frontier |= E.support(fn) & set(system.states)
-        for cond in system.constraints:
-            sup = E.support(cond) & set(system.states)
-            if sup & relevant:
+                    next_frontier |= states & E.support(fn)
+        for sup in cond_sups:
+            if not sup.isdisjoint(relevant):
                 next_frontier |= sup
         frontier = next_frontier - relevant
     return relevant

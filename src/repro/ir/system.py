@@ -186,10 +186,10 @@ class TransitionSystem:
         known = set(self.inputs) | set(self.states)
         pairs = list(self.next.items()) + list(self.init.items())
         liveness = self.fairness + [c for js in self.justice for c in js]
-        # One walk over the union of all roots; only a bad name sends us
-        # back root by root to say where it was found.
+        # Memoised supports make the common all-known case a set check
+        # per root; only a bad name sends us back to say where it was.
         roots = [e for _, e in pairs] + self.constraints + liveness
-        if all(n.name in known for n in E.iter_dag(roots) if n.is_var):
+        if all(E.support(e) <= known for e in roots):
             return
         for name, e in pairs:
             for free in E.support(e):

@@ -179,6 +179,12 @@ class TestSupportAndTraversal:
                                        E.const(0, 4)))
         assert E.support(e) == {"a", "b", "c"}
 
+    def test_support_is_memoised_per_root(self):
+        e = E.sub(E.var("p", 4), E.var("q", 4))
+        first = E.support(e)
+        assert isinstance(first, frozenset)
+        assert E.support(e) is first
+
     def test_iter_dag_postorder(self):
         e = E.add(E.var("a", 4), E.var("b", 4))
         nodes = list(E.iter_dag([e]))
@@ -340,6 +346,20 @@ class TestKernel:
             "assert not E._PROGRAMS\n"
             "assert E.evaluate(e(), {'x': 3}) == 2\n"
             "assert len(E._PROGRAMS) == 1\n")
+        subprocess.run([sys.executable, "-c", script],
+                       env={"PYTHONPATH": str(SRC)}, check=True)
+
+
+    def test_clearing_the_intern_table_drops_supports(self):
+        script = (
+            "from repro.ir import expr as E\n"
+            "e = lambda: E.add(E.var('a', 8), E.var('b', 8))\n"
+            "assert E.support(e()) == {'a', 'b'}\n"
+            "assert E._SUPPORTS\n"
+            "E.clear_intern_table()\n"
+            "assert not E._SUPPORTS\n"
+            "assert E.support(e()) == {'a', 'b'}\n"
+            "assert len(E._SUPPORTS) == 1\n")
         subprocess.run([sys.executable, "-c", script],
                        env={"PYTHONPATH": str(SRC)}, check=True)
 

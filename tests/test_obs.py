@@ -641,8 +641,24 @@ class TestStatusCli:
                      cache_dir=tmp_path)
         assert main(["status", "--backend", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "queue: state=" in out
+        assert "queue: none" in out
         assert "store:" in out
+        WorkQueue.open(tmp_path).close()
+        assert main(["status", "--backend", str(tmp_path)]) == 0
+        assert "queue: state=open" in capsys.readouterr().out
+
+    def test_status_creates_nothing_in_the_backend(self, tmp_path,
+                                                   capsys):
+        assert main(["verify", "updown_counter",
+                     "--backend", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["status", "--backend", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  queue: none\n" in out
+        assert "store: 2 results" in out
+        # The store's WAL side files stay while this process holds it.
+        assert {p.name for p in tmp_path.iterdir()} <= \
+            {"proofs.sqlite", "proofs.sqlite-wal", "proofs.sqlite-shm"}
 
     def test_status_requires_a_target(self, capsys):
         assert main(["status"]) != 0
