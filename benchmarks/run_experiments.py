@@ -6,11 +6,7 @@ Usage: python benchmarks/run_experiments.py [--json PATH] [EXPERIMENT_ID ...]
 Writes the rendered tables to stdout (text) and to
 ``benchmarks/results.md`` (markdown) for inclusion in EXPERIMENTS.md;
 ``--json PATH`` additionally dumps every table's rows as JSON for
-dashboards and regression tracking, each experiment carrying a
-``metrics`` entry — the growth of the process-wide observability
-counters over that experiment (solver effort, checks by origin), so a
-dashboard can plot cache behaviour and solver load without parsing
-table columns.
+dashboards and regression tracking.
 
 ``--json`` also stamps a ``BENCH_<runid>.json`` trajectory artifact
 next to PATH: a per-run snapshot keyed by a timestamp run id, holding
@@ -30,8 +26,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from _experiments import ALL_EXPERIMENTS  # noqa: E402
-
-from repro.obs import metrics as obs_metrics  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
@@ -53,20 +47,16 @@ def main(argv: list[str]) -> int:
             print(f"unknown experiment {exp_id!r}; "
                   f"available: {sorted(ALL_EXPERIMENTS)}")
             return 1
-        before = obs_metrics.get_registry().snapshot()
         start = time.perf_counter()
         table = driver()
         elapsed = time.perf_counter() - start
-        grown = obs_metrics.delta(before,
-                                  obs_metrics.get_registry().snapshot())
         print(table.to_text())
         print(f"({exp_id} regenerated in {elapsed:.1f}s)\n")
         sections.append(table.to_markdown() +
                         f"\n*(regenerated in {elapsed:.1f}s)*\n")
         dumps[exp_id.upper()] = {"title": table.title,
                                  "seconds": round(elapsed, 3),
-                                 "rows": table.to_rows(),
-                                 "metrics": grown}
+                                 "rows": table.to_rows()}
     out_path = Path(__file__).parent / "results.md"
     out_path.write_text("# Measured experiment tables\n\n" +
                         "\n".join(sections))

@@ -44,12 +44,7 @@ from repro.mc.property import SafetyProperty
 from repro.mc.strategy import (resolve_strategy, spec_name,
                                strategy_option_names)
 from repro.obs import journal as _journal
-from repro.obs import metrics as _metrics
 from repro.sva.compile import MonitorContext
-
-_M_PHASE_SECONDS = _metrics.histogram(
-    "repro_campaign_phase_seconds", "campaign wall clock by phase",
-    labels=("phase",))
 
 
 @contextlib.contextmanager
@@ -284,9 +279,6 @@ class CampaignScheduler:
                 root.fields.update(
                     properties=len(rows),
                     mismatches=sum(1 for r in rows if r.mismatch))
-
-        for name, seconds in phases.items():
-            _M_PHASE_SECONDS.labels(name).observe(seconds)
 
         journal = _journal.active()
         return CampaignReport(

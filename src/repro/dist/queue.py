@@ -103,7 +103,7 @@ class WorkQueue:
     def __init__(self, path: str | Path,
                  registry: _metrics.MetricsRegistry | None = None):
         self.path = Path(path)
-        registry = registry or _metrics.get_registry()
+        registry = registry or _metrics.MetricsRegistry()
         self._m_enqueued = registry.counter(
             "repro_queue_enqueued_total", "jobs added to the queue")
         self._m_claims = registry.counter(

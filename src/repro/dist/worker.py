@@ -57,17 +57,6 @@ from repro.dist.queue import STATE_CLOSED
 from repro.mc.cache import ResultCache
 from repro.mc.portfolio import PortfolioScheduler, VerifyTask
 from repro.obs import journal as _journal
-from repro.obs import metrics as _metrics
-
-_M_CLAIM_SECONDS = _metrics.histogram(
-    "repro_worker_claim_seconds", "claim round-trip latency",
-    buckets=(0.001, 0.005, 0.025, 0.1, 0.5, 2.0))
-_M_IDLE_SECONDS = _metrics.counter(
-    "repro_worker_idle_seconds_total",
-    "seconds spent polling with no claimable work")
-_M_JOBS = _metrics.counter(
-    "repro_worker_jobs_total", "jobs processed by outcome",
-    labels=("result",))
 
 #: Seconds between claim attempts while nothing is claimable, and the
 #: coordinator's supervision tick.  Read at call time.
@@ -137,11 +126,8 @@ class Worker:
             while True:
                 lease = None
                 try:
-                    claim_started = time.perf_counter()
                     lease = self.queue.claim(self.worker_id,
                                              self.lease_seconds)
-                    _M_CLAIM_SECONDS.observe(
-                        time.perf_counter() - claim_started)
                     if lease is None and \
                             self.queue.state() == STATE_CLOSED:
                         break
@@ -159,7 +145,6 @@ class Worker:
                     elif now - idle_since >= self.idle_timeout:
                         break
                     time.sleep(POLL_INTERVAL)
-                    _M_IDLE_SECONDS.inc(POLL_INTERVAL)
                     continue
                 idle_since = None
                 if self._process(lease):
@@ -218,7 +203,6 @@ class Worker:
         try:
             result = self._execute(spec)
         except Exception as exc:
-            _M_JOBS.labels("failed").inc()
             error = f"{type(exc).__name__}: {exc}"
             try:
                 self.queue.fail(spec.job_id, self.worker_id, error)
@@ -249,7 +233,6 @@ class Worker:
             fate = "unreported"
         finally:
             self._current_job = None
-        _M_JOBS.labels(fate).inc()
         return {"result": fate}
 
     def _execute(self, spec: JobSpec) -> JobResult:

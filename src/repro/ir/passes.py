@@ -13,6 +13,7 @@ fixpoint round.  Nothing is cached on the (mutable) system itself.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from repro.ir import expr as E
@@ -23,19 +24,16 @@ def state_support(system: TransitionSystem,
                   roots: Iterable[E.Expr]) -> set[str]:
     """State variables transitively relevant to ``roots``.
 
-    Fixpoint of: a state var is relevant if it appears in a root, or in the
-    next/init function of a relevant state var, or in any constraint that
-    shares support with the relevant set.  Constraints are handled
-    conservatively: any constraint mentioning a relevant variable pulls in
-    its entire support.
+    Every environment constraint is a root too: a constraint decides
+    which traces exist at all, so one over registers the roots never
+    read can still make a bad state unreachable.  Fixpoint of: a state
+    var is relevant if a root or a constraint reads it, or if the
+    next/init function of a relevant state var does.
     """
     states = system.states.keys()
-    # A constraint's state support does not change between rounds.
-    cond_sups = [sup for cond in system.constraints
-                 if (sup := states & E.support(cond))]
     relevant: set[str] = set()
     frontier: set[str] = set()
-    for root in roots:
+    for root in itertools.chain(roots, system.constraints):
         frontier |= states & E.support(root)
     while frontier:
         relevant |= frontier
@@ -44,9 +42,6 @@ def state_support(system: TransitionSystem,
             for fn in (system.next.get(name), system.init.get(name)):
                 if fn is not None:
                     next_frontier |= states & E.support(fn)
-        for sup in cond_sups:
-            if not sup.isdisjoint(relevant):
-                next_frontier |= sup
         frontier = next_frontier - relevant
     return relevant
 
@@ -56,12 +51,16 @@ def cone_of_influence(system: TransitionSystem,
     """Restrict ``system`` to the registers that can influence ``roots``.
 
     Inputs are kept (they are free and cost nothing until bit-blasted);
-    defines are kept only if their support survives.  Constraints whose
-    support is entirely removed are dropped — they cannot influence the
-    roots.  The reduced system is a sound abstraction for safety checking:
-    removed registers are unconstrained in it, so a proof on the reduced
-    system implies a proof on the full one, and a reduced-system CEX maps
-    to a full-system CEX by simulating the removed registers.
+    defines are kept only if their support survives.  Every constraint
+    is kept, and with it every register it reads (see
+    :func:`state_support`): a constraint over registers outside the
+    roots' cone still prunes traces, so dropping it would let the
+    reduced system reach bad states the full one cannot.  The reduced
+    system is a sound abstraction for safety checking: removed registers
+    are read by no root, constraint or kept next/init function, so a
+    proof on the reduced system implies a proof on the full one, and a
+    reduced-system CEX maps to a full-system CEX by simulating the
+    removed registers.
     """
     roots = list(roots)
     keep = state_support(system, roots)
@@ -77,9 +76,7 @@ def cone_of_influence(system: TransitionSystem,
     for name, e in system.defines.items():
         if E.support(e) <= kept_names:
             reduced.defines[name] = e
-    for cond in system.constraints:
-        if E.support(cond) <= kept_names:
-            reduced.constraints.append(cond)
+    reduced.constraints = list(system.constraints)
     reduced.arrays = {name: shape for name, shape in system.arrays.items()
                       if reduced.has_signal(name)}
     return reduced

@@ -36,13 +36,6 @@ from repro.mc.result import CheckResult
 from repro.mc.strategy import (CheckTask, canonical_options,
                                resolve_strategy, run_check_task)
 from repro.obs import journal as _journal
-from repro.obs import metrics as _metrics
-
-# Booked by lookup (origin="cache") and settle (origin="solver"), the
-# two functions every answered check passes through.
-_M_CHECKS = _metrics.counter(
-    "repro_checks_total", "model-checking queries by strategy/origin",
-    labels=("strategy", "origin"))
 
 
 def expr_fingerprint(root: E.Expr) -> str:
@@ -295,7 +288,7 @@ class ResultCache:
 class Lookup(NamedTuple):
     """What :func:`lookup` learned about one task's query."""
 
-    strategy: str                   # registry name: the metric/journal label
+    strategy: str                   # registry name: the journal label
     key: str | None                 # None: no cache, or not cacheable
     hit: CheckResult | None = None
     tier: str | None = None         # "memory" | "disk", on a hit
@@ -322,10 +315,9 @@ def lookup(cache: ResultCache | None, task: CheckTask,
     """Key ``task``'s query and ask ``cache`` for it.
 
     The only place a hit's tier is decided, for :func:`run_cached` and
-    every portfolio slot alike.  A hit is booked here
-    (``repro_checks_total{origin="cache"}`` and a ``check`` point
-    record naming the tier: a hit has no duration); a miss hands its
-    key back for :func:`settle`.  A batch caller passes the slot's
+    every portfolio slot alike.  A hit is booked here (a ``check``
+    point record naming the tier: a hit has no duration); a miss hands
+    its key back for :func:`settle`.  A batch caller passes the slot's
     :func:`key_task` result and the batch's
     :meth:`ResultCache.prefetch` answer, so the query is keyed once and
     the disk tier is not asked again.
@@ -338,7 +330,6 @@ def lookup(cache: ResultCache | None, task: CheckTask,
     if hit is None:
         return found
     tier = "disk" if cache.stats.disk_hits > disk_before else "memory"
-    _M_CHECKS.labels(found.strategy, "cache").inc()
     _journal.emit("check", design=task.system.name,
                   property=task.prop.name, strategy=found.strategy,
                   origin="cache", tier=tier, status=hit.status.value,
@@ -351,10 +342,9 @@ def settle(cache: ResultCache | None, found: Lookup,
     """Book a solver answer to the query ``found`` missed on.
 
     Runs in the process that asked — for a pooled slot that is the
-    parent, not the child that solved — so the counter lands in the
-    registry ``/metrics`` serves and the result in the shared cache.
+    parent, not the child that solved — so the result lands in the
+    shared cache.
     """
-    _M_CHECKS.labels(found.strategy, "solver").inc()
     if found.key is not None:
         cache.put(found.key, result)
 

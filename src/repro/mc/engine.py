@@ -95,17 +95,17 @@ class ProofEngine:
                       ) -> TransitionSystem:
         """Cone-of-influence-reduce the design for this query.
 
-        The reduction must keep everything the property, the lemmas,
-        and the environment constraints mention; lemma expressions are
-        roots too because they are asserted at every frame.  Public
-        because cache keys fingerprint the scoped system: any layer that
-        builds its own :class:`VerifyTask`s (the campaign scheduler)
-        must scope through here or its keys silently fork.
+        The reduction must keep everything the property and the lemmas
+        mention (lemma expressions are roots because they are asserted
+        at every frame); :func:`cone_of_influence` keeps the environment
+        constraints itself.  Public because cache keys fingerprint the
+        scoped system: any layer that builds its own :class:`VerifyTask`s
+        (the campaign scheduler) must scope through here or its keys
+        silently fork.
         """
         roots = list(self._coi_roots(prop.bad))
         for good, _vf in (lemmas or []):
             roots.extend(self._coi_roots(good))
-        roots.extend(self.system.constraints)
         return cone_of_influence(self.system, roots)
 
     def _coi_roots(self, expr: E.Expr) -> Iterator[E.Expr]:

@@ -43,9 +43,8 @@ simply assumes it — no separate init solver exists.  Whether a clause
 :meth:`FrameTrapezoid.contains_init` answers from the registers' constant
 reset values and only probes when a deciding literal has none.
 
-Every query is counted by call site (:data:`QUERY_KINDS`), on the
-context for the run's ``detail`` line and in the process-wide
-``repro_pdr_*`` metric families.
+Every query is counted by call site (:data:`QUERY_KINDS`) on the
+context, for the run's ``detail`` line.
 """
 
 from __future__ import annotations
@@ -55,25 +54,12 @@ from dataclasses import dataclass, field
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.frame import FrameSolver
-from repro.obs import metrics as _metrics
 
 #: The questions PDR puts to its solver, by call site: is a bad state in
 #: the top frame, does an obligation's cube have a predecessor, does a
 #: shrunk clause stay relatively inductive, does a clause contain the
 #: initial states, can a member move one frame out.
 QUERY_KINDS = ("bad", "consecution", "generalize", "initiation", "push")
-
-# Bumped once per query / skipped push / core shrink, next to the
-# solver call — never inside it (the E10 obs on/off contract).
-_M_QUERIES = _metrics.counter(
-    "repro_pdr_queries_total", "PDR SAT queries by call site",
-    labels=("kind",))
-_M_PUSHES_SKIPPED = _metrics.counter(
-    "repro_pdr_pushes_skipped_total",
-    "push probes skipped because the last defeating state still stands")
-_M_CORE_DROPPED = _metrics.counter(
-    "repro_pdr_core_literals_dropped_total",
-    "clause literals dropped because no refutation used them")
 
 #: One cube/clause literal: register ``name`` bit ``bit`` has ``value``.
 #: A *cube* is a conjunction of such literals (a set of states); a
@@ -200,8 +186,6 @@ class PdrContext(FrameSolver):
         """One query; ``kind`` (a :data:`QUERY_KINDS` name) says which
         of the algorithm's questions it is."""
         self.query_mix[kind] += 1
-        if _metrics.metrics_enabled():
-            _M_QUERIES.labels(kind).inc()
         return self.solve_limited(assumptions,
                                   conflict_budget=conflict_budget)
 
@@ -216,16 +200,6 @@ class PdrContext(FrameSolver):
         core = set(self.solver.failed_assumptions())
         return tuple(lit for lit, d in
                      zip(cube, self.cube_assumptions(cube, t)) if d in core)
-
-    def note_core_drop(self, literals: int) -> None:
-        self.core_literals_dropped += literals
-        if _metrics.metrics_enabled():
-            _M_CORE_DROPPED.inc(literals)
-
-    def note_push_skipped(self) -> None:
-        self.pushes_skipped += 1
-        if _metrics.metrics_enabled():
-            _M_PUSHES_SKIPPED.inc()
 
     # ------------------------------------------------------------------
     # Model extraction (valid immediately after a SAT answer)
@@ -463,7 +437,7 @@ class FrameTrapezoid:
             kept: list[FrameMember] = []
             for member in self.levels[level]:
                 if self._push_still_defeated(member, level):
-                    ctx.note_push_skipped()
+                    ctx.pushes_skipped += 1
                     kept.append(member)
                     continue
                 verdict = self._holds_after_step(member, level,

@@ -152,7 +152,7 @@ def _shrink_to(ctx: PdrContext, frames: FrameTrapezoid,
             return clause
         keep = {anchor, *needed}
         needed = tuple(lit for lit in clause if lit in keep)
-    ctx.note_core_drop(len(clause) - len(needed))
+    ctx.core_literals_dropped += len(clause) - len(needed)
     return needed
 
 

@@ -314,12 +314,12 @@ class PortfolioScheduler:
         True when that concluded the group's race.
 
         ``found`` is the slot's cache miss, through which the result is
-        counted and cached; a crashed worker's stand-in result has none
-        and is neither.  The first conclusive result cancels the
-        group's pooled siblings: one still in the pool's queue is
-        dropped unrun (``"cancelled"``); one already running cannot be
-        stopped, so it finishes, lands here after the outcome, is
-        cached, and counts for nothing in its race (``"discarded"``).
+        cached; a crashed worker's stand-in result has none and is not.
+        The first conclusive result cancels the group's pooled
+        siblings: one still in the pool's queue is dropped unrun
+        (``"cancelled"``); one already running cannot be stopped, so it
+        finishes, lands here after the outcome, is cached, and counts
+        for nothing in its race (``"discarded"``).
         With the queue in slot-major order most refuters are still
         queued when their prover wins.
         """

@@ -1,31 +1,21 @@
-"""Zero-dependency observability: metrics and the record stream.
+"""Zero-dependency observability: the record stream and service metrics.
 
-``repro.obs.metrics`` holds a process-local Prometheus-style registry
-(counters, gauges, histograms) that every layer — solver, engines,
-campaign scheduler, work queue, HTTP service — records into.
-``repro.obs.journal`` is the record stream: typed JSONL records
-(a check ran, a lease expired, a job was poisoned) sharing one
-trace id, where a record with a ``span_id`` and a ``dur`` is a span,
-so one campaign reconstructs as a single tree across worker processes
-and the network boundary.
+``repro.obs.journal`` is the record stream: typed
+JSONL records (a check ran, a lease expired, a job was poisoned)
+sharing one trace id, where a record with a ``span_id`` and a ``dur``
+is a span, so one campaign reconstructs as a single tree across worker
+processes and the network boundary.  A verdict's effort travels with
+the verdict itself (``ProofStats``, attempt logs, the ledger), and the
+journal's ``check`` records say where each answer came from.
+
+``obs/metrics.py`` is the Prometheus-style registry a
+``ProofService`` owns and serves on ``/metrics`` (wire requests, queue
+churn and depth); only the service and its work queue import it.
 
 Both modules are stdlib-only and import nothing from the rest of
 ``repro``, so any layer may import them without cycles.
 """
 
 from repro.obs.journal import TraceContext, span
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    metrics_enabled,
-    set_metrics_enabled,
-)
 
-__all__ = [
-    "MetricsRegistry",
-    "TraceContext",
-    "get_registry",
-    "metrics_enabled",
-    "set_metrics_enabled",
-    "span",
-]
+__all__ = ["TraceContext", "span"]

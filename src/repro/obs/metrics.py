@@ -1,28 +1,22 @@
-"""Process-local metrics registry with Prometheus text exposition.
+"""Per-service metrics registry with Prometheus text exposition.
 
 Three instrument kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
-  propagations executed, leases requeued);
-* :class:`Gauge` — point-in-time levels (queue depth, workers alive);
+  leases requeued);
+* :class:`Gauge` — point-in-time levels (queue depth, uptime);
 * :class:`Histogram` — distributions over fixed bucket boundaries
-  (request latency, claim latency, per-phase wall clock).
+  (request latency).
 
-Instruments are registered on a :class:`MetricsRegistry`; registration
-is idempotent so every module can declare the families it needs at
-import time and share them with everyone else using the same names.
-``registry.render()`` emits the text exposition format (version 0.0.4)
-that Prometheus and its ecosystem scrape; ``registry.snapshot()``
-returns the same samples as a JSON-friendly dict for embedding into
-benchmark dumps and campaign reports.
-
-Hot-path contract: incrementing a child costs one lock acquisition and
-one float add — cheap enough for per-solve-call accounting, far too
-expensive for the solver's inner propagation loop. The solver therefore
-batches deltas at ``solve_limited`` boundaries and consults the
-module-level :func:`metrics_enabled` switch (env ``REPRO_METRICS``)
-so the instrumented binary can prove its own overhead (see the
-``obs_metrics_on`` / ``obs_metrics_off`` rows of benchmark E10).
+A :class:`MetricsRegistry` belongs to whoever serves it: a
+``ProofService`` owns one and shares it with the :class:`WorkQueue` it
+serves, and ``/metrics`` renders exactly that registry.  There is no
+process-wide default: a verdict's effort travels with the verdict
+(``ProofStats``, attempt logs, the ledger, journal ``check`` records),
+not through a side channel.  Registration is idempotent, so a family
+asked for twice by name is the same family.  ``registry.render()``
+emits the text exposition format (version 0.0.4) that Prometheus and
+its ecosystem scrape.
 """
 
 from __future__ import annotations
@@ -33,36 +27,11 @@ import threading
 import weakref
 from typing import Iterable
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "counter",
-    "delta",
-    "gauge",
-    "get_registry",
-    "histogram",
-    "metrics_enabled",
-    "set_metrics_enabled",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 # Default latency boundaries: 1ms to ~1min, roughly x4 apart — wide
-# enough to cover both sub-ms queue ops and multi-second solves.
+# enough to cover both sub-ms queue ops and slow wire calls.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0, 60.0)
-
-_ENABLED = os.environ.get("REPRO_METRICS", "on").lower() not in (
-    "0", "off", "false", "no")
-
-
-def metrics_enabled() -> bool:
-    """Whether hot-path instrumentation should record (solver guard)."""
-    return _ENABLED
-
-
-def set_metrics_enabled(flag: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(flag)
 
 
 def _validate_name(name: str) -> None:
@@ -252,7 +221,7 @@ class Family:
 
 
 class MetricsRegistry:
-    """A process-local collection of metric families."""
+    """The metric families one service renders."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -305,62 +274,8 @@ class MetricsRegistry:
                              f"{_format_value(value)}")
         return "\n".join(lines) + "\n"
 
-    def snapshot(self) -> dict[str, dict]:
-        """JSON-friendly dump: ``{name: {type, samples: {labels: v}}}``.
-
-        Histograms are summarised as their ``_sum`` / ``_count`` series
-        (buckets stay in :meth:`render`, which is for scrapers).
-        Gauges are captured at their instantaneous level; pair two
-        snapshots with :func:`delta` to measure growth — and note the
-        gauge semantics pinned there.
-        """
-        out: dict[str, dict] = {}
-        with self._lock:
-            families = sorted(self._families.values(),
-                              key=lambda f: f.name)
-        for family in families:
-            samples: dict[str, float] = {}
-            for sample, labelset, value in family.samples():
-                if sample.endswith("_bucket") and \
-                        family.kind == "histogram":
-                    continue
-                suffix = sample[len(family.name):]
-                samples[f"{suffix}{labelset}" if suffix or labelset
-                        else ""] = value
-            out[family.name] = {"type": family.kind, "samples": samples}
-        return out
-
-
-def delta(before: dict[str, dict],
-          after: dict[str, dict]) -> dict[str, dict]:
-    """Counter/histogram growth between two :meth:`snapshot` calls.
-
-    Gauge semantics, audited and pinned by the exposition edge-case
-    tests: a gauge is reported at its ``after`` LEVEL, never as
-    ``after - before``.  A gauge is an instantaneous reading (queue
-    depth, uptime), so "growth" would subtract two unrelated readings
-    into a number that means nothing — the level is the datum.  A
-    gauge that reads exactly 0.0 is therefore dropped with the
-    zero-growth series (indistinguishable by value), which embedded
-    snapshots accept to stay small.
-    """
-    out: dict[str, dict] = {}
-    for name, entry in after.items():
-        kind = entry["type"]
-        prior = before.get(name, {}).get("samples", {})
-        samples = {}
-        for key, value in entry["samples"].items():
-            grown = value if kind == "gauge" \
-                else value - prior.get(key, 0.0)
-            if grown:
-                samples[key] = round(grown, 9)
-        if samples:
-            out[name] = {"type": kind, "samples": samples}
-    return out
-
 
 _REGISTRIES: weakref.WeakSet[MetricsRegistry] = weakref.WeakSet()
-_DEFAULT_REGISTRY = MetricsRegistry()
 
 
 def _renew_locks_after_fork() -> None:
@@ -375,24 +290,3 @@ def _renew_locks_after_fork() -> None:
 
 
 os.register_at_fork(after_in_child=_renew_locks_after_fork)
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT_REGISTRY
-
-
-def counter(name: str, help_text: str = "",
-            labels: tuple[str, ...] = ()) -> Family:
-    return _DEFAULT_REGISTRY.counter(name, help_text, labels)
-
-
-def gauge(name: str, help_text: str = "",
-          labels: tuple[str, ...] = ()) -> Family:
-    return _DEFAULT_REGISTRY.gauge(name, help_text, labels)
-
-
-def histogram(name: str, help_text: str = "",
-              labels: tuple[str, ...] = (),
-              buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Family:
-    return _DEFAULT_REGISTRY.histogram(name, help_text, labels, buckets)

@@ -30,8 +30,8 @@ Disagreement taxonomy (:class:`Disagreement.kind`):
 
 :func:`run_fuzz` is the campaign driver behind ``repro-verify fuzz``:
 generate (and periodically mutate) designs, oracle each one, shrink
-and bundle any disagreement, and export throughput/disagreement
-metrics through the observability registry.
+and bundle any disagreement; the :class:`FuzzReport` it returns
+counts the designs checked and carries every disagreement record.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.mc.cache import run_cached
 from repro.mc.certcheck import check_certificate
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, Status
-from repro.obs import metrics as _metrics
 from repro.qa.generate import (GeneratedDesign, GeneratorConfig,
                                mutated_design, random_design)
 from repro.sim.simulator import Simulator
@@ -63,20 +62,6 @@ DEFAULT_ORACLE_STRATEGIES = (
     "pdr_seeded(max_frames=14, conflict_budget=20000, max_obligations=4000)",
     "external(bound=12)",
 )
-
-_M_DESIGNS = _metrics.counter(
-    "repro_fuzz_designs_total",
-    "Designs generated and checked by the differential fuzzer")
-_M_DISAGREE = _metrics.counter(
-    "repro_fuzz_disagreements_total",
-    "Cross-engine disagreements found, by taxonomy kind",
-    labels=("kind",))
-_M_CHECK_SECONDS = _metrics.histogram(
-    "repro_fuzz_check_seconds",
-    "Wall time to oracle one design across all engines")
-_M_SHRINK_STEPS = _metrics.counter(
-    "repro_fuzz_shrink_steps_total",
-    "Accepted reduction steps across all shrink runs")
 
 
 @dataclass
@@ -125,12 +110,8 @@ class OracleReport:
 class DifferentialOracle:
     """Runs the strategy portfolio on a design and cross-checks it."""
 
-    def __init__(self, strategies: tuple[str, ...] | list[str] | None = None,
-                 check_certificates: bool = True,
-                 replay_traces: bool = True):
+    def __init__(self, strategies: tuple[str, ...] | list[str] | None = None):
         self.strategies = tuple(strategies or DEFAULT_ORACLE_STRATEGIES)
-        self.check_certificates = check_certificates
-        self.replay_traces = replay_traces
 
     # ------------------------------------------------------------------
 
@@ -192,30 +173,27 @@ class DifferentialOracle:
                         report.verdict_map()))
                     break
 
-        if self.replay_traces:
-            for vio in violated:
-                problem = replay_trace(system, prop, vio.result)
-                if problem is not None:
-                    report.disagreements.append(Disagreement(
-                        "trace_replay_failure",
-                        f"{vio.strategy}: {problem}",
-                        report.verdict_map()))
+        for vio in violated:
+            problem = replay_trace(system, prop, vio.result)
+            if problem is not None:
+                report.disagreements.append(Disagreement(
+                    "trace_replay_failure",
+                    f"{vio.strategy}: {problem}",
+                    report.verdict_map()))
 
-        if self.check_certificates:
-            for prf in proven:
-                if not prf.result.invariant:
-                    report.notes.append(
-                        f"{prf.strategy} proved {prop.name} without an "
-                        "invariant certificate (k-induction proofs carry "
-                        "none); not independently re-checked")
-                    continue
-                cert = check_certificate(system, prop,
-                                         prf.result.invariant)
-                if not cert.ok:
-                    report.disagreements.append(Disagreement(
-                        "certificate_failure",
-                        f"{prf.strategy}: {cert.one_line()}",
-                        report.verdict_map()))
+        for prf in proven:
+            if not prf.result.invariant:
+                report.notes.append(
+                    f"{prf.strategy} proved {prop.name} without an "
+                    "invariant certificate (k-induction proofs carry "
+                    "none); not independently re-checked")
+                continue
+            cert = check_certificate(system, prop, prf.result.invariant)
+            if not cert.ok:
+                report.disagreements.append(Disagreement(
+                    "certificate_failure",
+                    f"{prf.strategy}: {cert.one_line()}",
+                    report.verdict_map()))
 
 
 def replay_trace(system: TransitionSystem, prop: SafetyProperty,
@@ -363,25 +341,19 @@ def run_fuzz(seed: int = 0, count: int = 100,
                 f"{report.designs_checked} designs")
             break
 
-        check_started = time.monotonic()
         oracle_report = oracle.check_design(design)
-        _M_CHECK_SECONDS.observe(time.monotonic() - check_started)
-        _M_DESIGNS.inc()
         report.designs_checked += 1
         report.notes.extend(
             f"{design.name}: {note}" for note in oracle_report.notes)
         if oracle_report.ok:
             continue
 
-        for d in oracle_report.disagreements:
-            _M_DISAGREE.labels(d.kind).inc()
         record = DisagreementRecord(
             design.name, design.seed, oracle_report.disagreements,
             mutations=[m.name for m in design.mutations])
         if shrink:
             shrunk = shrink_design(design.system, design.prop, oracle)
             record.shrink_steps = shrunk.steps
-            _M_SHRINK_STEPS.inc(shrunk.steps)
             if out_dir is not None:
                 bundle = write_repro_bundle(
                     Path(out_dir), shrunk, record, oracle)

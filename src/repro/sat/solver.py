@@ -62,27 +62,13 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import SatError
-from repro.obs import metrics as _metrics
 
 _UNDEF = 2
 
-# Solver-effort metrics, batched at solve_limited boundaries: the inner
-# propagation loop never sees an instrument.  Each solver keeps a
-# last-published snapshot of its cumulative SatStats and pushes the
-# delta (which also picks up level-0 BCP done by add_clause between
-# solves) into these process-wide counters — one guard branch and a
-# handful of adds per solve call, which is what keeps the E10
-# obs_metrics_on/off overhead inside the <5% contract.
-_M_SOLVES = _metrics.counter(
-    "repro_solver_solves_total", "solve_limited calls")
-_M_PROPAGATIONS = _metrics.counter(
-    "repro_solver_propagations_total", "unit propagations executed")
-_M_CONFLICTS = _metrics.counter(
-    "repro_solver_conflicts_total", "conflicts analyzed")
-_M_DECISIONS = _metrics.counter(
-    "repro_solver_decisions_total", "decisions made")
-_M_SOLVE_SECONDS = _metrics.counter(
-    "repro_solver_solve_seconds_total", "wall seconds inside the solver")
+#: VSIDS activity decay per conflict: variable bumps grow by 1/0.95.
+VAR_DECAY = 0.95
+#: Learnt-clause activity decay per conflict.
+CLAUSE_DECAY = 0.999
 
 
 @dataclass
@@ -116,8 +102,7 @@ def _lit(internal_var: int, negative: bool) -> int:
 class Solver:
     """Incremental CDCL solver."""
 
-    def __init__(self, restart_base: int = 100,
-                 var_decay: float = 0.95, clause_decay: float = 0.999):
+    def __init__(self, restart_base: int = 100):
         self._nvars = 0
         # Clause arena: [size, lbd, lit0, lit1, ...] per clause; a
         # negative size marks a deleted clause (lazily swept).  lbd is 0
@@ -145,9 +130,7 @@ class Solver:
         self._qhead = 0
         self._ok = True
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._cla_inc = 1.0
-        self._cla_decay = clause_decay
         self._restart_base = restart_base
         self._max_learnts = 2000.0
         self._learnt_growth = 1.3
@@ -158,9 +141,6 @@ class Solver:
         self._seen: list[int] = [0]
         self._conflict_limit: int | None = None
         self.stats = SatStats()
-        # (propagations, conflicts, decisions, solve_seconds) already
-        # published to the process-wide metrics counters.
-        self._published = (0, 0, 0, 0.0)
         self._model: list[int] = []
         # Internal literals of the assumptions the most recent False
         # answer rests on; None while that answer is not False.
@@ -399,16 +379,6 @@ class Solver:
         started = time.perf_counter()
         result = self._search(assumed)
         self.stats.solve_seconds += time.perf_counter() - started
-        if _metrics.metrics_enabled():
-            st = self.stats
-            last = self._published
-            _M_SOLVES.inc()
-            _M_PROPAGATIONS.inc(st.propagations - last[0])
-            _M_CONFLICTS.inc(st.conflicts - last[1])
-            _M_DECISIONS.inc(st.decisions - last[2])
-            _M_SOLVE_SECONDS.inc(st.solve_seconds - last[3])
-            self._published = (st.propagations, st.conflicts,
-                               st.decisions, st.solve_seconds)
         self._conflict_limit = None
         self._cancel_until(0)
         if result is not True:
@@ -481,8 +451,8 @@ class Solver:
                 learnt, bt_level = self._analyze(confl)
                 self._cancel_until(bt_level)
                 self._record_learnt(learnt)
-                self._var_inc /= self._var_decay
-                self._cla_inc /= self._cla_decay
+                self._var_inc /= VAR_DECAY
+                self._cla_inc /= CLAUSE_DECAY
                 if len(self._learnts) >= self._max_learnts:
                     self._reduce_db()
                 conflicts_until_restart -= 1

@@ -15,6 +15,10 @@ from repro.errors import SimulationError
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 
+#: Rejection-sampling budget per cycle before giving up; constraints
+#: that depend only on state cannot be satisfied by resampling inputs,
+#: so a tight budget surfaces harness errors quickly.
+MAX_RETRIES = 200
 
 #: Reads the register values of the cycle about to be driven, e.g.
 #: ``lambda: sim.state_values``; asked afresh for every cycle.
@@ -54,19 +58,13 @@ class RandomStimulus(Stimulus):
         RNG seed; runs are fully deterministic given the seed.
     pinned:
         Input values held constant every cycle (e.g. ``{"rst": 0}``).
-    max_retries:
-        Rejection-sampling budget per cycle before giving up; constraints
-        that depend only on state cannot be satisfied by resampling inputs,
-        so a tight budget surfaces harness errors quickly.
     """
 
     def __init__(self, length: int, seed: int = 0,
-                 pinned: Mapping[str, int] | None = None,
-                 max_retries: int = 200):
+                 pinned: Mapping[str, int] | None = None):
         self.length = length
         self.seed = seed
         self.pinned = dict(pinned or {})
-        self.max_retries = max_retries
 
     def cycles(self, system: TransitionSystem,
                state: StateReader | None = None
@@ -87,7 +85,7 @@ class RandomStimulus(Stimulus):
     def _sample(self, rng: random.Random,
                 plan: list[tuple[str, int, int | None]], check: E.Program,
                 state: StateReader | None) -> dict[str, int]:
-        for _ in range(self.max_retries):
+        for _ in range(MAX_RETRIES):
             inputs = {name: rng.randrange(span) if pin is None
                       else pin & (span - 1) for name, span, pin in plan}
             if not len(check):
@@ -97,4 +95,4 @@ class RandomStimulus(Stimulus):
                 return inputs
         raise SimulationError(
             "could not satisfy input constraints after "
-            f"{self.max_retries} retries")
+            f"{MAX_RETRIES} retries")

@@ -223,12 +223,19 @@ class TestOnlyTheKnobsADeploymentTurns:
         (lambda d: _worker(d, max_jobs=3), "max_jobs"),
         (lambda d: _remote("RemoteWorkQueue", timeout=1.0), "timeout"),
         (lambda d: _remote("RemoteProofStore", timeout=1.0), "timeout"),
+        (lambda d: _oracle(check_certificates=False), "check_certificates"),
+        (lambda d: _oracle(replay_traces=False), "replay_traces"),
+        (lambda d: _solver(var_decay=0.9), "var_decay"),
+        (lambda d: _solver(clause_decay=0.99), "clause_decay"),
+        (lambda d: _stimulus(max_retries=5), "max_retries"),
     ], ids=["session-store", "session-cache_dir", "session-cache",
             "session-jobs", "run_campaign-worker_jobs",
             "coordinator-worker_jobs", "coordinator-max_respawns",
             "coordinator-poll_interval", "worker-jobs",
             "worker-poll_interval", "worker-max_jobs", "queue-timeout",
-            "store-timeout"])
+            "store-timeout", "oracle-check_certificates",
+            "oracle-replay_traces", "solver-var_decay",
+            "solver-clause_decay", "stimulus-max_retries"])
     def test_removed_parameter_is_refused(self, build, name, tmp_path):
         with pytest.raises(TypeError,
                            match=f"unexpected keyword argument '{name}'"):
@@ -260,6 +267,21 @@ def _worker(directory, **kwargs):
 def _remote(proxy, **kwargs):
     import repro.dist.remote as remote
     return getattr(remote, proxy)("http://127.0.0.1:9", **kwargs)
+
+
+def _oracle(**kwargs):
+    from repro.qa.oracle import DifferentialOracle
+    return DifferentialOracle(**kwargs)
+
+
+def _solver(**kwargs):
+    from repro.sat.solver import Solver
+    return Solver(**kwargs)
+
+
+def _stimulus(**kwargs):
+    from repro.sim.stimulus import RandomStimulus
+    return RandomStimulus(10, **kwargs)
 
 
 @pytest.mark.parametrize("module", ["repro.cli", "repro.flow"])

@@ -536,18 +536,15 @@ class TestForkedWorkers:
 
     def test_locks_another_thread_holds_do_not_wedge_the_child(
             self, tmp_path, spawned, monkeypatch):
-        """Another thread holds the journal's lock and a metric
-        family's lock as the coordinator forks: the fork waits for the
-        journal record to finish, the child gets a fresh family lock,
-        and the worker finishes its jobs."""
+        """Another thread holds the journal's lock as the coordinator
+        forks: the fork waits for the journal record to finish, and the
+        worker finishes its jobs."""
         import threading
 
         from repro.dist import Coordinator
-        from repro.dist import worker as worker_module
         from repro.obs import journal
         sink = journal.configure(tmp_path / "events", trace_id="held")
-        family = worker_module._M_CLAIM_SECONDS   # a worker's every claim
-        held, forking, locked, done = (threading.Event() for _ in range(4))
+        forking, locked, done = (threading.Event() for _ in range(3))
         spawn = Coordinator._spawn_worker
 
         def spawn_under_held_journal_lock(self):
@@ -558,19 +555,16 @@ class TestForkedWorkers:
         monkeypatch.setattr(Coordinator, "_spawn_worker",
                             spawn_under_held_journal_lock)
 
-        def hold_locks():
-            with family._lock:
-                held.set()
-                forking.wait(30)
-                with sink._lock:     # mid-record as the fork starts
-                    locked.set()
-                    time.sleep(0.2)
-                done.wait(60)
+        def hold_lock():
+            forking.wait(30)
+            with sink._lock:     # mid-record as the fork starts
+                locked.set()
+                time.sleep(0.2)
+            done.wait(60)
 
-        holder = threading.Thread(target=hold_locks)
+        holder = threading.Thread(target=hold_lock)
         holder.start()
         try:
-            assert held.wait(30)
             jobs = _campaign_jobs(tmp_path / "store")
             result = Coordinator(tmp_path / "store", workers=1,
                                  lease_seconds=10,

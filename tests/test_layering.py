@@ -86,18 +86,34 @@ def _engine_modules() -> list[str]:
     return names
 
 
-def test_importing_the_engine_stack_loads_nothing_above_it():
+def _loaded_after_importing(names: list[str]) -> list[str]:
+    """``sys.modules`` of a fresh interpreter that imported ``names``."""
     script = ("import importlib, sys\n"
               "for name in sys.argv[1:]:\n"
               "    importlib.import_module(name)\n"
               "print(*sys.modules)\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, *_engine_modules()],
+        [sys.executable, "-c", script, *names],
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True, text=True, check=True)
-    loaded = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_importing_the_engine_stack_loads_nothing_above_it():
+    loaded = _loaded_after_importing(_engine_modules())
     assert "repro.mc.pdr.engine" in loaded
     assert [name for name in loaded if _is_above(name)] == []
+
+
+def test_the_solver_and_the_ir_load_no_observability():
+    """The hot layers record nothing on the side: a verdict's effort
+    travels with the verdict, so SAT, AIG and IR never load
+    ``repro.obs``."""
+    loaded = _loaded_after_importing(["repro.sat.solver"] + [
+        name for name in _engine_modules()
+        if name.split(".")[1] in ("aig", "ir")])
+    assert "repro.aig.bitblast" in loaded and "repro.ir.passes" in loaded
+    assert [name for name in loaded if name.startswith("repro.obs")] == []
 
 
 def _package_inits() -> list[Path]:

@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.dist import ProofService, RemoteWorkQueue, WorkQueue, Worker
+from repro.dist import ProofService, RemoteWorkQueue, WorkQueue
 from repro.flow import run_campaign
-from repro.obs import (MetricsRegistry, get_registry, metrics_enabled,
-                       set_metrics_enabled, span)
-from repro.obs import journal
+from repro.obs import journal, span
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from scripts.trace_report import aggregate, build_tree, load_spans
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -24,11 +23,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(autouse=True)
 def _isolate_obs_globals():
-    """Tests must not leak a journal or a disabled-metrics flag."""
-    enabled = metrics_enabled()
+    """Tests must not leak a journal."""
     yield
     journal.shutdown()
-    set_metrics_enabled(enabled)
 
 
 @pytest.fixture
@@ -109,78 +106,48 @@ class TestMetricsRegistry:
         assert r'odd_total{v="say \"hi\"\n"} 1' in text
         assert text.endswith("\n")
 
-    def test_snapshot_and_delta(self):
+    def test_a_family_lock_held_across_fork_is_fresh_in_the_child(self):
+        """Another thread holds a family's lock as the process forks (a
+        service handler mid-increment): the child gets a fresh lock,
+        so it can still count, new labelsets included."""
+        import signal
+        import threading
         reg = MetricsRegistry()
-        reqs = reg.counter("req_total", labels=("ep",))
-        depth = reg.gauge("depth")
-        lat = reg.histogram("lat_seconds", buckets=(1.0,))
-        reqs.labels("/a").inc(2)
-        depth.set(5)
-        lat.observe(0.5)
-        before = reg.snapshot()
-        assert before["req_total"]["samples"] == {'{ep="/a"}': 2}
-        assert before["lat_seconds"]["samples"] == \
-            {"_sum": 0.5, "_count": 1}   # buckets stay out of snapshots
+        family = reg.counter("held_total", labels=("k",))
+        parent_child = family.labels("x")
+        held, release = threading.Event(), threading.Event()
 
-        reqs.labels("/a").inc()
-        reqs.labels("/b").inc(3)
-        depth.set(1)
-        grown = obs_metrics.delta(before, reg.snapshot())
-        assert grown["req_total"]["samples"] == \
-            {'{ep="/a"}': 1, '{ep="/b"}': 3}
-        assert grown["depth"]["samples"] == {"": 1}  # gauges: level
-        assert "lat_seconds" not in grown            # zero growth
+        def hold():
+            with family._lock:
+                held.set()
+                release.wait(30)
 
-    def test_enabled_flag_round_trip(self):
-        set_metrics_enabled(False)
-        assert metrics_enabled() is False
-        set_metrics_enabled(True)
-        assert metrics_enabled() is True
-
-    def test_default_registry_is_shared(self):
-        assert get_registry() is get_registry()
-        fam = obs_metrics.counter("test_shared_total")
-        assert get_registry().counter("test_shared_total") is fam
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(30)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(10)    # a wedged child dies, not the run
+                family.labels("x").inc()
+                family.labels("y").inc(2)
+                text = reg.render()
+                os._exit(0 if 'held_total{k="x"} 1' in text and
+                         'held_total{k="y"} 2' in text else 1)
+        finally:
+            release.set()
+            holder.join(30)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert parent_child.value == 0     # the child counted its own
 
 
-class TestSolverMetrics:
-    @staticmethod
-    def _check_once():
-        from repro.ir import expr as E
-        from repro.ir.system import TransitionSystem
-        from repro.mc.cache import run_cached
-        from repro.mc.property import SafetyProperty
+class TestPdrQueryMix:
+    """PDR says how it spent its queries in the result's detail line."""
 
-        system = TransitionSystem("tiny")
-        count = system.add_state("count", 8, init=E.const(0, 8))
-        system.set_next("count", E.add(count, E.const(1, 8)))
-        prop = SafetyProperty.from_invariant(
-            "small", E.ult(count, E.const(200, 8)))
-        run_cached("bmc(bound=5)", system, prop, {}, cache=None)
+    def test_detail_counts_every_query_by_call_site(self):
+        import re
 
-    def test_solver_publishes_effort_when_enabled(self):
-        props = obs_metrics.counter("repro_solver_propagations_total")
-        solves = obs_metrics.counter("repro_solver_solves_total")
-        set_metrics_enabled(True)
-        before = (props.value, solves.value)
-        self._check_once()
-        assert solves.value > before[1]
-        assert props.value > before[0]
-
-    def test_solver_is_silent_when_disabled(self):
-        solves = obs_metrics.counter("repro_solver_solves_total")
-        set_metrics_enabled(False)
-        before = solves.value
-        self._check_once()
-        assert solves.value == before
-
-
-class TestPdrMetrics:
-    """PDR's query mix: the same numbers in the result's detail line
-    and in the `repro_pdr_*` families."""
-
-    @staticmethod
-    def _gray_counter():
         from repro.designs import get_design
         from repro.mc.engine import ProofEngine
         from repro.sva.compile import MonitorContext
@@ -189,27 +156,7 @@ class TestPdrMetrics:
         ctx = MonitorContext(design.system())
         spec = design.property_spec("unit_distance")
         prop = ctx.add(spec.sva, name=spec.name)
-        return ProofEngine(ctx.system).check(prop, "pdr", max_frames=8)
-
-    @staticmethod
-    def _pdr_samples():
-        import repro.mc.pdr.frames  # noqa: F401  (registers the families)
-        snapshot = get_registry().snapshot()
-        return {name: dict(snapshot[name]["samples"])
-                for name in ("repro_pdr_queries_total",
-                             "repro_pdr_pushes_skipped_total",
-                             "repro_pdr_core_literals_dropped_total")}
-
-    def test_detail_and_counters_agree(self):
-        import re
-
-        set_metrics_enabled(True)
-        before = self._pdr_samples()
-        result = self._gray_counter()
-        after = self._pdr_samples()
-        grown = {name: {key: value - before[name].get(key, 0)
-                        for key, value in samples.items()}
-                 for name, samples in after.items()}
+        result = ProofEngine(ctx.system).check(prop, "pdr", max_frames=8)
         match = re.search(r"; (\d+) queries: (.+)$", result.detail)
         assert match, result.detail
         assert int(match.group(1)) == result.stats.sat_queries
@@ -218,20 +165,8 @@ class TestPdrMetrics:
                if kind != "skipped"}
         assert sum(mix.values()) == result.stats.sat_queries
         assert {"bad", "consecution", "generalize", "push"} <= set(mix)
-        assert mix == {key[len('{kind="'):-len('"}')]: int(value)
-                       for key, value
-                       in grown["repro_pdr_queries_total"].items() if value}
         skipped = re.search(r"push \((\d+) skipped\)", result.detail)
-        assert skipped and int(skipped.group(1)) == \
-            grown["repro_pdr_pushes_skipped_total"][""] > 0
-        assert grown["repro_pdr_core_literals_dropped_total"][""] > 0
-
-    def test_silent_when_disabled(self):
-        set_metrics_enabled(False)
-        before = self._pdr_samples()
-        result = self._gray_counter()
-        assert "queries:" in result.detail     # the record still says
-        assert self._pdr_samples() == before
+        assert skipped and int(skipped.group(1)) > 0
 
 
 class TestTracing:
@@ -570,13 +505,13 @@ class TestServiceObservability:
         time.sleep(0.02)
         assert queue.requeue_expired() == [("a", "w1")]
         queue.counts()   # depth gauges publish on every counts() poll
-        snap = registry.snapshot()
-        assert snap["repro_queue_enqueued_total"]["samples"][""] == 2
-        assert snap["repro_queue_requeued_total"]["samples"][""] == 1
-        claims = snap["repro_queue_claims_total"]["samples"]
-        assert claims['{result="claimed"}'] == 1
-        assert snap["repro_queue_jobs"]["samples"]['{status="pending"}'] \
-            == 2
+        assert registry.counter("repro_queue_enqueued_total").value == 2
+        assert registry.counter("repro_queue_requeued_total").value == 1
+        claims = registry.counter("repro_queue_claims_total",
+                                  labels=("result",))
+        assert claims.labels("claimed").value == 1
+        depth = registry.gauge("repro_queue_jobs", labels=("status",))
+        assert depth.labels("pending").value == 2
 
     def test_poisoned_jobs_count_separately(self, tmp_path):
         registry = MetricsRegistry()
@@ -586,9 +521,8 @@ class TestServiceObservability:
         queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
         assert queue.requeue_expired() == [("a", "w1")]
-        snap = registry.snapshot()
-        assert snap["repro_queue_poisoned_total"]["samples"][""] == 1
-        assert snap["repro_queue_requeued_total"]["samples"][""] == 0
+        assert registry.counter("repro_queue_poisoned_total").value == 1
+        assert registry.counter("repro_queue_requeued_total").value == 0
         queue.close()
 
     def test_503_reasons_are_tagged_distinctly(self, service):
@@ -608,22 +542,18 @@ class TestServiceObservability:
         assert 'repro_http_unavailable_total{reason="shutdown"} 1' \
             in text
 
-    def test_worker_metrics_cover_claims_and_jobs(self, service,
-                                                  fabric_timing):
-        fabric_timing(poll=0.02)
-        queue = RemoteWorkQueue(service.address)
-        queue.enqueue(_design_specs("updown_counter"))
-        queue.set_state("closed")
-        jobs = obs_metrics.counter("repro_worker_jobs_total",
-                                   labels=("result",))
-        claims = obs_metrics.histogram("repro_worker_claim_seconds")
-        before = (jobs.labels("completed").value,
-                  claims._default.count)
-        done = Worker(service.address, worker_id="w1",
-                      lease_seconds=10).run()
-        assert done == 2
-        assert jobs.labels("completed").value == before[0] + 2
-        assert claims._default.count > before[1]
+    def test_catalog_names_exactly_what_a_service_serves(self, service):
+        """docs/observability.md's metric catalog lists the families a
+        fresh service renders on /metrics, with their kinds — no more
+        (a family nothing serves) and no fewer."""
+        doc = (REPO_ROOT / "docs" / "observability.md").read_text()
+        catalog = doc.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+        listed = dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", catalog,
+                                 re.MULTILINE))
+        served = dict(line.split()[2:4]
+                      for line in service.render_metrics().splitlines()
+                      if line.startswith("# TYPE "))
+        assert listed == served
 
 
 class TestStatusCli:
@@ -833,7 +763,7 @@ class TestModeParity:
     """``jobs`` decides who executes a cache miss and nothing else: the
     inline race and the pooled one report the same verdicts, the same
     attempt-log shape, and — pass for pass — the same ``check``
-    records and ``repro_checks_total`` growth."""
+    records."""
 
     CORPUS_DESIGN = "counters/updown_counter.aag"
     ANSWERED = {"solver", "memory", "disk"}
@@ -867,16 +797,14 @@ class TestModeParity:
 
     def _cold_then_warm(self, name, jobs, events_dir):
         """Per pass: ({property: (status, winner)}, ``check`` record
-        multiset, repro_checks_total growth)."""
+        multiset)."""
         from repro.flow import VerificationSession
         design = self._design(name)
         session = VerificationSession(design)
         passes = []
         for label in ("cold", "warm"):
             journal.configure(events_dir / label)
-            before = get_registry().snapshot()
             batch = session.verify_all(jobs=jobs)
-            grown = obs_metrics.delta(before, get_registry().snapshot())
             journal.shutdown()
             for outcome in batch.outcomes:
                 self._check_log(design, session, outcome)
@@ -888,16 +816,15 @@ class TestModeParity:
             passes.append((
                 {o.property_name: (o.status, o.strategy)
                  for o in batch.outcomes},
-                finished,
-                grown.get("repro_checks_total", {}).get("samples", {})))
+                finished))
         return passes
 
     @pytest.mark.parametrize(
         "name", ["sync_counters", "sync_counters_bug", CORPUS_DESIGN])
     def test_inline_and_pooled_races_report_alike(self, name, tmp_path):
-        (cold1, _, cold1_counts), (warm1, warm1_events, warm1_counts) = \
+        (cold1, cold1_events), (warm1, warm1_events) = \
             self._cold_then_warm(name, 1, tmp_path / "jobs1")
-        (cold2, _, cold2_counts), (warm2, warm2_events, warm2_counts) = \
+        (cold2, cold2_events), (warm2, warm2_events) = \
             self._cold_then_warm(name, 2, tmp_path / "jobs2")
         # Cold: same verdicts.  Winners are only compared where they
         # cannot depend on timing — a pooled race between two racers
@@ -907,17 +834,16 @@ class TestModeParity:
         for prop, (verdict, winner) in cold1.items():
             if verdict.value != "violated":
                 assert cold2[prop] == (verdict, winner)
-        # The pool's solver attempts are counted in this process.
-        solved = lambda counts: sum(
-            n for labels, n in counts.items() if 'origin="solver"' in labels)
-        assert solved(cold1_counts) > 0
-        assert solved(cold2_counts) >= solved(cold1_counts)
+        # The pool's solver attempts are journaled like inline ones.
+        solved = lambda events: sum(
+            1 for *_, origin, _tier in events if origin == "solver")
+        assert solved(cold1_events) > 0
+        assert solved(cold2_events) >= solved(cold1_events)
         # Warm: everything is answered from the cache, identically.
         assert warm1 == warm2
         assert warm1_events and warm1_events == warm2_events
         assert all(origin == "cache" and tier == "memory"
                    for *_, origin, tier in warm1_events)
-        assert warm1_counts and warm1_counts == warm2_counts
 
     MODES = {"jobs=1": dict(jobs=1), "jobs=2": dict(jobs=2),
              "workers=2": dict(workers=2, lease_seconds=10)}
@@ -926,22 +852,20 @@ class TestModeParity:
             self, tmp_path):
         """The warm column: whoever would have executed a miss — this
         process, a pool, or two workers behind a queue — a campaign the
-        store settles reports the same rows, the same cache traffic,
-        the same journal events and the same counter growth, because
-        all three start with the same probe."""
+        store settles reports the same rows, the same cache traffic and
+        the same journal events, because all three start with the same
+        probe."""
         columns = {}
         for label, mode in self.MODES.items():
             cache_dir = tmp_path / label
             cold = run_campaign(designs=["updown_counter",
                                          "sync_counters_bug"],
                                 cache_dir=cache_dir, max_k=3, **mode)
-            before = get_registry().snapshot()
             warm = run_campaign(designs=["updown_counter",
                                          "sync_counters_bug"],
                                 cache_dir=cache_dir, max_k=3,
                                 events_dir=tmp_path / label / "events",
                                 **mode)
-            grown = obs_metrics.delta(before, get_registry().snapshot())
             assert {(r.property_name, r.status) for r in warm.rows} == \
                 {(r.property_name, r.status) for r in cold.rows}
             columns[label] = (
@@ -954,15 +878,14 @@ class TestModeParity:
                 sorted((r["design"], r["property"], r["strategy"],
                         r["status"], r["origin"], r.get("tier"))
                        for r in journal.load(tmp_path / label / "events")
-                       if r["kind"] == "check"),
-                grown.get("repro_checks_total", {}).get("samples", {}))
+                       if r["kind"] == "check"))
         inline = columns["jobs=1"]
-        rows, cache, finished, counts = inline
+        rows, cache, finished = inline
         assert rows and all(row[4] and row[5] == "store" and row[6] == ""
                             for row in rows)
         consulted = [a for row in rows for a in row[7] if a[2] != "skipped"]
         assert cache[0] == len(consulted) and cache[1:3] == (0, 0)
-        assert finished and counts
+        assert finished
         assert columns["jobs=2"] == inline
         assert columns["workers=2"] == inline
 
@@ -992,27 +915,6 @@ class TestMetricsExpositionEdgeCases:
         assert 'over_seconds_bucket{le="1"} 0' in text
         assert 'over_seconds_bucket{le="+Inf"} 3' in text
         assert "over_seconds_count 3" in text
-
-    def test_delta_reports_gauge_level_not_subtraction(self):
-        reg = MetricsRegistry()
-        depth = reg.gauge("depth")
-        depth.set(5)
-        before = reg.snapshot()
-        depth.set(2)
-        grown = obs_metrics.delta(before, reg.snapshot())
-        assert grown["depth"]["samples"] == {"": 2}   # level, not -3
-
-    def test_zero_gauge_dropped_with_zero_growth_series(self):
-        reg = MetricsRegistry()
-        depth = reg.gauge("depth")
-        flat = reg.counter("flat_total")
-        depth.set(3)
-        flat.inc()
-        before = reg.snapshot()
-        depth.set(0)
-        grown = obs_metrics.delta(before, reg.snapshot())
-        assert "depth" not in grown       # 0.0 level is indistinguishable
-        assert "flat_total" not in grown  # no growth
 
 
 class TestEffortLedger:

@@ -119,6 +119,21 @@ class TestConeOfInfluence:
         assert set(reduced.states) == {"a", "b"}
         assert len(reduced.constraints) == 1
 
+    def test_constraint_outside_the_cone_keeps_its_register(self):
+        from repro.mc.bmc import bmc
+        from repro.mc.property import SafetyProperty
+        from repro.mc.result import Status
+        s = self._two_island_system()
+        # `a` never reads `b`, but no trace lives past the cycle where
+        # b == 6 (cycle 3), so `a` never reaches 3.
+        s.add_constraint(E.ne(s.lookup("b"), E.const(6, 4)))
+        good = E.ne(s.lookup("a"), E.const(3, 4))
+        reduced = cone_of_influence(s, [good])
+        assert set(reduced.states) == {"a", "b"}
+        assert reduced.constraints == s.constraints
+        prop = SafetyProperty.from_invariant("not_three", good)
+        assert bmc(reduced, prop, bound=6).status is Status.BOUNDED_OK
+
     def test_reduction_is_sound_for_proofs(self):
         from repro.mc.kinduction import k_induction
         from repro.mc.property import SafetyProperty
