@@ -47,6 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from repro.campaign.report import CampaignRow
 from repro.mc.result import CheckResult
@@ -178,7 +179,8 @@ class ProofStore:
     the package calls them, and they remain only because the
     end-to-end benchmark's tracer patches them by name
     (``tests/test_bench_surface.py`` fails if one goes).  Each reads
-    or writes the ledger.
+    or writes the ledger.  ``store_many`` is off the wire as well: the
+    work queue calls it in the process that holds the store.
     """
 
     FILENAME = "proofs.sqlite"
@@ -306,19 +308,35 @@ class ProofStore:
         return found
 
     def store(self, key: str, result: CheckResult) -> None:
-        try:
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return  # an unpicklable result stays memory-tier only
+        self.store_many({key: result})
+
+    def store_many(self, results: Mapping[str, CheckResult]) -> None:
+        """Write several results in one transaction.  Off the wire: a
+        distributed job's results arrive with its report, and the
+        queue that takes the report writes them here."""
+        now = time.time()
+        rows = []
+        for key, result in results.items():
+            try:
+                payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                continue  # an unpicklable result stays memory-tier only
+            rows.append((key, result.property_name, result.status.value,
+                         result.k, result.stats.wall_seconds, now,
+                         payload))
+        if not rows:
+            return
+
         def write() -> None:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results "
-                "(key, property, status, k, wall_seconds, created, "
-                " payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (key, result.property_name, result.status.value,
-                 result.k, result.stats.wall_seconds, time.time(),
-                 payload))
-            self._conn.commit()
+            try:
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO results "
+                    "(key, property, status, k, wall_seconds, created, "
+                    " payload) VALUES (?, ?, ?, ?, ?, ?, ?)", rows)
+                self._conn.commit()
+            except sqlite3.Error:
+                self._conn.rollback()
+                raise
 
         with self._lock:
             try:

@@ -8,18 +8,21 @@ Layering (coordinator -> backend -> queue/store -> workers):
   :class:`QueueBackend` / :class:`StoreBackend` interfaces, the
   ``sqlite:DIR | http://HOST:PORT`` spec parser, and the factories
   every layer opens its handles through.
-* :mod:`repro.dist.queue` — the SQLite queue backend: atomic claims,
-  heartbeat-extended leases, expired-lease requeue, guarded completion
-  (late results from presumed-dead workers are discarded, so no verdict
-  is ever lost or duplicated).
+* :mod:`repro.dist.queue` — the SQLite queue backend: atomic claims
+  that bring the store's answers for the job's keys, heartbeat-extended
+  leases, expired-lease requeue, and the guarded report that stores a
+  job's results, records its verdict (late verdicts from presumed-dead
+  workers are discarded, so no verdict is ever lost or duplicated) and
+  claims the next job.
 * :mod:`repro.dist.server` / :mod:`repro.dist.remote` — the network
   backend: ``repro-verify serve`` hosts the SQLite queue + proof store
   over HTTP, and :class:`RemoteWorkQueue` / :class:`RemoteProofStore`
   give remote campaigns and workers the same interfaces with the same
   semantics (connection loss degrades into lease expiry + requeue).
 * :mod:`repro.dist.worker` — the worker loop (``repro-verify worker``):
-  claim, recompile from the registry, race through the portfolio
-  scheduler into the shared store, heartbeat throughout.
+  claim once, then per job recompile from the registry, race through
+  the portfolio scheduler, and report (one request, which hands back
+  the next lease); heartbeat throughout.  A worker holds no store.
 * :mod:`repro.dist.coordinator` — supervision (requeue, respawn, inline
   drain); :class:`Coordinator` is the drop-in
   :class:`~repro.campaign.scheduler.Dispatcher` that makes

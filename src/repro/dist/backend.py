@@ -28,7 +28,7 @@ derived from them.
 Every consumer (coordinator, workers, campaign scheduler, session) goes
 through :func:`parse_backend` + :func:`open_queue` / :func:`open_store`
 and never branches on the backend kind again: the lease / heartbeat /
-guarded-completion semantics and the cache-tier degrade contract are
+guarded-report semantics and the cache-tier degrade contract are
 identical behind both implementations, which is what keeps distributed
 verdicts identical to local ones regardless of transport.
 
@@ -36,7 +36,7 @@ Transient-failure contract: operations on either backend may raise a
 :data:`TRANSIENT_BACKEND_ERRORS` member (SQLite lock storms, the
 service unreachable mid-request).  Callers in the worker loop treat
 these as "try again later" — a worker that cannot reach its backend
-simply stops completing and heartbeating, its lease expires, and the
+simply stops reporting and heartbeating, its lease expires, and the
 job is requeued exactly as if the worker had crashed.
 """
 
@@ -94,9 +94,15 @@ class QueueBackend(Protocol):
       deadline passes is reclaimed by ``requeue_expired`` (requeue with
       attempts left, poison-with-UNKNOWN once ``max_attempts`` claims
       are spent).
-    * ``complete`` is guarded by the claiming (job, worker) pair: a
-      late result from a presumed-dead worker returns ``False`` and is
-      discarded, so every job reports exactly one verdict.
+    * ``claim`` hands back, on the lease, the proof store's answers for
+      the job's query keys; ``report`` writes the results the job
+      solved into the store, records its verdict and claims the
+      worker's next job — one request per job, and no store handle in
+      the worker.
+    * The verdict ``report`` records is guarded by the claiming (job,
+      worker) pair: a late result from a presumed-dead worker comes
+      back ``accepted=False`` and is discarded, so every job reports
+      exactly one verdict (its proofs are stored all the same).
     """
 
     def begin_campaign(self, owner: str,
@@ -114,7 +120,8 @@ class QueueBackend(Protocol):
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None: ...
     def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None: ...
-    def complete(self, result: JobResult, worker_id: str) -> bool: ...
+    def report(self, result: JobResult, worker_id: str,
+               lease_seconds: float) -> tuple[bool, Lease | None]: ...
     def fail(self, job_id: str, worker_id: str, error: str) -> None: ...
     def counts(self) -> dict[str, int]: ...
     def results(self) -> dict[str, JobResult]: ...

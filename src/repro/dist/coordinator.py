@@ -6,7 +6,9 @@ same per-slot cache pass every in-process pool starts with
 (:meth:`~repro.mc.portfolio.PortfolioScheduler.probe`, one batched
 read) — and reports every job whose race the store decides or exhausts
 on the spot.  Only the rest is serialized into
-:class:`~repro.dist.protocol.JobSpec` rows; for those it takes the
+:class:`~repro.dist.protocol.JobSpec` rows, each stamped with the
+query keys the probe computed for its race, so a claim can hand the
+worker the store's answers for them; for those it takes the
 queue, forks local workers (each a :class:`~repro.dist.worker.Worker`
 on the shared backend — a cache directory other machines can mount,
 or a ``repro-verify serve`` URL other machines can reach — that starts
@@ -22,8 +24,8 @@ the tick after.  While workers run:
 * expired leases are requeued, so the job of any worker that stopped
   heartbeating (killed, SIGSTOPped, machine-dead, or cut off from the
   backend) is re-raced by a survivor — the proof store's content-keyed
-  results make the retry idempotent, and the queue's completion guard
-  discards any late result from the presumed-dead worker, so no verdict
+  results make the retry idempotent, and the queue's report guard
+  discards any late verdict from the presumed-dead worker, so no verdict
   is lost or duplicated (a worker wedged *inside* one solver call keeps
   beating; that failure mode is bounded by ``wall_timeout``, not by
   leases);
@@ -78,8 +80,10 @@ def job_id_for(design: str, property_name: str) -> str:
     return f"{design}::{property_name}"
 
 
-def spec_from_job(job: CampaignJob) -> JobSpec:
-    """Serialize one campaign job for the queue (names, not objects)."""
+def spec_from_job(job: CampaignJob,
+                  keys: tuple[str, ...] = ()) -> JobSpec:
+    """Serialize one campaign job for the queue (names, not objects);
+    ``keys`` are its race's query keys, as the probe computed them."""
     return JobSpec(
         job_id=job_id_for(*job.identity),
         design=job.design.name,
@@ -88,7 +92,8 @@ def spec_from_job(job: CampaignJob) -> JobSpec:
         priority=job.expected_wall,
         # Stamped at enqueue time: workers parent their "job" span on
         # the span current here (the campaign's dispatch span).
-        trace=_journal.current_context())
+        trace=_journal.current_context(),
+        keys=keys)
 
 
 class Coordinator:
@@ -339,18 +344,19 @@ class Coordinator:
         queue's results (empty when nothing was enqueued)."""
         rows: dict[tuple[str, str], CampaignRow] = {}
         enqueued: list[CampaignJob] = []
+        specs: list[JobSpec] = []
         probe = PortfolioScheduler(cache=self.cache).probe(
             [job.task for job in jobs])
-        for job, settled in zip(jobs, probe):
+        for job, (settled, keys) in zip(jobs, probe):
             if settled is None:
                 enqueued.append(job)
+                specs.append(spec_from_job(job, keys))
             else:
                 rows[job.identity] = CampaignRow.from_portfolio(settled)
         if not enqueued:
             return rows, {}
         self._take_queue()
-        self._with_backend_retry(lambda: self.queue.enqueue(
-            [spec_from_job(job) for job in enqueued]))
+        self._with_backend_retry(lambda: self.queue.enqueue(specs))
         # The pool is final once enqueued: a closed queue lets each
         # worker leave the moment nothing is claimable, and its exit is
         # what wakes the supervision loop.

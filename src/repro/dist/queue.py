@@ -19,10 +19,17 @@ The lease protocol:
 * a worker ``claim``\\ s the best pending job inside one ``BEGIN
   IMMEDIATE`` transaction — claims are atomic across processes, two
   workers can never hold the same job;
+* a claim also reads the sibling proof store (``proofs.sqlite`` in
+  the same directory, or the store a service hands in) for the job's
+  query keys and returns the answers on the lease, so the worker needs
+  no store handle of its own;
 * the worker heartbeats while solving, which extends its lease
-  deadline; ``complete`` records the result, guarded by ``(job_id,
-  worker_id, leased)`` so a requeued job's late completion from a
-  presumed-dead worker is discarded instead of double-reported;
+  deadline; ``report`` writes the results the race solved into the
+  proof store, records the verdict guarded by ``(job_id, worker_id,
+  leased)`` — a requeued job's late report from a presumed-dead worker
+  is discarded instead of double-reported, but its proofs stay in the
+  store — and claims the worker's next job in the same call, so a job
+  costs one request after the worker's first claim;
 * the coordinator periodically ``requeue_expired``\\ s: any lease whose
   deadline passed (crashed or stalled worker) goes back to pending —
   or, after ``max_attempts`` claims, is poisoned with an UNKNOWN
@@ -41,6 +48,7 @@ import sqlite3
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -48,7 +56,8 @@ from repro.campaign.report import WorkerStat
 from repro.campaign.report import CampaignRow
 # The store's lock-retry policy is deliberately shared: both files sit
 # in the same cache directory and see the same contention patterns.
-from repro.campaign.store import BUSY_TIMEOUT_MS, _with_lock_retry
+from repro.campaign.store import (BUSY_TIMEOUT_MS, ProofStore,
+                                  _with_lock_retry)
 from repro.dist.protocol import (JOB_DONE, JOB_LEASED, JOB_PENDING,
                                  Heartbeat, JobResult, JobSpec, Lease)
 from repro.obs import journal as _journal
@@ -95,14 +104,20 @@ class WorkQueue:
     Thread-safe behind one lock (a worker's heartbeat thread shares the
     handle with its solve loop); cross-process safety comes from SQLite
     itself — every read-modify-write runs inside ``BEGIN IMMEDIATE``.
+    ``store`` is the proof store claims read and reports write; without
+    one the queue opens ``proofs.sqlite`` beside its own file the first
+    time it needs it (and closes it with the queue).
     """
 
     FILENAME = "queue.sqlite"
     DEFAULT_MAX_ATTEMPTS = 3
 
     def __init__(self, path: str | Path,
-                 registry: _metrics.MetricsRegistry | None = None):
+                 registry: _metrics.MetricsRegistry | None = None,
+                 store: ProofStore | None = None):
         self.path = Path(path)
+        self._store = store
+        self._owns_store = store is None
         registry = registry or _metrics.MetricsRegistry()
         self._m_enqueued = registry.counter(
             "repro_queue_enqueued_total", "jobs added to the queue")
@@ -135,16 +150,26 @@ class WorkQueue:
 
     @classmethod
     def open(cls, cache_dir: str | Path,
-             registry: _metrics.MetricsRegistry | None = None
-             ) -> "WorkQueue":
+             registry: _metrics.MetricsRegistry | None = None,
+             store: ProofStore | None = None) -> "WorkQueue":
         """The queue inside ``cache_dir`` (created if missing)."""
         directory = Path(cache_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / cls.FILENAME, registry=registry)
+        return cls(directory / cls.FILENAME, registry=registry,
+                   store=store)
 
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+            if self._owns_store and self._store is not None:
+                self._store.close()
+
+    def _proofs(self) -> ProofStore:
+        """The proof store beside this queue, opened on first use."""
+        with self._lock:
+            if self._store is None:
+                self._store = ProofStore.open(self.path.parent)
+            return self._store
 
     @contextmanager
     def _txn(self) -> Iterator[None]:
@@ -366,7 +391,11 @@ class WorkQueue:
 
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None:
-        """Atomically lease the best pending job, or ``None`` if idle."""
+        """Atomically lease the best pending job, or ``None`` if idle.
+
+        The lease carries the proof store's answers for the job's query
+        keys (``Lease.known``), read after the claim commits: results a
+        report lands in between are the next attempt's to find."""
         now = time.time()
 
         def txn() -> Lease | None:
@@ -393,10 +422,14 @@ class WorkQueue:
             lease = _with_lock_retry(txn)
         self._m_claims.labels(
             "claimed" if lease is not None else "empty").inc()
-        if lease is not None:
-            _journal.emit("queue_claim", job_id=lease.spec.job_id,
-                          worker=worker_id, attempt=lease.attempt)
-        return lease
+        if lease is None:
+            return None
+        _journal.emit("queue_claim", job_id=lease.spec.job_id,
+                      worker=worker_id, attempt=lease.attempt)
+        if not lease.spec.keys:
+            return lease
+        return replace(lease, known=self._proofs().load_many(
+            list(lease.spec.keys)))
 
     def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None:
         """Record liveness and extend the lease of the job being beaten.
@@ -443,13 +476,33 @@ class WorkQueue:
             _with_lock_retry(write)
         self._m_heartbeats.inc()
 
+    def report(self, result: JobResult, worker_id: str,
+               lease_seconds: float) -> tuple[bool, Lease | None]:
+        """A worker's one call per finished job: land its results,
+        record its verdict, and claim its next job.
+
+        Returns ``(accepted, next_lease)``: ``accepted`` is ``False``
+        when this worker's lease was already reclaimed (the verdict is
+        discarded, its proofs are kept), ``next_lease`` what
+        :meth:`claim` hands this worker now — ``None`` when nothing is
+        claimable."""
+        accepted = self.complete(result, worker_id)
+        return accepted, self.claim(worker_id, lease_seconds)
+
     def complete(self, result: JobResult, worker_id: str) -> bool:
-        """Record a finished job; ``False`` if this worker's lease was
-        already reclaimed (the late result is discarded — the verdict
-        the requeued attempt produces is the one reported, so nothing
-        is duplicated)."""
+        """The first step of :meth:`report`: write ``result.solved``
+        into the proof store in one transaction, then record the
+        verdict row without them; ``False`` if this worker's lease was
+        already reclaimed (the late verdict is discarded — the one the
+        requeued attempt produces is reported, so nothing is
+        duplicated — but its proofs landed first, so that attempt finds
+        them).  Not on the wire: the end-to-end benchmark's tracer
+        patches it by name."""
+        if result.solved:
+            self._proofs().store_many(result.solved)
         now = time.time()
-        blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(replace(result, solved={}),
+                            pickle.HIGHEST_PROTOCOL)
 
         def txn() -> bool:
             with self._txn():

@@ -18,21 +18,29 @@ Failure semantics mirror each side's local contract:
     :class:`RemoteBackendError`, an ``OSError`` and therefore a
     :data:`~repro.dist.backend.TRANSIENT_BACKEND_ERRORS` member.  The
     worker loop treats it as "poll again later": a worker cut off from
-    the service stops completing and heartbeating, its lease expires
+    the service stops reporting and heartbeating, its lease expires
     on the server, and the job is requeued for a reachable worker —
-    connection loss degrades into the ordinary crashed-worker path.
+    connection loss degrades into the ordinary crashed-worker path,
+    and a lost report costs a re-proof, never a verdict.
   - *The service answered with a failure* (unknown method — version
     skew, a server-side exception): :class:`RemoteOperationError`, a
     :class:`~repro.errors.ReproError` that is **not** swallowed by the
     worker's retry loop — a misconfigured or incompatible deployment
     surfaces loudly instead of polling in silence.
 
-* **Store calls degrade.**  The store is a cache; a failing service —
+* **Store calls degrade.**  Only campaigns and sessions make them — a
+  worker's store traffic rides on its queue calls (the lease brings
+  what the store knows, the report carries what the job solved).  The
+  store is a cache; a failing service —
   unreachable, erroring, *or older than this client* (a 404 for
   ``load_many`` / ``expected_walls`` / ``record_outcomes``) — reads as
   a miss on ``load``/``load_many``, a no-op on ``store``/
   ``record_outcomes``, and empty statistics — never an exception into
   a proof.
+
+One queue call is one request: ``report`` stores a job's results,
+records its verdict and claims the worker's next job on the server, so
+a worker's job costs one round trip after its first claim.
 
 Neither class spells out a method: each gets a generated forwarder
 (a class attribute, so protocol ``isinstance`` checks see it) per name

@@ -10,7 +10,10 @@ Wire protocol (deliberately minimal — both ends are this package):
 
 * ``POST /queue/<method>`` and ``POST /store/<method>`` carry one
   pickled ``(args, kwargs)`` tuple and return the pickled result of
-  calling that method on the service's queue or store.  The allow-list
+  calling that method on the service's queue or store.  The queue
+  holds the service's store, so ``queue/claim`` and ``queue/report``
+  read and write proofs in this process: a worker's job costs one
+  request after its first claim.  The allow-list
   is :data:`~repro.dist.backend.QUEUE_METHODS` /
   :data:`~repro.dist.backend.STORE_METHODS` in :mod:`repro.dist.backend`,
   derived from the two backend protocols; anything else is a 404
@@ -23,8 +26,8 @@ Wire protocol (deliberately minimal — both ends are this package):
 Because the server *is* the ordinary SQLite queue/store, every
 coordination guarantee is inherited rather than re-implemented: claims
 stay atomic (one ``BEGIN IMMEDIATE`` per claim, whatever socket it
-arrived on), heartbeats extend leases, completions are guarded by the
-claiming (job, worker) pair, and expired leases are requeued.  A client
+arrived on), heartbeats extend leases, reported verdicts are guarded by
+the claiming (job, worker) pair, and expired leases are requeued.  A client
 that loses its connection simply stops heartbeating and is handled as
 a crashed worker.  Restarting the service on the same ``--cache-dir``
 resumes the queue exactly where it stopped — lease deadlines are
@@ -214,9 +217,12 @@ class ProofService:
         # must describe THIS service's lifetime, even when tests run
         # several services in one process.
         self.metrics = registry or _metrics.MetricsRegistry()
-        self.queue = WorkQueue.open(self.cache_dir,
-                                    registry=self.metrics)
+        # One store for both scopes: a claim reads it and a report
+        # writes it through the queue, in this process.
         self.store = ProofStore.open(self.cache_dir)
+        self.queue = WorkQueue.open(self.cache_dir,
+                                    registry=self.metrics,
+                                    store=self.store)
         self.started = time.time()
         self._m_requests = self.metrics.counter(
             "repro_http_requests_total",
@@ -242,6 +248,7 @@ class ProofService:
         # SQLite handles go away under a dispatching request.
         self._inflight = 0
         self._closing = False
+        self._serving = False   # a serve_forever loop was entered
         self._drained = threading.Condition()
 
     # ------------------------------------------------------------------
@@ -332,6 +339,10 @@ class ProofService:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`close` (the CLI)."""
+        with self._drained:
+            if self._closing:
+                return
+            self._serving = True
         self._httpd.serve_forever(poll_interval=0.2)
 
     def start(self) -> "ProofService":
@@ -344,7 +355,11 @@ class ProofService:
     def close(self) -> None:
         with self._drained:
             self._closing = True   # new requests get 503 from here on
-        self._httpd.shutdown()
+            serving = self._serving
+        # shutdown() waits for a serve_forever loop to stop: on a
+        # service that never served it would wait forever.
+        if serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -1,34 +1,40 @@
 """Distributed campaign worker: claims leases, proves, heartbeats.
 
-One worker process owns one work-queue handle and one two-tier result
-cache whose disk tier is the shared proof store — both opened from a
-single backend spec (``sqlite:DIR`` shared directory or
-``http://HOST:PORT`` service; see :mod:`repro.dist.backend`).  Its loop
-is deliberately dumb: claim the best pending job, recompile the
-(design, property) from the registry — which fingerprints the query
-exactly as every other layer does, so the verdict lands in the shared
-store under the same key — race the job's strategy specs through the
-ordinary :class:`~repro.mc.portfolio.PortfolioScheduler`, report the
-outcome, repeat.  A daemon thread heartbeats throughout, extending the
-lease so the coordinator only reclaims jobs from workers that actually
-died.
+One worker process owns one work-queue handle, opened from a backend
+spec (``sqlite:DIR`` shared directory or ``http://HOST:PORT`` service;
+see :mod:`repro.dist.backend`), and no proof-store handle: the queue
+carries the store both ways.  A claim hands back the store's answers
+for the job's query keys (``Lease.known``), the worker's
+:class:`~repro.mc.cache.ResultCache` answers from them and collects
+what the race solves, and the report carries those results to the
+queue, which writes them into the store before it records the verdict
+— and claims the worker's next job in the same call.  After its first
+claim a worker therefore makes one request per job.  Its loop is
+deliberately dumb: take the lease, recompile the (design, property)
+from the registry — which fingerprints the query exactly as every
+other layer does, so the keys match the ones the coordinator stamped
+— race the job's strategy specs through the ordinary
+:class:`~repro.mc.portfolio.PortfolioScheduler`, report, repeat.  A
+daemon thread heartbeats throughout, extending the lease the worker
+holds (the handed-back one included) so the coordinator only reclaims
+jobs from workers that actually died.
 
 The lease contract from the worker's side: a worker that cannot reach
 its backend (SQLite lock storm, service down, network cut) keeps
-retrying quietly — it neither completes nor heartbeats, so if the
+retrying quietly — it neither reports nor heartbeats, so if the
 outage outlasts ``lease_seconds`` its job is requeued for a healthier
-worker, and any late completion it eventually reports is discarded by
-the queue's guarded completion.  Backend loss therefore degrades into
-the ordinary crashed-worker path instead of wedging a campaign.
-A worker races its one claimed job inline, in its own process; to use
-more cores, run more workers.
+worker, and any late report it eventually makes is discarded by the
+queue's guarded report (its proofs are stored all the same).
+Backend loss therefore degrades into the ordinary crashed-worker path
+instead of wedging a campaign.  A worker races its one claimed job
+inline, in its own process; to use more cores, run more workers.
 
-A worker leaves when a claim finds nothing to take on a closed queue.
-The coordinator closes the queue as soon as it has enqueued its pool,
-so every worker — spawned or standalone — leaves once the campaign has
-nothing left to claim, and the coordinator's supervision wakes on that
-exit.  A job requeued later is re-raced by a worker the coordinator
-respawns.
+A worker leaves when a claim — its own, or the one inside a report —
+finds nothing to take on a closed queue.  The coordinator closes the
+queue as soon as it has enqueued its pool, so every worker — spawned
+or standalone — leaves once the campaign has nothing left to claim,
+and the coordinator's supervision wakes on that exit.  A job requeued
+later is re-raced by a worker the coordinator respawns.
 
 Run standalone via ``repro-verify worker --backend SPEC`` (point any
 number of machines/processes at one shared directory or one service
@@ -51,16 +57,41 @@ from repro.campaign.scheduler import compile_design
 from repro.designs.registry import get_design
 from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 is_transient_error, open_queue,
-                                open_store, parse_backend)
+                                parse_backend)
 from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
 from repro.dist.queue import STATE_CLOSED
 from repro.mc.cache import ResultCache
 from repro.mc.portfolio import PortfolioScheduler, VerifyTask
+from repro.mc.result import CheckResult
 from repro.obs import journal as _journal
 
 #: Seconds between claim attempts while nothing is claimable, and the
 #: coordinator's supervision tick.  Read at call time.
 POLL_INTERVAL = 0.2
+
+
+class _LeaseTier:
+    """The disk tier of a worker's cache for the job it holds: answers
+    from what the claim read out of the store (``Lease.known``) and
+    collects what the race solves, for the report to carry back.  A
+    :class:`~repro.mc.cache.CacheBacking`, so the cache, the race and
+    the cache statistics work exactly as over a store."""
+
+    def __init__(self) -> None:
+        self.known: dict[str, CheckResult] = {}
+        self.solved: dict[str, CheckResult] = {}
+
+    def hold(self, lease: Lease) -> None:
+        self.known, self.solved = lease.known, {}
+
+    def load(self, key: str) -> CheckResult | None:
+        return self.known.get(key)
+
+    def load_many(self, keys: list[str]) -> dict[str, CheckResult]:
+        return {key: self.known[key] for key in keys if key in self.known}
+
+    def store(self, key: str, result: CheckResult) -> None:
+        self.solved[key] = result
 
 
 class Worker:
@@ -96,8 +127,8 @@ class Worker:
         self.campaign_owner = campaign_owner
         self.campaign_lease = campaign_lease
         self.queue = open_queue(self.backend)
-        self.store = open_store(self.backend)
-        self.cache = ResultCache(backing=self.store)
+        self._tier = _LeaseTier()
+        self.cache = ResultCache(backing=self._tier)
         self._scheduler = PortfolioScheduler(cache=self.cache)
         # design name -> property name -> (compiled prop, scoped system)
         self._compiled: dict[str, dict] = {}
@@ -122,19 +153,23 @@ class Worker:
                       backend=str(self.backend))
         done = 0
         idle_since: float | None = None
+        lease: Lease | None = None
+        asked = False       # the last report already claimed for us
         try:
             while True:
-                lease = None
-                try:
-                    lease = self.queue.claim(self.worker_id,
-                                             self.lease_seconds)
-                    if lease is None and \
-                            self.queue.state() == STATE_CLOSED:
-                        break
-                except TRANSIENT_BACKEND_ERRORS as exc:
-                    if not is_transient_error(exc):
-                        raise  # corrupt/full queue: fail loudly
-                    # backend unreachable: poll again below
+                if lease is None:
+                    try:
+                        if not asked:
+                            lease = self.queue.claim(self.worker_id,
+                                                     self.lease_seconds)
+                        if lease is None and \
+                                self.queue.state() == STATE_CLOSED:
+                            break
+                    except TRANSIENT_BACKEND_ERRORS as exc:
+                        if not is_transient_error(exc):
+                            raise  # corrupt/full queue: fail loudly
+                        # backend unreachable: poll again below
+                    asked = False
                 if lease is None:
                     # No work, or no backend — both count as idle, so a
                     # standalone worker pointed at a dead service exits
@@ -147,8 +182,9 @@ class Worker:
                     time.sleep(POLL_INTERVAL)
                     continue
                 idle_since = None
-                if self._process(lease):
-                    done += 1
+                fate, lease = self._process(lease)
+                done += fate == "completed"
+                asked = fate in ("completed", "discarded")
                 self._renew_campaign()
         finally:
             _journal.emit("worker_exit", worker=self.worker_id,
@@ -156,7 +192,6 @@ class Worker:
             self._stop_beats.set()
             beats.join(timeout=2.0)
             self.queue.close()
-            self.store.close()
         return done
 
     # ------------------------------------------------------------------
@@ -173,7 +208,10 @@ class Worker:
         except Exception:
             pass  # best-effort; the claim has beat-loop slack
 
-    def _process(self, lease: Lease) -> bool:
+    def _process(self, lease: Lease) -> tuple[str, Lease | None]:
+        """Run and report one job.  Returns what became of it
+        (completed / discarded / unreported / failed) and the next
+        lease its report handed back, if any."""
         spec = lease.spec
         # Join the campaign's journal (stamped onto the spec by the
         # coordinator) so this job's records stitch under the dispatch
@@ -188,17 +226,18 @@ class Worker:
                           design=spec.design,
                           property=spec.property_name,
                           worker=self.worker_id, attempt=lease.attempt)
-            fate = self._process_inner(spec)
+            fate, next_lease = self._process_inner(lease)
             if sp is not None:
                 sp.fields.update(fate)
-        return fate["result"] == "completed"
+        return fate["result"], next_lease
 
-    def _process_inner(self, spec: JobSpec) -> dict:
-        """Run and report one job; returns what became of it —
-        ``result`` (completed / discarded / unreported / failed) and,
-        for a failure, ``error`` — the fields the ``job`` record
-        closes with."""
+    def _process_inner(self, lease: Lease) -> tuple[dict, Lease | None]:
+        """Run and report one job; returns the fields the ``job``
+        record closes with — ``result`` and, for a failure, ``error``
+        — and the next lease."""
+        spec = lease.spec
         self._current_job = spec.job_id
+        self._tier.hold(lease)
         started = time.perf_counter()
         try:
             result = self._execute(spec)
@@ -212,28 +251,35 @@ class Worker:
                 # lease expiry requeues the job anyway
             finally:
                 self._current_job = None
-            return {"result": "failed", "error": error}
+            return {"result": "failed", "error": error}, None
         result = replace(result,
-                         busy_seconds=time.perf_counter() - started)
+                         busy_seconds=time.perf_counter() - started,
+                         solved=self._tier.solved)
         # _current_job stays set until the report lands: the beat
-        # thread must keep extending the lease through a slow
-        # complete() RPC, or a healthy worker's verdict gets reclaimed
-        # and discarded as 'late' mid-report.  (A beat after
-        # completion matches no leased row and is harmless.)
+        # thread must keep extending the lease through a slow report,
+        # or a healthy worker's verdict gets reclaimed and discarded
+        # as 'late' mid-report.  It then follows the lease the report
+        # handed back.  (A beat after the report matches no leased row
+        # and is harmless.)
+        next_lease = None
         try:
-            accepted = self.queue.complete(result, self.worker_id)
+            accepted, next_lease = self.queue.report(
+                result, self.worker_id, self.lease_seconds)
             fate = "completed" if accepted else "discarded"
         except TRANSIENT_BACKEND_ERRORS as exc:
             if not is_transient_error(exc):
                 raise  # corrupt/full queue: fail loudly
             # Backend vanished between solving and reporting: the
-            # verdict already sits in the shared store (when reachable),
-            # the lease will expire, and the requeued attempt answers
-            # from that store — nothing is lost, nothing re-proven.
+            # verdict is not recorded (and the results may not be
+            # stored).  The lease expires and the requeued attempt runs
+            # the job again, answering from the store what did land
+            # and proving the rest — a failed report costs a re-proof,
+            # never a verdict.
             fate = "unreported"
         finally:
-            self._current_job = None
-        return {"result": fate}
+            self._current_job = next_lease.spec.job_id \
+                if next_lease is not None else None
+        return {"result": fate}, next_lease
 
     def _execute(self, spec: JobSpec) -> JobResult:
         prop, scoped = self._compile(spec)

@@ -216,13 +216,19 @@ class PdrContext(FrameSolver):
 
     def query_summary(self) -> str:
         """The query mix for a result's ``detail``, largest kind first:
-        ``1240 queries: 760 generalize, 307 consecution, 140 push (81
-        skipped), 33 bad``."""
+        ``1240 queries: 760 generalize (412 core literals dropped), 307
+        consecution, 140 push (81 skipped), 33 bad`` — what each
+        generalization shed through cores sits beside ``generalize``,
+        the pushes answered from a memo beside ``push``."""
+        notes = {"generalize": (self.core_literals_dropped,
+                                "core literals dropped"),
+                 "push": (self.pushes_skipped, "skipped")}
         parts = []
         for kind, n in sorted(self.query_mix.items(),
                               key=lambda item: -item[1]):
-            if kind == "push" and self.pushes_skipped:
-                parts.append(f"{n} push ({self.pushes_skipped} skipped)")
+            noted, what = notes.get(kind, (0, ""))
+            if noted:
+                parts.append(f"{n} {kind} ({noted} {what})")
             elif n:
                 parts.append(f"{n} {kind}")
         return f"{self.queries} queries: " + ", ".join(parts)

@@ -44,7 +44,7 @@ import os
 from concurrent.futures import (CancelledError, Future,
                                 ProcessPoolExecutor, as_completed)
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
@@ -104,6 +104,13 @@ class PortfolioOutcome:
         extra = f" [{origin}" + \
             (f", {self.cancelled} cancelled]" if self.cancelled else "]")
         return self.result.one_line() + extra
+
+
+class Probe(NamedTuple):
+    """What :meth:`PortfolioScheduler.probe` learned about one task."""
+
+    outcome: PortfolioOutcome | None    # None: somebody has to run it
+    keys: tuple[str, ...]               # its cacheable slots' query keys
 
 
 def attempt_record(spec: str, result: CheckResult, origin: str,
@@ -194,7 +201,8 @@ class PortfolioScheduler:
         needs.  ``settle_only`` is for a caller that will not execute
         the misses itself (:meth:`probe`): a slot the one batched read
         did not find is yielded without a ``get``, leaving its miss to
-        be booked by whoever does run it.
+        be booked by whoever does run it.  Each group keeps its
+        cacheable slots' keys (``keys``) for :meth:`probe` to hand out.
         """
         cache = self.cache
         trace = _journal.current_context()
@@ -208,6 +216,8 @@ class PortfolioScheduler:
                     lemmas=group.task.lemmas, trace=trace)
                 slots.append((slot, check, key_task(cache, check)))
             keyed.append(slots)
+            group.keys = tuple(found.key for _, _, found in slots
+                               if found.key is not None)
         prefetched = None if cache is None else cache.prefetch(
             found.key for slots in keyed for _, _, found in slots
             if found.key is not None)
@@ -228,23 +238,26 @@ class PortfolioScheduler:
         return [(group, misses(group, slots))
                 for group, slots in zip(groups, keyed)]
 
-    def probe(self, tasks: Sequence[VerifyTask]
-              ) -> list[PortfolioOutcome | None]:
+    def probe(self, tasks: Sequence[VerifyTask]) -> list[Probe]:
         """Per task, the outcome of its race when the cache alone
-        decides or exhausts it — else ``None``: somebody has to run it.
+        decides or exhausts it — else ``None``: somebody has to run it
+        — and the query keys of its slots.
 
         The first pass of :meth:`stream` without the executing: what a
         dispatcher whose misses run elsewhere (the distributed
-        coordinator) asks before it enqueues anything.
+        coordinator) asks before it enqueues anything.  The keys travel
+        with a job that is run elsewhere, so whoever hands it out can
+        hand the store's answers for them along.
         """
-        settled: list[PortfolioOutcome | None] = []
+        probed: list[Probe] = []
         for group, misses in self._consult(self._groups(tasks),
                                            settle_only=True):
             for _miss in misses:
                 pass            # not ours to run; later slots may decide
-            settled.append(group.outcome()
-                           if group.decided or group.exhausted else None)
-        return settled
+            probed.append(Probe(
+                group.outcome() if group.decided or group.exhausted
+                else None, group.keys))
+        return probed
 
     def stream(self, tasks: Sequence[VerifyTask]
                ) -> Iterator[PortfolioOutcome]:
@@ -348,6 +361,7 @@ class _RaceGroup:
         self.futures: dict[int, Future] = {}    # slots handed to the pool
         self.cancelled: set[int] = set()        # of which dropped unrun
         self.winner_slot: int | None = None
+        self.keys: tuple[str, ...] = ()         # cacheable slots' keys
 
     @property
     def decided(self) -> bool:

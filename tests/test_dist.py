@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from multiprocessing import Process
 from pathlib import Path
 
@@ -75,12 +76,13 @@ class TestWorkQueue:
         assert third.spec.job_id == "a"
         assert queue.claim("w4", lease_seconds=30) is None
 
-    def test_complete_records_result_and_worker_stats(self, tmp_path):
+    def test_report_records_result_and_worker_stats(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
         queue.register_worker("w1", pid=123)
         queue.enqueue([_spec("a")])
         lease = queue.claim("w1", lease_seconds=30)
-        assert queue.complete(_result(lease.spec), "w1") is True
+        assert queue.report(_result(lease.spec), "w1",
+                            lease_seconds=30) == (True, None)
         assert queue.counts() == {JOB_DONE: 1}
         assert queue.unfinished() == 0
         results = queue.results()
@@ -89,6 +91,115 @@ class TestWorkQueue:
         assert stat.worker_id == "w1"
         assert stat.jobs_done == 1
         assert stat.busy_seconds == pytest.approx(0.5)
+
+    def test_report_claims_the_workers_next_job(self, tmp_path):
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue([_spec("a", priority=2.0), _spec("b", priority=1.0)])
+        lease = queue.claim("w1", lease_seconds=30)
+        accepted, following = queue.report(_result(lease.spec), "w1",
+                                           lease_seconds=30)
+        assert accepted and following.spec.job_id == "b"
+        assert (following.worker_id, following.attempt) == ("w1", 1)
+        assert queue.counts() == {JOB_DONE: 1, "leased": 1}
+        assert queue.report(_result(following.spec), "w1",
+                            lease_seconds=30) == (True, None)
+
+    def test_claim_hands_back_what_the_store_holds_for_the_keys(
+            self, tmp_path):
+        proof = CheckResult("p1", Status.PROVEN, k=2,
+                            stats=ProofStats(wall_seconds=0.5))
+        ProofStore.open(tmp_path).store("k-stored", proof)
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue([replace(_spec("a"), keys=("k-stored", "k-absent")),
+                       _spec("b", priority=-1.0)])
+        assert queue.claim("w1", lease_seconds=30).known == \
+            {"k-stored": proof}
+        assert queue.claim("w2", lease_seconds=30).known == {}
+
+    def test_reported_results_land_in_the_store_not_the_queue(
+            self, tmp_path):
+        proof = CheckResult("p1", Status.PROVEN, k=2,
+                            stats=ProofStats(wall_seconds=0.5))
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue([_spec("a")])
+        lease = queue.claim("w1", lease_seconds=30)
+        solved = replace(_result(lease.spec), solved={"k-a": proof})
+        assert queue.report(solved, "w1", lease_seconds=30) == \
+            (True, None)
+        assert ProofStore.open(tmp_path).load("k-a") == proof
+        assert queue.results()["a"].solved == {}
+
+    def test_discarded_report_still_stores_its_results(self, tmp_path):
+        """A late report loses its verdict, not its proofs: they are in
+        the store before the guard discards the row, so the requeued
+        attempt's claim hands them back."""
+        proof = CheckResult("p1", Status.PROVEN, k=2,
+                            stats=ProofStats(wall_seconds=0.5))
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue([replace(_spec("a"), keys=("k-a",))])
+        stale = queue.claim("w1", lease_seconds=0.01)
+        assert stale.known == {}
+        time.sleep(0.02)
+        assert queue.requeue_expired() == [("a", "w1")]
+        fresh = queue.claim("w2", lease_seconds=30)
+        late = replace(_result(stale.spec), solved={"k-a": proof})
+        assert queue.report(late, "w1", lease_seconds=30) == \
+            (False, None)
+        assert ProofStore.open(tmp_path).load("k-a") == proof
+        assert queue.counts() == {"leased": 1}
+        assert queue.report(_result(fresh.spec, worker_id="w2"), "w2",
+                            lease_seconds=30) == (True, None)
+        assert queue.results()["a"].outcome.worker == "w2"
+        # A third attempt would be answered from the store.
+        queue.enqueue([replace(_spec("again"), keys=("k-a",))])
+        assert queue.claim("w3", lease_seconds=30).known == {"k-a": proof}
+
+    def test_concurrent_reports_lose_no_verdict_and_no_proof(
+            self, tmp_path):
+        """A service's handler threads share one queue and one store:
+        more workers than cores claiming and reporting at once must
+        record every verdict once and store every proof."""
+        import sys
+        import threading
+        proof = CheckResult("p1", Status.PROVEN, k=1,
+                            stats=ProofStats(wall_seconds=0.01))
+        store = ProofStore.open(tmp_path)
+        queue = WorkQueue.open(tmp_path, store=store)
+        jobs = 40
+        queue.enqueue([_spec(f"j{i}", priority=float(i))
+                       for i in range(jobs)])
+        errors: list[Exception] = []
+
+        def work(worker_id: str) -> None:
+            try:
+                lease = queue.claim(worker_id, lease_seconds=30)
+                while lease is not None:
+                    result = replace(
+                        _result(lease.spec, worker_id=worker_id),
+                        solved={f"k-{lease.spec.job_id}": proof})
+                    accepted, lease = queue.report(result, worker_id,
+                                                   lease_seconds=30)
+                    if not accepted:
+                        raise AssertionError("a live lease was refused")
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(f"w{n}",))
+                       for n in range(2 * (os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert queue.counts() == {JOB_DONE: jobs}
+        assert sum(stat.jobs_done for stat in queue.worker_stats()) == jobs
+        assert len(store) == jobs
 
     def test_enqueue_is_idempotent_for_inflight_jobs(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
@@ -99,7 +210,8 @@ class TestWorkQueue:
         # the live lease or its attempts count.
         assert queue.enqueue([_spec("a")]) == 0
         assert queue.counts() == {"leased": 1}
-        assert queue.complete(_result(lease.spec), "w1") is True
+        assert queue.report(_result(lease.spec), "w1",
+                            lease_seconds=30) == (True, None)
 
     def test_expired_lease_is_requeued(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
@@ -124,7 +236,7 @@ class TestWorkQueue:
         assert queue.requeue_expired() == []
         assert queue.counts() == {"leased": 1}
 
-    def test_late_completion_from_presumed_dead_worker_is_discarded(
+    def test_late_report_from_presumed_dead_worker_is_discarded(
             self, tmp_path):
         queue = WorkQueue.open(tmp_path)
         queue.register_worker("w1", pid=1)
@@ -134,11 +246,11 @@ class TestWorkQueue:
         time.sleep(0.02)
         queue.requeue_expired()
         fresh = queue.claim("w2", lease_seconds=30)
-        assert queue.complete(_result(fresh.spec, worker_id="w2"),
-                              "w2") is True
+        assert queue.report(_result(fresh.spec, worker_id="w2"), "w2",
+                            lease_seconds=30) == (True, None)
         # w1 wakes up and reports late: discarded, not duplicated.
-        assert queue.complete(_result(stale.spec, worker_id="w1"),
-                              "w1") is False
+        assert queue.report(_result(stale.spec, worker_id="w1"), "w1",
+                            lease_seconds=30) == (False, None)
         assert queue.counts() == {JOB_DONE: 1}
         assert queue.results()["a"].outcome.worker == "w2"
         stats = {s.worker_id: s.jobs_done for s in queue.worker_stats()}
@@ -207,9 +319,10 @@ class TestWorkQueue:
         assert queue.begin_campaign("c1", lease_seconds=30) is True
         queue.enqueue([_spec("a")])
         lease = queue.claim("standalone", lease_seconds=30)
-        assert queue.complete(_result(lease.spec,
-                                      worker_id="standalone"),
-                              "standalone") is True
+        assert queue.report(_result(lease.spec,
+                                    worker_id="standalone"),
+                            "standalone", lease_seconds=30) == \
+            (True, None)
         (stat,) = queue.worker_stats()
         assert stat.worker_id == "standalone"
         assert stat.jobs_done == 1
@@ -348,6 +461,61 @@ class TestCrashRecovery:
         assert results[claimed_job].outcome.worker == "survivor"
         assert all(r.outcome.status == "proven"
                    for r in results.values())
+
+
+    @pytest.mark.parametrize("landed", [False, True],
+                             ids=["re-proved", "from-the-store"])
+    def test_job_whose_report_never_landed_keeps_its_verdict(
+            self, tmp_path, fabric_timing, monkeypatch, landed):
+        """w1 solves its job, but the report never comes back: not
+        recorded at all, or (the response was lost) with its results
+        stored.  The lease expires, the job is requeued, and the next
+        attempt reaches the same verdict — re-proved, or answered from
+        the store."""
+        fabric_timing(poll=0.02)
+        reference = run_campaign(designs=["updown_counter"],
+                                 cache_dir=tmp_path / "reference",
+                                 max_k=3)
+        verdicts = {r.property_name: r.status for r in reference.rows}
+        spec = _keyed_specs(tmp_path / "fabric")[0]
+        queue = WorkQueue.open(tmp_path / "fabric")
+        queue.enqueue([spec])
+        queue.set_state(STATE_CLOSED)
+
+        doomed = Worker(tmp_path / "fabric", worker_id="w1",
+                        lease_seconds=0.3)
+        proofs = doomed.queue._proofs()
+
+        def lost_report(result, worker_id, lease_seconds):
+            if landed:
+                proofs.store_many(result.solved)
+            raise ConnectionResetError("the report's answer was lost")
+
+        monkeypatch.setattr(doomed.queue, "report", lost_report)
+        assert doomed.run() == 0
+        time.sleep(0.4)                 # the unbeaten lease runs out
+        assert queue.requeue_expired() == [(spec.job_id, "w1")]
+
+        survivor = Worker(tmp_path / "fabric", worker_id="survivor",
+                          lease_seconds=10)
+        assert survivor.run() == 1
+        row = queue.results()[spec.job_id].outcome
+        assert row.status == verdicts[spec.property_name]
+        assert row.worker == "survivor"
+        assert row.from_cache is landed
+
+
+def _keyed_specs(cache_dir: Path) -> list[JobSpec]:
+    """The updown_counter campaign's job specs, keyed as a coordinator
+    stamps them."""
+    from repro.dist.coordinator import spec_from_job
+    from repro.mc.cache import ResultCache
+    from repro.mc.portfolio import PortfolioScheduler
+    jobs = _campaign_jobs(cache_dir)
+    probed = PortfolioScheduler(cache=ResultCache()).probe(
+        [job.task for job in jobs])
+    return [spec_from_job(job, keys) for job, (_, keys)
+            in zip(jobs, probed)]
 
 
 class TestDistributedCampaign:
@@ -724,8 +892,11 @@ class TestProbeBeforeEnqueue:
         assert len(store) == 1                        # bmc's answer only
         fresh = ResultCache(backing=store)
         settled = PortfolioScheduler(cache=fresh).probe(tasks)
-        assert settled[0] is None
-        assert settled[1] is not None and settled[1].from_cache
+        assert settled[0].outcome is None
+        assert settled[1].outcome is not None
+        assert settled[1].outcome.from_cache
+        # Only a cacheable slot has a key for a job to carry.
+        assert settled[0].keys == () and len(settled[1].keys) == 1
         # Only the answerable slot was ever asked for.
         assert (fresh.stats.hits, fresh.stats.misses) == (1, 0)
 

@@ -122,6 +122,9 @@ class TestBackendParsing:
         assert QUEUE_METHODS == declared(QueueBackend) - {"close"}
         assert STORE_METHODS == \
             declared(StoreBackend) - {"close", "__len__"} | {"size"}
+        # report took complete's place: it lands the job's proofs,
+        # records its verdict and claims the next job in one request.
+        assert "report" in QUEUE_METHODS and "complete" not in QUEUE_METHODS
         assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (16, 7)
         for scope, names in (("queue", QUEUE_METHODS),
                              ("store", STORE_METHODS)):
@@ -143,12 +146,13 @@ class TestRemoteQueue:
         assert queue.claim("w2", lease_seconds=30).spec.job_id == "a"
         assert queue.claim("w3", lease_seconds=30) is None
 
-    def test_complete_and_stats_round_trip(self, service):
+    def test_report_and_stats_round_trip(self, service):
         queue = RemoteWorkQueue(service.address)
         queue.register_worker("w1", pid=123)
         queue.enqueue([_spec("a")])
         lease = queue.claim("w1", lease_seconds=30)
-        assert queue.complete(_result(lease.spec), "w1") is True
+        assert queue.report(_result(lease.spec), "w1",
+                            lease_seconds=30) == (True, None)
         assert queue.counts() == {JOB_DONE: 1}
         assert queue.results()["a"].outcome.status == "proven"
         (stat,) = queue.worker_stats()
@@ -200,7 +204,7 @@ class TestRemoteQueue:
         time.sleep(0.06)
         assert queue.requeue_expired() == []
 
-    def test_late_completion_from_presumed_dead_remote_worker_discarded(
+    def test_late_report_from_presumed_dead_remote_worker_discarded(
             self, service):
         """Two clients, one job: the requeued claimant's verdict wins;
         the presumed-dead worker's late report is discarded."""
@@ -211,10 +215,10 @@ class TestRemoteQueue:
         time.sleep(0.02)
         fresh_client.requeue_expired()
         fresh = fresh_client.claim("w2", lease_seconds=30)
-        assert fresh_client.complete(_result(fresh.spec, worker_id="w2"),
-                                     "w2") is True
-        assert stale_client.complete(_result(stale.spec, worker_id="w1"),
-                                     "w1") is False
+        assert fresh_client.report(_result(fresh.spec, worker_id="w2"),
+                                   "w2", lease_seconds=30) == (True, None)
+        assert stale_client.report(_result(stale.spec, worker_id="w1"),
+                                   "w1", lease_seconds=30) == (False, None)
         results = fresh_client.results()
         assert results["a"].outcome.worker == "w2"
         assert fresh_client.counts() == {JOB_DONE: 1}
@@ -447,6 +451,14 @@ class TestService:
         finally:
             svc.close()
 
+    def test_closing_a_service_that_never_served_returns(self,
+                                                          tmp_path):
+        svc = ProofService(cache_dir=tmp_path / "unstarted", port=0)
+        closer = threading.Thread(target=svc.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "close() waits for a loop never run"
+
     def test_unknown_methods_are_rejected_as_permanent(self, service):
         """Version skew / bad endpoints are RemoteOperationError — a
         ReproError, not an OSError — so worker retry loops do NOT
@@ -477,6 +489,7 @@ class TestService:
         ("store", "history_size", (), {}),
         ("store", "expected_wall", ("d", "p"), {}),
         ("store", "ledger_rows", (), {}),
+        ("queue", "complete", (_result(_spec("a")), "w1"), {}),
     )
 
     def test_removed_calls_are_gone_and_touch_nothing(self, service):
@@ -609,9 +622,10 @@ class TestServerRestart:
                               lease_seconds=10)
             assert survivor.run() == len(specs)
             # The presumed-dead claimant reports late: discarded.
-            assert client.complete(_result(stale.spec,
-                                           worker_id="doomed"),
-                                   "doomed") is False
+            assert client.report(_result(stale.spec,
+                                         worker_id="doomed"),
+                                 "doomed", lease_seconds=30) == \
+                (False, None)
             results = client.results()
             assert sorted(results) == sorted(s.job_id for s in specs)
             assert client.counts() == {JOB_DONE: len(specs)}
@@ -740,15 +754,47 @@ class TestCoordinatorSurvivesServerBounce:
             coordinator.dispatch(pool)
 
 
-def _wire_requests(service) -> int:
-    """Wire requests the service has answered so far, from its own
-    ``/metrics`` (this read is counted by the next one)."""
+def _requests_by_endpoint(service) -> dict[str, int]:
+    """Wire requests the service has answered so far, per endpoint,
+    from its own ``/metrics`` (this read is counted by the next one)."""
     with urllib.request.urlopen(f"{service.address}/metrics",
                                 timeout=5) as response:
         text = response.read().decode()
-    return int(sum(float(line.rsplit(" ", 1)[1])
-                   for line in text.splitlines()
-                   if line.startswith("repro_http_requests_total{")))
+    asked: dict[str, int] = {}
+    for line in text.splitlines():
+        if line.startswith("repro_http_requests_total{"):
+            labels, _, value = line.rpartition(" ")
+            endpoint = labels.split('endpoint="', 1)[1].split('"', 1)[0]
+            asked[endpoint] = asked.get(endpoint, 0) + int(float(value))
+    return asked
+
+
+def _wire_requests(service) -> int:
+    """All wire requests the service has answered so far."""
+    return sum(_requests_by_endpoint(service).values())
+
+
+class TestOneRequestPerJob:
+    """After its first claim a worker makes one request per job: the
+    report lands the job's proofs, records its verdict and claims the
+    next job; no worker opens the store."""
+
+    def test_cold_campaign_reports_each_job_once(self, service,
+                                                 coordinators):
+        report = run_campaign(
+            designs=["updown_counter", "sync_counters_bug"], max_k=3,
+            backend=service.address, workers=1, lease_seconds=10)
+        jobs = len(report.rows)
+        assert report.mismatches == 0 and jobs > 2
+        assert all(row.worker == "w1" for row in report.rows)
+        asked = _requests_by_endpoint(service)
+        assert asked.get("queue.report", 0) == jobs
+        assert asked.get("store.store", 0) == 0
+        assert asked.get("queue.claim", 0) <= 1 + 1
+        # The proofs are in the served store all the same.
+        assert report.store_results > 0
+        assert len(ProofStore.open(service.cache_dir)) == \
+            report.store_results
 
 
 class TestRemoteProbe:

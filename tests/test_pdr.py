@@ -698,6 +698,19 @@ class TestPushMemo:
 
 
 class TestCoreGeneralization:
+    def test_detail_names_the_literals_cores_dropped(self):
+        """What generalization shed through cores is in the result's
+        detail, beside the generalize queries that shed it."""
+        _design, _spec, ctx, prop = _compile("traffic_onehot",
+                                             "mutual_exclusion")
+        run = _PdrRun(ctx.system, prop, PdrOptions(), [])
+        result = run.execute()
+        dropped = run.ctx.core_literals_dropped
+        assert result.status is Status.PROVEN and dropped > 0
+        generalized = run.ctx.query_mix["generalize"]
+        assert f"{generalized} generalize ({dropped} core literals " \
+            f"dropped)" in result.detail
+
     def test_blocked_cube_shrinks_to_an_inductive_init_containing_clause(
             self, sync_counters_system):
         """One obligation, blocked at level 1, by hand: the clause that
