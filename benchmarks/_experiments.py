@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.genai.personas import PAPER_MODELS
 from repro.hdl.elaborate import elaborate
 from repro.mc.engine import EngineConfig, ProofEngine
@@ -383,7 +383,7 @@ def run_e8(jobs: int = 1) -> Table:
     import tempfile
 
     from repro.campaign import CampaignReport
-    from repro.flow import run_campaign
+    from repro.flow.session import run_campaign
 
     table = Table(["mode", "wall (s)", "proven", "violated", "unknown",
                    "disk hits"],
@@ -637,7 +637,7 @@ def run_e11() -> Table:
 
     from repro.designs import load_corpus
     from repro.designs.registry import CORPUS_ENV
-    from repro.flow import run_campaign
+    from repro.flow.session import run_campaign
 
     corpus_dir = Path(__file__).resolve().parent.parent / "corpus"
     table = Table(["phase", "status", "wall (s)", "solver (s)",

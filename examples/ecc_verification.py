@@ -13,7 +13,7 @@ Run:  python examples/ecc_verification.py
 """
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.result import Status
 from repro.report import Table

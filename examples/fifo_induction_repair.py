@@ -11,7 +11,7 @@ Run:  python examples/fifo_induction_repair.py
 """
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.mc.result import Status
 from repro.report import Table
 from repro.trace.wave import render_for_prompt

@@ -12,7 +12,7 @@ Run:  python examples/model_shootout.py
 """
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.genai.personas import PAPER_MODELS
 from repro.report import Table
 

@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.mc.result import Status
 from repro.trace.wave import render_bit_wave, render_wave
 

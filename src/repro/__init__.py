@@ -12,7 +12,7 @@ GPT-4-Turbo / GPT-4o / Llama / Gemini comparison.
 Quick start::
 
     from repro.designs import get_design
-    from repro.flow import VerificationSession
+    from repro.flow.session import VerificationSession
 
     session = VerificationSession(get_design("sync_counters"),
                                   model="gpt-4o")

@@ -55,7 +55,7 @@ import sys
 
 from repro.designs import all_designs, get_design
 from repro.errors import ReproError
-from repro.flow import VerificationSession, run_campaign
+from repro.flow.session import VerificationSession, run_campaign
 from repro.genai import get_persona, list_personas
 from repro.mc.result import Status
 from repro.mc.strategy import get_strategy, resolve_strategy, strategy_names

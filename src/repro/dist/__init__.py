@@ -9,8 +9,9 @@ Layering (coordinator -> backend -> queue/store -> workers):
   ``sqlite:DIR | http://HOST:PORT`` spec parser, and the factories
   every layer opens its handles through.
 * :mod:`repro.dist.queue` — the SQLite queue backend: atomic claims
-  that bring the store's answers for the job's keys, heartbeat-extended
-  leases, expired-lease requeue, and the guarded report that stores a
+  that register their worker and bring the store's answers for the
+  job's keys, heartbeat-extended leases, a supervision call that
+  requeues expired leases, and the guarded report that stores a
   job's results, records its verdict (late verdicts from presumed-dead
   workers are discarded, so no verdict is ever lost or duplicated) and
   claims the next job.
@@ -23,9 +24,9 @@ Layering (coordinator -> backend -> queue/store -> workers):
   claim once, then per job recompile from the registry, race through
   the portfolio scheduler, and report (one request, which hands back
   the next lease); heartbeat throughout.  A worker holds no store.
-* :mod:`repro.dist.coordinator` — supervision (requeue, respawn, inline
-  drain); :class:`Coordinator` is the drop-in
-  :class:`~repro.campaign.scheduler.Dispatcher` that makes
+* :mod:`repro.dist.coordinator` — supervision (one ``supervise``
+  request per tick, respawn, inline drain); :class:`Coordinator` is
+  the drop-in :class:`~repro.campaign.scheduler.Dispatcher` that makes
   ``CampaignScheduler.run()`` identical for local and distributed runs.
 """
 

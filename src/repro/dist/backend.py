@@ -91,9 +91,12 @@ class QueueBackend(Protocol):
     * ``claim`` is atomic across all participants: no two workers ever
       hold the same job.
     * ``heartbeat`` extends the claiming worker's lease; a lease whose
-      deadline passes is reclaimed by ``requeue_expired`` (requeue with
-      attempts left, poison-with-UNKNOWN once ``max_attempts`` claims
-      are spent).
+      deadline passes is reclaimed by the coordinator's ``supervise``
+      tick (requeue with attempts left, poison-with-UNKNOWN once
+      ``max_attempts`` claims are spent), which also renews its
+      campaign lease and returns the counts.
+    * ``enqueue`` and ``end_campaign`` close the queue; a claim
+      registers its worker, job or no job.
     * ``claim`` hands back, on the lease, the proof store's answers for
       the job's query keys; ``report`` writes the results the job
       solved into the store, records its verdict and claims the
@@ -107,16 +110,12 @@ class QueueBackend(Protocol):
 
     def begin_campaign(self, owner: str,
                        lease_seconds: float) -> bool: ...
-    def renew_campaign(self, owner: str,
-                       lease_seconds: float) -> None: ...
+    def supervise(self, owner: str, lease_seconds: float
+                  ) -> tuple[dict[str, int], list[tuple[str, str]]]: ...
     def end_campaign(self, owner: str) -> None: ...
     def enqueue(self, specs: list[JobSpec],
                 max_attempts: int = ...) -> int: ...
-    def set_state(self, state: str) -> None: ...
     def state(self) -> str: ...
-    def requeue_expired(self, now: float | None = None
-                        ) -> list[tuple[str, str]]: ...
-    def register_worker(self, worker_id: str, pid: int) -> None: ...
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None: ...
     def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None: ...

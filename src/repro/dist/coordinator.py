@@ -15,20 +15,22 @@ or a ``repro-verify serve`` URL other machines can reach — that starts
 with the coordinator's modules and journal), and supervises.  A pool
 the store settles entirely takes no queue and starts no process.
 
-The queue is closed the moment the pool is enqueued: the pool is
+The queue closes in the transaction that enqueues the pool: the pool is
 final, so each worker leaves as soon as nothing is claimable, and the
 coordinator's supervision tick ends early when one of its workers
 exits.  A campaign therefore returns when its last job does, not on
-the tick after.  While workers run:
+the tick after.  Each tick is one queue request (``supervise``), and a
+campaign with T ticks makes 5 + T: begin, enqueue, the ticks, results,
+worker stats and end.  While workers run:
 
-* expired leases are requeued, so the job of any worker that stopped
-  heartbeating (killed, SIGSTOPped, machine-dead, or cut off from the
-  backend) is re-raced by a survivor — the proof store's content-keyed
-  results make the retry idempotent, and the queue's report guard
-  discards any late verdict from the presumed-dead worker, so no verdict
-  is lost or duplicated (a worker wedged *inside* one solver call keeps
-  beating; that failure mode is bounded by ``wall_timeout``, not by
-  leases);
+* expired leases are requeued on the tick, so the job of any worker
+  that stopped heartbeating (killed, SIGSTOPped, machine-dead, or cut
+  off from the backend) is re-raced by a survivor — the proof store's
+  content-keyed results make the retry idempotent, and the queue's
+  report guard discards any late verdict from the presumed-dead
+  worker, so no verdict is lost or duplicated (a worker wedged
+  *inside* one solver call keeps beating; that failure mode is bounded
+  by ``wall_timeout``, not by leases);
 * dead worker processes are respawned while work remains (up to a
   budget) — including a job requeued after every worker has left —
   and if no worker can run at all the coordinator drains the queue
@@ -59,7 +61,6 @@ from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
                                 open_store, parse_backend)
 from repro.dist.protocol import (JOB_LEASED, JOB_PENDING, JobResult,
                                  JobSpec)
-from repro.dist.queue import STATE_CLOSED
 from repro.errors import ReproError
 from repro.mc.cache import CacheStats, ResultCache
 from repro.mc.portfolio import PortfolioScheduler
@@ -136,8 +137,8 @@ class Coordinator:
         self._started = time.monotonic()    # wall_timeout reference
         self._backend_answered = False      # ever reached at all?
         # Campaign-lease identity: the atomic begin_campaign guard
-        # keys on this, and renewal every supervision tick keeps the
-        # claim alive (a crashed coordinator's claim lapses).
+        # keys on this, and every supervision tick renews the claim
+        # (a crashed coordinator's claim lapses).
         self._campaign_id = f"c-{socket.gethostname()}-{os.getpid()}"
         self._campaign_lease = max(lease_seconds * 2, 10.0)
 
@@ -169,10 +170,11 @@ class Coordinator:
         if not self._owns_queue:
             return  # nothing was enqueued: no claim, no worker to stop
         try:
-            self.queue.set_state(STATE_CLOSED)
+            # Releases the campaign and closes the queue, for a
+            # dispatch that failed before its enqueue closed it.
             self.queue.end_campaign(self._campaign_id)
         except Exception:
-            # Best-effort close/release signals only: this runs in
+            # A best-effort release: this runs in
             # dispatch()'s finally clause, so raising here would mask the
             # primary exception and skip reaping the spawned processes
             # below (workers on a closed queue leave on their own, and
@@ -207,15 +209,15 @@ class Coordinator:
     def _with_backend_retry(self, operation):
         """Run one queue operation, riding out backend outages.
 
-        Every queue call a campaign makes outside the drain loop goes
-        through here: a backend that stops answering (server
-        restarting, lock storm) pauses the campaign instead of
-        crashing it, and only ``wall_timeout`` bounds that patience —
-        the ride-through contract ``_await_drained`` documents has to
-        hold for the surrounding calls too, or a blip between drain
-        and report would still lose the run.  A backend that has never
-        answered at all is a misconfiguration, not an outage, and
-        fails after :data:`NEVER_ANSWERED_GRACE`.
+        Every queue call a campaign makes goes through here, the
+        supervision tick's included: a backend that stops answering
+        (server restarting, lock storm) pauses the campaign instead of
+        crashing it — the loop keeps polling, workers retry on their
+        own, and queue state, leases included, is on disk behind the
+        backend, so the run resumes where it stopped once the backend
+        answers again.  Only ``wall_timeout`` bounds that patience.  A
+        backend that has never answered at all is a misconfiguration,
+        not an outage, and fails after :data:`NEVER_ANSWERED_GRACE`.
         """
         while True:
             try:
@@ -241,32 +243,19 @@ class Coordinator:
 
         Each tick ends when a spawned worker exits or after
         :data:`~repro.dist.worker.POLL_INTERVAL`, whichever comes
-        first.  The loop requeues expired leases, respawns dead workers
-        while pending work and respawn budget remain, and — if no
-        worker process can run at all — drains the queue inline so the
-        campaign still terminates.  A backend that stops answering does
-        not end the campaign: the loop keeps polling, workers retry on
-        their own, and queue state — leases included — is on disk
-        behind the backend, so the run resumes where it stopped once
-        the backend answers again.  Only ``wall_timeout`` bounds that
-        patience.
+        first, and makes one queue request, which renews the campaign
+        lease, requeues expired leases and reads the counts.  The loop
+        respawns dead workers while pending work and respawn budget
+        remain, and — if no worker process can run at all — drains the
+        queue inline so the campaign still terminates.  A backend
+        outage pauses the loop (:meth:`_with_backend_retry`).
         """
         while True:
             self._check_wall_timeout()
-            try:
-                self.requeued.extend(self.queue.requeue_expired())
-                self.queue.renew_campaign(self._campaign_id,
-                                          self._campaign_lease)
-                # One snapshot answers both questions per tick — the
-                # supervision loop runs at up to 5 Hz against what may
-                # be a remote service, so every redundant wire call
-                # counts.
-                counts = self.queue.counts()
-            except TRANSIENT_BACKEND_ERRORS as exc:
-                if not is_transient_error(exc):
-                    raise  # disk full, corrupt file: fail loudly
-                time.sleep(_worker.POLL_INTERVAL)
-                continue
+            counts, requeued = self._with_backend_retry(
+                lambda: self.queue.supervise(self._campaign_id,
+                                             self._campaign_lease))
+            self.requeued.extend(requeued)
             pending = counts.get(JOB_PENDING, 0)
             if pending + counts.get(JOB_LEASED, 0) == 0:
                 return
@@ -356,12 +345,10 @@ class Coordinator:
         if not enqueued:
             return rows, {}
         self._take_queue()
+        # The enqueue closes the queue: the pool is final, so each
+        # worker leaves the moment nothing is claimable, and its exit
+        # is what wakes the supervision loop.
         self._with_backend_retry(lambda: self.queue.enqueue(specs))
-        # The pool is final once enqueued: a closed queue lets each
-        # worker leave the moment nothing is claimable, and its exit is
-        # what wakes the supervision loop.
-        self._with_backend_retry(
-            lambda: self.queue.set_state(STATE_CLOSED))
         self._wanted = min(self.workers, len(enqueued))
         for _ in range(self._wanted - self._reap_processes()):
             self._spawn_worker()

@@ -13,12 +13,13 @@ protocol, whatever transport carries the calls.
 The lease protocol:
 
 * the coordinator ``enqueue``\\ s :class:`~repro.dist.protocol.JobSpec`
-  rows (highest campaign priority first) and closes the queue behind
-  them: the pool is final, so a worker that finds nothing claimable
-  leaves;
+  rows (highest campaign priority first), and the same transaction
+  closes the queue behind them: the pool is final, so a worker that
+  finds nothing claimable leaves;
 * a worker ``claim``\\ s the best pending job inside one ``BEGIN
   IMMEDIATE`` transaction — claims are atomic across processes, two
-  workers can never hold the same job;
+  workers can never hold the same job — and the same transaction
+  registers the worker, whether or not it found a job;
 * a claim also reads the sibling proof store (``proofs.sqlite`` in
   the same directory, or the store a service hands in) for the job's
   query keys and returns the answers on the lease, so the worker needs
@@ -30,10 +31,11 @@ The lease protocol:
   is discarded instead of double-reported, but its proofs stay in the
   store — and claims the worker's next job in the same call, so a job
   costs one request after the worker's first claim;
-* the coordinator periodically ``requeue_expired``\\ s: any lease whose
-  deadline passed (crashed or stalled worker) goes back to pending —
-  or, after ``max_attempts`` claims, is poisoned with an UNKNOWN
-  verdict so one broken job can never wedge a campaign.
+* the coordinator ``supervise``\\ s once per tick: it renews its
+  campaign lease, reclaims every lease whose deadline passed (crashed
+  or stalled worker) — back to pending, or, after ``max_attempts``
+  claims, poisoned with an UNKNOWN verdict so one broken job can never
+  wedge a campaign — and reads the queue's counts, in one call.
 
 Unlike the proof store (a cache that degrades rather than raises), the
 queue is *coordination state*: non-lock SQLite errors propagate.  Lock
@@ -81,7 +83,6 @@ CREATE INDEX IF NOT EXISTS jobs_status_priority
     ON jobs (status, priority DESC);
 CREATE TABLE IF NOT EXISTS workers (
     worker_id      TEXT PRIMARY KEY,
-    pid            INTEGER,
     started        REAL NOT NULL,
     last_heartbeat REAL NOT NULL,
     jobs_done      INTEGER NOT NULL DEFAULT 0,
@@ -238,6 +239,17 @@ class WorkQueue:
         with self._lock:
             return _with_lock_retry(txn)
 
+    def supervise(self, owner: str, lease_seconds: float
+                  ) -> tuple[dict[str, int], list[tuple[str, str]]]:
+        """One supervision tick: renew ``owner``'s campaign lease, then
+        ``(counts, requeued)`` — what :meth:`requeue_expired` reclaimed
+        and the counts after it.  The three steps stay methods of their
+        own, off the wire: the end-to-end benchmark's tracer patches
+        them by name."""
+        self.renew_campaign(owner, lease_seconds)
+        requeued = self.requeue_expired()
+        return self.counts(), requeued
+
     def renew_campaign(self, owner: str, lease_seconds: float) -> None:
         """Extend ``owner``'s campaign lease (no-op for anyone else)."""
         now = time.time()
@@ -255,20 +267,23 @@ class WorkQueue:
 
     def end_campaign(self, owner: str) -> None:
         """Release ``owner``'s campaign lease so the next campaign can
-        begin immediately instead of waiting out the expiry."""
+        begin immediately instead of waiting out the expiry, and close
+        the queue (a campaign that failed before its enqueue)."""
         def txn() -> None:
             with self._txn():
                 if self._meta("campaign_owner") == owner:
                     self._conn.execute(
                         "INSERT OR REPLACE INTO meta (key, value) "
                         "VALUES ('campaign_expiry', '0')")
+                    self._set_state(STATE_CLOSED)
 
         with self._lock:
             _with_lock_retry(txn)
 
     def enqueue(self, specs: Iterable[JobSpec],
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> int:
-        """Add jobs as pending; returns how many were actually added.
+        """Add jobs as pending and close the queue behind them (the
+        pool is final); returns how many were actually added.
 
         Idempotent per job id: a job already in the queue is left
         exactly as it is.  This makes retried enqueues safe — under the
@@ -287,6 +302,7 @@ class WorkQueue:
                     "INSERT OR IGNORE INTO jobs (job_id, priority, "
                     "status, max_attempts, spec, created, updated) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?)", rows)
+                self._set_state(STATE_CLOSED)
                 return cur.rowcount
 
         with self._lock:
@@ -296,12 +312,19 @@ class WorkQueue:
             _journal.emit("queue_enqueue", added=added)
         return added
 
+    def _set_state(self, state: str) -> None:
+        # The caller holds the lock and an open transaction.
+        self._conn.execute(
+            "INSERT OR REPLACE INTO meta (key, value) "
+            "VALUES ('state', ?)", (state,))
+
     def set_state(self, state: str) -> None:
+        """Set the lifecycle state.  Off the wire and not called in the
+        package (``enqueue`` and ``end_campaign`` close the queue): the
+        end-to-end benchmark's tracer patches it by name."""
         def write() -> None:
             with self._txn():
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) "
-                    "VALUES ('state', ?)", (state,))
+                self._set_state(state)
 
         with self._lock:
             _with_lock_retry(write)
@@ -376,22 +399,27 @@ class WorkQueue:
     # Worker side
     # ------------------------------------------------------------------
 
-    def register_worker(self, worker_id: str, pid: int) -> None:
-        now = time.time()
+    def _seen(self, worker_id: str, now: float) -> None:
+        """Register ``worker_id`` and stamp its liveness (caller holds
+        the lock and a transaction).  An upsert: ``begin_campaign``
+        wipes the workers table, and a worker from before the campaign
+        must reappear, not vanish from the accounting."""
+        self._conn.execute(
+            "INSERT INTO workers (worker_id, started, last_heartbeat) "
+            "VALUES (?, ?, ?) ON CONFLICT (worker_id) "
+            "DO UPDATE SET last_heartbeat = excluded.last_heartbeat",
+            (worker_id, now, now))
 
-        def write() -> None:
-            with self._txn():
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO workers (worker_id, pid, "
-                    "started, last_heartbeat) VALUES (?, ?, ?, ?)",
-                    (worker_id, pid, now, now))
-
-        with self._lock:
-            _with_lock_retry(write)
+    def register_worker(self, worker_id: str) -> None:
+        """Register a worker: a beat on no job.  Off the wire and not
+        called in the package (a claim registers its worker): the
+        end-to-end benchmark's tracer patches it by name."""
+        self.heartbeat(Heartbeat(worker_id, time.time()), 0.0)
 
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None:
-        """Atomically lease the best pending job, or ``None`` if idle.
+        """Atomically lease the best pending job, or ``None`` if idle;
+        either way the worker is registered, in the same transaction.
 
         The lease carries the proof store's answers for the job's query
         keys (``Lease.known``), read after the claim commits: results a
@@ -400,6 +428,7 @@ class WorkQueue:
 
         def txn() -> Lease | None:
             with self._txn():
+                self._seen(worker_id, now)
                 row = self._conn.execute(
                     "SELECT job_id, spec, attempts FROM jobs "
                     "WHERE status = ? ORDER BY priority DESC, created "
@@ -453,17 +482,7 @@ class WorkQueue:
 
         def write() -> None:
             with self._txn():
-                # Upsert, not update: a coordinator's begin_campaign()
-                # wipes the workers table, and a standalone worker that
-                # registered before the campaign must reappear, not
-                # vanish from the throughput accounting.
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO workers (worker_id, started, "
-                    "last_heartbeat) VALUES (?, ?, ?)",
-                    (beat.worker_id, now, now))
-                self._conn.execute(
-                    "UPDATE workers SET last_heartbeat = ? "
-                    "WHERE worker_id = ?", (now, beat.worker_id))
+                self._seen(beat.worker_id, now)
                 if beat.job_id is not None:
                     self._conn.execute(
                         "UPDATE jobs SET lease_expiry = ? "
@@ -513,15 +532,11 @@ class WorkQueue:
                      JOB_LEASED))
                 if cur.rowcount == 0:
                     return False
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO workers (worker_id, started, "
-                    "last_heartbeat) VALUES (?, ?, ?)",
-                    (worker_id, now, now))
+                self._seen(worker_id, now)
                 self._conn.execute(
                     "UPDATE workers SET jobs_done = jobs_done + 1, "
-                    "busy_seconds = busy_seconds + ?, last_heartbeat = ? "
-                    "WHERE worker_id = ?",
-                    (result.busy_seconds, now, worker_id))
+                    "busy_seconds = busy_seconds + ? WHERE worker_id = ?",
+                    (result.busy_seconds, worker_id))
                 return True
 
         with self._lock:
@@ -623,7 +638,7 @@ class WorkQueue:
         def read() -> tuple[list, list]:
             with self._txn():
                 workers = self._conn.execute(
-                    "SELECT worker_id, pid, started, last_heartbeat, "
+                    "SELECT worker_id, started, last_heartbeat, "
                     "jobs_done, busy_seconds FROM workers "
                     "ORDER BY worker_id").fetchall()
                 leased = self._conn.execute(
@@ -636,12 +651,11 @@ class WorkQueue:
         held = {w: (job_id, updated, expiry)
                 for w, job_id, updated, expiry in leased}
         snapshot = []
-        for worker_id, pid, started, beat, jobs_done, busy in workers:
+        for worker_id, started, beat, jobs_done, busy in workers:
             job_id, claimed, expiry = held.get(worker_id,
                                                (None, None, None))
             snapshot.append({
                 "worker_id": worker_id,
-                "pid": pid,
                 "uptime_seconds": max(now - started, 0.0),
                 "heartbeat_age_seconds": max(now - beat, 0.0),
                 "jobs_done": jobs_done,

@@ -32,7 +32,7 @@ that loses its connection simply stops heartbeating and is handled as
 a crashed worker.  Restarting the service on the same ``--cache-dir``
 resumes the queue exactly where it stopped — lease deadlines are
 absolute timestamps, so leases that "expired" during the outage are
-requeued on the first ``requeue_expired`` after restart.
+requeued on the coordinator's first ``supervise`` tick after restart.
 
 Security note: the wire format is pickle, which executes arbitrary
 code on load.  Bind the service to trusted networks only (the default

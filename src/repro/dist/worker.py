@@ -9,11 +9,11 @@ for the job's query keys (``Lease.known``), the worker's
 what the race solves, and the report carries those results to the
 queue, which writes them into the store before it records the verdict
 — and claims the worker's next job in the same call.  After its first
-claim a worker therefore makes one request per job.  Its loop is
-deliberately dumb: take the lease, recompile the (design, property)
-from the registry — which fingerprints the query exactly as every
-other layer does, so the keys match the ones the coordinator stamped
-— race the job's strategy specs through the ordinary
+claim, which also registers it, a worker makes one request per job.
+Its loop is deliberately dumb: take the lease, recompile the (design,
+property) from the registry — which fingerprints the query exactly as
+every other layer does, so the keys match the ones the coordinator
+stamped — race the job's strategy specs through the ordinary
 :class:`~repro.mc.portfolio.PortfolioScheduler`, report, repeat.  A
 daemon thread heartbeats throughout, extending the lease the worker
 holds (the handed-back one included) so the coordinator only reclaims
@@ -30,10 +30,10 @@ instead of wedging a campaign.  A worker races its one claimed job
 inline, in its own process; to use more cores, run more workers.
 
 A worker leaves when a claim — its own, or the one inside a report —
-finds nothing to take on a closed queue.  The coordinator closes the
-queue as soon as it has enqueued its pool, so every worker — spawned
-or standalone — leaves once the campaign has nothing left to claim,
-and the coordinator's supervision wakes on that exit.  A job requeued
+finds nothing to take on a closed queue.  The enqueue of a
+coordinator's pool closes the queue, so every worker — spawned or
+standalone — leaves once the campaign has nothing left to claim, and
+the coordinator's supervision wakes on that exit.  A job requeued
 later is re-raced by a worker the coordinator respawns.
 
 Run standalone via ``repro-verify worker --backend SPEC`` (point any
@@ -143,10 +143,6 @@ class Worker:
 
         Returns the number of jobs this worker completed.
         """
-        try:
-            self.queue.register_worker(self.worker_id, os.getpid())
-        except TRANSIENT_BACKEND_ERRORS:
-            pass  # registration is bookkeeping; claims re-upsert stats
         beats = threading.Thread(target=self._beat_loop, daemon=True)
         beats.start()
         _journal.emit("worker_start", worker=self.worker_id,
@@ -199,12 +195,12 @@ class Worker:
     def _renew_campaign(self) -> None:
         """Refresh the borrowed campaign ownership claim (inline-drain
         workers only) — per job here, per beat in the beat loop, so
-        both fast drains and long solves keep the claim alive."""
+        both fast drains and long solves keep the claim alive —
+        through the blocked coordinator's own supervision call."""
         if self.campaign_owner is None:
             return
         try:
-            self.queue.renew_campaign(self.campaign_owner,
-                                      self.campaign_lease)
+            self.queue.supervise(self.campaign_owner, self.campaign_lease)
         except Exception:
             pass  # best-effort; the claim has beat-loop slack
 

@@ -14,24 +14,3 @@ simulation screening and a Houdini-style inductive fixpoint
 (:mod:`repro.flow.houdini`) before they may strengthen anything; each
 distinct proven lemma is held once, in the funnel's lemma bank.
 """
-
-from repro.flow.stats import AssertionOutcome, FlowStats
-from repro.flow.houdini import HoudiniResult, houdini_prove
-from repro.flow.lemma_flow import LemmaFlowResult, LemmaGenerationFlow
-from repro.flow.repair_flow import InductionRepairFlow, RepairFlowResult
-from repro.flow.session import (BatchVerifyResult, VerificationSession,
-                                run_campaign)
-
-__all__ = [
-    "AssertionOutcome",
-    "BatchVerifyResult",
-    "FlowStats",
-    "HoudiniResult",
-    "InductionRepairFlow",
-    "LemmaFlowResult",
-    "LemmaGenerationFlow",
-    "RepairFlowResult",
-    "VerificationSession",
-    "houdini_prove",
-    "run_campaign",
-]

@@ -4,7 +4,7 @@ Wraps a design bundle with both flows and direct proving, so examples,
 the CLI, and the benchmarks all share one façade:
 
 >>> from repro.designs import get_design
->>> from repro.flow import VerificationSession
+>>> from repro.flow.session import VerificationSession
 >>> session = VerificationSession(get_design("sync_counters"),
 ...                               model="gpt-4o")
 >>> result = session.repair("equal_count")

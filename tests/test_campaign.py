@@ -8,7 +8,7 @@ import pytest
 from repro.campaign import (CampaignRow, CampaignScheduler, ProofStore,
                             race_specs)
 from repro.designs import get_design, select_designs
-from repro.flow import VerificationSession, run_campaign
+from repro.flow.session import VerificationSession, run_campaign
 from repro.ir.system import Signal
 from repro.mc.cache import ResultCache
 from repro.mc.portfolio import DEFAULT_PORTFOLIO

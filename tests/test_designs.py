@@ -6,7 +6,7 @@ import pytest
 
 from repro.designs import all_designs, design_names, get_design
 from repro.errors import DesignError
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.mc.engine import EngineConfig, ProofEngine
 from repro.mc.result import Status
 from repro.sim.simulator import Simulator

@@ -19,7 +19,7 @@ from repro.designs import get_design
 from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         Heartbeat, JobResult, JobSpec, Lease, WorkQueue,
                         Worker)
-from repro.flow import run_campaign
+from repro.flow.session import run_campaign
 from repro.mc.result import CheckResult, ProofStats, Status
 
 
@@ -38,6 +38,11 @@ def _result(spec: JobSpec, status: str = "proven",
             status=status, strategy="k_induction", wall_seconds=0.5,
             k=2, from_cache=False, worker=worker_id),
         busy_seconds=0.5)
+
+
+def _reap(queue) -> list[tuple[str, str]]:
+    """The expired leases one supervision tick reclaims."""
+    return queue.supervise("coordinator", 30)[1]
 
 
 def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
@@ -78,7 +83,6 @@ class TestWorkQueue:
 
     def test_report_records_result_and_worker_stats(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
-        queue.register_worker("w1", pid=123)
         queue.enqueue([_spec("a")])
         lease = queue.claim("w1", lease_seconds=30)
         assert queue.report(_result(lease.spec), "w1",
@@ -140,7 +144,7 @@ class TestWorkQueue:
         stale = queue.claim("w1", lease_seconds=0.01)
         assert stale.known == {}
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
+        assert _reap(queue) == [("a", "w1")]
         fresh = queue.claim("w2", lease_seconds=30)
         late = replace(_result(stale.spec), solved={"k-a": proof})
         assert queue.report(late, "w1", lease_seconds=30) == \
@@ -218,7 +222,7 @@ class TestWorkQueue:
         queue.enqueue([_spec("a")])
         queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
+        assert _reap(queue) == [("a", "w1")]
         assert queue.counts() == {JOB_PENDING: 1}
         # The requeued job is claimable again, as a second attempt.
         lease = queue.claim("w2", lease_seconds=30)
@@ -227,24 +231,21 @@ class TestWorkQueue:
 
     def test_heartbeat_extends_the_lease(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
-        queue.register_worker("w1", pid=1)
         queue.enqueue([_spec("a")])
         queue.claim("w1", lease_seconds=0.05)
         queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
                                   job_id="a"), lease_seconds=60)
         time.sleep(0.06)   # past the original deadline, inside the new
-        assert queue.requeue_expired() == []
+        assert _reap(queue) == []
         assert queue.counts() == {"leased": 1}
 
     def test_late_report_from_presumed_dead_worker_is_discarded(
             self, tmp_path):
         queue = WorkQueue.open(tmp_path)
-        queue.register_worker("w1", pid=1)
-        queue.register_worker("w2", pid=2)
         queue.enqueue([_spec("a")])
         stale = queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        queue.requeue_expired()
+        _reap(queue)
         fresh = queue.claim("w2", lease_seconds=30)
         assert queue.report(_result(fresh.spec, worker_id="w2"), "w2",
                             lease_seconds=30) == (True, None)
@@ -305,17 +306,17 @@ class TestWorkQueue:
         queue.enqueue([_spec("a")], max_attempts=1)
         queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
+        assert _reap(queue) == [("a", "w1")]
         assert queue.counts() == {JOB_DONE: 1}
         assert queue.results()["a"].outcome.status == "unknown"
 
     def test_worker_stats_survive_coordinator_reset(self, tmp_path):
-        # A standalone worker registers, then a coordinator starts a
-        # campaign (begin_campaign wipes the tables): the worker's
-        # completions must re-create its stats row, not vanish from
-        # the accounting.
+        # A standalone worker registers (its first claim finds
+        # nothing), then a coordinator starts a campaign
+        # (begin_campaign wipes the tables): the worker's completions
+        # must re-create its stats row, not vanish from the accounting.
         queue = WorkQueue.open(tmp_path)
-        queue.register_worker("standalone", pid=42)
+        assert queue.claim("standalone", lease_seconds=30) is None
         assert queue.begin_campaign("c1", lease_seconds=30) is True
         queue.enqueue([_spec("a")])
         lease = queue.claim("standalone", lease_seconds=30)
@@ -327,12 +328,22 @@ class TestWorkQueue:
         assert stat.worker_id == "standalone"
         assert stat.jobs_done == 1
 
+    def test_claim_on_a_closed_empty_queue_registers_its_worker(
+            self, tmp_path):
+        queue = WorkQueue.open(tmp_path)
+        assert queue.begin_campaign("c1", lease_seconds=30) is True
+        queue.end_campaign("c1")
+        assert queue.state() == STATE_CLOSED and queue.counts() == {}
+        assert queue.claim("idle", lease_seconds=30) is None
+        (stat,) = queue.worker_stats()
+        assert (stat.worker_id, stat.jobs_done, stat.busy_seconds) == \
+            ("idle", 0, 0.0)
+
     def test_state_and_begin_campaign(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
         assert queue.state() == STATE_OPEN       # the default
-        queue.set_state(STATE_CLOSED)
+        queue.enqueue([_spec("a")])              # the pool is final
         assert queue.state() == STATE_CLOSED
-        queue.enqueue([_spec("a")])
         # A campaign starts from a wiped, open queue.
         assert queue.begin_campaign("c1", lease_seconds=30) is True
         assert queue.counts() == {}
@@ -345,7 +356,6 @@ class TestWorker:
         fabric_timing(poll=0.02)
         queue = WorkQueue.open(tmp_path)
         queue.enqueue(_design_specs("updown_counter"))
-        queue.set_state(STATE_CLOSED)    # drain, then exit
         worker = Worker(tmp_path, worker_id="w1", lease_seconds=10)
         assert worker.run() == 2
         queue_after = WorkQueue.open(tmp_path)
@@ -360,7 +370,9 @@ class TestWorker:
     def test_worker_leaves_a_closed_empty_queue_at_once(self, tmp_path,
                                                         fabric_timing):
         fabric_timing(poll=5.0)
-        WorkQueue.open(tmp_path).set_state(STATE_CLOSED)
+        queue = WorkQueue.open(tmp_path)
+        assert queue.begin_campaign("c1", lease_seconds=30) is True
+        queue.end_campaign("c1")        # closes the queue it releases
         started = time.monotonic()
         assert Worker(tmp_path, worker_id="w1").run() == 0
         # An idle poll would cost a full 5 s.
@@ -379,7 +391,6 @@ class TestWorker:
             JobSpec(job_id="warm", design=design, property_name=prop,
                     specs=race, priority=0.0),
         ])
-        queue.set_state(STATE_CLOSED)
         Worker(tmp_path, worker_id="w1", lease_seconds=10).run()
         results = WorkQueue.open(tmp_path).results()
         assert results["cold"].outcome.from_cache is False
@@ -394,7 +405,6 @@ class TestWorker:
                     property_name="no_such_property",
                     specs=("bmc",), priority=1.0),
         ] + _design_specs("updown_counter"), max_attempts=2)
-        queue.set_state(STATE_CLOSED)
         done = Worker(tmp_path, worker_id="w1", lease_seconds=10).run()
         assert done == 2                 # the two real jobs completed
         results = WorkQueue.open(tmp_path).results()
@@ -435,7 +445,6 @@ class TestCrashRecovery:
         queue = WorkQueue.open(tmp_path)
         specs = _design_specs("updown_counter")
         queue.enqueue(specs)
-        queue.set_state(STATE_CLOSED)
 
         # A real worker process claims the best job, then dies mid-lease
         # without completing or heartbeating.
@@ -445,10 +454,10 @@ class TestCrashRecovery:
         proc.wait()
 
         # Until the lease expires the job is protected ...
-        assert queue.requeue_expired() == []
+        assert _reap(queue) == []
         time.sleep(0.35)
         # ... then the coordinator's reaper hands it back to the pool.
-        assert queue.requeue_expired() == [(claimed_job, "doomed")]
+        assert _reap(queue) == [(claimed_job, "doomed")]
 
         # A surviving worker completes everything: every job has exactly
         # one verdict, none lost to the crash, none duplicated.
@@ -480,7 +489,6 @@ class TestCrashRecovery:
         spec = _keyed_specs(tmp_path / "fabric")[0]
         queue = WorkQueue.open(tmp_path / "fabric")
         queue.enqueue([spec])
-        queue.set_state(STATE_CLOSED)
 
         doomed = Worker(tmp_path / "fabric", worker_id="w1",
                         lease_seconds=0.3)
@@ -494,7 +502,7 @@ class TestCrashRecovery:
         monkeypatch.setattr(doomed.queue, "report", lost_report)
         assert doomed.run() == 0
         time.sleep(0.4)                 # the unbeaten lease runs out
-        assert queue.requeue_expired() == [(spec.job_id, "w1")]
+        assert _reap(queue) == [(spec.job_id, "w1")]
 
         survivor = Worker(tmp_path / "fabric", worker_id="survivor",
                           lease_seconds=10)
@@ -755,6 +763,39 @@ def _verdicts(report):
     return {(r.design, r.property_name, r.status) for r in report.rows}
 
 
+class TestCampaignRelease:
+    def test_dispatch_failing_before_its_enqueue_closes_and_releases(
+            self, tmp_path, monkeypatch, spawned):
+        """A dispatch that took the queue but failed before enqueueing
+        closes it and releases the campaign on the way out: no worker
+        waits for a pool that never comes, and the next campaign — from
+        another coordinator — begins at once instead of waiting out
+        the campaign lease."""
+        from repro.dist import Coordinator
+        jobs = _campaign_jobs(tmp_path)
+        enqueue = WorkQueue.enqueue
+
+        def failing_enqueue(self, specs, *args, **kwargs):
+            raise RuntimeError("the pool could not be written")
+
+        monkeypatch.setattr(WorkQueue, "enqueue", failing_enqueue)
+        first = Coordinator(tmp_path, workers=1, lease_seconds=10)
+        with pytest.raises(RuntimeError, match="could not be written"):
+            first.dispatch(jobs)
+        assert first._owns_queue and spawned == []
+        queue = WorkQueue.open(tmp_path)
+        assert queue.state() == STATE_CLOSED
+        assert queue.counts() == {}
+
+        monkeypatch.setattr(WorkQueue, "enqueue", enqueue)
+        second = Coordinator(tmp_path, workers=1, lease_seconds=10,
+                             wall_timeout=60)
+        second._campaign_id = "c-another-coordinator"
+        result = second.dispatch(jobs)
+        assert set(result.rows) == {job.identity for job in jobs}
+        assert queue.state() == STATE_CLOSED
+
+
 class TestProbeBeforeEnqueue:
     """The coordinator asks the store about the whole pool before it
     enqueues anything: what the store settles never reaches a worker,
@@ -813,6 +854,9 @@ class TestProbeBeforeEnqueue:
         from repro.dist import Coordinator
         queue = WorkQueue.open(tmp_path)
         queue.enqueue([_spec("someone::elses")])
+        # Reopened, so the last line below sees any close this
+        # coordinator would make of a queue it does not own.
+        queue.set_state(STATE_OPEN)
         coordinator = Coordinator(tmp_path, workers=2)
         result = coordinator.dispatch([])
         assert result.rows == {} and result.worker_stats == []

@@ -10,12 +10,12 @@ import repro.flow.funnel as funnel_mod
 import repro.flow.houdini as houdini_mod
 import repro.mc.cache as cache_mod
 from repro.designs import all_designs, get_design
-from repro.flow import (HoudiniResult, InductionRepairFlow,
-                        VerificationSession, houdini_prove)
 from repro.flow.funnel import (HOUDINI_BMC_BOUND, HOUDINI_K, SCREEN_CYCLES,
                                SCREEN_RUNS)
-from repro.flow.houdini import _conjoin, _drop_falsified
-from repro.flow.repair_flow import CEX_SIGNALS
+from repro.flow.houdini import (HoudiniResult, _conjoin, _drop_falsified,
+                                houdini_prove)
+from repro.flow.repair_flow import CEX_SIGNALS, InductionRepairFlow
+from repro.flow.session import VerificationSession
 from repro.genai.client import LLMResponse, SimulatedLLM
 from repro.genai.parse import extract_assertions, validate_assertions
 from repro.genai.personas import PAPER_MODELS

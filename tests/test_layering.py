@@ -9,9 +9,9 @@ seeds its frames with are mined from the design, not asked of a model.
 
 The walk below reads the source; the two pins after it hold the same
 rule at run time.  A package init of the engine stack (and the
-top-level ``repro`` init) holds a docstring and no import, so importing
-a module loads its own imports and nothing a facade would pull in
-beside them.
+top-level ``repro`` and ``repro.flow`` inits) holds a docstring and
+no import, so importing a module loads its own imports and nothing a
+facade would pull in beside them.
 """
 
 import ast
@@ -117,7 +117,7 @@ def test_the_solver_and_the_ir_load_no_observability():
 
 
 def _package_inits() -> list[Path]:
-    inits = [SRC / "__init__.py"]
+    inits = [SRC / "__init__.py", SRC / "flow" / "__init__.py"]
     for layer in ENGINE_STACK:
         inits += sorted((SRC / layer).rglob("__init__.py"))
     return inits

@@ -21,7 +21,7 @@ import pytest
 
 from repro.designs import all_designs, get_design
 from repro.errors import ElaborationError, PropertyError
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.genai.client import LLMResponse
 from repro.genai.parse import validate_assertions
 from repro.hdl.elaborate import elaborate

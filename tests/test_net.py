@@ -16,7 +16,7 @@ from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
                         RemoteOperationError, RemoteProofStore,
                         RemoteWorkQueue, WorkQueue, Worker, open_queue,
                         open_store, parse_backend)
-from repro.flow import run_campaign
+from repro.flow.session import run_campaign
 from repro.mc.result import CheckResult, ProofStats, Status
 
 #: Nothing listens here: connecting must fail fast (port 9 = discard).
@@ -47,6 +47,11 @@ def _row(prop: str = "p", wall: float = 0.1, **fields) -> CampaignRow:
         "design": "d", "property_name": prop, "family": "fam",
         "status": "proven", "strategy": "bmc", "wall_seconds": wall,
         "k": 1, "from_cache": False, **fields})
+
+
+def _reap(queue) -> list[tuple[str, str]]:
+    """The expired leases one supervision tick reclaims."""
+    return queue.supervise("coordinator", 30)[1]
 
 
 def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
@@ -125,7 +130,13 @@ class TestBackendParsing:
         # report took complete's place: it lands the job's proofs,
         # records its verdict and claims the next job in one request.
         assert "report" in QUEUE_METHODS and "complete" not in QUEUE_METHODS
-        assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (16, 7)
+        # One supervise call per coordinator tick carries the requeue
+        # and the campaign renewal; a claim registers its worker, and
+        # enqueue / end_campaign close the queue.
+        assert "supervise" in QUEUE_METHODS and not {
+            "requeue_expired", "renew_campaign", "register_worker",
+            "set_state"} & QUEUE_METHODS
+        assert (len(QUEUE_METHODS), len(STORE_METHODS)) == (13, 7)
         for scope, names in (("queue", QUEUE_METHODS),
                              ("store", STORE_METHODS)):
             for name in names:
@@ -148,7 +159,6 @@ class TestRemoteQueue:
 
     def test_report_and_stats_round_trip(self, service):
         queue = RemoteWorkQueue(service.address)
-        queue.register_worker("w1", pid=123)
         queue.enqueue([_spec("a")])
         lease = queue.claim("w1", lease_seconds=30)
         assert queue.report(_result(lease.spec), "w1",
@@ -163,7 +173,7 @@ class TestRemoteQueue:
         queue.enqueue([_spec("a")])
         queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
+        assert _reap(queue) == [("a", "w1")]
         assert queue.counts() == {JOB_PENDING: 1}
         assert queue.claim("w2", lease_seconds=30).attempt == 2
 
@@ -174,7 +184,7 @@ class TestRemoteQueue:
         queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
                                   job_id="a"), lease_seconds=60)
         time.sleep(0.06)
-        assert queue.requeue_expired() == []
+        assert _reap(queue) == []
 
     def test_heartbeat_extends_only_the_named_job(self, service):
         """A claim whose response was lost leaves an orphaned lease
@@ -189,7 +199,7 @@ class TestRemoteQueue:
         queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
                                   job_id="a"), lease_seconds=60)
         time.sleep(0.06)
-        assert queue.requeue_expired() == [("b", "w1")]
+        assert _reap(queue) == [("b", "w1")]
 
     def test_heartbeat_ignores_skewed_worker_clock(self, service):
         """Lease deadlines are stamped by the server's clock: a healthy
@@ -202,7 +212,7 @@ class TestRemoteQueue:
                                   sent=time.time() - 3600,
                                   job_id="a"), lease_seconds=60)
         time.sleep(0.06)
-        assert queue.requeue_expired() == []
+        assert _reap(queue) == []
 
     def test_late_report_from_presumed_dead_remote_worker_discarded(
             self, service):
@@ -213,7 +223,7 @@ class TestRemoteQueue:
         stale_client.enqueue([_spec("a")])
         stale = stale_client.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        fresh_client.requeue_expired()
+        _reap(fresh_client)
         fresh = fresh_client.claim("w2", lease_seconds=30)
         assert fresh_client.report(_result(fresh.spec, worker_id="w2"),
                                    "w2", lease_seconds=30) == (True, None)
@@ -238,9 +248,8 @@ class TestRemoteQueue:
     def test_state_and_begin_campaign(self, service):
         queue = RemoteWorkQueue(service.address)
         assert queue.state() == STATE_OPEN
-        queue.set_state(STATE_CLOSED)
+        queue.enqueue([_spec("a")])          # the pool is final
         assert queue.state() == STATE_CLOSED
-        queue.enqueue([_spec("a")])
         assert queue.begin_campaign("c1", lease_seconds=30) is True
         assert queue.counts() == {}
         assert queue.state() == STATE_OPEN
@@ -490,6 +499,10 @@ class TestService:
         ("store", "expected_wall", ("d", "p"), {}),
         ("store", "ledger_rows", (), {}),
         ("queue", "complete", (_result(_spec("a")), "w1"), {}),
+        ("queue", "register_worker", ("w1",), {}),
+        ("queue", "requeue_expired", (), {}),
+        ("queue", "renew_campaign", ("c1", 30), {}),
+        ("queue", "set_state", (STATE_OPEN,), {}),
     )
 
     def test_removed_calls_are_gone_and_touch_nothing(self, service):
@@ -499,7 +512,9 @@ class TestService:
         method for it, and the served queue and store keep their rows.
         The history aggregates went with adaptive selection, the
         history table with the ledger's becoming the one verdict
-        record; the rest had no caller at all."""
+        record; ``supervise`` carries the requeue and the campaign
+        renewal, a claim registers its worker, and enqueue closes the
+        queue; the rest had no caller at all."""
         queue = RemoteWorkQueue(service.address)
         store = RemoteProofStore(service.address)
         queue.enqueue([_spec("a")])
@@ -515,6 +530,7 @@ class TestService:
                 client._call(name, *args, **kwargs)
             assert caught.value.__cause__.code == 404
         assert queue.counts() == {JOB_PENDING: 1}
+        assert queue.state() == STATE_CLOSED
         assert len(store) == 1
         assert store.expected_walls() == {("d", "p"): pytest.approx(0.1)}
         assert store.ledger_entry("d", "p")["status"] == "proven"
@@ -527,7 +543,6 @@ class TestWorkerOverHTTP:
         fabric_timing(poll=0.02)
         queue = RemoteWorkQueue(service.address)
         queue.enqueue(_design_specs("updown_counter"))
-        queue.set_state(STATE_CLOSED)
         worker = Worker(service.address, worker_id="w1",
                         lease_seconds=10)
         assert worker.run() == 2
@@ -576,7 +591,6 @@ class TestWorkerOverHTTP:
         queue = WorkQueue.open(tmp_path)
         assert queue.begin_campaign("c1", lease_seconds=0.3) is True
         queue.enqueue(_design_specs("updown_counter"))
-        queue.set_state(STATE_CLOSED)
         fabric_timing(poll=0.02)
         done = Worker(tmp_path, worker_id="w-inline",
                       lease_seconds=0.15,
@@ -602,7 +616,6 @@ class TestServerRestart:
         client = RemoteWorkQueue(svc.address)
         specs = _design_specs("updown_counter")
         client.enqueue(specs)
-        client.set_state(STATE_CLOSED)
         stale = client.claim("doomed", lease_seconds=0.3)
         assert stale is not None
 
@@ -615,7 +628,7 @@ class TestServerRestart:
         try:
             # Queue state survived the restart; the stale lease is
             # reclaimed on the first reap.
-            assert client.requeue_expired() == \
+            assert _reap(client) == \
                 [(stale.spec.job_id, "doomed")]
             fabric_timing(poll=0.02)
             survivor = Worker(revived.address, worker_id="survivor",
@@ -795,6 +808,42 @@ class TestOneRequestPerJob:
         assert report.store_results > 0
         assert len(ProofStore.open(service.cache_dir)) == \
             report.store_results
+
+
+class TestCoordinatorOffTheWire:
+    """A coordinator's tick is one ``supervise`` request, a worker's
+    first claim registers it, and the enqueue closes the queue: a
+    campaign with T ticks makes 5 + T queue requests, and each worker
+    one claim and one state read besides its reports."""
+
+    REMOVED = ("register_worker", "requeue_expired", "renew_campaign",
+               "set_state")
+
+    def test_cold_campaign_request_census(self, service, coordinators):
+        report = run_campaign(
+            designs=["updown_counter", "sync_counters_bug"], max_k=3,
+            backend=service.address, workers=2, lease_seconds=10)
+        assert report.mismatches == 0
+        asked = _requests_by_endpoint(service)
+        assert [asked.get(f"queue.{name}", 0) for name in self.REMOVED] \
+            == [0] * len(self.REMOVED)
+        assert asked.get("invalid", 0) == 0
+        assert asked.get("queue.enqueue", 0) == 1
+        assert asked.get("queue.end_campaign", 0) == 1
+        assert asked.get("queue.supervise", 0) >= 1
+        [coordinator] = coordinators
+        assert coordinator._spawned == 2
+        assert asked.get("queue.claim", 0) + asked.get("queue.state", 0) \
+            <= 2 * coordinator._spawned
+        # begin, enqueue, results, worker stats, end: the ticks are
+        # the coordinator's only other queue requests.
+        assert sum(asked.get(f"queue.{name}", 0) for name in (
+            "begin_campaign", "enqueue", "results", "worker_stats",
+            "end_campaign")) == 5
+        assert asked.get("queue.counts", 0) == 0
+        # Both workers registered through their claims.
+        assert {stat.worker_id for stat in report.worker_stats} == \
+            {"w1", "w2"}
 
 
 class TestRemoteProbe:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.dist import ProofService, RemoteWorkQueue, WorkQueue
-from repro.flow import run_campaign
+from repro.flow.session import run_campaign
 from repro.obs import journal, span
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
@@ -420,7 +420,7 @@ class TestDistributedTraceStitching:
         it joins through the ``TraceContext`` on its ``CheckTask``."""
         script = (
             "import json, multiprocessing, os, sys\n"
-            "from repro.flow import run_campaign\n"
+            "from repro.flow.session import run_campaign\n"
             "from repro.obs import journal\n"
             "if __name__ == '__main__':\n"
             "    multiprocessing.set_start_method('spawn')\n"
@@ -505,8 +505,9 @@ class TestServiceObservability:
         queue.claim("w1", lease_seconds=0.01)
         import time
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
-        queue.counts()   # depth gauges publish on every counts() poll
+        # One supervision tick: the requeue, then the counts() poll the
+        # depth gauges publish on.
+        assert queue.supervise("coordinator", 30)[1] == [("a", "w1")]
         assert registry.counter("repro_queue_enqueued_total").value == 2
         assert registry.counter("repro_queue_requeued_total").value == 1
         claims = registry.counter("repro_queue_claims_total",
@@ -522,7 +523,7 @@ class TestServiceObservability:
         import time
         queue.claim("w1", lease_seconds=0.01)
         time.sleep(0.02)
-        assert queue.requeue_expired() == [("a", "w1")]
+        assert queue.supervise("coordinator", 30)[1] == [("a", "w1")]
         assert registry.counter("repro_queue_poisoned_total").value == 1
         assert registry.counter("repro_queue_requeued_total").value == 0
         queue.close()
@@ -560,7 +561,8 @@ class TestServiceObservability:
 
 class TestStatusCli:
     def test_remote_status(self, service, capsys):
-        RemoteWorkQueue(service.address).register_worker("w1", pid=1)
+        # A claim registers its worker, even one that finds nothing.
+        assert RemoteWorkQueue(service.address).claim("w1", 30) is None
         assert main(["status", "--backend", service.address]) == 0
         out = capsys.readouterr().out
         assert f"backend {service.address}" in out
@@ -800,7 +802,7 @@ class TestModeParity:
     def _cold_then_warm(self, name, jobs, events_dir):
         """Per pass: ({property: (status, winner)}, ``check`` record
         multiset)."""
-        from repro.flow import VerificationSession
+        from repro.flow.session import VerificationSession
         design = self._design(name)
         session = VerificationSession(design)
         passes = []
@@ -1062,7 +1064,6 @@ class TestTopExplainCli:
         queue = WorkQueue.open(tmp_path / "cache")
         queue.enqueue([_spec("a"), _spec("b")])
         for worker_id in ("w-ok", "w-stuck"):
-            queue.register_worker(worker_id, pid=1)
             lease = queue.claim(worker_id, lease_seconds=30)
             queue.heartbeat(Heartbeat(worker_id, time.time(),
                                       lease.spec.job_id), lease_seconds=30)
@@ -1087,11 +1088,12 @@ class TestTopExplainCli:
 
     def test_worker_snapshot_reports_leases(self, tmp_path):
         queue = WorkQueue.open(tmp_path)
-        queue.register_worker("w1", pid=123)
         queue.enqueue([_spec("a")])
         assert queue.claim("w1", lease_seconds=30) is not None
         (snap,) = queue.worker_snapshot()
-        assert snap["worker_id"] == "w1" and snap["pid"] == 123
+        # The claim registered w1; its pid is on the journal's
+        # worker_start record, not in the queue.
+        assert snap["worker_id"] == "w1" and "pid" not in snap
         assert snap["current_job"] == "a"
         assert snap["job_age_seconds"] >= 0
         assert snap["lease_remaining_seconds"] > 0

@@ -23,7 +23,7 @@ import re
 import pytest
 
 from repro.designs import all_designs, get_design
-from repro.flow import run_campaign
+from repro.flow.session import run_campaign
 from repro.ir import expr as E
 from repro.mc.cache import ResultCache, run_cached
 from repro.mc.certcheck import check_certificate

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.designs import get_design
-from repro.flow import VerificationSession
+from repro.flow.session import VerificationSession
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache
