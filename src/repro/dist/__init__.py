@@ -2,8 +2,9 @@
 
 Layering (coordinator -> backend -> queue/store -> workers):
 
-* :mod:`repro.dist.protocol` — picklable lease / result / heartbeat
-  records; the only things that cross a process (or machine) boundary.
+* :mod:`repro.dist.protocol` — picklable job / lease / result records,
+  the only things that cross a process (or machine) boundary, and
+  :class:`BackendUnavailable`, the one "try again later" error.
 * :mod:`repro.dist.backend` — the backend seam: explicit
   :class:`QueueBackend` / :class:`StoreBackend` interfaces, the
   ``sqlite:DIR | http://HOST:PORT`` spec parser, and the factories
@@ -30,25 +31,24 @@ Layering (coordinator -> backend -> queue/store -> workers):
   ``CampaignScheduler.run()`` identical for local and distributed runs.
 """
 
-from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
-                                QueueBackend, StoreBackend,
-                                is_transient_error, open_queue,
-                                open_store, parse_backend)
+from repro.dist.backend import (Backend, QueueBackend, StoreBackend,
+                                open_queue, open_store, parse_backend)
 from repro.dist.coordinator import (CampaignConflictError, Coordinator,
                                     job_id_for, spec_from_job)
 from repro.dist.protocol import (JOB_DONE, JOB_LEASED, JOB_PENDING,
-                                 Heartbeat, JobResult, JobSpec, Lease)
+                                 BackendUnavailable, JobResult, JobSpec,
+                                 Lease)
 from repro.dist.queue import STATE_CLOSED, STATE_OPEN, WorkQueue
-from repro.dist.remote import (RemoteBackendError, RemoteOperationError,
-                               RemoteProofStore, RemoteWorkQueue)
+from repro.dist.remote import (RemoteOperationError, RemoteProofStore,
+                               RemoteWorkQueue)
 from repro.dist.server import ProofService
 from repro.dist.worker import Worker
 
 __all__ = [
     "Backend",
+    "BackendUnavailable",
     "CampaignConflictError",
     "Coordinator",
-    "Heartbeat",
     "JOB_DONE",
     "JOB_LEASED",
     "JOB_PENDING",
@@ -57,17 +57,14 @@ __all__ = [
     "Lease",
     "ProofService",
     "QueueBackend",
-    "RemoteBackendError",
     "RemoteOperationError",
     "RemoteProofStore",
     "RemoteWorkQueue",
     "STATE_CLOSED",
     "STATE_OPEN",
     "StoreBackend",
-    "TRANSIENT_BACKEND_ERRORS",
     "WorkQueue",
     "Worker",
-    "is_transient_error",
     "job_id_for",
     "open_queue",
     "open_store",

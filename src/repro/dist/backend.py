@@ -32,50 +32,27 @@ guarded-report semantics and the cache-tier degrade contract are
 identical behind both implementations, which is what keeps distributed
 verdicts identical to local ones regardless of transport.
 
-Transient-failure contract: operations on either backend may raise a
-:data:`TRANSIENT_BACKEND_ERRORS` member (SQLite lock storms, the
-service unreachable mid-request).  Callers in the worker loop treat
-these as "try again later" — a worker that cannot reach its backend
-simply stops reporting and heartbeating, its lease expires, and the
-job is requeued exactly as if the worker had crashed.
+Transient-failure contract: a queue operation on either backend that
+raises an ``OSError`` did not get an answer this time — a
+:class:`~repro.dist.protocol.BackendUnavailable` for a SQLite lock storm
+or a busy or unreachable service — and means "try again later".  A
+worker that cannot reach its backend simply stops reporting and
+heartbeating, its lease expires, and the job is requeued exactly as if
+the worker had crashed.  Every other error (a full disk, a corrupt
+queue file, a refused call) is permanent and propagates.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.campaign.report import CampaignRow, WorkerStat
-from repro.campaign.store import ProofStore, _is_lock_error
-from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
+from repro.campaign.store import ProofStore
+from repro.dist.protocol import JobResult, JobSpec, Lease
 from repro.dist.queue import WorkQueue
 from repro.mc.cache import CacheBacking
-
-#: Errors meaning "the backend did not answer this time", not "the
-#: operation is invalid": SQLite lock/IO trouble, or the HTTP service
-#: unreachable (``RemoteBackendError`` is an ``OSError``).  Worker
-#: loops retry through these; everything else propagates.  Catch sites
-#: that must not retry forever additionally ask
-#: :func:`is_transient_error` — the tuple is the coarse net, the
-#: function the fine judgment.
-TRANSIENT_BACKEND_ERRORS = (sqlite3.Error, OSError)
-
-
-def is_transient_error(exc: BaseException) -> bool:
-    """Whether a caught backend error is genuinely worth retrying.
-
-    Lock/busy contention and transport failures heal on their own;
-    every other SQLite error (disk full, corrupt queue file) is
-    permanent and retrying it would hang a campaign silently forever —
-    those must propagate to the caller.
-    """
-    if isinstance(exc, sqlite3.OperationalError):
-        return _is_lock_error(exc)
-    if isinstance(exc, sqlite3.Error):
-        return False
-    return isinstance(exc, OSError)
 
 _SQLITE_PREFIX = "sqlite:"
 _HTTP_PREFIXES = ("http://", "https://")
@@ -118,7 +95,8 @@ class QueueBackend(Protocol):
     def state(self) -> str: ...
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None: ...
-    def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None: ...
+    def heartbeat(self, worker_id: str, job_id: str | None,
+                  lease_seconds: float) -> None: ...
     def report(self, result: JobResult, worker_id: str,
                lease_seconds: float) -> tuple[bool, Lease | None]: ...
     def fail(self, job_id: str, worker_id: str, error: str) -> None: ...

@@ -56,9 +56,8 @@ from typing import Iterable, Sequence
 from repro.campaign.report import CampaignRow
 from repro.campaign.scheduler import CampaignJob, DispatchResult
 from repro.dist import worker as _worker
-from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
-                                is_transient_error, open_queue,
-                                open_store, parse_backend)
+from repro.dist.backend import (Backend, open_queue, open_store,
+                                parse_backend)
 from repro.dist.protocol import (JOB_LEASED, JOB_PENDING, JobResult,
                                  JobSpec)
 from repro.errors import ReproError
@@ -222,9 +221,7 @@ class Coordinator:
         while True:
             try:
                 value = operation()
-            except TRANSIENT_BACKEND_ERRORS as exc:
-                if not is_transient_error(exc):
-                    raise  # disk full, corrupt file: fail loudly
+            except OSError as exc:
                 self._check_wall_timeout()
                 if not self._backend_answered and \
                         time.monotonic() - self._started > \

@@ -1,8 +1,8 @@
 """Picklable records exchanged between the coordinator and workers.
 
 Everything that crosses a process (or machine) boundary in the
-distributed campaign — job descriptions, leases, results, heartbeats —
-is one of these records, pickled into the SQLite work queue
+distributed campaign — job descriptions, leases, results — is one of
+these records, pickled into the SQLite work queue
 (:mod:`repro.dist.queue`) and onto the network backend's wire
 (:mod:`repro.dist.server` / :mod:`repro.dist.remote`).
 They deliberately carry *names*, not compiled objects: a worker
@@ -58,11 +58,18 @@ class JobSpec:
     keys: tuple[str, ...] = ()
 
 
+class BackendUnavailable(OSError):
+    """The backend did not answer this time: lock contention that
+    outlasted the queue's retries, or the service unreachable or busy.
+    An ``OSError``, so every caller that retries catches ``OSError``."""
+
+
 @dataclass(frozen=True)
 class Lease:
-    """A claimed job: the worker holds it until ``expires`` (heartbeats
-    extend the deadline); an expired lease is requeued by the
-    coordinator, which is how crashed or stalled workers lose work.
+    """A claimed job: the worker holds it until its deadline, which
+    heartbeats extend and the queue alone keeps; an expired lease is
+    requeued by the coordinator, which is how crashed or stalled
+    workers lose work.
 
     ``known`` is the proof store's answer for the job's ``keys``, read
     at claim time (found keys only): the worker's cache tier for this
@@ -70,20 +77,8 @@ class Lease:
     not solved again."""
 
     spec: JobSpec
-    worker_id: str
-    expires: float                  # absolute time.time() deadline
     attempt: int = 1                # 1-based claim count for this job
     known: dict[str, CheckResult] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """One liveness beat: worker ``worker_id`` is alive and (when
-    ``job_id`` is set) still working on that job."""
-
-    worker_id: str
-    sent: float                     # time.time() on the worker
-    job_id: str | None = None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,9 @@ The lease protocol:
 Unlike the proof store (a cache that degrades rather than raises), the
 queue is *coordination state*: non-lock SQLite errors propagate.  Lock
 collisions are retried with the store's shared backoff helper on top of
-a generous ``busy_timeout``.
+a generous ``busy_timeout``; contention that outlasts the retries
+raises :class:`~repro.dist.protocol.BackendUnavailable`, the
+``OSError`` every caller already reads as "try again later".
 """
 
 from __future__ import annotations
@@ -52,16 +54,17 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.campaign.report import WorkerStat
 from repro.campaign.report import CampaignRow
 # The store's lock-retry policy is deliberately shared: both files sit
 # in the same cache directory and see the same contention patterns.
 from repro.campaign.store import (BUSY_TIMEOUT_MS, ProofStore,
-                                  _with_lock_retry)
+                                  _is_lock_error, _with_lock_retry)
 from repro.dist.protocol import (JOB_DONE, JOB_LEASED, JOB_PENDING,
-                                 Heartbeat, JobResult, JobSpec, Lease)
+                                 BackendUnavailable, JobResult, JobSpec,
+                                 Lease)
 from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
 
@@ -98,6 +101,8 @@ CREATE TABLE IF NOT EXISTS meta (
 STATE_OPEN = "open"          # more work may still arrive; workers poll
 STATE_CLOSED = "closed"      # the pool is final; workers leave when nothing is claimable
 
+T = TypeVar("T")
+
 
 class WorkQueue:
     """One process's handle on the shared on-disk work queue.
@@ -127,7 +132,7 @@ class WorkQueue:
             labels=("result",))
         self._m_requeued = registry.counter(
             "repro_queue_requeued_total",
-            "expired leases returned to pending (lease churn)")
+            "expired or failed leases returned to pending (lease churn)")
         self._m_poisoned = registry.counter(
             "repro_queue_poisoned_total",
             "jobs force-completed as UNKNOWN after exhausting attempts")
@@ -146,8 +151,7 @@ class WorkQueue:
                                      isolation_level=None)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        with self._lock:
-            _with_lock_retry(lambda: self._conn.executescript(_SCHEMA))
+        self._run(lambda: self._conn.executescript(_SCHEMA))
 
     @classmethod
     def open(cls, cache_dir: str | Path,
@@ -171,6 +175,19 @@ class WorkQueue:
             if self._store is None:
                 self._store = ProofStore.open(self.path.parent)
             return self._store
+
+    def _run(self, batch: Callable[[], T]) -> T:
+        """Run one statement batch under the handle's lock, riding out
+        writer-lock collisions; contention that outlasts the retries
+        raises :class:`BackendUnavailable`, any other error propagates."""
+        with self._lock:
+            try:
+                return _with_lock_retry(batch)
+            except sqlite3.OperationalError as exc:
+                if not _is_lock_error(exc):
+                    raise
+                raise BackendUnavailable(
+                    f"queue {self.path} busy: {exc}") from exc
 
     @contextmanager
     def _txn(self) -> Iterator[None]:
@@ -236,8 +253,7 @@ class WorkQueue:
                      ("campaign_expiry", str(now + lease_seconds))])
                 return True
 
-        with self._lock:
-            return _with_lock_retry(txn)
+        return self._run(txn)
 
     def supervise(self, owner: str, lease_seconds: float
                   ) -> tuple[dict[str, int], list[tuple[str, str]]]:
@@ -262,8 +278,7 @@ class WorkQueue:
                         "VALUES ('campaign_expiry', ?)",
                         (str(now + lease_seconds),))
 
-        with self._lock:
-            _with_lock_retry(txn)
+        self._run(txn)
 
     def end_campaign(self, owner: str) -> None:
         """Release ``owner``'s campaign lease so the next campaign can
@@ -277,8 +292,7 @@ class WorkQueue:
                         "VALUES ('campaign_expiry', '0')")
                     self._set_state(STATE_CLOSED)
 
-        with self._lock:
-            _with_lock_retry(txn)
+        self._run(txn)
 
     def enqueue(self, specs: Iterable[JobSpec],
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> int:
@@ -305,8 +319,7 @@ class WorkQueue:
                 self._set_state(STATE_CLOSED)
                 return cur.rowcount
 
-        with self._lock:
-            added = _with_lock_retry(insert)
+        added = self._run(insert)
         self._m_enqueued.inc(added)
         if added:
             _journal.emit("queue_enqueue", added=added)
@@ -326,58 +339,56 @@ class WorkQueue:
             with self._txn():
                 self._set_state(state)
 
-        with self._lock:
-            _with_lock_retry(write)
+        self._run(write)
 
     def state(self) -> str:
-        with self._lock:
-            row = _with_lock_retry(lambda: self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'state'").fetchone())
+        row = self._run(lambda: self._conn.execute(
+            "SELECT value FROM meta WHERE key = 'state'").fetchone())
         return row[0] if row is not None else STATE_OPEN
 
     def requeue_expired(self, now: float | None = None
                         ) -> list[tuple[str, str]]:
-        """Reclaim every lease whose deadline passed.
-
-        Jobs with attempts left go back to pending (another worker will
-        pick them up); exhausted jobs are poisoned with an UNKNOWN
-        verdict.  Returns ``(job_id, worker_id)`` for each reclaimed
-        lease — the worker named is the one presumed dead.
-        """
+        """Release every lease whose deadline passed (:meth:`_release`);
+        the worker named with each job is the one presumed dead."""
         deadline = now if now is not None else time.time()
+        return self._release(
+            "lease_expiry < ?", (deadline,), deadline,
+            lambda attempts: f"lease expired {attempts} times")
 
-        def reap() -> list[tuple[str, str, str]]:
-            fates: list[tuple[str, str, str]] = []
+    def _release(self, match: str, params: tuple, now: float,
+                 reason: Callable[[int], str]) -> list[tuple[str, str]]:
+        """Release the leased jobs ``match`` selects: back to pending
+        while attempts are left (another worker will pick them up), else
+        poisoned with an UNKNOWN verdict.  Each release is booked in
+        the metrics and the journal with its ``reason``; returns
+        ``(job_id, worker_id)`` per released lease."""
+        def txn() -> list[tuple[str, str, str, bool]]:
+            released = []
             with self._txn():
                 rows = self._conn.execute(
                     "SELECT job_id, worker_id, attempts, max_attempts, "
-                    "spec FROM jobs WHERE status = ? AND lease_expiry < ?",
-                    (JOB_LEASED, deadline)).fetchall()
+                    f"spec FROM jobs WHERE status = ? AND {match}",
+                    (JOB_LEASED, *params)).fetchall()
                 for job_id, worker_id, attempts, max_attempts, blob in rows:
-                    if attempts >= max_attempts:
-                        self._poison(job_id, blob,
-                                     f"lease expired {attempts} times")
-                        fate = "poisoned"
+                    error = reason(attempts)
+                    poisoned = attempts >= max_attempts
+                    if poisoned:
+                        self._poison(job_id, blob, error)
                     else:
                         self._conn.execute(
                             "UPDATE jobs SET status = ?, worker_id = NULL, "
                             "lease_expiry = NULL, updated = ? "
-                            "WHERE job_id = ?",
-                            (JOB_PENDING, deadline, job_id))
-                        fate = "requeued"
-                    fates.append((job_id, worker_id or "", fate))
-            return fates
+                            "WHERE job_id = ?", (JOB_PENDING, now, job_id))
+                    released.append((job_id, worker_id or "", error,
+                                     poisoned))
+            return released
 
-        with self._lock:
-            fates = _with_lock_retry(reap)
-        poisoned = sum(1 for _, _, fate in fates if fate == "poisoned")
-        self._m_requeued.inc(len(fates) - poisoned)
-        self._m_poisoned.inc(poisoned)
-        for job_id, worker_id, fate in fates:
-            _journal.emit(
-                "queue_poison" if fate == "poisoned" else "queue_requeue",
-                job_id=job_id, worker=worker_id)
-        return [(job_id, worker_id) for job_id, worker_id, _ in fates]
+        released = self._run(txn)
+        for job_id, worker_id, error, poisoned in released:
+            (self._m_poisoned if poisoned else self._m_requeued).inc()
+            _journal.emit("queue_poison" if poisoned else "queue_requeue",
+                          job_id=job_id, worker=worker_id, error=error)
+        return [(job_id, worker_id) for job_id, worker_id, _, _ in released]
 
     def _poison(self, job_id: str, spec_blob: bytes, error: str) -> None:
         """Mark an unrunnable job done with an UNKNOWN verdict (caller
@@ -414,7 +425,7 @@ class WorkQueue:
         """Register a worker: a beat on no job.  Off the wire and not
         called in the package (a claim registers its worker): the
         end-to-end benchmark's tracer patches it by name."""
-        self.heartbeat(Heartbeat(worker_id, time.time()), 0.0)
+        self.heartbeat(worker_id, None, 0.0)
 
     def claim(self, worker_id: str,
               lease_seconds: float) -> Lease | None:
@@ -436,19 +447,15 @@ class WorkQueue:
                 if row is None:
                     return None
                 job_id, blob, attempts = row
-                expires = now + lease_seconds
                 self._conn.execute(
                     "UPDATE jobs SET status = ?, worker_id = ?, "
                     "lease_expiry = ?, attempts = ?, updated = ? "
                     "WHERE job_id = ?",
-                    (JOB_LEASED, worker_id, expires, attempts + 1, now,
-                     job_id))
-                return Lease(spec=pickle.loads(blob),
-                             worker_id=worker_id, expires=expires,
-                             attempt=attempts + 1)
+                    (JOB_LEASED, worker_id, now + lease_seconds,
+                     attempts + 1, now, job_id))
+                return Lease(spec=pickle.loads(blob), attempt=attempts + 1)
 
-        with self._lock:
-            lease = _with_lock_retry(txn)
+        lease = self._run(txn)
         self._m_claims.labels(
             "claimed" if lease is not None else "empty").inc()
         if lease is None:
@@ -460,18 +467,13 @@ class WorkQueue:
         return replace(lease, known=self._proofs().load_many(
             list(lease.spec.keys)))
 
-    def heartbeat(self, beat: Heartbeat, lease_seconds: float) -> None:
-        """Record liveness and extend the lease of the job being beaten.
+    def heartbeat(self, worker_id: str, job_id: str | None,
+                  lease_seconds: float) -> None:
+        """Record ``worker_id``'s liveness and extend its lease on
+        ``job_id`` (when set) by ``lease_seconds`` from *this process's*
+        clock — the one ``requeue_expired`` judges leases by.
 
-        Deadlines are stamped with *this process's* clock, never with
-        ``beat.sent``: leases are judged against this clock in
-        ``requeue_expired``, and under the HTTP backend this method runs
-        server-side, so extending from the worker's clock would let
-        cross-machine skew expire (or unduly prolong) the lease of a
-        healthy, actively-beating worker.  ``beat.sent`` stays on the
-        record as wire-level provenance only.
-
-        Only the lease of ``beat.job_id`` is extended — never every
+        Only the lease of ``job_id`` is extended — never every
         lease the worker holds.  A claim whose response was lost in
         transit leaves a leased job the worker does not know about;
         since the worker never beats *that* job id, the orphan's lease
@@ -482,17 +484,16 @@ class WorkQueue:
 
         def write() -> None:
             with self._txn():
-                self._seen(beat.worker_id, now)
-                if beat.job_id is not None:
+                self._seen(worker_id, now)
+                if job_id is not None:
                     self._conn.execute(
                         "UPDATE jobs SET lease_expiry = ? "
                         "WHERE job_id = ? AND worker_id = ? "
                         "AND status = ?",
-                        (now + lease_seconds, beat.job_id,
-                         beat.worker_id, JOB_LEASED))
+                        (now + lease_seconds, job_id, worker_id,
+                         JOB_LEASED))
 
-        with self._lock:
-            _with_lock_retry(write)
+        self._run(write)
         self._m_heartbeats.inc()
 
     def report(self, result: JobResult, worker_id: str,
@@ -539,53 +540,25 @@ class WorkQueue:
                     (result.busy_seconds, worker_id))
                 return True
 
-        with self._lock:
-            accepted = _with_lock_retry(txn)
+        accepted = self._run(txn)
         self._m_completions.labels(
             "accepted" if accepted else "discarded").inc()
         return accepted
 
     def fail(self, job_id: str, worker_id: str, error: str) -> None:
-        """A worker could not run its job: requeue or poison it."""
-        def txn() -> str:
-            with self._txn():
-                row = self._conn.execute(
-                    "SELECT attempts, max_attempts, spec FROM jobs "
-                    "WHERE job_id = ? AND worker_id = ? AND status = ?",
-                    (job_id, worker_id, JOB_LEASED)).fetchone()
-                if row is None:
-                    return ""  # lease already reclaimed; nothing to do
-                attempts, max_attempts, blob = row
-                if attempts >= max_attempts:
-                    self._poison(job_id, blob, error)
-                    return "poisoned"
-                self._conn.execute(
-                    "UPDATE jobs SET status = ?, worker_id = NULL, "
-                    "lease_expiry = NULL, updated = ? "
-                    "WHERE job_id = ?",
-                    (JOB_PENDING, time.time(), job_id))
-                return "requeued"
-
-        with self._lock:
-            fate = _with_lock_retry(txn)
-        if fate == "poisoned":
-            self._m_poisoned.inc()
-            _journal.emit("queue_poison", job_id=job_id, worker=worker_id,
-                          error=error)
-        elif fate == "requeued":
-            self._m_requeued.inc()
-            _journal.emit("queue_requeue", job_id=job_id,
-                          worker=worker_id, error=error)
+        """A worker could not run its job: release it (:meth:`_release`)
+        — unless its lease was already reclaimed."""
+        self._release("job_id = ? AND worker_id = ?", (job_id, worker_id),
+                      time.time(), lambda _attempts: error)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def counts(self) -> dict[str, int]:
-        with self._lock:
-            rows = _with_lock_retry(lambda: self._conn.execute(
-                "SELECT status, COUNT(*) FROM jobs "
-                "GROUP BY status").fetchall())
+        rows = self._run(lambda: self._conn.execute(
+            "SELECT status, COUNT(*) FROM jobs "
+            "GROUP BY status").fetchall())
         counts = dict(rows)
         # Depth gauges piggyback on every counts() call — the service's
         # /metrics handler and the coordinator's drain loop both poll
@@ -603,11 +576,10 @@ class WorkQueue:
 
     def results(self) -> dict[str, JobResult]:
         """Every completed job's :class:`JobResult`, by job id."""
-        with self._lock:
-            rows = _with_lock_retry(lambda: self._conn.execute(
-                "SELECT job_id, result FROM jobs "
-                "WHERE status = ? AND result IS NOT NULL",
-                (JOB_DONE,)).fetchall())
+        rows = self._run(lambda: self._conn.execute(
+            "SELECT job_id, result FROM jobs "
+            "WHERE status = ? AND result IS NOT NULL",
+            (JOB_DONE,)).fetchall())
         out: dict[str, JobResult] = {}
         for job_id, blob in rows:
             try:
@@ -619,10 +591,9 @@ class WorkQueue:
         return out
 
     def worker_stats(self) -> list[WorkerStat]:
-        with self._lock:
-            rows = _with_lock_retry(lambda: self._conn.execute(
-                "SELECT worker_id, jobs_done, busy_seconds FROM workers "
-                "ORDER BY worker_id").fetchall())
+        rows = self._run(lambda: self._conn.execute(
+            "SELECT worker_id, jobs_done, busy_seconds FROM workers "
+            "ORDER BY worker_id").fetchall())
         return [WorkerStat(worker_id=w, jobs_done=j, busy_seconds=b)
                 for w, j, b in rows]
 
@@ -646,8 +617,7 @@ class WorkQueue:
                     "FROM jobs WHERE status = ?", (JOB_LEASED,)).fetchall()
             return workers, leased
 
-        with self._lock:
-            workers, leased = _with_lock_retry(read)
+        workers, leased = self._run(read)
         held = {w: (job_id, updated, expiry)
                 for w, job_id, updated, expiry in leased}
         snapshot = []

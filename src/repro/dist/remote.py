@@ -14,10 +14,10 @@ Failure semantics mirror each side's local contract:
   coordination state, and the error type preserves the
   transient/permanent distinction the transport encodes:
 
-  - *Could not reach the service* (connection refused/reset, timeout):
-    :class:`RemoteBackendError`, an ``OSError`` and therefore a
-    :data:`~repro.dist.backend.TRANSIENT_BACKEND_ERRORS` member.  The
-    worker loop treats it as "poll again later": a worker cut off from
+  - *Could not reach the service* (connection refused/reset, timeout,
+    or a 503 for lock contention or shutdown):
+    :class:`~repro.dist.protocol.BackendUnavailable`, an ``OSError``.
+    The worker loop treats it as "poll again later": a worker cut off from
     the service stops reporting and heartbeating, its lease expires
     on the server, and the job is requeued for a reachable worker —
     connection loss degrades into the ordinary crashed-worker path,
@@ -56,6 +56,7 @@ import urllib.request
 from typing import Callable
 
 from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
+from repro.dist.protocol import BackendUnavailable
 from repro.errors import ReproError
 
 #: Per-request timeout (seconds), read at call time.  Every wire call
@@ -63,10 +64,6 @@ from repro.errors import ReproError
 #: the service is unreachable or melting, and the caller's
 #: retry/degrade path should take over.
 DEFAULT_TIMEOUT = 10.0
-
-
-class RemoteBackendError(OSError):
-    """The HTTP backend could not be reached (treat as transient)."""
 
 
 class RemoteOperationError(ReproError):
@@ -80,7 +77,7 @@ def _forwarder(name: str, miss: Callable[[], object] | None):
     def method(self, *args, **kwargs):
         try:
             return self._call(name, *args, **kwargs)
-        except (RemoteBackendError, RemoteOperationError):
+        except (BackendUnavailable, RemoteOperationError):
             if miss is None:
                 raise
             return miss()
@@ -130,13 +127,13 @@ class _RemoteProxy:
             except Exception:
                 detail = str(exc)
             if exc.code == 503:
-                raise RemoteBackendError(
+                raise BackendUnavailable(
                     f"{self._scope}.{method} busy: {detail}") from exc
             raise RemoteOperationError(
                 f"{self._scope}.{method} failed: {detail}") from exc
         except (OSError, http.client.HTTPException,
                 pickle.UnpicklingError, EOFError) as exc:
-            raise RemoteBackendError(
+            raise BackendUnavailable(
                 f"{self._scope}.{method} unreachable at {self.url}: "
                 f"{exc}") from exc
         if not payload.get("ok"):
@@ -155,7 +152,8 @@ class RemoteWorkQueue(_RemoteProxy, scope="queue",
 
     Every method is the same atomic server-side transaction the SQLite
     queue runs locally; this class only moves the arguments.  All
-    transport failures raise :class:`RemoteBackendError`.
+    transport failures raise
+    :class:`~repro.dist.protocol.BackendUnavailable`.
     """
 
 

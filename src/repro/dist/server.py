@@ -45,15 +45,15 @@ from __future__ import annotations
 import json
 import pickle
 import socket
-import sqlite3
 import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.campaign.store import ProofStore, _is_lock_error
+from repro.campaign.store import ProofStore
 from repro.dist.backend import QUEUE_METHODS, STORE_METHODS
+from repro.dist.protocol import BackendUnavailable
 from repro.dist.queue import WorkQueue
 from repro.obs import journal as _journal
 from repro.obs import metrics as _metrics
@@ -174,20 +174,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             value = target(*args, **kwargs)
-        except sqlite3.OperationalError as exc:
+        except Exception as exc:
             # Lock contention that outlived the queue's own retries is
             # transient, not a protocol failure: 503 tells the client
             # to treat it like unreachability (retry / lease expiry),
             # exactly as the same error behaves on the sqlite backend.
-            status = 503 if _is_lock_error(exc) else 500
-            if status == 503:
+            busy = isinstance(exc, BackendUnavailable)
+            if busy:
                 self.service.note_unavailable("lock_contention")
-            self._reply(status, pickle.dumps(
-                {"ok": False,
-                 "error": f"{type(exc).__name__}: {exc}"}))
-            return
-        except Exception as exc:
-            self._reply(500, pickle.dumps(
+            self._reply(503 if busy else 500, pickle.dumps(
                 {"ok": False,
                  "error": f"{type(exc).__name__}: {exc}"}))
             return

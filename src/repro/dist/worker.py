@@ -20,13 +20,14 @@ holds (the handed-back one included) so the coordinator only reclaims
 jobs from workers that actually died.
 
 The lease contract from the worker's side: a worker that cannot reach
-its backend (SQLite lock storm, service down, network cut) keeps
-retrying quietly — it neither reports nor heartbeats, so if the
+its backend (an ``OSError``: SQLite lock storm, service down, network
+cut) keeps retrying quietly — it neither reports nor heartbeats, so if the
 outage outlasts ``lease_seconds`` its job is requeued for a healthier
 worker, and any late report it eventually makes is discarded by the
 queue's guarded report (its proofs are stored all the same).
 Backend loss therefore degrades into the ordinary crashed-worker path
-instead of wedging a campaign.  A worker races its one claimed job
+instead of wedging a campaign; any other error (a full disk, a corrupt
+queue file) crashes the worker loudly.  A worker races its one claimed job
 inline, in its own process; to use more cores, run more workers.
 
 A worker leaves when a claim — its own, or the one inside a report —
@@ -55,10 +56,8 @@ from pathlib import Path
 from repro.campaign.report import CampaignRow
 from repro.campaign.scheduler import compile_design
 from repro.designs.registry import get_design
-from repro.dist.backend import (TRANSIENT_BACKEND_ERRORS, Backend,
-                                is_transient_error, open_queue,
-                                parse_backend)
-from repro.dist.protocol import Heartbeat, JobResult, JobSpec, Lease
+from repro.dist.backend import Backend, open_queue, parse_backend
+from repro.dist.protocol import JobResult, JobSpec, Lease
 from repro.dist.queue import STATE_CLOSED
 from repro.mc.cache import ResultCache
 from repro.mc.portfolio import PortfolioScheduler, VerifyTask
@@ -161,10 +160,8 @@ class Worker:
                         if lease is None and \
                                 self.queue.state() == STATE_CLOSED:
                             break
-                    except TRANSIENT_BACKEND_ERRORS as exc:
-                        if not is_transient_error(exc):
-                            raise  # corrupt/full queue: fail loudly
-                        # backend unreachable: poll again below
+                    except OSError:
+                        pass  # backend unreachable: poll again below
                     asked = False
                 if lease is None:
                     # No work, or no backend — both count as idle, so a
@@ -241,10 +238,8 @@ class Worker:
             error = f"{type(exc).__name__}: {exc}"
             try:
                 self.queue.fail(spec.job_id, self.worker_id, error)
-            except TRANSIENT_BACKEND_ERRORS as fail_exc:
-                if not is_transient_error(fail_exc):
-                    raise
-                # lease expiry requeues the job anyway
+            except OSError:
+                pass  # lease expiry requeues the job anyway
             finally:
                 self._current_job = None
             return {"result": "failed", "error": error}, None
@@ -262,9 +257,7 @@ class Worker:
             accepted, next_lease = self.queue.report(
                 result, self.worker_id, self.lease_seconds)
             fate = "completed" if accepted else "discarded"
-        except TRANSIENT_BACKEND_ERRORS as exc:
-            if not is_transient_error(exc):
-                raise  # corrupt/full queue: fail loudly
+        except OSError:
             # Backend vanished between solving and reporting: the
             # verdict is not recorded (and the results may not be
             # stored).  The lease expires and the requeued attempt runs
@@ -312,10 +305,8 @@ class Worker:
         interval = max(self.lease_seconds / 3.0, 0.05)
         while not self._stop_beats.wait(interval):
             try:
-                self.queue.heartbeat(
-                    Heartbeat(worker_id=self.worker_id, sent=time.time(),
-                              job_id=self._current_job),
-                    self.lease_seconds)
+                self.queue.heartbeat(self.worker_id, self._current_job,
+                                     self.lease_seconds)
                 self._renew_campaign()
             except Exception:
                 # Never let the beat thread die: heartbeats are

@@ -43,6 +43,7 @@ def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
     resolved = prop.resolved_against(system)
     stats = ProofStats()
     frame = FrameSolver(system, lemmas, solver=solver)
+    spent = frame.solver.stats.conflicts     # the budget's baseline
     with StatsTimer(stats):
         frame.add_init()
         for t in range(bound + 1):
@@ -52,8 +53,10 @@ def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
             if t < resolved.valid_from:
                 continue
             assumption = frame.assumption_at(resolved.bad, t)
+            left = None if conflict_budget is None else \
+                conflict_budget - (frame.solver.stats.conflicts - spent)
             verdict = frame.solve_limited([assumption],
-                                          conflict_budget=conflict_budget)
+                                          conflict_budget=left)
             if verdict is None:
                 _merge(stats, frame)
                 return CheckResult(

@@ -17,8 +17,7 @@ import pytest
 from repro.campaign import CampaignRow, ProofStore
 from repro.designs import get_design
 from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
-                        Heartbeat, JobResult, JobSpec, Lease, WorkQueue,
-                        Worker)
+                        JobResult, JobSpec, Lease, WorkQueue, Worker)
 from repro.flow.session import run_campaign
 from repro.mc.result import CheckResult, ProofStats, Status
 
@@ -58,10 +57,9 @@ def _design_specs(design_name: str, max_k: int = 3) -> list[JobSpec]:
 class TestProtocol:
     def test_records_pickle_round_trip(self):
         spec = _spec()
-        lease = Lease(spec=spec, worker_id="w1", expires=123.0, attempt=2)
-        beat = Heartbeat(worker_id="w1", sent=124.0, job_id=spec.job_id)
+        lease = Lease(spec=spec, attempt=2)
         result = _result(spec)
-        for record in (spec, lease, beat, result):
+        for record in (spec, lease, result):
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
 
@@ -103,7 +101,9 @@ class TestWorkQueue:
         accepted, following = queue.report(_result(lease.spec), "w1",
                                            lease_seconds=30)
         assert accepted and following.spec.job_id == "b"
-        assert (following.worker_id, following.attempt) == ("w1", 1)
+        assert following.attempt == 1
+        assert [(w["worker_id"], w["current_job"])
+                for w in queue.worker_snapshot()] == [("w1", "b")]
         assert queue.counts() == {JOB_DONE: 1, "leased": 1}
         assert queue.report(_result(following.spec), "w1",
                             lease_seconds=30) == (True, None)
@@ -233,8 +233,7 @@ class TestWorkQueue:
         queue = WorkQueue.open(tmp_path)
         queue.enqueue([_spec("a")])
         queue.claim("w1", lease_seconds=0.05)
-        queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
-                                  job_id="a"), lease_seconds=60)
+        queue.heartbeat("w1", "a", lease_seconds=60)
         time.sleep(0.06)   # past the original deadline, inside the new
         assert _reap(queue) == []
         assert queue.counts() == {"leased": 1}

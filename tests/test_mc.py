@@ -122,6 +122,18 @@ class TestBmc:
                            conflict_budget=1)
         assert result.status is Status.BOUNDED_OK
 
+    def test_conflict_budget_spans_the_whole_run(self):
+        """The budget caps the run's conflicts, not each depth's."""
+        from repro.campaign.scheduler import compile_design
+        prop, scoped = next(
+            (prop, scoped)
+            for _spec, prop, scoped in compile_design(get_design("fifo_ctrl"))
+            if prop.name == "occupancy_bound")
+        result = ProofEngine(scoped).check_bmc(prop, bound=20,
+                                               conflict_budget=50)
+        assert result.status is Status.BOUNDED_OK
+        assert result.stats.conflicts <= 50
+
 
 def _diverging_pair(width=4, stall_at=3):
     """count1/count2 from constant inits; count2 stalls once, so they

@@ -11,9 +11,8 @@ import pytest
 from repro.campaign import CampaignRow, ProofStore
 from repro.designs import get_design
 from repro.dist import (JOB_DONE, JOB_PENDING, STATE_CLOSED, STATE_OPEN,
-                        Backend, Heartbeat, JobResult, JobSpec,
-                        ProofService, RemoteBackendError,
-                        RemoteOperationError, RemoteProofStore,
+                        Backend, BackendUnavailable, JobResult, JobSpec,
+                        ProofService, RemoteOperationError, RemoteProofStore,
                         RemoteWorkQueue, WorkQueue, Worker, open_queue,
                         open_store, parse_backend)
 from repro.flow.session import run_campaign
@@ -181,8 +180,7 @@ class TestRemoteQueue:
         queue = RemoteWorkQueue(service.address)
         queue.enqueue([_spec("a")])
         queue.claim("w1", lease_seconds=0.05)
-        queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
-                                  job_id="a"), lease_seconds=60)
+        queue.heartbeat("w1", "a", lease_seconds=60)
         time.sleep(0.06)
         assert _reap(queue) == []
 
@@ -196,23 +194,9 @@ class TestRemoteQueue:
                        _spec("b", priority=1.0)])
         queue.claim("w1", lease_seconds=0.05)           # knows about a
         queue.claim("w1", lease_seconds=0.05)           # b: lost reply
-        queue.heartbeat(Heartbeat(worker_id="w1", sent=time.time(),
-                                  job_id="a"), lease_seconds=60)
+        queue.heartbeat("w1", "a", lease_seconds=60)
         time.sleep(0.06)
         assert _reap(queue) == [("b", "w1")]
-
-    def test_heartbeat_ignores_skewed_worker_clock(self, service):
-        """Lease deadlines are stamped by the server's clock: a healthy
-        worker whose own clock is an hour behind must still extend its
-        lease, not have it expire out from under it."""
-        queue = RemoteWorkQueue(service.address)
-        queue.enqueue([_spec("a")])
-        queue.claim("w1", lease_seconds=0.05)
-        queue.heartbeat(Heartbeat(worker_id="w1",
-                                  sent=time.time() - 3600,
-                                  job_id="a"), lease_seconds=60)
-        time.sleep(0.06)
-        assert _reap(queue) == []
 
     def test_late_report_from_presumed_dead_remote_worker_discarded(
             self, service):
@@ -294,9 +278,9 @@ class TestRemoteStore:
                                                      fabric_timing):
         fabric_timing(timeout=0.5)
         queue = RemoteWorkQueue(DEAD_URL)
-        with pytest.raises(RemoteBackendError):
+        with pytest.raises(BackendUnavailable):
             queue.claim("w1", lease_seconds=30)
-        with pytest.raises(RemoteBackendError):
+        with pytest.raises(BackendUnavailable):
             queue.enqueue([_spec("a")])
 
 
@@ -602,6 +586,82 @@ class TestWorkerOverHTTP:
         assert queue.begin_campaign("c2", lease_seconds=60) is False
 
 
+def _contend(monkeypatch, times: int | None = None,
+             message: str = "database is locked") -> list[str]:
+    """Make the queue's next ``times`` statement batches (all of them
+    when None) fail past ``_with_lock_retry`` with ``message``; the
+    returned list grows by one per batch that failed."""
+    import sqlite3
+
+    import repro.dist.queue as queue_mod
+    real = queue_mod._with_lock_retry
+    failed: list[str] = []
+
+    def contended(operation):
+        if times is not None and len(failed) >= times:
+            return real(operation)
+        failed.append(message)
+        raise sqlite3.OperationalError(message)
+
+    monkeypatch.setattr(queue_mod, "_with_lock_retry", contended)
+    return failed
+
+
+class TestLockContention:
+    """Lock contention that outlasts the queue's retries is the one
+    "try again later" error on both backends; every other SQLite error
+    still fails loudly."""
+
+    def test_the_retired_error_names_are_gone(self):
+        for name in ("TRANSIENT_BACKEND_ERRORS", "is_transient_error",
+                     "Heartbeat", "RemoteBackendError"):
+            with pytest.raises(ImportError):
+                exec(f"from repro.dist import {name}", {})
+        assert issubclass(BackendUnavailable, OSError)
+
+    def test_busy_queue_answers_503_over_http(self, service, monkeypatch):
+        queue = RemoteWorkQueue(service.address)
+        queue.enqueue([_spec("a")])
+        failed = _contend(monkeypatch, times=1)
+        with pytest.raises(BackendUnavailable, match="busy"):
+            queue.claim("w1", lease_seconds=30)
+        assert failed == ["database is locked"]
+        with urllib.request.urlopen(f"{service.address}/metrics",
+                                    timeout=5) as response:
+            text = response.read().decode()
+        assert 'repro_http_requests_total{endpoint="queue.claim",' \
+            'status="503"} 1' in text
+        assert 'repro_http_unavailable_total{reason="lock_contention"}' \
+            " 1" in text
+        # Nothing was lost: the job is still there to claim.
+        assert queue.claim("w1", lease_seconds=30).spec.job_id == "a"
+
+    def test_worker_polls_through_contention_on_a_directory(
+            self, tmp_path, monkeypatch, fabric_timing):
+        fabric_timing(poll=0.02)
+        queue = WorkQueue.open(tmp_path)
+        queue.enqueue(_design_specs("updown_counter"))
+        worker = Worker(tmp_path, worker_id="w1", lease_seconds=10)
+        failed = _contend(monkeypatch, times=4)
+        with pytest.raises(BackendUnavailable, match="busy"):
+            queue.counts()
+        assert worker.run() == 2        # three busy claims, then work
+        assert len(failed) == 4
+        assert queue.counts() == {JOB_DONE: 2}
+        queue.close()
+
+    def test_full_disk_propagates_out_of_worker_run(
+            self, tmp_path, monkeypatch, fabric_timing):
+        import sqlite3
+
+        fabric_timing(poll=0.02)
+        worker = Worker(tmp_path, worker_id="w1", lease_seconds=10,
+                        idle_timeout=5.0)
+        _contend(monkeypatch, message="database or disk is full")
+        with pytest.raises(sqlite3.OperationalError, match="disk is full"):
+            worker.run()
+
+
 class TestServerRestart:
     def test_restart_mid_campaign_requeues_leased_jobs(self, tmp_path,
                                                        fabric_timing):
@@ -620,7 +680,7 @@ class TestServerRestart:
         assert stale is not None
 
         svc.close()     # the server dies mid-campaign
-        with pytest.raises(RemoteBackendError):
+        with pytest.raises(BackendUnavailable):
             client.counts()
 
         time.sleep(0.35)    # the outage outlasts the lease
@@ -734,19 +794,6 @@ class TestCoordinatorSurvivesServerBounce:
         assert queue.begin_campaign("campaign-A", 60) is True
         queue.end_campaign("campaign-A")            # A releases...
         assert queue.begin_campaign("campaign-B", 60) is True
-
-    def test_permanent_sqlite_errors_are_not_transient(self):
-        import sqlite3
-
-        from repro.dist import is_transient_error
-        assert is_transient_error(
-            sqlite3.OperationalError("database is locked"))
-        assert is_transient_error(ConnectionRefusedError("refused"))
-        assert is_transient_error(RemoteBackendError("unreachable"))
-        assert not is_transient_error(
-            sqlite3.OperationalError("database or disk is full"))
-        assert not is_transient_error(
-            sqlite3.DatabaseError("file is not a database"))
 
     def test_never_reachable_backend_fails_fast(self, monkeypatch,
                                                 fabric_timing):

@@ -1060,13 +1060,11 @@ class TestTopExplainCli:
                                                        capsys):
         import time
 
-        from repro.dist import Heartbeat
         queue = WorkQueue.open(tmp_path / "cache")
         queue.enqueue([_spec("a"), _spec("b")])
         for worker_id in ("w-ok", "w-stuck"):
             lease = queue.claim(worker_id, lease_seconds=30)
-            queue.heartbeat(Heartbeat(worker_id, time.time(),
-                                      lease.spec.job_id), lease_seconds=30)
+            queue.heartbeat(worker_id, lease.spec.job_id, lease_seconds=30)
         # A fleet median of 1s per job; w-stuck's claim is 400s old.
         queue._conn.execute(
             "UPDATE workers SET jobs_done = 4, busy_seconds = 4.0")
