@@ -9,9 +9,10 @@ has none), and feeds the whole pool through one
 limit governs every design at once — a short design's properties fill
 worker slots while a long design's proofs grind.
 
-Every job races the configured portfolio (:func:`race_specs`); a won
-race drops its still-queued refuters and a cached one stops at its first
-conclusive slot.  Every final verdict is one :class:`CampaignRow`,
+Every job races the configured portfolio (:func:`race_specs`): by
+default k-induction alone, its base case searching to the bound.  A
+won race drops its still-queued slots and a cached one stops at its
+first conclusive slot.  Every final verdict is one :class:`CampaignRow`,
 upserted into the store's ledger, whose walls order the next
 campaign's pool.
 
@@ -85,15 +86,15 @@ def race_specs(strategies: Sequence[str], max_k: int | None = None,
     """One property's race: ``strategies`` with the caller's depth
     limits baked into each spec string.
 
-    ``max_k`` goes to every prover (the k-induction family) and
-    ``bound`` to every refute-only spec (the BMC family):
-    ``race_specs(("bmc",), bound=6)`` is ``("bmc(bound=6)",)``.
+    Each depth goes to every spec whose ``strategy.run`` accepts it —
+    ``max_k`` to k-induction, ``bound`` to k-induction and the BMC
+    family: ``race_specs(("k_induction", "bmc"), max_k=3, bound=9)`` is
+    ``("k_induction(bound=9, max_k=3)", "bmc(bound=9)")``.  PDR
+    measures depth in frames, not unrolling steps, so both pass it by.
     Options the spec already binds — written inline or baked into its
-    registry name — win (``"bmc(bound=4)"`` keeps its 4), and an option
-    is applied only where ``strategy.run`` accepts it: PDR measures
-    depth in frames, not unrolling steps, so ``max_k`` deliberately
-    passes it by.  Each spec is parsed by ``resolve_strategy``, so a
-    malformed one raises ``StrategyError``.
+    registry name — win (``"bmc(bound=4)"`` keeps its 4).  Each spec is
+    parsed by ``resolve_strategy``, so a malformed one raises
+    ``StrategyError``.
 
     Campaign jobs and ``verify_all`` both build their per-property
     races here, which keeps the spec strings their attempt logs carry
@@ -103,9 +104,8 @@ def race_specs(strategies: Sequence[str], max_k: int | None = None,
     race = []
     for spec in strategies:
         strategy, bound_options = resolve_strategy(spec)
-        depth = {"max_k": max_k} if strategy.can_prove else {"bound": bound}
         accepted = strategy_option_names(strategy)
-        merged = {k: v for k, v in depth.items()
+        merged = {k: v for k, v in (("max_k", max_k), ("bound", bound))
                   if v is not None and k in accepted}
         merged.update(bound_options)
         name = spec_name(spec)

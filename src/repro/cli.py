@@ -589,13 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the parallel scheduler")
     p.add_argument("--strategy", default="portfolio",
-                   help="'portfolio' (default: race k_induction + bmc) or "
+                   help="'portfolio' (default: k_induction, whose base "
+                        "case searches to --bound) or "
                         "'+'-joined strategy specs, e.g. "
                         "'k_induction(max_k=3)+bmc(bound=12)' or "
                         "'pdr+bmc' (see `repro-verify strategies`)")
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--bound", type=int, default=None,
-                   help="BMC bound for the default portfolio refuter")
+                   help="counterexample search depth: k-induction's "
+                        "base case and BMC specs")
     _add_backend(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -625,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="induction depth override (default: per "
                         "property)")
     p.add_argument("--bound", type=int, default=None,
-                   help="BMC bound for portfolio refuters")
+                   help="counterexample search depth: k-induction's "
+                        "base case and BMC specs")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the JSON report here ('-' for stdout)")
     p.add_argument("--events", default=None, metavar="DIR",

@@ -8,8 +8,8 @@ cone-of-influence reduces to its own disjoint sub-design, the pair
 proofs are deliberately SAT-heavy (cost roughly doubles per extra bit of
 width), and the portfolio scheduler can fan the checks across worker
 processes.  One property is intentionally violated (the ring reaches
-``4'b1000``) so batch runs always exercise the BMC-refuter side of the
-strategy race, not just the induction prover.
+``4'b1000``) so batch runs always exercise the refuting side (the
+base case or a BMC racer), not just the induction step.
 """
 
 from __future__ import annotations
@@ -90,5 +90,5 @@ counter_bank = Design(
     ],
     golden_helpers=[("a_equal_helper", "a1 == a2")],
     notes="Batch/portfolio stress workload: disjoint cones, SAT-heavy "
-          "pair proofs, one seeded violation so the BMC refuter always "
+          "pair proofs, one seeded violation so the refuting side always "
           "has work.")

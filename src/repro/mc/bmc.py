@@ -18,7 +18,53 @@ from repro.mc.frame import FrameSolver, StatsTimer
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, ProofStats, Status
 from repro.sat.solver import Solver
-from repro.trace.trace import TraceKind
+from repro.trace.trace import Trace, TraceKind
+
+
+class BaseCase:
+    """An init-rooted unrolling deepened one cycle at a time: the one
+    loop behind :func:`bmc` and k-induction's base case.  ``depth`` is
+    the deepest cycle reached (-1 before the first :meth:`deepen`)."""
+
+    def __init__(self, system: TransitionSystem, prop: SafetyProperty,
+                 lemmas: list[tuple[E.Expr, int]] | None = None,
+                 solver: Solver | None = None):
+        self.prop = prop
+        self.resolved = prop.resolved_against(system)
+        self.frame = FrameSolver(system, lemmas, solver=solver)
+        self.frame.add_init()
+        self.depth = -1
+
+    def deepen(self, bound: int,
+               conflict_budget: int | None = None) -> bool | None:
+        """Check each cycle after ``depth`` up to ``bound`` (monitor
+        warm-up cycles before ``valid_from`` are unrolled, not checked):
+        True when ``bad`` is reachable at ``depth`` (see :meth:`trace`),
+        False when at no cycle up to ``bound``, None when
+        ``conflict_budget`` (this call's SAT conflicts) ran out at
+        ``depth``."""
+        frame = self.frame
+        spent = frame.solver.stats.conflicts     # the budget's baseline
+        while self.depth < bound:
+            self.depth = t = self.depth + 1
+            if t > 0:
+                frame.add_frame(t - 1)
+            if t < self.resolved.valid_from:
+                continue
+            left = None if conflict_budget is None else \
+                conflict_budget - (frame.solver.stats.conflicts - spent)
+            verdict = frame.solve_limited(
+                [frame.assumption_at(self.resolved.bad, t)],
+                conflict_budget=left)
+            if verdict is not False:
+                return verdict
+        return False
+
+    def trace(self, note: str) -> Trace:
+        """The counterexample :meth:`deepen` found, cycles 0..depth."""
+        return self.frame.extract_trace(
+            self.depth + 1, TraceKind.BMC_CEX,
+            property_name=self.prop.name, note=note)
 
 
 def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
@@ -40,45 +86,22 @@ def bmc(system: TransitionSystem, prop: SafetyProperty, bound: int,
     ``solver`` backs the frame with another solver — the
     external-solver strategy runs this exact loop over a subprocess.
     """
-    resolved = prop.resolved_against(system)
     stats = ProofStats()
-    frame = FrameSolver(system, lemmas, solver=solver)
-    spent = frame.solver.stats.conflicts     # the budget's baseline
     with StatsTimer(stats):
-        frame.add_init()
-        for t in range(bound + 1):
-            if t > 0:
-                frame.add_frame(t - 1)
-            stats.max_depth = t
-            if t < resolved.valid_from:
-                continue
-            assumption = frame.assumption_at(resolved.bad, t)
-            left = None if conflict_budget is None else \
-                conflict_budget - (frame.solver.stats.conflicts - spent)
-            verdict = frame.solve_limited([assumption],
-                                          conflict_budget=left)
-            if verdict is None:
-                _merge(stats, frame)
-                return CheckResult(
-                    prop.name, Status.BOUNDED_OK, k=t, stats=stats,
-                    detail=f"probe budget exhausted at depth {t} "
-                           "(inconclusive)")
-            if verdict:
-                trace = frame.extract_trace(
-                    t + 1, TraceKind.BMC_CEX,
-                    property_name=prop.name,
-                    note=f"bad at cycle {t}")
-                _merge(stats, frame)
-                return CheckResult(prop.name, Status.VIOLATED, k=t,
-                                   cex=trace, stats=stats,
-                                   detail=f"counterexample at depth {t}")
-    _merge(stats, frame)
+        base = BaseCase(system, prop, lemmas, solver=solver)
+        verdict = base.deepen(bound, conflict_budget)
+        t = stats.max_depth = base.depth
+        trace = base.trace(f"bad at cycle {t}") if verdict else None
+    stats.merge_from(base.frame.stats_snapshot())
+    if verdict is None:
+        return CheckResult(prop.name, Status.BOUNDED_OK, k=t, stats=stats,
+                           detail=f"probe budget exhausted at depth {t} "
+                                  "(inconclusive)")
+    if verdict:
+        return CheckResult(prop.name, Status.VIOLATED, k=t, cex=trace,
+                           stats=stats, detail=f"counterexample at depth {t}")
     return CheckResult(prop.name, Status.BOUNDED_OK, k=bound, stats=stats,
                        detail=f"no counterexample within {bound} cycles")
-
-
-def _merge(stats: ProofStats, frame: FrameSolver) -> None:
-    stats.merge_from(frame.stats_snapshot())
 
 
 def bmc_probe(system: TransitionSystem, prop: SafetyProperty, bound: int,
@@ -106,7 +129,7 @@ def bmc_probe(system: TransitionSystem, prop: SafetyProperty, bound: int,
             for t in range(resolved.valid_from, bound + 1))
         verdict = frame.solve_limited([frame.cnf.assumption(any_bad)],
                                       conflict_budget=conflict_budget)
-    _merge(stats, frame)
+    stats.merge_from(frame.stats_snapshot())
     if verdict is None:
         return CheckResult(prop.name, Status.BOUNDED_OK, k=bound,
                            stats=stats,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
+from repro.mc.bmc import BaseCase
 from repro.mc.frame import FrameSolver, StatsTimer
 from repro.mc.property import SafetyProperty
 from repro.mc.result import CheckResult, ProofStats, Status
@@ -43,78 +44,70 @@ class KInductionOptions:
 
 def k_induction(system: TransitionSystem, prop: SafetyProperty,
                 options: KInductionOptions | None = None,
-                lemmas: list[tuple[E.Expr, int]] | None = None
-                ) -> CheckResult:
+                lemmas: list[tuple[E.Expr, int]] | None = None,
+                bound: int | None = None) -> CheckResult:
     """Prove ``prop`` by induction with increasing depth.
 
     Returns PROVEN (with the converging ``k``), VIOLATED (base-case CEX,
     a real bug), or UNKNOWN after ``max_k`` with the last induction-step
     counterexample attached for diagnosis — the input to the paper's
-    repair flow.
+    repair flow.  When the step case gives up, the base case deepens
+    on to ``bound`` cycles (if given): a deeper bug is VIOLATED, a
+    clean search stays UNKNOWN with its step CEX.
     """
     opts = options or KInductionOptions()
-    resolved = prop.resolved_against(system)
     stats = ProofStats()
-
-    base = FrameSolver(system, lemmas)
-    step = FrameSolver(system, lemmas)
     step_cex: Trace | None = None
+
+    def conclude(status: Status, k: int, detail: str,
+                 **fields) -> CheckResult:
+        for frame in (base.frame, step):
+            stats.merge_from(frame.stats_snapshot())
+        return CheckResult(prop.name, status, k=k, stats=stats,
+                           detail=detail, **fields)
+
+    def refuted() -> CheckResult:
+        t = base.depth
+        trace = base.trace(f"base case fails at cycle {t}")
+        return conclude(Status.VIOLATED, t,
+                        f"base-case counterexample at depth {t}", cex=trace)
 
     with StatsTimer(stats):
         # ---- time 0 plumbing -----------------------------------------
         # The base case is rooted in init; the step case is not, so its
         # frames assume every lemma (see repro.mc.frame).
-        base.add_init()
+        base = BaseCase(system, prop, lemmas)
+        step = FrameSolver(system, lemmas)
         step.add_constraints(0)
-
-        base_depth = 0  # frames already unrolled in the base solver
 
         for k in range(1, opts.max_k + 1):
             stats.max_depth = k
             # ---- base case: no bad within the first k+valid_from cycles.
             # (The extra valid_from padding closes the warm-up gap between
             # the base window and the first step-case application.)
-            base_bound = k + resolved.valid_from
-            while base_depth < base_bound:
-                t = base_depth
-                if t > 0:
-                    base.add_frame(t - 1)
-                if t >= resolved.valid_from:
-                    if base.solve([base.assumption_at(resolved.bad, t)]):
-                        trace = base.extract_trace(
-                            t + 1, TraceKind.BMC_CEX,
-                            property_name=prop.name,
-                            note=f"base case fails at cycle {t}")
-                        _collect(stats, base, step)
-                        return CheckResult(
-                            prop.name, Status.VIOLATED, k=t, cex=trace,
-                            stats=stats,
-                            detail=f"base-case counterexample at depth {t}")
-                base_depth += 1
+            if base.deepen(k + base.resolved.valid_from - 1):
+                return refuted()
 
             # ---- inductive step: good at 0..k-1, bad at k ---------------
             step.add_frame(k - 1)
-            step.assert_at(resolved.good, k - 1)
+            step.assert_at(base.resolved.good, k - 1)
             if opts.simple_path:
                 for earlier in range(k):
                     step.cnf.assert_lit(step.state_distinct(earlier, k))
-            if not step.solve([step.assumption_at(resolved.bad, k)]):
-                _collect(stats, base, step)
-                return CheckResult(
-                    prop.name, Status.PROVEN, k=k, step_cex=None,
-                    stats=stats, detail=f"induction converged at k={k}")
+            if not step.solve([step.assumption_at(base.resolved.bad, k)]):
+                return conclude(Status.PROVEN, k,
+                                f"induction converged at k={k}")
             step_cex = step.extract_trace(
                 k + 1, TraceKind.STEP_CEX,
                 property_name=prop.name,
                 note=f"inductive step fails at k={k}")
 
-    _collect(stats, base, step)
-    return CheckResult(prop.name, Status.UNKNOWN, k=opts.max_k,
-                       step_cex=step_cex, stats=stats,
-                       detail=f"induction did not converge by k={opts.max_k}")
+        detail = f"induction did not converge by k={opts.max_k}"
+        if bound is not None and bound > base.depth:
+            found = base.deepen(bound)
+            stats.max_depth = base.depth
+            if found:
+                return refuted()
+            detail += f"; no counterexample within {bound} cycles"
 
-
-def _collect(stats: ProofStats, base: FrameSolver,
-             step: FrameSolver) -> None:
-    for frame in (base, step):
-        stats.merge_from(frame.stats_snapshot())
+    return conclude(Status.UNKNOWN, opts.max_k, detail, step_cex=step_cex)

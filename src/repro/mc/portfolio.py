@@ -1,8 +1,8 @@
 """Parallel portfolio scheduling of check tasks.
 
 The :class:`PortfolioScheduler` takes a batch of verification tasks
-(one per property), expands each into a *race* of complementary
-strategies (a prover like k-induction plus a refuter like BMC), fans the
+(one per property), each carrying its *race* of strategies — by
+default k-induction alone (:data:`DEFAULT_PORTFOLIO`) — fans the
 whole batch across a ``ProcessPoolExecutor``, and streams per-property
 outcomes back **in completion order**:
 
@@ -15,12 +15,11 @@ outcomes back **in completion order**:
   log), one already running finishes — workers are not killed
   mid-solve — and its result reaches the cache after the race's
   outcome (``"discarded"``).  A batch whose slots all fit in the pool
-  (one property at ``jobs=2``) still starts every slot at once, so it
+  (one two-slot race at ``jobs=2``) still starts every slot at once, so it
   keeps its latency race;
 * if every strategy comes back inconclusive, the most informative
   inconclusive result is reported (earliest strategy in the configured
-  order, so a k-induction UNKNOWN with its step CEX beats a BMC
-  BOUNDED_OK);
+  order, so a PDR UNKNOWN beats a BMC BOUNDED_OK behind it);
 * every slot is looked up in a shared
   :class:`~repro.mc.cache.ResultCache` first
   (:func:`~repro.mc.cache.lookup`, behind one batched read of the
@@ -44,7 +43,7 @@ import os
 from concurrent.futures import (CancelledError, Future,
                                 ProcessPoolExecutor, as_completed)
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
@@ -54,8 +53,8 @@ from repro.mc.result import CheckResult, Status
 from repro.mc.strategy import CheckTask, resolve_strategy, run_check_task
 from repro.obs import journal as _journal
 
-#: Complementary default race: k-induction proves, BMC refutes.
-DEFAULT_PORTFOLIO: tuple[str, ...] = ("k_induction", "bmc")
+#: The default race: k-induction proves, and its base case refutes.
+DEFAULT_PORTFOLIO: tuple[str, ...] = ("k_induction",)
 
 
 @dataclass
@@ -64,18 +63,17 @@ class VerifyTask:
 
     ``tag`` is opaque caller identity (the campaign scheduler stamps the
     design name on it) carried through to the outcome, so one flattened
-    cross-design batch can be demultiplexed afterwards.  ``strategies``,
-    when set, overrides the scheduler's portfolio for this task only:
-    campaigns and ``verify_all`` set it on every task, with the
-    property's depths baked in by
+    cross-design batch can be demultiplexed afterwards.  ``strategies``
+    is the task's race, spec strings in configured order; campaigns and
+    ``verify_all`` bake the property's depths into it with
     :func:`~repro.campaign.scheduler.race_specs`.
     """
 
     system: TransitionSystem
     prop: SafetyProperty
+    strategies: tuple[str, ...]
     lemmas: list[tuple[E.Expr, int]] = field(default_factory=list)
     tag: str = ""
-    strategies: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -142,25 +140,17 @@ def _worker_run(task: CheckTask) -> CheckResult:
 
 
 class PortfolioScheduler:
-    """Races strategy portfolios over a batch of properties.
+    """Races each task's strategies over a batch of properties.
 
-    ``strategies`` are spec strings (see
-    :func:`~repro.mc.strategy.resolve_strategy`), the race of every
-    task that does not carry its own; options go inline
+    A task's race is spec strings (see
+    :func:`~repro.mc.strategy.resolve_strategy`) with options inline
     (``"bmc(bound=12)"``).  ``jobs > 1`` enables the process pool.
     """
 
-    def __init__(self, jobs: int = 1,
-                 strategies: Sequence[str] = DEFAULT_PORTFOLIO,
-                 cache: ResultCache | None = None):
+    def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not strategies:
-            raise ValueError("at least one strategy is required")
-        for spec in strategies:
-            resolve_strategy(spec)  # fail fast on bad specs
         self.jobs = jobs
-        self.strategies = tuple(strategies)
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -169,23 +159,13 @@ class PortfolioScheduler:
         """All outcomes, in completion order (see :meth:`stream`)."""
         return list(self.stream(tasks))
 
-    def run_batch(self, system: TransitionSystem,
-                  properties: Iterable[SafetyProperty],
-                  lemmas: list[tuple[E.Expr, int]] | None = None
-                  ) -> list[PortfolioOutcome]:
-        """Convenience wrapper: same system and lemma set for every task."""
-        shared = list(lemmas or [])
-        return self.run([VerifyTask(system, p, list(shared))
-                         for p in properties])
-
     def _groups(self, tasks: Sequence[VerifyTask]) -> list["_RaceGroup"]:
-        groups: list[_RaceGroup] = []
         for task in tasks:
-            for spec in task.strategies or ():
-                resolve_strategy(spec)  # fail fast on bad overrides
-            groups.append(_RaceGroup(task,
-                                     task.strategies or self.strategies))
-        return groups
+            if not task.strategies:
+                raise ValueError("a task's race needs a strategy")
+            for spec in task.strategies:
+                resolve_strategy(spec)  # fail fast on bad specs
+        return [_RaceGroup(task) for task in tasks]
 
     def _consult(self, groups: Sequence["_RaceGroup"],
                  settle_only: bool = False):
@@ -333,8 +313,8 @@ class PortfolioScheduler:
         (``"cancelled"``); one already running cannot be stopped, so it
         finishes, lands here after the outcome, is cached, and counts
         for nothing in its race (``"discarded"``).
-        With the queue in slot-major order most refuters are still
-        queued when their prover wins.
+        With the queue in slot-major order most later slots are still
+        queued when their race's first slot wins.
         """
         if found is not None:
             settle(self.cache, found, result)
@@ -353,9 +333,9 @@ class PortfolioScheduler:
 class _RaceGroup:
     """Book-keeping for one property's strategy race."""
 
-    def __init__(self, task: VerifyTask, strategies: Sequence[str]):
+    def __init__(self, task: VerifyTask):
         self.task = task
-        self.strategies = strategies
+        self.strategies = task.strategies
         #: slot -> (result, origin): "solver", or the cache tier
         self.results: dict[int, tuple[CheckResult, str]] = {}
         self.futures: dict[int, Future] = {}    # slots handed to the pool

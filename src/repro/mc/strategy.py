@@ -45,9 +45,9 @@ class Strategy(Protocol):
     """One way of checking a safety property.
 
     ``can_prove``/``can_refute`` describe which *conclusive* verdicts the
-    strategy can produce; portfolio scheduling uses them to assemble
-    complementary race sets (a prover plus a refuter covers both
-    outcomes of an undecided property).
+    strategy can produce (``repro-verify strategies`` lists them); one
+    that can do both, such as k-induction with a ``bound``, covers
+    both outcomes of an undecided property on its own.
     """
 
     name: str
@@ -91,7 +91,8 @@ class BmcProbeStrategy:
 
 @dataclass(frozen=True)
 class KInductionStrategy:
-    """k-induction: proves, and refutes via its base case."""
+    """k-induction: proves, and refutes via its base case — to
+    ``bound`` cycles when the step case gives up first."""
 
     name: str = "k_induction"
     can_prove: bool = True
@@ -99,9 +100,11 @@ class KInductionStrategy:
 
     def run(self, system: TransitionSystem, prop: SafetyProperty,
             lemmas: Lemmas | None = None, *, max_k: int = 10,
-            simple_path: bool = False) -> CheckResult:
+            simple_path: bool = False,
+            bound: int | None = None) -> CheckResult:
         options = KInductionOptions(max_k=max_k, simple_path=simple_path)
-        return k_induction(system, prop, options, lemmas=lemmas)
+        return k_induction(system, prop, options, lemmas=lemmas,
+                           bound=bound)
 
 
 @dataclass(frozen=True)

@@ -354,23 +354,32 @@ class TestRaceSpecs:
         assert spec_name("none") == "none"      # justice outcomes
 
     def test_bakes_depths(self):
+        """Each depth reaches every spec that takes it: k-induction
+        takes both, its ``bound`` being its base case's search depth."""
         assert race_specs(("k_induction", "bmc"), max_k=3, bound=9) == \
-            ("k_induction(max_k=3)", "bmc(bound=9)")
+            ("k_induction(bound=9, max_k=3)", "bmc(bound=9)")
+
+    def test_default_race_is_k_induction_alone(self):
+        assert DEFAULT_PORTFOLIO == ("k_induction",)
+        assert race_specs(DEFAULT_PORTFOLIO, max_k=3, bound=20) == \
+            ("k_induction(bound=20, max_k=3)",)
 
     def test_inline_options_win(self):
-        assert race_specs(("bmc(bound=4)", "k_induction(max_k=2)"),
+        assert race_specs(("bmc(bound=4)", "k_induction(max_k=2)",
+                           "k_induction(bound=5)"),
                           max_k=3, bound=9) == \
-            ("bmc(bound=4)", "k_induction(max_k=2)")
+            ("bmc(bound=4)", "k_induction(bound=9, max_k=2)",
+             "k_induction(bound=5, max_k=3)")
 
     def test_no_depths_is_identity(self):
         assert race_specs(("k_induction", "bmc")) == ("k_induction", "bmc")
 
     def test_pdr_is_passed_by_max_k(self):
-        """--max-k maps onto k-induction but passes PDR by (its depth
-        is frames, not unrolling steps)."""
+        """--max-k and --bound map onto k-induction but pass PDR by (its
+        depth is frames, not unrolling steps)."""
         assert race_specs(("k_induction", "pdr", "bmc"),
                           max_k=3, bound=12) == \
-            ("k_induction(max_k=3)", "pdr", "bmc(bound=12)")
+            ("k_induction(bound=12, max_k=3)", "pdr", "bmc(bound=12)")
 
     def test_registry_defaults_are_spec_bound(self):
         assert race_specs(("pdr_seeded",), max_k=3) == \
@@ -399,11 +408,14 @@ class TestRaceSpecs:
         assert session_logs == logged((r.property_name, r.attempts)
                                       for r in report.rows)
         assert session_logs and all(
-            log == ["k_induction(max_k=3)", "bmc(bound=20)"]
+            log == ["k_induction(bound=20, max_k=3)"]
             for log in session_logs.values())
 
 
 CAMPAIGN_DESIGNS = ["updown_counter", "gray_counter", "sync_counters_bug"]
+#: A real two-slot race: k-induction's base case stops at cycle 2, so
+#: on the seeded bug it reads UNKNOWN and BMC finds the counterexample.
+TWO_SLOTS = ["k_induction(bound=2)", "bmc"]
 
 
 class TestCampaign:
@@ -428,9 +440,10 @@ class TestCampaign:
         """A store-settled race stops at its first conclusive slot: the
         slots after the winner are skipped, not looked up, so a warm
         rerun's lookups are exactly the slots up to each winner."""
-        run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path, max_k=3)
+        run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path, max_k=3,
+                     strategies=TWO_SLOTS)
         warm = run_campaign(designs=CAMPAIGN_DESIGNS, cache_dir=tmp_path,
-                            max_k=3)
+                            max_k=3, strategies=TWO_SLOTS)
         consulted = 0
         for row in warm.rows:
             won = [a["winner"] for a in row.attempts].index(True)
@@ -444,6 +457,8 @@ class TestCampaign:
         assert warm.cache.misses == 0
         assert warm.cache.hits == warm.cache.disk_hits == consulted
         assert consulted < sum(len(row.attempts) for row in warm.rows)
+        assert any(row.attempts[0]["status"] == "unknown"
+                   for row in warm.rows)
 
     def test_parallel_campaign_matches_sequential(self, tmp_path):
         sequential = run_campaign(designs=CAMPAIGN_DESIGNS,
@@ -457,27 +472,29 @@ class TestCampaign:
     def test_every_row_races_the_full_portfolio(self, tmp_path):
         """The ledger orders the pool, never prunes a race.  A store that
         says k-induction settled the seeded-bug property (it cannot
-        within max_k=3; only BMC sees the divergence) still races the
-        whole portfolio, and BMC finds the bug in one pass; once the
-        store holds the campaign's own verdicts, every row of a rerun
-        still races each slot of the full portfolio, in order."""
+        when its base case stops at cycle 2; only BMC sees the
+        divergence) still races the whole portfolio, and BMC finds the
+        bug in one pass; once the store holds the campaign's own
+        verdicts, every row of a rerun still races each slot of the
+        full portfolio, in order."""
         store = ProofStore.open(tmp_path)
         store.record(design="sync_counters_bug", family="counters",
                      property_name="counters_equal",
                      strategy="k_induction", status="proven",
                      wall_seconds=0.1, from_cache=False)
         scheduler = CampaignScheduler(
-            select_designs(["sync_counters_bug"]), store, max_k=3)
-        race = race_specs(DEFAULT_PORTFOLIO, max_k=3,
-                          bound=scheduler.bmc_bound)
+            select_designs(["sync_counters_bug"]), store, max_k=3,
+            strategies=TWO_SLOTS)
+        race = race_specs(TWO_SLOTS, max_k=3, bound=scheduler.bmc_bound)
         [job] = scheduler.build_jobs()
         assert job.task.strategies == race
         [row] = scheduler.run().rows
-        assert row.status == "violated"
+        assert row.status == "violated" and row.strategy == race[1]
         assert len(row.attempts) == 2
         for _ in range(2):
             report = run_campaign(designs=CAMPAIGN_DESIGNS,
-                                  cache_dir=tmp_path, max_k=3)
+                                  cache_dir=tmp_path, max_k=3,
+                                  strategies=TWO_SLOTS)
             for row in report.rows:
                 assert [a["strategy"] for a in row.attempts] == list(race)
         assert set(store.expected_walls()) == \

@@ -802,6 +802,9 @@ class TestProbeBeforeEnqueue:
 
     DESIGNS = ["updown_counter", "sync_counters_bug"]
     BUG = ("sync_counters_bug", "counters_equal")
+    #: A real two-slot race: k-induction's base case stops at cycle 2,
+    #: so the stored first slot on the seeded bug is an UNKNOWN.
+    TWO_SLOTS = ["k_induction(bound=2)", "bmc"]
 
     def test_warm_rerun_spawns_nothing(self, tmp_path, coordinators):
         def run():
@@ -888,7 +891,8 @@ class TestProbeBeforeEnqueue:
                      status="proven", wall_seconds=0.1, from_cache=False)
         store.close()
         report = run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path,
-                              max_k=3, workers=1, lease_seconds=10)
+                              max_k=3, strategies=self.TWO_SLOTS,
+                              workers=1, lease_seconds=10)
         [row] = report.rows
         assert row.status == "violated" and row.worker
         assert [a["status"] for a in row.attempts] == ["unknown", "violated"]
@@ -904,9 +908,10 @@ class TestProbeBeforeEnqueue:
         enqueued once, and its worker reads that slot from the store and
         solves only BMC."""
         run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path, max_k=3,
-                     strategies=["k_induction"])
+                     strategies=self.TWO_SLOTS[:1])
         report = run_campaign(designs=[self.BUG[0]], cache_dir=tmp_path,
-                              max_k=3, workers=1, lease_seconds=10)
+                              max_k=3, strategies=self.TWO_SLOTS,
+                              workers=1, lease_seconds=10)
         [row] = report.rows
         assert row.status == "violated"
         assert row.worker and not row.from_cache

@@ -396,6 +396,89 @@ class TestKInduction:
         assert result.stats.variables > 0
 
 
+def _compiled(design: str, prop_name: str):
+    """One registry property, compiled and scoped as a campaign does."""
+    from repro.campaign.scheduler import compile_design
+    [(scoped, prop)] = [(scoped, prop) for _spec, prop, scoped
+                        in compile_design(get_design(design))
+                        if prop.name == prop_name]
+    return scoped, prop
+
+
+def _check(spec: str, scoped, prop):
+    from repro.mc.strategy import CheckTask, run_check_task
+    return run_check_task(CheckTask(key=(), system=scoped, prop=prop,
+                                    strategy=spec))
+
+
+class TestKInductionBound:
+    """``bound`` finishes k-induction's refutation search: the base case
+    deepens past ``max_k`` through the same loop as ``bmc``."""
+
+    def test_deep_bug_is_violated_and_replays(self):
+        scoped, prop = _compiled("sync_counters_bug", "counters_equal")
+        result = _check("k_induction(max_k=2, bound=20)", scoped, prop)
+        assert result.status is Status.VIOLATED and result.k == 16
+        assert result.detail == "base-case counterexample at depth 16"
+        assert result.cex.kind is TraceKind.BMC_CEX
+        assert replay_trace(scoped, prop, result) is None
+        unbounded = _check("k_induction(max_k=2)", scoped, prop)
+        assert unbounded.status is Status.UNKNOWN
+
+    def test_clean_search_stays_unknown_with_its_step_cex(self):
+        scoped, prop = _compiled("sync_counters", "equal_count")
+        plain = _check("k_induction(max_k=2)", scoped, prop)
+        result = _check("k_induction(max_k=2, bound=20)", scoped, prop)
+        assert result.status is Status.UNKNOWN and result.k == 2
+        assert result.step_cex is not None
+        assert result.step_cex.kind is TraceKind.STEP_CEX
+        assert plain.detail == "induction did not converge by k=2"
+        assert result.detail == "induction did not converge by k=2; " \
+            "no counterexample within 20 cycles"
+        assert result.stats.max_depth == 20 and plain.stats.max_depth == 2
+        assert "no counterexample within 20 cycles" in result.one_line()
+
+    def test_covered_bound_issues_no_extra_query(self):
+        """Up to ``max_k + valid_from - 1`` cycles the base case has
+        already searched: such a bound changes nothing."""
+        scoped, prop = _compiled("sync_counters", "equal_count")
+        plain = _check("k_induction(max_k=3)", scoped, prop)
+        covered = 3 + prop.valid_from - 1
+        result = _check(f"k_induction(max_k=3, bound={covered})",
+                        scoped, prop)
+        assert result.stats.sat_queries == plain.stats.sat_queries
+        assert result.detail == plain.detail
+        assert result.stats.max_depth == plain.stats.max_depth
+        deeper = _check(f"k_induction(max_k=3, bound={covered + 1})",
+                        scoped, prop)
+        assert deeper.stats.sat_queries == plain.stats.sat_queries + 1
+
+    def test_base_case_is_bmcs_loop(self):
+        """With no step case to run, k-induction's base case asks BMC's
+        queries, one for one, and finds BMC's counterexample."""
+        scoped, prop = _compiled("sync_counters_bug", "counters_equal")
+        base = k_induction(scoped, prop, KInductionOptions(max_k=0),
+                           bound=20)
+        ref = bmc(scoped, prop, 20)
+        assert base.status is ref.status is Status.VIOLATED
+        assert base.k == ref.k
+        assert (base.stats.sat_queries, base.stats.conflicts) == \
+            (ref.stats.sat_queries, ref.stats.conflicts)
+        assert [base.cex.value(n, t) for n in ("count1", "count2")
+                for t in range(base.k + 1)] == \
+            [ref.cex.value(n, t) for n in ("count1", "count2")
+             for t in range(ref.k + 1)]
+
+    def test_default_race_is_one_attempt(self):
+        batch = VerificationSession(
+            get_design("sync_counters_bug")).verify_all(jobs=2)
+        violated = batch.result_for("counters_equal")
+        assert violated.status is Status.VIOLATED and violated.k == 16
+        for outcome in batch.outcomes:
+            [row] = outcome.attempt_log
+            assert row["strategy"].startswith("k_induction(bound=20")
+
+
 class TestEngine:
     def test_coi_reduces_query(self, sync_counters_system):
         sync_counters_system.add_state("noise", 8, init=E.const(0, 8),

@@ -8,7 +8,8 @@ from repro.ir import expr as E
 from repro.ir.system import TransitionSystem
 from repro.mc.cache import ResultCache
 from repro.mc.engine import ProofEngine
-from repro.mc.portfolio import PortfolioScheduler, VerifyTask
+from repro.mc.portfolio import (DEFAULT_PORTFOLIO, PortfolioScheduler,
+                                VerifyTask)
 from repro.mc.result import Status
 from repro.mc.property import SafetyProperty
 
@@ -33,37 +34,52 @@ def _equal_prop(width: int) -> SafetyProperty:
         "equal", E.eq(E.var("count1", width), E.var("count2", width)))
 
 
+def _tasks(system: TransitionSystem, props, race) -> list[VerifyTask]:
+    """One task per property, each carrying ``race``."""
+    return [VerifyTask(system, prop, tuple(race)) for prop in props]
+
+
 class TestSchedulerConstruction:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             PortfolioScheduler(jobs=0)
 
-    def test_rejects_empty_portfolio(self):
+    def test_rejects_empty_race(self, sync_counters_system):
         with pytest.raises(ValueError):
-            PortfolioScheduler(strategies=())
+            PortfolioScheduler().run(
+                _tasks(sync_counters_system, [_equal_prop(8)], ()))
 
-    def test_rejects_bad_spec_eagerly(self):
+    def test_rejects_bad_spec_eagerly(self, monkeypatch,
+                                      sync_counters_system):
+        """A bad spec anywhere in the batch fails before any slot runs."""
+        import repro.mc.portfolio as portfolio
         from repro.mc.strategy import StrategyError
+
+        def never(_check):
+            raise AssertionError("no slot may run")
+
+        monkeypatch.setattr(portfolio, "run_check_task", never)
+        tasks = _tasks(sync_counters_system, [_equal_prop(8)], STRATEGIES)
+        tasks += _tasks(sync_counters_system, [_equal_prop(8)],
+                        ("not_a_strategy",))
         with pytest.raises(StrategyError):
-            PortfolioScheduler(strategies=("not_a_strategy",))
+            PortfolioScheduler().run(tasks)
 
 
 class TestSequentialRacing:
     def test_prover_wins_and_refuter_is_skipped(self, sync_counters_system):
-        scheduler = PortfolioScheduler(
-            jobs=1, strategies=("k_induction(max_k=2)", "bmc(bound=8)"))
-        [outcome] = scheduler.run_batch(sync_counters_system,
-                                        [_equal_prop(8)])
+        [outcome] = PortfolioScheduler(jobs=1).run(_tasks(
+            sync_counters_system, [_equal_prop(8)],
+            ("k_induction(max_k=2)", "bmc(bound=8)")))
         assert outcome.status is Status.PROVEN
         assert outcome.strategy == "k_induction(max_k=2)"
         assert outcome.attempts == 1
         assert outcome.cancelled == 1  # bmc never ran
 
     def test_refuter_catches_violation(self, diverging_system):
-        scheduler = PortfolioScheduler(
-            jobs=1, strategies=("k_induction(max_k=1)", "bmc(bound=8)"))
-        [outcome] = scheduler.run_batch(diverging_system,
-                                        [_equal_prop(3)])
+        [outcome] = PortfolioScheduler(jobs=1).run(_tasks(
+            diverging_system, [_equal_prop(3)],
+            ("k_induction(max_k=1)", "bmc(bound=8)")))
         assert outcome.status is Status.VIOLATED
         assert outcome.result.cex is not None
 
@@ -72,9 +88,9 @@ class TestSequentialRacing:
         # the base case (valid only 3 cycles), bound too small to reach
         # the divergence.
         prop = _equal_prop(3)
-        scheduler = PortfolioScheduler(
-            jobs=1, strategies=("k_induction(max_k=1)", "bmc(bound=2)"))
-        [outcome] = scheduler.run_batch(diverging_system, [prop])
+        [outcome] = PortfolioScheduler(jobs=1).run(_tasks(
+            diverging_system, [prop],
+            ("k_induction(max_k=1)", "bmc(bound=2)")))
         assert not outcome.status.conclusive
         assert outcome.strategy == "k_induction(max_k=1)"
         assert outcome.attempts == 2
@@ -90,15 +106,13 @@ class TestParallelRacing:
             "equal", E.eq(E.var("count1", 8), E.var("count2", 8)))
         bad = SafetyProperty.from_invariant(
             "diverges", E.eq(E.var("count1", 3), E.var("count2", 3)))
-        tasks = [VerifyTask(sync_counters_system, good),
-                 VerifyTask(diverging_system, bad)]
         strategies = ("k_induction(max_k=2)", "bmc(bound=8)")
+        tasks = _tasks(sync_counters_system, [good], strategies) + \
+            _tasks(diverging_system, [bad], strategies)
         sequential = {o.property_name: o.status for o in
-                      PortfolioScheduler(jobs=1,
-                                         strategies=strategies).run(tasks)}
+                      PortfolioScheduler(jobs=1).run(tasks)}
         parallel = {o.property_name: o.status for o in
-                    PortfolioScheduler(jobs=2,
-                                       strategies=strategies).run(tasks)}
+                    PortfolioScheduler(jobs=2).run(tasks)}
         assert parallel == sequential
         assert parallel["equal"] is Status.PROVEN
         assert parallel["diverges"] is Status.VIOLATED
@@ -111,23 +125,17 @@ class TestParallelRacing:
             SafetyProperty.from_invariant(
                 "le", E.ule(E.var("count1", 8), E.var("count1", 8))),
         ]
-        scheduler = PortfolioScheduler(
-            jobs=2, strategies=("k_induction(max_k=2)", "bmc(bound=4)"))
-        outcomes = list(scheduler.stream(
-            [VerifyTask(sync_counters_system, p) for p in props]))
+        outcomes = list(PortfolioScheduler(jobs=2).stream(
+            _tasks(sync_counters_system, props, STRATEGIES)))
         assert sorted(o.property_name for o in outcomes) == ["eq", "le"]
 
     def test_parallel_uses_cache_on_second_run(self, sync_counters_system):
         cache = ResultCache()
         prop = _equal_prop(8)
-        strategies = ("k_induction(max_k=2)", "bmc(bound=4)")
-        PortfolioScheduler(jobs=2, strategies=strategies,
-                           cache=cache).run_batch(sync_counters_system,
-                                                  [prop])
+        tasks = _tasks(sync_counters_system, [prop], STRATEGIES)
+        PortfolioScheduler(jobs=2, cache=cache).run(tasks)
         hits_before = cache.stats.hits
-        [outcome] = PortfolioScheduler(
-            jobs=2, strategies=strategies,
-            cache=cache).run_batch(sync_counters_system, [prop])
+        [outcome] = PortfolioScheduler(jobs=2, cache=cache).run(tasks)
         assert outcome.from_cache
         assert cache.stats.hits > hits_before
 
@@ -145,18 +153,15 @@ class TestPoolEdges:
                                                 sync_counters_system):
         cache = ResultCache()
         prop = _equal_prop(8)
-        [cold] = PortfolioScheduler(
-            jobs=2, strategies=STRATEGIES,
-            cache=cache).run_batch(sync_counters_system, [prop])
+        tasks = _tasks(sync_counters_system, [prop], STRATEGIES)
+        [cold] = PortfolioScheduler(jobs=2, cache=cache).run(tasks)
 
         def no_pool(*_args, **_kwargs):
             raise AssertionError("a warm batch must not build a pool")
 
         monkeypatch.setattr("repro.mc.portfolio.ProcessPoolExecutor",
                             no_pool)
-        [warm] = PortfolioScheduler(
-            jobs=2, strategies=STRATEGIES,
-            cache=cache).run_batch(sync_counters_system, [prop])
+        [warm] = PortfolioScheduler(jobs=2, cache=cache).run(tasks)
         assert warm.from_cache and warm.status is cold.status
         assert warm.strategy == cold.strategy
 
@@ -168,11 +173,11 @@ class TestPoolEdges:
         monkeypatch.setattr("repro.mc.portfolio.ProcessPoolExecutor",
                             unusable)
         cache = ResultCache()
-        tasks = [VerifyTask(sync_counters_system, _equal_prop(8)),
-                 VerifyTask(diverging_system, _equal_prop(3), tag="bad")]
-        proven, violated = PortfolioScheduler(
-            jobs=2, strategies=("k_induction(max_k=1)", "bmc(bound=8)"),
-            cache=cache).run(tasks)
+        race = ("k_induction(max_k=1)", "bmc(bound=8)")
+        tasks = [VerifyTask(sync_counters_system, _equal_prop(8), race),
+                 VerifyTask(diverging_system, _equal_prop(3), race,
+                            tag="bad")]
+        proven, violated = PortfolioScheduler(jobs=2, cache=cache).run(tasks)
         assert proven.status is Status.PROVEN
         assert [row["origin"] for row in proven.attempt_log] == \
             ["solver", "skipped"]        # never reached a pool
@@ -186,9 +191,8 @@ class TestPoolEdges:
             self, monkeypatch, sync_counters_system):
         monkeypatch.setattr("repro.mc.portfolio._worker_run", _explode)
         cache = ResultCache()
-        [outcome] = PortfolioScheduler(
-            jobs=2, strategies=STRATEGIES,
-            cache=cache).run_batch(sync_counters_system, [_equal_prop(8)])
+        [outcome] = PortfolioScheduler(jobs=2, cache=cache).run(
+            _tasks(sync_counters_system, [_equal_prop(8)], STRATEGIES))
         assert outcome.status is Status.UNKNOWN
         assert outcome.strategy == STRATEGIES[0]
         assert "k_induction(max_k=2) failed in worker: RuntimeError: " \
@@ -216,11 +220,10 @@ class TestSlotMajorQueue:
     def test_won_races_drop_their_queued_refuters(self,
                                                   sync_counters_system):
         props = _shifted_equalities(8)
-        sequential = PortfolioScheduler(jobs=1, strategies=self.RACE) \
-            .run_batch(sync_counters_system, props)
+        tasks = _tasks(sync_counters_system, props, self.RACE)
+        sequential = PortfolioScheduler(jobs=1).run(tasks)
         jobs = 2
-        pooled = PortfolioScheduler(jobs=jobs, strategies=self.RACE) \
-            .run_batch(sync_counters_system, props)
+        pooled = PortfolioScheduler(jobs=jobs).run(tasks)
         status = lambda outcomes: {o.property_name: o.status
                                    for o in outcomes}
         assert status(pooled) == status(sequential)
@@ -240,8 +243,8 @@ class TestSlotMajorQueue:
 
     def test_one_race_still_hands_both_slots_to_the_pool(
             self, sync_counters_system):
-        [outcome] = PortfolioScheduler(jobs=2, strategies=self.RACE) \
-            .run_batch(sync_counters_system, [_equal_prop(8)])
+        [outcome] = PortfolioScheduler(jobs=2).run(
+            _tasks(sync_counters_system, [_equal_prop(8)], self.RACE))
         assert outcome.status is Status.PROVEN
         origins = [row["origin"] for row in outcome.attempt_log]
         assert origins[0] == "solver" and "skipped" not in origins
@@ -255,14 +258,13 @@ class TestSlotMajorQueue:
 
         import repro.mc.portfolio as portfolio
 
-        tasks = [VerifyTask(diverging_system, _equal_prop(3), tag="bad"),
-                 *(VerifyTask(sync_counters_system, prop)
-                   for prop in _shifted_equalities(3))]
         race = ("k_induction(max_k=1)", "bmc(bound=8)")
+        tasks = [VerifyTask(diverging_system, _equal_prop(3), race,
+                            tag="bad"),
+                 *_tasks(sync_counters_system, _shifted_equalities(3), race)]
         status = lambda outcomes: {(o.tag, o.property_name): o.status
                                    for o in outcomes}
-        sequential = status(PortfolioScheduler(
-            jobs=1, strategies=race).run(tasks))
+        sequential = status(PortfolioScheduler(jobs=1).run(tasks))
 
         submitted = []
 
@@ -273,8 +275,7 @@ class TestSlotMajorQueue:
 
         monkeypatch.setattr(portfolio, "ProcessPoolExecutor",
                             RecordingPool)
-        pooled = status(PortfolioScheduler(jobs=2, strategies=race)
-                        .run(tasks))
+        pooled = status(PortfolioScheduler(jobs=2).run(tasks))
         assert [spec for _key, spec in submitted] == \
             [race[0]] * len(tasks) + [race[1]] * len(tasks)
 
@@ -290,8 +291,7 @@ class TestSlotMajorQueue:
 
         monkeypatch.setattr(portfolio, "ProcessPoolExecutor", unusable)
         monkeypatch.setattr(portfolio, "run_check_task", recording_run)
-        fallback = status(PortfolioScheduler(jobs=2, strategies=race)
-                          .run(tasks))
+        fallback = status(PortfolioScheduler(jobs=2).run(tasks))
         assert fallback == pooled == sequential
         assert sequential[("bad", "equal")] is Status.VIOLATED
         # Every first slot, then the refuter of the one race they left
@@ -318,12 +318,12 @@ class TestBatchResults:
             "msb", E.eq(E.bit(E.var("count1", 8), 7),
                         E.bit(E.var("count2", 8), 7)))
         [unaided] = PortfolioScheduler().run(
-            [VerifyTask(engine.scoped_system(msb), msb)])
+            [VerifyTask(engine.scoped_system(msb), msb, DEFAULT_PORTFOLIO)])
         assert unaided.status is Status.UNKNOWN
         lemmas = [(E.eq(E.var("count1", 8), E.var("count2", 8)), 0)]
         [aided] = PortfolioScheduler().run(
             [VerifyTask(engine.scoped_system(msb, lemmas), msb,
-                        lemmas=lemmas)])
+                        DEFAULT_PORTFOLIO, lemmas=lemmas)])
         assert aided.status is Status.PROVEN
 
 
